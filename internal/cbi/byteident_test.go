@@ -3,7 +3,6 @@ package cbi
 import (
 	"testing"
 
-	"repro/internal/logic"
 	"repro/internal/optimal"
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -15,7 +14,7 @@ func buildPsiProg(t *testing.T, opts smt.Options) *sat.Solver {
 	t.Helper()
 	p := arrayInitProblem()
 	eng := optimal.New(smt.NewSolver(opts))
-	enc := &encoder{s: sat.New(), vars: map[bvar]int{}, preds: map[bvar]logic.Formula{}}
+	enc := &encoder{s: sat.New(), vars: map[bvar]int{}, preds: map[bvar]keyedPred{}}
 	paths := p.Paths()
 	for i := range paths {
 		plan, jobs := planPath(p, eng, i)

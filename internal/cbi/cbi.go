@@ -81,17 +81,25 @@ type bvar struct {
 type encoder struct {
 	s     *sat.Solver
 	vars  map[bvar]int
-	preds map[bvar]logic.Formula // remembers the predicate for decoding
+	preds map[bvar]keyedPred // remembers the predicate for decoding
 }
 
-func (e *encoder) vidx(u string, p logic.Formula) int {
+// keyedPred is a predicate with its PredSet key (p.String()), so decoding a
+// model adds it to σ without rendering it again.
+type keyedPred struct {
+	p   logic.Formula
+	key string
+}
+
+// vidx returns the boolean variable of (u, p); key must be p.String().
+func (e *encoder) vidx(u string, p logic.Formula, key string) int {
 	k := bvar{unknown: u, pred: logic.Intern(p)}
 	if v, ok := e.vars[k]; ok {
 		return v
 	}
 	v := e.s.NewVar()
 	e.vars[k] = v
-	e.preds[k] = p
+	e.preds[k] = keyedPred{p: p, key: key}
 	return v
 }
 
@@ -101,7 +109,7 @@ func Solve(p *spec.Problem, eng *optimal.Engine, opts Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	enc := &encoder{s: sat.New(), vars: map[bvar]int{}, preds: map[bvar]logic.Formula{}}
+	enc := &encoder{s: sat.New(), vars: map[bvar]int{}, preds: map[bvar]keyedPred{}}
 
 	// Phase 1 (sequential, cheap): per-path setup — renamings, polarity
 	// splits, vocabulary domains, compiled fillers — plus one job descriptor
@@ -337,8 +345,9 @@ func emitPath(enc *encoder, plan *pathPlan) {
 			if !plan.t1Unknowns[u] {
 				ops = ps.Rename(plan.inv)
 			}
-			for _, q := range ops.Preds() {
-				lits = append(lits, sat.MkLit(enc.vidx(ou, q), false))
+			keys := ops.Keys()
+			for i, q := range ops.Preds() {
+				lits = append(lits, sat.MkLit(enc.vidx(ou, q, keys[i]), false))
 			}
 		}
 		sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
@@ -346,7 +355,7 @@ func emitPath(enc *encoder, plan *pathPlan) {
 	}
 	addCover(enc, nil, plan.base, bc)
 	for _, pc := range plan.posCases {
-		guard := sat.MkLit(enc.vidx(pc.ou, pc.oq), true) // ¬b ∨ cover
+		guard := sat.MkLit(enc.vidx(pc.ou, pc.oq, pc.oq.String()), true) // ¬b ∨ cover
 		addCover(enc, []sat.Lit{guard}, pc.sols, bc)
 	}
 }
@@ -394,7 +403,8 @@ func decode(p *spec.Problem, enc *encoder) template.Solution {
 	}
 	for k, v := range enc.vars {
 		if enc.s.Value(v) {
-			sigma[k.unknown] = sigma[k.unknown].Add(enc.preds[k])
+			kp := enc.preds[k]
+			sigma[k.unknown] = sigma[k.unknown].AddKeyed(kp.p, kp.key)
 		}
 	}
 	return sigma

@@ -45,11 +45,6 @@ type CoreStore struct {
 	pmu      sync.Mutex
 	portable []store.Core
 	warmHits atomic.Int64 // portable cores promoted into a search's universe
-
-	// keyMemo caches store.FormulaKey per interned predicate
-	// (*logic.IFormula → string): portable-core resolution recomputes the
-	// universe's key set per search, and the universes overlap heavily.
-	keyMemo sync.Map
 }
 
 // Attach connects the on-disk knowledge base: persisted portable cores are
@@ -72,16 +67,11 @@ func (cs *CoreStore) Attach(know *store.Store) {
 // form into a live search's bitmask space.
 func (cs *CoreStore) NumWarmCores() int64 { return cs.warmHits.Load() }
 
-// predKey returns the portable identity of a core item's predicate, memoized
-// per interned formula.
-func (cs *CoreStore) predKey(p *logic.IFormula) string {
-	if v, ok := cs.keyMemo.Load(p); ok {
-		return v.(string)
-	}
-	k := store.FormulaKey(p.Formula())
-	v, _ := cs.keyMemo.LoadOrStore(p, k)
-	return v.(string)
-}
+// predKey returns the portable identity of a core item's predicate. It is
+// recomputed rather than memoized: a memo keyed by *logic.IFormula would
+// live as long as the (process-wide, shared) core store and pin every
+// predicate it ever keyed against the weak interner.
+func predKey(p *logic.IFormula) string { return store.FormulaKey(p.Formula()) }
 
 // persist writes one inserted core behind in portable form.
 func (cs *CoreStore) persist(items []coreItem) {
@@ -91,7 +81,7 @@ func (cs *CoreStore) persist(items []coreItem) {
 	}
 	preds := make([]string, len(items))
 	for i, it := range items {
-		preds[i] = cs.predKey(it.pred)
+		preds[i] = predKey(it.pred)
 	}
 	know.AppendCore(store.Core{Unknown: items[0].unknown, Preds: preds})
 }
@@ -232,7 +222,7 @@ func (cs *CoreStore) promotePortable(indexOf map[coreItem]int) {
 	}
 	inv := make(map[string]coreItem, len(indexOf))
 	for it := range indexOf {
-		inv[it.unknown+"\x00"+cs.predKey(it.pred)] = it
+		inv[it.unknown+"\x00"+predKey(it.pred)] = it
 	}
 	kept := cs.portable[:0]
 	for _, pc := range cs.portable {

@@ -40,18 +40,7 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 	}
 	// The deduplicated item universe, in the same deterministic order as
 	// negBFS; map variable i is item i.
-	var items []taggedPred
-	indexOf := map[coreItem]int{}
-	for _, u := range unknowns {
-		for _, p := range q[u] {
-			k := coreItem{unknown: u, pred: logic.Intern(p)}
-			if _, dup := indexOf[k]; dup {
-				continue
-			}
-			indexOf[k] = len(items)
-			items = append(items, taggedPred{unknown: u, pred: p})
-		}
-	}
+	items, indexOf := itemUniverse(unknowns, q)
 	fl := e.Filler(phi)
 	ctx := e.S.ContextFor(logic.Intern(phi))
 	probe := func(sigma template.Solution) bool {
@@ -66,7 +55,7 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 	// unique minimal solution.
 	full := empty.Clone()
 	for _, it := range items {
-		full[it.unknown] = full[it.unknown].Add(it.pred)
+		it.addTo(full)
 	}
 	if !probe(full) {
 		return nil
@@ -213,7 +202,7 @@ func (e *Engine) growSel(probe func(template.Solution) bool, empty template.Solu
 			break
 		}
 		trial := cand.Clone()
-		trial[items[i].unknown] = trial[items[i].unknown].Add(items[i].pred)
+		items[i].addTo(trial)
 		if !probe(trial) {
 			cand = trial
 			out = append(out, i)
@@ -227,7 +216,7 @@ func (e *Engine) growSel(probe func(template.Solution) bool, empty template.Solu
 func negSolutionOf(empty template.Solution, items []taggedPred, sel []int) template.Solution {
 	s := empty.Clone()
 	for _, i := range sel {
-		s[items[i].unknown] = s[items[i].unknown].Add(items[i].pred)
+		items[i].addTo(s)
 	}
 	return s
 }

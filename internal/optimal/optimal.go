@@ -217,10 +217,38 @@ func (e *Engine) storeCoreStats(unknown string, core []logic.Formula) {
 	}
 }
 
-// taggedPred is one (unknown, predicate) choice in the BFS space.
+// taggedPred is one (unknown, predicate) choice in the BFS space. key is
+// pred.String(), rendered once per search so the lattice walk adds items to
+// PredSets without re-serializing them.
 type taggedPred struct {
 	unknown string
 	pred    logic.Formula
+	key     string
+}
+
+// itemUniverse returns the deduplicated (unknown, predicate) items of a
+// search in deterministic order, with each item's index by interned
+// identity. With distinct items, every lattice point is exactly identified
+// by its set of item indices.
+func itemUniverse(unknowns []string, q template.Domain) ([]taggedPred, map[coreItem]int) {
+	var items []taggedPred
+	indexOf := map[coreItem]int{}
+	for _, u := range unknowns {
+		for _, p := range q[u] {
+			k := coreItem{unknown: u, pred: logic.Intern(p)}
+			if _, dup := indexOf[k]; dup {
+				continue
+			}
+			indexOf[k] = len(items)
+			items = append(items, taggedPred{unknown: u, pred: p, key: p.String()})
+		}
+	}
+	return items, indexOf
+}
+
+// addTo adds the item to its unknown's set in s.
+func (it taggedPred) addTo(s template.Solution) {
+	s[it.unknown] = s[it.unknown].AddKeyed(it.pred, it.key)
 }
 
 // OptimalNegativeSolutions returns all minimal solutions of φ over Q when
@@ -373,22 +401,10 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 		}
 		return nil
 	}
-	// The deduplicated item universe, in deterministic order. With distinct
-	// items, every candidate the BFS builds is exactly identified by its set
-	// of item indices, so subsumption against already-found solutions is a
-	// word-wise bitmask subset test instead of per-unknown PredSet walks.
-	var items []taggedPred
-	indexOf := map[coreItem]int{}
-	for _, u := range unknowns {
-		for _, p := range q[u] {
-			k := coreItem{unknown: u, pred: logic.Intern(p)}
-			if _, dup := indexOf[k]; dup {
-				continue
-			}
-			indexOf[k] = len(items)
-			items = append(items, taggedPred{unknown: u, pred: p})
-		}
-	}
+	// The deduplicated item universe: subsumption against already-found
+	// solutions is a word-wise bitmask subset test over item indices instead
+	// of per-unknown PredSet walks.
+	items, indexOf := itemUniverse(unknowns, q)
 	// The base formula is compiled once; each candidate costs one spine
 	// rebuild instead of a full-tree reconstruction. Probes go through the
 	// incremental context keyed by the unfilled group formula — one
@@ -406,7 +422,7 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 	// subset is.
 	full := empty.Clone()
 	for _, it := range items {
-		full[it.unknown] = full[it.unknown].Add(it.pred)
+		it.addTo(full)
 	}
 	if !probe(full) {
 		return nil
@@ -470,7 +486,7 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 					continue
 				}
 				cand := nd.sigma.Clone()
-				cand[items[i].unknown] = cand[items[i].unknown].Add(items[i].pred)
+				items[i].addTo(cand)
 				// Contradictory predicate sets denote the guard "false":
 				// they make the template conjunct vacuous, flood the
 				// solution set, and never appear in the paper's optimal
@@ -752,10 +768,10 @@ func (e *Engine) merge(phi logic.Formula, s1, s2 template.Solution, seeds []temp
 	// Cover test: every (positive unknown, predicate) choice of m must be
 	// realized by some seed whose negatives are within m's.
 	for _, p := range pos {
-		for _, pred := range m[p].Preds() {
+		for _, key := range m[p].Keys() {
 			found := false
 			for _, sp := range seeds {
-				if sp[p].Len() == 1 && sp[p].Contains(pred) && negSubset(sp, m, neg) {
+				if sp[p].Len() == 1 && sp[p].ContainsKey(key) && negSubset(sp, m, neg) {
 					found = true
 					break
 				}

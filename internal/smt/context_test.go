@@ -227,6 +227,40 @@ func TestContextForRegistry(t *testing.T) {
 	}
 }
 
+// TestContextForEvictsOldest: past maxContexts skeletons the registry keeps
+// handing out contexts, evicting the oldest-inserted one (FIFO) so it never
+// holds more than maxContexts; an evicted skeleton gets a fresh context that
+// still decides correctly.
+func TestContextForEvictsOldest(t *testing.T) {
+	s := NewSolver(Options{})
+	skel := func(i int) *logic.IFormula {
+		return logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.Plus(logic.V("b"), logic.I(int64(i)))))
+	}
+	first := s.ContextFor(skel(0))
+	for i := 1; i <= maxContexts; i++ {
+		if c := s.ContextFor(skel(i)); c == nil {
+			t.Fatalf("skeleton #%d got no context", i+1)
+		}
+		s.ctxMu.RLock()
+		n := len(s.ctxs)
+		s.ctxMu.RUnlock()
+		if n > maxContexts {
+			t.Fatalf("registry holds %d contexts after %d skeletons, cap %d", n, i+1, maxContexts)
+		}
+	}
+	if s.ContextFor(skel(maxContexts)) != s.ContextFor(skel(maxContexts)) {
+		t.Error("newest skeleton's context not stable")
+	}
+	again := s.ContextFor(skel(0))
+	if again == nil || again == first {
+		t.Fatalf("oldest skeleton should have been evicted and re-created, got %p (first %p)", again, first)
+	}
+	f := logic.Imp(logic.LeF(logic.V("a"), logic.V("b")), logic.LeF(logic.V("a"), logic.Plus(logic.V("b"), logic.I(1))))
+	if !again.Valid(f) {
+		t.Error("re-created context lost a valid verdict")
+	}
+}
+
 // TestContextLanePoolConcurrent hammers one context group from many
 // goroutines. Contended probes must fan out across sibling lanes (never
 // degrading to a wrong answer), and every verdict — including any that rode

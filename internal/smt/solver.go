@@ -102,13 +102,15 @@ type Solver struct {
 	// skeleton) and its counters.
 	ctxMu        sync.RWMutex
 	ctxs         map[*logic.IFormula]*Context
-	ctxCreated   atomic.Int64 // contexts created (registry + standalone + lanes)
-	ctxProbes    atomic.Int64 // probes decided incrementally under assumptions
-	ctxDormant   atomic.Int64 // contexts gone dormant (Ackermann budget exhausted)
-	lemmaReuse   atomic.Int64 // probes that reused learnt clauses or theory lemmas
-	lemmasShared atomic.Int64 // theory lemmas imported from a sibling lane's exchange
-	storeHits    atomic.Int64 // cache-missing verdicts answered from the knowledge store
-	lemmasWarm   atomic.Int64 // theory lemmas seeded into context groups from the store
+	ctxOrder     []*logic.IFormula // registry keys in insertion order, a ring of maxContexts
+	ctxNext      int               // ctxOrder slot of the next insertion (and the oldest key once full)
+	ctxCreated   atomic.Int64      // contexts created (registry + standalone + lanes)
+	ctxProbes    atomic.Int64      // probes decided incrementally under assumptions
+	ctxDormant   atomic.Int64      // contexts gone dormant (Ackermann budget exhausted)
+	lemmaReuse   atomic.Int64      // probes that reused learnt clauses or theory lemmas
+	lemmasShared atomic.Int64      // theory lemmas imported from a sibling lane's exchange
+	storeHits    atomic.Int64      // cache-missing verdicts answered from the knowledge store
+	lemmasWarm   atomic.Int64      // theory lemmas seeded into context groups from the store
 
 	// Fourier–Motzkin activity: fmScratch counts from-scratch eliminations
 	// (decideGround's general-LIA fallback, one lia.Check per theory
@@ -119,8 +121,8 @@ type Solver struct {
 	fmCounters lia.Counters
 }
 
-// maxContexts bounds the per-skeleton registry; beyond it ContextFor returns
-// nil and callers take the from-scratch path.
+// maxContexts bounds the per-skeleton registry; beyond it ContextFor evicts
+// the oldest-inserted skeleton's context (FIFO) to make room.
 const maxContexts = 1024
 
 // NewSolver returns a solver with the given options.
@@ -199,7 +201,11 @@ func (s *Solver) Incremental() bool { return !s.opts.NoIncremental }
 
 // ContextFor returns the persistent incremental context keyed by a compiled
 // VC skeleton, creating it on first use. Returns nil when incremental solving
-// is disabled or the registry is full; callers must then fall back to Valid.
+// is disabled; callers must then fall back to Valid. The registry holds at
+// most maxContexts skeletons: a new one evicts the oldest-inserted, so a
+// long-running session keeps solving incrementally. Eviction is sound — a
+// re-requested skeleton just gets a fresh context — and a caller still
+// holding an evicted context may keep using it.
 func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 	if s.opts.NoIncremental || key == nil {
 		return nil
@@ -210,6 +216,14 @@ func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 	if c != nil {
 		return c
 	}
+	var skel string
+	if s.opts.Store != nil {
+		// The skeleton's portable identity keys its lemmas on disk; a
+		// skeleton the store has never seen simply loads nothing. Hashed
+		// before taking the write lock, so lookups of other skeletons do
+		// not wait behind it.
+		skel = store.FormulaKey(key.Formula())
+	}
 	s.ctxMu.Lock()
 	defer s.ctxMu.Unlock()
 	if c = s.ctxs[key]; c != nil {
@@ -217,16 +231,13 @@ func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 	}
 	if s.ctxs == nil {
 		s.ctxs = map[*logic.IFormula]*Context{}
+		s.ctxOrder = make([]*logic.IFormula, maxContexts)
 	}
-	if len(s.ctxs) >= maxContexts {
-		return nil
+	if old := s.ctxOrder[s.ctxNext]; old != nil {
+		delete(s.ctxs, old)
 	}
-	var skel string
-	if s.opts.Store != nil {
-		// The skeleton's portable identity keys its lemmas on disk; a
-		// skeleton the store has never seen simply loads nothing.
-		skel = store.FormulaKey(key.Formula())
-	}
+	s.ctxOrder[s.ctxNext] = key
+	s.ctxNext = (s.ctxNext + 1) % maxContexts
 	c = s.newContextKeyed(skel)
 	s.ctxs[key] = c
 	return c

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
+	"sync"
 
 	"repro/internal/logic"
 )
@@ -17,16 +17,33 @@ import (
 // so it can name skeletons, predicates, and validity verdicts on disk.
 //
 // The encoding mirrors logic's structural hash walk: a distinct tag byte per
-// node kind, length-prefixed strings, and child counts for variadic nodes,
-// which makes it injective on the grammar without serializing the formula to
-// text first.
+// node kind, big-endian 8-byte numbers, length-prefixed strings, and child
+// counts for variadic nodes, which makes it injective on the grammar without
+// serializing the formula to text first. The whole encoding is appended to
+// one pooled buffer and hashed once, so a key costs one allocation (the
+// returned string). The key bytes name records on disk: changing them
+// without a StoreParams bump silently turns every existing store cold.
 func FormulaKey(f logic.Formula) string {
-	h := sha256.New()
-	w := keyWriter{h: h}
-	w.formula(f)
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	bp := keyBufs.Get().(*[]byte)
+	b := appendFormula((*bp)[:0], f)
+	sum := sha256.Sum256(b)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	if cap(b) <= maxPooledKeyBuf {
+		*bp = b
+		keyBufs.Put(bp)
+	}
+	return string(out[:])
 }
+
+// keyBufs recycles encoding buffers across FormulaKey calls; buffers that
+// grew past maxPooledKeyBuf on an outsized formula are left to the GC.
+var keyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+const maxPooledKeyBuf = 64 << 10
 
 // Key tags, mirroring logic's hash tags one to one.
 const (
@@ -51,132 +68,104 @@ const (
 	keyAEq
 )
 
-type keyWriter struct {
-	h   hash.Hash
-	buf [9]byte
+func appendNum(b []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(v))
 }
 
-func (w keyWriter) tag(b byte) {
-	w.buf[0] = b
-	w.h.Write(w.buf[:1])
+func appendStr(b []byte, s string) []byte {
+	return append(appendNum(b, int64(len(s))), s...)
 }
 
-func (w keyWriter) num(v int64) {
-	binary.BigEndian.PutUint64(w.buf[:8], uint64(v))
-	w.h.Write(w.buf[:8])
-}
-
-func (w keyWriter) str(s string) {
-	w.num(int64(len(s)))
-	w.h.Write([]byte(s))
-}
-
-func (w keyWriter) term(t logic.Term) {
+func appendTerm(b []byte, t logic.Term) []byte {
 	switch t := t.(type) {
 	case logic.Var:
-		w.tag(keyVar)
-		w.str(t.Name)
+		return appendStr(append(b, keyVar), t.Name)
 	case logic.IntLit:
-		w.tag(keyIntLit)
-		w.num(t.Val)
+		return appendNum(append(b, keyIntLit), t.Val)
 	case logic.Add:
-		w.tag(keyAdd)
-		w.term(t.X)
-		w.term(t.Y)
+		b = appendTerm(append(b, keyAdd), t.X)
+		return appendTerm(b, t.Y)
 	case logic.Sub:
-		w.tag(keySub)
-		w.term(t.X)
-		w.term(t.Y)
+		b = appendTerm(append(b, keySub), t.X)
+		return appendTerm(b, t.Y)
 	case logic.Mul:
-		w.tag(keyMul)
-		w.num(int64(t.C))
-		w.term(t.X)
+		b = appendNum(append(b, keyMul), t.C)
+		return appendTerm(b, t.X)
 	case logic.Select:
-		w.tag(keySelect)
-		w.arr(t.A)
-		w.term(t.Idx)
+		b = appendArr(append(b, keySelect), t.A)
+		return appendTerm(b, t.Idx)
 	case logic.Apply:
-		w.tag(keyApply)
-		w.str(t.F)
-		w.num(int64(len(t.Args)))
+		b = appendStr(append(b, keyApply), t.F)
+		b = appendNum(b, int64(len(t.Args)))
 		for _, a := range t.Args {
-			w.term(a)
+			b = appendTerm(b, a)
 		}
+		return b
 	default:
 		panic("store: unknown term in FormulaKey")
 	}
 }
 
-func (w keyWriter) arr(a logic.Arr) {
+func appendArr(b []byte, a logic.Arr) []byte {
 	switch a := a.(type) {
 	case logic.ArrVar:
-		w.tag(keyArrVar)
-		w.str(a.Name)
+		return appendStr(append(b, keyArrVar), a.Name)
 	case logic.Store:
-		w.tag(keyStore)
-		w.arr(a.A)
-		w.term(a.Idx)
-		w.term(a.Val)
+		b = appendArr(append(b, keyStore), a.A)
+		b = appendTerm(b, a.Idx)
+		return appendTerm(b, a.Val)
 	default:
 		panic("store: unknown array term in FormulaKey")
 	}
 }
 
-func (w keyWriter) formula(f logic.Formula) {
+func appendFormula(b []byte, f logic.Formula) []byte {
 	switch f := f.(type) {
 	case logic.Atom:
-		w.tag(keyAtom)
-		w.num(int64(f.Op))
-		w.term(f.X)
-		w.term(f.Y)
+		b = appendNum(append(b, keyAtom), int64(f.Op))
+		b = appendTerm(b, f.X)
+		return appendTerm(b, f.Y)
 	case logic.Bool:
-		w.tag(keyBool)
+		var v int64
 		if f.Val {
-			w.num(1)
-		} else {
-			w.num(0)
+			v = 1
 		}
+		return appendNum(append(b, keyBool), v)
 	case logic.Not:
-		w.tag(keyNot)
-		w.formula(f.F)
+		return appendFormula(append(b, keyNot), f.F)
 	case logic.And:
-		w.tag(keyAnd)
-		w.num(int64(len(f.Fs)))
-		for _, g := range f.Fs {
-			w.formula(g)
-		}
+		return appendFormulas(append(b, keyAnd), f.Fs)
 	case logic.Or:
-		w.tag(keyOr)
-		w.num(int64(len(f.Fs)))
-		for _, g := range f.Fs {
-			w.formula(g)
-		}
+		return appendFormulas(append(b, keyOr), f.Fs)
 	case logic.Implies:
-		w.tag(keyImplies)
-		w.formula(f.A)
-		w.formula(f.B)
+		b = appendFormula(append(b, keyImplies), f.A)
+		return appendFormula(b, f.B)
 	case logic.Forall:
-		w.tag(keyForall)
-		w.num(int64(len(f.Vars)))
-		for _, v := range f.Vars {
-			w.str(v)
-		}
-		w.formula(f.Body)
+		return appendFormula(appendBound(append(b, keyForall), f.Vars), f.Body)
 	case logic.Exists:
-		w.tag(keyExists)
-		w.num(int64(len(f.Vars)))
-		for _, v := range f.Vars {
-			w.str(v)
-		}
-		w.formula(f.Body)
+		return appendFormula(appendBound(append(b, keyExists), f.Vars), f.Body)
 	case logic.Unknown:
-		w.tag(keyUnknown)
-		w.str(f.Name)
+		return appendStr(append(b, keyUnknown), f.Name)
 	case logic.AEq:
-		w.tag(keyAEq)
-		w.arr(f.L)
-		w.arr(f.R)
+		b = appendArr(append(b, keyAEq), f.L)
+		return appendArr(b, f.R)
 	default:
 		panic("store: unknown formula in FormulaKey")
 	}
+}
+
+func appendFormulas(b []byte, fs []logic.Formula) []byte {
+	b = appendNum(b, int64(len(fs)))
+	for _, g := range fs {
+		b = appendFormula(b, g)
+	}
+	return b
+}
+
+func appendBound(b []byte, vars []string) []byte {
+	b = appendNum(b, int64(len(vars)))
+	for _, v := range vars {
+		b = appendStr(b, v)
+	}
+	return b
 }

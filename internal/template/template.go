@@ -123,7 +123,9 @@ func RenameUnknowns(f logic.Formula, ren map[string]string) logic.Formula {
 // are all computed once at construction, so the set operations on the
 // lattice-search hot path (Contains, SubsetOf, Union, Add, Key) never
 // re-serialize member predicates: Contains is a binary search, SubsetOf and
-// Union are sorted merges.
+// Union are sorted merges. AddKeyed and ContainsKey take the probe
+// predicate's key from the caller, so a search that renders its item
+// universe once never re-serializes a predicate at all.
 type PredSet struct {
 	preds []logic.Formula // sorted by String()
 	keys  []string        // keys[i] == preds[i].String()
@@ -181,9 +183,16 @@ func (s PredSet) Formula() logic.Formula {
 	return s.conj
 }
 
+// Keys returns the members' canonical keys (each predicate's String()), in
+// the same order as Preds. Callers must not mutate the returned slice.
+func (s PredSet) Keys() []string { return s.keys }
+
 // Contains reports membership by canonical form.
-func (s PredSet) Contains(p logic.Formula) bool {
-	key := p.String()
+func (s PredSet) Contains(p logic.Formula) bool { return s.ContainsKey(p.String()) }
+
+// ContainsKey reports whether a predicate with canonical key key (its
+// String()) is a member, without rendering any formula.
+func (s PredSet) ContainsKey(key string) bool {
 	i := sort.SearchStrings(s.keys, key)
 	return i < len(s.keys) && s.keys[i] == key
 }
@@ -241,8 +250,12 @@ func (s PredSet) Union(t PredSet) PredSet {
 }
 
 // Add returns s ∪ {p}.
-func (s PredSet) Add(p logic.Formula) PredSet {
-	key := p.String()
+func (s PredSet) Add(p logic.Formula) PredSet { return s.AddKeyed(p, p.String()) }
+
+// AddKeyed returns s ∪ {p} given p's canonical key (key == p.String()).
+// Searches that add the same predicates over and over render each key once
+// and pass it here instead of paying for p.String() on every step.
+func (s PredSet) AddKeyed(p logic.Formula, key string) PredSet {
 	i := sort.SearchStrings(s.keys, key)
 	if i < len(s.keys) && s.keys[i] == key {
 		return s

@@ -110,6 +110,50 @@ func TestPredSetKeyOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestPredSetKeyedAgrees checks that the keyed operations are the same set
+// operations as their rendering counterparts: random add sequences built
+// with Add and with AddKeyed yield identical members, keys and identity, and
+// ContainsKey answers exactly as Contains for members and non-members.
+func TestPredSetKeyedAgrees(t *testing.T) {
+	universe := []logic.Formula{
+		logic.LtF(logic.V("i"), logic.V("n")),
+		logic.LeF(logic.I(0), logic.V("i")),
+		logic.EqF(logic.Sel(logic.AV("A"), logic.V("j")), logic.I(0)),
+		logic.GeF(logic.V("j"), logic.Plus(logic.V("i"), logic.I(1))),
+		logic.NeqF(logic.V("x"), logic.Times(2, logic.V("y"))),
+		logic.Neg(logic.LtF(logic.V("i"), logic.V("n"))),
+	}
+	keys := make([]string, len(universe))
+	for i, p := range universe {
+		keys[i] = p.String()
+	}
+	f := func(picks []uint8) bool {
+		plain, keyed := NewPredSet(), NewPredSet()
+		for _, b := range picks {
+			i := int(b) % len(universe)
+			plain = plain.Add(universe[i])
+			keyed = keyed.AddKeyed(universe[i], keys[i])
+		}
+		if plain.Key() != keyed.Key() || plain.Len() != keyed.Len() {
+			return false
+		}
+		for i, p := range plain.Preds() {
+			if !logic.FormulaEq(keyed.Preds()[i], p) || keyed.Keys()[i] != p.String() {
+				return false
+			}
+		}
+		for i, p := range universe {
+			if plain.Contains(p) != keyed.ContainsKey(keys[i]) || keyed.Contains(p) != plain.ContainsKey(keys[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSolutionFillAndRestrict(t *testing.T) {
 	f := logic.Conj(unk("a"), logic.All([]string{"k"}, logic.Imp(unk("b"), logic.EqF(logic.V("k"), logic.I(0)))))
 	sol := Solution{
