@@ -14,7 +14,7 @@ BENCH_N ?= 4
 # Baseline report that bench-compare diffs against.
 BENCH_BASE ?= BENCH_3.json
 
-.PHONY: all build vet test test-short test-race test-differential serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
+.PHONY: all build vet test test-short test-race test-differential fuzz-smoke serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
 
 all: check
 
@@ -65,6 +65,14 @@ test-differential:
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted' ./internal/optimal/ ./internal/bench/ ./internal/precond/
 
+# Time-boxed fuzzing of the VS3R decoders (frame reader, request and
+# response payloads), 10s per target. Plain `go test` already replays the
+# committed seed corpora under internal/rpc/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/rpc/
+
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers
 # preconditions, reads /v1/stats, and shuts down cleanly.
@@ -77,11 +85,11 @@ serve-smoke:
 cluster-smoke:
 	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/vs3router/
 
-# End-to-end check of the binary VS3R transport: real daemons over TCP —
-# single verifies through the router's rpc front, batch fan-out over rpc
-# backends, HTTP fallback for a backend that does not advertise rpc,
-# mid-flight cancellation reaching the backend, hedging with counters on
-# /metrics, and the vs3load -proto rpc harness path.
+# End-to-end check of the binary VS3R transport, the router's only backend
+# wire: real daemons over TCP — single verifies through the router's rpc
+# front, batch items routed over rpc backends, no traffic for a backend that
+# does not advertise rpc, mid-flight cancellation reaching the backend,
+# hedging with counters on /metrics, and the vs3load -proto rpc harness path.
 rpc-smoke:
 	$(GO) test -run 'TestRPCSmoke|TestLoadProtoRPC' -count=1 -v ./cmd/vs3router/
 
@@ -125,17 +133,14 @@ bench-lia:
 bench-warm:
 	VS3_BENCH_BASE=$(CURDIR)/BENCH_8.json VS3_BENCH_OUT=$(CURDIR)/BENCH_8.json $(GO) test -run TestWarmBench -count=1 -v ./internal/bench/
 
-# Binary transport benchmark (the tentpole proof for PR 9): the same
-# store-backed 2-backend fleet driven over HTTP/JSON and over binary VS3R
-# (persistent multiplexed connections), measured on the outcome-replay path
-# so the wire dominates each request; plus hedged vs unhedged routing over
-# a fleet with one stalled backend. Asserts rpc wins p95 and throughput,
-# hedging wins p99, and verdicts stay identical across the full corpus on
-# both wires. Gates are wall-clock comparisons, so the test skips under
-# plain `go test ./...` and only runs here. Writes BENCH_9.json
-# (`benchtab -table 9` renders the committed report).
+# Hedging benchmark: hedged vs unhedged routing over a store-backed
+# 2-backend fleet with one stalled backend, asserting hedging wins p99 at
+# identical verdicts. The gate is a wall-clock comparison, so the test skips
+# under plain `go test ./...` and only runs here. BENCH_9.json is the
+# committed record of the PR 9 transport comparison (VS3R vs HTTP/JSON,
+# `benchtab -table 9` renders it); this target no longer rewrites it.
 bench-rpc:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_9.json $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
+	VS3_BENCH_RPC=1 $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
 
 # Compaction + store-aware routing benchmark (the tentpole proof for PR 10):
 # part A duplicates a warmed store's log 6x and gates a >=3x on-disk shrink

@@ -12,12 +12,12 @@
 //	     [-store DIR] [-store-fsync] [-store-flush 250ms]
 //	     [-store-compact] [-store-compact-min 1048576] [-store-compact-ratio 0.5]
 //
-// With -rpc ADDR the daemon additionally serves the binary VS3R protocol on
-// ADDR (persistent multiplexed connections, per-stream cancellation; see
-// internal/rpc and DESIGN.md §16), sharing the same session pool, fair
-// queue, store, and stats as the HTTP surface. The endpoint is advertised to
-// routers in the X-VS3-RPC response header, so a vs3router in front upgrades
-// to binary automatically.
+// The daemon also serves the binary VS3R protocol on -rpc ADDR (default
+// :8081; an empty value is refused): persistent multiplexed connections with
+// per-stream cancellation (see internal/rpc and DESIGN.md §16), sharing the
+// same session pool, fair queue, store, and stats as the HTTP surface. The
+// endpoint is advertised in the X-VS3-RPC response header; a vs3router in
+// front sends requests only over it, so a backend without it gets no traffic.
 //
 // With -store DIR the daemon opens an on-disk knowledge store in DIR:
 // validity/consistency verdicts, theory lemmas, unsat cores, and whole
@@ -62,7 +62,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	rpcAddr := flag.String("rpc", "", "binary rpc listen address (empty = HTTP only)")
+	rpcAddr := flag.String("rpc", ":8081", "binary rpc listen address (routers send requests only over it)")
 	id := flag.String("id", "", "backend identity reported in X-VS3-Backend and stats (default vs3d-<host>-<pid>)")
 	pool := flag.Int("pool", 0, "verifier sessions (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "queued requests beyond the pool before 429 (0 = 4×pool)")
@@ -115,18 +115,19 @@ func main() {
 		log.Printf("vs3d: compacted store %s: reclaimed %d bytes", *storeDir, reclaimed)
 		return
 	}
+	if *rpcAddr == "" {
+		fmt.Fprintln(os.Stderr, "vs3d: -rpc must name a listen address")
+		os.Exit(2)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vs3d:", err)
 		os.Exit(1)
 	}
-	var rpcLn net.Listener
-	if *rpcAddr != "" {
-		rpcLn, err = net.Listen("tcp", *rpcAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vs3d:", err)
-			os.Exit(1)
-		}
+	rpcLn, err := net.Listen("tcp", *rpcAddr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vs3d:", err)
+		os.Exit(1)
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -136,30 +137,27 @@ func main() {
 	}
 }
 
-// run serves on ln until ctx is cancelled, then drains: /healthz flips to
-// 503 (taking the backend out of router rotation), in-flight requests
-// finish (bounded by the configured max timeout), and the knowledge store —
-// already fsynced by StartDrain before the healthz flip — is closed so
-// records appended by those last in-flight requests reach disk too. Split
-// from main so the smoke tests can drive the real daemon on an ephemeral
-// port.
 // rpcFrameTimeout is the per-frame write deadline run hands the rpc server
 // (main overrides it from -rpc-write-timeout).
 var rpcFrameTimeout = 10 * time.Second
 
+// run serves HTTP on ln and VS3R on rpcLn until ctx is cancelled, then
+// drains: /healthz flips to 503 (taking the backend out of router rotation),
+// in-flight requests finish (bounded by the configured max timeout), and the
+// knowledge store — already fsynced by StartDrain before the healthz flip —
+// is closed so records appended by those last in-flight requests reach disk
+// too. Split from main so the smoke tests can drive the real daemon on
+// ephemeral ports.
 func run(ctx context.Context, ln, rpcLn net.Listener, cfg serve.Config, logger *log.Logger) error {
 	backend := serve.New(cfg)
-	var rpcSrv *rpc.Server
-	if rpcLn != nil {
-		rpcSrv = rpc.NewServer(backend, rpc.ServerConfig{Logf: logger.Printf, WriteTimeout: rpcFrameTimeout})
-		backend.AdvertiseRPC(rpc.AdvertiseAddr(rpcLn.Addr()))
-		backend.SetRPCStats(rpcSrv.Stats)
-		go func() {
-			if err := rpcSrv.Serve(rpcLn); err != nil && !errors.Is(err, net.ErrClosed) {
-				logger.Printf("vs3d: rpc serve: %v", err)
-			}
-		}()
-	}
+	rpcSrv := rpc.NewServer(backend, rpc.ServerConfig{Logf: logger.Printf, WriteTimeout: rpcFrameTimeout})
+	backend.AdvertiseRPC(rpc.AdvertiseAddr(rpcLn.Addr()))
+	backend.SetRPCStats(rpcSrv.Stats)
+	go func() {
+		if err := rpcSrv.Serve(rpcLn); err != nil && !errors.Is(err, net.ErrClosed) {
+			logger.Printf("vs3d: rpc serve: %v", err)
+		}
+	}()
 	srv := &http.Server{Handler: backend.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -168,17 +166,11 @@ func run(ctx context.Context, ln, rpcLn net.Listener, cfg serve.Config, logger *
 		logger.Printf("vs3d: knowledge store %s: cold=%v loaded %d lemmas, %d cores, %d verdicts, %d consistency, %d outcomes in %dms",
 			cfg.Store.Dir(), ss.ColdStart, ss.LoadedLemmas, ss.LoadedCores, ss.LoadedVerdicts, ss.LoadedConsistency, ss.LoadedOutcomes, ss.LoadMillis)
 	}
-	if rpcLn != nil {
-		logger.Printf("vs3d: %s serving on %s (binary rpc on %s)", backend.ID(), ln.Addr(), rpcLn.Addr())
-	} else {
-		logger.Printf("vs3d: %s serving on %s", backend.ID(), ln.Addr())
-	}
+	logger.Printf("vs3d: %s serving on %s (binary rpc on %s)", backend.ID(), ln.Addr(), rpcLn.Addr())
 	select {
 	case err := <-errc:
-		if rpcSrv != nil {
-			rpcLn.Close()
-			rpcSrv.Close()
-		}
+		rpcLn.Close()
+		rpcSrv.Close()
 		if cfg.Store != nil {
 			_ = cfg.Store.Close()
 		}
@@ -190,26 +182,22 @@ func run(ctx context.Context, ln, rpcLn net.Listener, cfg serve.Config, logger *
 	// stop opening streams), let in-flight requests on both finish, then close
 	// the store so records appended by those last requests reach disk.
 	backend.StartDrain()
-	if rpcSrv != nil {
-		rpcSrv.StartDrain()
-	}
+	rpcSrv.StartDrain()
 	logger.Printf("vs3d: draining (healthz now 503), store flushed, waiting for in-flight requests")
 	shutCtx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout+5*time.Second)
 	defer cancel()
 	shutErr := srv.Shutdown(shutCtx)
-	if rpcSrv != nil {
-		// GOAWAY stopped new streams; wait (bounded by the same shutdown
-		// budget) for in-flight streams to answer before cutting connections.
-		for {
-			_, streams, _, _ := rpcSrv.Stats()
-			if streams == 0 || shutCtx.Err() != nil {
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
+	// GOAWAY stopped new streams; wait (bounded by the same shutdown budget)
+	// for in-flight streams to answer before cutting connections.
+	for {
+		_, streams, _, _ := rpcSrv.Stats()
+		if streams == 0 || shutCtx.Err() != nil {
+			break
 		}
-		rpcLn.Close()
-		rpcSrv.Close()
+		time.Sleep(25 * time.Millisecond)
 	}
+	rpcLn.Close()
+	rpcSrv.Close()
 	if cfg.Store != nil {
 		if err := cfg.Store.Close(); err != nil {
 			logger.Printf("vs3d: store close: %v", err)

@@ -46,11 +46,15 @@ predicates v: j >= 0, j < i, j <= i, j < n, j <= n;
 		if err != nil {
 			t.Fatal(err)
 		}
+		rpcLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
 		base := "http://" + ln.Addr().String()
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		cfg := serve.Config{Pool: 2, MaxTimeout: 30 * time.Second, Store: st}
-		go func() { done <- run(ctx, ln, nil, cfg, log.New(io.Discard, "", 0)) }()
+		go func() { done <- run(ctx, ln, rpcLn, cfg, log.New(io.Discard, "", 0)) }()
 		waitHealthy(t, base)
 
 		body, _ := json.Marshal(map[string]any{"spec": spec, "method": "lfp"})

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,27 +17,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/store"
 )
-
-// startStoreBackend boots a real engine backend attached to an on-disk
-// knowledge store in dir. stop closes the HTTP surface first, then the store
-// (flushing the write-behind queue, as a drained daemon would); call it
-// exactly once.
-func startStoreBackend(t *testing.T, id, dir string) (ts *httptest.Server, stop func()) {
-	t.Helper()
-	st, err := store.Open(dir, store.Options{Params: serve.Config{}.Core.SMT.StoreParams(), Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("store.Open(%s): %v", dir, err)
-	}
-	ts = httptest.NewServer(serve.New(serve.Config{ID: id, Pool: 2, Store: st}).Handler())
-	stop = func() {
-		ts.CloseClientConnections()
-		ts.Close()
-		if err := st.Close(); err != nil {
-			t.Errorf("store.Close(%s): %v", dir, err)
-		}
-	}
-	return ts, stop
-}
 
 // duplicateStoreLog rewrites dir's knowledge log as header + body×copies —
 // the duplicate-heavy shape a long-lived store reaches through rewrite churn
@@ -120,22 +98,22 @@ func TestCompactSmoke(t *testing.T) {
 	corpus := load.SmokeCorpus()
 
 	// Lifetime 1: solve the corpus cold, writing outcomes behind.
-	ts1, stop1 := startStoreBackend(t, "compact-1", dir)
+	ts1 := startBackend(t, serve.Config{ID: "compact-1", Store: openStore(t, dir)}, nil)
 	for _, it := range corpus {
-		resp, vr := verifyVia(t, ts1.URL, it.Spec, it.Method)
+		resp, vr := verifyVia(t, ts1.hts.URL, it.Spec, it.Method)
 		if resp.StatusCode != http.StatusOK || vr.Proved != it.WantProved {
 			t.Fatalf("%s cold: status=%d proved=%v", it.Name, resp.StatusCode, vr.Proved)
 		}
 	}
-	stop1()
+	ts1.stop()
 	dupBytes := duplicateStoreLog(t, dir, 6)
 
 	// Lifetime 2: compact on demand while serving.
-	ts2, stop2 := startStoreBackend(t, "compact-2", dir)
-	if got := probeStats(t, ts2.URL).LogBytes; got != dupBytes {
+	ts2 := startBackend(t, serve.Config{ID: "compact-2", Store: openStore(t, dir)}, nil)
+	if got := probeStats(t, ts2.hts.URL).LogBytes; got != dupBytes {
 		t.Fatalf("store_log_bytes = %d, want the duplicated %d", got, dupBytes)
 	}
-	resp, err := http.Post(ts2.URL+"/v1/compact", "application/json", nil)
+	resp, err := http.Post(ts2.hts.URL+"/v1/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,37 +139,37 @@ func TestCompactSmoke(t *testing.T) {
 		t.Errorf("on-disk log is %d bytes, response says %d", fi.Size(), cr.LogBytes)
 	}
 	// The just-compacted, still-serving backend answers from the store.
-	pre := probeStats(t, ts2.URL)
+	pre := probeStats(t, ts2.hts.URL)
 	for _, it := range corpus {
-		resp, vr := verifyVia(t, ts2.URL, it.Spec, it.Method)
+		resp, vr := verifyVia(t, ts2.hts.URL, it.Spec, it.Method)
 		if resp.StatusCode != http.StatusOK || vr.Proved != it.WantProved || !vr.FromStore {
 			t.Fatalf("%s after compact: status=%d proved=%v from_store=%v",
 				it.Name, resp.StatusCode, vr.Proved, vr.FromStore)
 		}
 	}
-	if d := probeStats(t, ts2.URL).work() - pre.work(); d != 0 {
+	if d := probeStats(t, ts2.hts.URL).work() - pre.work(); d != 0 {
 		t.Errorf("replay after live compaction did %d fresh work, want 0", d)
 	}
-	stop2()
+	ts2.stop()
 
 	// Lifetime 3: a restart over the compacted generation is fully warm.
-	ts3, stop3 := startStoreBackend(t, "compact-3", dir)
+	ts3 := startBackend(t, serve.Config{ID: "compact-3", Store: openStore(t, dir)}, nil)
 	for _, it := range corpus {
-		resp, vr := verifyVia(t, ts3.URL, it.Spec, it.Method)
+		resp, vr := verifyVia(t, ts3.hts.URL, it.Spec, it.Method)
 		if resp.StatusCode != http.StatusOK || vr.Proved != it.WantProved || !vr.FromStore {
 			t.Fatalf("%s on compacted store: status=%d proved=%v from_store=%v",
 				it.Name, resp.StatusCode, vr.Proved, vr.FromStore)
 		}
 	}
-	if p := probeStats(t, ts3.URL); p.work() != 0 || p.OutcomeHits < int64(len(corpus)) {
+	if p := probeStats(t, ts3.hts.URL); p.work() != 0 || p.OutcomeHits < int64(len(corpus)) {
 		t.Errorf("restart on compacted store: work=%d outcome_hits=%d, want 0 and >=%d",
 			p.work(), p.OutcomeHits, len(corpus))
 	}
-	stop3()
+	ts3.stop()
 
 	// A storeless backend refuses the endpoint.
-	plain := startBackend(t, "no-store")
-	resp, err = http.Post(plain.URL+"/v1/compact", "application/json", nil)
+	plain := startBackend(t, serve.Config{ID: "no-store"}, nil)
+	resp, err = http.Post(plain.hts.URL+"/v1/compact", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +285,9 @@ func TestCompactBench(t *testing.T) {
 	// ---- Part A: duplicate-heavy compaction + warm restart ----
 	const copies = 6
 	dirA := t.TempDir()
-	tsA, stopA := startStoreBackend(t, "bench-compact-cold", dirA)
-	benchArm(t, tsA.URL, len(corpus))
-	stopA()
+	tsA := startBackend(t, serve.Config{ID: "bench-compact-cold", Store: openStore(t, dirA)}, nil)
+	benchArm(t, tsA.hts.URL, len(corpus))
+	tsA.stop()
 	beforeBytes := duplicateStoreLog(t, dirA, copies)
 
 	st, err := store.Open(dirA, store.Options{Params: serve.Config{}.Core.SMT.StoreParams()})
@@ -334,10 +312,10 @@ func TestCompactBench(t *testing.T) {
 		t.Errorf("compaction shrank the duplicate-heavy log only %.1fx, want >=3x", shrink)
 	}
 
-	tsW, stopW := startStoreBackend(t, "bench-compact-warm", dirA)
-	warm := benchArm(t, tsW.URL, len(corpus))
-	warmHits := probeStats(t, tsW.URL).OutcomeHits
-	stopW()
+	tsW := startBackend(t, serve.Config{ID: "bench-compact-warm", Store: openStore(t, dirA)}, nil)
+	warm := benchArm(t, tsW.hts.URL, len(corpus))
+	warmHits := probeStats(t, tsW.hts.URL).OutcomeHits
+	tsW.stop()
 	if warm.Work() != 0 {
 		t.Errorf("warm restart on the compacted store did %d from-scratch work, want 0", warm.Work())
 	}
@@ -364,25 +342,25 @@ func TestCompactBench(t *testing.T) {
 
 	// Warm a two-backend fleet under the old weights, then flush its stores.
 	d1, d2 := t.TempDir(), t.TempDir()
-	b1, stopB1 := startStoreBackend(t, "fleet-1", d1)
-	b2, stopB2 := startStoreBackend(t, "fleet-2", d2)
+	b1 := startBackend(t, serve.Config{ID: "fleet-1", Store: openStore(t, d1)}, nil)
+	b2 := startBackend(t, serve.Config{ID: "fleet-2", Store: openStore(t, d2)}, nil)
 	warmBase, _, stopWarm := startRouter(t, route.Config{
-		Backends: []string{b1.URL, b2.URL}, Weights: warmWeights, Policy: route.Affinity,
+		Backends: []string{b1.hts.URL, b2.hts.URL}, Weights: warmWeights, Policy: route.Affinity,
 	})
 	benchArm(t, warmBase, 2*len(corpus))
 	stopWarm()
-	stopB1()
-	stopB2()
+	b1.stop()
+	b2.stop()
 
 	// Each arm replays the corpus over byte-identical copies of the warmed
 	// stores behind the reweighted ring.
 	runArm := func(name string, storeAware bool) (load.Result, int64) {
-		c1, s1 := startStoreBackend(t, name+"-1", copyStoreLog(t, d1))
-		defer s1()
-		c2, s2 := startStoreBackend(t, name+"-2", copyStoreLog(t, d2))
-		defer s2()
+		c1 := startBackend(t, serve.Config{ID: name + "-1", Store: openStore(t, copyStoreLog(t, d1))}, nil)
+		defer c1.stop()
+		c2 := startBackend(t, serve.Config{ID: name + "-2", Store: openStore(t, copyStoreLog(t, d2))}, nil)
+		defer c2.stop()
 		base, _, stopR := startRouter(t, route.Config{
-			Backends: []string{c1.URL, c2.URL}, Weights: newWeights,
+			Backends: []string{c1.hts.URL, c2.hts.URL}, Weights: newWeights,
 			Policy: route.Affinity, StoreAware: storeAware,
 			HealthInterval: 50 * time.Millisecond,
 		})

@@ -3,17 +3,18 @@
 // backend's interner, incremental smt.Context lanes, and unsat-core store
 // stay hot for its slice of the keyspace (see internal/route and DESIGN.md
 // §13). It health-checks the fleet, fails requests over to the next live
-// node in ring order, splits /v1/batch requests by backend affinity, and
-// reuses backend connections. Backends that advertise the binary VS3R
-// protocol (X-VS3-RPC) are spoken to over persistent multiplexed rpc
-// connections; the rest stay on HTTP (see DESIGN.md §16).
+// node in ring order, and routes every /v1/batch item on its own. Requests
+// reach backends only over the binary VS3R protocol, on persistent
+// multiplexed connections to the endpoint each backend advertises in
+// X-VS3-RPC; a backend that advertises none is not live (see DESIGN.md §16).
+// HTTP stays the control plane (/healthz, /v1/stats) and the public edge.
 //
 // Usage:
 //
 //	vs3router -backend http://10.0.0.1:8080=2 -backend http://10.0.0.2:8080 \
 //	          [-addr :8079] [-rpc :8078] [-policy affinity|random] [-replicas 128] \
 //	          [-health-interval 2s] [-hedge] [-hedge-min 10ms] [-hedge-max 1s] \
-//	          [-store-aware=true] [-no-rpc] [-id NAME]
+//	          [-store-aware=true] [-id NAME]
 //
 // Each -backend flag names one vs3d base URL with an optional =WEIGHT ring
 // share multiplier (default 1; a weight-2 backend owns about twice the
@@ -25,8 +26,7 @@
 // overhead. -hedge enables request hedging: when the key's owner has not
 // answered within an adaptive delay (rolling p95 of backend latency, clamped
 // to [-hedge-min, -hedge-max]), the request is also fired at the ring
-// successor and the loser is cancelled. -no-rpc keeps every backend on HTTP
-// even if it advertises rpc (the benchmark control arm).
+// successor and the loser is cancelled.
 //
 // -store-aware (default true) enables store-aware placement: the health
 // sweep keeps a bloom digest of each backend's solved problem keys, and a
@@ -39,7 +39,7 @@
 //
 //	POST /v1/verify         routed by problem key
 //	POST /v1/preconditions  routed by problem key
-//	POST /v1/batch          split by affinity, fanned out, merged
+//	POST /v1/batch          each item routed by its problem key, results merged
 //	GET  /v1/stats          router counters + per-backend rows + fleet totals
 //	GET  /metrics           Prometheus text format
 //	GET  /healthz           200 while at least one backend is live
@@ -89,7 +89,6 @@ func main() {
 	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "floor on the adaptive hedge delay")
 	hedgeMax := flag.Duration("hedge-max", time.Second, "cap on the adaptive hedge delay")
 	storeAware := flag.Bool("store-aware", true, "prefer backends whose knowledge-store digest claims a request's problem key")
-	noRPC := flag.Bool("no-rpc", false, "keep all backends on HTTP even when they advertise binary rpc")
 	id := flag.String("id", "vs3router", "router identity reported in stats and metrics")
 	flag.DurationVar(&rpcFrameTimeout, "rpc-write-timeout", rpcFrameTimeout, "per-frame rpc write deadline; a stalled peer's connection is torn down on expiry (negative = none)")
 	flag.Parse()
@@ -110,7 +109,6 @@ func main() {
 		HedgeMin:       *hedgeMin,
 		HedgeMax:       *hedgeMax,
 		StoreAware:     *storeAware,
-		DisableRPC:     *noRPC,
 		ID:             *id,
 	}
 	ln, err := net.Listen("tcp", *addr)

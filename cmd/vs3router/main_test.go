@@ -18,15 +18,69 @@ import (
 
 	"repro/internal/load"
 	"repro/internal/route"
+	"repro/internal/rpc"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
-// startBackend boots a real vs3d backend (engine and all) on a TCP port.
-func startBackend(t *testing.T, id string) *httptest.Server {
+// testBackend is one real engine backend as `vs3d` boots it: the HTTP
+// surface plus an advertised binary rpc listener, assembled in-process so a
+// test can wrap the rpc handler and read its gauges.
+type testBackend struct {
+	t     *testing.T
+	srv   *serve.Server
+	hts   *httptest.Server
+	rsrv  *rpc.Server
+	rpcLn net.Listener
+	store *store.Store
+}
+
+// startBackend boots a backend (default Pool 2). wrap, when non-nil, wraps
+// the rpc handler. The backend stops at test cleanup if not stopped before.
+func startBackend(t *testing.T, cfg serve.Config, wrap func(rpc.Handler) rpc.Handler) *testBackend {
 	t.Helper()
-	ts := httptest.NewServer(serve.New(serve.Config{ID: id, Pool: 2}).Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	if cfg.Pool == 0 {
+		cfg.Pool = 2
+	}
+	b := &testBackend{t: t, srv: serve.New(cfg), store: cfg.Store}
+	b.hts = httptest.NewServer(b.srv.Handler())
+	var h rpc.Handler = b.srv
+	if wrap != nil {
+		h = wrap(h)
+	}
+	var err error
+	if b.rpcLn, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	b.rsrv = rpc.NewServer(h, rpc.ServerConfig{})
+	go func() { _ = b.rsrv.Serve(b.rpcLn) }()
+	b.srv.AdvertiseRPC(b.rpcLn.Addr().String())
+	b.srv.SetRPCStats(b.rsrv.Stats)
+	t.Cleanup(b.stop)
+	return b
+}
+
+// stop kills both surfaces, then closes the backend's store (flushing the
+// write-behind queue, as a drained daemon would). Safe to call twice.
+func (b *testBackend) stop() {
+	b.hts.CloseClientConnections()
+	b.hts.Close()
+	b.rpcLn.Close()
+	b.rsrv.Close()
+	if err := b.store.Close(); err != nil {
+		b.t.Errorf("store.Close: %v", err)
+	}
+}
+
+// openStore opens the knowledge store in dir for one backend; the
+// backend's stop closes it.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{Params: serve.Config{}.Core.SMT.StoreParams(), Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("store.Open(%s): %v", dir, err)
+	}
+	return st
 }
 
 // startRouter boots the real vs3router daemon (the same run() main drives)
@@ -106,9 +160,9 @@ func verifyVia(t *testing.T, base, spec, method string) (*http.Response, serve.V
 // in front of two real engine backends — affinity, batch split/merge,
 // failover after a backend death, stats, and clean shutdown.
 func TestClusterSmoke(t *testing.T) {
-	b1 := startBackend(t, "smoke-1")
-	b2 := startBackend(t, "smoke-2")
-	base, _, stop := startRouter(t, route.Config{Backends: []string{b1.URL, b2.URL}})
+	b1 := startBackend(t, serve.Config{ID: "smoke-1"}, nil)
+	b2 := startBackend(t, serve.Config{ID: "smoke-2"}, nil)
+	base, _, stop := startRouter(t, route.Config{Backends: []string{b1.hts.URL, b2.hts.URL}})
 	defer stop()
 
 	corpus := load.SmokeCorpus()
@@ -167,8 +221,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// Failover: kill one backend; every spec must still verify (rehashed to
 	// the survivor) with no client-visible error.
-	b1.CloseClientConnections()
-	b1.Close()
+	b1.stop()
 	for _, item := range corpus {
 		resp, vr := verifyVia(t, base, item.Spec, item.Method)
 		if resp.StatusCode != http.StatusOK || !vr.Proved {
@@ -282,21 +335,21 @@ func TestClusterBench(t *testing.T) {
 	arms := map[string]load.Result{}
 
 	// Arm 1: single node, no router — the verdict baseline.
-	single := startBackend(t, "bench-single")
-	arms["single"] = benchArm(t, single.URL, requests)
+	single := startBackend(t, serve.Config{ID: "bench-single"}, nil)
+	arms["single"] = benchArm(t, single.hts.URL, requests)
 
 	// Arm 2: two fresh backends behind affinity routing.
-	a1, a2 := startBackend(t, "bench-aff-1"), startBackend(t, "bench-aff-2")
+	a1, a2 := startBackend(t, serve.Config{ID: "bench-aff-1"}, nil), startBackend(t, serve.Config{ID: "bench-aff-2"}, nil)
 	affBase, _, affStop := startRouter(t, route.Config{
-		Backends: []string{a1.URL, a2.URL}, Policy: route.Affinity,
+		Backends: []string{a1.hts.URL, a2.hts.URL}, Policy: route.Affinity,
 	})
 	arms["affinity"] = benchArm(t, affBase, requests)
 	affStop()
 
 	// Arm 3: two fresh backends behind random routing — the control.
-	r1, r2 := startBackend(t, "bench-rand-1"), startBackend(t, "bench-rand-2")
+	r1, r2 := startBackend(t, serve.Config{ID: "bench-rand-1"}, nil), startBackend(t, serve.Config{ID: "bench-rand-2"}, nil)
 	randBase, _, randStop := startRouter(t, route.Config{
-		Backends: []string{r1.URL, r2.URL}, Policy: route.Random,
+		Backends: []string{r1.hts.URL, r2.hts.URL}, Policy: route.Random,
 	})
 	arms["random"] = benchArm(t, randBase, requests)
 	randStop()

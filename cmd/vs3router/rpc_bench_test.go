@@ -2,33 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/load"
 	"repro/internal/route"
 	"repro/internal/rpc"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
-
-// openBenchStore opens a throwaway knowledge store for one bench backend,
-// closed after the backend's servers shut down (t.Cleanup runs LIFO).
-func openBenchStore(t *testing.T) *store.Store {
-	t.Helper()
-	st, err := store.Open(t.TempDir(), store.Options{
-		Params: serve.Config{}.Core.SMT.StoreParams(),
-	})
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	t.Cleanup(func() { _ = st.Close() })
-	return st
-}
 
 // loadArm runs corpus against base over the given transport and fails the
 // test on any wrong verdict or transport error.
@@ -51,86 +33,34 @@ func loadArm(t *testing.T, base, proto string, corpus []load.Item, requests int)
 	return res
 }
 
-// TestRPCBench is `make bench-rpc`: the tentpole perf proof for the binary
-// transport. Two comparisons over real TCP daemons:
+// TestRPCBench is `make bench-rpc`: hedged vs unhedged routing over real
+// TCP daemons. A store-backed fleet with one artificially stalled backend is
+// driven through an unhedged and a hedged router; hedging must cap the
+// stalled owner's tail (lower p99) with identical verdicts.
 //
-//   - transport: the same store-backed two-backend fleet driven through an
-//     HTTP-pinned router (HTTP/JSON end to end) and through a binary router
-//     (VS3R front, VS3R backend legs), measured on the outcome-replay path
-//     so the wire dominates each request. Binary must win p95 latency and
-//     throughput with identical verdicts.
-//   - hedging: a fleet with one artificially stalled backend, driven through
-//     an unhedged and a hedged router. Hedging must cap the stalled owner's
-//     tail (lower p99).
-//
-// Writes BENCH_9.json to VS3_BENCH_OUT. Unlike the other bench tests, whose
-// gates count deterministic work (SMT queries, FM eliminations), these gates
-// are wall-clock comparisons — meaningless when the rest of the suite is
-// competing for the same cores — so the test only runs in its dedicated
-// `make bench-rpc` invocation (VS3_BENCH_OUT set) and skips under `go test
-// ./...`.
+// The gate is a wall-clock comparison — meaningless when the rest of the
+// suite is competing for the same cores — so the test only runs in its
+// dedicated `make bench-rpc` invocation (VS3_BENCH_RPC set) and skips under
+// `go test ./...`. The committed BENCH_9.json (`benchtab -table 9`) is the
+// record of the transport comparison that chose VS3R over HTTP/JSON as the
+// router's only backend wire; this test no longer rewrites it.
 func TestRPCBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rpc benchmark is not a -short test")
 	}
-	if os.Getenv("VS3_BENCH_OUT") == "" {
+	if os.Getenv("VS3_BENCH_RPC") == "" {
 		t.Skip("wall-clock gated benchmark; run via make bench-rpc")
 	}
 	corpus := load.DefaultCorpus()
-	distinct := map[string]bool{}
-	for _, it := range corpus {
-		distinct[serve.ProblemKey(it.Spec)] = true
-	}
-	requests := 10 * len(corpus)
-	arms := map[string]load.Result{}
 
-	// --- Transport comparison: same fleet, two routers. ---
-	// The transport backends run with a knowledge store (the PR-8
-	// production configuration): after the warmup pass every measured
-	// request is answered by outcome replay — sub-millisecond engine
-	// work — so the percentiles compare the wire paths rather than
-	// engine compute, which is identical on both wires and on a small
-	// host would drown the transport margin in scheduler noise.
-	b1 := startRPCBackend(t, serve.Config{ID: "bench-rpc-1", Store: openBenchStore(t)}, nil)
-	b2 := startRPCBackend(t, serve.Config{ID: "bench-rpc-2", Store: openBenchStore(t)}, nil)
-	urls := []string{b1.hts.URL, b2.hts.URL}
-	httpBase, _, httpStop := startRouter(t, route.Config{Backends: urls, DisableRPC: true})
-	defer httpStop()
-	rpcBase, _, rpcStop := startRouter(t, route.Config{Backends: urls})
-	defer rpcStop()
-	waitProto(t, rpcBase, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc"})
-
-	// Warm the fleet once so both arms measure transport over the engine's
-	// warm path (problem-cache hits), not cold verification order. The
-	// full-corpus passes double as the verdict gate on each wire: loadArm
-	// fails the run on any verdict differing from the corpus expectation.
-	loadArm(t, httpBase, "http", corpus, len(corpus))
-	loadArm(t, rpcBase, "rpc", corpus, len(corpus))
-
-	// Alternate the arms best-of-3: even on the replay path one scheduler
-	// hiccup on a small box can swamp the transport margin in a single
-	// run's p95. Each arm keeps its lowest-p95 run and both gates read
-	// that same run, so the report never mixes runs.
-	for i := 0; i < 3; i++ {
-		h := loadArm(t, httpBase, "http", corpus, requests)
-		r := loadArm(t, rpcBase, "rpc", corpus, requests)
-		if i == 0 || h.P95MS < arms["http"].P95MS {
-			arms["http"] = h
-		}
-		if i == 0 || r.P95MS < arms["rpc"].P95MS {
-			arms["rpc"] = r
-		}
-	}
-
-	// --- Hedging comparison: one stalled backend, two routers. ---
-	// Both backends carry a store here too, warmed directly below on the
-	// whole corpus (the stall wraps only the rpc dispatch, so the direct
-	// HTTP warmup is fast): a hedge fired at the ring successor then
-	// replays instantly instead of recomputing a problem only the owner
-	// has warm, so the arms compare hedging policy, not engine load.
+	// Both backends carry a store, warmed directly below on the whole
+	// corpus (the stall wraps only the rpc dispatch, so the direct HTTP
+	// warmup is fast): a hedge fired at the ring successor then replays
+	// instantly instead of recomputing a problem only the owner has warm,
+	// so the arms compare hedging policy, not engine load.
 	stall := &delayRPC{delay: 400 * time.Millisecond}
-	bSlow := startRPCBackend(t, serve.Config{ID: "bench-stalled", Store: openBenchStore(t)}, func(h rpc.Handler) rpc.Handler { stall.inner = h; return stall })
-	bOK := startRPCBackend(t, serve.Config{ID: "bench-ok", Store: openBenchStore(t)}, nil)
+	bSlow := startBackend(t, serve.Config{ID: "bench-stalled", Store: openStore(t, t.TempDir())}, func(h rpc.Handler) rpc.Handler { stall.inner = h; return stall })
+	bOK := startBackend(t, serve.Config{ID: "bench-ok", Store: openStore(t, t.TempDir())}, nil)
 	degraded := []string{bSlow.hts.URL, bOK.hts.URL}
 	unhedgedBase, _, unhedgedStop := startRouter(t, route.Config{Backends: degraded})
 	defer unhedgedStop()
@@ -141,81 +71,20 @@ func TestRPCBench(t *testing.T) {
 		HedgeMax: 25 * time.Millisecond,
 	})
 	defer hedgedStop()
-	waitProto(t, unhedgedBase, map[string]string{bSlow.hts.URL: "rpc", bOK.hts.URL: "rpc"})
-	waitProto(t, hedgedBase, map[string]string{bSlow.hts.URL: "rpc", bOK.hts.URL: "rpc"})
 
 	// Warm both stores on the whole corpus, hitting each backend directly
 	// so the successor holds every owner's outcomes too.
 	loadArm(t, bSlow.hts.URL, "http", corpus, len(corpus))
 	loadArm(t, bOK.hts.URL, "http", corpus, len(corpus))
-	arms["slow_unhedged"] = loadArm(t, unhedgedBase, "http", corpus, 2*len(corpus))
-	arms["slow_hedged"] = loadArm(t, hedgedBase, "http", corpus, 2*len(corpus))
+	unhedged := loadArm(t, unhedgedBase, "http", corpus, 2*len(corpus))
+	hedged := loadArm(t, hedgedBase, "http", corpus, 2*len(corpus))
 	hedgeStats := fetchRouterStats(t, hedgedBase)
-
-	httpArm, rpcArm := arms["http"], arms["rpc"]
-	unhedged, hedged := arms["slow_unhedged"], arms["slow_hedged"]
-	t.Logf("http:     p50=%.2f p95=%.2f p99=%.2f ms, %.1f req/s", httpArm.P50MS, httpArm.P95MS, httpArm.P99MS, httpArm.ThroughputRPS)
-	t.Logf("rpc:      p50=%.2f p95=%.2f p99=%.2f ms, %.1f req/s", rpcArm.P50MS, rpcArm.P95MS, rpcArm.P99MS, rpcArm.ThroughputRPS)
 	t.Logf("unhedged: p99=%.1f ms; hedged: p99=%.1f ms (fired=%d won=%d)", unhedged.P99MS, hedged.P99MS, hedgeStats.HedgeFired, hedgeStats.HedgeWon)
 
-	if rpcArm.P95MS >= httpArm.P95MS {
-		t.Errorf("rpc p95 %.2fms not below http p95 %.2fms", rpcArm.P95MS, httpArm.P95MS)
-	}
-	if rpcArm.ThroughputRPS <= httpArm.ThroughputRPS {
-		t.Errorf("rpc throughput %.1f req/s not above http %.1f req/s", rpcArm.ThroughputRPS, httpArm.ThroughputRPS)
-	}
 	if hedged.P99MS >= unhedged.P99MS {
 		t.Errorf("hedged p99 %.1fms not below unhedged %.1fms", hedged.P99MS, unhedged.P99MS)
 	}
 	if hedgeStats.HedgeWon == 0 {
 		t.Error("hedged arm never won a race against the stalled owner")
 	}
-
-	out := os.Getenv("VS3_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	rep := bench.Bench9Report{
-		Report:   "BENCH_9",
-		Purpose:  "binary VS3R transport vs HTTP/JSON over a store-backed 2-backend fleet on the outcome-replay path, plus hedged vs unhedged routing over a fleet with one stalled backend (cmd/vs3load harness)",
-		Host:     runtime.GOOS + "/" + runtime.GOARCH,
-		GoMaxP:   runtime.GOMAXPROCS(0),
-		Corpus:   len(corpus),
-		Distinct: len(distinct),
-		Requests: requests,
-		Arms:     arms,
-	}
-	rep.Findings.HTTPP95MS = httpArm.P95MS
-	rep.Findings.RPCP95MS = rpcArm.P95MS
-	if rpcArm.P95MS > 0 {
-		rep.Findings.P95SpeedupX = httpArm.P95MS / rpcArm.P95MS
-	}
-	rep.Findings.HTTPThroughput = httpArm.ThroughputRPS
-	rep.Findings.RPCThroughput = rpcArm.ThroughputRPS
-	if httpArm.ThroughputRPS > 0 {
-		rep.Findings.ThroughputGainX = rpcArm.ThroughputRPS / httpArm.ThroughputRPS
-	}
-	rep.Findings.UnhedgedP99MS = unhedged.P99MS
-	rep.Findings.HedgedP99MS = hedged.P99MS
-	if hedged.P99MS > 0 {
-		rep.Findings.P99ReductionX = unhedged.P99MS / hedged.P99MS
-	}
-	rep.Findings.HedgeFired = hedgeStats.HedgeFired
-	rep.Findings.HedgeWon = hedgeStats.HedgeWon
-	rep.Findings.VerdictsIdentical = true // loadArm fails the run on any verdict mismatch in any arm
-	rep.Notes = []string{
-		"transport arms share one warmed fleet: two serve.Server backends (own session pools, SMT state, and a knowledge store — the PR-8 production configuration) on distinct TCP ports in one test process; only the wire path differs (HTTP/JSON end to end vs VS3R front + VS3R backend legs)",
-		"transport arms measure 10 passes over the full corpus at concurrency 4 after a per-wire full-corpus warmup pass (which doubles as the verdict gate on each wire); every measured request is answered by store outcome replay, so the wire path is the bulk of each request and engine compute — identical on both wires — does not mask the transport margin",
-		"transport arms alternate best-of-3 (http, rpc, http, rpc, ...) and each arm reports its lowest-p95 run, stripping single-run scheduler noise on small hosts; both findings read the same chosen run per arm",
-		"the hedging arms share a store-backed fleet (both stores warmed on the whole corpus, so a hedge replays instead of recomputing) whose ring owner for ~half the keys stalls 400ms before rpc dispatch; the hedged router fires at the ring successor after an adaptive delay clamped to [5ms, 25ms]",
-		"verdicts_identical_across_arms: loadArm fails the run if any arm returns a verdict differing from the corpus expectation",
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

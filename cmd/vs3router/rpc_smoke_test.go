@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,39 +17,6 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/serve"
 )
-
-// rpcBackend is one real engine backend serving both its HTTP surface and
-// an advertised binary rpc listener — what `vs3d -rpc :0` boots, assembled
-// in-process so the test can wrap the rpc handler and read its gauges.
-type rpcBackend struct {
-	srv  *serve.Server
-	hts  *httptest.Server
-	rsrv *rpc.Server
-}
-
-func startRPCBackend(t *testing.T, cfg serve.Config, wrap func(rpc.Handler) rpc.Handler) *rpcBackend {
-	t.Helper()
-	if cfg.Pool == 0 {
-		cfg.Pool = 2
-	}
-	srv := serve.New(cfg)
-	hts := httptest.NewServer(srv.Handler())
-	t.Cleanup(hts.Close)
-	var h rpc.Handler = srv
-	if wrap != nil {
-		h = wrap(h)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsrv := rpc.NewServer(h, rpc.ServerConfig{})
-	go func() { _ = rsrv.Serve(ln) }()
-	t.Cleanup(func() { ln.Close(); rsrv.Close() })
-	srv.AdvertiseRPC(ln.Addr().String())
-	srv.SetRPCStats(rsrv.Stats)
-	return &rpcBackend{srv: srv, hts: hts, rsrv: rsrv}
-}
 
 // delayRPC stalls every rpc dispatch, emulating a deeply queued backend. A
 // cancel during the stall is counted and answered 499 without touching the
@@ -137,19 +103,20 @@ func callVerify(t *testing.T, c *rpc.Client, spec, method string) (rpc.Response,
 
 // TestRPCSmoke is `make rpc-smoke`: the binary transport end to end over
 // real TCP daemons — single verifies through the router's rpc front, batch
-// fan-out over rpc backends, HTTP fallback for a backend that does not
+// fan-out over rpc backends, no traffic for a backend that does not
 // advertise rpc, mid-flight cancellation reaching the backend, and hedging
 // with counters on /metrics.
 func TestRPCSmoke(t *testing.T) {
 	corpus := load.SmokeCorpus()
 
 	// --- Fleet 1: two rpc backends + one HTTP-only backend. ---
-	b1 := startRPCBackend(t, serve.Config{ID: "rpc-1"}, nil)
-	b2 := startRPCBackend(t, serve.Config{ID: "rpc-2"}, nil)
-	b3 := startBackend(t, "http-only")
+	b1 := startBackend(t, serve.Config{ID: "rpc-1"}, nil)
+	b2 := startBackend(t, serve.Config{ID: "rpc-2"}, nil)
+	b3 := httptest.NewServer(serve.New(serve.Config{ID: "http-only", Pool: 1}).Handler())
+	defer b3.Close()
 	base, rpcBase, stop := startRouter(t, route.Config{Backends: []string{b1.hts.URL, b2.hts.URL, b3.URL}})
 	defer stop()
-	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc", b3.URL: "http"})
+	waitProto(t, base, map[string]string{b1.hts.URL: "rpc", b2.hts.URL: "rpc", b3.URL: "none"})
 
 	c := rpc.NewClient(rpcBase, rpc.ClientConfig{})
 	defer c.Close()
@@ -169,27 +136,19 @@ func TestRPCSmoke(t *testing.T) {
 		}
 	}
 
-	// HTTP fallback: a spec owned by the HTTP-only backend must still verify
-	// through the binary front (router rpc in, HTTP out). Trailing newlines
-	// vary the problem key until one lands on it.
-	spec, served := corpus[0].Spec, false
-	for i := 0; i < 10_000; i++ {
+	// No traffic for the backend that advertises no rpc endpoint: it owns a
+	// third of the ring, yet spec variants (trailing newlines vary the
+	// problem key) all verify on the rpc backends.
+	spec := corpus[0].Spec
+	for i := 0; i < 16; i++ {
 		resp, vr := callVerify(t, c, spec, "lfp")
-		if resp.Status != http.StatusOK || !vr.Proved {
-			t.Fatalf("fallback probe: status=%d proved=%v", resp.Status, vr.Proved)
-		}
-		if resp.Backend == "http-only" {
-			served = true
-			break
+		if resp.Status != http.StatusOK || !vr.Proved || resp.Backend == "http-only" {
+			t.Fatalf("probe %d: status=%d proved=%v backend=%s", i, resp.Status, vr.Proved, resp.Backend)
 		}
 		spec = corpus[0].Spec + strings.Repeat("\n", i+1)
 	}
-	if !served {
-		t.Fatal("no spec variant routed to the HTTP-only backend")
-	}
 
-	// Batch through the router's HTTP front: the rpc backends take the
-	// multiplexed per-item path, the HTTP-only backend the NDJSON path.
+	// Batch through the router's HTTP front: every item travels over rpc.
 	var items []serve.VerifyRequest
 	for _, it := range corpus {
 		items = append(items, serve.VerifyRequest{Spec: it.Spec, Method: it.Method})
@@ -220,11 +179,25 @@ func TestRPCSmoke(t *testing.T) {
 	if st := fetchRouterStats(t, base); st.RPCConns == 0 {
 		t.Error("router reports zero open rpc connections after rpc traffic")
 	}
+	var b3Stats struct {
+		Requests int64 `json:"requests"`
+	}
+	sresp, err := http.Get(b3.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(sresp.Body).Decode(&b3Stats); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if b3Stats.Requests != 0 {
+		t.Errorf("backend without rpc served %d requests", b3Stats.Requests)
+	}
 
 	// --- Fleet 2: cancellation. A client abandoning its stream must reach
 	// the stalled backend as a context cancel, leaving no open stream. ---
 	slow := &delayRPC{delay: 30 * time.Second}
-	bSlow := startRPCBackend(t, serve.Config{ID: "stalled"}, func(h rpc.Handler) rpc.Handler { slow.inner = h; return slow })
+	bSlow := startBackend(t, serve.Config{ID: "stalled"}, func(h rpc.Handler) rpc.Handler { slow.inner = h; return slow })
 	cbase, crpc, cstop := startRouter(t, route.Config{Backends: []string{bSlow.hts.URL}})
 	defer cstop()
 	waitProto(t, cbase, map[string]string{bSlow.hts.URL: "rpc"})
@@ -262,8 +235,8 @@ func TestRPCSmoke(t *testing.T) {
 	// --- Fleet 3: hedging. With the owner stalled, the ring successor must
 	// answer and the counters must show the race. ---
 	slow2 := &delayRPC{delay: 5 * time.Second}
-	bSlow2 := startRPCBackend(t, serve.Config{ID: "hedge-slow"}, func(h rpc.Handler) rpc.Handler { slow2.inner = h; return slow2 })
-	bFast := startRPCBackend(t, serve.Config{ID: "hedge-fast"}, nil)
+	bSlow2 := startBackend(t, serve.Config{ID: "hedge-slow"}, func(h rpc.Handler) rpc.Handler { slow2.inner = h; return slow2 })
+	bFast := startBackend(t, serve.Config{ID: "hedge-fast"}, nil)
 	hbase, _, hstop := startRouter(t, route.Config{
 		Backends: []string{bSlow2.hts.URL, bFast.hts.URL},
 		Hedge:    true,
@@ -319,7 +292,7 @@ func TestRPCSmoke(t *testing.T) {
 // single rpc-advertising backend: discovery via X-VS3-RPC, all verdicts
 // correct over the binary transport, stats deltas still read over HTTP.
 func TestLoadProtoRPC(t *testing.T) {
-	b := startRPCBackend(t, serve.Config{ID: "load-rpc"}, nil)
+	b := startBackend(t, serve.Config{ID: "load-rpc"}, nil)
 	res, err := load.Run(context.Background(), load.Options{
 		BaseURL:     b.hts.URL,
 		Corpus:      load.SmokeCorpus(),

@@ -1,8 +1,6 @@
 package route
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,18 +12,17 @@ import (
 	"repro/internal/serve"
 )
 
-// handleBatch splits one client batch by backend affinity, fans the
-// sub-batches out concurrently, and merges the per-item NDJSON result
-// streams back into one stream with the client's original item indices.
-// Splitting by affinity is the point: every item still lands on the backend
-// that is warm for its skeleton, so a bulk client pays one HTTP round trip
-// while keeping the per-key cache economics of single routed requests.
-//
-// Failover is per item, mid-stream: when a backend dies partway through its
-// sub-batch (connection refused, stream cut), the items it never answered
-// are re-grouped over the remaining live backends and re-sent; only items
-// no live backend can serve come back as 502 results. Items that already
-// produced a result are never re-run.
+// batchWorkers bounds the items of one batch in flight at once.
+const batchWorkers = 16
+
+// handleBatch answers a client batch as one NDJSON stream: each item goes
+// through execute on its own, so it gets the same key affinity, store-aware
+// placement, hedging and per-item failover as a single request, and its
+// result streams back under the client's original index as it completes.
+// A bulk client pays one HTTP round trip while every item still lands on
+// the backend that is warm for its skeleton; items that already answered
+// are never re-run, and only items no live backend can serve come back as
+// 502 results.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -53,232 +50,48 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var wmu sync.Mutex
 	enc := json.NewEncoder(w)
-	emit := func(res serve.BatchResult) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_ = enc.Encode(res)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 
-	maxAttempts := len(r.backends) + 1
+	sem := make(chan struct{}, batchWorkers)
 	var wg sync.WaitGroup
-	var send func(indices []int, attempt int)
-
-	// fail emits terminal 502 results for items no backend could serve.
-	fail := func(indices []int, err error) {
-		r.noBackend.Add(int64(len(indices)))
-		for _, gi := range indices {
-			emit(serve.BatchResult{
-				Index:  gi,
-				Status: http.StatusBadGateway,
-				Error:  fmt.Sprintf("no live backend: %v", err),
+	for i, item := range batch.Items {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int, item serve.VerifyRequest) {
+			defer func() { <-sem; wg.Done() }()
+			res := r.execute(ctx, serve.ProblemKey(item.Spec), client, rpc.Request{
+				Kind: rpc.KindVerify, Method: item.Method, TimeoutMS: item.TimeoutMS, Spec: item.Spec,
 			})
-		}
-	}
-
-	// send groups the given (global) item indices by their current best
-	// backend and streams each group; unanswered items recurse with the
-	// next attempt.
-	send = func(indices []int, attempt int) {
-		if attempt >= maxAttempts {
-			fail(indices, errors.New("failover attempts exhausted"))
-			return
-		}
-		groups := map[int][]int{}
-		for _, gi := range indices {
-			cands := r.candidates(serve.ProblemKey(batch.Items[gi].Spec))
-			if len(cands) == 0 {
-				fail([]int{gi}, errors.New("no backends configured"))
-				continue
+			line := batchResult(i, res)
+			wmu.Lock()
+			defer wmu.Unlock()
+			_ = enc.Encode(line)
+			if flusher != nil {
+				flusher.Flush()
 			}
-			groups[cands[0]] = append(groups[cands[0]], gi)
-		}
-		for bidx, group := range groups {
-			wg.Add(1)
-			go func(bidx int, group []int) {
-				defer wg.Done()
-				remaining, err := r.streamGroup(ctx, r.backends[bidx], client, &batch, group, emit)
-				if len(remaining) == 0 {
-					return
-				}
-				r.backends[bidx].failovers.Add(int64(len(remaining)))
-				r.failovers.Add(int64(len(remaining)))
-				if ctx.Err() != nil {
-					fail(remaining, ctx.Err())
-					return
-				}
-				_ = err
-				send(remaining, attempt+1)
-			}(bidx, group)
-		}
+		}(i, item)
 	}
-
-	all := make([]int, len(batch.Items))
-	for i := range all {
-		all[i] = i
-	}
-	send(all, 0)
 	wg.Wait()
 }
 
-// streamGroup sends one sub-batch to b and re-emits its results with global
-// indices. It returns the global indices that never produced a result (the
-// failover set) and the transport error that cut the stream, if any. A
-// backend that answers fewer lines than items without a transport error is
-// also treated as a cut stream.
-func (r *Router) streamGroup(ctx context.Context, b *backend, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) (remaining []int, err error) {
-	if c := b.rpcClient(); c != nil {
-		return r.rpcGroup(ctx, b, c, client, batch, group, emit)
-	}
-	sub := serve.BatchRequest{Items: make([]serve.VerifyRequest, len(group))}
-	for li, gi := range group {
-		sub.Items[li] = batch.Items[gi]
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return group, err
-	}
-	done := make([]bool, len(group))
-	pending := func() []int {
-		var out []int
-		for li, d := range done {
-			if !d {
-				out = append(out, group[li])
-			}
-		}
+// batchResult maps one item's result onto the NDJSON per-item shape. A
+// success or aborted body is a serve.VerifyResponse; error-shaped bodies
+// ({"error": ...}) carry the message a standalone request would have.
+func batchResult(index int, res callResult) serve.BatchResult {
+	out := serve.BatchResult{Index: index, Status: res.status, ProblemKey: res.problemKey}
+	if res.err != nil {
+		out.Error = res.err.Error()
 		return out
 	}
-
-	resp, err := r.forward(ctx, b, "/v1/batch", client, body)
-	if err != nil {
-		b.healthy.Store(false)
-		return group, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The backend rejected the whole sub-batch (e.g. over its item
-		// cap); surface its error on every item rather than failing over —
-		// another backend would reject it the same way.
-		var eresp errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&eresp)
-		for _, gi := range group {
-			emit(serve.BatchResult{Index: gi, Status: resp.StatusCode, Error: eresp.Error})
-		}
-		return nil, nil
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var res serve.BatchResult
-		if err := json.Unmarshal(line, &res); err != nil {
-			b.healthy.Store(false)
-			return pending(), fmt.Errorf("corrupt batch stream from %s: %w", b.url, err)
-		}
-		if res.Index < 0 || res.Index >= len(group) || done[res.Index] {
-			continue // defensive: never emit a duplicate or out-of-range index
-		}
-		done[res.Index] = true
-		b.routed.Add(1)
-		res.Index = group[res.Index]
-		emit(res)
-	}
-	if err := sc.Err(); err != nil {
-		b.healthy.Store(false)
-		return pending(), err
-	}
-	if rem := pending(); len(rem) > 0 {
-		// EOF before every item answered: the backend shut down mid-batch.
-		b.healthy.Store(false)
-		return rem, fmt.Errorf("batch stream from %s ended after %d of %d items", b.url, len(group)-len(rem), len(group))
-	}
-	return nil, nil
-}
-
-// rpcGroup sends one affinity group's items as individual streams over the
-// backend's persistent multiplexed rpc connection — the binary replacement
-// for the NDJSON sub-batch, with the same per-item independence. Items that
-// fail at the transport level come back as the failover set; a refused
-// handshake pins the backend to HTTP and resends everything (the next
-// attempt takes the NDJSON path).
-func (r *Router) rpcGroup(ctx context.Context, b *backend, c *rpc.Client, client string, batch *serve.BatchRequest, group []int, emit func(serve.BatchResult)) ([]int, error) {
-	workers := 16
-	if workers > len(group) {
-		workers = len(group)
-	}
-	var (
-		mu      sync.Mutex
-		pending []int
-		lastErr error
-		dropped bool
-	)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := range indices {
-				item := batch.Items[gi]
-				resp, err := c.Call(ctx, rpc.Request{
-					Kind:      rpc.KindVerify,
-					Method:    item.Method,
-					TimeoutMS: item.TimeoutMS,
-					Client:    client,
-					Spec:      item.Spec,
-				})
-				if err != nil {
-					mu.Lock()
-					pending = append(pending, gi)
-					lastErr = err
-					if errors.Is(err, rpc.ErrNotRPC) {
-						dropped = true
-					}
-					mu.Unlock()
-					continue
-				}
-				b.routed.Add(1)
-				emit(rpcBatchResult(gi, resp))
-			}
-		}()
-	}
-	for _, gi := range group {
-		indices <- gi
-	}
-	close(indices)
-	wg.Wait()
-	if dropped {
-		b.dropRPC()
-		return pending, lastErr
-	}
-	if len(pending) > 0 && ctx.Err() == nil {
-		b.healthy.Store(false)
-	}
-	return pending, lastErr
-}
-
-// rpcBatchResult maps one rpc response onto the NDJSON per-item result
-// shape. A success or aborted body is a serve.VerifyResponse; error-shaped
-// bodies ({"error": ...}) carry the message a standalone request would have.
-func rpcBatchResult(gi int, resp rpc.Response) serve.BatchResult {
 	var full struct {
 		serve.VerifyResponse
 		Error string `json:"error"`
 	}
-	_ = json.Unmarshal(resp.Body, &full)
-	res := serve.BatchResult{Index: gi, Status: resp.Status, ProblemKey: resp.ProblemKey}
+	_ = json.Unmarshal(res.body, &full)
 	if full.Error != "" {
-		res.Error = full.Error
-		return res
+		out.Error = full.Error
+		return out
 	}
-	res.OK = resp.Status == http.StatusOK
-	v := full.VerifyResponse
-	res.Verify = &v
-	return res
+	out.OK = res.status == http.StatusOK
+	out.Verify = &full.VerifyResponse
+	return out
 }

@@ -3,7 +3,7 @@ package route
 import (
 	"context"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -11,78 +11,72 @@ import (
 	"repro/internal/rpc"
 )
 
-// callResult is one backend's buffered answer to a single verify or
-// preconditions request, transport-agnostic: the same fields come back
-// whether the call crossed binary rpc or HTTP. err is non-nil only for
-// transport failures (the failover/hedge-loss signal); an HTTP-level answer
+// callResult is one request's buffered answer. err is non-nil only when no
+// backend answered; status then carries the error status to return (502, or
+// 499/504 when the caller's own context ended). A backend's own answer
 // (429 shed, 5xx) is a result, not an error.
 type callResult struct {
 	status     int
 	problemKey string
 	backendID  string
-	retryAfter string
 	body       []byte
 	err        error
 }
 
-// callOne executes req against b, preferring the backend's persistent binary
-// rpc pool and falling back to HTTP. A refused VS3R handshake pins the
-// backend to HTTP permanently (it is an older build, not a dead node); any
-// other rpc error is a transport failure, the same failover signal an HTTP
-// connection cut produces.
-func (r *Router) callOne(ctx context.Context, b *backend, path, client string, body []byte, req rpc.Request) callResult {
+// callOne executes req against b over its persistent VS3R pool. An error is
+// a transport failure (or the caller's own cancellation): the backend never
+// produced an answer.
+func (r *Router) callOne(ctx context.Context, b *backend, req rpc.Request) callResult {
+	c := b.rpcClient()
+	if c == nil {
+		return callResult{err: errNoRPC}
+	}
 	start := time.Now()
-	if c := b.rpcClient(); c != nil {
-		req.Client = client
-		resp, err := c.Call(ctx, req)
-		switch {
-		case err == nil:
-			r.observeLatency(time.Since(start))
-			if resp.Backend != "" {
-				id := resp.Backend
-				b.serverID.Store(&id)
-			}
-			return callResult{
-				status:     resp.Status,
-				problemKey: resp.ProblemKey,
-				backendID:  resp.Backend,
-				retryAfter: retryAfterHint(resp.Status),
-				body:       resp.Body,
-			}
-		case errors.Is(err, rpc.ErrNotRPC):
-			b.dropRPC()
-			// Fall through to HTTP below: the backend is alive, just binary-blind.
-		default:
-			return callResult{err: err}
-		}
-	}
-	resp, err := r.forward(ctx, b, path, client, body)
-	if err != nil {
-		return callResult{err: err}
-	}
-	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	resp, err := c.Call(ctx, req)
 	if err != nil {
 		return callResult{err: err}
 	}
 	r.observeLatency(time.Since(start))
-	return callResult{
-		status:     resp.StatusCode,
-		problemKey: resp.Header.Get("X-VS3-Problem-Key"),
-		backendID:  resp.Header.Get("X-VS3-Backend"),
-		retryAfter: resp.Header.Get("Retry-After"),
-		body:       buf,
+	if resp.Backend != "" {
+		id := resp.Backend
+		b.serverID.Store(&id)
 	}
+	return callResult{status: resp.Status, problemKey: resp.ProblemKey, backendID: resp.Backend, body: resp.Body}
 }
 
-// retryAfterHint mirrors the Retry-After header a backend's HTTP surface
-// sets on 429 (the binary protocol carries status + body only).
-func retryAfterHint(status int) string {
-	if status == http.StatusTooManyRequests {
-		return "1"
+// errNoRPC is callOne's error for a backend that advertises no rpc endpoint.
+var errNoRPC = errors.New("backend advertises no rpc endpoint")
+
+// failed records a transport failure of b: it leaves rotation until the
+// next sweep and the hop counts as a failover. When the caller's own
+// context ended the call the backend is not at fault, so nothing is
+// recorded.
+func (r *Router) failed(ctx context.Context, b *backend) {
+	if ctx.Err() != nil {
+		return
 	}
-	return ""
+	b.healthy.Store(false)
+	b.failovers.Add(1)
+	r.failovers.Add(1)
 }
+
+// unanswered is execute's terminal answer when no backend answered. A caller
+// whose own context ended (client disconnect, client or router timeout)
+// gets 499/504 and is not counted as a no-backend failure.
+func (r *Router) unanswered(ctx context.Context, err error) callResult {
+	switch ctx.Err() {
+	case context.DeadlineExceeded:
+		return callResult{status: http.StatusGatewayTimeout, err: ctx.Err()}
+	case context.Canceled:
+		return callResult{status: statusClientClosed, err: ctx.Err()}
+	}
+	r.noBackend.Add(1)
+	return callResult{status: http.StatusBadGateway, err: fmt.Errorf("no live backend: %w", err)}
+}
+
+// statusClientClosed is the serving tier's status for a request its caller
+// abandoned (nginx's 499, as vs3d reports aborted runs).
+const statusClientClosed = 499
 
 // observeLatency feeds one completed-call latency into the rolling window
 // behind the adaptive hedge delay.
@@ -123,17 +117,16 @@ func (r *Router) hedgeDelay() time.Duration {
 // execute routes one request over the candidate sequence for its key. Under
 // Affinity with hedging enabled the first two candidates race (owner first,
 // successor after the adaptive delay); any remaining candidates serve as the
-// sequential failover tail, exactly as without hedging. The returned result
-// is terminal: a transport-level total failure comes back as err != nil.
-func (r *Router) execute(ctx context.Context, key, client, path string, body []byte, req rpc.Request) callResult {
+// sequential failover tail, exactly as without hedging. Every front
+// (proxySingle, ServeRPC, each batch item) reaches backends only through
+// here. The result is terminal: err != nil means no backend answered.
+func (r *Router) execute(ctx context.Context, key, client string, req rpc.Request) callResult {
+	req.Client = client
 	cands := r.candidates(key)
-	if len(cands) == 0 {
-		return callResult{err: errors.New("no backends configured")}
-	}
 	rest := cands
-	var lastErr error
+	lastErr := errors.New("no backends configured")
 	if r.cfg.Hedge && r.cfg.Policy == Affinity && len(cands) >= 2 {
-		res, done := r.raceTwo(ctx, r.backends[cands[0]], r.backends[cands[1]], path, client, body, req)
+		res, done := r.raceTwo(ctx, r.backends[cands[0]], r.backends[cands[1]], req)
 		if done {
 			return res
 		}
@@ -141,23 +134,21 @@ func (r *Router) execute(ctx context.Context, key, client, path string, body []b
 		rest = cands[2:] // both racers failed at transport level; fall through
 	}
 	for _, idx := range rest {
+		if ctx.Err() != nil {
+			break
+		}
 		b := r.backends[idx]
-		res := r.callOne(ctx, b, path, client, body, req)
+		res := r.callOne(ctx, b, req)
 		if res.err == nil {
 			b.routed.Add(1)
 			return res
 		}
-		// Transport failure: the backend never produced an answer. Mark it
-		// down and rehash to the next node in ring order.
-		b.healthy.Store(false)
-		b.failovers.Add(1)
-		r.failovers.Add(1)
+		// Transport failure: mark the backend down and rehash to the next
+		// node in ring order.
+		r.failed(ctx, b)
 		lastErr = res.err
-		if ctx.Err() != nil {
-			break
-		}
 	}
-	return callResult{err: lastErr}
+	return r.unanswered(ctx, lastErr)
 }
 
 // raceTwo runs the hedged race between the owner backend and its ring
@@ -166,7 +157,7 @@ func (r *Router) execute(ctx context.Context, key, client, path string, body []b
 // the backend treats as a client disconnect — its run aborts and its verdict
 // is discarded unseen). Returns done=false only when both sides failed at
 // the transport level, handing the key to the sequential failover tail.
-func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client string, body []byte, req rpc.Request) (callResult, bool) {
+func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, req rpc.Request) (callResult, bool) {
 	type raceRes struct {
 		res   callResult
 		b     *backend
@@ -177,7 +168,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 	resc := make(chan raceRes, 2)
 	launch := func(b *backend, hedge bool) {
 		go func() {
-			resc <- raceRes{res: r.callOne(rctx, b, path, client, body, req), b: b, hedge: hedge}
+			resc <- raceRes{res: r.callOne(rctx, b, req), b: b, hedge: hedge}
 		}()
 	}
 	launch(owner, false)
@@ -193,9 +184,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 			rr.b.routed.Add(1)
 			return rr.res, true
 		}
-		rr.b.healthy.Store(false)
-		rr.b.failovers.Add(1)
-		r.failovers.Add(1)
+		r.failed(ctx, rr.b)
 	case <-timer.C:
 		r.hedgeFired.Add(1)
 		launch(succ, true)
@@ -205,15 +194,13 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 	if !fired {
 		// The owner failed before the hedge delay elapsed; no race happened.
 		// The successor is simply the next sequential candidate.
-		res := r.callOne(rctx, succ, path, client, body, req)
+		res := r.callOne(rctx, succ, req)
 		if res.err == nil {
 			succ.routed.Add(1)
 			return res, true
 		}
-		succ.healthy.Store(false)
-		succ.failovers.Add(1)
-		r.failovers.Add(1)
-		return callResult{err: res.err}, false
+		r.failed(ctx, succ)
+		return res, false
 	}
 	var lastErr error
 	for inflight > 0 {
@@ -232,9 +219,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, path, client
 			return rr.res, true
 		}
 		lastErr = rr.res.err
-		rr.b.healthy.Store(false)
-		rr.b.failovers.Add(1)
-		r.failovers.Add(1)
+		r.failed(ctx, rr.b)
 	}
 	return callResult{err: lastErr}, false
 }

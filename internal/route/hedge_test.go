@@ -107,16 +107,12 @@ func TestHedgeCancelsLoserSingleCount(t *testing.T) {
 	ts := httptest.NewServer(r.Handler())
 	t.Cleanup(ts.Close)
 
-	// Wait for the health sweep to discover both rpc endpoints.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if r.backends[0].rpcClient() != nil && r.backends[1].rpcClient() != nil {
-			break
+	// New's first health sweep is synchronous: both backends are live over
+	// rpc as soon as it returns.
+	for _, b := range r.backends {
+		if !b.healthy.Load() || b.rpcClient().OpenConns() == 0 {
+			t.Fatalf("backend %s not live over rpc after New", b.url)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("router never upgraded both backends to rpc")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	// Find a spec variant owned by the slow backend (trailing newlines change
@@ -163,7 +159,7 @@ func TestHedgeCancelsLoserSingleCount(t *testing.T) {
 
 	// The loser must actually observe its cancellation and drain: handler saw
 	// ctx.Done, no rpc stream stays open, no session lease stays held.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, slowStreams, _, _ := bSlow.rsrv.Stats()
 		slowOK := slow.canceled.Load() >= 1 && slowStreams == 0
@@ -209,62 +205,37 @@ func inFlight(t *testing.T, base string) int64 {
 	return st.InFlight
 }
 
-// TestRPCFallbackToHTTP pins a backend that refuses the VS3R handshake back
-// to HTTP: the request still succeeds over the HTTP leg, and the backend is
-// never retried over binary.
-func TestRPCFallbackToHTTP(t *testing.T) {
-	srv := serve.New(serve.Config{ID: "http-only", Pool: 1})
-	hts := httptest.NewServer(srv.Handler())
-	t.Cleanup(hts.Close)
-	// Advertise an rpc endpoint that is actually another HTTP server: the
-	// handshake will be refused.
+// TestBackendWithoutRPCGetsNoTraffic: requests travel only over VS3R, so a
+// backend that advertises no rpc endpoint, or whose advertised endpoint
+// refuses the handshake, is not live — it shows healthy:false and every
+// key lands on the one backend that speaks rpc.
+func TestBackendWithoutRPCGetsNoTraffic(t *testing.T) {
+	// An HTTP server posing as the rpc endpoint: the handshake is refused.
 	notRPC := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "nope", http.StatusBadRequest)
 	}))
 	t.Cleanup(notRPC.Close)
-	srv.AdvertiseRPC(strings.TrimPrefix(notRPC.URL, "http://"))
+	good := newStubBackend(t, "rpc")
+	silent := newStubBackend(t, "no-rpc", advertising(""))
+	refusing := newStubBackend(t, "refuses", advertising(strings.TrimPrefix(notRPC.URL, "http://")))
+	_, ts := newTestRouter(t, Config{HealthInterval: time.Hour}, good, silent, refusing)
 
-	r, err := New(Config{Backends: []string{hts.URL}, HealthInterval: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	ts := httptest.NewServer(r.Handler())
-	t.Cleanup(ts.Close)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for r.backends[0].rpcClient() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("router never adopted the advertised rpc endpoint")
+	for i := 0; i < 32; i++ {
+		resp, body := postVerify(t, ts.URL, fmt.Sprintf("program N%d() { skip; }", i))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if got := resp.Header.Get("X-VS3-Backend"); got != "rpc" {
+			t.Fatalf("request served by %q, want the rpc backend", got)
+		}
 	}
-
-	body, _ := json.Marshal(serve.VerifyRequest{Spec: hedgeSpec, Method: "lfp", TimeoutMS: 30_000})
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if n := silent.served.Load() + refusing.served.Load(); n != 0 {
+		t.Fatalf("backends without a working rpc endpoint served %d requests", n)
 	}
-	raw := new(bytes.Buffer)
-	_, _ = raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fallback verify: status %d: %s", resp.StatusCode, raw.Bytes())
-	}
-	if !r.backends[0].notRPC.Load() {
-		t.Fatal("backend not pinned to HTTP after refused handshake")
-	}
-	if r.backends[0].rpcClient() != nil {
-		t.Fatal("rpc client survived a refused handshake")
-	}
-	// A second request must go straight over HTTP and still succeed.
-	resp2, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("second fallback verify: status %d", resp2.StatusCode)
+	for _, row := range routerStats(t, ts.URL).Backends {
+		if want := row.URL == good.ts.URL; row.Healthy != want {
+			t.Errorf("backend %s healthy=%v, want %v", row.URL, row.Healthy, want)
+		}
 	}
 }
 

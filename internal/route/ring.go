@@ -5,9 +5,10 @@
 // survives horizontal scale-out if requests for the same problem/skeleton
 // key keep landing on the same backend. The router consistently hashes each
 // request's canonical problem key (serve.ProblemKey) onto a ring of
-// backends, health-checks the fleet, fails over to the next live node in
-// ring order, and splits /v1/batch requests by backend affinity,
-// fanning out and merging the per-item result streams.
+// backends, health-checks the fleet, and fails over to the next live node
+// in ring order. Requests reach backends only over VS3R (internal/rpc), and
+// single requests, binary-front calls and every /v1/batch item share one
+// call path (execute); HTTP is the control plane.
 package route
 
 import (

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,15 +56,11 @@ type Config struct {
 	// RequestTimeout bounds one proxied request end to end, as a safety net
 	// over the backend's own deadline handling (default 10m).
 	RequestTimeout time.Duration
-	// Client overrides the HTTP client used to reach backends. The default
-	// keeps connections alive with a generous idle pool per backend, so a
-	// hot keyspace slice rides one warm TCP connection set.
+	// Client overrides the HTTP client used for the control plane (health
+	// sweeps, /v1/stats aggregation). Requests travel over VS3R.
 	Client *http.Client
 	// ID identifies the router in stats and metrics (default "vs3router").
 	ID string
-	// DisableRPC keeps every backend on HTTP even when it advertises a
-	// binary rpc endpoint (X-VS3-RPC). The control arm for benchmarks.
-	DisableRPC bool
 	// Hedge enables request hedging under the Affinity policy: when the
 	// owner backend has not answered within an adaptive delay (rolling p95
 	// of recent backend latency, clamped to [HedgeMin, HedgeMax]), the same
@@ -116,12 +111,7 @@ func (c Config) normalize() Config {
 		c.HedgeMax = time.Second
 	}
 	if c.Client == nil {
-		transport := &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		c.Client = &http.Client{Transport: transport}
+		c.Client = &http.Client{Transport: &http.Transport{IdleConnTimeout: 90 * time.Second}}
 	}
 	return c
 }
@@ -135,12 +125,10 @@ type backend struct {
 	routed    atomic.Int64           // requests/items routed here
 	failovers atomic.Int64           // requests moved OFF this backend after a transport failure
 
-	// Binary rpc upgrade state. The health sweep discovers the backend's
-	// advertised rpc endpoint (X-VS3-RPC) and opens a persistent connection
-	// pool; a peer that refuses the VS3R handshake is pinned to HTTP.
-	rpcMu  sync.Mutex
-	rpcc   *rpc.Client
-	notRPC atomic.Bool // handshake refused: never retry binary on this backend
+	// The persistent VS3R connection pool to the endpoint the backend
+	// advertises in X-VS3-RPC; nil until the health sweep has seen one.
+	rpcMu sync.Mutex
+	rpcc  *rpc.Client
 
 	// Solved-outcome digest state (StoreAware). digest is the last parsed
 	// bloom digest (nil claims nothing); digestGen is the generation it
@@ -162,40 +150,29 @@ func (b *backend) id() string {
 	return ""
 }
 
-// rpcClient returns the backend's live rpc client, nil while it is
-// undiscovered or pinned to HTTP.
+// rpcClient returns the backend's rpc client, nil while it advertises none.
 func (b *backend) rpcClient() *rpc.Client {
 	b.rpcMu.Lock()
 	defer b.rpcMu.Unlock()
 	return b.rpcc
 }
 
-// dropRPC pins the backend to HTTP (the peer refused the VS3R handshake).
-func (b *backend) dropRPC() {
-	b.rpcMu.Lock()
-	c := b.rpcc
-	b.rpcc = nil
-	b.rpcMu.Unlock()
-	b.notRPC.Store(true)
-	if c != nil {
-		c.Close()
-	}
-}
-
-// adoptRPC opens (or keeps) a client for the advertised rpc address.
-func (b *backend) adoptRPC(addr string) {
-	if b.notRPC.Load() {
-		return
-	}
+// adoptRPC points the backend's client at addr, keeping the pool when the
+// address is unchanged; an empty addr drops it. It returns the client.
+func (b *backend) adoptRPC(addr string) *rpc.Client {
 	b.rpcMu.Lock()
 	defer b.rpcMu.Unlock()
 	if b.rpcc != nil && b.rpcc.Addr() == addr {
-		return
+		return b.rpcc
 	}
 	if b.rpcc != nil {
 		b.rpcc.Close()
+		b.rpcc = nil
 	}
-	b.rpcc = rpc.NewClient(addr, rpc.ClientConfig{})
+	if addr != "" {
+		b.rpcc = rpc.NewClient(addr, rpc.ClientConfig{})
+	}
+	return b.rpcc
 }
 
 // Router fronts a fleet of vs3d backends.
@@ -233,10 +210,11 @@ type Router struct {
 	wg       sync.WaitGroup
 }
 
-// New builds a Router and starts its health-check loop. Backends start
-// healthy (optimistically) and are corrected by the first sweep; transport
-// failures also mark a backend unhealthy immediately (passive detection),
-// so failover does not wait for the next probe.
+// New builds a Router, runs the first health sweep (bounded by
+// HealthTimeout) so the router can route as soon as New returns, and starts
+// the health-check loop. Transport failures also mark a backend unhealthy
+// immediately (passive detection), so failover does not wait for the next
+// probe.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.normalize()
 	if len(cfg.Backends) == 0 {
@@ -264,10 +242,9 @@ func New(cfg Config) (*Router, error) {
 		stopc:   make(chan struct{}),
 	}
 	for i, u := range cfg.Backends {
-		b := &backend{url: u, weight: weights[i]}
-		b.healthy.Store(true)
-		r.backends = append(r.backends, b)
+		r.backends = append(r.backends, &backend{url: u, weight: weights[i]})
 	}
+	r.sweep()
 	r.wg.Add(1)
 	go r.healthLoop()
 	return r, nil
@@ -279,12 +256,7 @@ func (r *Router) Close() {
 	r.stopOnce.Do(func() { close(r.stopc) })
 	r.wg.Wait()
 	for _, b := range r.backends {
-		b.rpcMu.Lock()
-		if b.rpcc != nil {
-			b.rpcc.Close()
-			b.rpcc = nil
-		}
-		b.rpcMu.Unlock()
+		b.adoptRPC("")
 	}
 	if t, ok := r.client.Transport.(*http.Transport); ok {
 		t.CloseIdleConnections()
@@ -293,7 +265,6 @@ func (r *Router) Close() {
 
 func (r *Router) healthLoop() {
 	defer r.wg.Done()
-	r.sweep()
 	ticker := time.NewTicker(r.cfg.HealthInterval)
 	defer ticker.Stop()
 	for {
@@ -306,9 +277,7 @@ func (r *Router) healthLoop() {
 	}
 }
 
-// sweep probes every backend's /healthz concurrently. A backend is healthy
-// only on HTTP 200 — a draining backend answers 503, so drain takes it out
-// of rotation without dropping its in-flight work.
+// sweep probes every backend concurrently, each bounded by HealthTimeout.
 func (r *Router) sweep() {
 	var wg sync.WaitGroup
 	for _, b := range r.backends {
@@ -317,112 +286,68 @@ func (r *Router) sweep() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
-			if err != nil {
-				b.healthy.Store(false)
-				return
-			}
-			resp, err := r.client.Do(req)
-			if err != nil {
-				b.healthy.Store(false)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if id := resp.Header.Get("X-VS3-Backend"); id != "" {
-				b.serverID.Store(&id)
-			}
-			b.healthy.Store(resp.StatusCode == http.StatusOK)
-			if !r.cfg.DisableRPC {
-				if adv := resp.Header.Get("X-VS3-RPC"); adv != "" {
-					if addr := joinRPCAddr(b.url, adv); addr != "" {
-						b.adoptRPC(addr)
-					}
-				}
-			}
-			if r.cfg.StoreAware {
-				if gh := resp.Header.Get("X-VS3-Store-Gen"); gh != "" {
-					if gen, perr := strconv.ParseUint(gh, 10, 64); perr == nil {
-						r.refreshDigest(b, gen)
-					}
-				}
-			}
+			b.healthy.Store(r.probe(ctx, b))
 		}(b)
 	}
 	wg.Wait()
 }
 
-// refreshDigest refetches b's solved-outcome digest when the generation the
-// backend advertises (on /healthz) has moved past the one the router holds.
-// The binary rpc surface answers without leasing a session; HTTP backends
-// fall back to the store_digest field of /v1/stats.
-func (r *Router) refreshDigest(b *backend, gen uint64) {
+// probe reports whether b is live: its /healthz answers 200 (a draining
+// backend answers 503, so drain takes it out of rotation without dropping
+// its in-flight work) and advertises an rpc endpoint (X-VS3-RPC) that
+// completes the VS3R handshake. Requests travel only over VS3R, so a
+// backend without one can serve nothing.
+func (r *Router) probe(ctx context.Context, b *backend) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if id := resp.Header.Get("X-VS3-Backend"); id != "" {
+		b.serverID.Store(&id)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return false
+	}
+	c := b.adoptRPC(joinRPCAddr(b.url, resp.Header.Get("X-VS3-RPC")))
+	if c == nil || c.Ready(ctx) != nil {
+		return false
+	}
+	if r.cfg.StoreAware {
+		if gen, err := strconv.ParseUint(resp.Header.Get("X-VS3-Store-Gen"), 10, 64); err == nil {
+			r.refreshDigest(ctx, b, c, gen)
+		}
+	}
+	return true
+}
+
+// refreshDigest refetches b's solved-outcome digest over rpc (KindDigest,
+// answered without leasing a session) when the generation the backend
+// advertises on /healthz has moved past the one the router holds.
+func (r *Router) refreshDigest(ctx context.Context, b *backend, c *rpc.Client, gen uint64) {
 	if gen == 0 || b.digestGen.Load() >= gen {
 		return
 	}
-	encoded, got, ok := r.fetchDigest(b)
-	if !ok {
+	resp, err := c.Call(ctx, rpc.Request{Kind: rpc.KindDigest})
+	if err != nil || resp.Status != http.StatusOK {
 		return
 	}
-	d, err := store.ParseBloomDigest(encoded)
+	var dr serve.DigestResponse
+	if err := json.Unmarshal(resp.Body, &dr); err != nil {
+		return
+	}
+	d, err := store.ParseBloomDigest(dr.Digest)
 	if err != nil {
 		// A malformed digest claims nothing; plain ring affinity still works.
-		b.digest.Store(nil)
-		b.digestGen.Store(got)
-		return
+		d = nil
 	}
 	b.digest.Store(d)
-	if got < gen {
-		got = gen
-	}
-	b.digestGen.Store(got)
-}
-
-// fetchDigest retrieves a backend's encoded digest and its generation.
-func (r *Router) fetchDigest(b *backend) (encoded string, gen uint64, ok bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
-	defer cancel()
-	var body []byte
-	if c := b.rpcClient(); c != nil {
-		resp, err := c.Call(ctx, rpc.Request{Kind: rpc.KindDigest})
-		if err == nil && resp.Status == http.StatusOK {
-			body = resp.Body
-		}
-	}
-	if body == nil {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/stats", nil)
-		if err != nil {
-			return "", 0, false
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return "", 0, false
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			return "", 0, false
-		}
-		body, err = io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
-		if err != nil {
-			return "", 0, false
-		}
-	}
-	// Both shapes carry the same information under different field names
-	// (serve.DigestResponse vs the /v1/stats store_digest fields).
-	var peek struct {
-		Digest      string `json:"digest"`
-		Gen         uint64 `json:"gen"`
-		StoreDigest string `json:"store_digest"`
-		StoreGen    uint64 `json:"store_digest_gen"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
-		return "", 0, false
-	}
-	if peek.StoreGen > 0 || peek.StoreDigest != "" {
-		return peek.StoreDigest, peek.StoreGen, true
-	}
-	return peek.Digest, peek.Gen, true
+	b.digestGen.Store(max(dr.Gen, gen))
 }
 
 // joinRPCAddr resolves an advertised X-VS3-RPC value against the backend's
@@ -489,8 +414,12 @@ func (r *Router) candidates(key string) []int {
 // Handler returns the router's HTTP mux.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, "/v1/verify") })
-	mux.HandleFunc("/v1/preconditions", func(w http.ResponseWriter, req *http.Request) { r.proxySingle(w, req, "/v1/preconditions") })
+	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, req *http.Request) {
+		r.proxySingle(w, req, rpc.KindVerify)
+	})
+	mux.HandleFunc("/v1/preconditions", func(w http.ResponseWriter, req *http.Request) {
+		r.proxySingle(w, req, rpc.KindPreconditions)
+	})
 	mux.HandleFunc("/v1/batch", r.handleBatch)
 	mux.HandleFunc("/v1/stats", r.handleStats)
 	mux.HandleFunc("/metrics", r.handleMetrics)
@@ -526,11 +455,9 @@ func (r *Router) AdvertiseRPC(addr string) {
 const maxProxyBody = 32 << 20
 
 // proxySingle routes one verify/preconditions request by its problem key.
-// Verification requests are idempotent, so a transport failure (connection
-// refused, reset mid-response) fails over to the next candidate backend;
-// HTTP-level answers (including 429 shed and 5xx) pass through untouched —
-// rerouting overload would defeat both affinity and load shedding.
-func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, path string) {
+// It only peeks the JSON body to build the rpc request; failover, hedging
+// and the error answers are execute's.
+func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, kind string) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("use POST"))
@@ -541,34 +468,19 @@ func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, path stri
 		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return
 	}
-	var peek struct {
-		Spec      string `json:"spec"`
-		Method    string `json:"method"`
-		TimeoutMS int64  `json:"timeout_ms"`
-	}
-	if err := json.Unmarshal(body, &peek); err != nil {
+	var vr serve.VerifyRequest
+	if err := json.Unmarshal(body, &vr); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return
 	}
-	if peek.Spec == "" {
+	if vr.Spec == "" {
 		writeError(w, http.StatusBadRequest, errors.New("missing \"spec\""))
 		return
 	}
-	r.requests.Add(1)
-	key := serve.ProblemKey(peek.Spec)
-	client := serve.ClientKey(req)
-	kind := rpc.KindVerify
-	if path == "/v1/preconditions" {
-		kind = rpc.KindPreconditions
-	}
-	rpcReq := rpc.Request{Kind: kind, Method: peek.Method, TimeoutMS: peek.TimeoutMS, Spec: peek.Spec}
-
-	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
-	defer cancel()
-	res := r.execute(ctx, key, client, path, body, rpcReq)
+	res := r.serveOne(req.Context(), serve.ClientKey(req),
+		rpc.Request{Kind: kind, Method: vr.Method, TimeoutMS: vr.TimeoutMS, Spec: vr.Spec})
 	if res.err != nil {
-		r.noBackend.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("no live backend: %w", res.err))
+		writeError(w, res.status, res.err)
 		return
 	}
 	if res.backendID != "" {
@@ -577,32 +489,23 @@ func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, path stri
 	if res.problemKey != "" {
 		w.Header().Set("X-VS3-Problem-Key", res.problemKey)
 	}
-	if res.retryAfter != "" {
-		w.Header().Set("Retry-After", res.retryAfter)
+	if res.status == http.StatusTooManyRequests {
+		// The binary protocol carries no headers; restore the Retry-After a
+		// backend's HTTP surface sets on 429.
+		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
 
-// forward sends one request to a backend, propagating the originating
-// client's fair-queue key so backends schedule by end client, not by
-// router address.
-func (r *Router) forward(ctx context.Context, b *backend, path, client string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-VS3-Client", client)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if id := resp.Header.Get("X-VS3-Backend"); id != "" {
-		b.serverID.Store(&id)
-	}
-	return resp, nil
+// serveOne is the single-request path of both fronts (proxySingle and
+// ServeRPC): count it, bound it by RequestTimeout, and execute it.
+func (r *Router) serveOne(ctx context.Context, client string, req rpc.Request) callResult {
+	r.requests.Add(1)
+	ctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
+	defer cancel()
+	return r.execute(ctx, serve.ProblemKey(req.Spec), client, req)
 }
 
 // errorResponse mirrors the backend error body shape.

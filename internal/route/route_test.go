@@ -3,8 +3,10 @@ package route
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,75 +14,113 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rpc"
 	"repro/internal/serve"
 )
 
-// stubBackend is a scripted vs3d stand-in speaking just enough of the wire
-// protocol (verify JSON, batch NDJSON, healthz, stats) for router tests —
-// no engine, so tests are fast and failure modes are scriptable.
+// stubBackend is a scripted vs3d stand-in on the production wire: an
+// rpc.Handler served by rpc.NewServer for requests, plus the HTTP control
+// plane — /healthz advertising the rpc endpoint (and a store digest
+// generation, if any) and /v1/stats. No engine, so tests are fast and
+// failure modes are scriptable.
 type stubBackend struct {
-	id     string
-	ts     *httptest.Server
+	id    string
+	ts    *httptest.Server
+	rpcLn net.Listener
+	rsrv  *rpc.Server
+	// served counts data-plane requests on either wire; the router must
+	// send them all over rpc.
 	served atomic.Int64
-	// dieAfterBatchLines > 0 cuts the batch stream after that many result
-	// lines (simulating a backend death mid-batch). dieVerify aborts every
-	// verify request at the transport level.
-	dieAfterBatchLines atomic.Int64
-	dieVerify          atomic.Bool
+	// dieAfter > 0 closes the rpc server once that many calls have been
+	// answered (a backend death mid-batch).
+	dieAfter atomic.Int64
+	// stall makes a call wait for its cancellation (counted in canceled).
+	stall    atomic.Bool
+	canceled atomic.Int64
+	// advertise is the X-VS3-RPC value /healthz sends; digest and gen are
+	// the store digest served over rpc KindDigest and its generation.
+	advertise string
+	digest    string
+	gen       uint64
 }
 
-func newStubBackend(t *testing.T, id string) *stubBackend {
-	b := &stubBackend{id: id}
+// stubOption adjusts a stub before it starts serving.
+type stubOption func(*stubBackend)
+
+// advertising overrides the advertised rpc endpoint ("" advertises none).
+func advertising(addr string) stubOption { return func(b *stubBackend) { b.advertise = addr } }
+
+// withDigest gives the stub a store digest at generation gen.
+func withDigest(digest string, gen uint64) stubOption {
+	return func(b *stubBackend) { b.digest, b.gen = digest, gen }
+}
+
+func newStubBackend(t *testing.T, id string, opts ...stubOption) *stubBackend {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &stubBackend{id: id, rpcLn: ln, advertise: ln.Addr().String()}
+	for _, o := range opts {
+		o(b)
+	}
+	b.rsrv = rpc.NewServer(b, rpc.ServerConfig{})
+	go func() { _ = b.rsrv.Serve(ln) }()
+	t.Cleanup(b.killRPC)
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-VS3-Backend", b.id)
+		if b.advertise != "" {
+			w.Header().Set("X-VS3-RPC", b.advertise)
+		}
+		if b.gen > 0 {
+			w.Header().Set("X-VS3-Store-Gen", fmt.Sprint(b.gen))
+		}
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, r *http.Request) {
-		if b.dieVerify.Load() {
-			panic(http.ErrAbortHandler)
-		}
-		b.served.Add(1)
-		var req serve.VerifyRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("X-VS3-Problem-Key", serve.ProblemKey(req.Spec))
-		// Echo the fair-queue client key in the body (headers beyond the
-		// documented set are not proxied back).
-		json.NewEncoder(w).Encode(serve.VerifyResponse{
-			Method: "LFP", Proved: true,
-			Invariants: map[string]string{"client": r.Header.Get("X-VS3-Client")},
-		})
-	})
-	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req serve.BatchRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher := w.(http.Flusher)
-		die := b.dieAfterBatchLines.Load()
-		enc := json.NewEncoder(w)
-		for i := range req.Items {
-			if die > 0 && int64(i) >= die {
-				panic(http.ErrAbortHandler)
-			}
-			b.served.Add(1)
-			_ = enc.Encode(serve.BatchResult{
-				Index: i, OK: true, Status: http.StatusOK,
-				ProblemKey: serve.ProblemKey(req.Items[i].Spec),
-				Verify:     &serve.VerifyResponse{Method: "LFP", Proved: true, Invariants: map[string]string{"by": b.id}},
-			})
-			flusher.Flush()
-		}
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]int64{
 			"requests": b.served.Load(), "smt_queries": 10, "smt_cache_hits": 5,
 		})
 	})
+	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
+		b.served.Add(1) // the HTTP data plane: the router must never use it
+		http.Error(w, "stub serves requests over rpc only", http.StatusNotFound)
+	})
 	b.ts = httptest.NewServer(mux)
 	t.Cleanup(b.ts.Close)
 	return b
+}
+
+// ServeRPC answers every verify with a proof whose invariants echo the
+// serving backend ("by") and the fair-queue client key it received.
+func (b *stubBackend) ServeRPC(ctx context.Context, req rpc.Request) rpc.Response {
+	if req.Kind == rpc.KindDigest {
+		body, _ := json.Marshal(serve.DigestResponse{Digest: b.digest, Gen: b.gen})
+		return rpc.Response{Status: http.StatusOK, Backend: b.id, Body: body}
+	}
+	if b.stall.Load() {
+		<-ctx.Done()
+		b.canceled.Add(1)
+		return rpc.Response{Status: 499, Backend: b.id, Body: []byte(`{"error":"aborted"}`)}
+	}
+	if n := b.served.Add(1); b.dieAfter.Load() > 0 && n > b.dieAfter.Load() {
+		b.killRPC()
+	}
+	body, _ := json.Marshal(serve.VerifyResponse{
+		Method: "LFP", Proved: true,
+		Invariants: map[string]string{"by": b.id, "client": req.Client},
+	})
+	return rpc.Response{Status: http.StatusOK, ProblemKey: serve.ProblemKey(req.Spec), Backend: b.id, Body: body}
+}
+
+// killRPC closes the rpc listener and every rpc connection: calls in
+// flight fail at the transport level and new dials are refused.
+func (b *stubBackend) killRPC() {
+	b.rpcLn.Close()
+	b.rsrv.Close()
 }
 
 func newTestRouter(t *testing.T, cfg Config, backends ...*stubBackend) (*Router, *httptest.Server) {
@@ -198,7 +238,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 		t.Fatalf("victim spec served by %s, expected backend-1", firstOwner)
 	}
 
-	b1.dieVerify.Store(true) // transport-level death, health endpoint still up? No: kill whole server.
+	b1.killRPC() // the whole backend dies: both wires
 	b1.ts.CloseClientConnections()
 	b1.ts.Close()
 
@@ -265,8 +305,8 @@ func TestBatchSplitMerge(t *testing.T) {
 	}
 }
 
-// TestBatchFailoverMidStream cuts one backend after it has answered two
-// items of its sub-batch: the unanswered items must be re-sent to the
+// TestBatchFailoverMidStream kills one backend's rpc server after it has
+// answered two of its items: the unanswered items must be re-sent to the
 // survivor and every index still answered exactly once.
 func TestBatchFailoverMidStream(t *testing.T) {
 	b1 := newStubBackend(t, "backend-1")
@@ -283,7 +323,7 @@ func TestBatchFailoverMidStream(t *testing.T) {
 		}
 		items = append(items, serve.VerifyRequest{Spec: spec})
 	}
-	b1.dieAfterBatchLines.Store(2)
+	b1.dieAfter.Store(2)
 
 	results := postBatch(t, ts.URL, serve.BatchRequest{Items: items})
 	if len(results) != len(items) {
@@ -306,7 +346,7 @@ func TestBatchFailoverMidStream(t *testing.T) {
 	}
 	sr := routerStats(t, ts.URL)
 	if sr.Failovers < 1 {
-		t.Errorf("failovers = %d after mid-stream death, want >= 1", sr.Failovers)
+		t.Errorf("failovers = %d after mid-batch death, want >= 1", sr.Failovers)
 	}
 }
 
@@ -408,4 +448,82 @@ func postBatch(t *testing.T, base string, req serve.BatchRequest) []serve.BatchR
 		t.Fatal(err)
 	}
 	return results
+}
+
+// TestCallerCancelKeepsOwnerHealthy: a caller abandoning its own request is
+// not a backend failure. The owner must stay in rotation (no failover, no
+// no_backend count) and keep serving its key.
+func TestCallerCancelKeepsOwnerHealthy(t *testing.T) {
+	b1 := newStubBackend(t, "backend-1")
+	b2 := newStubBackend(t, "backend-2")
+	r, err := New(Config{Backends: []string{b1.ts.URL, b2.ts.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	handled := make(chan struct{}, 1)
+	h := r.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h.ServeHTTP(w, req)
+		if req.URL.Path == "/v1/verify" {
+			handled <- struct{}{}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	deadline := time.Now().Add(5 * time.Second)
+	for r.backends[0].rpcClient() == nil || r.backends[1].rpcClient() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("router never discovered the rpc endpoints")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	var spec string
+	for i := 0; ; i++ {
+		spec = fmt.Sprintf("program C%d() { skip; }", i)
+		if r.ring.owner(serve.ProblemKey(spec)) == 0 {
+			break
+		}
+	}
+	b1.stall.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	body, _ := json.Marshal(serve.VerifyRequest{Spec: spec})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify", bytes.NewReader(body))
+	go func() {
+		// Cancel once the request is in flight on the owner.
+		for _, streams, _, _ := b1.rsrv.Stats(); streams == 0; _, streams, _, _ = b1.rsrv.Stats() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		cancel()
+	}()
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("cancelled request answered")
+	}
+	select {
+	case <-handled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("router never finished the cancelled request")
+	}
+	for deadline := time.Now().Add(5 * time.Second); b1.canceled.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancellation never reached the owner")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	b1.stall.Store(false)
+	sr := routerStats(t, ts.URL)
+	if sr.Failovers != 0 || sr.NoBackend != 0 {
+		t.Errorf("caller cancellation counted failovers=%d no_backend=%d, want 0", sr.Failovers, sr.NoBackend)
+	}
+	for _, row := range sr.Backends {
+		if !row.Healthy {
+			t.Errorf("backend %s left rotation after a caller cancellation", row.URL)
+		}
+	}
+	resp, _ := postVerify(t, ts.URL, spec)
+	if got := resp.Header.Get("X-VS3-Backend"); got != "backend-1" {
+		t.Errorf("next request for the key served by %q, want its owner backend-1", got)
+	}
 }

@@ -3,43 +3,26 @@ package route
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 
 	"repro/internal/rpc"
-	"repro/internal/serve"
 )
 
 // ServeRPC implements rpc.Handler, putting a binary front on the whole
 // fleet: a caller speaking VS3R to the router gets the same key-affine
-// routing, failover, and hedging as an HTTP caller, and the backend leg
-// independently upgrades to binary where the backend advertises it.
+// routing, failover, and hedging as an HTTP caller.
 func (r *Router) ServeRPC(ctx context.Context, req rpc.Request) rpc.Response {
 	if req.Spec == "" {
-		return rpcErrorResponse(http.StatusBadRequest, fmt.Errorf("missing \"spec\""))
-	}
-	path := "/v1/verify"
-	if req.Kind == rpc.KindPreconditions {
-		path = "/v1/preconditions"
-	}
-	// The HTTP fallback leg needs a JSON body; rebuild the one an HTTP
-	// caller would have sent.
-	body, err := json.Marshal(serve.VerifyRequest{Spec: req.Spec, Method: req.Method, TimeoutMS: req.TimeoutMS})
-	if err != nil {
-		return rpcErrorResponse(http.StatusInternalServerError, err)
+		return rpcErrorResponse(http.StatusBadRequest, errors.New("missing \"spec\""))
 	}
 	client := req.Client
 	if client == "" {
 		client = "rpc"
 	}
-	r.requests.Add(1)
-	key := serve.ProblemKey(req.Spec)
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
-	defer cancel()
-	res := r.execute(ctx, key, client, path, body, req)
+	res := r.serveOne(ctx, client, req)
 	if res.err != nil {
-		r.noBackend.Add(1)
-		return rpcErrorResponse(http.StatusBadGateway, fmt.Errorf("no live backend: %w", res.err))
+		return rpcErrorResponse(res.status, res.err)
 	}
 	return rpc.Response{Status: res.status, ProblemKey: res.problemKey, Backend: res.backendID, Body: res.body}
 }

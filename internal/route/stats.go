@@ -24,8 +24,8 @@ type BackendStats struct {
 	Failovers int64  `json:"failovers"`
 	// Weight is the backend's ring share multiplier (1.0 = standard).
 	Weight float64 `json:"weight"`
-	// Proto is the transport the router currently uses for this backend:
-	// "rpc" once the binary upgrade succeeded, else "http".
+	// Proto is "rpc" once the backend has advertised a VS3R endpoint (the
+	// only wire requests travel on), else "none".
 	Proto string `json:"proto"`
 	// RPCConns is the router's open binary connections to this backend.
 	RPCConns int64 `json:"rpc_conns,omitempty"`
@@ -117,7 +117,7 @@ func (r *Router) statsSnapshot(ctx context.Context) statsResponse {
 			Routed:    b.routed.Load(),
 			Failovers: b.failovers.Load(),
 			Weight:    b.weight,
-			Proto:     "http",
+			Proto:     "none",
 		}
 		if c := b.rpcClient(); c != nil {
 			bs.Proto = "rpc"
@@ -214,7 +214,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			conns = c.OpenConns()
 			rpcConns += conns
 		}
-		pw.Gauge("vs3router_backend_rpc_conns", "Open binary rpc connections to the backend (0 = HTTP).", float64(conns), labels...)
+		pw.Gauge("vs3router_backend_rpc_conns", "Open binary rpc connections to the backend.", float64(conns), labels...)
 	}
 	pw.Gauge("vs3router_rpc_conns", "Open binary rpc connections across all backends.", float64(rpcConns), id...)
 	var buf bytes.Buffer

@@ -1,9 +1,7 @@
 package route
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -11,43 +9,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/store"
 )
-
-// digestBackend is a minimal vs3d stand-in for store-aware routing tests: it
-// advertises a solved-outcome digest generation on /healthz and serves the
-// encoded digest from /v1/stats, exactly like a real backend with a store.
-type digestBackend struct {
-	id     string
-	ts     *httptest.Server
-	digest string
-	gen    uint64
-}
-
-func newDigestBackend(t *testing.T, id, digest string, gen uint64) *digestBackend {
-	b := &digestBackend{id: id, digest: digest, gen: gen}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-VS3-Backend", b.id)
-		if b.gen > 0 {
-			w.Header().Set("X-VS3-Store-Gen", fmt.Sprint(b.gen))
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{
-			"store_digest": b.digest, "store_digest_gen": b.gen,
-		})
-	})
-	mux.HandleFunc("/v1/verify", func(w http.ResponseWriter, r *http.Request) {
-		var req serve.VerifyRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		w.Header().Set("X-VS3-Backend", b.id)
-		w.Header().Set("X-VS3-Problem-Key", serve.ProblemKey(req.Spec))
-		json.NewEncoder(w).Encode(serve.VerifyResponse{Method: "LFP", Proved: true})
-	})
-	b.ts = httptest.NewServer(mux)
-	t.Cleanup(b.ts.Close)
-	return b
-}
 
 // outcomeDigestFor builds a genuine store digest claiming exactly keys, via a
 // throwaway on-disk store (the same path production digests take).
@@ -88,8 +49,8 @@ func TestStoreAwareRouting(t *testing.T) {
 	key := serve.ProblemKey(spec)
 
 	digest, gen := outcomeDigestFor(t, key)
-	warm := newDigestBackend(t, "warm", digest, gen)
-	cold := newDigestBackend(t, "cold", "", 0)
+	warm := newStubBackend(t, "warm", withDigest(digest, gen))
+	cold := newStubBackend(t, "cold")
 
 	r, err := New(Config{
 		Backends:       []string{warm.ts.URL, cold.ts.URL},
@@ -143,8 +104,8 @@ func TestStoreAwareRouting(t *testing.T) {
 // digests are never fetched and ring order stands.
 func TestStoreAwareDisabledKeepsRingOrder(t *testing.T) {
 	digest, gen := outcomeDigestFor(t, serve.ProblemKey("program R() {}"))
-	warm := newDigestBackend(t, "warm", digest, gen)
-	cold := newDigestBackend(t, "cold", "", 0)
+	warm := newStubBackend(t, "warm", withDigest(digest, gen))
+	cold := newStubBackend(t, "cold")
 	r, err := New(Config{
 		Backends:       []string{warm.ts.URL, cold.ts.URL},
 		HealthInterval: 25 * time.Millisecond,

@@ -101,12 +101,20 @@ func (c *Client) Close() {
 	}
 }
 
+// Ready makes sure the pool holds a live, handshaken connection, dialing
+// one only when none is open. It sends no request, so a health check can
+// confirm the peer speaks VS3R without touching the serving path.
+func (c *Client) Ready(ctx context.Context) error {
+	_, err := c.grab(ctx)
+	return err
+}
+
 // Call executes one request. A cancelled ctx sends a CANCEL frame for the
 // stream (the server bridges it into the engine's cooperative Stop) and
 // returns ctx.Err(). ErrNotRPC (wrapped) reports a peer that refused the
-// handshake — callers fall back to HTTP; other errors are transport-level
-// (the callers' failover signal). A stale pooled connection that died while
-// idle is retried once on a fresh dial before reporting failure.
+// handshake; it and every other error are transport-level (the callers'
+// failover signal). A stale pooled connection that died while idle is
+// retried once on a fresh dial before reporting failure.
 func (c *Client) Call(ctx context.Context, req Request) (Response, error) {
 	payload, err := encodeRequest(req)
 	if err != nil {

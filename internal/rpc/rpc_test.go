@@ -112,9 +112,18 @@ func TestCallMultiplexed(t *testing.T) {
 	if conns := c.OpenConns(); conns != 1 {
 		t.Fatalf("64 concurrent calls used %d connections, want 1 (multiplexed)", conns)
 	}
-	conns, streams, requests, _ := srv.Stats()
-	if conns != 1 || streams != 0 || requests != 64 {
-		t.Fatalf("server stats conns=%d streams=%d requests=%d", conns, streams, requests)
+	// A stream leaves the gauge just after its response is written, so the
+	// last ones may still be unwinding when their callers return.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		conns, streams, requests, _ := srv.Stats()
+		if conns == 1 && streams == 0 && requests == 64 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server stats conns=%d streams=%d requests=%d", conns, streams, requests)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -168,7 +177,8 @@ func TestCancelPropagatesToHandler(t *testing.T) {
 
 func TestNotRPCPeer(t *testing.T) {
 	// A plain TCP server that answers like HTTP: the handshake must fail
-	// with ErrNotRPC, the caller's fall-back-to-HTTP signal.
+	// with ErrNotRPC, on a call and on a Ready probe alike (the router's
+	// sign that the peer cannot serve).
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +203,9 @@ func TestNotRPCPeer(t *testing.T) {
 	_, err = c.Call(context.Background(), Request{Kind: KindVerify, Spec: "s"})
 	if !errors.Is(err, ErrNotRPC) {
 		t.Fatalf("got %v, want ErrNotRPC", err)
+	}
+	if err := c.Ready(context.Background()); !errors.Is(err, ErrNotRPC) {
+		t.Fatalf("Ready: got %v, want ErrNotRPC", err)
 	}
 }
 

@@ -10,7 +10,8 @@
 // Connection establishment is a 5-byte handshake in each direction — the
 // 4-byte magic "VS3R" followed by a protocol version byte. A peer that
 // answers anything else (an HTTP server, an older build) is not speaking
-// rpc; clients surface that as ErrNotRPC so callers can fall back to HTTP.
+// rpc; clients surface that as ErrNotRPC, and callers treat the peer as
+// unable to serve.
 //
 // After the handshake the connection carries frames, each:
 //
@@ -35,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Protocol constants. There is no version negotiation — a mismatch is a
@@ -89,9 +91,9 @@ type Request struct {
 // Response is one call's answer. Status is the HTTP status an equivalent
 // HTTP request would have carried (200, 400, 429, 499, 504, ...); Body is
 // the exact JSON body that request would have returned (serve.VerifyResponse,
-// serve.PreconditionsResponse, or the {"error": ...} shape), so a caller can
-// fall back between transports without two decoders. ProblemKey and Backend
-// are the X-VS3-Problem-Key / X-VS3-Backend header analogs.
+// serve.PreconditionsResponse, or the {"error": ...} shape), so one decoder
+// reads either transport. ProblemKey and Backend are the X-VS3-Problem-Key /
+// X-VS3-Backend header analogs.
 type Response struct {
 	Status     int
 	ProblemKey string
@@ -100,8 +102,8 @@ type Response struct {
 }
 
 // ErrNotRPC reports that the remote peer did not complete the rpc handshake
-// (wrong magic or version) — it is probably an HTTP-only backend. Callers
-// fall back to HTTP on it rather than failing over to another backend.
+// (wrong magic or version) — it is probably an HTTP-only or older backend.
+// Callers treat it like any transport failure: the peer cannot serve.
 var ErrNotRPC = errors.New("rpc: peer did not complete the VS3R handshake")
 
 // handshake writes our 5 bytes and checks the peer's. Symmetric: both ends
@@ -245,6 +247,9 @@ func decodeRequest(payload []byte) (Request, error) {
 	if used <= 0 {
 		return Request{}, errors.New("rpc: truncated timeout")
 	}
+	if timeout > math.MaxInt64 {
+		return Request{}, fmt.Errorf("rpc: timeout %d ms out of range", timeout)
+	}
 	req.TimeoutMS = int64(timeout)
 	var err error
 	if req.Method, rest, err = takeString(rest[used:]); err != nil {
@@ -279,6 +284,11 @@ func decodeResponse(payload []byte) (Response, error) {
 	status, used := binary.Uvarint(payload)
 	if used <= 0 {
 		return Response{}, errors.New("rpc: truncated status")
+	}
+	if status < 100 || status > 999 {
+		// Callers hand the status to http.ResponseWriter.WriteHeader,
+		// which panics outside the three-digit range.
+		return Response{}, fmt.Errorf("rpc: status %d is not an HTTP status", status)
 	}
 	resp.Status = int(status)
 	rest := payload[used:]

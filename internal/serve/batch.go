@@ -13,7 +13,7 @@ const maxBatchBytes = 32 << 20
 
 // BatchRequest is the body of POST /v1/batch: many verification problems in
 // one request. Bulk clients amortize HTTP and queueing overhead; the router
-// additionally splits a batch by backend affinity so every item still lands
+// additionally routes every item by its own problem key so each still lands
 // on the backend that is warm for its skeleton.
 type BatchRequest struct {
 	Items []VerifyRequest `json:"items"`

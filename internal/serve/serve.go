@@ -226,9 +226,10 @@ func (s *Server) ID() string { return s.cfg.ID }
 
 // AdvertiseRPC publishes addr (":port" or "host:port") as this backend's
 // binary rpc endpoint. Every HTTP response then carries it in the X-VS3-RPC
-// header, which the router's health sweep reads to discover and upgrade to
-// the binary transport (a ":port" value is joined with the backend URL's
-// host). cmd/vs3d calls this once the -rpc listener is bound.
+// header, which the router's health sweep reads to find the backend's
+// request wire — a router sends requests only over VS3R (a ":port" value is
+// joined with the backend URL's host). cmd/vs3d calls this once the -rpc
+// listener is bound.
 func (s *Server) AdvertiseRPC(addr string) { s.rpcAddr.Store(&addr) }
 
 // SetRPCStats installs the rpc server's stats func so /v1/stats and /metrics
