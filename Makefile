@@ -56,22 +56,29 @@ test-race:
 # header re-checks, concurrent appends), and the warm-vs-cold plus
 # warm-vs-compacted verdict-identity sweeps over every examples/ problem (a
 # reopened — or compacted-then-reopened — knowledge store must prove exactly
-# what the cold lifetime proved).
+# what the cold lifetime proved). The last line's search tests are the
+# search-record sweep: every replayed group-search result of every examples/
+# problem equals a fresh enumeration element for element with zero rejects,
+# tampered, re-keyed and Stop-cut records are never trusted, and a tampered
+# store still reaches the same verdicts.
 test-differential:
 	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestContext|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
-	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest' ./internal/store/
+	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
-	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted' ./internal/optimal/ ./internal/bench/ ./internal/precond/
+	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
-# response payloads), 10s per target. Plain `go test` already replays the
-# committed seed corpora under internal/rpc/testdata/fuzz.
+# response payloads) and of the knowledge store's log-line decoder plus
+# record replay, 10s per target. Plain `go test` already replays the
+# committed seed corpora under internal/rpc/testdata/fuzz and
+# internal/store/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreRecord$$' -fuzztime 10s ./internal/store/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers

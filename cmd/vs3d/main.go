@@ -163,8 +163,8 @@ func run(ctx context.Context, ln, rpcLn net.Listener, cfg serve.Config, logger *
 	go func() { errc <- srv.Serve(ln) }()
 	if cfg.Store != nil {
 		ss := cfg.Store.Stats()
-		logger.Printf("vs3d: knowledge store %s: cold=%v loaded %d lemmas, %d cores, %d verdicts, %d consistency, %d outcomes in %dms",
-			cfg.Store.Dir(), ss.ColdStart, ss.LoadedLemmas, ss.LoadedCores, ss.LoadedVerdicts, ss.LoadedConsistency, ss.LoadedOutcomes, ss.LoadMillis)
+		logger.Printf("vs3d: knowledge store %s: cold=%v loaded %d lemmas, %d cores, %d verdicts, %d consistency, %d outcomes, %d searches in %dms",
+			cfg.Store.Dir(), ss.ColdStart, ss.LoadedLemmas, ss.LoadedCores, ss.LoadedVerdicts, ss.LoadedConsistency, ss.LoadedOutcomes, ss.LoadedSearches, ss.LoadMillis)
 	}
 	logger.Printf("vs3d: %s serving on %s (binary rpc on %s)", backend.ID(), ln.Addr(), rpcLn.Addr())
 	select {

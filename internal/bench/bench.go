@@ -95,10 +95,13 @@ type Measurement struct {
 	// Knowledge-store counters (zero unless Config.Knowledge is attached):
 	// validity + consistency verdicts answered from the store, theory lemmas
 	// warm-seeded into context groups, and persisted cores promoted into
-	// live searches.
-	StoreHits  int64
-	WarmLemmas int64
-	WarmCores  int64
+	// live searches; group searches replayed from persisted results, and
+	// replays rejected by their re-probe.
+	StoreHits     int64
+	WarmLemmas    int64
+	WarmCores     int64
+	SearchHits    int64
+	SearchRejects int64
 	// Preconditions holds the inferred formulas for Precondition tasks.
 	Preconditions []logic.Formula
 	// Truncated reports that the cell's search space was clipped (candidate
@@ -233,6 +236,8 @@ func (r *Runner) runOne(t Task, m core.Method) Measurement {
 		mm.StoreHits = v.Engine().S.NumStoreVerdictHits() + v.Engine().NumConsStoreHits()
 		mm.WarmLemmas = v.Engine().S.NumWarmLemmas()
 		mm.WarmCores = v.Engine().NumWarmCores()
+		mm.SearchHits = v.Engine().NumSearchHits()
+		mm.SearchRejects = v.Engine().NumSearchRejects()
 		done <- result{meas: mm}
 	}()
 	if r.Timeout <= 0 {

@@ -57,9 +57,11 @@ type CellReport struct {
 	DormantContexts int64 `json:"dormant_contexts,omitempty"`
 	// Knowledge-store counters (see Measurement); nonzero only for runs with
 	// an attached on-disk store.
-	StoreHits  int64 `json:"store_hits,omitempty"`
-	WarmLemmas int64 `json:"warm_lemmas,omitempty"`
-	WarmCores  int64 `json:"warm_cores,omitempty"`
+	StoreHits     int64 `json:"store_hits,omitempty"`
+	WarmLemmas    int64 `json:"warm_lemmas,omitempty"`
+	WarmCores     int64 `json:"warm_cores,omitempty"`
+	SearchHits    int64 `json:"search_hits,omitempty"`
+	SearchRejects int64 `json:"search_rejects,omitempty"`
 	// Truncated and Aborted surface incomplete searches (see Measurement).
 	Truncated bool   `json:"truncated,omitempty"`
 	Aborted   bool   `json:"aborted,omitempty"`
@@ -123,6 +125,8 @@ func RunJSON(w io.Writer, r *Runner, suite string, tasks []Task) error {
 				StoreHits:        m.StoreHits,
 				WarmLemmas:       m.WarmLemmas,
 				WarmCores:        m.WarmCores,
+				SearchHits:       m.SearchHits,
+				SearchRejects:    m.SearchRejects,
 				Truncated:        m.Truncated,
 				Aborted:          m.Aborted,
 			}

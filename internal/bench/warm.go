@@ -29,11 +29,14 @@ type WarmArm struct {
 	StoreHits        int64 `json:"store_hits"`
 	WarmLemmas       int64 `json:"warm_lemmas"`
 	WarmCores        int64 `json:"warm_cores"`
+	SearchHits       int64 `json:"search_hits"`
+	SearchRejects    int64 `json:"search_rejects"`
 	// Store health for the lifetime: whether it started cold and how many
-	// records it loaded.
-	ColdStart     bool         `json:"cold_start"`
-	LoadedRecords int64        `json:"loaded_records"`
-	Cells         []CellReport `json:"cells"`
+	// records it loaded (LoadedSearches of them group-search results).
+	ColdStart      bool         `json:"cold_start"`
+	LoadedRecords  int64        `json:"loaded_records"`
+	LoadedSearches int64        `json:"loaded_searches"`
+	Cells          []CellReport `json:"cells"`
 }
 
 // Work returns the arm's from-scratch solving work: SMT validity queries
@@ -92,6 +95,7 @@ func runWarmArm(dir string, timeout time.Duration, parallel int, tasks []Task) (
 				FMScratch: m.FMScratch, FMIncremental: m.FMIncremental,
 				FMCubeHits: m.FMCubeHits, FMCapHits: m.FMCapHits,
 				StoreHits: m.StoreHits, WarmLemmas: m.WarmLemmas, WarmCores: m.WarmCores,
+				SearchHits: m.SearchHits, SearchRejects: m.SearchRejects,
 				Truncated: m.Truncated, Aborted: m.Aborted,
 			}
 			if m.Err != nil {
@@ -105,12 +109,15 @@ func runWarmArm(dir string, timeout time.Duration, parallel int, tasks []Task) (
 			arm.StoreHits += m.StoreHits
 			arm.WarmLemmas += m.WarmLemmas
 			arm.WarmCores += m.WarmCores
+			arm.SearchHits += m.SearchHits
+			arm.SearchRejects += m.SearchRejects
 			arm.Cells = append(arm.Cells, cell)
 		}
 	}
 	ss := st.Stats()
 	arm.ColdStart = ss.ColdStart
-	arm.LoadedRecords = ss.LoadedLemmas + ss.LoadedCores + ss.LoadedVerdicts + ss.LoadedConsistency + ss.LoadedOutcomes
+	arm.LoadedRecords = ss.LoadedLemmas + ss.LoadedCores + ss.LoadedVerdicts + ss.LoadedConsistency + ss.LoadedOutcomes + ss.LoadedSearches
+	arm.LoadedSearches = ss.LoadedSearches
 	if err := st.Close(); err != nil {
 		return arm, err
 	}
@@ -149,7 +156,7 @@ func RunWarmBench(dir, suite string, timeout time.Duration, parallel int, tasks 
 	rep.Findings.WarmLemmas = warm.WarmLemmas
 	rep.Findings.WarmCores = warm.WarmCores
 	rep.Notes = []string{
-		"cold = first lifetime on an empty store (computes everything, writes behind); warm = restart on the same directory (verdicts, lemmas, cores load from disk)",
+		"cold = first lifetime on an empty store (computes everything, writes behind); warm = restart on the same directory (verdicts, lemmas, cores and group-search results load from disk; a replayed search result is re-probed before use)",
 		"work = smt queries + fourier-motzkin eliminations (fm_scratch + fm_incremental); cold_over_warm_work is the restart saving",
 		"each cell is a fresh Verifier attached to the lifetime's shared store, the serving pool's shape; verdicts compared cell-by-cell across lifetimes",
 	}
@@ -198,6 +205,6 @@ func WriteWarmTable(w io.Writer, rep *WarmReport) {
 	} else if rep.Findings.WarmWork == 0 && rep.Findings.ColdWork > 0 {
 		fmt.Fprintf(w, " (all answered from the store)")
 	}
-	fmt.Fprintf(w, "; warm lifetime: %d store hits, %d seeded lemmas, %d promoted cores, loaded %d records\n",
-		rep.Warm.StoreHits, rep.Warm.WarmLemmas, rep.Warm.WarmCores, rep.Warm.LoadedRecords)
+	fmt.Fprintf(w, "; warm lifetime: %d store hits, %d seeded lemmas, %d promoted cores, %d replayed searches (%d rejected), loaded %d records\n",
+		rep.Warm.StoreHits, rep.Warm.WarmLemmas, rep.Warm.WarmCores, rep.Warm.SearchHits, rep.Warm.SearchRejects, rep.Warm.LoadedRecords)
 }

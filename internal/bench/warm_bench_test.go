@@ -55,6 +55,13 @@ func TestWarmBench(t *testing.T) {
 	if rep.Warm.StoreHits == 0 {
 		t.Error("warm lifetime answered nothing from the store")
 	}
+	t.Logf("warm: searches loaded=%d hits=%d rejects=%d", rep.Warm.LoadedSearches, rep.Warm.SearchHits, rep.Warm.SearchRejects)
+	if rep.Warm.SearchHits == 0 {
+		t.Error("warm lifetime replayed no group search from the store")
+	}
+	if rep.Warm.SearchRejects != 0 {
+		t.Errorf("warm lifetime rejected %d persisted search results written by the cold one", rep.Warm.SearchRejects)
+	}
 
 	if base := os.Getenv("VS3_BENCH_BASE"); base != "" {
 		var prev WarmReport
@@ -88,7 +95,8 @@ func TestWarmBench(t *testing.T) {
 // cold on a fresh store, the log is compacted to a new generation, and a
 // lifetime over the compacted store must agree exactly with the cold one —
 // same verdicts, same inferred precondition sets — while answering from the
-// store (compaction must lose no live knowledge).
+// store (compaction must lose no live knowledge, group-search results
+// included).
 func TestWarmVsCompactedExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples warm/compacted sweep skipped in -short mode (run via make test-differential)")
@@ -97,14 +105,14 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			dir := t.TempDir()
-			lifetime := func() (verdicts []bool, pres []string, loaded int64) {
+			lifetime := func() (verdicts []bool, pres []string, loaded, searchHits int64) {
 				cfg := core.Config{}
 				st, err := store.Open(dir, store.Options{Params: cfg.SMT.StoreParams(), Logf: t.Logf})
 				if err != nil {
 					t.Fatalf("store.Open: %v", err)
 				}
 				ss := st.Stats()
-				loaded = ss.LoadedLemmas + ss.LoadedCores + ss.LoadedVerdicts + ss.LoadedConsistency + ss.LoadedOutcomes
+				loaded = ss.LoadedLemmas + ss.LoadedCores + ss.LoadedVerdicts + ss.LoadedConsistency + ss.LoadedOutcomes + ss.LoadedSearches
 				defer func() {
 					if err := st.Close(); err != nil {
 						t.Fatalf("store.Close: %v", err)
@@ -112,6 +120,7 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 				}()
 				cfg.Knowledge = st
 				v := core.New(cfg)
+				defer func() { searchHits = v.Engine().NumSearchHits() }()
 				if cell.methods == nil {
 					ps, _, err := v.InferPreconditions(cell.build())
 					if err != nil {
@@ -120,7 +129,7 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 					for _, p := range ps {
 						pres = append(pres, p.Pre.String())
 					}
-					return nil, pres, loaded
+					return nil, pres, loaded, 0
 				}
 				for _, m := range cell.methods {
 					o, err := v.Verify(cell.build(), m)
@@ -129,10 +138,10 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 					}
 					verdicts = append(verdicts, o.Proved)
 				}
-				return verdicts, nil, loaded
+				return verdicts, nil, loaded, 0
 			}
 
-			coldV, coldP, _ := lifetime()
+			coldV, coldP, _, _ := lifetime()
 
 			st, err := store.Open(dir, store.Options{Params: core.Config{}.SMT.StoreParams(), Logf: t.Logf})
 			if err != nil {
@@ -147,7 +156,7 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 			}
 			t.Logf("compacted: reclaimed %d bytes", reclaimed)
 
-			warmV, warmP, warmLoaded := lifetime()
+			warmV, warmP, warmLoaded, warmHits := lifetime()
 			if len(coldV) != len(warmV) {
 				t.Fatalf("verdict count changed: %d vs %d", len(coldV), len(warmV))
 			}
@@ -170,6 +179,9 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 			}
 			if warmLoaded == 0 {
 				t.Error("compacted store loaded zero records; compaction dropped live knowledge")
+			}
+			if warmHits == 0 {
+				t.Error("compacted store replayed no group search; compaction dropped search results")
 			}
 		})
 	}

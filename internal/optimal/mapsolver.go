@@ -25,44 +25,13 @@ import (
 // unknown-connected group, returning exactly the sets the legacy negBFS
 // returns (see DESIGN.md §11 for the identity argument). Item universe,
 // pre-checks, probe routing, and consistency screening are shared with the
-// BFS; only the order the lattice is explored in differs.
-func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solution {
-	unknowns := logic.Unknowns(phi)
-	empty := template.Solution{}
-	for _, u := range unknowns {
-		empty[u] = template.NewPredSet()
+// BFS; only the order the lattice is explored in differs. It also returns
+// each solution's item indices (map variable i is item i).
+func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
+	if sols, sels, done := g.precheck(); done {
+		return sols, sels
 	}
-	if len(unknowns) == 0 {
-		if e.S.Valid(phi) {
-			return []template.Solution{{}}
-		}
-		return nil
-	}
-	// The deduplicated item universe, in the same deterministic order as
-	// negBFS; map variable i is item i.
-	items, indexOf := itemUniverse(unknowns, q)
-	fl := e.Filler(phi)
-	ctx := e.S.ContextFor(logic.Intern(phi))
-	probe := func(sigma template.Solution) bool {
-		f := fl.FillSolution(sigma)
-		if ctx != nil {
-			return ctx.Valid(f)
-		}
-		return e.S.Valid(f)
-	}
-	// Monotonicity pre-checks, as in negBFS: if the full assignment is not
-	// valid no subset is, and if the empty assignment is valid it is the
-	// unique minimal solution.
-	full := empty.Clone()
-	for _, it := range items {
-		it.addTo(full)
-	}
-	if !probe(full) {
-		return nil
-	}
-	if probe(empty) {
-		return []template.Solution{empty}
-	}
+	empty, items, indexOf, probe := g.empty, g.items, g.indexOf, g.probe
 
 	// The map solver. FixedPolarity pins every branch decision to false, so
 	// models carry as few items as propagation allows: proposals arrive
@@ -173,11 +142,13 @@ func (e *Engine) negMap(phi logic.Formula, q template.Domain) []template.Solutio
 		}
 		return false
 	})
+	sols = truncate(sols, e.maxSolutions())
 	out := make([]template.Solution, len(sols))
+	sels := make([][]int, len(sols))
 	for i, f := range sols {
-		out[i] = f.sigma
+		out[i], sels[i] = f.sigma, f.sel
 	}
-	return truncateSolutions(out, e.maxSolutions())
+	return out, sels
 }
 
 // growSel extends an invalid selection to a maximal invalid set within the

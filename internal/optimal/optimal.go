@@ -14,6 +14,9 @@
 package optimal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,11 +98,16 @@ type Engine struct {
 	cores      *CoreStore
 	corePruned atomic.Int64
 
-	// know is the optional on-disk knowledge base: consistency verdicts are
-	// answered from it across process lifetimes and written behind when
-	// decided without a fired Stop. consStoreHits counts warm answers.
+	// know is the optional on-disk knowledge base: consistency verdicts and
+	// whole group-search results are answered from it across process
+	// lifetimes and written behind when decided without a fired Stop.
+	// consStoreHits counts warm consistency answers; searchHits and
+	// searchRejects count replayed search results and the ones that failed
+	// their re-probe.
 	know          *store.Store
 	consStoreHits atomic.Int64
+	searchHits    atomic.Int64
+	searchRejects atomic.Int64
 }
 
 // consVerdict is one memoized predicate-set consistency verdict.
@@ -145,6 +153,14 @@ func (e *Engine) AttachKnowledge(k *store.Store) {
 // NumConsStoreHits returns how many consistency probes were answered from
 // the knowledge store instead of being decided.
 func (e *Engine) NumConsStoreHits() int64 { return e.consStoreHits.Load() }
+
+// NumSearchHits returns how many group searches were answered by replaying
+// a persisted result whose solutions all re-probed valid.
+func (e *Engine) NumSearchHits() int64 { return e.searchHits.Load() }
+
+// NumSearchRejects returns how many persisted search results failed their
+// re-probe and were replaced by a fresh search.
+func (e *Engine) NumSearchRejects() int64 { return e.searchRejects.Load() }
 
 // NumWarmCores returns how many persisted cores were promoted from the
 // knowledge store into live searches.
@@ -228,8 +244,7 @@ type taggedPred struct {
 
 // itemUniverse returns the deduplicated (unknown, predicate) items of a
 // search in deterministic order, with each item's index by interned
-// identity. With distinct items, every lattice point is exactly identified
-// by its set of item indices.
+// identity.
 func itemUniverse(unknowns []string, q template.Domain) ([]taggedPred, map[coreItem]int) {
 	var items []taggedPred
 	indexOf := map[coreItem]int{}
@@ -372,67 +387,175 @@ func groupByUnknowns(parts []logic.Formula) (groups []logic.Formula, fixed []log
 	return groups, fixed
 }
 
-// negSearch enumerates the optimal negative solutions of one
-// unknown-connected group, through the map-solver-guided search unless the
-// engine was configured for the legacy BFS.
-func (e *Engine) negSearch(phi logic.Formula, q template.Domain) []template.Solution {
-	if e.Opts.NoMapSolver {
-		return e.negBFS(phi, q)
-	}
-	sols := e.negMap(phi, q)
-	if e.Opts.CrossCheck != nil {
-		e.Opts.CrossCheck(phi, sols, e.negBFS(phi, q))
-	}
-	return sols
+// group is one unknown-connected search: its formula, the deduplicated
+// (unknown, predicate) item universe in deterministic order, and the probe
+// both enumerators and the replay share. With distinct items, every lattice
+// point is exactly identified by its set of item indices.
+type group struct {
+	phi     logic.Formula
+	empty   template.Solution
+	items   []taggedPred
+	indexOf map[coreItem]int
+	// probe instantiates φ with σ and asks for validity through the
+	// incremental context keyed by the unfilled group formula, whose Valid
+	// consults the validity cache and the store's verdicts before solving:
+	// the base formula is compiled once, each candidate costs one spine
+	// rebuild, and one persistent SAT instance absorbs every candidate fill
+	// of the group.
+	probe func(template.Solution) bool
 }
 
-// negBFS is the legacy bounded breadth-first search over one
-// unknown-connected group, retained behind Options.NoMapSolver as the
-// differential-test baseline for the map-solver-guided search.
-func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solution {
+func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
 	unknowns := logic.Unknowns(phi)
-	empty := template.Solution{}
+	g := &group{phi: phi, empty: template.Solution{}}
 	for _, u := range unknowns {
-		empty[u] = template.NewPredSet()
+		g.empty[u] = template.NewPredSet()
 	}
-	if len(unknowns) == 0 {
-		if e.S.Valid(phi) {
-			return []template.Solution{{}}
-		}
-		return nil
-	}
-	// The deduplicated item universe: subsumption against already-found
-	// solutions is a word-wise bitmask subset test over item indices instead
-	// of per-unknown PredSet walks.
-	items, indexOf := itemUniverse(unknowns, q)
-	// The base formula is compiled once; each candidate costs one spine
-	// rebuild instead of a full-tree reconstruction. Probes go through the
-	// incremental context keyed by the unfilled group formula — one
-	// persistent SAT instance absorbs every candidate fill of this group.
+	g.items, g.indexOf = itemUniverse(unknowns, q)
 	fl := e.Filler(phi)
 	ctx := e.S.ContextFor(logic.Intern(phi))
-	probe := func(sigma template.Solution) bool {
+	g.probe = func(sigma template.Solution) bool {
 		f := fl.FillSolution(sigma)
 		if ctx != nil {
 			return ctx.Valid(f)
 		}
 		return e.S.Valid(f)
 	}
-	// Monotonicity pre-check: if even the full assignment is not valid, no
-	// subset is.
-	full := empty.Clone()
-	for _, it := range items {
+	return g
+}
+
+// precheck runs the monotonicity pre-checks both enumerators share: if the
+// full assignment is not valid no subset is, and if the empty assignment is
+// valid it is the unique minimal solution. done reports that one of them
+// settled the search.
+func (g *group) precheck() (sols []template.Solution, sels [][]int, done bool) {
+	full := g.empty.Clone()
+	for _, it := range g.items {
 		it.addTo(full)
 	}
-	if !probe(full) {
-		return nil
+	if !g.probe(full) {
+		return nil, [][]int{}, true
 	}
-	if probe(empty) {
-		return []template.Solution{empty}
+	if g.probe(g.empty) {
+		return []template.Solution{g.empty}, [][]int{{}}, true
 	}
+	return nil, nil, false
+}
 
+// searchKey names a group search in the knowledge store: a SHA-256 over the
+// group formula's FormulaKey, the depth and solution bounds, and the item
+// universe in order (unknown name plus the predicate key each item already
+// carries), so a record can only be hit by a search over the same lattice.
+func (g *group) searchKey(maxDepth, maxSolutions int) string {
+	b := make([]byte, 0, 64+32*len(g.items))
+	b = appendKeyString(b, store.FormulaKey(g.phi))
+	b = binary.BigEndian.AppendUint64(b, uint64(maxDepth))
+	b = binary.BigEndian.AppendUint64(b, uint64(maxSolutions))
+	b = binary.BigEndian.AppendUint64(b, uint64(len(g.items)))
+	for _, it := range g.items {
+		b = appendKeyString(b, it.unknown)
+		b = appendKeyString(b, it.key)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:16])
+}
+
+// appendKeyString appends a length-prefixed string, keeping the search-key
+// encoding injective.
+func appendKeyString(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// searchReplayed, when non-nil, observes every group search answered from a
+// persisted result. Test seam for the replay-identity sweep; nil in
+// production.
+var searchReplayed func(phi logic.Formula, q template.Domain, sols []template.Solution)
+
+// negSearch enumerates the optimal negative solutions of one
+// unknown-connected group, through the map-solver-guided search unless the
+// engine was configured for the legacy BFS. With a knowledge store attached
+// (and no CrossCheck hook, which always runs both enumerators), a persisted
+// result for the same search is replayed once every listed solution
+// re-probes valid; otherwise the group is searched and the result, unless a
+// fired Stop cut it short, replaces the record.
+func (e *Engine) negSearch(phi logic.Formula, q template.Domain) []template.Solution {
+	g := e.newGroup(phi, q)
+	if e.know == nil || e.Opts.CrossCheck != nil {
+		sols, _ := e.enumerate(g)
+		return sols
+	}
+	key := g.searchKey(e.maxDepth(), e.maxSolutions())
+	if rec, ok := e.know.Search(key); ok {
+		if sols, ok := g.replay(rec); ok {
+			e.searchHits.Add(1)
+			if searchReplayed != nil {
+				searchReplayed(phi, q, sols)
+			}
+			return sols
+		}
+		e.searchRejects.Add(1)
+	}
+	sols, sels := e.enumerate(g)
+	if e.Stop == nil || !e.Stop() {
+		e.know.AppendSearch(key, sels)
+	}
+	return sols
+}
+
+// enumerate runs the configured enumerator(s) over a group, returning the
+// solutions and their item-index selections.
+func (e *Engine) enumerate(g *group) ([]template.Solution, [][]int) {
+	if e.Opts.NoMapSolver {
+		return e.negBFS(g)
+	}
+	sols, sels := e.negMap(g)
+	if e.Opts.CrossCheck != nil {
+		bfs, _ := e.negBFS(g)
+		e.Opts.CrossCheck(g.phi, sols, bfs)
+	}
+	return sols, sels
+}
+
+// replay rebuilds a persisted search result through the item universe and
+// re-probes every solution valid along the search's own probe path. ok is
+// false when an index is out of range or a solution fails its probe.
+// Minimality is not re-checked: a stale record can cost a proof but never
+// fake one (see DESIGN.md §15).
+func (g *group) replay(rec [][]int) ([]template.Solution, bool) {
+	sols := make([]template.Solution, len(rec))
+	for i, sel := range rec {
+		if len(sel) > 0 && sel[len(sel)-1] >= len(g.items) {
+			return nil, false
+		}
+		sols[i] = negSolutionOf(g.empty, g.items, sel)
+		if !g.probe(sols[i]) {
+			return nil, false
+		}
+	}
+	return sols, true
+}
+
+// negBFS is the legacy bounded breadth-first search over one
+// unknown-connected group, retained behind Options.NoMapSolver as the
+// differential-test baseline for the map-solver-guided search.
+func (e *Engine) negBFS(g *group) ([]template.Solution, [][]int) {
+	if sols, sels, done := g.precheck(); done {
+		return sols, sels
+	}
+	items, indexOf := g.items, g.indexOf
+	// Subsumption against already-found solutions is a word-wise bitmask
+	// subset test over item indices instead of per-unknown PredSet walks.
 	var solutions []template.Solution
 	var solMasks []bitmask
+	found := func() ([]template.Solution, [][]int) {
+		sols := truncate(solutions, e.maxSolutions())
+		sels := make([][]int, len(sols))
+		for i := range sols {
+			sels[i] = solMasks[i].indices(len(items))
+		}
+		return sols, sels
+	}
 	subsumed := func(m bitmask) bool {
 		for _, sm := range solMasks {
 			if sm.subsetOf(m) {
@@ -473,12 +596,12 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 		mask  bitmask
 		last  int // last item index used, for canonical extension order
 	}
-	frontier := []node{{sigma: empty, mask: newBitmask(len(items)), last: -1}}
+	frontier := []node{{sigma: g.empty, mask: newBitmask(len(items)), last: -1}}
 	for depth := 1; depth <= e.maxDepth() && len(frontier) > 0; depth++ {
 		var next []node
 		for _, nd := range frontier {
 			if e.Stop != nil && e.Stop() {
-				return truncateSolutions(solutions, e.maxSolutions())
+				return found()
 			}
 			for i := nd.last + 1; i < len(items); i++ {
 				cm := nd.mask.with(i)
@@ -502,7 +625,7 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 					}
 					continue
 				}
-				if probe(cand) {
+				if g.probe(cand) {
 					solutions = append(solutions, cand)
 					solMasks = append(solMasks, cm)
 					continue
@@ -512,12 +635,12 @@ func (e *Engine) negBFS(phi logic.Formula, q template.Domain) []template.Solutio
 		}
 		frontier = next
 	}
-	return truncateSolutions(solutions, e.maxSolutions())
+	return found()
 }
 
-// truncateSolutions applies the MaxSolutions safety valve to a canonically
-// ordered solution list.
-func truncateSolutions(sols []template.Solution, max int) []template.Solution {
+// truncate applies the MaxSolutions safety valve to a canonically ordered
+// solution list.
+func truncate[T any](sols []T, max int) []T {
 	if len(sols) > max {
 		return sols[:max]
 	}
@@ -535,6 +658,17 @@ func (m bitmask) with(i int) bitmask {
 	copy(c, m)
 	c[i/64] |= 1 << uint(i%64)
 	return c
+}
+
+// indices returns the set bits of m below n in increasing order.
+func (m bitmask) indices(n int) []int {
+	var out []int
+	for i := 0; i < n; i++ {
+		if m[i/64]&(1<<uint(i%64)) != 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // subsetOf reports whether every bit of m is set in o.

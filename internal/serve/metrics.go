@@ -60,6 +60,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("vs3d_store_cons_hits_total", "Consistency probes answered from persisted verdicts.", float64(sr.StoreConsHits), id...)
 		pw.Counter("vs3d_store_warm_lemmas_total", "Theory lemmas seeded into context groups from the store.", float64(sr.StoreWarmLemmas), id...)
 		pw.Counter("vs3d_store_warm_cores_total", "Persisted unsat cores promoted into live searches.", float64(sr.StoreWarmCores), id...)
+		pw.Gauge("vs3d_store_loaded_searches", "Persisted group-search results loaded at startup.", float64(sr.StoreLoadedSearches), id...)
+		pw.Counter("vs3d_search_hits_total", "Group searches answered by replaying a persisted result that re-probed valid.", float64(sr.SearchHits), id...)
+		pw.Counter("vs3d_search_rejects_total", "Persisted group-search results that failed their re-probe and were searched afresh.", float64(sr.SearchRejects), id...)
 		pw.Counter("vs3d_store_outcome_hits_total", "Verify requests replayed from persisted whole-problem outcomes.", float64(sr.StoreOutcomeHits), id...)
 		pw.Counter("vs3d_store_appended_total", "Records appended to the write-behind queue this lifetime.", float64(sr.StoreAppended), id...)
 		pw.Counter("vs3d_store_dropped_total", "Records dropped because the write-behind queue was full.", float64(sr.StoreDropped), id...)

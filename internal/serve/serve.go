@@ -364,9 +364,12 @@ type VerifyResponse struct {
 	Invariants map[string]string `json:"invariants,omitempty"`
 	// FromStore reports that the response was replayed from the on-disk
 	// knowledge store (a previous lifetime solved this exact problem with
-	// this method under the same solver bounds); Stats and DurationMS then
-	// describe the original run, not this request.
-	FromStore bool `json:"from_store,omitempty"`
+	// this method under the same solver bounds). DurationMS and Stats still
+	// describe this request — the replay's own wall time and its (empty)
+	// collector delta — and OriginalDurationMS carries the stored run's
+	// duration.
+	FromStore          bool    `json:"from_store,omitempty"`
+	OriginalDurationMS float64 `json:"original_duration_ms,omitempty"`
 	// Stats is the request-scoped collector delta (what this run recorded).
 	Stats stats.Snapshot `json:"stats"`
 }
@@ -445,12 +448,16 @@ func (s *Server) RunVerify(parent context.Context, client string, req VerifyRequ
 	// it would have started cold), so the recorded verdict is the one this
 	// run would compute.
 	if s.cfg.Store != nil {
+		start := time.Now()
 		if body, ok := s.cfg.Store.Outcome(key, m.String()); ok {
 			var cached VerifyResponse
 			if jerr := json.Unmarshal(body, &cached); jerr == nil {
 				s.outcomeHits.Add(1)
 				s.requests.Add(1)
 				cached.FromStore = true
+				cached.OriginalDurationMS = cached.DurationMS
+				cached.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
+				cached.Stats = stats.Snapshot{}
 				return cached, key, http.StatusOK, nil
 			}
 		}
@@ -704,13 +711,20 @@ type statsResponse struct {
 	StoreWarmLemmas  int64 `json:"store_warm_lemmas,omitempty"`
 	StoreWarmCores   int64 `json:"store_warm_cores,omitempty"`
 	StoreOutcomeHits int64 `json:"store_outcome_hits,omitempty"`
-	StoreAppended    int64 `json:"store_appended,omitempty"`
-	StoreDeduped     int64 `json:"store_deduped,omitempty"`
-	StoreDropped     int64 `json:"store_dropped,omitempty"`
-	StoreQueueDepth  int64 `json:"store_queue_depth,omitempty"`
-	StoreFlushes     int64 `json:"store_flushes,omitempty"`
-	StoreFlushErrors int64 `json:"store_flush_errors,omitempty"`
-	StoreFlushRetry  int64 `json:"store_flush_retries,omitempty"`
+	// StoreLoadedSearches counts persisted group-search results loaded at
+	// open; SearchHits counts group searches answered by replaying one
+	// (every listed solution re-probed valid), SearchRejects the replays
+	// that failed the re-probe and were searched afresh.
+	StoreLoadedSearches int64 `json:"store_loaded_searches,omitempty"`
+	SearchHits          int64 `json:"search_hits,omitempty"`
+	SearchRejects       int64 `json:"search_rejects,omitempty"`
+	StoreAppended       int64 `json:"store_appended,omitempty"`
+	StoreDeduped        int64 `json:"store_deduped,omitempty"`
+	StoreDropped        int64 `json:"store_dropped,omitempty"`
+	StoreQueueDepth     int64 `json:"store_queue_depth,omitempty"`
+	StoreFlushes        int64 `json:"store_flushes,omitempty"`
+	StoreFlushErrors    int64 `json:"store_flush_errors,omitempty"`
+	StoreFlushRetry     int64 `json:"store_flush_retries,omitempty"`
 
 	// Compaction counters and the generational log's size accounting
 	// (log_bytes on disk vs live_bytes of deduplicated records), plus the
@@ -778,6 +792,8 @@ func (s *Server) statsSnapshot() statsResponse {
 		resp.StoreVerdictHits += eng.S.NumStoreVerdictHits()
 		resp.StoreConsHits += eng.NumConsStoreHits()
 		resp.StoreWarmLemmas += eng.S.NumWarmLemmas()
+		resp.SearchHits += eng.NumSearchHits()
+		resp.SearchRejects += eng.NumSearchRejects()
 	}
 	if st := s.cfg.Store; st != nil {
 		resp.StoreEnabled = true
@@ -785,6 +801,7 @@ func (s *Server) statsSnapshot() statsResponse {
 		ss := st.Stats()
 		resp.StoreColdStart = ss.ColdStart
 		resp.StoreLoadMillis = ss.LoadMillis
+		resp.StoreLoadedSearches = ss.LoadedSearches
 		resp.StoreAppended = ss.Appended
 		resp.StoreDeduped = ss.Deduped
 		resp.StoreDropped = ss.Dropped

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rpc"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -161,6 +165,92 @@ func TestWarmRestartOutcomeReplay(t *testing.T) {
 	alias := postVerify(t, ts2.URL, storeTestSpec, "LFP")
 	if !alias.FromStore {
 		t.Error("method alias LFP missed the outcome cache")
+	}
+}
+
+// TestReplayReportsOwnNumbers: an outcome-replayed response reports the
+// replay's own wall time and (empty) stats delta, over HTTP and over the
+// VS3R handler alike; the stored run's duration moves to
+// original_duration_ms.
+func TestReplayReportsOwnNumbers(t *testing.T) {
+	cold, s2, url := coldThenWarm(t)
+	var viaRPC VerifyResponse
+	r := s2.ServeRPC(context.Background(), rpc.Request{Kind: rpc.KindVerify, Spec: storeTestSpec, Method: "lfp"})
+	if r.Status != http.StatusOK {
+		t.Fatalf("rpc replay: status %d: %s", r.Status, r.Body)
+	}
+	if err := json.Unmarshal(r.Body, &viaRPC); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]VerifyResponse{
+		"http": postVerify(t, url, storeTestSpec, "lfp"),
+		"rpc":  viaRPC,
+	} {
+		if !got.FromStore {
+			t.Errorf("%s: replay not marked from_store", name)
+		}
+		if got.OriginalDurationMS != cold.DurationMS {
+			t.Errorf("%s: original_duration_ms = %v, want the stored run's %v", name, got.OriginalDurationMS, cold.DurationMS)
+		}
+		if !(got.DurationMS < got.OriginalDurationMS) {
+			t.Errorf("%s: duration_ms %v not below original_duration_ms %v", name, got.DurationMS, got.OriginalDurationMS)
+		}
+		if got.Stats != (stats.Snapshot{}) {
+			t.Errorf("%s: replay reports stats %+v, want its own empty delta", name, got.Stats)
+		}
+	}
+}
+
+// coldThenWarm solves storeTestSpec with LFP on a fresh store, then starts
+// a second serving lifetime on the reopened store and returns it.
+func coldThenWarm(t *testing.T) (cold VerifyResponse, warm *Server, url string) {
+	t.Helper()
+	dir := t.TempDir()
+	st := openServeStore(t, dir, 5*time.Millisecond)
+	s := New(Config{Pool: 1, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	cold = postVerify(t, ts.URL, storeTestSpec, "lfp")
+	ts.Close()
+	if cold.FromStore || cold.OriginalDurationMS != 0 || cold.Stats.Queries == 0 {
+		t.Fatalf("cold run: from_store=%v original_duration_ms=%v queries=%d",
+			cold.FromStore, cold.OriginalDurationMS, cold.Stats.Queries)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st2 := openServeStore(t, dir, 5*time.Millisecond)
+	t.Cleanup(func() { st2.Close() })
+	warm = New(Config{Pool: 1, Store: st2})
+	ts2 := httptest.NewServer(warm.Handler())
+	t.Cleanup(ts2.Close)
+	return cold, warm, ts2.URL
+}
+
+// TestSearchCounters: a problem whose outcome the store does not hold (the
+// same spec with a trailing newline has another problem key) runs the
+// engine, whose group searches replay from the store; /v1/stats and
+// /metrics report the loaded records and the hits.
+func TestSearchCounters(t *testing.T) {
+	cold, s2, url := coldThenWarm(t)
+	warm := postVerify(t, url, storeTestSpec+"\n", "lfp")
+	if warm.FromStore || warm.Proved != cold.Proved {
+		t.Fatalf("respelled spec: from_store=%v proved=%v, want false and %v", warm.FromStore, warm.Proved, cold.Proved)
+	}
+	sr := s2.statsSnapshot()
+	if sr.StoreLoadedSearches == 0 || sr.SearchHits == 0 || sr.SearchRejects != 0 {
+		t.Errorf("store_loaded_searches=%d search_hits=%d search_rejects=%d, want >0, >0, 0",
+			sr.StoreLoadedSearches, sr.SearchHits, sr.SearchRejects)
+	}
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, name := range []string{"vs3d_store_loaded_searches", "vs3d_search_hits_total", "vs3d_search_rejects_total"} {
+		if !bytes.Contains(body, []byte(name)) {
+			t.Errorf("/metrics lacks %s", name)
+		}
 	}
 }
 

@@ -212,12 +212,7 @@ func (s *Store) encodeLiveSet() []byte {
 			buf.Write(line)
 		}
 	}
-	outKeys := make([]string, 0, len(s.outcomes))
-	for k := range s.outcomes {
-		outKeys = append(outKeys, k)
-	}
-	sort.Strings(outKeys)
-	for _, k := range outKeys {
+	for _, k := range sortedKeys(s.outcomes) {
 		pk, method, ok := cutNul(k)
 		if !ok {
 			continue
@@ -226,10 +221,16 @@ func (s *Store) encodeLiveSet() []byte {
 			buf.Write(line)
 		}
 	}
+	for _, key := range sortedKeys(s.searches) {
+		sols := s.searches[key]
+		if line, err := encode(record{T: "srch", Skel: key, Sols: &sols}); err == nil {
+			buf.Write(line)
+		}
+	}
 	return buf.Bytes()
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -21,6 +21,7 @@ func fillT(t *testing.T, s *Store, n int) func(*testing.T, *Store) {
 		s.AppendVerdict(fmt.Sprintf("f%d", i), i%2 == 0)
 		s.AppendConsistency(fmt.Sprintf("g%d", i), i%3 == 0)
 		s.AppendOutcome(fmt.Sprintf("prob%d", i), "optimal", []byte(fmt.Sprintf(`{"proved":true,"i":%d}`, i)))
+		s.AppendSearch(fmt.Sprintf("s%d", i), searchOf(i))
 	}
 	s.AppendLemma("skel-a", Lemma{
 		Lins: []lia.Lin{mkLin(3, map[string]int64{"x": 1, "y": -2}), mkLin(-1, nil)},
@@ -40,6 +41,9 @@ func fillT(t *testing.T, s *Store, n int) func(*testing.T, *Store) {
 			if b, ok := r.Outcome(fmt.Sprintf("prob%d", i), "optimal"); !ok || string(b) != want {
 				t.Fatalf("outcome prob%d = %q,%v", i, b, ok)
 			}
+			if sols, ok := r.Search(fmt.Sprintf("s%d", i)); !ok || !equalSearch(sols, searchOf(i)) {
+				t.Fatalf("search s%d = %v,%v", i, sols, ok)
+			}
 		}
 		if len(r.Lemmas("skel-a")) != 1 {
 			t.Fatalf("lemmas = %d, want 1", len(r.Lemmas("skel-a")))
@@ -48,6 +52,15 @@ func fillT(t *testing.T, s *Store, n int) func(*testing.T, *Store) {
 			t.Fatalf("cores = %d, want 1", len(r.Cores()))
 		}
 	}
+}
+
+// searchOf is fillT's search record for index i; every third one is the
+// empty "no solution" list.
+func searchOf(i int) [][]int {
+	if i%3 == 0 {
+		return [][]int{}
+	}
+	return [][]int{{i}, {i + 1, i + 2}}
 }
 
 // duplicateLog rewrites the log so its record body (everything after the

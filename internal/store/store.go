@@ -1,8 +1,9 @@
 // Package store is the on-disk knowledge base that lets the engine warm-start
 // across process lifetimes. It persists the grounder-independent learned
 // state — theory-lemma vectors (lia.Lin), unsat-core predicate sets, SMT
-// validity/consistency verdicts, and whole solved-problem outcomes — in a
-// single versioned, checksummed append-only log.
+// validity/consistency verdicts, optimal-negative-solution search results,
+// and whole solved-problem outcomes — in a single versioned, checksummed
+// append-only log.
 //
 // Everything persisted here is safe to replay into a fresh engine:
 //
@@ -13,6 +14,9 @@
 //   - Verdicts and outcomes are deterministic given identical solver bounds,
 //     so the header carries a params fingerprint and the whole store falls
 //     back to cold start when the bounds change.
+//   - Search results are re-checked by their reader before use: every
+//     listed solution is re-probed valid, and a failing record is replaced
+//     by a fresh search (see Store.Search).
 //   - Conservative answers produced under a fired Stop hook are never
 //     appended by callers (mirroring the in-memory cache's forget-on-stop
 //     rule), so replay cannot resurrect a deadline artifact as truth.
@@ -33,6 +37,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -151,6 +156,7 @@ type Stats struct {
 	LoadedVerdicts    int64
 	LoadedConsistency int64
 	LoadedOutcomes    int64
+	LoadedSearches    int64
 
 	Appended     int64 // records accepted into the queue this lifetime
 	Deduped      int64 // appends skipped because an identical record exists
@@ -169,7 +175,7 @@ type Stats struct {
 
 // record is the one-envelope wire form of every log line.
 type record struct {
-	T string `json:"t"` // "hdr" | "lem" | "core" | "vrd" | "cons" | "out"
+	T string `json:"t"` // "hdr" | "lem" | "core" | "vrd" | "cons" | "out" | "srch"
 
 	// hdr
 	Version int    `json:"version,omitempty"`
@@ -177,6 +183,7 @@ type record struct {
 
 	// lem: Skel = skeleton FormulaKey. vrd/cons: Skel = formula FormulaKey.
 	// out: Skel = problem key (X-VS3-Problem-Key SHA-256), Method set.
+	// srch: Skel = search key (see Store.Search), Sols set.
 	Skel   string `json:"skel,omitempty"`
 	Method string `json:"method,omitempty"`
 
@@ -189,6 +196,10 @@ type record struct {
 	Preds   []string `json:"preds,omitempty"`
 
 	Resp json.RawMessage `json:"resp,omitempty"`
+
+	// Sols is a pointer so an empty list ("the search found no solution")
+	// encodes as [] and stays distinct from an absent field.
+	Sols *[][]int `json:"sols,omitempty"`
 }
 
 // Store is the on-disk knowledge base. All methods are safe for concurrent
@@ -202,6 +213,7 @@ type Store struct {
 	verdicts map[string]bool    // formula key -> valid?
 	cons     map[string]bool    // formula key -> consistent?
 	outcomes map[string][]byte  // problemKey \x00 method -> response JSON
+	searches map[string][][]int // search key -> solutions as item indices
 	cores    []Core
 
 	// seen dedups lemma/core appends within this lifetime only. It is NOT
@@ -266,16 +278,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		lemmas:   map[string][]Lemma{},
-		verdicts: map[string]bool{},
-		cons:     map[string]bool{},
-		outcomes: map[string][]byte{},
-		seen:     map[string]struct{}{},
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
+	s.reset()
 	// A stale next-generation file is a compaction that never completed its
 	// rename: the current log is intact and authoritative, so the tmp is
 	// discarded (whether torn mid-write or complete-but-unrenamed).
@@ -332,6 +340,17 @@ func (s *Store) logf(format string, args ...any) {
 	}
 }
 
+// reset empties the in-memory knowledge.
+func (s *Store) reset() {
+	s.lemmas = map[string][]Lemma{}
+	s.verdicts = map[string]bool{}
+	s.cons = map[string]bool{}
+	s.outcomes = map[string][]byte{}
+	s.searches = map[string][][]int{}
+	s.cores = nil
+	s.seen = map[string]struct{}{}
+}
+
 // load replays the log into memory. It returns the byte offset of the last
 // well-formed record (the file is truncated there before appending) and
 // whether a fresh header must be written (empty or sidelined file).
@@ -353,12 +372,7 @@ func (s *Store) load() (goodBytes int64, freshHeader bool) {
 		}
 		// Drop anything replayed before the problem was detected: a store
 		// whose header we cannot trust contributes nothing.
-		s.lemmas = map[string][]Lemma{}
-		s.verdicts = map[string]bool{}
-		s.cons = map[string]bool{}
-		s.outcomes = map[string][]byte{}
-		s.cores = nil
-		s.seen = map[string]struct{}{}
+		s.reset()
 		s.st = Stats{ColdStart: true}
 		return 0, true
 	}
@@ -482,6 +496,18 @@ func (s *Store) replay(rec record, loadSeen map[string]struct{}) bool {
 		}
 		s.outcomes[ok] = append([]byte(nil), rec.Resp...)
 		s.st.LoadedOutcomes++
+	case "srch":
+		if rec.Skel == "" || rec.Sols == nil || !validSearch(*rec.Sols) {
+			return false
+		}
+		// Last record wins: a later one replaced a result its reader
+		// rejected, and the superseded line is garbage.
+		if old, dup := s.searches[rec.Skel]; dup {
+			s.st.LiveBytes -= searchLineLen(rec.Skel, old)
+		} else {
+			s.st.LoadedSearches++
+		}
+		s.searches[rec.Skel] = *rec.Sols
 	default:
 		// Unknown record type from a future minor revision: skip, do not
 		// treat as corruption (and do not count it live — a compaction
@@ -543,6 +569,26 @@ func lemmaKey(skel string, lem Lemma) string {
 	return b.String()
 }
 
+// validSearch reports whether every solution of a search record is a
+// strictly increasing list of non-negative item indices.
+func validSearch(sols [][]int) bool {
+	for _, sel := range sols {
+		for i, k := range sel {
+			if k < 0 || (i > 0 && k <= sel[i-1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// searchLineLen is the log-line size of a search record, for the live-bytes
+// estimate when a later record supersedes it.
+func searchLineLen(key string, sols [][]int) int64 {
+	line, _ := encode(record{T: "srch", Skel: key, Sols: &sols})
+	return int64(len(line))
+}
+
 func coreKey(c Core) string {
 	preds := append([]string(nil), c.Preds...)
 	sort.Strings(preds)
@@ -592,6 +638,20 @@ func (s *Store) Outcome(problemKey, method string) ([]byte, bool) {
 	defer s.mu.RUnlock()
 	b, ok := s.outcomes[problemKey+"\x00"+method]
 	return b, ok
+}
+
+// Search returns the persisted result of one optimal-negative-solution
+// search: the emitted solutions in order, each a sorted list of indices into
+// the searcher's item universe. An empty list means the search found no
+// solution; ok=false means there is no record. The key names everything the
+// result depends on besides solver verdicts (see DESIGN.md §15). The store
+// does not check that the listed solutions are valid: the reader re-probes
+// them before trusting the record (shared slices; callers must not mutate).
+func (s *Store) Search(key string) (sols [][]int, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sols, ok = s.searches[key]
+	return
 }
 
 // Cores returns all persisted portable core items (shared slice; callers
@@ -682,6 +742,46 @@ func (s *Store) AppendOutcome(problemKey, method string, resp []byte) {
 	s.mu.Unlock()
 	s.digest.bump()
 	s.push(record{T: "out", Skel: problemKey, Method: method, Resp: cp})
+}
+
+// AppendSearch persists a search result under its key, replacing any
+// different earlier record (one its reader rejected). Callers must not
+// append results of a search cut short by a fired Stop hook.
+func (s *Store) AppendSearch(key string, sols [][]int) {
+	if s == nil || key == "" || !validSearch(sols) {
+		return
+	}
+	cp := make([][]int, len(sols))
+	for i, sel := range sols {
+		cp[i] = append([]int{}, sel...)
+	}
+	s.mu.Lock()
+	old, dup := s.searches[key]
+	if dup && equalSearch(old, cp) {
+		s.mu.Unlock()
+		s.noteDedup()
+		return
+	}
+	s.searches[key] = cp
+	s.mu.Unlock()
+	if dup {
+		s.smu.Lock()
+		s.st.LiveBytes -= searchLineLen(key, old)
+		s.smu.Unlock()
+	}
+	s.push(record{T: "srch", Skel: key, Sols: &cp})
+}
+
+func equalSearch(a, b [][]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendCore persists a portable unsat-core item.

@@ -354,3 +354,57 @@ func TestFlushDurableWithoutClose(t *testing.T) {
 	r.Close()
 	s.Close()
 }
+
+// TestSearchRecords covers the search-result record: an empty list ("no
+// solution") stays distinct from no record, an identical append dedups, a
+// different one replaces the record, and the replacement — not the first
+// record — is what a reopen loads.
+func TestSearchRecords(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, "p")
+	s.AppendSearch("none", [][]int{})
+	s.AppendSearch("emptysol", [][]int{{}})
+	s.AppendSearch("two", [][]int{{0, 3}, {1}})
+	s.AppendSearch("two", [][]int{{0, 3}, {1}})
+	s.AppendSearch("replaced", [][]int{{2}})
+	s.AppendSearch("replaced", [][]int{{1, 2}, {4}})
+	s.AppendSearch("unsorted", [][]int{{3, 1}})
+	s.AppendSearch("negative", [][]int{{-1}})
+	if st := s.Stats(); st.Deduped != 1 || st.Appended != 5 {
+		t.Fatalf("Deduped=%d Appended=%d, want 1 and 5", st.Deduped, st.Appended)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openT(t, dir, "p")
+	defer r.Close()
+	if n := r.Stats().LoadedSearches; n != 4 {
+		t.Errorf("LoadedSearches = %d, want 4", n)
+	}
+	want := map[string][][]int{
+		"none":     {},
+		"emptysol": {{}},
+		"two":      {{0, 3}, {1}},
+		"replaced": {{1, 2}, {4}},
+	}
+	for k, w := range want {
+		got, ok := r.Search(k)
+		if !ok || !equalSearch(got, w) {
+			t.Errorf("Search(%q) = %v,%v; want %v", k, got, ok, w)
+		}
+	}
+	if got, _ := r.Search("none"); got == nil {
+		t.Error(`"no solution" record loaded as nil`)
+	}
+	for _, k := range []string{"absent", "unsorted", "negative"} {
+		if got, ok := r.Search(k); ok {
+			t.Errorf("Search(%q) = %v, want no record", k, got)
+		}
+	}
+	// The superseded "replaced" line is garbage, so the live estimate is
+	// below the on-disk size.
+	if st := r.Stats(); st.LiveBytes >= st.LogBytes {
+		t.Errorf("superseded search record counted live: live=%d log=%d", st.LiveBytes, st.LogBytes)
+	}
+}
