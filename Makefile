@@ -70,15 +70,17 @@ test-differential:
 	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
-# response payloads) and of the knowledge store's log-line decoder plus
-# record replay, 10s per target. Plain `go test` already replays the
-# committed seed corpora under internal/rpc/testdata/fuzz and
-# internal/store/testdata/fuzz.
+# response payloads), the knowledge store's log-line decoder plus record
+# replay, and the spec-file lexer and parser, 10s per target. Plain
+# `go test` already replays the committed seed corpora under
+# internal/rpc/testdata/fuzz, internal/store/testdata/fuzz and
+# internal/lang/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreRecord$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers

@@ -179,7 +179,7 @@ func main() {
 		runTable(w, r, *table)
 	}
 	if *figure != 0 {
-		if *figure != 5 && len(c.QueryDurations()) == 0 {
+		if *figure != 5 && c.Queries().Count == 0 {
 			// Populate the collector with a representative run.
 			bench.Table4(io.Discard, r)
 		}

@@ -170,8 +170,8 @@ func Table7(w io.Writer, r *Runner) {
 // runner's collector (Figure 4).
 func Figure4(w io.Writer, c *stats.Collector) {
 	fmt.Fprintln(w, "Figure 4: SMT query latency histogram")
-	for _, b := range stats.DurationHistogram(c.QueryDurations()) {
-		fmt.Fprintf(w, "  %-8s %d\n", b.Label, b.Count)
+	for i, n := range c.Queries().Buckets {
+		fmt.Fprintf(w, "  %-8s %d\n", stats.QueryBucketLabels[i], n)
 	}
 }
 
@@ -233,7 +233,8 @@ func Figure5(w io.Writer, r *Runner, base Task, counts []int) {
 // Figure6 prints the sizes of OptimalNegativeSolutions solutions (Figure 6).
 func Figure6(w io.Writer, c *stats.Collector) {
 	fmt.Fprintln(w, "Figure 6: predicates per OptimalNegativeSolutions solution")
-	hist := stats.Histogram(c.NegSolutionSizes(), []int{0, 1, 2, 3, 4})
+	sizes := c.NegSolutionSizes()
+	hist := sizes.Cuts([]int{0, 1, 2, 3, 4})
 	for _, label := range []string{"<=0", "<=1", "<=2", "<=3", "<=4", ">4"} {
 		if hist[label] > 0 {
 			fmt.Fprintf(w, "  %-4s %d\n", label, hist[label])
@@ -244,7 +245,8 @@ func Figure6(w io.Writer, c *stats.Collector) {
 // Figure7 prints how many solutions OptimalSolutions calls return (Figure 7).
 func Figure7(w io.Writer, c *stats.Collector) {
 	fmt.Fprintln(w, "Figure 7: solutions per OptimalSolutions call")
-	hist := stats.Histogram(c.OptSolutionCounts(), []int{0, 1, 2, 3, 4, 5, 6})
+	counts := c.OptSolutionCounts()
+	hist := counts.Cuts([]int{0, 1, 2, 3, 4, 5, 6})
 	for _, label := range []string{"<=0", "<=1", "<=2", "<=3", "<=4", "<=5", "<=6", ">6"} {
 		if hist[label] > 0 {
 			fmt.Fprintf(w, "  %-4s %d\n", label, hist[label])
@@ -257,8 +259,8 @@ func Figure8(w io.Writer, c *stats.Collector) {
 	fmt.Fprintln(w, "Figure 8: iterative candidate-set sizes per step")
 	sizes := c.Candidates()
 	fmt.Fprintf(w, "  steps observed: %d, median candidates: %d, max: %d\n",
-		len(sizes), stats.Median(sizes), stats.Max(sizes))
-	hist := stats.Histogram(sizes, []int{1, 2, 4, 8, 16, 32})
+		sizes.Count, sizes.Median(), sizes.Max)
+	hist := sizes.Cuts([]int{1, 2, 4, 8, 16, 32})
 	for _, label := range []string{"<=1", "<=2", "<=4", "<=8", "<=16", "<=32", ">32"} {
 		if hist[label] > 0 {
 			fmt.Fprintf(w, "  %-5s %d\n", label, hist[label])
@@ -271,5 +273,5 @@ func Figure9(w io.Writer, c *stats.Collector) {
 	fmt.Fprintln(w, "Figure 9: CFP SAT formula sizes")
 	clauses, vars := c.SATSizes()
 	fmt.Fprintf(w, "  instances: %d, median clauses: %d, max clauses: %d, median vars: %d\n",
-		len(clauses), stats.Median(clauses), stats.Max(clauses), stats.Median(vars))
+		clauses.Count, clauses.Median(), clauses.Max, vars.Median())
 }

@@ -37,7 +37,7 @@ func TestTable4Renders(t *testing.T) {
 		}
 	}
 	// The runs must have populated the collector for Figures 4 and 6-9.
-	if len(c.QueryDurations()) == 0 {
+	if c.Queries().Count == 0 {
 		t.Error("no SMT queries recorded")
 	}
 	var f strings.Builder
@@ -129,5 +129,65 @@ func TestTaskListsComplete(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", task.Name, err)
 		}
+	}
+}
+
+// TestFiguresFromHistograms pins Figures 4 and 6–9 rendered from a fixed
+// sample set. The expected text is what the collector printed when it kept
+// every raw sample, so rendering from fixed-bin histograms must reproduce it
+// byte for byte (including the medians of Figures 8 and 9).
+func TestFiguresFromHistograms(t *testing.T) {
+	c := stats.New()
+	for i := 0; i < 40; i++ {
+		c.RecordQuery(time.Duration(i*i*i) * 37 * time.Microsecond)
+		c.RecordNegSolutionSize(i % 7)
+		c.RecordOptSolutionCount((i * 5) % 9)
+		c.RecordCandidates((i * i) % 41)
+		if i%3 == 0 {
+			c.RecordSATSize(60+(i*37)%450, 30+(i*23)%200)
+		}
+	}
+	var b strings.Builder
+	Figure4(&b, c)
+	Figure6(&b, c)
+	Figure7(&b, c)
+	Figure8(&b, c)
+	Figure9(&b, c)
+	const want = `Figure 4: SMT query latency histogram
+  <=1ms    4
+  <=10ms   3
+  <=100ms  7
+  <=1s     17
+  >1s      9
+Figure 6: predicates per OptimalNegativeSolutions solution
+  <=0  6
+  <=1  6
+  <=2  6
+  <=3  6
+  <=4  6
+  >4   10
+Figure 7: solutions per OptimalSolutions call
+  <=0  5
+  <=1  5
+  <=2  4
+  <=3  4
+  <=4  4
+  <=5  5
+  <=6  5
+  >6   8
+Figure 8: iterative candidate-set sizes per step
+  steps observed: 40, median candidates: 21, max: 40
+  <=1   2
+  <=2   2
+  <=4   2
+  <=8   4
+  <=16  6
+  <=32  14
+  >32   10
+Figure 9: CFP SAT formula sizes
+  instances: 14, median clauses: 282, max clauses: 504, median vars: 113
+`
+	if got := b.String(); got != want {
+		t.Errorf("figures changed:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -33,8 +33,8 @@ func TestStatsRecordSATSize(t *testing.T) {
 		t.Fatal("not proved")
 	}
 	clauses, vars := c.SATSizes()
-	if len(clauses) != 1 || clauses[0] != res.Clauses || vars[0] != res.Vars {
-		t.Errorf("stats = %v/%v, result = %d/%d", clauses, vars, res.Clauses, res.Vars)
+	if clauses.Count != 1 || clauses.Max != res.Clauses || vars.Max != res.Vars {
+		t.Errorf("stats = %d×%d/%d, result = %d/%d", clauses.Count, clauses.Max, vars.Max, res.Clauses, res.Vars)
 	}
 	// Figure 9's claim: the encoding stays small (paper: < 500 clauses).
 	if res.Clauses >= 500 {

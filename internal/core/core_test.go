@@ -50,7 +50,7 @@ func TestVerifyAllMethods(t *testing.T) {
 			t.Errorf("%v: missing metrics: %+v", m, out)
 		}
 	}
-	if len(c.QueryDurations()) == 0 {
+	if c.Queries().Count == 0 {
 		t.Error("stats collector received no queries")
 	}
 }

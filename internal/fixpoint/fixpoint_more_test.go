@@ -76,7 +76,7 @@ func TestStatsRecorded(t *testing.T) {
 	if _, err := LeastFixedPoint(p, eng, Options{Stats: c}); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Candidates()) == 0 {
+	if c.Candidates().Count == 0 {
 		t.Error("candidate counts not recorded")
 	}
 }

@@ -9,6 +9,10 @@ import "sync"
 // lifetime. Functionally identical to the weak table (intern_weak.go), just
 // without reclamation, so long-running sweeps retain more memory.
 
+// InternReclaims reports whether the table lets the GC reclaim formulas that
+// nothing else references (false here; true for the weak table).
+const InternReclaims = false
+
 type internShard struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*IFormula

@@ -14,6 +14,10 @@ import (
 // probed, and a full shard sweep runs every internSweepEvery inserts so
 // buckets that are never probed again cannot accumulate dead stubs.
 
+// InternReclaims reports whether the table lets the GC reclaim formulas that
+// nothing else references (true here; false for the strong table).
+const InternReclaims = true
+
 // internSweepEvery bounds dead-entry accumulation per shard: at most this
 // many inserts happen between full shard sweeps.
 const internSweepEvery = 4096

@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/memo"
 	"repro/internal/par"
 	"repro/internal/smt"
 	"repro/internal/stats"
@@ -71,11 +72,11 @@ type Engine struct {
 	// and the engine's internal parallelism.
 	Opts Options
 
-	// fillers caches one compiled template.Filler per interned base formula
-	// (*logic.IFormula → *template.Filler): the search fills the same φ with
-	// hundreds of candidate solutions, and the iterative algorithms re-visit
-	// the same VCs across rounds and (parallel) workers.
-	fillers sync.Map
+	// fillers caches one compiled template.Filler per interned base
+	// formula: the search fills the same φ with hundreds of candidate
+	// solutions, and the iterative algorithms re-visit the same VCs across
+	// rounds and (parallel) workers. Bounded (fillerCap).
+	fillers *memo.Table[*logic.IFormula, *template.Filler]
 
 	// consOnce/consCtx lazily hold one incremental context dedicated to
 	// predicate-set consistency probes: every candidate predicate gets a
@@ -85,10 +86,10 @@ type Engine struct {
 	consCtx  *smt.Context
 
 	// consMemo caches consistency verdicts per interned predicate-set
-	// conjunction (*logic.IFormula → *consVerdict). The searches re-test the
-	// same small per-unknown sets across groups, rounds, and workers; the
-	// verdict (and its core) never changes, so one probe serves all of them.
-	consMemo sync.Map
+	// conjunction. The searches re-test the same small per-unknown sets
+	// across groups, rounds, and workers; the verdict (and its core) never
+	// changes, so one probe serves all of them. Bounded (consMemoCap).
+	consMemo *memo.Table[*logic.IFormula, *consVerdict]
 
 	// cores accumulates (unknown, predicate-set) combinations proven
 	// inconsistent, shared across searches and workers: a core killed in one
@@ -124,9 +125,23 @@ type coreItem struct {
 	pred    *logic.IFormula
 }
 
+// The engine's memos are bounded like the solver's retained state, so a
+// long-lived serving session stops growing with every fresh problem. Each
+// capacity sits above the largest DefaultSuite cell's need (324 fillers,
+// 4 274 consistency verdicts), so it binds only across many problems; an
+// evicted entry is recomputed to the same value.
+const (
+	fillerCap   = 4096
+	consMemoCap = 8192
+)
+
 // New returns an engine with default bounds and a private core store.
 func New(s *smt.Solver) *Engine {
-	return &Engine{S: s, MaxDepth: 4, MaxSolutions: 64, cores: NewCoreStore()}
+	return &Engine{
+		S: s, MaxDepth: 4, MaxSolutions: 64, cores: NewCoreStore(),
+		fillers:  memo.New[*logic.IFormula, *template.Filler](fillerCap),
+		consMemo: memo.New[*logic.IFormula, *consVerdict](consMemoCap),
+	}
 }
 
 // ShareCores replaces the engine's core store, typically with one shared by
@@ -185,10 +200,10 @@ func (e *Engine) maxSolutions() int {
 func (e *Engine) Filler(phi logic.Formula) *template.Filler {
 	n := logic.Intern(phi)
 	if v, ok := e.fillers.Load(n); ok {
-		return v.(*template.Filler)
+		return v
 	}
 	v, _ := e.fillers.LoadOrStore(n, template.NewFiller(n.Formula()))
-	return v.(*template.Filler)
+	return v
 }
 
 // valid instantiates φ with σ and asks the SMT solver, routed through the
@@ -696,8 +711,7 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 		return true, nil, false
 	}
 	key := logic.Intern(ps.Formula())
-	if v, ok := e.consMemo.Load(key); ok {
-		cv := v.(*consVerdict)
+	if cv, ok := e.consMemo.Load(key); ok {
 		return cv.sat, cv.core, false
 	}
 	cv := &consVerdict{}
@@ -712,8 +726,7 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 			e.consStoreHits.Add(1)
 			e.Stats.RecordStoreLookup(true)
 			cv.sat = sat
-			got, _ := e.consMemo.LoadOrStore(key, cv)
-			cv = got.(*consVerdict)
+			cv, _ = e.consMemo.LoadOrStore(key, cv)
 			return cv.sat, cv.core, false
 		}
 		e.Stats.RecordStoreLookup(false)
@@ -728,8 +741,7 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 	if !decided {
 		cv.sat = !e.S.Valid(logic.Neg(ps.Formula()))
 	}
-	got, loaded := e.consMemo.LoadOrStore(key, cv)
-	cv = got.(*consVerdict)
+	cv, loaded := e.consMemo.LoadOrStore(key, cv)
 	if !loaded && e.know != nil && (e.Stop == nil || !e.Stop()) {
 		// Settled without a fired Stop: safe to persist for next lifetime.
 		e.know.AppendConsistency(skey, cv.sat)

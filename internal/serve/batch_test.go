@@ -180,6 +180,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`vs3d_requests_total{server="test-backend"} 1`,
 		"# TYPE vs3d_smt_queries_total counter",
 		`vs3d_up{server="test-backend"} 1`,
+		"# TYPE vs3d_ctx_evicted_total counter",
+		"# TYPE vs3d_ctx_budget_used gauge",
+		"# TYPE vs3d_cache_evicted_total counter",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
@@ -187,5 +190,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if resp.Header.Get("X-VS3-Backend") != "test-backend" {
 		t.Error("missing X-VS3-Backend header")
+	}
+	// The verify run left its context groups registered under the budget.
+	if used := srv.statsSnapshot().CtxBudgetUsed; used <= 0 {
+		t.Errorf("ctx_budget_used = %d after a verify run, want > 0", used)
 	}
 }

@@ -4,57 +4,63 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/spec"
 )
 
-// TestLRUHotProblemSurvivesChurn is the satellite regression for the old
-// arbitrary single-eviction cache: a problem that keeps getting hit must
-// stay resident while a scan of one-off keys churns through the cache.
+// newProblemCache returns a parsed-problem cache of the Server's type.
+func newProblemCache(capacity int) *memo.Table[string, *spec.Problem] {
+	return memo.New[string, *spec.Problem](capacity)
+}
+
+// TestLRUHotProblemSurvivesChurn is the regression for an arbitrary
+// single-eviction cache: a problem that keeps getting hit must stay
+// resident while a scan of one-off keys churns through the cache.
 func TestLRUHotProblemSurvivesChurn(t *testing.T) {
-	c := newProblemLRU(4)
+	c := newProblemCache(4)
 	hot := &spec.Problem{}
-	c.put("hot", hot)
+	c.LoadOrStore("hot", hot)
 	for i := 0; i < 100; i++ {
-		if got, ok := c.get("hot"); !ok || got != hot {
+		if got, ok := c.Load("hot"); !ok || got != hot {
 			t.Fatalf("hot problem evicted after %d churn inserts", i)
 		}
-		c.put(fmt.Sprintf("cold-%d", i), &spec.Problem{})
+		c.LoadOrStore(fmt.Sprintf("cold-%d", i), &spec.Problem{})
 	}
-	if _, ok := c.get("hot"); !ok {
+	if _, ok := c.Load("hot"); !ok {
 		t.Fatal("hot problem evicted by churn despite being hit every round")
 	}
-	if c.len() != 4 {
-		t.Fatalf("cache len = %d, want capacity 4", c.len())
+	if c.Len() != 4 {
+		t.Fatalf("cache len = %d, want capacity 4", c.Len())
 	}
 	// The churn keys are one-hit wonders: only the most recent survive.
-	if _, ok := c.get("cold-0"); ok {
+	if _, ok := c.Load("cold-0"); ok {
 		t.Error("cold-0 still cached after 100 inserts into a 4-entry LRU")
 	}
-	if _, ok := c.get("cold-99"); !ok {
+	if _, ok := c.Load("cold-99"); !ok {
 		t.Error("most recent cold key missing")
 	}
 }
 
 // TestLRUEvictionOrder checks hit-ordered (not insertion-ordered) eviction.
 func TestLRUEvictionOrder(t *testing.T) {
-	c := newProblemLRU(3)
+	c := newProblemCache(3)
 	a, b, d := &spec.Problem{}, &spec.Problem{}, &spec.Problem{}
-	c.put("a", a)
-	c.put("b", b)
-	c.put("d", d)
-	c.get("a") // a is now MRU; b is LRU
-	c.put("e", &spec.Problem{})
-	if _, ok := c.get("b"); ok {
+	c.LoadOrStore("a", a)
+	c.LoadOrStore("b", b)
+	c.LoadOrStore("d", d)
+	c.Load("a") // a is now MRU; b is LRU
+	c.LoadOrStore("e", &spec.Problem{})
+	if _, ok := c.Load("b"); ok {
 		t.Error("b should have been evicted as LRU")
 	}
 	for _, k := range []string{"a", "d", "e"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Load(k); !ok {
 			t.Errorf("%s missing", k)
 		}
 	}
 	// Refreshing an existing key must not grow the cache.
-	c.put("a", a)
-	if c.len() != 3 {
-		t.Fatalf("len = %d after refresh, want 3", c.len())
+	c.LoadOrStore("a", a)
+	if c.Len() != 3 {
+		t.Fatalf("len = %d after refresh, want 3", c.Len())
 	}
 }

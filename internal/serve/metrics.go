@@ -47,6 +47,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("vs3d_shared_lemmas_total", "Cross-lane theory-lemma exchanges.", float64(sr.SharedLemmas), id...)
 	pw.Counter("vs3d_core_pruned_total", "Lattice candidates pruned by stored unsat cores.", float64(sr.CorePruned), id...)
 	pw.Counter("vs3d_core_evicted_total", "Cores evicted from the engine-global store.", float64(sr.CoreEvicted), id...)
+	pw.Counter("vs3d_ctx_evicted_total", "Context groups evicted, least recently used first, to keep each solver within its budget.", float64(sr.CtxEvicted), id...)
+	pw.Gauge("vs3d_ctx_budget_used", "SAT units held by registered context groups across all sessions.", float64(sr.CtxBudgetUsed), id...)
+	pw.Counter("vs3d_cache_evicted_total", "Validity-cache entries evicted, least recently used first, to keep each solver within its budget.", float64(sr.CacheEvicted), id...)
 	pw.Counter("vs3d_fm_scratch_total", "From-scratch Fourier-Motzkin eliminations outside persistent checkers.", float64(sr.FMScratch), id...)
 	pw.Counter("vs3d_fm_incremental_total", "Elimination runs inside persistent general-LIA checkers.", float64(sr.FMIncremental), id...)
 	pw.Counter("vs3d_fm_cube_hits_total", "Theory checks answered from persisted conflict cubes.", float64(sr.FMCubeHits), id...)

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lang"
+	"repro/internal/memo"
 	"repro/internal/optimal"
 	"repro/internal/spec"
 	"repro/internal/stats"
@@ -171,9 +172,15 @@ type Server struct {
 	fq       *fairQueue
 	sessions []*session // stable list, for stats aggregation
 
-	mu       sync.Mutex
-	agg      stats.Snapshot // request-scoped collector deltas merged server-lifetime
-	problems *problemLRU
+	mu  sync.Mutex
+	agg stats.Snapshot // request-scoped collector deltas merged server-lifetime
+
+	// problems caches parsed problems by ProblemKey. Problems carry their
+	// compiled per-path VC skeletons, so keeping the hot set resident (least
+	// recently used eviction) preserves the warm-path economics under
+	// churn: a problem the fleet keeps asking about survives a scan of
+	// one-off specs.
+	problems *memo.Table[string, *spec.Problem]
 
 	started  time.Time
 	draining atomic.Bool
@@ -197,7 +204,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalize()
 	s := &Server{
 		cfg:      cfg,
-		problems: newProblemLRU(maxCachedProblems),
+		problems: memo.New[string, *spec.Problem](maxCachedProblems),
 		started:  time.Now(),
 	}
 	shared := cfg.Core.Cores
@@ -298,14 +305,10 @@ var errBusy = errors.New("serve: all sessions busy and the wait queue is full")
 // per-path VC skeletons across sessions.
 func (s *Server) problem(src string) (*spec.Problem, string, error) {
 	key := ProblemKey(src)
-	s.mu.Lock()
-	if p, ok := s.problems.get(key); ok {
-		s.mu.Unlock()
+	if p, ok := s.problems.Load(key); ok {
 		s.probHits.Add(1)
 		return p, key, nil
 	}
-	s.mu.Unlock()
-
 	sf, err := lang.ParseSpecFile(src)
 	if err != nil {
 		return nil, key, err
@@ -318,12 +321,7 @@ func (s *Server) problem(src string) (*spec.Problem, string, error) {
 	if err := p.Validate(); err != nil {
 		return nil, key, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.problems.get(key); ok {
-		return prev, key, nil
-	}
-	s.problems.put(key, p)
+	p, _ = s.problems.LoadOrStore(key, p)
 	return p, key, nil
 }
 
@@ -688,6 +686,13 @@ type statsResponse struct {
 	CorePruned       int64 `json:"core_pruned"`
 	CoreEvicted      int64 `json:"core_evicted"`
 
+	// Retained-state budget of each session's solver (smt DESIGN §10):
+	// context groups evicted least recently used first, the SAT units the
+	// registered groups hold now, and validity-cache entries evicted.
+	CtxEvicted    int64 `json:"ctx_evicted"`
+	CtxBudgetUsed int64 `json:"ctx_budget_used"`
+	CacheEvicted  int64 `json:"cache_evicted"`
+
 	// Fourier–Motzkin counters: from-scratch eliminations outside any
 	// persistent checker, incremental runs and conflict-cube hits inside
 	// persistent LinCheckers, derived-cap hits (conservative answers), and
@@ -747,7 +752,6 @@ type statsResponse struct {
 func (s *Server) statsSnapshot() statsResponse {
 	s.mu.Lock()
 	agg := s.agg
-	cached := s.problems.len()
 	s.mu.Unlock()
 	resp := statsResponse{
 		ServerID:         s.cfg.ID,
@@ -764,7 +768,7 @@ func (s *Server) statsSnapshot() statsResponse {
 		Truncated:        s.truncated.Load(),
 		Batches:          s.batches.Load(),
 		BatchItems:       s.batchItems.Load(),
-		ProblemsCached:   cached,
+		ProblemsCached:   s.problems.Len(),
 		ProblemCacheHits: s.probHits.Load(),
 		Collector:        agg,
 	}
@@ -784,6 +788,9 @@ func (s *Server) statsSnapshot() statsResponse {
 		resp.SharedLemmas += eng.S.NumSharedLemmas()
 		resp.CorePruned += eng.NumCorePruned()
 		resp.CoreEvicted += eng.NumCoreEvicted()
+		resp.CtxEvicted += eng.S.NumContextsEvicted()
+		resp.CtxBudgetUsed += eng.S.ContextBudgetUsed()
+		resp.CacheEvicted += eng.S.NumCacheEvicted()
 		resp.FMScratch += eng.S.NumFMScratch()
 		resp.FMIncremental += eng.S.NumFMIncremental()
 		resp.FMCubeHits += eng.S.NumFMCubeHits()

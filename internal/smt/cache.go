@@ -1,16 +1,18 @@
 package smt
 
 import (
+	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/logic"
 )
 
-// validityCache is a sharded, bounded memo table for validity verdicts with
-// singleflight deduplication: when several goroutines ask about the same
-// formula concurrently, exactly one performs the decision procedure and the
-// rest wait for its verdict. The sharding keeps lock contention low when a
-// solver is hammered from many goroutines.
+// validityCache is a sharded, size-budgeted LRU memo table for validity
+// verdicts with singleflight deduplication: when several goroutines ask about
+// the same formula concurrently, exactly one performs the decision procedure
+// and the rest wait for its verdict. The sharding keeps lock contention low
+// when a solver is hammered from many goroutines.
 //
 // Keys are interned formula handles (*logic.IFormula): pointer-unique per
 // structure, so the map lookup is a single word comparison, and the shard is
@@ -20,16 +22,23 @@ import (
 const cacheShards = 32
 
 type validityCache struct {
-	// maxPerShard bounds each shard's entry count (0 = unlimited). When a
-	// shard is full, completed entries are evicted one at a time (bounded
-	// eviction) instead of wiping the whole memo.
-	maxPerShard int
-	shards      [cacheShards]cacheShard
+	// budget bounds the entries of all shards together in formula nodes
+	// (cacheBudget). Past it, a new claim evicts its shard's least recently
+	// looked-up settled entries until the cache fits again (or the shard
+	// has none left); in-flight entries other goroutines wait on are never
+	// evicted. Keys hash evenly across shards, so per-shard LRU order
+	// approximates a global one without a cache-wide lock.
+	budget int64
+	used   atomic.Int64 // formula nodes of the entries of all shards
+	shards [cacheShards]cacheShard
+
+	evicted atomic.Int64 // settled entries evicted to stay within budget
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[*logic.IFormula]*cacheEntry
+	mu  sync.Mutex
+	m   map[*logic.IFormula]*cacheEntry
+	lru list.List // *cacheEntry values; front = most recently looked up
 }
 
 // cacheEntry is one in-flight or settled verdict. done is closed once val is
@@ -37,6 +46,8 @@ type cacheShard struct {
 type cacheEntry struct {
 	done chan struct{}
 	val  bool
+	key  *logic.IFormula
+	elem *list.Element
 }
 
 func (e *cacheEntry) settled() bool {
@@ -48,16 +59,10 @@ func (e *cacheEntry) settled() bool {
 	}
 }
 
-// newValidityCache sizes the per-shard bound from the solver-level CacheSize
-// option (total entries across shards ≈ size).
-func newValidityCache(size int) *validityCache {
-	c := &validityCache{}
-	if size > 0 {
-		c.maxPerShard = size / cacheShards
-		if c.maxPerShard < 1 {
-			c.maxPerShard = 1
-		}
-	}
+// newValidityCache returns a cache holding at most budget formula nodes of
+// settled entries.
+func newValidityCache(budget int64) *validityCache {
+	c := &validityCache{budget: budget}
 	for i := range c.shards {
 		c.shards[i].m = map[*logic.IFormula]*cacheEntry{}
 	}
@@ -72,29 +77,36 @@ func (c *validityCache) shard(n *logic.IFormula) *cacheShard {
 // settled or in flight — and the caller should wait on it; otherwise it
 // installs a fresh in-flight entry owned by the caller and returns
 // (entry, false). The owner must call settle (and optionally forget) on it.
+// Either way the entry becomes the shard's most recently used.
 func (c *validityCache) lookupOrClaim(n *logic.IFormula) (*cacheEntry, bool) {
 	sh := c.shard(n)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.m[n]; ok {
+		sh.lru.MoveToFront(e.elem)
 		return e, true
 	}
-	if c.maxPerShard > 0 && len(sh.m) >= c.maxPerShard {
-		// Bounded eviction: drop settled entries until there is room,
-		// never touching in-flight entries other goroutines wait on.
-		for k, e := range sh.m {
-			if !e.settled() {
-				continue
-			}
-			delete(sh.m, k)
-			if len(sh.m) < c.maxPerShard {
-				break
-			}
-		}
-	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{done: make(chan struct{}), key: n}
+	e.elem = sh.lru.PushFront(e)
 	sh.m[n] = e
+	used := c.used.Add(int64(n.Size()))
+	for el := sh.lru.Back(); el != nil && used > c.budget; {
+		prev := el.Prev()
+		if v := el.Value.(*cacheEntry); v.settled() {
+			used = c.remove(sh, v)
+			c.evicted.Add(1)
+		}
+		el = prev
+	}
 	return e, false
+}
+
+// remove drops e from its shard, whose lock must be held, and returns the
+// cache's remaining size.
+func (c *validityCache) remove(sh *cacheShard, e *cacheEntry) int64 {
+	sh.lru.Remove(e.elem)
+	delete(sh.m, e.key)
+	return c.used.Add(-int64(e.key.Size()))
 }
 
 // settle publishes the owner's verdict, releasing every waiter.
@@ -110,7 +122,7 @@ func (c *validityCache) forget(n *logic.IFormula, e *cacheEntry) {
 	sh := c.shard(n)
 	sh.mu.Lock()
 	if sh.m[n] == e {
-		delete(sh.m, n)
+		c.remove(sh, e)
 	}
 	sh.mu.Unlock()
 }

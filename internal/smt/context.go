@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"container/list"
 	"fmt"
 	"sort"
 	"sync"
@@ -110,6 +111,10 @@ type Context struct {
 	lits     []sat.Lit
 
 	lemmas int // persisted theory lemmas (DPLL(T) blocking clauses)
+
+	// units is the lane's SAT size (variables + clauses + learnts) as last
+	// published to the registry's budget accounting by account.
+	units int64
 }
 
 const (
@@ -149,6 +154,14 @@ type ctxGroup struct {
 
 	mu    sync.Mutex
 	lanes []*Context
+
+	// Registry bookkeeping, guarded by the solver's ctxRegistry lock: the
+	// skeleton the group is registered under (nil for standalone
+	// contexts), its LRU element (nil once evicted, or never registered)
+	// and its SAT units summed over lanes.
+	key   *logic.IFormula
+	elem  *list.Element
+	units int64
 
 	exch struct {
 		mu     sync.RWMutex
@@ -356,6 +369,7 @@ func (c *Context) tryDecide(ground logic.Formula) (satisfiable, ok bool) {
 
 // decideLocked is tryDecide's per-lane body; the lane's lock must be held.
 func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
+	defer c.account()
 	if c.dead {
 		return false, false
 	}
@@ -380,6 +394,21 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 	v, _ := c.probeLoop(&pub, root)
 	c.group.publish(pub)
 	return v, true
+}
+
+// account publishes the lane's change in SAT size since its last probe to
+// the registry's budget accounting (registered groups only; a standalone
+// consistency context is bounded by ctxMaxVars alone). The lane's lock must
+// be held.
+func (c *Context) account() {
+	if c.group.key == nil {
+		return
+	}
+	n := int64(c.sat.NumVars() + c.sat.NumClauses() + c.sat.NumLearnts())
+	if d := n - c.units; d != 0 {
+		c.units = n
+		c.s.reg.grow(c.group, d)
+	}
 }
 
 // importLemmas asserts every exchange lemma this lane has not seen yet,
@@ -453,6 +482,7 @@ func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []log
 
 // consistentLocked is Consistent's per-lane body; the lane's lock must be held.
 func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core []logic.Formula, ok bool) {
+	defer c.account()
 	if c.dead {
 		return false, nil, false
 	}

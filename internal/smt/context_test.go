@@ -227,37 +227,100 @@ func TestContextForRegistry(t *testing.T) {
 	}
 }
 
-// TestContextForEvictsOldest: past maxContexts skeletons the registry keeps
-// handing out contexts, evicting the oldest-inserted one (FIFO) so it never
-// holds more than maxContexts; an evicted skeleton gets a fresh context that
-// still decides correctly.
+// TestContextForEvictsOldest: once the registered groups outgrow the context
+// budget, the registry keeps handing out contexts, evicting the least
+// recently used group so the accounted SAT units never exceed the budget; a
+// recently used skeleton survives, and an evicted one gets a fresh context
+// that still decides correctly.
 func TestContextForEvictsOldest(t *testing.T) {
-	s := NewSolver(Options{})
+	const budget = 64
+	s := newBudgetSolver(Options{}, budget, cacheBudget)
 	skel := func(i int) *logic.IFormula {
 		return logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.Plus(logic.V("b"), logic.I(int64(i)))))
 	}
+	probe := func(i int) logic.Formula {
+		bi := logic.Plus(logic.V("b"), logic.I(int64(i)))
+		return logic.Imp(logic.LeF(logic.V("a"), bi), logic.LeF(logic.V("a"), logic.Plus(bi, logic.I(1))))
+	}
 	first := s.ContextFor(skel(0))
-	for i := 1; i <= maxContexts; i++ {
-		if c := s.ContextFor(skel(i)); c == nil {
+	if !first.Valid(probe(0)) {
+		t.Fatal("first context lost a valid verdict")
+	}
+	const n = 64
+	for i := 1; i <= n; i++ {
+		c := s.ContextFor(skel(i))
+		if c == nil {
 			t.Fatalf("skeleton #%d got no context", i+1)
 		}
-		s.ctxMu.RLock()
-		n := len(s.ctxs)
-		s.ctxMu.RUnlock()
-		if n > maxContexts {
-			t.Fatalf("registry holds %d contexts after %d skeletons, cap %d", n, i+1, maxContexts)
+		if got, want := c.Valid(probe(i)), freshVerdict(probe(i)); got != want {
+			t.Fatalf("skeleton #%d: context=%v fresh=%v", i+1, got, want)
 		}
+		if used := s.ContextBudgetUsed(); used > budget {
+			t.Fatalf("registry holds %d SAT units after %d skeletons, budget %d", used, i+1, budget)
+		}
+		// Skeleton 1 is touched on every round, so it is never the least
+		// recently used group.
+		s.ContextFor(skel(1))
 	}
-	if s.ContextFor(skel(maxContexts)) != s.ContextFor(skel(maxContexts)) {
+	if s.NumContextsEvicted() == 0 || s.registered() > n {
+		t.Fatalf("no eviction: %d evicted, %d registered", s.NumContextsEvicted(), s.registered())
+	}
+	if s.ContextFor(skel(n)) != s.ContextFor(skel(n)) {
 		t.Error("newest skeleton's context not stable")
+	}
+	kept := s.ContextFor(skel(1))
+	if s.ContextFor(skel(1)) != kept {
+		t.Error("recently used skeleton's context not stable")
 	}
 	again := s.ContextFor(skel(0))
 	if again == nil || again == first {
-		t.Fatalf("oldest skeleton should have been evicted and re-created, got %p (first %p)", again, first)
+		t.Fatalf("least recently used skeleton should have been evicted and re-created, got %p (first %p)", again, first)
 	}
 	f := logic.Imp(logic.LeF(logic.V("a"), logic.V("b")), logic.LeF(logic.V("a"), logic.Plus(logic.V("b"), logic.I(1))))
 	if !again.Valid(f) {
 		t.Error("re-created context lost a valid verdict")
+	}
+	// The evicted context stays usable by a caller that still holds it.
+	if !first.Valid(logic.Imp(logic.LeF(logic.V("c"), logic.V("d")), logic.LeF(logic.V("c"), logic.Plus(logic.V("d"), logic.I(2))))) {
+		t.Error("evicted context lost a valid verdict")
+	}
+}
+
+// TestContextForBudgetConcurrent drives the registry from several goroutines
+// over more skeletons than a small budget holds, so lookups, creations,
+// growth and evictions interleave: every verdict must match a fresh
+// solver's, and the accounted size must end within the budget.
+func TestContextForBudgetConcurrent(t *testing.T) {
+	const budget = 96
+	s := newBudgetSolver(Options{}, budget, cacheBudget)
+	skel := func(k int) *logic.IFormula {
+		return logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.Plus(logic.V("b"), logic.I(int64(k)))))
+	}
+	probe := func(k, r int) logic.Formula {
+		bk := logic.Plus(logic.V("b"), logic.I(int64(k)))
+		return logic.Imp(logic.LeF(logic.V("a"), bk), logic.LeF(logic.V("a"), logic.Plus(bk, logic.I(int64(r%3)))))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 60; r++ {
+				k := (w*7 + r) % 40
+				f := probe(k, r)
+				if got, want := s.ContextFor(skel(k)).Valid(f), freshVerdict(f); got != want {
+					t.Errorf("skeleton %d round %d: context=%v fresh=%v", k, r, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if used := s.ContextBudgetUsed(); used > budget {
+		t.Errorf("registry holds %d SAT units, budget %d", used, budget)
+	}
+	if s.NumContextsEvicted() == 0 {
+		t.Error("no eviction over 40 skeletons")
 	}
 }
 

@@ -65,10 +65,11 @@ func TestConcurrentValidStress(t *testing.T) {
 }
 
 // TestConcurrentValidBoundedCache repeats the stress with a tight cache
-// bound: eviction must stay race-free and accounting exact even when
-// verdicts are continually evicted and re-decided.
+// budget: eviction must stay race-free and accounting exact even when
+// verdicts are continually evicted and re-decided, and singleflight waiters
+// must still receive the verdict of an entry evicted after they joined it.
 func TestConcurrentValidBoundedCache(t *testing.T) {
-	s := NewSolver(Options{CacheSize: cacheShards}) // one entry per shard
+	s := newBudgetSolver(Options{}, ctxBudget, 1) // one node: at most the in-flight entries
 	fs := stressFormulas(64)
 	var calls atomic.Int64
 	var wg sync.WaitGroup
@@ -88,6 +89,9 @@ func TestConcurrentValidBoundedCache(t *testing.T) {
 	wg.Wait()
 	if got := s.NumQueries() + s.NumCacheHits(); got != calls.Load() {
 		t.Errorf("Queries+CacheHits = %d, want %d", got, calls.Load())
+	}
+	if s.NumCacheEvicted() == 0 {
+		t.Error("one-node budget evicted nothing")
 	}
 }
 

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/lang"
@@ -122,22 +123,34 @@ func TestCacheBehaviour(t *testing.T) {
 	if s.NumQueries() != 1 || s.NumCacheHits() != 1 {
 		t.Errorf("queries=%d hits=%d, want 1/1", s.NumQueries(), s.NumCacheHits())
 	}
-	// Cache eviction under CacheSize.
-	s2 := NewSolver(Options{CacheSize: 1})
-	s2.Valid(mustF("a < a + 1"))
-	s2.Valid(mustF("b < b + 1"))
-	s2.Valid(mustF("a < a + 1"))
-	if s2.NumQueries() < 2 {
-		t.Errorf("bounded cache should have evicted: queries=%d", s2.NumQueries())
+	// Cache eviction under a one-node budget: every settled verdict is
+	// evicted by the next claim on its shard, so re-asking the first formula
+	// decides it again, with the same verdict.
+	s2 := newBudgetSolver(Options{}, ctxBudget, 1)
+	vars := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for i := 0; i < 8; i++ {
+		for _, v := range vars {
+			s2.Valid(mustF(fmt.Sprintf("%s < %s + %d", v, v, i+1)))
+		}
 	}
-	// Eviction is bounded, not a full wipe: with a larger cap, filling past
-	// the bound must not discard every earlier verdict at once.
-	s3 := NewSolver(Options{CacheSize: cacheShards * 2})
-	for _, v := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		s3.Valid(mustF(v + " < " + v + " + 1"))
+	if !s2.Valid(mustF("a < a + 1")) {
+		t.Error("re-decided verdict changed")
 	}
-	if got := s3.cache.size(); got == 0 {
-		t.Error("bounded eviction wiped the whole cache")
+	if s2.NumCacheEvicted() == 0 || s2.NumQueries() < 2 {
+		t.Errorf("bounded cache should have evicted: evicted=%d queries=%d", s2.NumCacheEvicted(), s2.NumQueries())
+	}
+	// Eviction is least recently used and bounded, not a full wipe: with a
+	// budget of about sixteen entries, filling past it must not discard
+	// every earlier verdict at once.
+	one := logic.Intern(mustF("a < a + 1")).Size()
+	s3 := newBudgetSolver(Options{}, ctxBudget, int64(16*one))
+	for i := 0; i < 8; i++ {
+		for _, v := range vars {
+			s3.Valid(mustF(fmt.Sprintf("%s < %s + %d", v, v, i+1)))
+		}
+	}
+	if got := s3.cache.size(); got == 0 || s3.NumCacheEvicted() == 0 {
+		t.Errorf("bounded eviction: %d entries left, %d evicted", got, s3.NumCacheEvicted())
 	}
 }
 

@@ -3,12 +3,12 @@ package smt
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/lia"
 	"repro/internal/logic"
+	"repro/internal/memo"
 	"repro/internal/sat"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -28,11 +28,6 @@ type Options struct {
 	MaxAckermannPairs int
 	// MaxTheoryIterations caps DPLL(T) model-repair rounds. Default 100000.
 	MaxTheoryIterations int
-	// CacheSize caps the validity memo table (0 = unlimited). The cap is
-	// approximate: it is split across the cache's shards, each of which
-	// holds at least one entry, and eviction is per-shard and bounded
-	// (completed entries are dropped one at a time, never a full wipe).
-	CacheSize int
 	// Stop, when non-nil, is polled inside the DPLL(T) loop; returning
 	// true abandons the query with a conservative "satisfiable" answer
 	// (Valid reports false), releasing the CPU promptly after a timeout.
@@ -54,9 +49,8 @@ type Options struct {
 // StoreParams is the fingerprint of every option that can change a verdict.
 // A knowledge store written under different bounds is sidelined at Open:
 // persisted verdicts are only as deterministic as the bounds they were
-// computed under. CacheSize and Stop are excluded — they change performance
-// and completion, never a settled verdict (Stop-fired conservative answers
-// are never appended).
+// computed under. Stop is excluded — it changes completion, never a settled
+// verdict (Stop-fired conservative answers are never appended).
 func (o Options) StoreParams() string {
 	o = o.Normalize()
 	return fmt.Sprintf("smt:v1 inst=%d max_inst=%d ack=%d theory_iters=%d incremental=%v",
@@ -90,27 +84,24 @@ type Solver struct {
 	cache *validityCache
 	stats *stats.Collector
 
-	// trigMemo caches triggersOf per interned universal quantifier
-	// (*logic.IFormula → map[string][]trigger); the value maps are
-	// read-only after construction, so sharing across goroutines is safe.
-	trigMemo sync.Map
+	// trigMemo caches triggersOf per interned universal quantifier; the
+	// value maps are read-only after construction, so sharing across
+	// goroutines is safe. Bounded (trigMemoCap), like all retained state.
+	trigMemo *memo.Table[*logic.IFormula, map[string][]trigger]
 
 	queries   atomic.Int64 // validity checks actually decided (cache misses)
 	cacheHits atomic.Int64 // validity checks answered from the memo table
 
 	// Incremental-context registry (one persistent Context per compiled VC
-	// skeleton) and its counters.
-	ctxMu        sync.RWMutex
-	ctxs         map[*logic.IFormula]*Context
-	ctxOrder     []*logic.IFormula // registry keys in insertion order, a ring of maxContexts
-	ctxNext      int               // ctxOrder slot of the next insertion (and the oldest key once full)
-	ctxCreated   atomic.Int64      // contexts created (registry + standalone + lanes)
-	ctxProbes    atomic.Int64      // probes decided incrementally under assumptions
-	ctxDormant   atomic.Int64      // contexts gone dormant (Ackermann budget exhausted)
-	lemmaReuse   atomic.Int64      // probes that reused learnt clauses or theory lemmas
-	lemmasShared atomic.Int64      // theory lemmas imported from a sibling lane's exchange
-	storeHits    atomic.Int64      // cache-missing verdicts answered from the knowledge store
-	lemmasWarm   atomic.Int64      // theory lemmas seeded into context groups from the store
+	// skeleton, under the ctxBudget share) and its counters.
+	reg          ctxRegistry
+	ctxCreated   atomic.Int64 // contexts created (registry + standalone + lanes)
+	ctxProbes    atomic.Int64 // probes decided incrementally under assumptions
+	ctxDormant   atomic.Int64 // contexts gone dormant (Ackermann budget exhausted)
+	lemmaReuse   atomic.Int64 // probes that reused learnt clauses or theory lemmas
+	lemmasShared atomic.Int64 // theory lemmas imported from a sibling lane's exchange
+	storeHits    atomic.Int64 // cache-missing verdicts answered from the knowledge store
+	lemmasWarm   atomic.Int64 // theory lemmas seeded into context groups from the store
 
 	// Fourier–Motzkin activity: fmScratch counts from-scratch eliminations
 	// (decideGround's general-LIA fallback, one lia.Check per theory
@@ -121,14 +112,16 @@ type Solver struct {
 	fmCounters lia.Counters
 }
 
-// maxContexts bounds the per-skeleton registry; beyond it ContextFor evicts
-// the oldest-inserted skeleton's context (FIFO) to make room.
-const maxContexts = 1024
-
-// NewSolver returns a solver with the given options.
+// NewSolver returns a solver with the given options, its retained state
+// under the fixed ctxBudget and cacheBudget shares.
 func NewSolver(opts Options) *Solver {
-	opts = opts.Normalize()
-	return &Solver{opts: opts, cache: newValidityCache(opts.CacheSize)}
+	s := &Solver{
+		opts:     opts.Normalize(),
+		cache:    newValidityCache(cacheBudget),
+		trigMemo: memo.New[*logic.IFormula, map[string][]trigger](trigMemoCap),
+	}
+	s.reg.budget = ctxBudget
+	return s
 }
 
 // SetStats attaches a collector that receives per-query latencies (Figure 4).
@@ -146,6 +139,22 @@ func (s *Solver) NumCacheHits() int64 { return s.cacheHits.Load() }
 
 // NumContexts returns how many incremental contexts were created.
 func (s *Solver) NumContexts() int64 { return s.ctxCreated.Load() }
+
+// NumContextsEvicted returns how many registered context groups were evicted
+// (least recently used first) to keep the registry within its budget.
+func (s *Solver) NumContextsEvicted() int64 { return s.reg.evicted.Load() }
+
+// ContextBudget returns the SAT units the registered context groups may hold
+// (the fixed ctxBudget share of the solver's retained-state budget).
+func (s *Solver) ContextBudget() int64 { return s.reg.budget }
+
+// ContextBudgetUsed returns the SAT units (variables + clauses + learnts over
+// all lanes) the registered context groups hold against their budget.
+func (s *Solver) ContextBudgetUsed() int64 { return s.reg.usage() }
+
+// NumCacheEvicted returns how many settled validity-cache entries were
+// evicted (least recently used first) to keep the cache within its budget.
+func (s *Solver) NumCacheEvicted() int64 { return s.cache.evicted.Load() }
 
 // NumAssumptionProbes returns how many probes were decided incrementally
 // (under assumptions in a persistent context) instead of from scratch. Every
@@ -201,46 +210,27 @@ func (s *Solver) Incremental() bool { return !s.opts.NoIncremental }
 
 // ContextFor returns the persistent incremental context keyed by a compiled
 // VC skeleton, creating it on first use. Returns nil when incremental solving
-// is disabled; callers must then fall back to Valid. The registry holds at
-// most maxContexts skeletons: a new one evicts the oldest-inserted, so a
-// long-running session keeps solving incrementally. Eviction is sound — a
-// re-requested skeleton just gets a fresh context — and a caller still
-// holding an evicted context may keep using it.
+// is disabled; callers must then fall back to Valid. The registry keeps its
+// groups within ctxBudget SAT units, evicting the least recently used ones,
+// so a long-running session keeps solving incrementally in bounded memory.
+// Eviction is sound — a re-requested skeleton just gets a fresh context —
+// and a caller still holding an evicted context may keep using it.
 func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 	if s.opts.NoIncremental || key == nil {
 		return nil
 	}
-	s.ctxMu.RLock()
-	c := s.ctxs[key]
-	s.ctxMu.RUnlock()
-	if c != nil {
+	if c := s.reg.get(key); c != nil {
 		return c
 	}
 	var skel string
 	if s.opts.Store != nil {
 		// The skeleton's portable identity keys its lemmas on disk; a
 		// skeleton the store has never seen simply loads nothing. Hashed
-		// before taking the write lock, so lookups of other skeletons do
-		// not wait behind it.
+		// before taking the registry lock, so lookups of other skeletons
+		// do not wait behind it.
 		skel = store.FormulaKey(key.Formula())
 	}
-	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	if c = s.ctxs[key]; c != nil {
-		return c
-	}
-	if s.ctxs == nil {
-		s.ctxs = map[*logic.IFormula]*Context{}
-		s.ctxOrder = make([]*logic.IFormula, maxContexts)
-	}
-	if old := s.ctxOrder[s.ctxNext]; old != nil {
-		delete(s.ctxs, old)
-	}
-	s.ctxOrder[s.ctxNext] = key
-	s.ctxNext = (s.ctxNext + 1) % maxContexts
-	c = s.newContextKeyed(skel)
-	s.ctxs[key] = c
-	return c
+	return s.reg.getOrAdd(key, func() *Context { return s.newContextKeyed(skel) })
 }
 
 // NewContext returns a standalone incremental context outside the
@@ -386,11 +376,10 @@ func (s *Solver) groundForm(n *logic.IFormula) (ground logic.Formula, done, v bo
 func (s *Solver) triggers(q logic.Forall) map[string][]trigger {
 	n := logic.Intern(q)
 	if v, ok := s.trigMemo.Load(n); ok {
-		return v.(map[string][]trigger)
+		return v
 	}
-	trigs := triggersOf(q.Body, q.Vars)
-	v, _ := s.trigMemo.LoadOrStore(n, trigs)
-	return v.(map[string][]trigger)
+	v, _ := s.trigMemo.LoadOrStore(n, triggersOf(q.Body, q.Vars))
+	return v
 }
 
 // decideGround decides a ground (quantifier-free, store-possible) formula by

@@ -92,3 +92,34 @@ func TestMergeFoldsCollectors(t *testing.T) {
 		t.Error("Merge(nil) changed the aggregate")
 	}
 }
+
+// TestSnapshotCostFlat: Snapshot reads fixed-size histograms, so neither its
+// allocations nor its cost grow with the number of recorded samples (a
+// serving session's collector snapshots on every request, for its whole
+// lifetime).
+func TestSnapshotCostFlat(t *testing.T) {
+	small, large := New(), New()
+	record(small, 10)
+	record(large, 200_000)
+	for _, c := range []*Collector{small, large} {
+		if a := testing.AllocsPerRun(100, func() { c.Snapshot() }); a != 0 {
+			t.Errorf("Snapshot allocates %.0f times per call", a)
+		}
+	}
+	cost := func(c *Collector) time.Duration {
+		best := time.Duration(1 << 62)
+		for r := 0; r < 5; r++ {
+			t0 := time.Now()
+			for i := 0; i < 2000; i++ {
+				c.Snapshot()
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	// Re-bucketing 200 000 raw samples per call would be ~10⁴x slower; a
+	// generous 4x absorbs scheduling noise on a shared host.
+	if s, l := cost(small), cost(large); l > 4*s+time.Millisecond {
+		t.Errorf("Snapshot with 200000 samples took %v per 2000 calls, %v with 10", l, s)
+	}
+}

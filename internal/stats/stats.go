@@ -7,30 +7,138 @@ package stats
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Collector accumulates statistics across a verification run.
+// Collector accumulates statistics across a verification run. Every sample
+// series is a fixed-bin histogram, so a long-lived collector (a serving
+// session's) holds constant memory and Snapshot costs the same after a
+// million samples as after one.
 type Collector struct {
 	mu sync.Mutex
 
-	queryDurations []time.Duration // Figure 4: one entry per SMT validity query
-	negSolSizes    []int           // Figure 6: #predicates per OptimalNegativeSolutions solution
-	optSolCounts   []int           // Figure 7: #solutions per OptimalSolutions call
-	candidates     []int           // Figure 8: candidate-set size per iterative step
-	satClauses     []int           // Figure 9: #clauses per CFP SAT formula
-	satVars        []int           // Figure 9 companion: #variables per CFP SAT formula
-	coreSizes      []int           // #predicates per unsat core extracted by consistency probes
-	coreEvictions  int             // cores evicted from the engine-global store to admit newer ones
-	fmCapHits      int             // Fourier–Motzkin runs that hit the derived-constraint cap
-	storeHits      int             // lookups answered from the on-disk knowledge store
-	storeMisses    int             // knowledge-store lookups that found nothing
+	queries       DurHist // Figure 4: one sample per SMT validity query
+	negSolSizes   IntHist // Figure 6: #predicates per OptimalNegativeSolutions solution
+	optSolCounts  IntHist // Figure 7: #solutions per OptimalSolutions call
+	candidates    IntHist // Figure 8: candidate-set size per iterative step
+	satClauses    IntHist // Figure 9: #clauses per CFP SAT formula
+	satVars       IntHist // Figure 9 companion: #variables per CFP SAT formula
+	coreSizes     IntHist // #predicates per unsat core extracted by consistency probes
+	coreEvictions int     // cores evicted from the engine-global store to admit newer ones
+	fmCapHits     int     // Fourier–Motzkin runs that hit the derived-constraint cap
+	storeHits     int     // lookups answered from the on-disk knowledge store
+	storeMisses   int     // knowledge-store lookups that found nothing
 }
 
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
+
+// DurHist is a fixed-bin histogram of durations over the paper's Figure 4
+// bins (QueryBucketLabels), with the samples' count, sum and max.
+type DurHist struct {
+	Buckets [5]int
+	Count   int
+	Sum     time.Duration
+	Max     time.Duration
+}
+
+// queryBucketMax are the inclusive upper bounds of DurHist's first four
+// buckets; the fifth is open.
+var queryBucketMax = [4]time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second}
+
+// Record adds one sample.
+func (h *DurHist) Record(d time.Duration) {
+	b := len(queryBucketMax)
+	for i, m := range queryBucketMax {
+		if d <= m {
+			b = i
+			break
+		}
+	}
+	h.Buckets[b]++
+	h.Count++
+	h.Sum += d
+	h.Max = max(h.Max, d)
+}
+
+func (h *DurHist) merge(o *DurHist) {
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+}
+
+// histExact is how many small values an IntHist bins one per value. Every
+// cut point Figures 6–8 print and every median Figures 8–9 print falls well
+// inside it (the paper bounds ψ_Prog below 500 clauses), so the figures
+// derived from the histogram are exactly those of the raw samples.
+const histExact = 512
+
+// IntHist is a fixed-bin histogram of non-negative integer samples: one bin
+// per value below histExact and one overflow bin for the rest, with the
+// samples' count, sum and max. Negative samples are binned as 0.
+type IntHist struct {
+	bins  [histExact + 1]int
+	Count int
+	Sum   int
+	Max   int
+}
+
+// Record adds one sample.
+func (h *IntHist) Record(v int) {
+	h.bins[min(max(v, 0), histExact)]++
+	h.Count++
+	h.Sum += v
+	h.Max = max(h.Max, v)
+}
+
+func (h *IntHist) merge(o *IntHist) {
+	for i := range h.bins {
+		h.bins[i] += o.bins[i]
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+}
+
+// Median returns the upper median of the samples (0 when empty); a median in
+// the overflow bin is reported as histExact.
+func (h *IntHist) Median() int {
+	if h.Count == 0 {
+		return 0
+	}
+	seen := 0
+	for v, n := range h.bins {
+		if seen += n; seen > h.Count/2 {
+			return v
+		}
+	}
+	return histExact
+}
+
+// Cuts buckets the samples by the given ascending cut points and returns
+// label→count: "<=c" for the samples in (previous cut, c], and ">last" for
+// the rest. Cut points must lie below histExact.
+func (h *IntHist) Cuts(cuts []int) map[string]int {
+	out := map[string]int{}
+	v := 0
+	for _, c := range cuts {
+		for ; v <= c; v++ {
+			if h.bins[v] > 0 {
+				out[fmt.Sprintf("<=%d", c)] += h.bins[v]
+			}
+		}
+	}
+	for ; v < len(h.bins); v++ {
+		if h.bins[v] > 0 {
+			out[fmt.Sprintf(">%d", cuts[len(cuts)-1])] += h.bins[v]
+		}
+	}
+	return out
+}
 
 // RecordQuery records the latency of one SMT validity query (Figure 4).
 func (c *Collector) RecordQuery(d time.Duration) {
@@ -38,7 +146,7 @@ func (c *Collector) RecordQuery(d time.Duration) {
 		return
 	}
 	c.mu.Lock()
-	c.queryDurations = append(c.queryDurations, d)
+	c.queries.Record(d)
 	c.mu.Unlock()
 }
 
@@ -49,7 +157,7 @@ func (c *Collector) RecordNegSolutionSize(n int) {
 		return
 	}
 	c.mu.Lock()
-	c.negSolSizes = append(c.negSolSizes, n)
+	c.negSolSizes.Record(n)
 	c.mu.Unlock()
 }
 
@@ -60,7 +168,7 @@ func (c *Collector) RecordOptSolutionCount(n int) {
 		return
 	}
 	c.mu.Lock()
-	c.optSolCounts = append(c.optSolCounts, n)
+	c.optSolCounts.Record(n)
 	c.mu.Unlock()
 }
 
@@ -71,7 +179,7 @@ func (c *Collector) RecordCandidates(n int) {
 		return
 	}
 	c.mu.Lock()
-	c.candidates = append(c.candidates, n)
+	c.candidates.Record(n)
 	c.mu.Unlock()
 }
 
@@ -82,8 +190,8 @@ func (c *Collector) RecordSATSize(clauses, vars int) {
 		return
 	}
 	c.mu.Lock()
-	c.satClauses = append(c.satClauses, clauses)
-	c.satVars = append(c.satVars, vars)
+	c.satClauses.Record(clauses)
+	c.satVars.Record(vars)
 	c.mu.Unlock()
 }
 
@@ -94,7 +202,7 @@ func (c *Collector) RecordCoreSize(n int) {
 		return
 	}
 	c.mu.Lock()
-	c.coreSizes = append(c.coreSizes, n)
+	c.coreSizes.Record(n)
 	c.mu.Unlock()
 }
 
@@ -157,7 +265,7 @@ func (c *Collector) StoreLookups() (hits, misses int) {
 	return c.storeHits, c.storeMisses
 }
 
-// Merge appends everything recorded in o into c. Safe for concurrent use on
+// Merge adds everything recorded in o into c. Safe for concurrent use on
 // c; o must not be concurrently recorded into while it is being merged.
 // It lets short-lived collectors (one per request or benchmark cell) fold
 // into a long-lived aggregate.
@@ -166,36 +274,32 @@ func (c *Collector) Merge(o *Collector) {
 		return
 	}
 	o.mu.Lock()
-	qd := append([]time.Duration(nil), o.queryDurations...)
-	ns := append([]int(nil), o.negSolSizes...)
-	oc := append([]int(nil), o.optSolCounts...)
-	cd := append([]int(nil), o.candidates...)
-	sc := append([]int(nil), o.satClauses...)
-	sv := append([]int(nil), o.satVars...)
-	cs := append([]int(nil), o.coreSizes...)
-	ce := o.coreEvictions
-	fm := o.fmCapHits
-	sh, sm := o.storeHits, o.storeMisses
+	oc := &Collector{
+		queries: o.queries, negSolSizes: o.negSolSizes, optSolCounts: o.optSolCounts,
+		candidates: o.candidates, satClauses: o.satClauses, satVars: o.satVars,
+		coreSizes: o.coreSizes, coreEvictions: o.coreEvictions, fmCapHits: o.fmCapHits,
+		storeHits: o.storeHits, storeMisses: o.storeMisses,
+	}
 	o.mu.Unlock()
 	c.mu.Lock()
-	c.queryDurations = append(c.queryDurations, qd...)
-	c.negSolSizes = append(c.negSolSizes, ns...)
-	c.optSolCounts = append(c.optSolCounts, oc...)
-	c.candidates = append(c.candidates, cd...)
-	c.satClauses = append(c.satClauses, sc...)
-	c.satVars = append(c.satVars, sv...)
-	c.coreSizes = append(c.coreSizes, cs...)
-	c.coreEvictions += ce
-	c.fmCapHits += fm
-	c.storeHits += sh
-	c.storeMisses += sm
+	c.queries.merge(&oc.queries)
+	c.negSolSizes.merge(&oc.negSolSizes)
+	c.optSolCounts.merge(&oc.optSolCounts)
+	c.candidates.merge(&oc.candidates)
+	c.satClauses.merge(&oc.satClauses)
+	c.satVars.merge(&oc.satVars)
+	c.coreSizes.merge(&oc.coreSizes)
+	c.coreEvictions += oc.coreEvictions
+	c.fmCapHits += oc.fmCapHits
+	c.storeHits += oc.storeHits
+	c.storeMisses += oc.storeMisses
 	c.mu.Unlock()
 }
 
 // Snapshot is a fixed-size, mergeable summary of a Collector: every field is
 // a count, so snapshots can be added (fleet aggregation) and subtracted
 // (request-scoped deltas between two points of a long-lived collector). The
-// latency histogram uses the Figure 4 buckets in DurationHistogram order.
+// latency histogram uses the Figure 4 buckets in QueryBucketLabels order.
 type Snapshot struct {
 	Queries        int    `json:"smt_queries"`
 	QueryBuckets   [5]int `json:"smt_query_latency_buckets"`
@@ -210,7 +314,7 @@ type Snapshot struct {
 	StoreMisses    int    `json:"store_misses"`
 }
 
-// QueryBucketLabels labels Snapshot.QueryBuckets, matching DurationHistogram.
+// QueryBucketLabels labels DurHist.Buckets and Snapshot.QueryBuckets.
 var QueryBucketLabels = [5]string{"<=1ms", "<=10ms", "<=100ms", "<=1s", ">1s"}
 
 // Snapshot summarizes everything recorded so far.
@@ -220,22 +324,19 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{
-		Queries:        len(c.queryDurations),
-		NegSolutions:   len(c.negSolSizes),
-		OptCalls:       len(c.optSolCounts),
-		CandidateSteps: len(c.candidates),
-		SATFormulas:    len(c.satClauses),
-		UnsatCores:     len(c.coreSizes),
+	return Snapshot{
+		Queries:        c.queries.Count,
+		QueryBuckets:   c.queries.Buckets,
+		NegSolutions:   c.negSolSizes.Count,
+		OptCalls:       c.optSolCounts.Count,
+		CandidateSteps: c.candidates.Count,
+		SATFormulas:    c.satClauses.Count,
+		UnsatCores:     c.coreSizes.Count,
 		CoreEvictions:  c.coreEvictions,
 		FMCapHits:      c.fmCapHits,
 		StoreHits:      c.storeHits,
 		StoreMisses:    c.storeMisses,
 	}
-	for i, b := range DurationHistogram(c.queryDurations) {
-		s.QueryBuckets[i] = b.Count
-	}
-	return s
 }
 
 // Add returns the field-wise sum of two snapshots.
@@ -275,152 +376,65 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return s
 }
 
-// CoreSizes returns a copy of the recorded unsat-core sizes.
-func (c *Collector) CoreSizes() []int {
+// CoreSizes returns the unsat-core size histogram.
+func (c *Collector) CoreSizes() IntHist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.coreSizes...)
+	return c.coreSizes
 }
 
-// QueryDurations returns a copy of the recorded SMT query latencies.
-func (c *Collector) QueryDurations() []time.Duration {
+// Queries returns the SMT query latency histogram (Figure 4).
+func (c *Collector) Queries() DurHist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.queryDurations...)
+	return c.queries
 }
 
-// NegSolutionSizes returns a copy of the recorded per-solution predicate counts.
-func (c *Collector) NegSolutionSizes() []int {
+// NegSolutionSizes returns the per-solution predicate-count histogram.
+func (c *Collector) NegSolutionSizes() IntHist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.negSolSizes...)
+	return c.negSolSizes
 }
 
-// OptSolutionCounts returns a copy of the recorded per-call solution counts.
-func (c *Collector) OptSolutionCounts() []int {
+// OptSolutionCounts returns the per-call solution-count histogram.
+func (c *Collector) OptSolutionCounts() IntHist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.optSolCounts...)
+	return c.optSolCounts
 }
 
-// Candidates returns a copy of the recorded candidate-set sizes.
-func (c *Collector) Candidates() []int {
+// Candidates returns the candidate-set size histogram.
+func (c *Collector) Candidates() IntHist {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.candidates...)
+	return c.candidates
 }
 
-// SATSizes returns copies of the recorded clause and variable counts.
-func (c *Collector) SATSizes() (clauses, vars []int) {
+// SATSizes returns the clause-count and variable-count histograms.
+func (c *Collector) SATSizes() (clauses, vars IntHist) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.satClauses...), append([]int(nil), c.satVars...)
-}
-
-// Histogram buckets integer samples and returns bucket→count, with bucket
-// upper bounds chosen from the supplied cut points (last bucket is open).
-func Histogram(samples []int, cuts []int) map[string]int {
-	out := map[string]int{}
-	for _, s := range samples {
-		placed := false
-		for _, c := range cuts {
-			if s <= c {
-				out[fmt.Sprintf("<=%d", c)]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			out[fmt.Sprintf(">%d", cuts[len(cuts)-1])]++
-		}
-	}
-	return out
-}
-
-// DurationHistogram buckets query latencies by the paper's Figure 4 cuts
-// (1ms, 10ms, 100ms, 1s, >1s) and returns labeled counts in display order.
-func DurationHistogram(ds []time.Duration) []struct {
-	Label string
-	Count int
-} {
-	cuts := []struct {
-		label string
-		max   time.Duration
-	}{
-		{"<=1ms", time.Millisecond},
-		{"<=10ms", 10 * time.Millisecond},
-		{"<=100ms", 100 * time.Millisecond},
-		{"<=1s", time.Second},
-	}
-	counts := make([]int, len(cuts)+1)
-	for _, d := range ds {
-		placed := false
-		for i, c := range cuts {
-			if d <= c.max {
-				counts[i]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			counts[len(cuts)]++
-		}
-	}
-	out := make([]struct {
-		Label string
-		Count int
-	}, 0, len(cuts)+1)
-	for i, c := range cuts {
-		out = append(out, struct {
-			Label string
-			Count int
-		}{c.label, counts[i]})
-	}
-	out = append(out, struct {
-		Label string
-		Count int
-	}{">1s", counts[len(cuts)]})
-	return out
-}
-
-// Median returns the median of the samples (0 for an empty slice).
-func Median(samples []int) int {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]int(nil), samples...)
-	sort.Ints(s)
-	return s[len(s)/2]
-}
-
-// Max returns the maximum of the samples (0 for an empty slice).
-func Max(samples []int) int {
-	m := 0
-	for _, s := range samples {
-		if s > m {
-			m = s
-		}
-	}
-	return m
+	return c.satClauses, c.satVars
 }
 
 // WriteSummary prints a human-readable digest of everything collected.
 func (c *Collector) WriteSummary(w io.Writer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fmt.Fprintf(w, "SMT queries: %d\n", len(c.queryDurations))
-	for _, b := range DurationHistogram(c.queryDurations) {
-		fmt.Fprintf(w, "  %-8s %d\n", b.Label, b.Count)
+	fmt.Fprintf(w, "SMT queries: %d\n", c.queries.Count)
+	for i, n := range c.queries.Buckets {
+		fmt.Fprintf(w, "  %-8s %d\n", QueryBucketLabels[i], n)
 	}
 	fmt.Fprintf(w, "OptimalNegativeSolutions solution sizes: median=%d max=%d over %d solutions\n",
-		Median(c.negSolSizes), Max(c.negSolSizes), len(c.negSolSizes))
+		c.negSolSizes.Median(), c.negSolSizes.Max, c.negSolSizes.Count)
 	fmt.Fprintf(w, "OptimalSolutions solution counts: median=%d max=%d over %d calls\n",
-		Median(c.optSolCounts), Max(c.optSolCounts), len(c.optSolCounts))
+		c.optSolCounts.Median(), c.optSolCounts.Max, c.optSolCounts.Count)
 	fmt.Fprintf(w, "Iterative candidate sizes: median=%d max=%d over %d steps\n",
-		Median(c.candidates), Max(c.candidates), len(c.candidates))
+		c.candidates.Median(), c.candidates.Max, c.candidates.Count)
 	fmt.Fprintf(w, "CFP SAT sizes: median clauses=%d max clauses=%d over %d formulas\n",
-		Median(c.satClauses), Max(c.satClauses), len(c.satClauses))
+		c.satClauses.Median(), c.satClauses.Max, c.satClauses.Count)
 	fmt.Fprintf(w, "Unsat core sizes: median=%d max=%d over %d cores (%d evicted)\n",
-		Median(c.coreSizes), Max(c.coreSizes), len(c.coreSizes), c.coreEvictions)
+		c.coreSizes.Median(), c.coreSizes.Max, c.coreSizes.Count, c.coreEvictions)
 	fmt.Fprintf(w, "Fourier-Motzkin cap hits (conservative answers): %d\n", c.fmCapHits)
 }

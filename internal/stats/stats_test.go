@@ -26,15 +26,15 @@ func TestRecordAndRead(t *testing.T) {
 	c.RecordOptSolutionCount(1)
 	c.RecordCandidates(8)
 	c.RecordSATSize(100, 40)
-	if got := len(c.QueryDurations()); got != 2 {
-		t.Errorf("queries = %d", got)
+	if q := c.Queries(); q.Count != 2 || q.Sum != 22*time.Millisecond || q.Max != 20*time.Millisecond {
+		t.Errorf("queries = %+v", q)
 	}
-	if got := c.NegSolutionSizes(); len(got) != 2 || got[1] != 3 {
-		t.Errorf("neg sizes = %v", got)
+	if got := c.NegSolutionSizes(); got.Count != 2 || got.Sum != 4 || got.Max != 3 {
+		t.Errorf("neg sizes = count %d sum %d max %d", got.Count, got.Sum, got.Max)
 	}
 	clauses, vars := c.SATSizes()
-	if clauses[0] != 100 || vars[0] != 40 {
-		t.Errorf("sat sizes = %v %v", clauses, vars)
+	if clauses.Max != 100 || vars.Max != 40 || clauses.Count != 1 {
+		t.Errorf("sat sizes = %d %d", clauses.Max, vars.Max)
 	}
 }
 
@@ -46,33 +46,57 @@ func TestDurationHistogram(t *testing.T) {
 		500 * time.Millisecond,
 		5 * time.Second,
 	}
-	h := DurationHistogram(ds)
-	if len(h) != 5 {
-		t.Fatalf("buckets = %d", len(h))
+	var h DurHist
+	for _, d := range ds {
+		h.Record(d)
 	}
-	for i, b := range h {
-		if b.Count != 1 {
-			t.Errorf("bucket %d (%s) = %d, want 1", i, b.Label, b.Count)
+	for i, n := range h.Buckets {
+		if n != 1 {
+			t.Errorf("bucket %d (%s) = %d, want 1", i, QueryBucketLabels[i], n)
 		}
+	}
+	if h.Count != 5 || h.Max != 5*time.Second {
+		t.Errorf("count %d max %v, want 5 and 5s", h.Count, h.Max)
 	}
 }
 
+func hist(samples ...int) *IntHist {
+	h := &IntHist{}
+	for _, v := range samples {
+		h.Record(v)
+	}
+	return h
+}
+
 func TestHistogram(t *testing.T) {
-	h := Histogram([]int{0, 1, 1, 2, 9}, []int{0, 1, 2})
-	if h["<=0"] != 1 || h["<=1"] != 2 || h["<=2"] != 1 || h[">2"] != 1 {
+	h := hist(0, 1, 1, 2, 9).Cuts([]int{0, 1, 2})
+	if len(h) != 4 || h["<=0"] != 1 || h["<=1"] != 2 || h["<=2"] != 1 || h[">2"] != 1 {
+		t.Errorf("histogram = %v", h)
+	}
+	// Only non-empty buckets appear, and overflow samples count past the
+	// last cut.
+	h = hist(3, histExact, 10*histExact).Cuts([]int{0, 1})
+	if len(h) != 1 || h[">1"] != 3 {
 		t.Errorf("histogram = %v", h)
 	}
 }
 
 func TestMedianMax(t *testing.T) {
-	if Median(nil) != 0 || Max(nil) != 0 {
+	if h := hist(); h.Median() != 0 || h.Max != 0 {
 		t.Error("empty stats")
 	}
-	if Median([]int{5, 1, 3}) != 3 {
-		t.Errorf("median = %d", Median([]int{5, 1, 3}))
+	if m := hist(5, 1, 3).Median(); m != 3 {
+		t.Errorf("median = %d", m)
 	}
-	if Max([]int{5, 1, 3}) != 5 {
+	// Even counts take the upper median, as sorting and indexing len/2 does.
+	if m := hist(4, 1, 3, 2).Median(); m != 3 {
+		t.Errorf("upper median = %d", m)
+	}
+	if hist(5, 1, 3).Max != 5 {
 		t.Error("max")
+	}
+	if h := hist(1, 2*histExact, 3*histExact); h.Median() != histExact || h.Max != 3*histExact {
+		t.Errorf("overflow median %d max %d", h.Median(), h.Max)
 	}
 }
 
@@ -104,7 +128,7 @@ func TestConcurrentRecording(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(c.QueryDurations()); got != 800 {
+	if got := c.Queries().Count; got != 800 {
 		t.Errorf("queries = %d, want 800", got)
 	}
 }
