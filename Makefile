@@ -60,18 +60,24 @@ test-race:
 # search-record sweep: every replayed group-search result of every examples/
 # problem equals a fresh enumeration element for element with zero rejects,
 # tampered, re-keyed and Stop-cut records are never trusted, and a tampered
-# store still reaches the same verdicts.
+# store still reaches the same verdicts. The TestPlan tests (first line) pin
+# the grounding plan's edge cases against the multi-pass grounding oracle,
+# concurrent probes under the race detector included; the last line is the
+# grounding sweep: every probe of every examples/ problem and every
+# DefaultSuite cell is grounded both ways and must intern to the same node.
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestContext|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestContext|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
+	$(GO) test -run 'TestGroundPlanMatchesOracle' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record
-# replay, and the spec-file lexer and parser, 10s per target. Plain
+# replay, its outcome-digest (bloom) decoder, and the spec-file lexer and
+# parser, 10s per target. Plain
 # `go test` already replays the committed seed corpora under
 # internal/rpc/testdata/fuzz, internal/store/testdata/fuzz and
 # internal/lang/testdata/fuzz.
@@ -80,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreRecord$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an

@@ -150,9 +150,9 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 	// each probe goes through the path's persistent incremental context
 	// (falls back to from-scratch solving when the solver is non-incremental).
 	pathValid := func(i int, sigma template.Solution) bool {
-		f := p.PathVCAt(i, sigma)
+		f, fill := p.PathVCFill(i, sigma)
 		if c := eng.S.ContextFor(p.PathVCSkeleton(i)); c != nil {
-			return c.Valid(f)
+			return c.ValidFill(f, fill)
 		}
 		return eng.S.Valid(f)
 	}

@@ -59,7 +59,50 @@ func HashTerm(t Term, n *int) uint64 { return hashTerm(fnvOffset64, t, n) }
 func HashArr(a Arr, n *int) uint64 { return hashArr(fnvOffset64, a, n) }
 
 // HashFormula returns the structural hash of f and adds its node count to *n.
+// A connective's hash folds its operands' own hashes, so JunctionHash,
+// NotHash, ImpliesHash and QuantHash compute it from them without walking
+// the operands.
 func HashFormula(f Formula, n *int) uint64 { return hashFormula(fnvOffset64, f, n) }
+
+// JunctionHash returns HashFormula of the conjunction (or, with or set, the
+// disjunction) of operands whose hashes are hs.
+func JunctionHash(or bool, hs []uint64) uint64 {
+	tag := tagAnd
+	if or {
+		tag = tagOr
+	}
+	h := mix(mix(fnvOffset64, tag), uint64(len(hs)))
+	for _, x := range hs {
+		h = mix(h, x)
+	}
+	return h
+}
+
+// NotHash returns HashFormula(Not{F}) for an F whose hash is hf.
+func NotHash(hf uint64) uint64 { return mix(mix(fnvOffset64, tagNot), hf) }
+
+// ImpliesHash returns HashFormula(Implies{A, B}) from the operands' hashes.
+func ImpliesHash(ha, hb uint64) uint64 {
+	return mix(mix(mix(fnvOffset64, tagImplies), ha), hb)
+}
+
+// QuantHash returns HashFormula of ∀vars: body (∃ with exists set) for a
+// body whose hash is hb.
+func QuantHash(exists bool, vars []string, hb uint64) uint64 {
+	tag := tagForall
+	if exists {
+		tag = tagExists
+	}
+	return quantHash(fnvOffset64, tag, vars, hb)
+}
+
+func quantHash(h, tag uint64, vars []string, hb uint64) uint64 {
+	h = mix(mix(h, tag), uint64(len(vars)))
+	for _, v := range vars {
+		h = mixString(h, v)
+	}
+	return mix(h, hb)
+}
 
 func hashTerm(h uint64, t Term, n *int) uint64 {
 	*n++
@@ -109,33 +152,25 @@ func hashFormula(h uint64, f Formula, n *int) uint64 {
 		}
 		return mix(mix(h, tagBool), v)
 	case Not:
-		return hashFormula(mix(h, tagNot), f.F, n)
+		return mix(mix(h, tagNot), hashFormula(fnvOffset64, f.F, n))
 	case And:
 		h = mix(mix(h, tagAnd), uint64(len(f.Fs)))
 		for _, g := range f.Fs {
-			h = hashFormula(h, g, n)
+			h = mix(h, hashFormula(fnvOffset64, g, n))
 		}
 		return h
 	case Or:
 		h = mix(mix(h, tagOr), uint64(len(f.Fs)))
 		for _, g := range f.Fs {
-			h = hashFormula(h, g, n)
+			h = mix(h, hashFormula(fnvOffset64, g, n))
 		}
 		return h
 	case Implies:
-		return hashFormula(hashFormula(mix(h, tagImplies), f.A, n), f.B, n)
+		return mix(mix(mix(h, tagImplies), hashFormula(fnvOffset64, f.A, n)), hashFormula(fnvOffset64, f.B, n))
 	case Forall:
-		h = mix(mix(h, tagForall), uint64(len(f.Vars)))
-		for _, v := range f.Vars {
-			h = mixString(h, v)
-		}
-		return hashFormula(h, f.Body, n)
+		return quantHash(h, tagForall, f.Vars, hashFormula(fnvOffset64, f.Body, n))
 	case Exists:
-		h = mix(mix(h, tagExists), uint64(len(f.Vars)))
-		for _, v := range f.Vars {
-			h = mixString(h, v)
-		}
-		return hashFormula(h, f.Body, n)
+		return quantHash(h, tagExists, f.Vars, hashFormula(fnvOffset64, f.Body, n))
 	case Unknown:
 		return mixString(mix(h, tagUnknown), f.Name)
 	case AEq:
@@ -210,6 +245,9 @@ func FormulaStructEq(a, b Formula) bool {
 		if !ok || len(a.Fs) != len(b.Fs) {
 			return false
 		}
+		if sameOperands(a.Fs, b.Fs) {
+			return true
+		}
 		for i := range a.Fs {
 			if !FormulaStructEq(a.Fs[i], b.Fs[i]) {
 				return false
@@ -220,6 +258,9 @@ func FormulaStructEq(a, b Formula) bool {
 		b, ok := b.(Or)
 		if !ok || len(a.Fs) != len(b.Fs) {
 			return false
+		}
+		if sameOperands(a.Fs, b.Fs) {
+			return true
 		}
 		for i := range a.Fs {
 			if !FormulaStructEq(a.Fs[i], b.Fs[i]) {
@@ -246,6 +287,13 @@ func FormulaStructEq(a, b Formula) bool {
 	panic("logic: unknown formula in FormulaStructEq")
 }
 
+// sameOperands reports whether two equal-length operand slices share their
+// backing array, hence their elements: formulas are immutable, so a formula
+// built once and referenced from many places compares in O(1).
+func sameOperands(a, b []Formula) bool {
+	return len(a) > 0 && &a[0] == &b[0]
+}
+
 func stringsEq(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
@@ -255,30 +303,6 @@ func stringsEq(a, b []string) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// formulaSet is an order-insensitive membership set of formulas keyed by
-// structural hash with structural-equality collision resolution. It replaces
-// String()-keyed dedup maps on hot paths (Simplify, quantifier
-// instantiation) so membership tests never serialize.
-type formulaSet struct {
-	buckets map[uint64][]Formula
-}
-
-// add inserts f and reports whether it was absent.
-func (s *formulaSet) add(f Formula) bool {
-	if s.buckets == nil {
-		s.buckets = make(map[uint64][]Formula)
-	}
-	n := 0
-	h := HashFormula(f, &n)
-	for _, g := range s.buckets[h] {
-		if FormulaStructEq(f, g) {
-			return false
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], f)
 	return true
 }
 

@@ -12,7 +12,7 @@ import (
 // structurally equal formulas intern to the same pointer and equality and
 // map keys become a single word. Handles carry the precomputed structural
 // hash, node count, and a stable allocation ID, plus memo slots for the
-// normalizations the solver applies over and over (Simplify, NNF, Neg, and
+// normalizations the solver applies over and over (Simplify, Neg, and
 // one caller-supplied slot used by the SMT preprocessing chain).
 //
 // Invariants: interned nodes are never mutated (formulas are value trees
@@ -52,7 +52,6 @@ type IFormula struct {
 	size int32
 
 	simplified atomic.Pointer[IFormula]
-	nnf        atomic.Pointer[IFormula]
 	neg        atomic.Pointer[IFormula]
 	norm       atomic.Pointer[IFormula]
 }
@@ -111,20 +110,6 @@ func (n *IFormula) Simplified() *IFormula {
 		m.simplified.Store(m)
 	}
 	n.simplified.Store(m)
-	return m
-}
-
-// NNFed returns Intern(NNF(f)), memoized on the handle. As with NNF itself,
-// f must be unknown-free.
-func (n *IFormula) NNFed() *IFormula {
-	if m := n.nnf.Load(); m != nil {
-		return m
-	}
-	m := Intern(NNF(n.f))
-	if m != n && m.nnf.Load() == nil {
-		m.nnf.Store(m)
-	}
-	n.nnf.Store(m)
 	return m
 }
 

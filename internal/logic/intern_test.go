@@ -132,8 +132,8 @@ func TestInternObservational(t *testing.T) {
 			t.Fatalf("trial %d: memoized Neg diverges on %s", trial, f)
 		}
 		if !opts.unknowns && !opts.arrays {
-			if NNF(f).String() != n.NNFed().Formula().String() {
-				t.Fatalf("trial %d: memoized NNF diverges on %s", trial, f)
+			if NNF(f).String() != NNF(g).String() {
+				t.Fatalf("trial %d: NNF of the interned representative diverges on %s", trial, f)
 			}
 		}
 		if !opts.unknowns {
@@ -301,5 +301,87 @@ func BenchmarkIntern(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Intern(f)
+	}
+}
+
+// TestComposedHashes checks that the connective hash helpers compute
+// HashFormula from operand hashes alone, and that a Junction fed operands
+// with known hashes (AddHashed) builds what Simplify builds, with the hashes
+// Result reports.
+func TestComposedHashes(t *testing.T) {
+	hash := func(f Formula) uint64 {
+		n := 0
+		return HashFormula(f, &n)
+	}
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 2000; trial++ {
+		opts := genOpts{arrays: trial%2 == 0}
+		a, b := randFormula(r, 1+r.Intn(3), opts), randFormula(r, 1+r.Intn(3), opts)
+		fs := []Formula{a, b, randFormula(r, 2, opts)}
+		hs := []uint64{hash(fs[0]), hash(fs[1]), hash(fs[2])}
+		switch {
+		case JunctionHash(false, hs) != hash(And{Fs: fs}), JunctionHash(true, hs) != hash(Or{Fs: fs}):
+			t.Fatalf("trial %d: junction hash differs for %v", trial, fs)
+		case NotHash(hs[0]) != hash(Not{F: a}):
+			t.Fatalf("trial %d: not hash differs for %s", trial, a)
+		case ImpliesHash(hs[0], hs[1]) != hash(Implies{A: a, B: b}):
+			t.Fatalf("trial %d: implication hash differs for %s, %s", trial, a, b)
+		case QuantHash(false, []string{"q"}, hs[0]) != hash(Forall{Vars: []string{"q"}, Body: a}),
+			QuantHash(true, []string{"q"}, hs[0]) != hash(Exists{Vars: []string{"q"}, Body: a}):
+			t.Fatalf("trial %d: quantifier hash differs for %s", trial, a)
+		}
+		for _, or := range []bool{false, true} {
+			j := Junction{Or: or}
+			for _, g := range fs {
+				s := Simplify(g)
+				if j.AddHashed(s, hash(s), OperandHashes(s)) {
+					break
+				}
+			}
+			want := Simplify(And{Fs: fs})
+			if or {
+				want = Simplify(Or{Fs: fs})
+			}
+			got, h, parts := j.Result()
+			if !FormulaStructEq(got, want) || h != hash(want) {
+				t.Fatalf("trial %d: junction built %s (hash %x), Simplify %s (hash %x)", trial, got, h, want, hash(want))
+			}
+			if ws := OperandHashes(want); fmt.Sprint(parts) != fmt.Sprint(ws) {
+				t.Fatalf("trial %d: junction operand hashes %v, want %v", trial, parts, ws)
+			}
+		}
+	}
+}
+
+// TestJunctionLargeDedup drives Junction past its linear scan into the
+// hash table with many duplicate operands.
+func TestJunctionLargeDedup(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	pool := make([]Formula, 12)
+	for i := range pool {
+		pool[i] = Atom{Op: Lt, X: V(genVars[i%len(genVars)]), Y: I(int64(i))}
+	}
+	for trial := 0; trial < 200; trial++ {
+		fs := make([]Formula, 5+r.Intn(60))
+		for i := range fs {
+			fs[i] = pool[r.Intn(len(pool))]
+			if r.Intn(4) == 0 {
+				fs[i] = Or{Fs: []Formula{pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]}}
+			}
+		}
+		var j Junction
+		for _, g := range fs {
+			j.Add(Simplify(g))
+		}
+		if got, want := j.Formula(), Simplify(And{Fs: fs}); !FormulaStructEq(got, want) {
+			t.Fatalf("trial %d: junction %s, Simplify %s", trial, got, want)
+		}
+		seen := map[string]bool{}
+		for _, g := range j.Formula().(And).Fs {
+			if seen[g.String()] {
+				t.Fatalf("trial %d: duplicate operand %s", trial, g)
+			}
+			seen[g.String()] = true
+		}
 	}
 }

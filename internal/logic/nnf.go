@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -178,53 +179,9 @@ func Simplify(f Formula) Formula {
 	case Not:
 		return Neg(Simplify(f.F))
 	case And:
-		var out []Formula
-		var seen formulaSet
-		for _, g := range f.Fs {
-			s := Simplify(g)
-			switch s := s.(type) {
-			case Bool:
-				if !s.Val {
-					return False
-				}
-				continue
-			case And:
-				for _, h := range s.Fs {
-					if seen.add(h) {
-						out = append(out, h)
-					}
-				}
-				continue
-			}
-			if seen.add(s) {
-				out = append(out, s)
-			}
-		}
-		return Conj(out...)
+		return simplifyJunction(false, f.Fs)
 	case Or:
-		var out []Formula
-		var seen formulaSet
-		for _, g := range f.Fs {
-			s := Simplify(g)
-			switch s := s.(type) {
-			case Bool:
-				if s.Val {
-					return True
-				}
-				continue
-			case Or:
-				for _, h := range s.Fs {
-					if seen.add(h) {
-						out = append(out, h)
-					}
-				}
-				continue
-			}
-			if seen.add(s) {
-				out = append(out, s)
-			}
-		}
-		return Disj(out...)
+		return simplifyJunction(true, f.Fs)
 	case Implies:
 		return Imp(Simplify(f.A), Simplify(f.B))
 	case Forall:
@@ -258,4 +215,196 @@ func evalRel(op RelOp, x, y int64) bool {
 		return x >= y
 	}
 	panic("logic: bad RelOp")
+}
+
+// simplifyJunction simplifies each operand and folds them with Junction.
+func simplifyJunction(or bool, fs []Formula) Formula {
+	j := Junction{Or: or}
+	for _, g := range fs {
+		if j.Add(Simplify(g)) {
+			break
+		}
+	}
+	return j.Formula()
+}
+
+// Junction is Simplify's rule for one conjunction (or, with Or set, one
+// disjunction) over operands that are already simplified: the absorbing
+// constant short-circuits, the neutral one is dropped, nested operands of the
+// same kind are flattened, and structural duplicates are removed, keeping
+// first occurrences in order. Simplify folds every And and Or through it, so
+// a caller that rebuilds a simplified formula from memoized simplified parts
+// gets exactly the structure Simplify would produce on the whole.
+type Junction struct {
+	Or  bool
+	out []Formula
+	hs  []uint64 // HashFormula of each operand in out
+	// Past junctionScan operands, duplicates are found through tab, an
+	// open-addressing table over hs (slot = operand index + 1, 0 = empty,
+	// at most half full); below it a scan of hs is cheaper.
+	tab      []int32
+	absorbed bool
+}
+
+const junctionScan = 8
+
+// Add appends one simplified operand and reports whether the junction is now
+// decided by an absorbing constant (false for And, true for Or); further
+// operands are then irrelevant.
+func (j *Junction) Add(s Formula) bool { return j.add(s, 0, nil, false) }
+
+// AddHashed is Add for an operand whose HashFormula is h; when s is a
+// conjunction or disjunction, parts holds its operands' hashes.
+func (j *Junction) AddHashed(s Formula, h uint64, parts []uint64) bool {
+	return j.add(s, h, parts, true)
+}
+
+func (j *Junction) add(s Formula, h uint64, parts []uint64, known bool) bool {
+	if j.absorbed {
+		return true
+	}
+	var splice []Formula
+	switch s := s.(type) {
+	case Bool:
+		if s.Val == j.Or {
+			j.absorbed = true
+			return true
+		}
+		return false
+	case And:
+		if !j.Or {
+			splice = s.Fs
+		}
+	case Or:
+		if j.Or {
+			splice = s.Fs
+		}
+	}
+	if splice != nil {
+		for i, x := range splice {
+			if known {
+				j.addOne(x, parts[i])
+			} else {
+				n := 0
+				j.addOne(x, HashFormula(x, &n))
+			}
+		}
+		return false
+	}
+	if !known {
+		n := 0
+		h = HashFormula(s, &n)
+	}
+	j.addOne(s, h)
+	return false
+}
+
+func (j *Junction) addOne(f Formula, h uint64) {
+	if j.tab == nil {
+		for i, x := range j.hs {
+			if x == h && FormulaStructEq(j.out[i], f) {
+				return
+			}
+		}
+	} else {
+		mask := uint64(len(j.tab) - 1)
+		for i := h & mask; j.tab[i] != 0; i = (i + 1) & mask {
+			if k := j.tab[i] - 1; j.hs[k] == h && FormulaStructEq(j.out[k], f) {
+				return
+			}
+		}
+	}
+	j.out = append(j.out, f)
+	j.hs = append(j.hs, h)
+	switch n := len(j.out); {
+	case n > junctionScan && 2*n > len(j.tab):
+		j.rehash(4 * n)
+	case j.tab != nil:
+		j.place(int32(n - 1))
+	}
+}
+
+// rehash rebuilds the duplicate table with at least size slots.
+func (j *Junction) rehash(size int) {
+	n := 16
+	for n < size {
+		n <<= 1
+	}
+	j.tab = make([]int32, n)
+	for i := range j.out {
+		j.place(int32(i))
+	}
+}
+
+// place enters operand i into the duplicate table.
+func (j *Junction) place(i int32) {
+	mask := uint64(len(j.tab) - 1)
+	k := j.hs[i] & mask
+	for j.tab[k] != 0 {
+		k = (k + 1) & mask
+	}
+	j.tab[k] = i + 1
+}
+
+// Grow reserves room for n more operands.
+func (j *Junction) Grow(n int) {
+	j.out = slices.Grow(j.out, n)
+	j.hs = slices.Grow(j.hs, n)
+}
+
+// Len returns how many operands the junction holds.
+func (j *Junction) Len() int { return len(j.out) }
+
+// Absorbed reports whether an absorbing constant decided the junction.
+func (j *Junction) Absorbed() bool { return j.absorbed }
+
+// Formula returns the simplified junction: what Conj (Disj) returns on the
+// kept operands, which hold no constants and no operand of the same kind.
+// The junction must not be added to afterwards.
+func (j *Junction) Formula() Formula {
+	switch {
+	case j.absorbed:
+		return Bool{Val: j.Or}
+	case len(j.out) == 0:
+		return Bool{Val: !j.Or}
+	case len(j.out) == 1:
+		return j.out[0]
+	case j.Or:
+		return Or{Fs: j.out}
+	}
+	return And{Fs: j.out}
+}
+
+// Result returns Formula() together with its HashFormula and, when it is a
+// conjunction or disjunction, its operands' hashes — what AddHashed takes.
+func (j *Junction) Result() (f Formula, h uint64, parts []uint64) {
+	f = j.Formula()
+	switch {
+	case j.absorbed || len(j.out) == 0:
+		n := 0
+		return f, HashFormula(f, &n), nil
+	case len(j.out) > 1:
+		return f, JunctionHash(j.Or, j.hs), j.hs
+	}
+	return f, j.hs[0], OperandHashes(f)
+}
+
+// OperandHashes returns the HashFormula of each operand of f when f is a
+// conjunction or disjunction, else nil.
+func OperandHashes(f Formula) []uint64 {
+	var fs []Formula
+	switch f := f.(type) {
+	case And:
+		fs = f.Fs
+	case Or:
+		fs = f.Fs
+	default:
+		return nil
+	}
+	hs := make([]uint64, len(fs))
+	for i, g := range fs {
+		n := 0
+		hs[i] = HashFormula(g, &n)
+	}
+	return hs
 }

@@ -210,9 +210,11 @@ func (e *Engine) Filler(phi logic.Formula) *template.Filler {
 // incremental context keyed by the unfilled φ (the skeleton shared by every
 // candidate fill) when one is available.
 func (e *Engine) valid(phi logic.Formula, sigma template.Solution) bool {
-	f := e.Filler(phi).FillSolution(sigma)
+	fl := e.Filler(phi)
+	fill := fl.SolutionFill(sigma)
+	f := fl.Fill(fill)
 	if c := e.S.ContextFor(logic.Intern(phi)); c != nil {
-		return c.Valid(f)
+		return c.ValidFill(f, fill)
 	}
 	return e.S.Valid(f)
 }
@@ -430,9 +432,10 @@ func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
 	fl := e.Filler(phi)
 	ctx := e.S.ContextFor(logic.Intern(phi))
 	g.probe = func(sigma template.Solution) bool {
-		f := fl.FillSolution(sigma)
+		fill := fl.SolutionFill(sigma)
+		f := fl.Fill(fill)
 		if ctx != nil {
-			return ctx.Valid(f)
+			return ctx.ValidFill(f, fill)
 		}
 		return e.S.Valid(f)
 	}

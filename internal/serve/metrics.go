@@ -50,6 +50,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("vs3d_ctx_evicted_total", "Context groups evicted, least recently used first, to keep each solver within its budget.", float64(sr.CtxEvicted), id...)
 	pw.Gauge("vs3d_ctx_budget_used", "SAT units held by registered context groups across all sessions.", float64(sr.CtxBudgetUsed), id...)
 	pw.Counter("vs3d_cache_evicted_total", "Validity-cache entries evicted, least recently used first, to keep each solver within its budget.", float64(sr.CacheEvicted), id...)
+	pw.Counter("vs3d_ground_plans_total", "Grounding plans compiled, one per context group that grounds a probe.", float64(sr.GroundPlans), id...)
+	pw.Counter("vs3d_plan_probes_total", "Probes grounded from their context group's plan.", float64(sr.PlanProbes), id...)
+	pw.Counter("vs3d_plan_fallbacks_total", "Probes whose fill their group's plan could not express, grounded whole.", float64(sr.PlanFallbacks), id...)
+	pw.Counter("vs3d_ground_seconds_total", "Time spent grounding probes, on every path.", sr.GroundMS/1000, id...)
 	pw.Counter("vs3d_fm_scratch_total", "From-scratch Fourier-Motzkin eliminations outside persistent checkers.", float64(sr.FMScratch), id...)
 	pw.Counter("vs3d_fm_incremental_total", "Elimination runs inside persistent general-LIA checkers.", float64(sr.FMIncremental), id...)
 	pw.Counter("vs3d_fm_cube_hits_total", "Theory checks answered from persisted conflict cubes.", float64(sr.FMCubeHits), id...)

@@ -693,6 +693,13 @@ type statsResponse struct {
 	CtxBudgetUsed int64 `json:"ctx_budget_used"`
 	CacheEvicted  int64 `json:"cache_evicted"`
 
+	// Grounding (smt DESIGN §10): plans compiled, probes grounded from a
+	// plan, probes a plan could not express, and time spent grounding.
+	GroundPlans   int64   `json:"ground_plans"`
+	PlanProbes    int64   `json:"plan_probes"`
+	PlanFallbacks int64   `json:"plan_fallbacks"`
+	GroundMS      float64 `json:"ground_ms"`
+
 	// Fourier–Motzkin counters: from-scratch eliminations outside any
 	// persistent checker, incremental runs and conflict-cube hits inside
 	// persistent LinCheckers, derived-cap hits (conservative answers), and
@@ -791,6 +798,10 @@ func (s *Server) statsSnapshot() statsResponse {
 		resp.CtxEvicted += eng.S.NumContextsEvicted()
 		resp.CtxBudgetUsed += eng.S.ContextBudgetUsed()
 		resp.CacheEvicted += eng.S.NumCacheEvicted()
+		resp.GroundPlans += eng.S.NumGroundPlans()
+		resp.PlanProbes += eng.S.NumPlanProbes()
+		resp.PlanFallbacks += eng.S.NumPlanFallbacks()
+		resp.GroundMS += float64(eng.S.GroundTime()) / float64(time.Millisecond)
 		resp.FMScratch += eng.S.NumFMScratch()
 		resp.FMIncremental += eng.S.NumFMIncremental()
 		resp.FMCubeHits += eng.S.NumFMCubeHits()

@@ -167,6 +167,11 @@ type ctxGroup struct {
 		mu     sync.RWMutex
 		lemmas []theoryLemma
 	}
+
+	// plan is the skeleton's grounding plan (registered groups only),
+	// compiled by the first probe that grounds with a fill.
+	planOnce sync.Once
+	plan     *groundPlan
 }
 
 // theoryLemma is one theory conflict in grounder-independent form: the
@@ -285,15 +290,21 @@ func (c *Context) reset() {
 	c.imported = 0
 }
 
-// Valid mirrors Solver.Valid — same memo table, same trivial short-circuits,
-// same conservative treatment of Stop — but decides cache misses through the
-// persistent context: the probe's ground formula is encoded into the shared
-// SAT instance and solved under a single assumption literal, reusing learnt
-// clauses, theory lemmas, Ackermann constraints, and the difference-fragment
-// preprocessing of all earlier probes. Falls back to the from-scratch
-// decision when the context cannot answer exactly (dormant context or lock
-// contention); verdicts are identical either way.
-func (c *Context) Valid(f logic.Formula) bool {
+// ValidFill mirrors Solver.Valid — same memo table, same trivial
+// short-circuits, same conservative treatment of Stop — but decides cache
+// misses through the persistent context: the probe's ground formula is
+// encoded into the shared SAT instance and solved under a single assumption
+// literal, reusing learnt clauses, theory lemmas, Ackermann constraints, and
+// the difference-fragment preprocessing of all earlier probes. Falls back to
+// the from-scratch decision when the context cannot answer exactly (dormant
+// context or lock contention); verdicts are identical either way.
+//
+// fill, when non-nil, is what f was built from: f is the context's skeleton
+// with each unknown u replaced by fill[u]. The probe is then grounded
+// through the group's grounding plan, which shares all skeleton work across
+// the group's probes. The validity cache and the knowledge store are keyed
+// by f alone, exactly as without a fill.
+func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool {
 	if v, ok := logic.TrivialVerdict(f); ok {
 		return v
 	}
@@ -316,13 +327,8 @@ func (c *Context) Valid(f logic.Formula) bool {
 		c.s.stats.RecordStoreLookup(false)
 	}
 	start := time.Now()
-	var v bool
-	sn := n.Simplified()
-	if b, ok := sn.Formula().(logic.Bool); ok {
-		v = b.Val
-		c.s.queries.Add(1)
-	} else if ground, done, gv := c.s.groundForm(sn.Negated()); done {
-		v = !gv
+	ground, decided, v := c.s.ground(n, c.group, fill)
+	if decided {
 		c.s.queries.Add(1)
 	} else if satisfiable, ok := c.tryDecide(ground); ok {
 		v = !satisfiable
@@ -341,6 +347,16 @@ func (c *Context) Valid(f logic.Formula) bool {
 		c.s.opts.Store.AppendVerdict(skey, v)
 	}
 	return v
+}
+
+// groundPlan returns the group's grounding plan, compiling it on first use.
+func (g *ctxGroup) groundPlan() *groundPlan {
+	g.planOnce.Do(func() {
+		g.plan = newGroundPlan(g.s, g.key.Formula())
+		g.s.plansBuilt.Add(1)
+		g.s.stats.RecordGroundPlan()
+	})
+	return g.plan
 }
 
 // tryDecide decides satisfiability of a ground formula incrementally.

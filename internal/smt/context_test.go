@@ -384,8 +384,8 @@ func TestContextLemmaExchange(t *testing.T) {
 	)
 	lane1 := ctx.group.snapshotLanes()[0]
 	lane1.mu.Lock()
-	g, done, _ := s.groundForm(logic.Intern(cyc))
-	if done {
+	g, decided, _ := s.groundStatic(logic.Intern(logic.Neg(cyc)))
+	if decided {
 		t.Fatal("cycle formula decided syntactically")
 	}
 	sat1, ok := lane1.decideLocked(g)

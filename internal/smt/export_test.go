@@ -1,5 +1,12 @@
 package smt
 
+import (
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/logic"
+)
+
 // newBudgetSolver returns a solver whose retained-state budget is shrunk to
 // ctxUnits SAT units for registered context groups and cacheNodes formula
 // nodes for the validity cache, so tests can drive eviction with a handful of
@@ -17,3 +24,60 @@ func (s *Solver) registered() int {
 	defer s.reg.mu.Unlock()
 	return len(s.reg.byKey)
 }
+
+// Satisfiable reports whether f has a model, modulo bounded quantifier
+// instantiation: "false" (unsat) is sound; "true" is exact for ground
+// formulas and best-effort for quantified ones. f is satisfiable exactly
+// when its negation is not valid, so it is grounded as the negation of ¬f.
+func (s *Solver) Satisfiable(f logic.Formula) bool {
+	ground, decided, valid := s.groundStatic(logic.Intern(logic.Neg(f)))
+	if decided {
+		return !valid
+	}
+	return s.decideGround(ground)
+}
+
+// CrossCheckGrounding makes every probe grounded from now on be grounded by
+// the multi-pass oracle as well, and calls fail with a description of each
+// probe whose interned results differ. It returns a counter of the probes
+// checked and a function that removes the hook. Install it before any
+// solver runs: the hook is package-wide.
+func CrossCheckGrounding(fail func(msg string)) (checked func() int64, remove func()) {
+	var n atomic.Int64
+	groundCheck = func(s *Solver, f *logic.IFormula, ground logic.Formula, decided, valid bool) {
+		n.Add(1)
+		if msg := s.compareOracle(f, ground, decided, valid); msg != "" {
+			fail(msg)
+		}
+	}
+	return n.Load, func() { groundCheck = nil }
+}
+
+// compareOracle grounds the probe f with oracleGround and describes how the
+// given result differs from it ("" when the interned results are the same
+// node).
+func (s *Solver) compareOracle(f *logic.IFormula, ground logic.Formula, decided, valid bool) string {
+	sn := f.Simplified()
+	var want logic.Formula
+	var wantDecided, wantValid bool
+	if b, ok := sn.Formula().(logic.Bool); ok {
+		wantDecided, wantValid = true, b.Val
+	} else if g, done, sat := s.oracleGround(sn); done {
+		wantDecided, wantValid = true, !sat
+	} else {
+		want = g
+	}
+	switch {
+	case decided != wantDecided || valid != wantValid:
+		return fmt.Sprintf("probe %s: plan decided=%v valid=%v, oracle decided=%v valid=%v", f, decided, valid, wantDecided, wantValid)
+	case decided:
+		return ""
+	case logic.Intern(ground) != logic.Intern(want):
+		return fmt.Sprintf("probe %s:\n  plan   %s\n  oracle %s", f, ground, want)
+	}
+	return ""
+}
+
+// Valid is ValidFill without a fill: the probe is grounded as a whole
+// formula, with nothing shared across probes.
+func (c *Context) Valid(f logic.Formula) bool { return c.ValidFill(f, nil) }

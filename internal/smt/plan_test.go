@@ -1,0 +1,158 @@
+package smt
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// planCase grounds Fill(skel, fill) through a plan compiled from skel and
+// fails unless the result is the multi-pass oracle's node.
+func planCase(t *testing.T, s *Solver, pl *groundPlan, skel logic.Formula, fill map[string]logic.Formula) {
+	t.Helper()
+	f := logic.FillUnknowns(skel, fill)
+	g, decided, valid, ok := pl.groundFill(fill)
+	if !ok {
+		t.Fatalf("plan could not express the fill of %s", f)
+	}
+	if msg := s.compareOracle(logic.Intern(f), g, decided, valid); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+var (
+	pA, pB     = logic.AV("A"), logic.AV("B")
+	px, py, pz = logic.V("x"), logic.V("y"), logic.V("z")
+	pi, pj, pn = logic.V("i"), logic.V("j"), logic.V("n")
+	pu, pv     = logic.Unknown{Name: "u"}, logic.Unknown{Name: "v"}
+	allA0      = logic.All([]string{"k"}, logic.EqF(logic.Sel(pA, logic.V("k")), logic.I(0)))
+	fillOf     = func(kv ...logic.Formula) map[string]logic.Formula {
+		return map[string]logic.Formula{"u": kv[0], "v": kv[len(kv)-1]}
+	}
+	arrayInitVC  = logic.All([]string{"j"}, logic.Imp(logic.Conj(logic.LeF(logic.I(0), pj), pu), logic.EqF(logic.Sel(pA, pj), logic.I(0))))
+	arrayInitHyp = logic.Imp(logic.Conj(arrayInitVC, logic.LtF(pi, pn)),
+		logic.All([]string{"j"}, logic.Imp(logic.Conj(logic.LeF(logic.I(0), pj), pv),
+			logic.EqF(logic.Sel(logic.Upd(pA, pi, logic.I(0)), pj), logic.I(0)))))
+)
+
+func TestPlanFillFoldsToTrue(t *testing.T) {
+	s := NewSolver(Options{})
+	skel := logic.Imp(logic.Conj(logic.LtF(px, py), pu), logic.LtF(px, pz))
+	pl := newGroundPlan(s, skel)
+	for _, fill := range []logic.Formula{logic.True, logic.LeF(px, px), logic.False, logic.LtF(py, pz)} {
+		planCase(t, s, pl, skel, fillOf(fill))
+	}
+}
+
+func TestPlanPredicateEqualsSkeletonConjunct(t *testing.T) {
+	s := NewSolver(Options{})
+	skel := logic.Imp(logic.Conj(logic.LtF(px, py), pu), logic.Disj(logic.LtF(px, pz), pv))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(logic.Conj(logic.LtF(px, py), logic.LtF(py, pz)), logic.LtF(px, pz)))
+	planCase(t, s, pl, skel, fillOf(logic.LtF(px, py), logic.Conj(logic.LtF(px, pz), logic.LtF(px, pz))))
+}
+
+func TestPlanQuantifiedPredicateBothPolarities(t *testing.T) {
+	s := NewSolver(Options{})
+	// u is a hypothesis (instantiated), v a conclusion (skolemized).
+	skel := logic.Imp(logic.Conj(pu, logic.LeF(logic.I(0), pi)), logic.Conj(pv, logic.EqF(logic.Sel(pA, pi), logic.I(0))))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(allA0, allA0))
+	planCase(t, s, pl, skel, fillOf(allA0, logic.Any([]string{"k"}, logic.EqF(logic.Sel(pA, logic.V("k")), pi))))
+	planCase(t, s, pl, skel, fillOf(logic.LtF(pi, pn), allA0))
+}
+
+func TestPlanPredicateCapturedBySkeletonQuantifier(t *testing.T) {
+	s := NewSolver(Options{})
+	pl := newGroundPlan(s, arrayInitHyp)
+	for _, fill := range []map[string]logic.Formula{
+		fillOf(logic.LtF(pj, pi), logic.LtF(pj, pi)),
+		fillOf(logic.LtF(pj, pi), logic.LeF(pj, pi)),
+		fillOf(logic.Conj(logic.LtF(pj, pi), logic.LtF(pj, pn)), logic.LeF(pj, pi)),
+		fillOf(logic.True, logic.GtF(pj, pn)),
+	} {
+		planCase(t, s, pl, arrayInitHyp, fill)
+	}
+}
+
+func TestPlanArrayEqualityInSkeleton(t *testing.T) {
+	s := NewSolver(Options{})
+	// The array equality before the holes becomes a quantifier that takes
+	// the first @b name; one in the fill takes a later one.
+	skel := logic.Imp(logic.Conj(logic.ArrEqF(pB, logic.Upd(pA, pi, logic.I(0))), pu),
+		logic.Conj(pv, logic.EqF(logic.Sel(pB, pi), logic.I(0))))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(logic.LtF(pi, pn), logic.LeF(logic.I(0), pi)))
+	planCase(t, s, pl, skel, fillOf(logic.ArrEqF(pA, pB), logic.ArrEqF(pB, logic.Upd(pA, pi, logic.I(0)))))
+	planCase(t, s, pl, skel, fillOf(allA0, logic.True))
+}
+
+func TestPlanInstanceCapBinds(t *testing.T) {
+	s := NewSolver(Options{MaxInstances: 2})
+	skel := logic.Imp(logic.Conj(pu, logic.All([]string{"a", "b"},
+		logic.LeF(logic.Sel(pA, logic.V("a")), logic.Sel(pA, logic.V("b"))))),
+		logic.Conj(pv, logic.LeF(logic.Sel(pA, pi), logic.Sel(pA, pj))))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(logic.LtF(pi, pj), logic.LeF(logic.Sel(pA, pn), logic.Sel(pA, pz))))
+	planCase(t, s, pl, skel, fillOf(allA0, logic.LeF(logic.Sel(pA, px), logic.Sel(pA, py))))
+}
+
+func TestPlanMissingFillFallsBack(t *testing.T) {
+	s := NewSolver(Options{})
+	skel := logic.Imp(pu, pv)
+	ctx := s.ContextFor(logic.Intern(skel))
+	fill := map[string]logic.Formula{"u": logic.LtF(px, py)}
+	f := logic.Imp(logic.LtF(px, py), logic.LtF(px, pz))
+	if ctx.ValidFill(f, fill) {
+		t.Fatal("x<y ⇒ x<z reported valid")
+	}
+	if s.NumPlanFallbacks() != 1 || s.NumPlanProbes() != 0 {
+		t.Fatalf("fallbacks=%d plan probes=%d, want 1 and 0", s.NumPlanFallbacks(), s.NumPlanProbes())
+	}
+}
+
+// TestPlanConcurrentProbes grounds many fills of one skeleton through one
+// plan from several goroutines at once (run it under -race): the shared
+// memos must neither race nor let one probe's result leak into another's.
+func TestPlanConcurrentProbes(t *testing.T) {
+	s := NewSolver(Options{})
+	pl := newGroundPlan(s, arrayInitHyp)
+	preds := []logic.Formula{
+		logic.LtF(pj, pi), logic.LeF(pj, pi), logic.LtF(pj, pn), logic.GeF(pj, logic.I(0)),
+		logic.GtF(pj, pi), allA0, logic.True,
+	}
+	var fills []map[string]logic.Formula
+	for _, a := range preds {
+		for _, b := range preds {
+			fills = append(fills, fillOf(a, b), fillOf(logic.Conj(a, b), b))
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, len(fills))
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range fills {
+				fill := fills[(i+w*7)%len(fills)]
+				f := logic.FillUnknowns(arrayInitHyp, fill)
+				g, decided, valid, ok := pl.groundFill(fill)
+				if !ok {
+					errs <- fmt.Sprintf("plan could not express %s", f)
+					return
+				}
+				if msg := s.compareOracle(logic.Intern(f), g, decided, valid); msg != "" {
+					errs <- msg
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

@@ -18,56 +18,10 @@
 package smt
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
 )
-
-// skolemize replaces every existential variable in the NNF formula f with an
-// application of a fresh function symbol to the universally quantified
-// variables in scope. Plain fresh constants are used when no universals are
-// in scope.
-func skolemize(f logic.Formula, univ []string, nm *logic.Namer) logic.Formula {
-	switch f := f.(type) {
-	case logic.Atom, logic.Bool:
-		return f
-	case logic.Not:
-		// NNF guarantees the operand is an atom; nothing to skolemize.
-		return f
-	case logic.And:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = skolemize(g, univ, nm)
-		}
-		return logic.Conj(out...)
-	case logic.Or:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = skolemize(g, univ, nm)
-		}
-		return logic.Disj(out...)
-	case logic.Forall:
-		u2 := append(append([]string(nil), univ...), f.Vars...)
-		return logic.All(f.Vars, skolemize(f.Body, u2, nm))
-	case logic.Exists:
-		sub := map[string]logic.Term{}
-		for _, x := range f.Vars {
-			if len(univ) == 0 {
-				sub[x] = logic.V(nm.Fresh())
-			} else {
-				args := make([]logic.Term, len(univ))
-				for i, u := range univ {
-					args[i] = logic.V(u)
-				}
-				sub[x] = logic.App(nm.Fresh(), args...)
-			}
-		}
-		return skolemize(logic.Substitute(f.Body, sub, nil), univ, nm)
-	}
-	panic(fmt.Sprintf("smt: unexpected formula in skolemize: %T", f))
-}
 
 // boundVarNames returns the set of all quantified variable names in f.
 // After StandardizeApart these are globally unique, so a term is ground
@@ -144,12 +98,13 @@ func arrMentions(a logic.Arr, names map[string]bool) bool {
 	return false
 }
 
-// collectInstTerms gathers the instantiation set E for the universals of f:
-// ground index terms of array reads, and ground atom sides compared against
-// a term that mentions a bound variable. This is the standard complete
-// instantiation set for the array property fragment.
-func collectInstTerms(f logic.Formula, bound map[string]bool) []logic.Term {
-	seen := map[string]logic.Term{}
+// collectInstTermsInto adds f's contribution to the instantiation set E for
+// the universals of a formula to seen (keyed by the term's rendering): ground
+// index terms of array reads, and ground atom sides compared against a term
+// that mentions a bound variable. This is the standard complete
+// instantiation set for the array property fragment. Every contribution is
+// local to one atom, so the set of a formula is the union of its parts' sets.
+func collectInstTermsInto(f logic.Formula, bound map[string]bool, seen map[string]logic.Term) {
 	add := func(t logic.Term) {
 		if !termMentions(t, bound) {
 			seen[t.String()] = t
@@ -218,21 +173,6 @@ func collectInstTerms(f logic.Formula, bound map[string]bool) []logic.Term {
 		}
 	}
 	walk(f)
-	if len(seen) == 0 {
-		seen["0"] = logic.I(0)
-	}
-	terms := make([]logic.Term, 0, len(seen))
-	for _, t := range seen {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		ci, cj := termComplexity(terms[i]), termComplexity(terms[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return terms[i].String() < terms[j].String()
-	})
-	return terms
 }
 
 // termComplexity orders instantiation candidates: simple variables first so
@@ -268,12 +208,13 @@ func termComplexity(t logic.Term) int {
 // comparison-derived fallback set E and, per array, the ground index terms
 // occurring anywhere in the formula (the E-matching index).
 type instEnv struct {
-	fallback     []logic.Term
-	arrIndices   map[string][]logic.Term
+	fallback   []logic.Term
+	arrIndices map[string][]logic.Term
+	// fallbackKeys and arrKeys are the renderings of the terms above, index
+	// for index; they key the grounding plan's instance memo.
+	fallbackKeys []string
+	arrKeys      map[string][]string
 	maxInstances int
-	// triggers, when non-nil, supplies (memoized) trigger extraction for a
-	// universal quantifier; instantiate falls back to triggersOf otherwise.
-	triggers func(logic.Forall) map[string][]trigger
 }
 
 // converged reports whether this round's candidate sets match the previous
@@ -314,11 +255,11 @@ func arrFamily(name string) string {
 	return name
 }
 
-// groundArrayIndices collects, per array family, the ground terms used as
-// its read or write indices anywhere in f. These are the E-matching
-// candidates.
-func groundArrayIndices(f logic.Formula, bound map[string]bool) map[string][]logic.Term {
-	seen := map[string]map[string]logic.Term{}
+// groundArrayIndicesInto adds, per array family, the ground terms f uses as
+// read or write indices to seen (keyed by family, then by rendering). These
+// are the E-matching candidates; like the fallback set, a formula's are the
+// union of its parts'.
+func groundArrayIndicesInto(f logic.Formula, bound map[string]bool, seen map[string]map[string]logic.Term) {
 	add := func(arr string, t logic.Term) {
 		if termMentions(t, bound) {
 			return
@@ -389,16 +330,6 @@ func groundArrayIndices(f logic.Formula, bound map[string]bool) map[string][]log
 		}
 	}
 	walk(f)
-	out := map[string][]logic.Term{}
-	for arr, m := range seen {
-		keys := logic.SortedKeys(m)
-		ts := make([]logic.Term, len(keys))
-		for i, k := range keys {
-			ts[i] = m[k]
-		}
-		out[arr] = ts
-	}
-	return out
 }
 
 // trigger is one E-matching pattern: the bound variable occurs (plus a
@@ -507,118 +438,64 @@ func triggersOf(body logic.Formula, vars []string) map[string][]trigger {
 }
 
 // candidatesFor returns the instantiation terms for one bound variable of a
-// universal: the E-matching candidates from its select patterns, or the
-// comparison-derived fallback set when it indexes nothing.
-func (env *instEnv) candidatesFor(v string, trigs map[string][]trigger) []logic.Term {
+// universal, with their renderings: the E-matching candidates from its select
+// patterns, or the comparison-derived fallback set when it indexes nothing.
+func (env *instEnv) candidatesFor(v string, trigs map[string][]trigger) ([]logic.Term, []string) {
 	ts := trigs[v]
 	if len(ts) == 0 {
-		return env.fallback
+		return env.fallback, env.fallbackKeys
 	}
 	seen := map[string]logic.Term{}
 	for _, tr := range ts {
-		for _, idx := range env.arrIndices[tr.arr] {
+		for i, idx := range env.arrIndices[tr.arr] {
 			// Pattern v+off matched ground index t instantiates v := t−off.
-			inst := idx
-			if tr.offset != 0 {
-				inst = logic.Minus(idx, logic.I(tr.offset))
+			if tr.offset == 0 {
+				seen[env.arrKeys[tr.arr][i]] = idx
+				continue
 			}
+			inst := logic.Minus(idx, logic.I(tr.offset))
 			seen[inst.String()] = inst
 		}
 	}
 	if len(seen) == 0 {
-		return env.fallback
+		return env.fallback, env.fallbackKeys
 	}
 	keys := logic.SortedKeys(seen)
 	out := make([]logic.Term, len(keys))
 	for i, k := range keys {
 		out[i] = seen[k]
 	}
-	return out
+	return out, keys
 }
 
-// instantiate replaces every universal in the skolemized NNF formula with
-// the conjunction of its body over tuples of candidate terms, bounded by
-// maxInstances per quantifier.
-func instantiate(f logic.Formula, env *instEnv) logic.Formula {
-	switch f := f.(type) {
-	case logic.Atom, logic.Bool, logic.Not:
-		return f
-	case logic.And:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = instantiate(g, env)
-		}
-		return logic.Conj(out...)
-	case logic.Or:
-		out := make([]logic.Formula, len(f.Fs))
-		for i, g := range f.Fs {
-			out[i] = instantiate(g, env)
-		}
-		return logic.Disj(out...)
-	case logic.Forall:
-		k := len(f.Vars)
-		var trigs map[string][]trigger
-		if env.triggers != nil {
-			trigs = env.triggers(f)
-		} else {
-			trigs = triggersOf(f.Body, f.Vars)
-		}
-		cands := make([][]logic.Term, k)
-		total := 1
-		for i, v := range f.Vars {
-			cands[i] = env.candidatesFor(v, trigs)
-			total *= len(cands[i])
-		}
-		// Shrink the largest sets until the tuple count is bounded.
-		for total > env.maxInstances {
-			maxI := 0
-			for i := range cands {
-				if len(cands[i]) > len(cands[maxI]) {
-					maxI = i
-				}
-			}
-			if len(cands[maxI]) <= 1 {
-				break
-			}
-			total = total / len(cands[maxI]) * (len(cands[maxI]) - 1)
-			cands[maxI] = cands[maxI][:len(cands[maxI])-1]
-		}
-		var out []logic.Formula
-		tuple := make([]logic.Term, k)
-		// One substitution map per quantifier, overwritten per tuple:
-		// Substitute only reads it, so reuse is safe and saves a map
-		// allocation per instance.
-		sub := make(map[string]logic.Term, k)
-		var gen func(int)
-		gen = func(i int) {
-			if i == k {
-				for j, v := range f.Vars {
-					sub[v] = tuple[j]
-				}
-				inst := logic.Substitute(f.Body, sub, nil)
-				out = append(out, instantiate(inst, env))
-				return
-			}
-			for _, t := range cands[i] {
-				tuple[i] = t
-				gen(i + 1)
-			}
-		}
-		gen(0)
-		return logic.Conj(out...)
-	case logic.Exists:
-		panic("smt: existential survived skolemization")
+// instanceCands returns, per variable of a universal, the candidate
+// terms (and their renderings) its instances range over: each variable's
+// candidates, with the largest sets shrunk until the tuple count is within
+// maxInstances. Instances are the cartesian product, the first variable
+// varying slowest.
+func (env *instEnv) instanceCands(vars []string, trigs map[string][]trigger) ([][]logic.Term, [][]string) {
+	k := len(vars)
+	cands := make([][]logic.Term, k)
+	keys := make([][]string, k)
+	total := 1
+	for i, v := range vars {
+		cands[i], keys[i] = env.candidatesFor(v, trigs)
+		total *= len(cands[i])
 	}
-	panic(fmt.Sprintf("smt: unexpected formula in instantiate: %T", f))
-}
-
-func pow(b, e int) int {
-	r := 1
-	for i := 0; i < e; i++ {
-		r *= b
-		if r > 1<<30 {
-			return r
+	// Shrink the largest sets until the tuple count is bounded.
+	for total > env.maxInstances {
+		maxI := 0
+		for i := range cands {
+			if len(cands[i]) > len(cands[maxI]) {
+				maxI = i
+			}
 		}
+		if len(cands[maxI]) <= 1 {
+			break
+		}
+		total = total / len(cands[maxI]) * (len(cands[maxI]) - 1)
+		cands[maxI] = cands[maxI][:len(cands[maxI])-1]
+		keys[maxI] = keys[maxI][:len(keys[maxI])-1]
 	}
-	return r
+	return cands, keys
 }

@@ -103,6 +103,15 @@ type Solver struct {
 	storeHits    atomic.Int64 // cache-missing verdicts answered from the knowledge store
 	lemmasWarm   atomic.Int64 // theory lemmas seeded into context groups from the store
 
+	// Grounding: plans compiled (one per context group that grounds a
+	// probe), probes grounded by a plan, probes that handed a fill the plan
+	// could not express (grounded as a whole instead), and nanoseconds spent
+	// grounding on every path.
+	plansBuilt    atomic.Int64
+	planProbes    atomic.Int64
+	planFallbacks atomic.Int64
+	groundTime    atomic.Int64
+
 	// Fourier–Motzkin activity: fmScratch counts from-scratch eliminations
 	// (decideGround's general-LIA fallback, one lia.Check per theory
 	// iteration); fmCounters aggregates the persistent LinCheckers of every
@@ -178,6 +187,51 @@ func (s *Solver) NumStoreVerdictHits() int64 { return s.storeHits.Load() }
 // NumWarmLemmas returns how many persisted theory lemmas were seeded into
 // freshly created context groups from the knowledge store.
 func (s *Solver) NumWarmLemmas() int64 { return s.lemmasWarm.Load() }
+
+// NumGroundPlans returns how many grounding plans were compiled (at most one
+// per registered context group, built on its first probe that grounds).
+func (s *Solver) NumGroundPlans() int64 { return s.plansBuilt.Load() }
+
+// NumPlanProbes returns how many context probes were grounded from their
+// group's plan.
+func (s *Solver) NumPlanProbes() int64 { return s.planProbes.Load() }
+
+// NumPlanFallbacks returns how many context probes handed a fill that the
+// group's plan could not express, and were grounded as a whole formula.
+func (s *Solver) NumPlanFallbacks() int64 { return s.planFallbacks.Load() }
+
+// GroundTime returns the time spent grounding cache-missing probes
+// (normalization, instantiation and simplification) on every path.
+func (s *Solver) GroundTime() time.Duration { return time.Duration(s.groundTime.Load()) }
+
+// ground grounds the negation of the cache-missing probe n: through g's
+// grounding plan when the probe comes with its fill and g is a registered
+// context group, else as a whole formula (a fill the plan cannot express
+// counts as a plan fallback). decided reports that the probe simplifies to a
+// constant, whose value is then valid.
+func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Formula) (ground logic.Formula, decided, valid bool) {
+	start := time.Now()
+	planned := fill != nil && g != nil && g.key != nil
+	ok := false
+	if planned {
+		ground, decided, valid, ok = g.groundPlan().groundFill(fill)
+	}
+	if !ok {
+		ground, decided, valid = s.groundStatic(n)
+	}
+	d := time.Since(start)
+	s.groundTime.Add(int64(d))
+	if ok {
+		s.planProbes.Add(1)
+	} else if planned {
+		s.planFallbacks.Add(1)
+	}
+	s.stats.RecordGround(d, ok, planned && !ok)
+	if groundCheck != nil {
+		groundCheck(s, n, ground, decided, valid)
+	}
+	return ground, decided, valid
+}
 
 // Knowledge returns the attached on-disk store, or nil.
 func (s *Solver) Knowledge() *store.Store { return s.opts.Store }
@@ -275,13 +329,8 @@ func (s *Solver) Valid(f logic.Formula) bool {
 		s.stats.RecordStoreLookup(false)
 	}
 	start := time.Now()
-	var v bool
-	sn := n.Simplified()
-	if b, ok := sn.Formula().(logic.Bool); ok {
-		v = b.Val
-	} else if ground, done, gv := s.groundForm(sn.Negated()); done {
-		v = !gv
-	} else {
+	ground, decided, v := s.ground(n, nil, nil)
+	if !decided {
 		v = !s.decideGround(ground)
 	}
 	s.stats.RecordQuery(time.Since(start))
@@ -299,77 +348,10 @@ func (s *Solver) Valid(f logic.Formula) bool {
 	return v
 }
 
-// normalizeForSolving is the solver-side preprocessing chain, memoized per
-// interned formula via IFormula.Normalized: array equalities become
-// quantified element equalities, then Simplify, NNF, bound-variable
-// standardization, and skolemization. Each Namer is created fresh here, so
-// the result is a pure function of the input formula.
-func normalizeForSolving(f logic.Formula) logic.Formula {
-	f = logic.RewriteArrayEq(f, logic.NewNamer("@q"))
-	f = logic.Simplify(f)
-	if b, ok := f.(logic.Bool); ok {
-		return b
-	}
-	f = logic.NNF(f)
-	f = logic.StandardizeApart(f, logic.NewNamer("@b"))
-	return skolemize(f, nil, logic.NewNamer("@sk"))
-}
-
-// Satisfiable reports whether f has a model, modulo bounded quantifier
-// instantiation: "false" (unsat) is sound; "true" is exact for ground
-// formulas and best-effort for quantified ones.
-func (s *Solver) Satisfiable(f logic.Formula) bool {
-	ground, done, v := s.groundForm(logic.Intern(f))
-	if done {
-		return v
-	}
-	return s.decideGround(ground)
-}
-
-// groundForm runs the pure preprocessing pipeline shared by the from-scratch
-// and incremental paths: normalization followed by bounded quantifier
-// instantiation. It returns the ground formula to decide, or done=true with
-// the syntactic verdict. The result is a pure function of the formula and the
-// solver options, so incremental contexts can preprocess per probe and still
-// agree with Satisfiable on every query. Taking the interned handle lets
-// callers that already hold one (Valid's negation chain) skip a full hash
-// walk of the formula.
-func (s *Solver) groundForm(n *logic.IFormula) (ground logic.Formula, done, v bool) {
-	f := n.Normalized(normalizeForSolving).Formula()
-	if b, ok := f.(logic.Bool); ok {
-		return nil, true, b.Val
-	}
-
-	bound := boundVarNames(f)
-	ground = f
-	if len(bound) > 0 {
-		var prev *instEnv
-		for round := 0; round < s.opts.InstRounds; round++ {
-			// Candidates come from both the quantified formula (guard
-			// boundary terms, original index terms) and the previous ground
-			// round (skolem witnesses that appeared as array indices). In
-			// round 0 the two coincide and the collectors dedup by term, so
-			// walking f once yields the identical candidate sets.
-			var both logic.Formula = f
-			if round > 0 {
-				both = logic.And{Fs: []logic.Formula{f, ground}}
-			}
-			env := &instEnv{
-				fallback:     collectInstTerms(both, bound),
-				arrIndices:   groundArrayIndices(both, bound),
-				maxInstances: s.opts.MaxInstances,
-				triggers:     s.triggers,
-			}
-			if env.converged(prev) {
-				break
-			}
-			prev = env
-			ground = instantiate(f, env)
-		}
-		ground = logic.Simplify(ground)
-	}
-	return ground, false, false
-}
+// groundCheck, when non-nil, sees every grounded probe: the solver, the
+// probe's interned formula and the plan's result. Tests install it to compare
+// against the multi-pass pipeline.
+var groundCheck func(s *Solver, n *logic.IFormula, ground logic.Formula, decided, valid bool)
 
 // triggers returns triggersOf(q.Body, q.Vars), memoized per interned
 // quantifier across rounds and queries.

@@ -158,10 +158,19 @@ func (p *Problem) PathVC(path vc.Path, sigma template.Solution) logic.Formula {
 
 // PathVCAt is PathVC for path index i via the compiled skeletons.
 func (p *Problem) PathVCAt(i int, sigma template.Solution) logic.Formula {
+	f, _ := p.PathVCFill(i, sigma)
+	return f
+}
+
+// PathVCFill is PathVCAt together with the fill it was built from: the
+// formulas standing in for the unknowns of PathVCSkeleton(i).
+func (p *Problem) PathVCFill(i int, sigma template.Solution) (logic.Formula, map[string]logic.Formula) {
 	path := &p.Paths()[i]
-	pre := p.FillTemplateAt(path.From, sigma)
-	post := path.Sigma.Apply(p.FillTemplateAt(path.To, sigma))
-	return p.VCAt(i, pre, post)
+	fill := map[string]logic.Formula{
+		preHole:  p.FillTemplateAt(path.From, sigma),
+		postHole: path.Sigma.Apply(p.FillTemplateAt(path.To, sigma)),
+	}
+	return p.compiled().vcs[i].Fill(fill), fill
 }
 
 // PathVCSkeleton returns the interned compiled VC skeleton of path i — the
@@ -177,10 +186,10 @@ func (p *Problem) PathVCSkeleton(i int) *logic.IFormula {
 // path skeleton when the solver is incremental.
 func (p *Problem) CheckAll(s *smt.Solver, sigma template.Solution) (bool, *vc.Path) {
 	for i := range p.Paths() {
-		f := p.PathVCAt(i, sigma)
+		f, fill := p.PathVCFill(i, sigma)
 		var ok bool
 		if c := s.ContextFor(p.PathVCSkeleton(i)); c != nil {
-			ok = c.Valid(f)
+			ok = c.ValidFill(f, fill)
 		} else {
 			ok = s.Valid(f)
 		}

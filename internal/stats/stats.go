@@ -29,6 +29,11 @@ type Collector struct {
 	fmCapHits     int     // Fourier–Motzkin runs that hit the derived-constraint cap
 	storeHits     int     // lookups answered from the on-disk knowledge store
 	storeMisses   int     // knowledge-store lookups that found nothing
+
+	groundPlans   int           // grounding plans compiled (one per context group)
+	planProbes    int           // probes grounded from their group's plan
+	planFallbacks int           // probes whose fill the plan could not express
+	groundTime    time.Duration // time spent grounding probes, on every path
 }
 
 // New returns an empty collector.
@@ -265,6 +270,35 @@ func (c *Collector) StoreLookups() (hits, misses int) {
 	return c.storeHits, c.storeMisses
 }
 
+// RecordGroundPlan records that one context group compiled its grounding
+// plan.
+func (c *Collector) RecordGroundPlan() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.groundPlans++
+	c.mu.Unlock()
+}
+
+// RecordGround records one grounded probe and the time grounding took:
+// through its group's plan, as a fallback from a plan that could not express
+// it, or (neither) as a whole formula.
+func (c *Collector) RecordGround(d time.Duration, plan, fallback bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.groundTime += d
+	if plan {
+		c.planProbes++
+	}
+	if fallback {
+		c.planFallbacks++
+	}
+	c.mu.Unlock()
+}
+
 // Merge adds everything recorded in o into c. Safe for concurrent use on
 // c; o must not be concurrently recorded into while it is being merged.
 // It lets short-lived collectors (one per request or benchmark cell) fold
@@ -279,6 +313,8 @@ func (c *Collector) Merge(o *Collector) {
 		candidates: o.candidates, satClauses: o.satClauses, satVars: o.satVars,
 		coreSizes: o.coreSizes, coreEvictions: o.coreEvictions, fmCapHits: o.fmCapHits,
 		storeHits: o.storeHits, storeMisses: o.storeMisses,
+		groundPlans: o.groundPlans, planProbes: o.planProbes, planFallbacks: o.planFallbacks,
+		groundTime: o.groundTime,
 	}
 	o.mu.Unlock()
 	c.mu.Lock()
@@ -293,11 +329,15 @@ func (c *Collector) Merge(o *Collector) {
 	c.fmCapHits += oc.fmCapHits
 	c.storeHits += oc.storeHits
 	c.storeMisses += oc.storeMisses
+	c.groundPlans += oc.groundPlans
+	c.planProbes += oc.planProbes
+	c.planFallbacks += oc.planFallbacks
+	c.groundTime += oc.groundTime
 	c.mu.Unlock()
 }
 
 // Snapshot is a fixed-size, mergeable summary of a Collector: every field is
-// a count, so snapshots can be added (fleet aggregation) and subtracted
+// a count or a summed time, so snapshots can be added (fleet aggregation) and subtracted
 // (request-scoped deltas between two points of a long-lived collector). The
 // latency histogram uses the Figure 4 buckets in QueryBucketLabels order.
 type Snapshot struct {
@@ -312,6 +352,12 @@ type Snapshot struct {
 	FMCapHits      int    `json:"fm_cap_hits"`
 	StoreHits      int    `json:"store_hits"`
 	StoreMisses    int    `json:"store_misses"`
+	// Grounding: plans compiled, probes grounded from a plan, probes a plan
+	// could not express, and milliseconds spent grounding on every path.
+	GroundPlans   int     `json:"ground_plans"`
+	PlanProbes    int     `json:"plan_probes"`
+	PlanFallbacks int     `json:"plan_fallbacks"`
+	GroundMS      float64 `json:"ground_ms"`
 }
 
 // QueryBucketLabels labels DurHist.Buckets and Snapshot.QueryBuckets.
@@ -336,6 +382,10 @@ func (c *Collector) Snapshot() Snapshot {
 		FMCapHits:      c.fmCapHits,
 		StoreHits:      c.storeHits,
 		StoreMisses:    c.storeMisses,
+		GroundPlans:    c.groundPlans,
+		PlanProbes:     c.planProbes,
+		PlanFallbacks:  c.planFallbacks,
+		GroundMS:       float64(c.groundTime) / float64(time.Millisecond),
 	}
 }
 
@@ -354,6 +404,10 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.FMCapHits += o.FMCapHits
 	s.StoreHits += o.StoreHits
 	s.StoreMisses += o.StoreMisses
+	s.GroundPlans += o.GroundPlans
+	s.PlanProbes += o.PlanProbes
+	s.PlanFallbacks += o.PlanFallbacks
+	s.GroundMS += o.GroundMS
 	return s
 }
 
@@ -373,6 +427,10 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	s.FMCapHits -= o.FMCapHits
 	s.StoreHits -= o.StoreHits
 	s.StoreMisses -= o.StoreMisses
+	s.GroundPlans -= o.GroundPlans
+	s.PlanProbes -= o.PlanProbes
+	s.PlanFallbacks -= o.PlanFallbacks
+	s.GroundMS -= o.GroundMS
 	return s
 }
 
@@ -437,4 +495,6 @@ func (c *Collector) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "Unsat core sizes: median=%d max=%d over %d cores (%d evicted)\n",
 		c.coreSizes.Median(), c.coreSizes.Max, c.coreSizes.Count, c.coreEvictions)
 	fmt.Fprintf(w, "Fourier-Motzkin cap hits (conservative answers): %d\n", c.fmCapHits)
+	fmt.Fprintf(w, "Grounding: %.1f ms; %d plans compiled, %d probes grounded by a plan, %d plan fallbacks\n",
+		float64(c.groundTime)/float64(time.Millisecond), c.groundPlans, c.planProbes, c.planFallbacks)
 }

@@ -47,3 +47,30 @@ func FuzzStoreRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseBloomDigest feeds arbitrary digest strings and keys through the
+// outcome-digest decoder the router runs on every backend's /v1/stats. A
+// digest the parser accepts must answer Contains for any key without
+// panicking, and the digest buildBloom writes for a key set must parse and
+// claim every key in it (a bloom filter has no false negatives). Seeds in
+// testdata/fuzz/FuzzParseBloomDigest: buildBloom outputs and malformed
+// digests.
+func FuzzParseBloomDigest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s, key string) {
+		if d, err := ParseBloomDigest(s); err == nil {
+			d.Contains(key)
+			d.Contains(s)
+		}
+		keys := map[string]struct{}{key: {}, s: {}, key + s: {}}
+		enc := buildBloom(keys)
+		d, err := ParseBloomDigest(enc)
+		if err != nil {
+			t.Fatalf("buildBloom output %q does not parse: %v", enc, err)
+		}
+		for k := range keys {
+			if !d.Contains(k) {
+				t.Fatalf("digest %q does not claim its key %q", enc, k)
+			}
+		}
+	})
+}

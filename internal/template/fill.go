@@ -44,13 +44,19 @@ func (fl *Filler) Fill(fill map[string]logic.Formula) logic.Formula {
 // FillSolution instantiates the skeleton with each unknown's predicate
 // conjunction under s.
 func (fl *Filler) FillSolution(s Solution) logic.Formula {
+	return fl.fill(fl.SolutionFill(s))
+}
+
+// SolutionFill returns the fill FillSolution uses for s: each of the
+// skeleton's unknowns that s assigns, mapped to its predicate conjunction.
+func (fl *Filler) SolutionFill(s Solution) map[string]logic.Formula {
 	fill := make(map[string]logic.Formula, len(fl.unknowns))
 	for _, u := range fl.unknowns {
 		if ps, ok := s[u]; ok {
 			fill[u] = ps.Formula()
 		}
 	}
-	return fl.fill(fill)
+	return fill
 }
 
 // compileFill returns a closure computing FillUnknowns(f, ·) and whether f
