@@ -41,7 +41,8 @@ test-race:
 	$(GO) test -short -race ./...
 
 # Differential tests for the incremental solving pipeline under the race
-# detector (reused-vs-fresh SAT probes, context-vs-fresh SMT verdicts,
+# detector (reused-vs-fresh SAT probes, switched-off decision variables vs
+# the all-on instance (TestDecision), context-vs-fresh SMT verdicts,
 # fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-legacy-
 # BFS solution-set equivalence sweep: every examples/ problem with the
 # CrossCheck hook on, randomized small lattices, and the randomized §6
@@ -62,22 +63,25 @@ test-race:
 # tampered, re-keyed and Stop-cut records are never trusted, and a tampered
 # store still reaches the same verdicts. The TestPlan tests (first line) pin
 # the grounding plan's edge cases against the multi-pass grounding oracle,
-# concurrent probes under the race detector included; the last line is the
-# grounding sweep: every probe of every examples/ problem and every
-# DefaultSuite cell is grounded both ways and must intern to the same node.
+# concurrent probes under the race detector included; the last line holds
+# two sweeps over every examples/ problem and every DefaultSuite cell: the
+# grounding sweep (every probe grounded both ways must intern to the same
+# node) and the cone sweep (every context probe re-decided with all SAT
+# variables switched on must reach the same verdict).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestContext|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestContext|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
-	$(GO) test -run 'TestGroundPlanMatchesOracle' -v ./internal/smt/
+	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record
-# replay, its outcome-digest (bloom) decoder, and the spec-file lexer and
-# parser, 10s per target. Plain
+# replay, its header check on open (a fuzzed header line must either warm
+# or start cold with a fresh header), its outcome-digest (bloom) decoder,
+# and the spec-file lexer and parser, 10s per target. Plain
 # `go test` already replays the committed seed corpora under
 # internal/rpc/testdata/fuzz, internal/store/testdata/fuzz and
 # internal/lang/testdata/fuzz.
@@ -86,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreRecord$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreHeader$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
 

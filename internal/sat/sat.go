@@ -92,10 +92,11 @@ type Solver struct {
 	learnts  []*clause
 	watches  [][]watcher // indexed by literal
 	assigns  []value     // indexed by variable
-	level    []int       // decision level per variable
+	level    []int32     // decision level per variable
 	reason   []*clause   // antecedent clause per variable
 	activity []float64   // VSIDS score per variable
 	polarity []bool      // saved phase per variable (true = last assigned false)
+	decision []bool      // per variable: may be branched on and propagated above level 0
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -160,12 +161,41 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
+	s.decision = append(s.decision, true)
 	s.watches = append(s.watches, nil, nil)
 	s.seen = append(s.seen, false)
 	s.litStamp = append(s.litStamp, 0, 0)
 	s.order.insert(v)
 	return v
 }
+
+// SetDecision switches variable v on or off (variables start on). A
+// switched-off variable is never branched on and, above decision level 0,
+// never assigned by propagation either: a clause whose last open literal is
+// switched off is left open rather than made to imply it. Level 0 still
+// propagates every variable, so the level-0 facts are complete whenever a
+// variable is switched back on. May be called between any two Solve calls.
+//
+// Precondition for keeping verdicts: a Sat answer assigns every switched-on
+// variable and falsifies no clause, but may leave switched-off variables
+// unassigned, and Model reads those as false. That is a model of the whole
+// instance only when setting every unassigned switched-off variable false
+// can falsify no clause — for example when the switched-off variables are
+// one-sided Tseitin gates that no assumption reaches through the gates'
+// definitional clauses: such a gate occurs positively only in the clauses
+// of its parent gates, whose negated literal is then switched off and false
+// too. Assumption literals must be over switched-on variables. Under the
+// precondition every Sat and Unsat answer is the one the instance with all
+// variables switched on gives; only the search order differs.
+func (s *Solver) SetDecision(v int, on bool) {
+	s.decision[v] = on
+	if on && s.assigns[v] == unassigned {
+		s.order.insert(v)
+	}
+}
+
+// Decision reports whether variable v is switched on (see SetDecision).
+func (s *Solver) Decision(v int) bool { return s.decision[v] }
 
 func (s *Solver) litValue(l Lit) value {
 	v := s.assigns[l.Var()]
@@ -242,12 +272,13 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	} else {
 		s.assigns[v] = vTrue
 	}
-	s.level[v] = len(s.trailLim)
+	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 func (s *Solver) propagate() *clause {
+	above := len(s.trailLim) > 0
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -260,9 +291,18 @@ func (s *Solver) propagate() *clause {
 				kept = append(kept, ws[i:]...)
 				break
 			}
-			if s.litValue(w.blocker) == vTrue {
+			switch s.litValue(w.blocker) {
+			case vTrue:
 				kept = append(kept, w)
 				continue
+			case unassigned:
+				if above && !s.decision[w.blocker.Var()] {
+					// A switched-off literal stays open above level 0, so
+					// the clause can neither conflict nor imply a
+					// switched-on literal there: leave it untouched.
+					kept = append(kept, w)
+					continue
+				}
 			}
 			c := w.c
 			if c.deleted {
@@ -294,6 +334,11 @@ func (s *Solver) propagate() *clause {
 			if s.litValue(first) == vFalse {
 				confl = c
 				s.qhead = len(s.trail)
+			} else if above && !s.decision[first.Var()] {
+				// Switched off: the clause stays open above level 0. Its
+				// other literals were falsified at this level or below, so
+				// any backtrack that reopens one also reopens lits[1].
+				continue
 			} else {
 				s.uncheckedEnqueue(first, c)
 				s.Stats.Propagations++
@@ -318,7 +363,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		}
 		s.assigns[v] = unassigned
 		s.reason[v] = nil
-		s.order.insert(v)
+		if s.decision[v] {
+			s.order.insert(v)
+		}
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
@@ -332,7 +379,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	curLevel := len(s.trailLim)
+	curLevel := int32(len(s.trailLim))
 
 	for {
 		if confl.learnt {
@@ -383,7 +430,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.level[learnt[1].Var()]
+		btLevel = int(s.level[learnt[1].Var()])
 	}
 	return learnt, btLevel
 }
@@ -457,7 +504,7 @@ func (s *Solver) reduceDB() {
 func (s *Solver) pickBranchVar() int {
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assigns[v] == unassigned {
+		if s.assigns[v] == unassigned && s.decision[v] {
 			return v
 		}
 	}
@@ -613,10 +660,13 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 	}
 }
 
-// Value reports the model value of variable v after Solve returns Sat.
+// Value reports the model value of variable v after Solve returns Sat. A
+// switched-off variable left unassigned by the search reads false (see
+// SetDecision).
 func (s *Solver) Value(v int) bool { return s.assigns[v] == vTrue }
 
-// Model returns the satisfying assignment after Solve returns Sat.
+// Model returns the satisfying assignment after Solve returns Sat, with
+// unassigned switched-off variables false (see SetDecision).
 func (s *Solver) Model() []bool {
 	m := make([]bool, len(s.assigns))
 	for v := range s.assigns {
@@ -630,8 +680,8 @@ func (s *Solver) Model() []bool {
 // backtrack hot path.
 type varHeap struct {
 	act     *[]float64
-	heap    []int
-	indices []int // variable → heap position, -1 when absent
+	heap    []int32
+	indices []int32 // variable → heap position, -1 when absent
 }
 
 func newVarHeap(act *[]float64) *varHeap {
@@ -644,8 +694,8 @@ func (h *varHeap) less(a, b int) bool { return (*h.act)[h.heap[a]] > (*h.act)[h.
 
 func (h *varHeap) swap(a, b int) {
 	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.indices[h.heap[a]] = a
-	h.indices[h.heap[b]] = b
+	h.indices[h.heap[a]] = int32(a)
+	h.indices[h.heap[b]] = int32(b)
 }
 
 func (h *varHeap) up(i int) {
@@ -684,14 +734,14 @@ func (h *varHeap) insert(v int) {
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.indices[v] = len(h.heap) - 1
+	h.heap = append(h.heap, int32(v))
+	h.indices[v] = int32(len(h.heap) - 1)
 	h.up(len(h.heap) - 1)
 }
 
 func (h *varHeap) update(v int) {
 	if v < len(h.indices) {
-		if i := h.indices[v]; i >= 0 {
+		if i := int(h.indices[v]); i >= 0 {
 			h.up(i)
 			h.down(i)
 		}
@@ -699,7 +749,7 @@ func (h *varHeap) update(v int) {
 }
 
 func (h *varHeap) pop() int {
-	v := h.heap[0]
+	v := int(h.heap[0])
 	last := len(h.heap) - 1
 	h.swap(0, last)
 	h.heap = h.heap[:last]

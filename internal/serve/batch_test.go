@@ -183,6 +183,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE vs3d_ctx_evicted_total counter",
 		"# TYPE vs3d_ctx_budget_used gauge",
 		"# TYPE vs3d_cache_evicted_total counter",
+		"# TYPE vs3d_sat_decisions_total counter",
+		"# TYPE vs3d_sat_propagations_total counter",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("metrics output missing %q\n%s", want, body)
@@ -192,7 +194,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("missing X-VS3-Backend header")
 	}
 	// The verify run left its context groups registered under the budget.
-	if used := srv.statsSnapshot().CtxBudgetUsed; used <= 0 {
-		t.Errorf("ctx_budget_used = %d after a verify run, want > 0", used)
+	sr := srv.statsSnapshot()
+	if sr.CtxBudgetUsed <= 0 {
+		t.Errorf("ctx_budget_used = %d after a verify run, want > 0", sr.CtxBudgetUsed)
+	}
+	// The run's SAT work shows both as solver totals and in the merged
+	// request collector.
+	if sr.SATDecisions <= 0 || sr.SATPropagations <= 0 {
+		t.Errorf("sat_decisions = %d, sat_propagations = %d after a verify run, want > 0", sr.SATDecisions, sr.SATPropagations)
+	}
+	if sr.Collector.SATDecisions != sr.SATDecisions || sr.Collector.SATPropagations != sr.SATPropagations {
+		t.Errorf("collector SAT work %d/%d, solver totals %d/%d", sr.Collector.SATDecisions, sr.Collector.SATPropagations, sr.SATDecisions, sr.SATPropagations)
 	}
 }

@@ -59,6 +59,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Counter("vs3d_fm_cube_hits_total", "Theory checks answered from persisted conflict cubes.", float64(sr.FMCubeHits), id...)
 	pw.Counter("vs3d_fm_cap_hits_total", "Eliminations truncated at the derived-constraint cap (conservative answers).", float64(sr.FMCapHits), id...)
 	pw.Counter("vs3d_dormant_contexts_total", "Persistent contexts retired by Ackermann budget exhaustion.", float64(sr.DormantContexts), id...)
+	pw.Counter("vs3d_sat_decisions_total", "SAT branch decisions of the SMT layer's searches.", float64(sr.SATDecisions), id...)
+	pw.Counter("vs3d_sat_propagations_total", "Literals the SMT layer's SAT searches assigned by unit propagation.", float64(sr.SATPropagations), id...)
 	pw.Gauge("vs3d_store_enabled", "1 when an on-disk knowledge store is attached.", boolGauge(sr.StoreEnabled), id...)
 	if sr.StoreEnabled {
 		pw.Gauge("vs3d_store_cold_start", "1 when this lifetime found no usable store (fresh dir or sidelined corruption).", boolGauge(sr.StoreColdStart), id...)

@@ -710,6 +710,12 @@ type statsResponse struct {
 	FMCapHits       int64 `json:"fm_cap_hits"`
 	DormantContexts int64 `json:"dormant_contexts"`
 
+	// SAT search work of the SMT layer (every context lane, evicted and
+	// reset ones included, and every from-scratch decision): branch
+	// decisions and literals assigned by unit propagation.
+	SATDecisions    int64 `json:"sat_decisions"`
+	SATPropagations int64 `json:"sat_propagations"`
+
 	// Knowledge-store counters. StoreEnabled gates the rest: hit counters
 	// sum warm answers across sessions (persisted validity/consistency
 	// verdicts, warm-seeded lemmas, promoted cores, replayed outcomes), the
@@ -807,6 +813,8 @@ func (s *Server) statsSnapshot() statsResponse {
 		resp.FMCubeHits += eng.S.NumFMCubeHits()
 		resp.FMCapHits += eng.S.NumFMCapHits()
 		resp.DormantContexts += eng.S.NumDormantContexts()
+		resp.SATDecisions += eng.S.NumSATDecisions()
+		resp.SATPropagations += eng.S.NumSATPropagations()
 		resp.StoreVerdictHits += eng.S.NumStoreVerdictHits()
 		resp.StoreConsHits += eng.NumConsStoreHits()
 		resp.StoreWarmLemmas += eng.S.NumWarmLemmas()

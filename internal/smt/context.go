@@ -27,6 +27,12 @@ import (
 //     a ground subformula never forces anything unless its root literal is
 //     implied, so clauses from earlier probes are vacuously satisfiable in
 //     later ones — each probe asserts only its own root, as an assumption.
+//     Their gates are switched off (sat.Solver.SetDecision) outside the
+//     probe's cone, the gates its assumptions reach (switchCone): setting
+//     every unreached gate false extends any model of the reached clauses
+//     to a model of all clauses, so the probe neither branches on nor
+//     propagates other probes' gates, and its verdict is the one the
+//     all-on instance gives.
 //   - Theory lemmas (DPLL(T) blocking clauses) and Ackermann constraints:
 //     both are theory-valid facts about the atoms, true in every integer
 //     model, so asserting them globally can never flip a verdict.
@@ -112,9 +118,18 @@ type Context struct {
 
 	lemmas int // persisted theory lemmas (DPLL(T) blocking clauses)
 
+	// gates records the probe gates of the lane's SAT instance and their
+	// gate children; before each probe exactly the cone its assumptions
+	// reach is switched on (switchCone).
+	gates gateGraph
+
 	// units is the lane's SAT size (variables + clauses + learnts) as last
 	// published to the registry's budget accounting by account.
 	units int64
+
+	// satSeen is the lane's SAT work (decisions, propagations) already
+	// folded into the solver's counters.
+	satSeen [2]int64
 }
 
 const (
@@ -268,8 +283,10 @@ func (s *Solver) newContextKeyed(skel string) *Context {
 func (c *Context) reset() {
 	c.sat = sat.New()
 	c.sat.MaxLearnts = ctxMaxLearnts
+	c.satSeen = [2]int64{}
 	c.g = newGrounder()
-	c.enc = &encoder{s: c.sat, atomVar: map[int]int{}}
+	c.gates = gateGraph{arena: []int32{0}}
+	c.enc = &encoder{s: c.sat, atomVar: map[int]int{}, gates: &c.gates}
 	c.encMemo = map[*logic.IFormula]sat.Lit{}
 	c.selOf = map[*logic.IFormula]sat.Lit{}
 	c.selBad = map[*logic.IFormula]bool{}
@@ -406,9 +423,13 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 	if c.lemmas > 0 || c.sat.NumLearnts() > 0 {
 		c.s.lemmaReuse.Add(1)
 	}
+	c.switchCone(root)
 	var pub []theoryLemma
 	v, _ := c.probeLoop(&pub, root)
 	c.group.publish(pub)
+	if probeCheck != nil {
+		probeCheck(c, []sat.Lit{root}, v)
+	}
 	return v, true
 }
 
@@ -417,6 +438,7 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 // consistency context is bounded by ctxMaxVars alone). The lane's lock must
 // be held.
 func (c *Context) account() {
+	c.countSAT()
 	if c.group.key == nil {
 		return
 	}
@@ -425,6 +447,15 @@ func (c *Context) account() {
 		c.units = n
 		c.s.reg.grow(c.group, d)
 	}
+}
+
+// countSAT folds the lane's SAT work since its last call into the solver's
+// counters. account calls it after every probe, so nothing is left uncounted
+// when the lane is later reset or evicted. The lane's lock must be held.
+func (c *Context) countSAT() {
+	st := &c.sat.Stats
+	c.s.countSAT(st.Decisions-c.satSeen[0], st.Propagations-c.satSeen[1])
+	c.satSeen = [2]int64{st.Decisions, st.Propagations}
 }
 
 // importLemmas asserts every exchange lemma this lane has not seen yet,
@@ -533,9 +564,13 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 		c.s.lemmaReuse.Add(1)
 	}
 	c.s.ctxProbes.Add(1)
+	c.switchCone(assumps...)
 	var pub []theoryLemma
 	v, satCore := c.probeLoop(&pub, assumps...)
 	c.group.publish(pub)
+	if probeCheck != nil {
+		probeCheck(c, assumps, v)
+	}
 	if v {
 		return true, nil, true
 	}
@@ -616,6 +651,7 @@ func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 		nb := c.enc.encode(pb)
 		gl := sat.MkLit(c.sat.NewVar(), false)
 		c.sat.AddClause(gl.Not(), na, nb)
+		c.gates.add(c.sat, gl.Var(), []sat.Lit{na, nb})
 		l = gl
 		atoms = propAtoms(pb, propAtoms(pa, nil))
 	case logic.And:
@@ -629,6 +665,7 @@ func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 		for _, cl := range children {
 			c.sat.AddClause(gl.Not(), cl)
 		}
+		c.gates.add(c.sat, gl.Var(), children)
 		l = gl
 	case logic.Or:
 		clause := make([]sat.Lit, 1, len(f.Fs)+1)
@@ -640,6 +677,7 @@ func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 		gl := sat.MkLit(c.sat.NewVar(), false)
 		clause[0] = gl.Not()
 		c.sat.AddClause(clause...)
+		c.gates.add(c.sat, gl.Var(), clause[1:])
 		l = gl
 	default:
 		panic(fmt.Sprintf("smt: unexpected ground formula %T (%s)", f, f))
@@ -649,6 +687,82 @@ func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 	c.encAtoms[n] = atoms
 	return l, atoms
 }
+
+// gateGraph records a lane's probe gates — the Tseitin gates encNode and the
+// encoder create for probe formulas — and the gate→child edges between them
+// in an append-only int32 arena, dropped with the SAT instance by reset.
+// Atoms, the constant and Ackermann gates are not probe gates: they stay
+// switched on in every probe.
+type gateGraph struct {
+	// start[v] is the arena offset of gate v's entry — its gate-child count
+	// followed by the children's variables — or -1 when v is not a probe
+	// gate (atom variables interleave with gates). Offset 0 holds a shared
+	// empty entry for gates whose children are all atoms.
+	start []int32
+	arena []int32
+	// on lists the gates switched on for the current probe.
+	on []int32
+}
+
+// add records a new gate v over the child literals kids (recorded children
+// first, so a child gate is known by the time its parent is added) and
+// switches it off until a probe's cone reaches it.
+func (g *gateGraph) add(s *sat.Solver, v int, kids []sat.Lit) {
+	for len(g.start) <= v {
+		g.start = append(g.start, -1)
+	}
+	at := int32(0)
+	for _, k := range kids {
+		if !g.isGate(k.Var()) {
+			continue
+		}
+		if at == 0 {
+			at = int32(len(g.arena))
+			g.arena = append(g.arena, 0)
+		}
+		g.arena[at]++
+		g.arena = append(g.arena, int32(k.Var()))
+	}
+	g.start[v] = at
+	s.SetDecision(v, false)
+}
+
+func (g *gateGraph) isGate(v int) bool { return v < len(g.start) && g.start[v] >= 0 }
+
+// switchCone switches off the previous probe's gates and switches on exactly
+// the gates the given assumption literals reach. Soundness (DESIGN §10, "A
+// probe decides only its cone"): a probe gate occurs positively only in its
+// parents' definitional clauses, so setting every unreached gate false
+// extends any assignment that satisfies the reached clauses to a model of
+// every clause, learnt ones included — each probe's SAT and theory
+// questions are the ones the all-on instance asks.
+func (c *Context) switchCone(assumps ...sat.Lit) {
+	g := &c.gates
+	for _, v := range g.on {
+		c.sat.SetDecision(int(v), false)
+	}
+	g.on = g.on[:0]
+	visit := func(v int) {
+		if g.isGate(v) && !c.sat.Decision(v) {
+			c.sat.SetDecision(v, true)
+			g.on = append(g.on, int32(v))
+		}
+	}
+	for _, a := range assumps {
+		visit(a.Var())
+	}
+	for i := 0; i < len(g.on); i++ {
+		at := g.start[g.on[i]]
+		for _, k := range g.arena[at+1 : at+1+g.arena[at]] {
+			visit(int(k))
+		}
+	}
+}
+
+// probeCheck, when non-nil, sees every decided context probe: the lane (its
+// lock held), the probe's assumption literals and its verdict. Tests install
+// it to re-decide the probe with every variable switched on.
+var probeCheck func(c *Context, assumps []sat.Lit, satisfiable bool)
 
 // sortedDedup sorts xs ascending and removes duplicates in place.
 func sortedDedup(xs []int) []int {
@@ -679,6 +793,9 @@ func (c *Context) constLit(v bool) sat.Lit {
 // is exhausted (the fresh path's per-probe cap could then diverge from the
 // context's cumulative one, so the context goes dormant instead of guessing).
 func (c *Context) emitAckermann() bool {
+	// The constraints are asserted globally, so their gates stay switched on.
+	c.enc.gates = nil
+	defer func() { c.enc.gates = &c.gates }()
 	syms := make([]string, 0, len(c.g.occs))
 	for s, os := range c.g.occs {
 		if len(os) > c.emitted[s] {

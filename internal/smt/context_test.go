@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // freshVerdict decides f with a brand-new non-incremental solver, so no
@@ -408,5 +409,37 @@ func TestContextLemmaExchange(t *testing.T) {
 	}
 	if s.NumSharedLemmas() == 0 {
 		t.Error("NumSharedLemmas did not advance")
+	}
+}
+
+// TestContextSATWorkCounted: the solver's SAT work counters sum every lane's
+// searches, work done before a reset included, and the attached collector
+// sees the same totals.
+func TestContextSATWorkCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := NewSolver(Options{})
+	col := stats.New()
+	s.SetStats(col)
+	ctx := s.NewContext()
+	var decisions, propagations int64
+	for round := 0; round < 3; round++ {
+		for probe := 0; probe < 40; probe++ {
+			ctx.Valid(genDiffFormula(rng, 3))
+		}
+		ctx.mu.Lock()
+		decisions += ctx.sat.Stats.Decisions
+		propagations += ctx.sat.Stats.Propagations
+		ctx.reset()
+		ctx.mu.Unlock()
+	}
+	if decisions == 0 || propagations == 0 {
+		t.Fatal("probes made no SAT decisions or propagations")
+	}
+	if got, want := [2]int64{s.NumSATDecisions(), s.NumSATPropagations()}, [2]int64{decisions, propagations}; got != want {
+		t.Errorf("solver counts %v, lanes did %v", got, want)
+	}
+	snap := col.Snapshot()
+	if got := [2]int64{snap.SATDecisions, snap.SATPropagations}; got != [2]int64{decisions, propagations} {
+		t.Errorf("collector counts %v, lanes did %v", got, [2]int64{decisions, propagations})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/sat"
 )
 
 // newBudgetSolver returns a solver whose retained-state budget is shrunk to
@@ -76,6 +77,41 @@ func (s *Solver) compareOracle(f *logic.IFormula, ground logic.Formula, decided,
 		return fmt.Sprintf("probe %s:\n  plan   %s\n  oracle %s", f, ground, want)
 	}
 	return ""
+}
+
+// CrossCheckCones makes every context probe decided from now on be decided a
+// second time on the same lane with every SAT variable switched on, and
+// calls fail with a description of each probe whose verdicts differ. It
+// returns a counter of the probes checked and a function that removes the
+// hook. Install it before any solver runs: the hook is package-wide.
+func CrossCheckCones(fail func(msg string)) (checked func() int64, remove func()) {
+	var n atomic.Int64
+	probeCheck = func(c *Context, assumps []sat.Lit, satisfiable bool) {
+		n.Add(1)
+		if all := c.decideAllOn(assumps); all != satisfiable {
+			fail(fmt.Sprintf("probe under %v on a lane of %d variables: satisfiable=%v with its cone switched on, %v with every variable on",
+				assumps, c.sat.NumVars(), satisfiable, all))
+		}
+	}
+	return n.Load, func() { probeCheck = nil }
+}
+
+// decideAllOn re-decides a probe with every variable of the lane switched on
+// — the reference a cone-restricted search must agree with — and then
+// switches every probe gate off again, as after reset. The lane's lock must
+// be held.
+func (c *Context) decideAllOn(assumps []sat.Lit) bool {
+	for v := 0; v < c.sat.NumVars(); v++ {
+		c.sat.SetDecision(v, true)
+	}
+	satisfiable, _ := c.probeLoop(nil, assumps...)
+	for v, at := range c.gates.start {
+		if at >= 0 {
+			c.sat.SetDecision(v, false)
+		}
+	}
+	c.gates.on = c.gates.on[:0]
+	return satisfiable
 }
 
 // Valid is ValidFill without a fill: the probe is grounded as a whole

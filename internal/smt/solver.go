@@ -119,6 +119,12 @@ type Solver struct {
 	// incremental-vs-NoIncremental BENCH_7 gate compares fmScratch.
 	fmScratch  atomic.Int64
 	fmCounters lia.Counters
+
+	// SAT search work (sat.Solver Stats) of every instance the solver
+	// runs: each context lane's, folded in after every probe, and each
+	// from-scratch decision's.
+	satDecisions    atomic.Int64
+	satPropagations atomic.Int64
 }
 
 // NewSolver returns a solver with the given options, its retained state
@@ -253,6 +259,23 @@ func (s *Solver) NumFMIncremental() int64 { return s.fmCounters.Runs.Load() }
 // persisted conflict cube, skipping the elimination entirely.
 func (s *Solver) NumFMCubeHits() int64 { return s.fmCounters.CubeHits.Load() }
 
+// NumSATDecisions returns how many branch decisions the solver's SAT
+// searches made, summed over every context lane (evicted and reset lanes
+// included) and every from-scratch decision.
+func (s *Solver) NumSATDecisions() int64 { return s.satDecisions.Load() }
+
+// NumSATPropagations returns how many literals the solver's SAT searches
+// assigned by unit propagation, summed like NumSATDecisions.
+func (s *Solver) NumSATPropagations() int64 { return s.satPropagations.Load() }
+
+// countSAT folds the SAT work of one sat.Solver into the solver's counters
+// and its stats collector.
+func (s *Solver) countSAT(decisions, propagations int64) {
+	s.satDecisions.Add(decisions)
+	s.satPropagations.Add(propagations)
+	s.stats.RecordSATWork(decisions, propagations)
+}
+
 // NumFMCapHits returns how many Fourier–Motzkin runs (from-scratch or
 // incremental) hit the derived-constraint cap and returned a conservative
 // Truncated "satisfiable".
@@ -377,6 +400,7 @@ func (s *Solver) decideGround(f logic.Formula) bool {
 	}
 
 	solver := sat.New()
+	defer func() { s.countSAT(solver.Stats.Decisions, solver.Stats.Propagations) }()
 	enc := &encoder{s: solver, atomVar: map[int]int{}}
 	root := enc.encode(p)
 	if !solver.AddClause(root) {
@@ -465,6 +489,10 @@ type encoder struct {
 	atomVar  map[int]int // theory atom index → SAT variable
 	trueVar  int
 	haveTrue bool
+
+	// gates, when non-nil, records every gate the encoder creates as a
+	// switched-off probe gate with its gate children (a Context's cones).
+	gates *gateGraph
 }
 
 func (e *encoder) constTrue() sat.Lit {
@@ -493,9 +521,16 @@ func (e *encoder) encode(p prop) sat.Lit {
 	case pAnd:
 		gv := e.s.NewVar()
 		gl := sat.MkLit(gv, false)
+		var kids []sat.Lit
 		for _, child := range p.ps {
 			cl := e.encode(child)
 			e.s.AddClause(gl.Not(), cl)
+			if e.gates != nil {
+				kids = append(kids, cl)
+			}
+		}
+		if e.gates != nil {
+			e.gates.add(e.s, gv, kids)
 		}
 		return gl
 	case pOr:
@@ -505,6 +540,9 @@ func (e *encoder) encode(p prop) sat.Lit {
 		clause = append(clause, gl.Not())
 		for _, child := range p.ps {
 			clause = append(clause, e.encode(child))
+		}
+		if e.gates != nil {
+			e.gates.add(e.s, gv, clause[1:])
 		}
 		e.s.AddClause(clause...)
 		return gl

@@ -15,6 +15,7 @@ func record(c *Collector, queries int) {
 	c.RecordSATSize(10, 5)
 	c.RecordCoreSize(1)
 	c.RecordCoreEviction()
+	c.RecordSATWork(5, 7)
 }
 
 func TestSnapshotCounts(t *testing.T) {
@@ -22,13 +23,15 @@ func TestSnapshotCounts(t *testing.T) {
 	record(c, 3)
 	s := c.Snapshot()
 	want := Snapshot{
-		Queries:        3,
-		NegSolutions:   1,
-		OptCalls:       1,
-		CandidateSteps: 1,
-		SATFormulas:    1,
-		UnsatCores:     1,
-		CoreEvictions:  1,
+		Queries:         3,
+		NegSolutions:    1,
+		OptCalls:        1,
+		CandidateSteps:  1,
+		SATFormulas:     1,
+		UnsatCores:      1,
+		CoreEvictions:   1,
+		SATDecisions:    5,
+		SATPropagations: 7,
 	}
 	want.QueryBuckets[0] = 2 // 0ms, 1ms
 	want.QueryBuckets[1] = 1 // 2ms
@@ -78,7 +81,7 @@ func TestMergeFoldsCollectors(t *testing.T) {
 	if got.Queries != 5 {
 		t.Errorf("merged queries = %d, want 5", got.Queries)
 	}
-	if got.NegSolutions != 2 || got.SATFormulas != 2 || got.CoreEvictions != 2 {
+	if got.NegSolutions != 2 || got.SATFormulas != 2 || got.CoreEvictions != 2 || got.SATDecisions != 10 || got.SATPropagations != 14 {
 		t.Errorf("merged snapshot = %+v, want two of each record", got)
 	}
 	// The source is unchanged, and merging nil is a no-op.

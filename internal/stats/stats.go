@@ -34,6 +34,9 @@ type Collector struct {
 	planProbes    int           // probes grounded from their group's plan
 	planFallbacks int           // probes whose fill the plan could not express
 	groundTime    time.Duration // time spent grounding probes, on every path
+
+	satDecisions    int64 // SAT branch decisions of the SMT layer's searches
+	satPropagations int64 // literals those searches assigned by unit propagation
 }
 
 // New returns an empty collector.
@@ -299,6 +302,18 @@ func (c *Collector) RecordGround(d time.Duration, plan, fallback bool) {
 	c.mu.Unlock()
 }
 
+// RecordSATWork records SAT search work of the SMT layer: branch decisions
+// and literals assigned by unit propagation.
+func (c *Collector) RecordSATWork(decisions, propagations int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.satDecisions += decisions
+	c.satPropagations += propagations
+	c.mu.Unlock()
+}
+
 // Merge adds everything recorded in o into c. Safe for concurrent use on
 // c; o must not be concurrently recorded into while it is being merged.
 // It lets short-lived collectors (one per request or benchmark cell) fold
@@ -314,7 +329,7 @@ func (c *Collector) Merge(o *Collector) {
 		coreSizes: o.coreSizes, coreEvictions: o.coreEvictions, fmCapHits: o.fmCapHits,
 		storeHits: o.storeHits, storeMisses: o.storeMisses,
 		groundPlans: o.groundPlans, planProbes: o.planProbes, planFallbacks: o.planFallbacks,
-		groundTime: o.groundTime,
+		groundTime: o.groundTime, satDecisions: o.satDecisions, satPropagations: o.satPropagations,
 	}
 	o.mu.Unlock()
 	c.mu.Lock()
@@ -333,6 +348,8 @@ func (c *Collector) Merge(o *Collector) {
 	c.planProbes += oc.planProbes
 	c.planFallbacks += oc.planFallbacks
 	c.groundTime += oc.groundTime
+	c.satDecisions += oc.satDecisions
+	c.satPropagations += oc.satPropagations
 	c.mu.Unlock()
 }
 
@@ -358,6 +375,10 @@ type Snapshot struct {
 	PlanProbes    int     `json:"plan_probes"`
 	PlanFallbacks int     `json:"plan_fallbacks"`
 	GroundMS      float64 `json:"ground_ms"`
+	// SAT search work of the SMT layer: branch decisions and literals
+	// assigned by unit propagation.
+	SATDecisions    int64 `json:"sat_decisions"`
+	SATPropagations int64 `json:"sat_propagations"`
 }
 
 // QueryBucketLabels labels DurHist.Buckets and Snapshot.QueryBuckets.
@@ -371,21 +392,23 @@ func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{
-		Queries:        c.queries.Count,
-		QueryBuckets:   c.queries.Buckets,
-		NegSolutions:   c.negSolSizes.Count,
-		OptCalls:       c.optSolCounts.Count,
-		CandidateSteps: c.candidates.Count,
-		SATFormulas:    c.satClauses.Count,
-		UnsatCores:     c.coreSizes.Count,
-		CoreEvictions:  c.coreEvictions,
-		FMCapHits:      c.fmCapHits,
-		StoreHits:      c.storeHits,
-		StoreMisses:    c.storeMisses,
-		GroundPlans:    c.groundPlans,
-		PlanProbes:     c.planProbes,
-		PlanFallbacks:  c.planFallbacks,
-		GroundMS:       float64(c.groundTime) / float64(time.Millisecond),
+		Queries:         c.queries.Count,
+		QueryBuckets:    c.queries.Buckets,
+		NegSolutions:    c.negSolSizes.Count,
+		OptCalls:        c.optSolCounts.Count,
+		CandidateSteps:  c.candidates.Count,
+		SATFormulas:     c.satClauses.Count,
+		UnsatCores:      c.coreSizes.Count,
+		CoreEvictions:   c.coreEvictions,
+		FMCapHits:       c.fmCapHits,
+		StoreHits:       c.storeHits,
+		StoreMisses:     c.storeMisses,
+		GroundPlans:     c.groundPlans,
+		PlanProbes:      c.planProbes,
+		PlanFallbacks:   c.planFallbacks,
+		GroundMS:        float64(c.groundTime) / float64(time.Millisecond),
+		SATDecisions:    c.satDecisions,
+		SATPropagations: c.satPropagations,
 	}
 }
 
@@ -408,6 +431,8 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.PlanProbes += o.PlanProbes
 	s.PlanFallbacks += o.PlanFallbacks
 	s.GroundMS += o.GroundMS
+	s.SATDecisions += o.SATDecisions
+	s.SATPropagations += o.SATPropagations
 	return s
 }
 
@@ -431,6 +456,8 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	s.PlanProbes -= o.PlanProbes
 	s.PlanFallbacks -= o.PlanFallbacks
 	s.GroundMS -= o.GroundMS
+	s.SATDecisions -= o.SATDecisions
+	s.SATPropagations -= o.SATPropagations
 	return s
 }
 
@@ -497,4 +524,5 @@ func (c *Collector) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "Fourier-Motzkin cap hits (conservative answers): %d\n", c.fmCapHits)
 	fmt.Fprintf(w, "Grounding: %.1f ms; %d plans compiled, %d probes grounded by a plan, %d plan fallbacks\n",
 		float64(c.groundTime)/float64(time.Millisecond), c.groundPlans, c.planProbes, c.planFallbacks)
+	fmt.Fprintf(w, "SAT search: %d decisions, %d propagations\n", c.satDecisions, c.satPropagations)
 }

@@ -104,10 +104,11 @@ func TestWriteSummary(t *testing.T) {
 	c := New()
 	c.RecordQuery(time.Millisecond)
 	c.RecordCandidates(4)
+	c.RecordSATWork(12, 34)
 	var b strings.Builder
 	c.WriteSummary(&b)
 	out := b.String()
-	for _, want := range []string{"SMT queries: 1", "candidate"} {
+	for _, want := range []string{"SMT queries: 1", "candidate", "SAT search: 12 decisions, 34 propagations"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}

@@ -60,6 +60,22 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 		return 0, nil
 	}
 
+	// Hold the queue back from here to the generation swap. Every Append
+	// updates the in-memory maps before it queues its line, so a line
+	// flushed before this point is in the snapshot; one queued after it
+	// stays queued and is flushed onto the new generation. Without the
+	// hold, a flush between the snapshot and the swap would write a line
+	// the snapshot missed onto the old generation, which the rename then
+	// discards.
+	s.qmu.Lock()
+	s.held = true
+	s.qmu.Unlock()
+	defer func() {
+		s.qmu.Lock()
+		s.held = false
+		s.qmu.Unlock()
+	}()
+
 	// Snapshot the live record set. A transient key set dedups the
 	// snapshot itself: the in-memory lemma/core slices may hold duplicates
 	// re-learned across lifetimes (append-time dedup is per-lifetime), and

@@ -201,6 +201,39 @@ func TestCompactConcurrentWithAppends(t *testing.T) {
 	noCorrupt(t, dir)
 }
 
+// TestCompactFlushBeforeSwap pins the window that made
+// TestCompactConcurrentWithAppends flaky: a record appended after the
+// live-set snapshot and flushed before the generation swap must land on the
+// new generation, not on the old one the rename discards.
+func TestCompactFlushBeforeSwap(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, "p")
+	s.AppendVerdict("before", true)
+	s.compactHook = func(at string) bool {
+		if at == stageTmpWritten {
+			s.AppendVerdict("during", true)
+			if err := s.flush(false); err != nil {
+				t.Errorf("flush inside the compaction window: %v", err)
+			}
+		}
+		return false
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := openT(t, dir, "p")
+	defer r.Close()
+	for _, k := range []string{"before", "during"} {
+		if _, ok := r.Verdict(k); !ok {
+			t.Errorf("verdict %q lost across the compaction", k)
+		}
+	}
+	noCorrupt(t, dir)
+}
+
 // TestCompactCrashRecovery injects a crash at every compaction stage (via the
 // compactHook seam, which aborts leaving exactly the on-disk state a kill
 // there would) and asserts the store reloads cleanly — full content, no

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -71,6 +73,60 @@ func FuzzParseBloomDigest(f *testing.F) {
 			if !d.Contains(k) {
 				t.Fatalf("digest %q does not claim its key %q", enc, k)
 			}
+		}
+	})
+}
+
+// FuzzStoreHeader writes fuzzed bytes as the header line of a store file
+// that holds one verdict record after it (an empty input is an empty file)
+// and opens the store. Open must never panic or fail: either it warms — the
+// header line is a current header and the verdict loads — or it starts cold
+// and writes a fresh header. Either way the file then begins with a current
+// header line. Seeds in testdata/fuzz/FuzzStoreHeader: a current header, a
+// header with other StoreParams, a truncated header and an empty file.
+func FuzzStoreHeader(f *testing.F) {
+	const params = "p1"
+	yes := true
+	vrd, err := encode(record{T: "vrd", Skel: "k", V: &yes})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, header []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, logName)
+		var file []byte
+		if len(header) > 0 {
+			file = append(append(append(file, header...), '\n'), vrd...)
+		}
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{Params: params})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		_, loaded := s.Verdict("k")
+		cold := s.Stats().ColdStart
+		if err := s.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if cold && loaded {
+			t.Fatal("cold start kept a record of the rejected file")
+		}
+		if !cold && !loaded && !bytes.Contains(header, []byte("\n")) {
+			t.Fatal("warm start lost the record after a one-line header")
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		hdr, ok := decode(line)
+		if !ok || hdr.T != "hdr" || hdr.Version != version || hdr.Params != params {
+			t.Fatalf("store file after open (cold=%v) begins with %q, not a current header", cold, line)
+		}
+		if first, _, _ := bytes.Cut(header, []byte("\n")); !cold && !bytes.Equal(line, first) {
+			t.Fatalf("warm start rewrote the header %q as %q", first, line)
 		}
 	})
 }

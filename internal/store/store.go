@@ -225,8 +225,12 @@ type Store struct {
 	// maps.
 	seen map[string]struct{}
 
-	qmu          sync.Mutex
-	queue        [][]byte // encoded lines awaiting flush
+	qmu   sync.Mutex
+	queue [][]byte // encoded lines awaiting flush
+	// held keeps flush from writing while a compaction is between its
+	// live-set snapshot and the generation swap: a line written to the old
+	// generation then would vanish with it (see Compact).
+	held         bool
 	file         *os.File
 	logBytes     int64                     // on-disk size of the well-formed log prefix
 	flushRetries int                       // consecutive failed flushes of the current batch
@@ -878,7 +882,7 @@ func (s *Store) flush(sync bool) error {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	var firstErr error
-	if len(s.queue) > 0 {
+	if len(s.queue) > 0 && !s.held {
 		buf := make([]byte, 0, 4096)
 		for _, line := range s.queue {
 			buf = append(buf, line...)
@@ -973,6 +977,10 @@ func (s *Store) Flush() error {
 	if s.closed.Load() {
 		return nil
 	}
+	// Wait out a compaction in flight, which holds the queue back until
+	// its generation swap.
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
 	return s.flush(true)
 }
 
