@@ -2,19 +2,13 @@
 # default test suite, and a short race-detector pass over every package
 # (exercising the interner's and the parallel engine's concurrency claims).
 # `make test-short` is the <60s developer loop; `make bench` runs the
-# engine microbenchmarks; `make bench-json` writes a machine-readable
-# BENCH_$(BENCH_N).json report; `make profile` captures CPU/heap profiles
-# of the default benchmark suite.
+# engine microbenchmarks; the bench-* targets run one benchmark gate each.
+# The layered end-to-end benchmark is `bash vs3perf/run.sh` (its own Go
+# module; `make vs3perf-vet` builds and tests it offline).
 
 GO ?= go
 
-# Report number for bench-json output (BENCH_2.json, BENCH_3.json, ...).
-BENCH_N ?= 4
-
-# Baseline report that bench-compare diffs against.
-BENCH_BASE ?= BENCH_3.json
-
-.PHONY: all build vet test test-short test-race test-differential fuzz-smoke serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke bench-cluster bench-lia bench-warm bench-rpc bench-compact bench bench-json bench-compare bench-quick profile check clean
+.PHONY: all build vet test test-short test-race test-differential fuzz-smoke serve-smoke cluster-smoke rpc-smoke restart-smoke compact-smoke bench-cluster bench-lia bench-warm bench-rpc bench-compact bench vs3perf-vet check clean
 
 all: check
 
@@ -74,17 +68,18 @@ test-differential:
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
-	$(GO) test -run 'TestMapVsBFS|TestCompareParallel|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
+	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
 	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record
 # replay, its header check on open (a fuzzed header line must either warm
 # or start cold with a fresh header), its outcome-digest (bloom) decoder,
-# and the spec-file lexer and parser, 10s per target. Plain
-# `go test` already replays the committed seed corpora under
-# internal/rpc/testdata/fuzz, internal/store/testdata/fuzz and
-# internal/lang/testdata/fuzz.
+# the spec-file lexer and parser, and the vs3d NDJSON batch endpoint (a
+# fuzzed body must get a 4xx, or a 200 with exactly one line per item),
+# 10s per target. Plain `go test` already replays the committed seed
+# corpora under internal/rpc/testdata/fuzz, internal/store/testdata/fuzz,
+# internal/lang/testdata/fuzz and internal/serve/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
@@ -93,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreHeader$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s ./internal/serve/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers
@@ -130,48 +126,44 @@ restart-smoke:
 compact-smoke:
 	$(GO) test -run TestCompactSmoke -count=1 -v ./cmd/vs3router/
 
-# Head-to-head routing benchmark (the tentpole proof for PR 6): single node
-# vs affinity routing vs random routing over 2 backends on the default
-# corpus, asserting affinity wins on from-scratch SMT queries and warm
-# cache-hit ratio. Writes BENCH_6.json.
+# Head-to-head routing benchmark: single node vs affinity routing vs random
+# routing over 2 backends on the default corpus, asserting affinity wins on
+# from-scratch SMT queries and warm cache-hit ratio. `make check` runs it too;
+# this target runs it alone.
 bench-cluster:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_6.json $(GO) test -run TestClusterBench -count=1 -v ./cmd/vs3router/
+	$(GO) test -run TestClusterBench -count=1 -v ./cmd/vs3router/
 
-# Incremental-FM benchmark (the tentpole proof for PR 7): the persistent
-# general-LIA checker (LinChecker) vs from-scratch Fourier–Motzkin
-# elimination on the non-unit-coefficient family, asserting identical
-# verdicts per cell and a >=3x reduction in from-scratch eliminations.
-# Writes BENCH_7.json.
+# Incremental-FM benchmark: the persistent general-LIA checker (LinChecker)
+# vs from-scratch Fourier–Motzkin elimination on the non-unit-coefficient
+# family, asserting identical verdicts per cell and a >=3x reduction in
+# from-scratch eliminations. `make check` runs it too.
 bench-lia:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_7.json $(GO) test -run TestLIABench -count=1 -v ./internal/bench/
+	$(GO) test -run TestLIABench -count=1 -v ./internal/bench/
 
-# Warm-restart benchmark (the tentpole proof for PR 8): the default suite run
-# cold on a fresh knowledge store, then again reopening it — a daemon
-# restart. Asserts identical verdicts per cell and a >=5x reduction in
-# from-scratch work (SMT queries + Fourier–Motzkin eliminations); the
-# committed BENCH_8.json doubles as the regression baseline (the warm arm
-# must stay within 2x of its recorded work) and is rewritten on success.
+# Warm-restart benchmark: the default suite run cold on a fresh knowledge
+# store, then again reopening it — a daemon restart. Asserts identical
+# verdicts per cell, a >=5x reduction in from-scratch work (SMT queries +
+# Fourier–Motzkin eliminations), and warm work within 2x of the committed
+# BENCH_8.json's recorded warm work (read-only). `make check` runs it too.
 bench-warm:
-	VS3_BENCH_BASE=$(CURDIR)/BENCH_8.json VS3_BENCH_OUT=$(CURDIR)/BENCH_8.json $(GO) test -run TestWarmBench -count=1 -v ./internal/bench/
+	$(GO) test -run 'TestWarmBench|TestWithinWarmBaseline' -count=1 -v ./internal/bench/
 
 # Hedging benchmark: hedged vs unhedged routing over a store-backed
 # 2-backend fleet with one stalled backend, asserting hedging wins p99 at
 # identical verdicts. The gate is a wall-clock comparison, so the test skips
-# under plain `go test ./...` and only runs here. BENCH_9.json is the
-# committed record of the PR 9 transport comparison (VS3R vs HTTP/JSON,
-# `benchtab -table 9` renders it); this target no longer rewrites it.
+# under plain `go test ./...` and only runs with VS3_FLEET_BENCH=1, as here.
 bench-rpc:
-	VS3_BENCH_RPC=1 $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
+	VS3_FLEET_BENCH=1 $(GO) test -run TestRPCBench -count=1 -v ./cmd/vs3router/
 
-# Compaction + store-aware routing benchmark (the tentpole proof for PR 10):
-# part A duplicates a warmed store's log 6x and gates a >=3x on-disk shrink
-# from compaction with a zero-work warm restart; part B reweights a warmed
-# 2-backend fleet's hash ring and replays the corpus store-aware vs
-# affinity-only over byte-identical store copies, gating that store-aware
-# placement redoes strictly less from-scratch work at identical verdicts.
-# Writes BENCH_10.json (`benchtab -table 10` renders the committed report).
+# Compaction + store-aware routing benchmark: part A duplicates a warmed
+# store's log 6x and gates a >=3x on-disk shrink from compaction with a
+# zero-work warm restart; part B reweights a warmed 2-backend fleet's hash
+# ring and replays the corpus store-aware vs affinity-only over
+# byte-identical store copies, gating that store-aware placement redoes
+# strictly less from-scratch work at identical verdicts. Skips under plain
+# `go test ./...`; runs with VS3_FLEET_BENCH=1, as here.
 bench-compact:
-	VS3_BENCH_OUT=$(CURDIR)/BENCH_10.json $(GO) test -run TestCompactBench -count=1 -v ./cmd/vs3router/
+	VS3_FLEET_BENCH=1 $(GO) test -run TestCompactBench -count=1 -v ./cmd/vs3router/
 
 # Engine microbenchmarks: the parallel-engine comparisons from PR 1 plus the
 # interning/hot-path benchmarks (cache-hit keying, structural equality,
@@ -183,27 +175,15 @@ bench:
 	$(GO) test -bench 'ValidCacheHit' -run - ./internal/smt/
 	$(GO) test -bench 'Fill|NegativeSolutions' -run - ./internal/optimal/ ./internal/template/
 
-# Machine-readable benchmark report: runs the default representative suite
-# and writes BENCH_$(BENCH_N).json (per-cell wall time, SMT queries, cache
-# hits) for tracking the perf trajectory across PRs.
-bench-json:
-	$(GO) run ./cmd/benchtab -json BENCH_$(BENCH_N).json
-
-# Re-run the default suite and print a per-cell speedup table against the
-# baseline report (set BENCH_BASE to diff against another BENCH_N.json).
-bench-compare:
-	$(GO) run ./cmd/benchtab -compare $(BENCH_BASE)
-
-# Fast local sanity: one task (List Delete) across all three methods — one
-# cell per algorithm, a few seconds end to end.
-bench-quick:
-	$(GO) run ./cmd/benchtab -quick
-
-# CPU/heap profiles of the default suite (sequential, so the profile is not
-# dominated by scheduler noise). Inspect with `go tool pprof cpu.prof`.
-profile:
-	$(GO) run ./cmd/benchtab -json /dev/null -parallel 1 -cpuprofile cpu.prof -memprofile mem.prof
-	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"
+# Vet and test the vs3perf benchmark, its own Go module that `go build ./...`
+# at the root never compiles, with vs3perf/run.sh's offline environment and
+# caches under .bench_build/, so an API change the benchmark uses cannot
+# break it unseen.
+vs3perf-vet:
+	b=$(CURDIR)/.bench_build && mkdir -p $$b/gocache $$b/gotmp $$b/home && cd vs3perf && \
+		HOME=$$b/home XDG_CONFIG_HOME=$$b/home/.config GOPATH=$$b/home/go \
+		GOCACHE=$$b/gocache GOTMPDIR=$$b/gotmp GOWORK=off GOPROXY=off \
+		GOTOOLCHAIN=local GOFLAGS=-mod=mod sh -c '$(GO) vet ./... && $(GO) test ./...'
 
 check: build vet test test-race test-differential
 

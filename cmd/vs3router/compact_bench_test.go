@@ -3,15 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/load"
 	"repro/internal/route"
 	"repro/internal/serve"
@@ -252,34 +249,25 @@ func routerStoreHits(t *testing.T, base string) int64 {
 	return body.StoreHits
 }
 
-// TestCompactBench is `make bench-compact`: the BENCH_10 proof. Part A
-// duplicates a warmed store's log 6x and gates a >=3x on-disk shrink from
-// compaction, with a warm restart over the compacted generation doing zero
+// TestCompactBench is `make bench-compact`: the compaction and store-aware
+// routing gate. Part A duplicates a warmed store's log 6x and gates a >=3x
+// on-disk shrink from compaction, with a warm restart over the compacted generation doing zero
 // from-scratch work at identical verdicts. Part B warms a two-backend fleet,
 // reweights the hash ring (moving keys off the nodes that solved them), and
 // replays the corpus through store-aware and affinity-only routing over
 // byte-identical store copies: store-aware placement must redo strictly less
 // from-scratch work, again at identical verdicts. Gates compare wall-clock
 // fleet runs, so the test only runs under `make bench-compact`
-// (VS3_BENCH_OUT set) and skips under plain `go test ./...`.
+// (VS3_FLEET_BENCH=1) and skips under plain `go test ./...`.
 func TestCompactBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compaction benchmark is not a -short test")
 	}
-	out := os.Getenv("VS3_BENCH_OUT")
-	if out == "" {
-		t.Skip("fleet benchmark; run via make bench-compact (VS3_BENCH_OUT unset)")
-	}
+	skipUnlessFleetBench(t, "bench-compact")
 	corpus := load.DefaultCorpus()
 	distinct := map[string]bool{}
 	for _, it := range corpus {
 		distinct[serve.ProblemKey(it.Spec)] = true
-	}
-	rep := bench.Bench10Report{
-		Report:  "BENCH_10",
-		Purpose: "generational log compaction (duplicate-heavy store shrink + warm restart) and store-aware routing vs plain ring affinity after a fleet reweight",
-		Host:    runtime.GOOS + "/" + runtime.GOARCH,
-		GoMaxP:  runtime.GOMAXPROCS(0),
 	}
 
 	// ---- Part A: duplicate-heavy compaction + warm restart ----
@@ -316,19 +304,9 @@ func TestCompactBench(t *testing.T) {
 	warm := benchArm(t, tsW.hts.URL, len(corpus))
 	warmHits := probeStats(t, tsW.hts.URL).OutcomeHits
 	tsW.stop()
+	t.Logf("warm restart on the compacted store: work=%d, %d outcome hits", warm.Work(), warmHits)
 	if warm.Work() != 0 {
 		t.Errorf("warm restart on the compacted store did %d from-scratch work, want 0", warm.Work())
-	}
-	rep.Compaction = bench.Bench10Compact{
-		Outcomes:          len(distinct),
-		Copies:            copies,
-		LogBytesBefore:    beforeBytes,
-		LogBytesAfter:     afterBytes,
-		ReclaimedBytes:    reclaimed,
-		ShrinkX:           shrink,
-		WarmWork:          warm.Work(),
-		WarmStoreHits:     warmHits,
-		VerdictsIdentical: true, // benchArm fails the run on any verdict mismatch
 	}
 
 	// ---- Part B: store-aware vs affinity-only after a ring reweight ----
@@ -397,34 +375,4 @@ func TestCompactBench(t *testing.T) {
 	if storeHits == 0 {
 		t.Error("store-aware arm counted zero digest-preferred placements")
 	}
-
-	rep.Routing = bench.Bench10Routing{
-		Arms:      map[string]load.Result{"store_aware": aware, "affinity_only": affOnly},
-		StoreHits: storeHits,
-	}
-	rep.Findings = bench.Bench10Findings{
-		CompactionShrinkX: shrink,
-		CompactWarmWork:   warm.Work(),
-		StoreAwareWork:    aware.Work(),
-		AffinityWork:      affOnly.Work(),
-		StoreHits:         storeHits,
-		VerdictsIdentical: true, // benchArm fails the run on any verdict mismatch
-	}
-	if aware.Work() > 0 {
-		rep.Findings.WorkSavedX = float64(affOnly.Work()) / float64(aware.Work())
-	}
-	rep.Notes = []string{
-		fmt.Sprintf("part A: the default corpus solved cold into one store, its log duplicated %dx (simulated rewrite churn), compacted, then replayed by a restarted backend; shrink is on-disk log bytes before/after", copies),
-		"part B: a 2-backend fleet warmed under weights {1,1}, then the ring reweighted to {4,1}; each arm runs on byte-identical copies of the warmed stores, so only the routing policy differs",
-		"work = smt_queries + fm_scratch + fm_incremental read as /v1/stats deltas through the router (summed over live backends)",
-		"verdicts_identical: benchArm fails the run if any arm returns a verdict differing from the corpus expectation",
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -5,14 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -291,59 +288,28 @@ func benchArm(t *testing.T, base string, requests int) load.Result {
 	return res
 }
 
-// bench6Report is the BENCH_6.json schema.
-type bench6Report struct {
-	Report   string                 `json:"report"`
-	Purpose  string                 `json:"purpose"`
-	Host     string                 `json:"host"`
-	GoMaxP   int                    `json:"gomaxprocs"`
-	Corpus   int                    `json:"corpus_items"`
-	Distinct int                    `json:"distinct_problems"`
-	Requests int                    `json:"requests_per_arm"`
-	Arms     map[string]load.Result `json:"arms"`
-	Findings struct {
-		AffinityQueries        int64   `json:"affinity_smt_queries"`
-		RandomQueries          int64   `json:"random_smt_queries"`
-		QueriesSavedRatio      float64 `json:"random_over_affinity_queries"`
-		AffinityHitRatio       float64 `json:"affinity_cache_hit_ratio"`
-		RandomHitRatio         float64 `json:"random_cache_hit_ratio"`
-		AffinityP95MS          float64 `json:"affinity_p95_ms"`
-		RandomP95MS            float64 `json:"random_p95_ms"`
-		VerdictsIdenticalToOne bool    `json:"verdicts_identical_to_single_node"`
-	} `json:"findings"`
-	Notes []string `json:"notes"`
-}
-
-// TestClusterBench is `make bench-cluster`: the head-to-head perf proof for
-// the tentpole. Three arms over the same mixed corpus — one backend alone,
+// TestClusterBench is `make bench-cluster`: the head-to-head routing gate.
+// Three arms over the same mixed corpus — one backend alone,
 // two backends behind affinity routing, two behind random routing — and the
 // claim under test is that affinity keeps the fleet warm: fewer from-scratch
 // SMT queries and a higher cache-hit ratio than random routing, with
-// verdicts identical everywhere. Writes BENCH_6.json when VS3_BENCH_OUT is
-// set.
+// verdicts identical everywhere.
 func TestClusterBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster benchmark is not a -short test")
 	}
-	corpus := load.DefaultCorpus()
-	distinct := map[string]bool{}
-	for _, it := range corpus {
-		distinct[serve.ProblemKey(it.Spec)] = true
-	}
-	requests := 3 * len(corpus)
-
-	arms := map[string]load.Result{}
+	requests := 3 * len(load.DefaultCorpus())
 
 	// Arm 1: single node, no router — the verdict baseline.
 	single := startBackend(t, serve.Config{ID: "bench-single"}, nil)
-	arms["single"] = benchArm(t, single.hts.URL, requests)
+	one := benchArm(t, single.hts.URL, requests)
 
 	// Arm 2: two fresh backends behind affinity routing.
 	a1, a2 := startBackend(t, serve.Config{ID: "bench-aff-1"}, nil), startBackend(t, serve.Config{ID: "bench-aff-2"}, nil)
 	affBase, _, affStop := startRouter(t, route.Config{
 		Backends: []string{a1.hts.URL, a2.hts.URL}, Policy: route.Affinity,
 	})
-	arms["affinity"] = benchArm(t, affBase, requests)
+	aff := benchArm(t, affBase, requests)
 	affStop()
 
 	// Arm 3: two fresh backends behind random routing — the control.
@@ -351,11 +317,10 @@ func TestClusterBench(t *testing.T) {
 	randBase, _, randStop := startRouter(t, route.Config{
 		Backends: []string{r1.hts.URL, r2.hts.URL}, Policy: route.Random,
 	})
-	arms["random"] = benchArm(t, randBase, requests)
+	rnd := benchArm(t, randBase, requests)
 	randStop()
 
-	aff, rnd := arms["affinity"], arms["random"]
-	t.Logf("single:   %d queries, hit ratio %.3f, p95 %.1fms", arms["single"].SMTQueries, arms["single"].CacheHitRatio, arms["single"].P95MS)
+	t.Logf("single:   %d queries, hit ratio %.3f, p95 %.1fms", one.SMTQueries, one.CacheHitRatio, one.P95MS)
 	t.Logf("affinity: %d queries, hit ratio %.3f, p95 %.1fms", aff.SMTQueries, aff.CacheHitRatio, aff.P95MS)
 	t.Logf("random:   %d queries, hit ratio %.3f, p95 %.1fms", rnd.SMTQueries, rnd.CacheHitRatio, rnd.P95MS)
 
@@ -366,43 +331,4 @@ func TestClusterBench(t *testing.T) {
 	if aff.CacheHitRatio <= rnd.CacheHitRatio {
 		t.Errorf("affinity hit ratio %.3f not above random %.3f", aff.CacheHitRatio, rnd.CacheHitRatio)
 	}
-
-	out := os.Getenv("VS3_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	rep := bench6Report{
-		Report:   "BENCH_6",
-		Purpose:  "affinity vs random routing across 2 vs3d backends on the default mixed corpus (cmd/vs3load harness)",
-		Host:     runtime.GOOS + "/" + runtime.GOARCH,
-		GoMaxP:   runtime.GOMAXPROCS(0),
-		Corpus:   len(corpus),
-		Distinct: len(distinct),
-		Requests: requests,
-		Arms:     arms,
-	}
-	rep.Findings.AffinityQueries = aff.SMTQueries
-	rep.Findings.RandomQueries = rnd.SMTQueries
-	if aff.SMTQueries > 0 {
-		rep.Findings.QueriesSavedRatio = float64(rnd.SMTQueries) / float64(aff.SMTQueries)
-	}
-	rep.Findings.AffinityHitRatio = aff.CacheHitRatio
-	rep.Findings.RandomHitRatio = rnd.CacheHitRatio
-	rep.Findings.AffinityP95MS = aff.P95MS
-	rep.Findings.RandomP95MS = rnd.P95MS
-	rep.Findings.VerdictsIdenticalToOne = true // benchArm fails the test on any verdict mismatch in any arm
-	rep.Notes = []string{
-		"backends are separate serve.Server instances (own session pools, SMT solvers, validity caches, core stores) on distinct TCP ports within one test process; the process-global formula interner is shared, which affects allocation only, not the SMT query/cache counters compared here",
-		"every arm starts cold; each runs 3 passes over the corpus at concurrency 4",
-		"verdicts_identical_to_single_node: benchArm fails the run if any arm returns a verdict differing from the corpus expectation, and the single-node arm establishes that expectation holds there too",
-		fmt.Sprintf("reference box GOMAXPROCS=%d; latency comparisons across arms share one machine, so queries/hit-ratio are the primary signal", runtime.GOMAXPROCS(0)),
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

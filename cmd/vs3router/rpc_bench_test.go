@@ -12,6 +12,16 @@ import (
 	"repro/internal/serve"
 )
 
+// skipUnlessFleetBench skips a wall-clock fleet gate unless its Make target
+// opted in with VS3_FLEET_BENCH=1: the gate compares latencies or placements
+// that mean nothing while the rest of the suite competes for the same cores.
+func skipUnlessFleetBench(t *testing.T, target string) {
+	t.Helper()
+	if os.Getenv("VS3_FLEET_BENCH") != "1" {
+		t.Skipf("wall-clock fleet benchmark; run via make %s", target)
+	}
+}
+
 // loadArm runs corpus against base over the given transport and fails the
 // test on any wrong verdict or transport error.
 func loadArm(t *testing.T, base, proto string, corpus []load.Item, requests int) load.Result {
@@ -40,17 +50,13 @@ func loadArm(t *testing.T, base, proto string, corpus []load.Item, requests int)
 //
 // The gate is a wall-clock comparison — meaningless when the rest of the
 // suite is competing for the same cores — so the test only runs in its
-// dedicated `make bench-rpc` invocation (VS3_BENCH_RPC set) and skips under
-// `go test ./...`. The committed BENCH_9.json (`benchtab -table 9`) is the
-// record of the transport comparison that chose VS3R over HTTP/JSON as the
-// router's only backend wire; this test no longer rewrites it.
+// dedicated `make bench-rpc` invocation (VS3_FLEET_BENCH=1) and skips under
+// `go test ./...`.
 func TestRPCBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rpc benchmark is not a -short test")
 	}
-	if os.Getenv("VS3_BENCH_RPC") == "" {
-		t.Skip("wall-clock gated benchmark; run via make bench-rpc")
-	}
+	skipUnlessFleetBench(t, "bench-rpc")
 	corpus := load.DefaultCorpus()
 
 	// Both backends carry a store, warmed directly below on the whole

@@ -59,6 +59,26 @@ func (t Task) methods() []core.Method {
 	return core.Methods
 }
 
+// DefaultSuite returns the fast representative benchmark subset (the same
+// tasks the always-on search tests run): one sortedness, one preservation,
+// two functional-correctness preconditions, one worst-case bound, the two
+// fast list tasks, and two general-LIA invariants. It is the pinned suite
+// behind the vs3perf engine workloads and TestWarmBench, sized to finish in
+// minutes rather than the tens of minutes the full Table 6 sweep takes.
+func DefaultSuite() []Task {
+	return []Task{
+		SortednessTasks()[4],   // quick sort (inner)
+		PreservationTasks()[4], // insertion sort
+		FunctionalTasks()[0],   // partial init precondition
+		FunctionalTasks()[1],   // init synthesis precondition
+		WorstCaseTasks()[2],    // quick sort (inner) bound
+		ArrayListTasks()[3],    // list delete
+		ArrayListTasks()[4],    // list insert
+		LIATasks()[0],          // scaled init (general-LIA invariant)
+		LIATasks()[1],          // double stride (general-LIA invariant)
+	}
+}
+
 // Measurement is one (task, method) timing.
 type Measurement struct {
 	Task     string
@@ -66,22 +86,9 @@ type Measurement struct {
 	Method   core.Method
 	Proved   bool
 	Duration time.Duration
-	// Queries and CacheHits snapshot the run's SMT validity counters (each
-	// cell uses a fresh solver, so these are per-cell, not cumulative).
-	Queries   int64
-	CacheHits int64
-	// Incremental-solving counters: contexts created, probes answered
-	// through a persistent context's assumption interface (these do not
-	// count in Queries), probes that reused persisted lemmas or learnt
-	// clauses, lattice candidates pruned by unsat cores, stored cores
-	// evicted to admit newer ones, and theory lemmas imported from a
-	// sibling context lane's exchange.
-	Contexts         int64
-	AssumptionProbes int64
-	LemmaReuse       int64
-	CorePruned       int64
-	CoreEvicted      int64
-	SharedLemmas     int64
+	// Queries snapshots the run's from-scratch SMT validity queries (each
+	// cell uses a fresh solver, so this is per-cell, not cumulative).
+	Queries int64
 	// Fourier–Motzkin counters: from-scratch eliminations (non-difference
 	// theory checks outside any persistent context), incremental runs and
 	// cube-store hits inside persistent LinCheckers, derived-cap hits
@@ -221,13 +228,6 @@ func (r *Runner) runOne(t Task, m core.Method) Measurement {
 		}
 		mm.Duration = time.Since(start)
 		mm.Queries = v.Engine().S.NumQueries()
-		mm.CacheHits = v.Engine().S.NumCacheHits()
-		mm.Contexts = v.Engine().S.NumContexts()
-		mm.AssumptionProbes = v.Engine().S.NumAssumptionProbes()
-		mm.LemmaReuse = v.Engine().S.NumLemmaReuseHits()
-		mm.CorePruned = v.Engine().NumCorePruned()
-		mm.CoreEvicted = v.Engine().NumCoreEvicted()
-		mm.SharedLemmas = v.Engine().S.NumSharedLemmas()
 		mm.FMScratch = v.Engine().S.NumFMScratch()
 		mm.FMIncremental = v.Engine().S.NumFMIncremental()
 		mm.FMCubeHits = v.Engine().S.NumFMCubeHits()

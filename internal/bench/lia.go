@@ -2,7 +2,7 @@
 // scaled guards and strides. Their invariants need atoms like j = 2·i whose
 // verification conditions fall outside the difference fragment, so every
 // theory check runs through the Fourier–Motzkin engine — the workload behind
-// `make bench-lia` (BENCH_7.json), comparing the persistent LinChecker
+// TestLIABench (`make bench-lia`), comparing the persistent LinChecker
 // against from-scratch elimination.
 
 package bench

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -61,63 +58,52 @@ func TestLIANoDormancy(t *testing.T) {
 	}
 }
 
-// bench7Report is the BENCH_7.json schema.
-type bench7Report struct {
-	Report   string             `json:"report"`
-	Purpose  string             `json:"purpose"`
-	Host     string             `json:"host"`
-	GoMaxP   int                `json:"gomaxprocs"`
-	Arms     map[string]*Report `json:"arms"`
-	Findings struct {
-		ScratchIncremental  int64   `json:"fm_scratch_incremental"`
-		ScratchFromScratch  int64   `json:"fm_scratch_noincremental"`
-		ScratchRatio        float64 `json:"noincremental_over_incremental_fm_scratch"`
-		IncrementalRuns     int64   `json:"fm_incremental_runs"`
-		IncrementalCellSecs float64 `json:"incremental_cell_seconds"`
-		FromScratchCellSecs float64 `json:"noincremental_cell_seconds"`
-		VerdictsIdentical   bool    `json:"verdicts_identical"`
-		DormantContexts     int64   `json:"dormant_contexts_incremental"`
-	} `json:"findings"`
-	Notes []string `json:"notes"`
-}
-
-func runLIAArm(t *testing.T, cfg core.Config) *Report {
+// runCells runs every (task, method) cell of tasks on r and returns the
+// measurements flattened in task/method order, failing the test on any cell
+// that did not run to completion.
+func runCells(t *testing.T, r *Runner, tasks []Task) []Measurement {
 	t.Helper()
-	r := &Runner{Config: cfg, Stats: stats.New(), Timeout: 2 * time.Minute}
-	start := time.Now()
-	results := r.RunAll(LIATasks())
-	rep := &Report{Suite: "lia", Parallel: 1,
-		WallSeconds: time.Since(start).Seconds(), CellSeconds: r.CellTime().Seconds()}
-	for _, ms := range results {
+	var cells []Measurement
+	for _, ms := range r.RunAll(tasks) {
 		for _, m := range ms {
 			if m.Err != nil {
 				t.Fatalf("%s/%s: %v", m.Task, m.Method, m.Err)
 			}
-			rep.Queries += m.Queries
-			rep.CacheHits += m.CacheHits
-			rep.AssumptionProbes += m.AssumptionProbes
-			rep.FMScratch += m.FMScratch
-			rep.FMIncremental += m.FMIncremental
-			cell := CellReport{
-				Task: m.Task, Property: m.Property, Method: m.Method.String(),
-				Proved: m.Proved, Seconds: m.Duration.Seconds(),
-				Queries: m.Queries, CacheHits: m.CacheHits,
-				Contexts: m.Contexts, AssumptionProbes: m.AssumptionProbes,
-				FMScratch: m.FMScratch, FMIncremental: m.FMIncremental,
-				FMCubeHits: m.FMCubeHits, FMCapHits: m.FMCapHits,
-				DormantContexts: m.DormantContexts,
-			}
-			rep.Cells = append(rep.Cells, cell)
+			cells = append(cells, m)
 		}
 	}
-	return rep
+	return cells
+}
+
+// sumCells adds up, over a run's cells, the wall-clock and the counters the
+// benchmark gates read.
+func sumCells(cells []Measurement) Measurement {
+	var s Measurement
+	for _, m := range cells {
+		s.Duration += m.Duration
+		s.Queries += m.Queries
+		s.FMScratch += m.FMScratch
+		s.FMIncremental += m.FMIncremental
+		s.DormantContexts += m.DormantContexts
+		s.StoreHits += m.StoreHits
+		s.WarmLemmas += m.WarmLemmas
+		s.WarmCores += m.WarmCores
+		s.SearchHits += m.SearchHits
+		s.SearchRejects += m.SearchRejects
+	}
+	return s
+}
+
+// runLIAArm runs the general-LIA family under cfg and returns its cells.
+func runLIAArm(t *testing.T, cfg core.Config) []Measurement {
+	t.Helper()
+	return runCells(t, &Runner{Config: cfg, Stats: stats.New(), Timeout: 2 * time.Minute}, LIATasks())
 }
 
 // TestLIABench is `make bench-lia`: cold (NoIncremental, every general-LIA
 // theory check a from-scratch elimination) versus incremental (persistent
-// LinChecker per context) on the scaled family, with byte-identical verdicts
-// per cell and a ≥3x reduction in from-scratch eliminations. Writes
-// BENCH_7.json when VS3_BENCH_OUT is set.
+// LinChecker per context) on the scaled family, with identical verdicts per
+// cell and a ≥3x reduction in from-scratch eliminations.
 func TestLIABench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LIA benchmark is not a -short test")
@@ -125,72 +111,34 @@ func TestLIABench(t *testing.T) {
 	inc := runLIAArm(t, core.Config{})
 	cold := runLIAArm(t, core.Config{SMT: smt.Options{NoIncremental: true}})
 
-	if len(inc.Cells) != len(cold.Cells) {
-		t.Fatalf("arm cell counts differ: %d vs %d", len(inc.Cells), len(cold.Cells))
+	if len(inc) != len(cold) {
+		t.Fatalf("arm cell counts differ: %d vs %d", len(inc), len(cold))
 	}
-	verdictsIdentical := true
-	var dormant int64
-	for i := range inc.Cells {
-		a, b := inc.Cells[i], cold.Cells[i]
+	for i := range inc {
+		a, b := inc[i], cold[i]
 		if a.Task != b.Task || a.Method != b.Method {
 			t.Fatalf("cell %d mismatch: %s/%s vs %s/%s", i, a.Task, a.Method, b.Task, b.Method)
 		}
 		if a.Proved != b.Proved {
-			verdictsIdentical = false
 			t.Errorf("%s/%s: incremental proved=%v, from-scratch proved=%v", a.Task, a.Method, a.Proved, b.Proved)
 		}
 		if !a.Proved {
 			t.Errorf("%s/%s: not proved", a.Task, a.Method)
 		}
-		dormant += a.DormantContexts
 	}
-	if dormant != 0 {
-		t.Errorf("incremental arm sent %d contexts dormant; want 0", dormant)
+	is, cs := sumCells(inc), sumCells(cold)
+	if is.DormantContexts != 0 {
+		t.Errorf("incremental arm sent %d contexts dormant; want 0", is.DormantContexts)
 	}
 	t.Logf("incremental: fm_scratch=%d fm_incremental=%d cells=%.2fs",
-		inc.FMScratch, inc.FMIncremental, inc.CellSeconds)
-	t.Logf("from-scratch: fm_scratch=%d cells=%.2fs", cold.FMScratch, cold.CellSeconds)
-	if inc.FMScratch*3 > cold.FMScratch {
+		is.FMScratch, is.FMIncremental, is.Duration.Seconds())
+	t.Logf("from-scratch: fm_scratch=%d cells=%.2fs", cs.FMScratch, cs.Duration.Seconds())
+	if is.FMScratch*3 > cs.FMScratch {
 		t.Errorf("from-scratch eliminations not reduced >=3x: incremental %d vs cold %d",
-			inc.FMScratch, cold.FMScratch)
+			is.FMScratch, cs.FMScratch)
 	}
-	if inc.CellSeconds >= cold.CellSeconds {
+	if is.Duration >= cs.Duration {
 		t.Logf("warning: incremental cell time %.2fs not below from-scratch %.2fs on this run",
-			inc.CellSeconds, cold.CellSeconds)
+			is.Duration.Seconds(), cs.Duration.Seconds())
 	}
-
-	out := os.Getenv("VS3_BENCH_OUT")
-	if out == "" {
-		return
-	}
-	rep := bench7Report{
-		Report:  "BENCH_7",
-		Purpose: "persistent incremental Fourier-Motzkin (LinChecker) vs from-scratch elimination on the non-unit-coefficient benchmark family",
-		Host:    runtime.GOOS + "/" + runtime.GOARCH,
-		GoMaxP:  runtime.GOMAXPROCS(0),
-		Arms:    map[string]*Report{"incremental": inc, "noincremental": cold},
-	}
-	rep.Findings.ScratchIncremental = inc.FMScratch
-	rep.Findings.ScratchFromScratch = cold.FMScratch
-	if inc.FMScratch > 0 {
-		rep.Findings.ScratchRatio = float64(cold.FMScratch) / float64(inc.FMScratch)
-	}
-	rep.Findings.IncrementalRuns = inc.FMIncremental
-	rep.Findings.IncrementalCellSecs = inc.CellSeconds
-	rep.Findings.FromScratchCellSecs = cold.CellSeconds
-	rep.Findings.VerdictsIdentical = verdictsIdentical
-	rep.Findings.DormantContexts = dormant
-	rep.Notes = []string{
-		"arms run sequentially on one machine; each cell is a fresh Verifier with a cold SMT cache",
-		"fm_scratch counts lia.Check calls on non-difference systems outside any persistent checker; the incremental arm routes those checks through per-context LinCheckers (fm_incremental runs + cube hits) instead",
-		"verdicts compared cell-by-cell across arms; the family's known invariants are pinned separately by TestScaledInitKnownInvariant and friends",
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -3,8 +3,8 @@
 // the scale-out story is judged on: p50/p95/p99 latency, throughput, shed
 // rate, verdict correctness, and the server-side cache economics
 // (from-scratch SMT queries and cache-hit ratio, read as /v1/stats deltas).
-// cmd/vs3load is the CLI; the cluster benchmark (BENCH_6) reuses Run for
-// its affinity-vs-random comparison. This harness is the regression gate
+// cmd/vs3load is the CLI; the cluster benchmark (TestClusterBench in
+// cmd/vs3router) reuses Run for its affinity-vs-random comparison. This harness is the regression gate
 // future scale-out and persistence PRs run against.
 package load
 
@@ -117,7 +117,8 @@ type Result struct {
 
 // Work returns the run's server-side from-scratch solving work: SMT validity
 // queries plus Fourier–Motzkin eliminations. The store-aware routing
-// benchmark (BENCH_10) compares this quantity across arms.
+// benchmark (TestCompactBench in cmd/vs3router) compares this quantity
+// across arms.
 func (r Result) Work() int64 { return r.SMTQueries + r.FMScratch + r.FMIncremental }
 
 // statsProbe is the slice of a /v1/stats body the generator diffs.

@@ -1,8 +1,8 @@
 // Package route implements the skeleton-affinity cluster router in front of
 // a fleet of vs3d backends. The engine's warm-path advantage (interned
-// formulas, persistent smt.Context lanes, the unsat-core store — BENCH_3/4
-// measured ~100x fewer from-scratch SMT queries on warm repeats) only
-// survives horizontal scale-out if requests for the same problem/skeleton
+// formulas, persistent smt.Context lanes, the unsat-core store — measured
+// at ~100x fewer from-scratch SMT queries on warm repeats) only survives
+// horizontal scale-out if requests for the same problem/skeleton
 // key keep landing on the same backend. The router consistently hashes each
 // request's canonical problem key (serve.ProblemKey) onto a ring of
 // backends, health-checks the fleet, and fails over to the next live node

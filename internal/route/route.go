@@ -30,7 +30,7 @@ const (
 	// the keyspace.
 	Affinity Policy = "affinity"
 	// Random spreads requests uniformly over live backends. It exists as
-	// the control arm for benchmarks (BENCH_6): same fleet, no affinity,
+	// the control arm for TestClusterBench: same fleet, no affinity,
 	// so the warm-path advantage collapses to 1/N.
 	Random Policy = "random"
 )

@@ -116,7 +116,7 @@ type Solver struct {
 	// (decideGround's general-LIA fallback, one lia.Check per theory
 	// iteration); fmCounters aggregates the persistent LinCheckers of every
 	// context lane (incremental runs, conflict-cube hits, cap hits). The
-	// incremental-vs-NoIncremental BENCH_7 gate compares fmScratch.
+	// incremental-vs-NoIncremental gate (TestLIABench) compares fmScratch.
 	fmScratch  atomic.Int64
 	fmCounters lia.Counters
 
