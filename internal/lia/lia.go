@@ -23,9 +23,9 @@
 package lia
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Lin is a linear combination Σ Coef[v]·v + K over integer variables.
@@ -80,17 +80,30 @@ func (l Lin) IsConst() bool { return len(l.Coef) == 0 }
 
 // Key returns a canonical string for the form, usable as a map key.
 func (l Lin) Key() string {
-	vars := make([]string, 0, len(l.Coef))
+	// Both buffers live on the stack for the usual small forms, so the
+	// returned string is the only allocation.
+	var varBuf [8]string
+	vars := varBuf[:0]
 	for v := range l.Coef {
 		vars = append(vars, v)
 	}
-	sort.Strings(vars)
-	var b strings.Builder
+	slices.Sort(vars)
+	var keyBuf [128]byte
+	b := keyBuf[:0]
 	for _, v := range vars {
-		fmt.Fprintf(&b, "%+d*%s", l.Coef[v], v)
+		b = appendSigned(b, l.Coef[v])
+		b = append(b, '*')
+		b = append(b, v...)
 	}
-	fmt.Fprintf(&b, "%+d", l.K)
-	return b.String()
+	return string(appendSigned(b, l.K))
+}
+
+// appendSigned appends x in fmt's %+d form: the sign is always written.
+func appendSigned(b []byte, x int64) []byte {
+	if x >= 0 {
+		b = append(b, '+')
+	}
+	return strconv.AppendInt(b, x, 10)
 }
 
 func (l Lin) String() string { return l.Key() + " <= 0" }

@@ -1,7 +1,11 @@
 package lia
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -223,5 +227,48 @@ func TestLinKeyQuickCheck(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// fmtKey is the fmt-based formatting Key replaced; the store persists keys,
+// so Key must stay byte-identical to it.
+func fmtKey(l Lin) string {
+	vars := make([]string, 0, len(l.Coef))
+	for v := range l.Coef {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var b strings.Builder
+	for _, v := range vars {
+		fmt.Fprintf(&b, "%+d*%s", l.Coef[v], v)
+	}
+	fmt.Fprintf(&b, "%+d", l.K)
+	return b.String()
+}
+
+// TestLinKeyMatchesFmt compares Key against the fmt oracle on random forms:
+// negative, zero and extreme coefficients and constants, and up to 40
+// variables with names of varied length.
+func TestLinKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	extremes := []int64{0, 1, -1, 9, -10, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
+	draw := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return extremes[rng.Intn(len(extremes))]
+		case 1:
+			return rng.Int63n(2001) - 1000
+		}
+		return int64(rng.Uint64())
+	}
+	for i := 0; i < 5000; i++ {
+		l := Lin{Coef: map[string]int64{}, K: draw()}
+		for n := rng.Intn(41); n > 0; n-- {
+			name := fmt.Sprintf("%s%d", strings.Repeat("v", 1+rng.Intn(12)), rng.Intn(1000))
+			l.Coef[name] = draw() // zero kept: Key must format whatever the map holds
+		}
+		if got, want := l.Key(), fmtKey(l); got != want {
+			t.Fatalf("form %d: Key %q, fmt %q", i, got, want)
+		}
 	}
 }

@@ -200,18 +200,7 @@ func TestReduceDB(t *testing.T) {
 		t.Error("expected reduceDB to delete clauses")
 	}
 	// No deleted clause may linger in the kept database or watch lists.
-	for _, c := range s.learnts {
-		if c.deleted {
-			t.Fatal("deleted clause still in learnt database")
-		}
-	}
-	for _, ws := range s.watches {
-		for _, w := range ws {
-			if w.c.deleted {
-				t.Fatal("deleted clause still watched")
-			}
-		}
-	}
+	checkArena(t, s)
 }
 
 // TestReusedVsFreshRandom cross-checks a long-lived solver answering randomized

@@ -8,7 +8,10 @@
 // the paper).
 package sat
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Lit is a literal: variable v (0-based) with sign. The positive literal of v
 // is 2v, the negative literal is 2v+1.
@@ -60,15 +63,29 @@ const (
 	vFalse
 )
 
-type clause struct {
-	lits    []Lit
-	learnt  bool
-	act     float64
-	deleted bool
-}
+// cref addresses a clause in the solver's arena: the offset of its header.
+type cref uint32
 
+// noReason is the reason of a decision, an assumption or a unit fact;
+// propagate also returns it when no clause is in conflict.
+const noReason = ^cref(0)
+
+// A clause lives in the arena as a header word, the two halves of its
+// float64 activity, then its literals:
+//
+//	[size<<2 | deleted<<1 | learnt] [activity low] [activity high] [lit 0] … [lit size-1]
+//
+// Problem clauses keep activity 0.
+const (
+	learntBit   = 1
+	deletedBit  = 2
+	clauseExtra = 3 // header and activity words before the literals
+)
+
+// watcher is pointer-free, so watch lists are neither scanned by the GC nor
+// written through write barriers.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -88,12 +105,19 @@ type Solver struct {
 	// relies on this to propose near-minimal lattice points first.
 	FixedPolarity bool
 
-	clauses  []*clause
-	learnts  []*clause
+	// arena holds every clause (see cref); wasted counts the words of
+	// deleted clauses still in it, which reduceDB compacts away once they
+	// are more than half of it.
+	arena       []Lit
+	wasted      int
+	compactions int // arena compactions so far
+
+	clauses  []cref
+	learnts  []cref
 	watches  [][]watcher // indexed by literal
 	assigns  []value     // indexed by variable
 	level    []int32     // decision level per variable
-	reason   []*clause   // antecedent clause per variable
+	reason   []cref      // antecedent clause per variable, noReason if none
 	activity []float64   // VSIDS score per variable
 	polarity []bool      // saved phase per variable (true = last assigned false)
 	decision []bool      // per variable: may be branched on and propagated above level 0
@@ -115,6 +139,10 @@ type Solver struct {
 	seen     []bool
 	litStamp []uint32
 	stamp    uint32
+
+	// scratch holds the clause AddClause normalizes and the clause analyze
+	// learns until it is copied into the arena.
+	scratch []Lit
 
 	// Stats counts solver work for diagnostics and the paper's figures.
 	Stats struct {
@@ -148,7 +176,7 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 func (s *Solver) Clauses() [][]Lit {
 	out := make([][]Lit, len(s.clauses))
 	for i, c := range s.clauses {
-		out[i] = append([]Lit(nil), c.lits...)
+		out[i] = append([]Lit(nil), s.lits(c)...)
 	}
 	return out
 }
@@ -158,7 +186,7 @@ func (s *Solver) NewVar() int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, unassigned)
 	s.level = append(s.level, -1)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.decision = append(s.decision, true)
@@ -225,7 +253,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// per-literal epoch stamp makes the dedup allocation-free even for the
 	// long blocking clauses the DPLL(T) loop and the map solver add.
 	s.stamp++
-	out := lits[:0:0]
+	out := s.scratch[:0]
 	for _, l := range lits {
 		if s.litStamp[l.Not()] == s.stamp {
 			return true // tautology
@@ -242,30 +270,69 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.litStamp[l] = s.stamp
 		out = append(out, l)
 	}
+	s.scratch = out
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noReason)
+		if s.propagate() != noReason {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c: c, blocker: c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c: c, blocker: c.lits[0]})
+// alloc copies lits into the arena as a new clause.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := Lit(len(lits)) << 2
+	if learnt {
+		h |= learntBit
+	}
+	s.arena = append(s.arena, h, 0, 0)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+// lits returns clause c's literals, a view into the arena that stays valid
+// until the next alloc or compaction.
+func (s *Solver) lits(c cref) []Lit {
+	start := int(c) + clauseExtra
+	return s.arena[start : start+s.size(c)]
+}
+
+func (s *Solver) size(c cref) int { return int(s.arena[c] >> 2) }
+
+// words is the arena footprint of clause c.
+func (s *Solver) words(c cref) int { return clauseExtra + s.size(c) }
+
+func (s *Solver) learnt(c cref) bool { return s.arena[c]&learntBit != 0 }
+
+func (s *Solver) deleted(c cref) bool { return s.arena[c]&deletedBit != 0 }
+
+func (s *Solver) act(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+1])) | uint64(uint32(s.arena[c+2]))<<32)
+}
+
+func (s *Solver) setAct(c cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+1], s.arena[c+2] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c: c, blocker: lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c: c, blocker: lits[0]})
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assigns[v] = vFalse
@@ -277,17 +344,19 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 	s.trail = append(s.trail, l)
 }
 
-func (s *Solver) propagate() *clause {
+// propagate runs unit propagation to a fixed point and returns the clause in
+// conflict, or noReason.
+func (s *Solver) propagate() cref {
 	above := len(s.trailLim) > 0
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noReason
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noReason {
 				kept = append(kept, ws[i:]...)
 				break
 			}
@@ -304,25 +373,24 @@ func (s *Solver) propagate() *clause {
 					continue
 				}
 			}
+			// reduceDB unwatches deleted clauses, so c is live.
 			c := w.c
-			if c.deleted {
-				continue
-			}
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.litValue(first) == vTrue {
 				kept = append(kept, watcher{c: c, blocker: first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != vFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c: c, blocker: first})
+			for k := 2; k < len(lits); k++ {
+				if s.litValue(lits[k]) != vFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c: c, blocker: first})
 					found = true
 					break
 				}
@@ -345,11 +413,11 @@ func (s *Solver) propagate() *clause {
 			}
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noReason {
 			return confl
 		}
 	}
-	return nil
+	return noReason
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -362,7 +430,7 @@ func (s *Solver) cancelUntil(lvl int) {
 			s.polarity[v] = s.assigns[v] == vFalse
 		}
 		s.assigns[v] = unassigned
-		s.reason[v] = nil
+		s.reason[v] = noReason
 		if s.decision[v] {
 			s.order.insert(v)
 		}
@@ -373,19 +441,20 @@ func (s *Solver) cancelUntil(lvl int) {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (first literal is the asserting one) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot for the asserting literal
+// (first literal is the asserting one) and the backtrack level. The clause
+// is built in s.scratch and valid until the next AddClause or analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.scratch[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	curLevel := int32(len(s.trailLim))
 
 	for {
-		if confl.learnt {
+		if s.learnt(confl) {
 			s.bumpClause(confl)
 		}
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if p != -1 && q == p {
 				continue
 			}
@@ -432,6 +501,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = int(s.level[learnt[1].Var()])
 	}
+	s.scratch = learnt
 	return learnt, btLevel
 }
 
@@ -448,11 +518,12 @@ func (s *Solver) bumpVar(v int) {
 
 func (s *Solver) decayVar() { s.varInc /= 0.95 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -462,29 +533,31 @@ func (s *Solver) decayClause() { s.claInc /= 0.999 }
 
 // locked reports whether c is the propagation reason of its asserting
 // literal; locked clauses must survive reduceDB.
-func (s *Solver) locked(c *clause) bool {
-	v := c.lits[0].Var()
+func (s *Solver) locked(c cref) bool {
+	v := s.lits(c)[0].Var()
 	return s.assigns[v] != unassigned && s.reason[v] == c
 }
 
 // reduceDB deletes the least-active half of the learnt clauses, keeping
 // binary and locked ones. Deleted clauses are removed from the watch lists
-// immediately (propagate also skips stragglers lazily), so a persistent
-// incremental solver does not accumulate dead clause memory across probes.
+// immediately, and once they fill more than half the arena it is compacted,
+// so a persistent incremental solver does not accumulate dead clause memory
+// across probes.
 func (s *Solver) reduceDB() {
 	s.Stats.Reduces++
-	sorted := append([]*clause(nil), s.learnts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].act < sorted[j].act })
+	sorted := append([]cref(nil), s.learnts...)
+	sort.Slice(sorted, func(i, j int) bool { return s.act(sorted[i]) < s.act(sorted[j]) })
 	for _, c := range sorted[:len(sorted)/2] {
-		if len(c.lits) == 2 || s.locked(c) {
+		if s.size(c) == 2 || s.locked(c) {
 			continue
 		}
-		c.deleted = true
+		s.arena[c] |= deletedBit
+		s.wasted += s.words(c)
 		s.Stats.Deleted++
 	}
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if !c.deleted {
+		if !s.deleted(c) {
 			kept = append(kept, c)
 		}
 	}
@@ -493,12 +566,50 @@ func (s *Solver) reduceDB() {
 		ws := s.watches[l]
 		out := ws[:0]
 		for _, w := range ws {
-			if !w.c.deleted {
+			if !s.deleted(w.c) {
 				out = append(out, w)
 			}
 		}
 		s.watches[l] = out
 	}
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses, in arena order, into a fresh arena and
+// rewrites every reference to them. Each copied clause leaves its new ref in
+// its old activity word as a forwarding address. Only watchers, reasons,
+// clauses and learnts hold refs, and none of them refers to a deleted
+// clause: reduceDB unwatches and drops those, and never deletes a reason.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	for c := cref(0); int(c) < len(s.arena); c += cref(s.words(c)) {
+		if !s.deleted(c) {
+			next := Lit(len(to))
+			to = append(to, s.arena[c:int(c)+s.words(c)]...)
+			s.arena[c+1] = next
+		}
+	}
+	fwd := func(c cref) cref { return cref(s.arena[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = fwd(ws[i].c)
+		}
+	}
+	for v, r := range s.reason {
+		if r != noReason {
+			s.reason[v] = fwd(r)
+		}
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = fwd(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = fwd(c)
+	}
+	s.arena, s.wasted = to, 0
+	s.compactions++
 }
 
 func (s *Solver) pickBranchVar() int {
@@ -566,12 +677,12 @@ func (s *Solver) analyzeFinal(a Lit) []Lit {
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == noReason {
 			if s.level[v] > 0 {
 				out = append(out, s.trail[i])
 			}
 		} else {
-			for _, q := range s.reason[v].lits {
+			for _, q := range s.lits(s.reason[v]) {
 				if q.Var() != v && s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -597,7 +708,7 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.Stats.Conflicts++
 			conflicts++
 			if len(s.trailLim) == 0 {
@@ -607,9 +718,10 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
-				c := &clause{lits: learnt, learnt: true, act: s.claInc}
+				c := s.alloc(learnt, true)
+				s.setAct(c, s.claInc)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.uncheckedEnqueue(learnt[0], c)
@@ -656,7 +768,7 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 			next = MkLit(v, s.polarity[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noReason)
 	}
 }
 
