@@ -39,7 +39,9 @@ test-race:
 # the all-on instance (TestDecision), the SAT search pinned to recorded
 # counters, verdicts and cores (TestGoldenSearch), clause-arena compaction
 # against enumerated models (TestCompactionAgainstBruteForce),
-# context-vs-fresh SMT verdicts,
+# context-vs-fresh SMT verdicts, the contexts' literal-keyed encoding memo
+# (TestStrash: re-encoding adds nothing, equal-literal gates are shared, a
+# probe sweep's interning does not grow with formula size),
 # fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-legacy-
 # BFS solution-set equivalence sweep: every examples/ problem with the
 # CrossCheck hook on, randomized small lattices, and the randomized §6
@@ -66,7 +68,7 @@ test-race:
 # node) and the cone sweep (every context probe re-decided with all SAT
 # variables switched on must reach the same verdict).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestContext|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	"repro/internal/bench"
@@ -41,8 +42,14 @@ func main() {
 			}
 			fmt.Printf("  %s: %s in %v\n", m, status, time.Since(start).Round(time.Millisecond))
 			if out.Proved {
-				for cut, inv := range out.Invariants {
-					fmt.Printf("    %s: %s\n", cut, inv)
+				// Sorted by cut point, so two runs differ only in their timings.
+				cuts := make([]string, 0, len(out.Invariants))
+				for cut := range out.Invariants {
+					cuts = append(cuts, cut)
+				}
+				sort.Strings(cuts)
+				for _, cut := range cuts {
+					fmt.Printf("    %s: %s\n", cut, out.Invariants[cut])
 				}
 			}
 		}

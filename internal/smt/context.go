@@ -2,7 +2,6 @@ package smt
 
 import (
 	"container/list"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -23,8 +22,12 @@ import (
 //
 //   - Atom interning (grounder): an inequality atom means the same thing in
 //     every probe, so atoms keep their SAT variable across probes.
-//   - Encoded skeleton structure (encMemo): the one-sided Tseitin encoding of
-//     a ground subformula never forces anything unless its root literal is
+//   - Encoded skeleton structure (strash): each atom and gate is encoded
+//     once per lane and keyed by its structure over SAT literals — an atom
+//     by its own structure, a gate by its connective plus its children's
+//     literals — so a later probe that resolves to the same literals reuses
+//     them whatever formula values it was built from. The one-sided Tseitin
+//     encoding of a gate never forces anything unless its literal is
 //     implied, so clauses from earlier probes are vacuously satisfiable in
 //     later ones — each probe asserts only its own root, as an assumption.
 //     Their gates are switched off (sat.Solver.SetDecision) outside the
@@ -70,10 +73,10 @@ type Context struct {
 	g   *grounder
 	enc *encoder
 
-	// encMemo maps an interned ground (sub)formula to its encoded literal:
-	// repeated skeleton structure costs one pointer-keyed map probe per
-	// probe instead of a full ground-and-encode pass.
-	encMemo map[*logic.IFormula]sat.Lit
+	// strash memoizes the lane's encoded probe formulas by structure over
+	// SAT literals (strash.go): re-encoding repeated skeleton structure
+	// costs one map probe per node and allocates nothing.
+	strash strash
 
 	// selOf memoizes the selector literal of an interned predicate for
 	// Consistent probes; selBad marks predicates the context cannot encode
@@ -81,17 +84,17 @@ type Context struct {
 	selOf  map[*logic.IFormula]sat.Lit
 	selBad map[*logic.IFormula]bool
 
-	// encAtoms / selAtoms record, per interned ground node / predicate, the
-	// sorted grounder atom indices its encoding mentions. ackPairs records
-	// each asserted Ackermann pair — the result variables of its two
-	// occurrences plus the atoms of its clause — and occName/occDeps the
-	// occurrence-variable dependency graph (an occurrence's arguments may
-	// mention nested occurrence variables). Together they give each probe
-	// its relevant atom subset, which the general-LIA checker is narrowed
-	// to (LinChecker.SetProbe): the context's cumulative atom set only
-	// grows, and eliminating over atoms a probe does not constrain would
-	// make every check more expensive than the from-scratch path.
-	encAtoms   map[*logic.IFormula][]int
+	// The strash's entries and selAtoms record, per encoded atom or gate /
+	// interned predicate, the sorted grounder atom indices its encoding
+	// mentions. ackPairs records each asserted Ackermann pair — the result
+	// variables of its two occurrences plus the atoms of its clause — and
+	// occName/occDeps the occurrence-variable dependency graph (an
+	// occurrence's arguments may mention nested occurrence variables).
+	// Together they give each probe its relevant atom subset, which the
+	// general-LIA checker is narrowed to (LinChecker.SetProbe): the
+	// context's cumulative atom set only grows, and eliminating over atoms a
+	// probe does not constrain would make every check more expensive than
+	// the from-scratch path.
 	selAtoms   map[*logic.IFormula][]int
 	ackPairs   []ackPair
 	occName    map[string]bool
@@ -287,10 +290,9 @@ func (c *Context) reset() {
 	c.g = newGrounder()
 	c.gates = gateGraph{arena: []int32{0}}
 	c.enc = &encoder{s: c.sat, atomVar: map[int]int{}, gates: &c.gates}
-	c.encMemo = map[*logic.IFormula]sat.Lit{}
+	c.strash = newStrash()
 	c.selOf = map[*logic.IFormula]sat.Lit{}
 	c.selBad = map[*logic.IFormula]bool{}
-	c.encAtoms = map[*logic.IFormula][]int{}
 	c.selAtoms = map[*logic.IFormula][]int{}
 	c.ackPairs = nil
 	c.occName = map[string]bool{}
@@ -610,82 +612,6 @@ func (c *Context) selector(p logic.Formula) (lit sat.Lit, atoms []int, good bool
 	c.selOf[n] = l
 	c.selAtoms[n] = atoms
 	return l, atoms, true
-}
-
-// encNode encodes a ground formula into the persistent instance (one-sided
-// Tseitin, as in the from-scratch encoder) and memoizes, per interned node,
-// both the encoded literal and the sorted grounder atom indices the encoding
-// mentions — the atom sets compose bottom-up and give each probe its
-// relevant atom subset without re-walking memoized structure.
-func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
-	n := logic.Intern(f)
-	if l, ok := c.encMemo[n]; ok {
-		return l, c.encAtoms[n]
-	}
-	var l sat.Lit
-	var atoms []int
-	switch f := f.(type) {
-	case logic.Bool:
-		l = c.constLit(f.Val)
-	case logic.Atom:
-		p := c.g.atomProp(f)
-		l = c.enc.encode(p)
-		atoms = propAtoms(p, nil)
-	case logic.Not:
-		a, ok := f.F.(logic.Atom)
-		if !ok {
-			panic("smt: non-atomic negation in ground formula")
-		}
-		p := c.g.atomProp(logic.Atom{Op: a.Op.Negate(), X: a.X, Y: a.Y})
-		l = c.enc.encode(p)
-		atoms = propAtoms(p, nil)
-	case logic.Implies:
-		a, ok1 := f.A.(logic.Atom)
-		b, ok2 := f.B.(logic.Atom)
-		if !ok1 || !ok2 {
-			panic("smt: implication survived NNF")
-		}
-		pa := c.g.atomProp(logic.Atom{Op: a.Op.Negate(), X: a.X, Y: a.Y})
-		pb := c.g.atomProp(b)
-		na := c.enc.encode(pa)
-		nb := c.enc.encode(pb)
-		gl := sat.MkLit(c.sat.NewVar(), false)
-		c.sat.AddClause(gl.Not(), na, nb)
-		c.gates.add(c.sat, gl.Var(), []sat.Lit{na, nb})
-		l = gl
-		atoms = propAtoms(pb, propAtoms(pa, nil))
-	case logic.And:
-		children := make([]sat.Lit, len(f.Fs))
-		for i, h := range f.Fs {
-			var ca []int
-			children[i], ca = c.encNode(h)
-			atoms = append(atoms, ca...)
-		}
-		gl := sat.MkLit(c.sat.NewVar(), false)
-		for _, cl := range children {
-			c.sat.AddClause(gl.Not(), cl)
-		}
-		c.gates.add(c.sat, gl.Var(), children)
-		l = gl
-	case logic.Or:
-		clause := make([]sat.Lit, 1, len(f.Fs)+1)
-		for _, h := range f.Fs {
-			cl, ca := c.encNode(h)
-			clause = append(clause, cl)
-			atoms = append(atoms, ca...)
-		}
-		gl := sat.MkLit(c.sat.NewVar(), false)
-		clause[0] = gl.Not()
-		c.sat.AddClause(clause...)
-		c.gates.add(c.sat, gl.Var(), clause[1:])
-		l = gl
-	default:
-		panic(fmt.Sprintf("smt: unexpected ground formula %T (%s)", f, f))
-	}
-	atoms = sortedDedup(atoms)
-	c.encMemo[n] = l
-	c.encAtoms[n] = atoms
-	return l, atoms
 }
 
 // gateGraph records a lane's probe gates — the Tseitin gates encNode and the
