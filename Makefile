@@ -29,8 +29,8 @@ test-short: build vet
 	$(GO) test -short ./...
 
 # Race-detector pass over every package: the shared SMT solver, the formula
-# interner, the parallel fixed-point worklist, the parallel ψ_Prog encoder,
-# and the parallel benchmark runner.
+# interner, concurrent path scoring, the parallel ψ_Prog encoder, and the
+# parallel benchmark runner.
 test-race:
 	$(GO) test -short -race ./...
 
@@ -42,11 +42,11 @@ test-race:
 # context-vs-fresh SMT verdicts, the contexts' literal-keyed encoding memo
 # (TestStrash: re-encoding adds nothing, equal-literal gates are shared, a
 # probe sweep's interning does not grow with formula size),
-# fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-legacy-
-# BFS solution-set equivalence sweep: every examples/ problem with the
-# CrossCheck hook on, randomized small lattices, and the randomized §6
-# precondition-enumeration sweep (both enumerators must return equal
-# maximally-weak precondition sets modulo logical equivalence). The lia line
+# fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-
+# reference-BFS solution-set equivalence sweep: every examples/ problem with
+# the CrossCheck hook on, randomized small lattices, and the randomized §6
+# precondition-enumeration sweep (every group search the enumeration runs
+# must return the same solution set from both enumerators). The lia line
 # is the Fourier–Motzkin sweep: lia.Check and the persistent LinChecker vs
 # brute-force small-domain enumeration over random general linear systems.
 # The store lines are the persistence sweep: record round-trips, checksum /
@@ -63,10 +63,12 @@ test-race:
 # store still reaches the same verdicts. The TestPlan tests (first line) pin
 # the grounding plan's edge cases against the multi-pass grounding oracle,
 # concurrent probes under the race detector included; the last line holds
-# two sweeps over every examples/ problem and every DefaultSuite cell: the
+# three sweeps over every examples/ problem and every DefaultSuite cell: the
 # grounding sweep (every probe grounded both ways must intern to the same
-# node) and the cone sweep (every context probe re-decided with all SAT
-# variables switched on must reach the same verdict).
+# node), the cone sweep (every context probe re-decided with all SAT
+# variables switched on must reach the same verdict), and the GOMAXPROCS
+# sweep (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts,
+# steps, invariants and preconditions).
 test-differential:
 	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
@@ -74,7 +76,7 @@ test-differential:
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
-	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn' -v ./internal/smt/
+	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn|TestSearchSameAtAnyGOMAXPROCS' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record

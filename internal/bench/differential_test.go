@@ -29,7 +29,7 @@ var exampleCells = []struct {
 }
 
 // crossChecker installs an optimal.Options.CrossCheck hook asserting that the
-// map-solver-guided enumeration and the legacy BFS return the same solution
+// map-solver-guided enumeration and the reference BFS return the same solution
 // sets (as sets) on every group search the run performs. The hook can fire
 // from parallel workers, so failures are collected under a lock.
 type crossChecker struct {
@@ -69,7 +69,7 @@ func (cc *crossChecker) hook(phi logic.Formula, mapSols, bfsSols []template.Solu
 // enabled, so every OptimalNegativeSolutions group search performed anywhere
 // in the run (fixpoint repairs, ψ_Prog encoding, precondition enumeration)
 // is checked map-vs-BFS for identical solution sets. This is the
-// `make test-differential` guarantee behind keeping the legacy BFS.
+// `make test-differential` guarantee behind keeping the reference BFS.
 func TestMapVsBFSExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("examples differential sweep skipped in -short mode (run via make test-differential)")

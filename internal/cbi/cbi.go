@@ -10,6 +10,7 @@ package cbi
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/logic"
@@ -32,19 +33,12 @@ type Options struct {
 	Stop func() bool
 	// Stats optionally records Figure 9 SAT formula sizes.
 	Stats *stats.Collector
-	// Parallel is the number of OptimalNegativeSolutions jobs (the calls
-	// that dominate encoding time, flattened across all paths' base and
-	// positive cases) computed concurrently (default
-	// runtime.GOMAXPROCS(0)). Clauses are always assembled sequentially in
-	// path order, so the SAT instance is identical regardless of scheduling.
-	Parallel int
 }
 
 func (o Options) normalize() Options {
 	if o.MaxModels == 0 {
 		o.MaxModels = 64
 	}
-	o.Parallel = par.Workers(o.Parallel)
 	return o
 }
 
@@ -125,11 +119,12 @@ func Solve(p *spec.Problem, eng *optimal.Engine, opts Options) (Result, error) {
 		plans[i] = plan
 		jobs = append(jobs, pjobs...)
 	}
-	// Phase 2 (parallel): the OptimalNegativeSolutions calls that dominate
-	// encoding time. Every path's base case and positive cases are flattened
-	// into one job list, so the worker pool load-balances across paths
-	// instead of stalling on the path with the most cases.
-	par.ForEach(len(jobs), opts.Parallel, func(k int) {
+	// Phase 2 (parallel, GOMAXPROCS workers): the OptimalNegativeSolutions
+	// calls that dominate encoding time. Every path's base case and positive
+	// cases are flattened into one job list, so the worker pool
+	// load-balances across paths instead of stalling on the path with the
+	// most cases.
+	par.ForEach(len(jobs), runtime.GOMAXPROCS(0), func(k int) {
 		if opts.Stop != nil && opts.Stop() {
 			return
 		}

@@ -1,43 +1,56 @@
 package cbi
 
 import (
+	"runtime"
 	"testing"
 )
 
+// atProcs runs f with runtime.GOMAXPROCS set to n, restoring the old value
+// afterwards. The planning phase's fan-out sizes itself from GOMAXPROCS.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestParallelEncodingMatchesSequential requires the parallel ψ_Prog
-// encoder to produce the exact SAT instance of the sequential one — same
+// encoder to produce the exact SAT instance of a single-threaded one — same
 // clause and variable counts, same decoded solution — since clauses are
 // assembled in path order no matter how the planning phase is scheduled.
 func TestParallelEncodingMatchesSequential(t *testing.T) {
-	seq, err := Solve(arrayInitProblem(), newEngine(), Options{Parallel: 1})
+	var seq Result
+	var err error
+	atProcs(1, func() { seq, err = Solve(arrayInitProblem(), newEngine(), Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallel := range []int{2, 4, 8} {
-		par, err := Solve(arrayInitProblem(), newEngine(), Options{Parallel: parallel})
+	for _, procs := range []int{2, 4, 8} {
+		var par Result
+		atProcs(procs, func() { par, err = Solve(arrayInitProblem(), newEngine(), Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if par.Clauses != seq.Clauses || par.Vars != seq.Vars {
-			t.Errorf("parallel=%d: SAT instance %d clauses/%d vars, sequential %d/%d",
-				parallel, par.Clauses, par.Vars, seq.Clauses, seq.Vars)
+			t.Errorf("GOMAXPROCS=%d: SAT instance %d clauses/%d vars, sequential %d/%d",
+				procs, par.Clauses, par.Vars, seq.Clauses, seq.Vars)
 		}
 		if par.Found() != seq.Found() {
-			t.Errorf("parallel=%d: found=%v, sequential found=%v", parallel, par.Found(), seq.Found())
+			t.Errorf("GOMAXPROCS=%d: found=%v, sequential found=%v", procs, par.Found(), seq.Found())
 		}
 		if seq.Found() && par.Solution.Key() != seq.Solution.Key() {
-			t.Errorf("parallel=%d: solution %s, sequential %s", parallel, par.Solution, seq.Solution)
+			t.Errorf("GOMAXPROCS=%d: solution %s, sequential %s", procs, par.Solution, seq.Solution)
 		}
 	}
 }
 
-// TestParallelEncodingDeterministic re-runs the parallel encoder and
-// requires byte-identical instances across repetitions.
+// TestParallelEncodingDeterministic re-runs the parallel encoder at
+// GOMAXPROCS=4 and requires byte-identical instances across repetitions.
 func TestParallelEncodingDeterministic(t *testing.T) {
 	var clauses, vars int
 	var key string
 	for round := 0; round < 3; round++ {
-		res, err := Solve(arrayInitProblem(), newEngine(), Options{Parallel: 4})
+		var res Result
+		var err error
+		atProcs(4, func() { res, err = Solve(arrayInitProblem(), newEngine(), Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,9 +69,13 @@ func TestParallelEncodingDeterministic(t *testing.T) {
 }
 
 // TestParallelStopReturnsCleanly checks the Stop contract through the
-// parallel planning phase.
+// parallel planning phase at GOMAXPROCS=4.
 func TestParallelStopReturnsCleanly(t *testing.T) {
-	res, err := Solve(arrayInitProblem(), newEngine(), Options{Parallel: 4, Stop: func() bool { return true }})
+	var res Result
+	var err error
+	atProcs(4, func() {
+		res, err = Solve(arrayInitProblem(), newEngine(), Options{Stop: func() bool { return true }})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

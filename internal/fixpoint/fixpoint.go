@@ -9,6 +9,7 @@ package fixpoint
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/logic"
@@ -39,21 +40,6 @@ type Options struct {
 	// abandons the run (used by timeout-bounded harnesses so abandoned
 	// runs stop consuming CPU).
 	Stop func() bool
-	// Parallel is the number of worklist candidates repaired and scored
-	// concurrently per round (default runtime.GOMAXPROCS(0); 1 forces the
-	// sequential engine). Each candidate's failing-VC check and
-	// OptimalSolutions repair is independent; results are merged in
-	// deterministic batch order, so runs are reproducible for a fixed
-	// Parallel regardless of goroutine scheduling.
-	Parallel int
-	// Trace, when non-nil, receives a line per worklist event (debugging).
-	Trace func(format string, args ...any)
-}
-
-func (o Options) trace(format string, args ...any) {
-	if o.Trace != nil {
-		o.Trace(format, args...)
-	}
 }
 
 func (o Options) normalize() Options {
@@ -63,7 +49,6 @@ func (o Options) normalize() Options {
 	if o.MaxCandidates == 0 {
 		o.MaxCandidates = 64
 	}
-	o.Parallel = par.Workers(o.Parallel)
 	return o
 }
 
@@ -163,7 +148,7 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 		// fold below stays sequential in path order, so the failing path a
 		// candidate is repaired on is deterministic.
 		valid := make([]bool, len(p.Paths()))
-		par.ForEach(len(valid), opts.Parallel, func(i int) {
+		par.ForEach(len(valid), runtime.GOMAXPROCS(0), func(i int) {
 			valid[i] = pathValid(i, sigma)
 		})
 		for i := range p.Paths() {
@@ -210,58 +195,33 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 			continue
 		}
 
-		// Repair a deterministic batch of the best failing candidates
-		// concurrently: after the sort every candidate in the batch is
-		// failing, and each repair (an OptimalSolutions call on the failing
-		// path's VC) is independent of the others.
-		batch := opts.Parallel
-		if batch > len(cands) {
-			batch = len(cands)
-		}
-		if rem := opts.MaxSteps - step; batch > rem {
-			batch = rem
-		}
-		take := cands[:batch:batch]
-		cands = cands[batch:]
-		for i := range take {
-			opts.Stats.RecordCandidates(len(cands) + batch - i)
-			opts.trace("step %d: candidates=%d, resolving (%d failing) %s on path %s->%s",
-				step+i, len(cands)+batch-i, take[i].fails, take[i].sigma, take[i].fail.From, take[i].fail.To)
-		}
-		step += batch
+		// Repair the head: after the sort it is the best failing candidate,
+		// and its repair is one OptimalSolutions call on its failing path's
+		// VC (Fig. 3, lines 6-7), so the search path depends on the input
+		// alone.
+		head := cands[0]
+		cands = cands[1:]
+		step++
 		res.Steps = step
+		opts.Stats.RecordCandidates(len(cands) + 1)
 
-		repaired := make([][]template.Solution, batch)
-		par.ForEach(batch, opts.Parallel, func(i int) {
-			if opts.Stop != nil && opts.Stop() {
-				return
-			}
-			repaired[i] = step1(p, eng, take[i].sigma, take[i].failIdx, dir)
-		})
-
-		// Merge the repair results in batch order — a deterministic,
-		// scheduling-independent order (step1 already returns solutions
-		// stably sorted by canonical key) — then score the fresh candidates
-		// concurrently and append them in that same order.
+		// step1 returns solutions stably sorted by canonical key; the fresh
+		// ones are scored concurrently and appended in that order.
 		var fresh []template.Solution
-		for i := range take {
-			for _, next := range repaired[i] {
-				k := next.Key()
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				if len(cands)+len(fresh) >= opts.MaxCandidates {
-					opts.trace("step %d: candidate cap reached, dropping %s", step, next)
-					res.Truncated = true
-					continue
-				}
-				opts.trace("step %d: new candidate %s", step, next)
-				fresh = append(fresh, next)
+		for _, next := range step1(p, eng, head.sigma, head.failIdx, dir) {
+			k := next.Key()
+			if seen[k] {
+				continue
 			}
+			seen[k] = true
+			if len(cands)+len(fresh) >= opts.MaxCandidates {
+				res.Truncated = true
+				continue
+			}
+			fresh = append(fresh, next)
 		}
 		newScored := make([]scored, len(fresh))
-		par.ForEach(len(fresh), opts.Parallel, func(i int) {
+		par.ForEach(len(fresh), runtime.GOMAXPROCS(0), func(i int) {
 			newScored[i] = score(fresh[i], 0)
 		})
 		for i := range newScored {
@@ -271,8 +231,8 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 		}
 	}
 	if !res.Aborted && opts.Stop != nil && opts.Stop() {
-		// Stop fired mid-batch (inside a repair or scoring worker): the
-		// round's partial results are conservative, but the run is still an
+		// Stop fired mid-step (inside a repair or a scoring worker): the
+		// step's partial results are conservative, but the run is still an
 		// abort, not a completed search.
 		res.Aborted = true
 	}

@@ -81,21 +81,6 @@ func TestStatsRecorded(t *testing.T) {
 	}
 }
 
-func TestTraceHookFires(t *testing.T) {
-	p := arrayInitProblem()
-	eng := newEngine()
-	var lines []string
-	_, err := LeastFixedPoint(p, eng, Options{
-		Trace: func(f string, a ...any) { lines = append(lines, f) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) == 0 {
-		t.Error("trace hook never fired")
-	}
-}
-
 func TestValidateErrorPropagates(t *testing.T) {
 	p := arrayInitProblem()
 	p.Q = template.Domain{} // empty vocabulary: Validate fails

@@ -8,6 +8,14 @@ import (
 	"repro/internal/template"
 )
 
+// atProcs runs f with runtime.GOMAXPROCS set to n, restoring the old value
+// afterwards. The engine's fan-outs (path scoring, fresh-candidate scoring,
+// OptimalSolutions seeding) size themselves from GOMAXPROCS.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // solutionsKey canonically renders a result's solution set for comparison
 // across runs (the All list is already deduped; sort by Key to ignore
 // discovery order).
@@ -37,48 +45,52 @@ func sortedStrings(ss []string) []string {
 	return out
 }
 
-// TestParallelMatchesSequential checks that the parallel worklist proves
-// the same problems as the sequential engine, and that every solution it
+// TestParallelMatchesSequential checks that concurrent scoring proves the
+// same problems as a single-threaded run, and that every solution it
 // returns is a genuine invariant.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, parallel := range []int{2, 4, 8} {
+	for _, procs := range []int{2, 4, 8} {
 		p1, p2 := arrayInitProblem(), arrayInitProblem()
-		seq, err := LeastFixedPoint(p1, newEngine(), Options{Parallel: 1})
+		var seq, par Result
+		var err error
+		atProcs(1, func() { seq, err = LeastFixedPoint(p1, newEngine(), Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := LeastFixedPoint(p2, newEngine(), Options{Parallel: parallel})
+		atProcs(procs, func() { par, err = LeastFixedPoint(p2, newEngine(), Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seq.Found() != par.Found() {
-			t.Fatalf("parallel=%d: proved=%v, sequential proved=%v", parallel, par.Found(), seq.Found())
+			t.Fatalf("GOMAXPROCS=%d: proved=%v, sequential proved=%v", procs, par.Found(), seq.Found())
 		}
 		if ok, fail := p2.CheckAll(newEngine().S, par.Solution); !ok {
-			t.Fatalf("parallel=%d returned non-invariant; failing path %v", parallel, fail)
+			t.Fatalf("GOMAXPROCS=%d returned non-invariant; failing path %v", procs, fail)
 		}
 	}
 }
 
-// TestParallelDeterministic re-runs LFP and GFP with Parallel > 1 and
-// requires identical solutions every time: batch selection is a stable
-// sort, repair results merge in batch order, so scheduling cannot leak into
-// the outcome.
+// TestParallelDeterministic re-runs LFP and GFP at GOMAXPROCS=4 and
+// requires identical solutions every time: the head is picked by a stable
+// sort and concurrent scoring lands in index order, so scheduling cannot
+// leak into the outcome.
 func TestParallelDeterministic(t *testing.T) {
 	for _, dir := range []struct {
 		name string
 		run  func() (Result, error)
 	}{
 		{"LFP", func() (Result, error) {
-			return LeastFixedPoint(arrayInitProblem(), newEngine(), Options{Parallel: 4, All: true})
+			return LeastFixedPoint(arrayInitProblem(), newEngine(), Options{All: true})
 		}},
 		{"GFP", func() (Result, error) {
-			return GreatestFixedPoint(arrayInitProblem(), newEngine(), Options{Parallel: 4, All: true})
+			return GreatestFixedPoint(arrayInitProblem(), newEngine(), Options{All: true})
 		}},
 	} {
 		first := ""
 		for round := 0; round < 3; round++ {
-			res, err := dir.run()
+			var res Result
+			var err error
+			atProcs(4, func() { res, err = dir.run() })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,33 +109,34 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkLFPSequential runs the paper's running example to a solution on
-// one worker (the pre-parallel engine).
+// BenchmarkLFPSequential runs the paper's running example to a solution at
+// GOMAXPROCS=1.
 func BenchmarkLFPSequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := LeastFixedPoint(arrayInitProblem(), newEngine(), Options{Parallel: 1})
-		if err != nil || !res.Found() {
-			b.Fatalf("err=%v found=%v", err, res.Found())
+	atProcs(1, func() {
+		for i := 0; i < b.N; i++ {
+			res, err := LeastFixedPoint(arrayInitProblem(), newEngine(), Options{})
+			if err != nil || !res.Found() {
+				b.Fatalf("err=%v found=%v", err, res.Found())
+			}
 		}
-	}
+	})
 }
 
-// BenchmarkLFPParallel runs the same search with the worklist fanned over
-// GOMAXPROCS workers. On a ≥4-core box the candidate repairs and scoring
-// dominate and the speedup approaches the worker count; per-op time here is
-// the headline number to compare against BenchmarkLFPSequential.
+// BenchmarkLFPParallel runs the same search at the process's GOMAXPROCS, so
+// path scoring and the OptimalSolutions seeding fan out; per-op time here is
+// the number to compare against BenchmarkLFPSequential.
 func BenchmarkLFPParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := LeastFixedPoint(arrayInitProblem(), newEngine(), Options{Parallel: runtime.GOMAXPROCS(0)})
+		res, err := LeastFixedPoint(arrayInitProblem(), newEngine(), Options{})
 		if err != nil || !res.Found() {
 			b.Fatalf("err=%v found=%v", err, res.Found())
 		}
 	}
 }
 
-// TestParallelStopAbandons checks the cooperative-stop contract under the
-// parallel engine: a Stop that fires immediately must end the run quickly
-// with no solution claimed.
+// TestParallelStopAbandons checks the cooperative-stop contract with the
+// fan-outs at GOMAXPROCS=4: a Stop that fires immediately must end the run
+// quickly with no solution claimed.
 func TestParallelStopAbandons(t *testing.T) {
 	stopped := make(chan struct{})
 	close(stopped)
@@ -136,7 +149,9 @@ func TestParallelStopAbandons(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res, err := LeastFixedPoint(arrayInitProblem(), newEngine(), Options{Parallel: 4, Stop: stop})
+	var res Result
+	var err error
+	atProcs(4, func() { res, err = LeastFixedPoint(arrayInitProblem(), newEngine(), Options{Stop: stop}) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func randAtom(rng *rand.Rand) logic.Formula {
 }
 
 // TestMapVsBFSRandomLattice cross-checks the map-solver-guided enumeration
-// against the legacy BFS on hundreds of randomized small lattices: random
+// against the reference BFS on hundreds of randomized small lattices: random
 // targets, random vocabularies, one or two negative unknowns sharing a
 // group. Both engines are fresh per trial (no shared cores or memos), and
 // the optimal solution sets must be equal as sets.
@@ -53,9 +53,8 @@ func TestMapVsBFSRandomLattice(t *testing.T) {
 
 		mapEng := New(smt.NewSolver(smt.Options{}))
 		bfsEng := New(smt.NewSolver(smt.Options{}))
-		bfsEng.Opts.NoMapSolver = true
 		mapSols := mapEng.OptimalNegativeSolutions(phi, q)
-		bfsSols := bfsEng.OptimalNegativeSolutions(phi, q)
+		bfsSols := bfsEng.bfsNegativeSolutions(phi, q)
 		mk, bk := solutionKeys(mapSols), solutionKeys(bfsSols)
 		if len(mk) != len(bk) {
 			t.Fatalf("trial %d: map found %d solutions, bfs %d, on %v over %v\nmap: %v\nbfs: %v",

@@ -23,5 +23,14 @@ func FreshSearch(phi logic.Formula, q template.Domain) []template.Solution {
 	return sols
 }
 
+// bfsNegativeSolutions is OptimalNegativeSolutions with every group
+// enumerated by the reference BFS instead of the map-solver-guided search.
+func (e *Engine) bfsNegativeSolutions(phi logic.Formula, q template.Domain) []template.Solution {
+	return e.negativeSolutions(phi, q, func(g logic.Formula, q template.Domain) []template.Solution {
+		sols, _ := e.negBFS(e.newGroup(g, q))
+		return sols
+	})
+}
+
 // TamperSearch is tamperSearch for the external test package.
 var TamperSearch = tamperSearch

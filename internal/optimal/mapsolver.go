@@ -22,7 +22,7 @@ import (
 )
 
 // negMap enumerates the minimal consistent solutions of one
-// unknown-connected group, returning exactly the sets the legacy negBFS
+// unknown-connected group, returning exactly the sets the reference negBFS
 // returns (see DESIGN.md §11 for the identity argument). Item universe,
 // pre-checks, probe routing, and consistency screening are shared with the
 // BFS; only the order the lattice is explored in differs. It also returns
@@ -127,9 +127,9 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 		ms.AddClause(scratch...)
 	}
 
-	// Emit in the legacy BFS discovery order — by size, then lexicographic
+	// Emit in the reference BFS discovery order — by size, then lexicographic
 	// item indices — so downstream consumers (seed merging, ψ_Prog clause
-	// layout) see byte-identical inputs in both modes.
+	// layout) see byte-identical inputs from either enumerator.
 	sort.Slice(sols, func(a, b int) bool {
 		sa, sb := sols[a].sel, sols[b].sel
 		if len(sa) != len(sb) {

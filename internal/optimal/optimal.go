@@ -4,12 +4,13 @@
 // minimal sets (adding predicates preserves validity), positive unknowns get
 // maximal sets (deleting predicates preserves validity).
 //
-// OptimalNegativeSolutions is a breadth-first search over the subset lattice
-// with subsumption pruning and a configurable depth bound (the paper
+// OptimalNegativeSolutions enumerates the subset lattice with a SAT map
+// solver (mapsolver.go) under a configurable depth bound (the paper
 // observed no solution ever needs more than 4 predicates per negative
-// unknown). OptimalSolutions follows Fig. 2: seed with single-predicate
-// choices for the positive unknowns, then grow maximal solutions with
-// MakeOptimal/Merge. Merged candidates are re-verified with the SMT solver,
+// unknown); the paper's bounded BFS stays as the reference the
+// differential tests compare it against. OptimalSolutions follows Fig. 2:
+// seed with single-predicate choices for the positive unknowns, then grow
+// maximal solutions with MakeOptimal/Merge. Merged candidates are re-verified with the SMT solver,
 // so every returned solution truly validates the formula.
 package optimal
 
@@ -17,6 +18,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,23 +32,12 @@ import (
 	"repro/internal/template"
 )
 
-// Options selects the engine's enumeration strategy and internal
-// parallelism.
+// Options holds the engine's differential-test hook.
 type Options struct {
-	// NoMapSolver disables the SAT-map-guided enumeration of optimal
-	// negative solutions and restores the legacy bounded BFS. Both return
-	// the same solution sets (see DESIGN.md §11); the flag mirrors
-	// smt.Options.NoIncremental as an escape hatch and as the baseline the
-	// differential tests compare against.
-	NoMapSolver bool
-	// Parallel bounds the worker pool that fans out the independent
-	// OptimalNegativeSolutions seeding calls inside OptimalSolutions
-	// (0 = GOMAXPROCS, 1 = sequential).
-	Parallel int
 	// CrossCheck, when non-nil, makes every group search run both the
-	// map-guided and the legacy BFS enumeration and hands both result lists
-	// to the callback (the map result is the one used). Differential-test
-	// hook; leave nil in production.
+	// map-guided enumeration and the reference BFS and hands both result
+	// lists to the callback (the map result is the one used).
+	// Differential-test hook; leave nil in production.
 	CrossCheck func(phi logic.Formula, mapSols, bfsSols []template.Solution)
 }
 
@@ -68,8 +59,7 @@ type Engine struct {
 	Stop func() bool
 	// Stats optionally records Figure 6/7 histograms.
 	Stats *stats.Collector
-	// Opts selects the enumeration strategy (map-solver-guided by default)
-	// and the engine's internal parallelism.
+	// Opts holds the differential-test hook.
 	Opts Options
 
 	// fillers caches one compiled template.Filler per interned base
@@ -293,6 +283,12 @@ func (it taggedPred) addTo(s template.Solution) {
 // shared unknowns; the BFS runs per group and the results are combined,
 // which is exact and exponentially cheaper than a joint search.
 func (e *Engine) OptimalNegativeSolutions(phi logic.Formula, q template.Domain) []template.Solution {
+	return e.negativeSolutions(phi, q, e.negSearch)
+}
+
+// negativeSolutions splits φ into unknown-connected groups, enumerates each
+// with search, and combines the results.
+func (e *Engine) negativeSolutions(phi logic.Formula, q template.Domain, search func(logic.Formula, template.Domain) []template.Solution) []template.Solution {
 	parts := splitConj(logic.Intern(phi).Simplified().Formula())
 	groups, fixed := groupByUnknowns(parts)
 	if len(fixed) > 0 && !e.S.Valid(logic.Conj(fixed...)) {
@@ -303,7 +299,7 @@ func (e *Engine) OptimalNegativeSolutions(phi logic.Formula, q template.Domain) 
 	}
 	combined := []template.Solution{{}}
 	for _, g := range groups {
-		sols := e.negSearch(g, q)
+		sols := search(g, q)
 		if len(sols) == 0 {
 			e.recordNegSizes(nil)
 			return nil
@@ -491,8 +487,8 @@ func appendKeyString(b []byte, s string) []byte {
 var searchReplayed func(phi logic.Formula, q template.Domain, sols []template.Solution)
 
 // negSearch enumerates the optimal negative solutions of one
-// unknown-connected group, through the map-solver-guided search unless the
-// engine was configured for the legacy BFS. With a knowledge store attached
+// unknown-connected group through the map-solver-guided search. With a
+// knowledge store attached
 // (and no CrossCheck hook, which always runs both enumerators), a persisted
 // result for the same search is replayed once every listed solution
 // re-probes valid; otherwise the group is searched and the result, unless a
@@ -521,12 +517,10 @@ func (e *Engine) negSearch(phi logic.Formula, q template.Domain) []template.Solu
 	return sols
 }
 
-// enumerate runs the configured enumerator(s) over a group, returning the
-// solutions and their item-index selections.
+// enumerate runs the map-solver-guided search over a group (and, under a
+// CrossCheck hook, the reference BFS too), returning the solutions and their
+// item-index selections.
 func (e *Engine) enumerate(g *group) ([]template.Solution, [][]int) {
-	if e.Opts.NoMapSolver {
-		return e.negBFS(g)
-	}
 	sols, sels := e.negMap(g)
 	if e.Opts.CrossCheck != nil {
 		bfs, _ := e.negBFS(g)
@@ -554,9 +548,9 @@ func (g *group) replay(rec [][]int) ([]template.Solution, bool) {
 	return sols, true
 }
 
-// negBFS is the legacy bounded breadth-first search over one
-// unknown-connected group, retained behind Options.NoMapSolver as the
-// differential-test baseline for the map-solver-guided search.
+// negBFS is the paper's bounded breadth-first search over one
+// unknown-connected group, kept as the reference the CrossCheck hook and the
+// differential tests compare the map-solver-guided search against.
 func (e *Engine) negBFS(g *group) ([]template.Solution, [][]int) {
 	if sols, sels, done := g.precheck(); done {
 		return sols, sels
@@ -803,7 +797,7 @@ func (e *Engine) OptimalSolutions(phi logic.Formula, q template.Domain) []templa
 
 	// The seeding calls — one per (positive unknown, predicate) plus the
 	// all-empty assignment — are independent searches, so they fan out
-	// across the engine's worker budget; results are merged in job order,
+	// across GOMAXPROCS workers; results are merged in job order,
 	// keeping the seed list identical to a sequential run.
 	fl := e.Filler(phi)
 	jobs := []template.Solution{emptyPos}
@@ -815,7 +809,7 @@ func (e *Engine) OptimalSolutions(phi logic.Formula, q template.Domain) []templa
 		}
 	}
 	results := make([][]template.Solution, len(jobs))
-	par.ForEach(len(jobs), par.Workers(e.Opts.Parallel), func(i int) {
+	par.ForEach(len(jobs), runtime.GOMAXPROCS(0), func(i int) {
 		if e.Stop != nil && e.Stop() {
 			return
 		}

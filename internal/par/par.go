@@ -5,22 +5,7 @@
 // independent of goroutine scheduling.
 package par
 
-import (
-	"runtime"
-	"sync"
-)
-
-// Workers normalizes a parallelism option: 0 means runtime.GOMAXPROCS(0),
-// anything below 1 means sequential.
-func Workers(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
+import "sync"
 
 // ForEach runs f(0..n-1) on at most workers goroutines and returns when all
 // calls complete. With workers <= 1 (or n <= 1) it runs inline, so the

@@ -1,22 +1,9 @@
 package par
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-func TestWorkers(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Workers(0) = %d, want GOMAXPROCS", got)
-	}
-	if got := Workers(-3); got != 1 {
-		t.Errorf("Workers(-3) = %d, want 1", got)
-	}
-	if got := Workers(7); got != 7 {
-		t.Errorf("Workers(7) = %d, want 7", got)
-	}
-}
 
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 33} {

@@ -3,6 +3,7 @@ package precond
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fixpoint"
@@ -50,22 +51,35 @@ func randProblem(rng *rand.Rand) *spec.Problem {
 	}
 }
 
-// equivalentSets reports whether two precondition sets are equal modulo
-// logical equivalence: same size after the enumerators' own dedup, and every
-// member of one side has an equivalent member on the other.
-func equivalentSets(s *smt.Solver, a, b []Precondition) bool {
-	if len(a) != len(b) {
+// crossCheck installs a CrossCheck hook on eng that fails t when any group
+// search's map-guided and BFS solution lists differ as sets, and returns the
+// number of group searches checked so far. The hook can fire from parallel
+// seeding workers, so the count is atomic.
+func crossCheck(t *testing.T, eng *optimal.Engine) func() int64 {
+	var checked atomic.Int64
+	eng.Opts.CrossCheck = func(phi logic.Formula, mapSols, bfsSols []template.Solution) {
+		checked.Add(1)
+		if !sameSolutionSets(mapSols, bfsSols) {
+			t.Errorf("map/bfs solution sets differ on %v\n  map: %v\n  bfs: %v", phi, mapSols, bfsSols)
+		}
+	}
+	return checked.Load
+}
+
+func sameSolutionSets(a, b []template.Solution) bool {
+	ka := map[string]bool{}
+	for _, s := range a {
+		ka[s.Key()] = true
+	}
+	kb := map[string]bool{}
+	for _, s := range b {
+		kb[s.Key()] = true
+	}
+	if len(ka) != len(kb) {
 		return false
 	}
-	for _, pa := range a {
-		found := false
-		for _, pb := range b {
-			if s.Valid(logic.Imp(pa.Pre, pb.Pre)) && s.Valid(logic.Imp(pb.Pre, pa.Pre)) {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for k := range ka {
+		if !kb[k] {
 			return false
 		}
 	}
@@ -73,49 +87,45 @@ func equivalentSets(s *smt.Solver, a, b []Precondition) bool {
 }
 
 // TestMapVsBFSPreconditions is the §6 leg of the differential sweep
-// (`make test-differential`): the map-solver-guided enumeration and the
-// legacy BFS must produce the same maximally-weak precondition sets — as
-// sets, modulo logical equivalence — on randomized tasks. The §6 pipeline
-// leans on the enumerators harder than plain verification does (Options.All
-// exhausts every fixed point, then filterExtremal compares them pairwise),
-// so an enumeration discrepancy that plain verification masks shows up here
-// as a missing or extra precondition.
+// (`make test-differential`): on randomized tasks, every group search the
+// map-solver-guided enumeration runs must return the same solution set as
+// the reference BFS on the same group. The §6 pipeline leans on the
+// enumerators harder than plain verification does (Options.All exhausts
+// every fixed point, then filterExtremal compares them pairwise), so it
+// reaches group searches plain verification does not.
 func TestMapVsBFSPreconditions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized §6 differential sweep skipped in -short mode (run via make test-differential)")
 	}
 	rng := rand.New(rand.NewSource(71))
-	cmp := smt.NewSolver(smt.Options{})
 	nonEmpty := 0
+	var groups int64
 	for trial := 0; trial < 60; trial++ {
 		p := randProblem(rng)
-		mapEng := optimal.New(smt.NewSolver(smt.Options{}))
-		bfsEng := optimal.New(smt.NewSolver(smt.Options{}))
-		bfsEng.Opts.NoMapSolver = true
-
-		mapPres, mapEnum, err := MaximallyWeak(p, mapEng, fixpoint.Options{})
+		eng := optimal.New(smt.NewSolver(smt.Options{}))
+		checked := crossCheck(t, eng)
+		pres, enum, err := MaximallyWeak(p, eng, fixpoint.Options{})
 		if err != nil {
-			t.Fatalf("trial %d (map): %v", trial, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bfsPres, bfsEnum, err := MaximallyWeak(p, bfsEng, fixpoint.Options{})
-		if err != nil {
-			t.Fatalf("trial %d (bfs): %v", trial, err)
+		if enum.Truncated || enum.Aborted {
+			t.Fatalf("trial %d: incomplete enumeration %+v", trial, enum)
 		}
-		if mapEnum.Truncated || mapEnum.Aborted || bfsEnum.Truncated || bfsEnum.Aborted {
-			t.Fatalf("trial %d: incomplete enumeration (map %+v, bfs %+v)", trial, mapEnum, bfsEnum)
+		if t.Failed() {
+			t.Fatalf("trial %d: problem: %s", trial, p.Prog)
 		}
-		if !equivalentSets(cmp, mapPres, bfsPres) {
-			t.Errorf("trial %d: precondition sets differ\n  map: %v\n  bfs: %v\n  problem: %s",
-				trial, renderPres(mapPres), renderPres(bfsPres), p.Prog)
-		}
-		if len(mapPres) > 0 {
+		groups += checked()
+		if len(pres) > 0 {
 			nonEmpty++
 		}
+	}
+	if groups == 0 {
+		t.Error("CrossCheck hook never fired; sweep vacuous")
 	}
 	if nonEmpty == 0 {
 		t.Error("every trial produced an empty precondition set; sweep vacuous")
 	}
-	t.Logf("%d/60 trials produced preconditions", nonEmpty)
+	t.Logf("%d/60 trials produced preconditions, %d group searches cross-checked", nonEmpty, groups)
 }
 
 // TestMapVsBFSGuardedInit pins the sweep's property on the package's
@@ -125,30 +135,16 @@ func TestMapVsBFSGuardedInit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep skipped in -short mode")
 	}
-	mapEng := newEngine()
-	bfsEng := newEngine()
-	bfsEng.Opts.NoMapSolver = true
-	mapPres, _, err := MaximallyWeak(guardedInit(), mapEng, fixpoint.Options{})
+	eng := newEngine()
+	checked := crossCheck(t, eng)
+	pres, _, err := MaximallyWeak(guardedInit(), eng, fixpoint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfsPres, _, err := MaximallyWeak(guardedInit(), bfsEng, fixpoint.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mapPres) == 0 {
+	if len(pres) == 0 {
 		t.Fatal("no preconditions found")
 	}
-	if !equivalentSets(mapEng.S, mapPres, bfsPres) {
-		t.Errorf("precondition sets differ\n  map: %v\n  bfs: %v",
-			renderPres(mapPres), renderPres(bfsPres))
+	if checked() == 0 {
+		t.Error("CrossCheck hook never fired; sweep vacuous")
 	}
-}
-
-func renderPres(pres []Precondition) []string {
-	out := make([]string, len(pres))
-	for i, p := range pres {
-		out[i] = p.Pre.String()
-	}
-	return out
 }

@@ -1,6 +1,10 @@
 package smt_test
 
 import (
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,22 +48,41 @@ func sweepCells() []sweepCell {
 	return cells
 }
 
-// runCell runs every method of one sweep cell on a fresh verifier.
-func runCell(t *testing.T, c sweepCell) *core.Verifier {
+// runCell runs every method of one sweep cell on a fresh verifier and
+// renders what the run decided, method by method: verdict, step count, the
+// Truncated and Aborted flags, and the invariants by cut point (or the
+// preconditions in order).
+func runCell(t *testing.T, c sweepCell) (*core.Verifier, []string) {
 	t.Helper()
 	v := core.New(core.Config{})
 	if c.methods == nil {
-		if _, _, err := v.InferPreconditions(c.build()); err != nil {
+		pres, enum, err := v.InferPreconditions(c.build())
+		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		return v
+		rec := []string{fmt.Sprintf("precond steps=%d truncated=%v aborted=%v", enum.Steps, enum.Truncated, enum.Aborted)}
+		for _, p := range pres {
+			rec = append(rec, "  pre "+p.Pre.String())
+		}
+		return v, rec
 	}
+	var rec []string
 	for _, m := range c.methods {
-		if _, err := v.Verify(c.build(), m); err != nil {
+		out, err := v.Verify(c.build(), m)
+		if err != nil {
 			t.Fatalf("%s %v: %v", c.name, m, err)
 		}
+		rec = append(rec, fmt.Sprintf("%v proved=%v steps=%d truncated=%v aborted=%v", m, out.Proved, out.Steps, out.Truncated, out.Aborted))
+		cuts := make([]string, 0, len(out.Invariants))
+		for cut := range out.Invariants {
+			cuts = append(cuts, cut)
+		}
+		sort.Strings(cuts)
+		for _, cut := range cuts {
+			rec = append(rec, "  "+cut+": "+out.Invariants[cut].String())
+		}
 	}
-	return v
+	return v, rec
 }
 
 // mismatchLog collects the failures a package-wide cross-check hook reports,
@@ -99,7 +122,8 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 	defer remove()
 	plans := int64(0)
 	for _, c := range sweepCells() {
-		plans += runCell(t, c).Engine().S.NumPlanProbes()
+		v, _ := runCell(t, c)
+		plans += v.Engine().S.NumPlanProbes()
 		if bad, first := log.read(); bad > 0 {
 			t.Fatalf("%s: %d probes ground differently from the oracle; first differing probe:\n%s", c.name, bad, first)
 		}
@@ -132,4 +156,25 @@ func TestConeProbesMatchAllOn(t *testing.T) {
 		t.Fatal("sweep vacuous: no context probe checked")
 	}
 	t.Logf("%d context probes checked", checked())
+}
+
+// TestSearchSameAtAnyGOMAXPROCS runs every sweep cell at GOMAXPROCS 1 and
+// then 4 and requires the same record from both: the engine's fan-outs may
+// change how fast a search runs, never which candidates it repairs, how many
+// steps it takes, or what it answers. This is the `make test-differential`
+// guarantee behind repairing one candidate per fixpoint step.
+func TestSearchSameAtAnyGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GOMAXPROCS sweep skipped in -short mode (run via make test-differential)")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range sweepCells() {
+		runtime.GOMAXPROCS(1)
+		_, one := runCell(t, c)
+		runtime.GOMAXPROCS(4)
+		_, four := runCell(t, c)
+		if a, b := strings.Join(one, "\n"), strings.Join(four, "\n"); a != b {
+			t.Errorf("%s differs with GOMAXPROCS:\n--- 1:\n%s\n--- 4:\n%s", c.name, a, b)
+		}
+	}
 }
