@@ -24,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -47,13 +48,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *method, *pre, *showStats); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), *method, *pre, *showStats); err != nil {
 		fmt.Fprintln(os.Stderr, "vs3:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path, method string, pre, showStats bool) error {
+// run solves the spec file at path and prints the results to w; with
+// showStats it adds the Figure 4–9 histogram summary and every engine
+// counter of the stats registry.
+func run(w io.Writer, path, method string, pre, showStats bool) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -79,16 +83,16 @@ func run(path, method string, pre, showStats bool) error {
 			return err
 		}
 		if len(pres) == 0 {
-			fmt.Println("no precondition found in the template/predicate space")
+			fmt.Fprintln(w, "no precondition found in the template/predicate space")
 		}
 		for i, p := range pres {
-			fmt.Printf("precondition %d: %s\n", i+1, p.Pre)
+			fmt.Fprintf(w, "precondition %d: %s\n", i+1, p.Pre)
 		}
 		if enum.Truncated {
-			fmt.Println("note: enumeration truncated (candidate/step bound hit); the set may be incomplete")
+			fmt.Fprintln(w, "note: enumeration truncated (candidate/step bound hit); the set may be incomplete")
 		}
 		if showStats {
-			collector.WriteSummary(os.Stdout)
+			writeStats(w, collector, v)
 		}
 		return nil
 	}
@@ -102,12 +106,19 @@ func run(path, method string, pre, showStats bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(core.FormatOutcome(out))
+		fmt.Fprint(w, core.FormatOutcome(out))
 	}
 	if showStats {
-		collector.WriteSummary(os.Stdout)
+		writeStats(w, collector, v)
 	}
 	return nil
+}
+
+func writeStats(w io.Writer, c *stats.Collector, v *core.Verifier) {
+	c.WriteSummary(w)
+	fmt.Fprintln(w, "Counters:")
+	counters := v.Engine().S.Counters().Load()
+	counters.WriteText(w)
 }
 
 func parseMethods(s string) ([]core.Method, error) {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 const arrayInitSpec = `
@@ -31,11 +35,24 @@ func writeSpec(t *testing.T, src string) string {
 
 func TestRunVerify(t *testing.T) {
 	path := writeSpec(t, arrayInitSpec)
-	if err := run(path, "gfp", false, false); err != nil {
+	if err := run(io.Discard, path, "gfp", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(path, "lfp", false, true); err != nil {
+	var out strings.Builder
+	if err := run(&out, path, "lfp", false, true); err != nil {
 		t.Fatal(err)
+	}
+	// -stats prints the histogram summary and every engine counter of the
+	// stats registry, one "key value" line each.
+	for _, want := range []string{"LFP", "SMT queries: ", "Counters:\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-stats output lacks %q:\n%s", want, out.String())
+		}
+	}
+	for _, r := range stats.Rows {
+		if r.Src == stats.Engine && !strings.Contains(out.String(), "\n  "+r.Key+" ") {
+			t.Errorf("-stats output lacks counter %q:\n%s", r.Key, out.String())
+		}
 	}
 }
 
@@ -45,21 +62,21 @@ template entry: ?pre;
 predicates pre: n <= 0, n >= 0;
 `
 	path := writeSpec(t, src)
-	if err := run(path, "gfp", true, false); err != nil {
+	if err := run(io.Discard, path, "gfp", true, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("/no/such/file.vs3", "gfp", false, false); err == nil {
+	if err := run(io.Discard, "/no/such/file.vs3", "gfp", false, false); err == nil {
 		t.Error("missing file should error")
 	}
 	path := writeSpec(t, "program P() { x := }")
-	if err := run(path, "gfp", false, false); err == nil {
+	if err := run(io.Discard, path, "gfp", false, false); err == nil {
 		t.Error("parse error should propagate")
 	}
 	good := writeSpec(t, arrayInitSpec)
-	if err := run(good, "zzz", false, false); err == nil {
+	if err := run(io.Discard, good, "zzz", false, false); err == nil {
 		t.Error("unknown method should error")
 	}
 }

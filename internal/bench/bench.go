@@ -86,29 +86,10 @@ type Measurement struct {
 	Method   core.Method
 	Proved   bool
 	Duration time.Duration
-	// Queries snapshots the run's from-scratch SMT validity queries (each
-	// cell uses a fresh solver, so this is per-cell, not cumulative).
-	Queries int64
-	// Fourier–Motzkin counters: from-scratch eliminations (non-difference
-	// theory checks outside any persistent context), incremental runs and
-	// cube-store hits inside persistent LinCheckers, derived-cap hits
-	// (conservative answers), and contexts that went dormant (Ackermann
-	// budget exhaustion — general-LIA atoms no longer cause dormancy).
-	FMScratch       int64
-	FMIncremental   int64
-	FMCubeHits      int64
-	FMCapHits       int64
-	DormantContexts int64
-	// Knowledge-store counters (zero unless Config.Knowledge is attached):
-	// validity + consistency verdicts answered from the store, theory lemmas
-	// warm-seeded into context groups, and persisted cores promoted into
-	// live searches; group searches replayed from persisted results, and
-	// replays rejected by their re-probe.
-	StoreHits     int64
-	WarmLemmas    int64
-	WarmCores     int64
-	SearchHits    int64
-	SearchRejects int64
+	// Counters reads the run's engine counters (the stats registry's Engine
+	// rows; each cell uses a fresh solver, so they are per-cell, not
+	// cumulative). Store rows stay zero unless Config.Knowledge is attached.
+	Counters stats.Values
 	// Preconditions holds the inferred formulas for Precondition tasks.
 	Preconditions []logic.Formula
 	// Truncated reports that the cell's search space was clipped (candidate
@@ -227,17 +208,7 @@ func (r *Runner) runOne(t Task, m core.Method) Measurement {
 			}
 		}
 		mm.Duration = time.Since(start)
-		mm.Queries = v.Engine().S.NumQueries()
-		mm.FMScratch = v.Engine().S.NumFMScratch()
-		mm.FMIncremental = v.Engine().S.NumFMIncremental()
-		mm.FMCubeHits = v.Engine().S.NumFMCubeHits()
-		mm.FMCapHits = v.Engine().S.NumFMCapHits()
-		mm.DormantContexts = v.Engine().S.NumDormantContexts()
-		mm.StoreHits = v.Engine().S.NumStoreVerdictHits() + v.Engine().NumConsStoreHits()
-		mm.WarmLemmas = v.Engine().S.NumWarmLemmas()
-		mm.WarmCores = v.Engine().NumWarmCores()
-		mm.SearchHits = v.Engine().NumSearchHits()
-		mm.SearchRejects = v.Engine().NumSearchRejects()
+		mm.Counters = v.Engine().S.Counters().Load()
 		done <- result{meas: mm}
 	}()
 	if r.Timeout <= 0 {

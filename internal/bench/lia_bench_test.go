@@ -49,7 +49,7 @@ func TestLIANoDormancy(t *testing.T) {
 		if s.NumContexts() == 0 {
 			t.Errorf("%s: no persistent context created", task.Name)
 		}
-		if n := s.NumDormantContexts(); n != 0 {
+		if n := s.Counters()[stats.DormantContexts].Load(); n != 0 {
 			t.Errorf("%s: %d contexts went dormant; want 0", task.Name, n)
 		}
 		if s.NumFMIncremental()+s.NumFMCubeHits() == 0 {
@@ -81,15 +81,7 @@ func sumCells(cells []Measurement) Measurement {
 	var s Measurement
 	for _, m := range cells {
 		s.Duration += m.Duration
-		s.Queries += m.Queries
-		s.FMScratch += m.FMScratch
-		s.FMIncremental += m.FMIncremental
-		s.DormantContexts += m.DormantContexts
-		s.StoreHits += m.StoreHits
-		s.WarmLemmas += m.WarmLemmas
-		s.WarmCores += m.WarmCores
-		s.SearchHits += m.SearchHits
-		s.SearchRejects += m.SearchRejects
+		s.Counters.Add(&m.Counters)
 	}
 	return s
 }
@@ -127,15 +119,16 @@ func TestLIABench(t *testing.T) {
 		}
 	}
 	is, cs := sumCells(inc), sumCells(cold)
-	if is.DormantContexts != 0 {
-		t.Errorf("incremental arm sent %d contexts dormant; want 0", is.DormantContexts)
+	ic, cc := &is.Counters, &cs.Counters
+	if ic[stats.DormantContexts] != 0 {
+		t.Errorf("incremental arm sent %.0f contexts dormant; want 0", ic[stats.DormantContexts])
 	}
-	t.Logf("incremental: fm_scratch=%d fm_incremental=%d cells=%.2fs",
-		is.FMScratch, is.FMIncremental, is.Duration.Seconds())
-	t.Logf("from-scratch: fm_scratch=%d cells=%.2fs", cs.FMScratch, cs.Duration.Seconds())
-	if is.FMScratch*3 > cs.FMScratch {
-		t.Errorf("from-scratch eliminations not reduced >=3x: incremental %d vs cold %d",
-			is.FMScratch, cs.FMScratch)
+	t.Logf("incremental: fm_scratch=%.0f fm_incremental=%.0f cells=%.2fs",
+		ic[stats.FMScratch], ic[stats.FMIncremental], is.Duration.Seconds())
+	t.Logf("from-scratch: fm_scratch=%.0f cells=%.2fs", cc[stats.FMScratch], cs.Duration.Seconds())
+	if ic[stats.FMScratch]*3 > cc[stats.FMScratch] {
+		t.Errorf("from-scratch eliminations not reduced >=3x: incremental %.0f vs cold %.0f",
+			ic[stats.FMScratch], cc[stats.FMScratch])
 	}
 	if is.Duration >= cs.Duration {
 		t.Logf("warning: incremental cell time %.2fs not below from-scratch %.2fs on this run",

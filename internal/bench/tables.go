@@ -159,9 +159,10 @@ func Table7(w io.Writer, r *Runner) {
 	tasks := LIATasks()
 	for ti, ms := range r.RunAll(tasks) {
 		for _, m := range ms {
-			fmt.Fprintf(w, "  %-16s %-5s %-8s %10d %10d %10d %9d %8d\n",
+			c := &m.Counters
+			fmt.Fprintf(w, "  %-16s %-5s %-8s %10.0f %10.0f %10.0f %9.0f %8.0f\n",
 				tasks[ti].Name, m.Method, fmtDur(m),
-				m.FMScratch, m.FMIncremental, m.FMCubeHits, m.FMCapHits, m.DormantContexts)
+				c[stats.FMScratch], c[stats.FMIncremental], c[stats.FMCubeHits], c[stats.FMCapHits], c[stats.DormantContexts])
 		}
 	}
 }

@@ -18,7 +18,9 @@ const warmBaseline = "../../BENCH_8.json"
 
 // work is a cell's from-scratch solving work: SMT validity queries plus
 // Fourier–Motzkin eliminations (from-scratch and incremental runs).
-func work(m Measurement) int64 { return m.Queries + m.FMScratch + m.FMIncremental }
+func work(m Measurement) int64 {
+	return int64(m.Counters[stats.Queries] + m.Counters[stats.FMScratch] + m.Counters[stats.FMIncremental])
+}
 
 // withinWarmBaseline reports whether a warm arm's from-scratch work stays
 // within 2x the recorded baseline. A recorded 0 admits only 0: the warm arm
@@ -114,10 +116,12 @@ func TestWarmBench(t *testing.T) {
 	}
 
 	cs, ws := sumCells(cold), sumCells(warm)
-	t.Logf("cold: work=%d (q=%d fm=%d+%d) %.2fs", work(cs), cs.Queries, cs.FMScratch, cs.FMIncremental, cs.Duration.Seconds())
-	t.Logf("warm: work=%d (q=%d fm=%d+%d) hits=%d lemmas=%d cores=%d %.2fs", work(ws),
-		ws.Queries, ws.FMScratch, ws.FMIncremental, ws.StoreHits, ws.WarmLemmas, ws.WarmCores, ws.Duration.Seconds())
-	t.Logf("warm: searches loaded=%d hits=%d rejects=%d", warmStore.LoadedSearches, ws.SearchHits, ws.SearchRejects)
+	cc, wc := &cs.Counters, &ws.Counters
+	storeHits := wc[stats.StoreVerdictHits] + wc[stats.StoreConsHits]
+	t.Logf("cold: work=%d (q=%.0f fm=%.0f+%.0f) %.2fs", work(cs), cc[stats.Queries], cc[stats.FMScratch], cc[stats.FMIncremental], cs.Duration.Seconds())
+	t.Logf("warm: work=%d (q=%.0f fm=%.0f+%.0f) hits=%.0f lemmas=%.0f cores=%.0f %.2fs", work(ws),
+		wc[stats.Queries], wc[stats.FMScratch], wc[stats.FMIncremental], storeHits, wc[stats.StoreWarmLemmas], wc[stats.StoreWarmCores], ws.Duration.Seconds())
+	t.Logf("warm: searches loaded=%d hits=%.0f rejects=%.0f", warmStore.LoadedSearches, wc[stats.SearchHits], wc[stats.SearchRejects])
 	if work(ws)*5 > work(cs) {
 		t.Errorf("warm restart did not cut from-scratch work >=5x: cold %d vs warm %d", work(cs), work(ws))
 	}
@@ -125,14 +129,14 @@ func TestWarmBench(t *testing.T) {
 		t.Errorf("warm from-scratch work regressed above 2x baseline: %d vs recorded %d in %s",
 			work(ws), baseline.Findings.WarmWork, warmBaseline)
 	}
-	if ws.StoreHits == 0 {
+	if storeHits == 0 {
 		t.Error("warm lifetime answered nothing from the store")
 	}
-	if ws.SearchHits == 0 {
+	if wc[stats.SearchHits] == 0 {
 		t.Error("warm lifetime replayed no group search from the store")
 	}
-	if ws.SearchRejects != 0 {
-		t.Errorf("warm lifetime rejected %d persisted search results written by the cold one", ws.SearchRejects)
+	if wc[stats.SearchRejects] != 0 {
+		t.Errorf("warm lifetime rejected %.0f persisted search results written by the cold one", wc[stats.SearchRejects])
 	}
 }
 
@@ -166,7 +170,7 @@ func TestWarmVsCompactedExamples(t *testing.T) {
 				}()
 				cfg.Knowledge = st
 				v := core.New(cfg)
-				defer func() { searchHits = v.Engine().NumSearchHits() }()
+				defer func() { searchHits = v.Engine().S.Counters()[stats.SearchHits].Load() }()
 				if cell.methods == nil {
 					ps, _, err := v.InferPreconditions(cell.build())
 					if err != nil {

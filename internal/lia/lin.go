@@ -1,38 +1,6 @@
 package lia
 
-import "sync/atomic"
-
-// Counters aggregates Fourier–Motzkin activity across every checker wired to
-// one SMT solver. All fields are atomic so sibling context lanes can share
-// one instance; a nil *Counters is accepted everywhere and counts nothing.
-type Counters struct {
-	// Runs counts full elimination runs performed by persistent checkers.
-	Runs atomic.Int64
-	// CubeHits counts checks answered from a persisted conflict cube without
-	// running an elimination.
-	CubeHits atomic.Int64
-	// CapHits counts runs that hit the derived-constraint cap and returned a
-	// Truncated conservative answer.
-	CapHits atomic.Int64
-}
-
-func (c *Counters) addRun() {
-	if c != nil {
-		c.Runs.Add(1)
-	}
-}
-
-func (c *Counters) addCubeHit() {
-	if c != nil {
-		c.CubeHits.Add(1)
-	}
-}
-
-func (c *Counters) addCapHit() {
-	if c != nil {
-		c.CapHits.Add(1)
-	}
-}
+import "repro/internal/stats"
 
 // Checker decides many truth assignments of one fixed (but growable) atom
 // set; DiffChecker and LinChecker both implement it, and the persistent SMT
@@ -96,13 +64,13 @@ type LinChecker struct {
 
 	cubes   []cube
 	cubeSeq int64
-	ctr     *Counters
+	ctr     *stats.Counters // counts FMIncremental, FMCubeHits and FMCapHits
 }
 
 // NewLinChecker preprocesses the atoms (each taken as lin ≤ 0 with its
 // integer negation as the false polarity). Unlike NewDiffChecker it accepts
 // every linear atom set. ctr may be nil.
-func NewLinChecker(atoms []Lin, ctr *Counters) *LinChecker {
+func NewLinChecker(atoms []Lin, ctr *stats.Counters) *LinChecker {
 	c := &LinChecker{ctr: ctr, probeAll: true}
 	c.Extend(atoms)
 	return c
@@ -181,10 +149,10 @@ func (c *LinChecker) Check(assign []bool) Result {
 		}
 	}
 	st.seedVars()
-	c.ctr.addRun()
+	c.ctr.Add(stats.FMIncremental, 1)
 	res := st.run()
 	if res.Truncated {
-		c.ctr.addCapHit()
+		c.ctr.Add(stats.FMCapHits, 1)
 	}
 	if !res.Sat {
 		c.learn(res.Conflict, assign)
@@ -202,7 +170,7 @@ outer:
 			}
 		}
 		cb.hits++
-		c.ctr.addCubeHit()
+		c.ctr.Add(stats.FMCubeHits, 1)
 		return Result{Sat: false, Conflict: append([]int(nil), cb.idx...)}, true
 	}
 	return Result{}, false

@@ -3,6 +3,8 @@ package lia
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // genGeneralLin builds a random linear constraint over up to three of the
@@ -76,7 +78,7 @@ func TestLinCheckerMatchesCheck(t *testing.T) {
 		for i := range atoms {
 			atoms[i] = genGeneralLin(rng, names)
 		}
-		var ctr Counters
+		var ctr stats.Counters
 		chk := NewLinChecker(atoms, &ctr)
 		var history [][]bool
 		for probe := 0; probe < 60; probe++ {
@@ -123,22 +125,22 @@ func TestLinCheckerCubeReuse(t *testing.T) {
 	c := NewLin()
 	c.AddVar("y", 3)
 	c.K = -12
-	var ctr Counters
+	var ctr stats.Counters
 	chk := NewLinChecker([]Lin{a, b, c}, &ctr)
 	assign := []bool{true, true, true}
 	res1 := chk.Check(assign)
 	if res1.Sat {
 		t.Fatal("x>=1 ∧ x<=0 should be unsat")
 	}
-	runs := ctr.Runs.Load()
+	runs := ctr[stats.FMIncremental].Load()
 	res2 := chk.Check(assign)
 	if res2.Sat {
 		t.Fatal("replay should stay unsat")
 	}
-	if ctr.Runs.Load() != runs {
+	if ctr[stats.FMIncremental].Load() != runs {
 		t.Error("replayed conflict ran another elimination instead of hitting the cube store")
 	}
-	if ctr.CubeHits.Load() == 0 {
+	if ctr[stats.FMCubeHits].Load() == 0 {
 		t.Error("no cube hit recorded on replay")
 	}
 	if len(res2.Conflict) != len(res1.Conflict) {
@@ -149,7 +151,7 @@ func TestLinCheckerCubeReuse(t *testing.T) {
 	if res3.Sat {
 		t.Fatal("conflict does not involve y; flip must stay unsat")
 	}
-	if ctr.Runs.Load() != runs {
+	if ctr[stats.FMIncremental].Load() != runs {
 		t.Error("cube should cover assignments agreeing on its atoms only")
 	}
 }
@@ -165,7 +167,7 @@ func TestLinCheckerSetProbe(t *testing.T) {
 	free := NewLin()
 	free.AddVar("y", 5)
 	free.K = 1
-	var ctr Counters
+	var ctr stats.Counters
 	chk := NewLinChecker([]Lin{conflictA, conflictB, free}, &ctr)
 	all := []bool{true, true, true}
 	// Narrowed to the conflicting pair: unsat.
@@ -181,12 +183,12 @@ func TestLinCheckerSetProbe(t *testing.T) {
 	}
 	// Restoring the default probe sees the conflict again — via the cube.
 	chk.SetProbe(nil)
-	runs := ctr.Runs.Load()
+	runs := ctr[stats.FMIncremental].Load()
 	res := chk.Check(all)
 	if res.Sat {
 		t.Fatal("full probe should be unsat")
 	}
-	if ctr.Runs.Load() != runs {
+	if ctr[stats.FMIncremental].Load() != runs {
 		t.Error("full probe should reuse the cube learned by the narrowed probe")
 	}
 }
@@ -199,7 +201,7 @@ func TestLinCheckerExtend(t *testing.T) {
 	a.K = 2 // x >= 1
 	b := NewLin()
 	b.AddVar("x", 2) // x <= 0
-	var ctr Counters
+	var ctr stats.Counters
 	chk := NewLinChecker([]Lin{a, b}, &ctr)
 	if res := chk.Check([]bool{true, true}); res.Sat {
 		t.Fatal("seed conflict missing")
@@ -212,11 +214,11 @@ func TestLinCheckerExtend(t *testing.T) {
 	if chk.Len() != 3 {
 		t.Fatalf("Len=%d after Extend; want 3", chk.Len())
 	}
-	runs := ctr.Runs.Load()
+	runs := ctr[stats.FMIncremental].Load()
 	if res := chk.Check([]bool{true, true, true}); res.Sat {
 		t.Fatal("extended assignment still contains the x conflict")
 	}
-	if ctr.Runs.Load() != runs {
+	if ctr[stats.FMIncremental].Load() != runs {
 		t.Error("cube learned before Extend should still fire after growth")
 	}
 	// The new atom matters when the old conflict is deselected:

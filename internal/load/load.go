@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
+	"repro/internal/stats"
 )
 
 // Item is one corpus entry: a spec, the method to run, and the expected
@@ -121,32 +122,27 @@ type Result struct {
 // across arms.
 func (r Result) Work() int64 { return r.SMTQueries + r.FMScratch + r.FMIncremental }
 
-// statsProbe is the slice of a /v1/stats body the generator diffs.
-type statsProbe struct {
-	Requests      int64 `json:"requests"`
-	Rejected      int64 `json:"rejected"`
-	Queries       int64 `json:"smt_queries"`
-	CacheHits     int64 `json:"smt_cache_hits"`
-	FMScratch     int64 `json:"fm_scratch"`
-	FMIncremental int64 `json:"fm_incremental"`
-}
-
-func fetchStats(ctx context.Context, client *http.Client, base string) (statsProbe, error) {
-	var p statsProbe
+// fetchStats reads a vs3d or router /v1/stats body into the registry's vs3d
+// rows (a router's fleet totals carry the vs3d keys).
+func fetchStats(ctx context.Context, client *http.Client, base string) (stats.Values, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/stats", nil)
 	if err != nil {
-		return p, err
+		return stats.Values{}, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return p, err
+		return stats.Values{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return p, fmt.Errorf("stats: status %d", resp.StatusCode)
+		return stats.Values{}, fmt.Errorf("stats: status %d", resp.StatusCode)
 	}
-	return p, json.NewDecoder(resp.Body).Decode(&p)
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		return stats.Values{}, err
+	}
+	return stats.ParseJSON(body, stats.Daemon), nil
 }
 
 // Run executes the load and assembles the report. It returns an error only
@@ -210,11 +206,12 @@ func Run(ctx context.Context, opts Options) (Result, error) {
 
 	after, err := fetchStats(ctx, opts.Client, opts.BaseURL)
 	if err == nil {
-		res.SMTQueries = after.Queries - before.Queries
-		res.SMTCacheHits = after.CacheHits - before.CacheHits
-		res.FMScratch = after.FMScratch - before.FMScratch
-		res.FMIncremental = after.FMIncremental - before.FMIncremental
-		res.ServerShed = after.Rejected - before.Rejected
+		d := after.Sub(before)
+		res.SMTQueries = int64(d[stats.Queries])
+		res.SMTCacheHits = int64(d[stats.CacheHits])
+		res.FMScratch = int64(d[stats.FMScratch])
+		res.FMIncremental = int64(d[stats.FMIncremental])
+		res.ServerShed = int64(d[stats.Rejected])
 		if total := res.SMTQueries + res.SMTCacheHits; total > 0 {
 			res.CacheHitRatio = float64(res.SMTCacheHits) / float64(total)
 		}

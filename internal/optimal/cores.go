@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -44,7 +45,6 @@ type CoreStore struct {
 	know     atomic.Pointer[store.Store]
 	pmu      sync.Mutex
 	portable []store.Core
-	warmHits atomic.Int64 // portable cores promoted into a search's universe
 }
 
 // Attach connects the on-disk knowledge base: persisted portable cores are
@@ -62,10 +62,6 @@ func (cs *CoreStore) Attach(know *store.Store) {
 	cs.portable = append(cs.portable, know.Cores()...)
 	cs.pmu.Unlock()
 }
-
-// NumWarmCores returns how many persisted cores were promoted from portable
-// form into a live search's bitmask space.
-func (cs *CoreStore) NumWarmCores() int64 { return cs.warmHits.Load() }
 
 // predKey returns the portable identity of a core item's predicate. It is
 // recomputed rather than memoized: a memo keyed by *logic.IFormula would
@@ -179,8 +175,8 @@ func sameCore(a, b []coreItem) bool {
 // cores loaded from the knowledge store are resolved against the universe
 // here — the first search whose items carry all of a portable core's
 // predicate keys promotes it into the in-memory shards and its own mask set.
-func (cs *CoreStore) masks(indexOf map[coreItem]int, width int) []bitmask {
-	cs.promotePortable(indexOf)
+func (cs *CoreStore) masks(indexOf map[coreItem]int, width int, ctr *stats.Counters) []bitmask {
+	cs.promotePortable(indexOf, ctr)
 	var out []bitmask
 	for s := range cs.shards {
 		sh := &cs.shards[s]
@@ -214,7 +210,7 @@ func (cs *CoreStore) masks(indexOf map[coreItem]int, width int) []bitmask {
 // from the portable list. Unresolvable cores stay portable for later
 // universes. Promotion happens before the shard scan precisely so the
 // promoted cores are produced by it, never twice.
-func (cs *CoreStore) promotePortable(indexOf map[coreItem]int) {
+func (cs *CoreStore) promotePortable(indexOf map[coreItem]int, ctr *stats.Counters) {
 	cs.pmu.Lock()
 	defer cs.pmu.Unlock()
 	if len(cs.portable) == 0 {
@@ -242,11 +238,15 @@ func (cs *CoreStore) promotePortable(indexOf map[coreItem]int) {
 		}
 		// insert, not add: the core came from the store, writing it back
 		// would only burn a dedup check.
-		cs.insert(items)
-		cs.warmHits.Add(1)
+		if _, evicted := cs.insert(items); evicted {
+			ctr.Add(stats.CoreEvicted, 1)
+		}
+		ctr.Add(stats.StoreWarmCores, 1)
 	}
 	cs.portable = kept
 }
 
-// NumEvicted returns how many stored cores were evicted to admit newer ones.
+// NumEvicted returns how many stored cores were evicted to admit newer ones;
+// each engine counts the evictions its own inserts caused (CoreEvicted), so
+// the engines sharing a store sum to this.
 func (cs *CoreStore) NumEvicted() int64 { return cs.evicted.Load() }

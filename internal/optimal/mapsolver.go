@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/sat"
+	"repro/internal/stats"
 	"repro/internal/template"
 )
 
@@ -63,7 +64,7 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 		}
 		ms.AddClause(scratch...)
 	}
-	for _, m := range e.cores.masks(indexOf, len(items)) {
+	for _, m := range e.cores.masks(indexOf, len(items), e.S.Counters()) {
 		blockMask(m)
 	}
 
@@ -209,7 +210,7 @@ func (e *Engine) screenConsistency(ms *sat.Solver, cand template.Solution, sel [
 			continue
 		}
 		blocked = true
-		e.corePruned.Add(1)
+		e.S.Counters().Add(stats.CorePruned, 1)
 		var cls []sat.Lit
 		if len(core) > 0 {
 			usable := true

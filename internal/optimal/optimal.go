@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
 	"repro/internal/memo"
@@ -84,21 +83,13 @@ type Engine struct {
 	// cores accumulates (unknown, predicate-set) combinations proven
 	// inconsistent, shared across searches and workers: a core killed in one
 	// round keeps killing the same sublattice in every later round (as
-	// bitmask pruning in negBFS, as blocking clauses in negMap). corePruned
-	// counts candidates rejected because a stored or fresh core applied.
-	cores      *CoreStore
-	corePruned atomic.Int64
+	// bitmask pruning in negBFS, as blocking clauses in negMap).
+	cores *CoreStore
 
 	// know is the optional on-disk knowledge base: consistency verdicts and
 	// whole group-search results are answered from it across process
 	// lifetimes and written behind when decided without a fired Stop.
-	// consStoreHits counts warm consistency answers; searchHits and
-	// searchRejects count replayed search results and the ones that failed
-	// their re-probe.
-	know          *store.Store
-	consStoreHits atomic.Int64
-	searchHits    atomic.Int64
-	searchRejects atomic.Int64
+	know *store.Store
 }
 
 // consVerdict is one memoized predicate-set consistency verdict.
@@ -157,19 +148,11 @@ func (e *Engine) AttachKnowledge(k *store.Store) {
 
 // NumConsStoreHits returns how many consistency probes were answered from
 // the knowledge store instead of being decided.
-func (e *Engine) NumConsStoreHits() int64 { return e.consStoreHits.Load() }
+func (e *Engine) NumConsStoreHits() int64 { return e.S.Counters()[stats.StoreConsHits].Load() }
 
-// NumSearchHits returns how many group searches were answered by replaying
-// a persisted result whose solutions all re-probed valid.
-func (e *Engine) NumSearchHits() int64 { return e.searchHits.Load() }
-
-// NumSearchRejects returns how many persisted search results failed their
-// re-probe and were replaced by a fresh search.
-func (e *Engine) NumSearchRejects() int64 { return e.searchRejects.Load() }
-
-// NumWarmCores returns how many persisted cores were promoted from the
-// knowledge store into live searches.
-func (e *Engine) NumWarmCores() int64 { return e.cores.NumWarmCores() }
+// NumWarmCores returns how many persisted cores this engine's searches
+// promoted from the knowledge store.
+func (e *Engine) NumWarmCores() int64 { return e.S.Counters()[stats.StoreWarmCores].Load() }
 
 func (e *Engine) maxDepth() int {
 	if e.MaxDepth <= 0 {
@@ -218,11 +201,11 @@ func (e *Engine) consistencyContext() *smt.Context {
 
 // NumCorePruned returns how many lattice candidates were rejected because a
 // previously extracted unsat core applied to them.
-func (e *Engine) NumCorePruned() int64 { return e.corePruned.Load() }
+func (e *Engine) NumCorePruned() int64 { return e.S.Counters()[stats.CorePruned].Load() }
 
-// NumCoreEvicted returns how many stored cores were evicted from the
-// engine-global store to make room for newer ones.
-func (e *Engine) NumCoreEvicted() int64 { return e.cores.NumEvicted() }
+// NumCoreEvicted returns how many stored cores this engine's inserts evicted
+// from the (possibly shared) core store to make room.
+func (e *Engine) NumCoreEvicted() int64 { return e.S.Counters()[stats.CoreEvicted].Load() }
 
 // storeCoreStats persists a freshly extracted inconsistent (unknown,
 // predicate-set) combination for reuse by later searches over the same
@@ -232,8 +215,8 @@ func (e *Engine) storeCoreStats(unknown string, core []logic.Formula) {
 	for i, p := range core {
 		items[i] = coreItem{unknown: unknown, pred: logic.Intern(p)}
 	}
-	if e.cores.add(items) && e.Stats != nil {
-		e.Stats.RecordCoreEviction()
+	if e.cores.add(items) {
+		e.S.Counters().Add(stats.CoreEvicted, 1)
 	}
 	if e.Stats != nil {
 		e.Stats.RecordCoreSize(len(core))
@@ -502,13 +485,13 @@ func (e *Engine) negSearch(phi logic.Formula, q template.Domain) []template.Solu
 	key := g.searchKey(e.maxDepth(), e.maxSolutions())
 	if rec, ok := e.know.Search(key); ok {
 		if sols, ok := g.replay(rec); ok {
-			e.searchHits.Add(1)
+			e.S.Counters().Add(stats.SearchHits, 1)
 			if searchReplayed != nil {
 				searchReplayed(phi, q, sols)
 			}
 			return sols
 		}
-		e.searchRejects.Add(1)
+		e.S.Counters().Add(stats.SearchRejects, 1)
 	}
 	sols, sels := e.enumerate(g)
 	if e.Stop == nil || !e.Stop() {
@@ -581,11 +564,11 @@ func (e *Engine) negBFS(g *group) ([]template.Solution, [][]int) {
 	// too (conjoining predicates only strengthens the set), so a single core
 	// kills its whole superset sublattice without probing. Seeded with cores
 	// extracted by earlier calls over the same domain.
-	coreMasks := e.cores.masks(indexOf, len(items))
+	coreMasks := e.cores.masks(indexOf, len(items), e.S.Counters())
 	coreBlocked := func(m bitmask) bool {
 		for _, km := range coreMasks {
 			if km.subsetOf(m) {
-				e.corePruned.Add(1)
+				e.S.Counters().Add(stats.CorePruned, 1)
 				return true
 			}
 		}
@@ -720,13 +703,12 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 		// fallback below is equally core-less.
 		skey = store.FormulaKey(key.Formula())
 		if sat, ok := e.know.Consistency(skey); ok {
-			e.consStoreHits.Add(1)
-			e.Stats.RecordStoreLookup(true)
+			e.S.Counters().Add(stats.StoreConsHits, 1)
 			cv.sat = sat
 			cv, _ = e.consMemo.LoadOrStore(key, cv)
 			return cv.sat, cv.core, false
 		}
-		e.Stats.RecordStoreLookup(false)
+		e.S.Counters().Add(stats.StoreMisses, 1)
 	}
 	decided := false
 	if c := e.consistencyContext(); c != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/optimal"
 	"repro/internal/spec"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/template"
 )
@@ -71,7 +72,7 @@ func runOn(t *testing.T, dir string, build func() *spec.Problem, m *core.Method)
 		}
 		verdict = o.Proved
 	}
-	return verdict, v.Engine().NumSearchHits(), v.Engine().NumSearchRejects(), loaded
+	return verdict, v.Engine().S.Counters()[stats.SearchHits].Load(), v.Engine().S.Counters()[stats.SearchRejects].Load(), loaded
 }
 
 // methodsOf expands an example's methods; a nil entry stands for

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/smt"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/template"
 )
@@ -83,13 +84,13 @@ func TestSearchRecordReplayed(t *testing.T) {
 	dir := t.TempDir()
 	cold, ce := lifetime(t, dir, phi, q, nil)
 	sameOrder(t, cold, fresh)
-	if ce.NumSearchHits() != 0 {
-		t.Fatalf("cold lifetime hit %d search records", ce.NumSearchHits())
+	if ce.S.Counters()[stats.SearchHits].Load() != 0 {
+		t.Fatalf("cold lifetime hit %d search records", ce.S.Counters()[stats.SearchHits].Load())
 	}
 	warm, we := lifetime(t, dir, phi, q, nil)
 	sameOrder(t, warm, fresh)
-	if we.NumSearchHits() != 1 || we.NumSearchRejects() != 0 {
-		t.Errorf("warm hits=%d rejects=%d, want 1 and 0", we.NumSearchHits(), we.NumSearchRejects())
+	if we.S.Counters()[stats.SearchHits].Load() != 1 || we.S.Counters()[stats.SearchRejects].Load() != 0 {
+		t.Errorf("warm hits=%d rejects=%d, want 1 and 0", we.S.Counters()[stats.SearchHits].Load(), we.S.Counters()[stats.SearchRejects].Load())
 	}
 	if n := we.S.NumQueries(); n != 0 {
 		t.Errorf("warm replay ran %d SMT queries", n)
@@ -150,14 +151,14 @@ func TestSearchRecordTamperRejected(t *testing.T) {
 	}
 
 	got, e := lifetime(t, dir, phi, q, nil)
-	if e.NumSearchRejects() != 1 || e.NumSearchHits() != 0 {
-		t.Errorf("tampered lifetime rejects=%d hits=%d, want 1 and 0", e.NumSearchRejects(), e.NumSearchHits())
+	if e.S.Counters()[stats.SearchRejects].Load() != 1 || e.S.Counters()[stats.SearchHits].Load() != 0 {
+		t.Errorf("tampered lifetime rejects=%d hits=%d, want 1 and 0", e.S.Counters()[stats.SearchRejects].Load(), e.S.Counters()[stats.SearchHits].Load())
 	}
 	sameOrder(t, got, fresh)
 
 	again, e := lifetime(t, dir, phi, q, nil)
-	if e.NumSearchRejects() != 0 || e.NumSearchHits() != 1 {
-		t.Errorf("after replacement rejects=%d hits=%d, want 0 and 1", e.NumSearchRejects(), e.NumSearchHits())
+	if e.S.Counters()[stats.SearchRejects].Load() != 0 || e.S.Counters()[stats.SearchHits].Load() != 1 {
+		t.Errorf("after replacement rejects=%d hits=%d, want 0 and 1", e.S.Counters()[stats.SearchRejects].Load(), e.S.Counters()[stats.SearchHits].Load())
 	}
 	sameOrder(t, again, fresh)
 }
@@ -187,13 +188,13 @@ func TestSearchRecordKeyBounds(t *testing.T) {
 		sub := t.TempDir()
 		copyLog(t, dir, sub)
 		_, e := lifetime(t, sub, phi, c.q, c.tune)
-		if e.NumSearchHits() != 0 || e.NumSearchRejects() != 0 {
-			t.Errorf("%s changed: hits=%d rejects=%d, want 0 and 0", c.name, e.NumSearchHits(), e.NumSearchRejects())
+		if e.S.Counters()[stats.SearchHits].Load() != 0 || e.S.Counters()[stats.SearchRejects].Load() != 0 {
+			t.Errorf("%s changed: hits=%d rejects=%d, want 0 and 0", c.name, e.S.Counters()[stats.SearchHits].Load(), e.S.Counters()[stats.SearchRejects].Load())
 		}
 	}
 	// The unchanged search still hits.
-	if _, e := lifetime(t, dir, phi, q, nil); e.NumSearchHits() != 1 {
-		t.Errorf("unchanged search hits=%d, want 1", e.NumSearchHits())
+	if _, e := lifetime(t, dir, phi, q, nil); e.S.Counters()[stats.SearchHits].Load() != 1 {
+		t.Errorf("unchanged search hits=%d, want 1", e.S.Counters()[stats.SearchHits].Load())
 	}
 }
 
@@ -214,8 +215,8 @@ func TestSearchRecordStopWritesNone(t *testing.T) {
 	phi, q := example4()
 	dir := t.TempDir()
 	_, e := lifetime(t, dir, phi, q, func(e *Engine) { e.Stop = func() bool { return true } })
-	if e.NumSearchHits() != 0 {
-		t.Fatalf("stopped lifetime hit %d records", e.NumSearchHits())
+	if e.S.Counters()[stats.SearchHits].Load() != 0 {
+		t.Fatalf("stopped lifetime hit %d records", e.S.Counters()[stats.SearchHits].Load())
 	}
 	st := openStoreT(t, dir)
 	defer st.Close()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 // batchWorkers bounds the items of one batch in flight at once.
@@ -38,8 +39,8 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("empty \"items\""))
 		return
 	}
-	r.batches.Add(1)
-	r.batchItems.Add(int64(len(batch.Items)))
+	r.ctr.Add(stats.RouterBatches, 1)
+	r.ctr.Add(stats.RouterBatchItems, int64(len(batch.Items)))
 	client := serve.ClientKey(req)
 
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
+	"repro/internal/stats"
 )
 
 // callResult is one request's buffered answer. err is non-nil only when no
@@ -56,8 +57,8 @@ func (r *Router) failed(ctx context.Context, b *backend) {
 		return
 	}
 	b.healthy.Store(false)
-	b.failovers.Add(1)
-	r.failovers.Add(1)
+	b.ctr.Add(stats.BackendFailovers, 1)
+	r.ctr.Add(stats.RouterFailovers, 1)
 }
 
 // unanswered is execute's terminal answer when no backend answered. A caller
@@ -70,7 +71,7 @@ func (r *Router) unanswered(ctx context.Context, err error) callResult {
 	case context.Canceled:
 		return callResult{status: statusClientClosed, err: ctx.Err()}
 	}
-	r.noBackend.Add(1)
+	r.ctr.Add(stats.RouterNoBackend, 1)
 	return callResult{status: http.StatusBadGateway, err: fmt.Errorf("no live backend: %w", err)}
 }
 
@@ -140,7 +141,7 @@ func (r *Router) execute(ctx context.Context, key, client string, req rpc.Reques
 		b := r.backends[idx]
 		res := r.callOne(ctx, b, req)
 		if res.err == nil {
-			b.routed.Add(1)
+			b.ctr.Add(stats.BackendRouted, 1)
 			return res
 		}
 		// Transport failure: mark the backend down and rehash to the next
@@ -181,12 +182,12 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, req rpc.Requ
 	case rr := <-resc:
 		inflight--
 		if rr.res.err == nil {
-			rr.b.routed.Add(1)
+			rr.b.ctr.Add(stats.BackendRouted, 1)
 			return rr.res, true
 		}
 		r.failed(ctx, rr.b)
 	case <-timer.C:
-		r.hedgeFired.Add(1)
+		r.ctr.Add(stats.RouterHedgeFired, 1)
 		launch(succ, true)
 		fired = true
 		inflight = 2
@@ -196,7 +197,7 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, req rpc.Requ
 		// The successor is simply the next sequential candidate.
 		res := r.callOne(rctx, succ, req)
 		if res.err == nil {
-			succ.routed.Add(1)
+			succ.ctr.Add(stats.BackendRouted, 1)
 			return res, true
 		}
 		r.failed(ctx, succ)
@@ -208,14 +209,14 @@ func (r *Router) raceTwo(ctx context.Context, owner, succ *backend, req rpc.Requ
 		inflight--
 		if rr.res.err == nil {
 			if rr.hedge {
-				r.hedgeWon.Add(1)
+				r.ctr.Add(stats.RouterHedgeWon, 1)
 			}
 			if inflight > 0 {
 				// cancelAll (deferred) aborts the slower side; its eventual
 				// answer lands in the buffered channel and is dropped.
-				r.hedgeCanceled.Add(1)
+				r.ctr.Add(stats.RouterHedgeCanceled, 1)
 			}
-			rr.b.routed.Add(1)
+			rr.b.ctr.Add(stats.BackendRouted, 1)
 			return rr.res, true
 		}
 		lastErr = rr.res.err

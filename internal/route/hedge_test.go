@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 // hedgeSpec is the paper's running example — small enough to verify in well
@@ -147,13 +148,13 @@ func TestHedgeCancelsLoserSingleCount(t *testing.T) {
 		t.Fatalf("winner was %q, want the hedge (fast-backend)", got)
 	}
 
-	fired, won, canceled := r.HedgeStats()
+	fired, won, canceled := r.ctr[stats.RouterHedgeFired].Load(), r.ctr[stats.RouterHedgeWon].Load(), r.ctr[stats.RouterHedgeCanceled].Load()
 	if fired < 1 || won < 1 || canceled < 1 {
 		t.Fatalf("hedge counters fired=%d won=%d canceled=%d, want all ≥ 1", fired, won, canceled)
 	}
 	// Strict single-count: exactly one verdict forwarded, exactly one routed
 	// increment across the fleet — the loser contributes nothing.
-	if total := r.backends[0].routed.Load() + r.backends[1].routed.Load(); total != 1 {
+	if total := r.backends[0].ctr[stats.BackendRouted].Load() + r.backends[1].ctr[stats.BackendRouted].Load(); total != 1 {
 		t.Fatalf("routed total = %d after one request, want 1", total)
 	}
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/rpc"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -118,12 +119,11 @@ func (c Config) normalize() Config {
 
 // backend is one vs3d node plus its router-side state.
 type backend struct {
-	url       string
-	weight    float64
-	healthy   atomic.Bool
-	serverID  atomic.Pointer[string] // last X-VS3-Backend seen
-	routed    atomic.Int64           // requests/items routed here
-	failovers atomic.Int64           // requests moved OFF this backend after a transport failure
+	url      string
+	weight   float64
+	healthy  atomic.Bool
+	serverID atomic.Pointer[string] // last X-VS3-Backend seen
+	ctr      stats.Counters         // the registry's Backend rows: routed, failovers
 
 	// The persistent VS3R connection pool to the endpoint the backend
 	// advertises in X-VS3-RPC; nil until the health sweep has seen one.
@@ -188,17 +188,7 @@ type Router struct {
 
 	rpcAddr atomic.Pointer[string] // advertised binary front (X-VS3-RPC)
 
-	requests   atomic.Int64 // single verify/preconditions requests proxied
-	batches    atomic.Int64
-	batchItems atomic.Int64
-	failovers  atomic.Int64 // total failover hops
-	noBackend  atomic.Int64 // requests failed because no backend answered
-
-	hedgeFired    atomic.Int64 // hedge requests fired at a ring successor
-	hedgeWon      atomic.Int64 // races the hedge answered first
-	hedgeCanceled atomic.Int64 // losers cancelled after the other side won
-
-	storeHits atomic.Int64 // placements moved off the ring owner by a digest claim
+	ctr stats.Counters // the registry's Router rows the router counts itself
 
 	latMu   sync.Mutex // rolling backend-latency window feeding the hedge delay
 	lats    [512]time.Duration
@@ -403,7 +393,7 @@ func (r *Router) candidates(key string) []int {
 		}
 		if len(claiming) > 0 {
 			if claiming[0] != live[0] {
-				r.storeHits.Add(1)
+				r.ctr.Add(stats.RouterStoreHits, 1)
 			}
 			live = append(claiming, rest...)
 		}
@@ -502,7 +492,7 @@ func (r *Router) proxySingle(w http.ResponseWriter, req *http.Request, kind stri
 // serveOne is the single-request path of both fronts (proxySingle and
 // ServeRPC): count it, bound it by RequestTimeout, and execute it.
 func (r *Router) serveOne(ctx context.Context, client string, req rpc.Request) callResult {
-	r.requests.Add(1)
+	r.ctr.Add(stats.RouterRequests, 1)
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.RequestTimeout)
 	defer cancel()
 	return r.execute(ctx, serve.ProblemKey(req.Spec), client, req)

@@ -256,7 +256,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 	if sr.Failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1", sr.Failovers)
 	}
-	var deadRow *BackendStats
+	var deadRow *backendRow
 	for i := range sr.Backends {
 		if sr.Backends[i].URL == b1.ts.URL {
 			deadRow = &sr.Backends[i]
@@ -404,14 +404,34 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 	}
 }
 
-func routerStats(t *testing.T, base string) statsResponse {
+// routerBody is the slice of the router's /v1/stats body the tests read.
+type routerBody struct {
+	RouterID  string       `json:"router_id"`
+	Requests  int64        `json:"requests_proxied"`
+	Failovers int64        `json:"failovers"`
+	NoBackend int64        `json:"no_backend"`
+	Queries   int64        `json:"smt_queries"`
+	CacheHits int64        `json:"smt_cache_hits"`
+	Backends  []backendRow `json:"backends"`
+}
+
+// backendRow is one backend's row in the router's /v1/stats body.
+type backendRow struct {
+	URL       string `json:"url"`
+	ServerID  string `json:"server_id"`
+	Healthy   bool   `json:"healthy"`
+	Routed    int64  `json:"routed"`
+	Failovers int64  `json:"failovers"`
+}
+
+func routerStats(t *testing.T, base string) routerBody {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr statsResponse
+	var sr routerBody
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,3 @@ func (r *Router) Owner(key string) string {
 	}
 	return r.backends[idx].url
 }
-
-// HedgeStats returns the lifetime hedge counters: hedges fired at ring
-// successors, races the hedge won, and losers cancelled after a win.
-func (r *Router) HedgeStats() (fired, won, canceled int64) {
-	return r.hedgeFired.Load(), r.hedgeWon.Load(), r.hedgeCanceled.Load()
-}

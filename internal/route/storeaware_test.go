@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -76,7 +77,7 @@ func TestStoreAwareRouting(t *testing.T) {
 	if cands[0] != 0 {
 		t.Fatalf("candidates(%s) = %v, want warm backend (0) first", key[:12], cands)
 	}
-	if hits := r.storeHits.Load(); hits != 1 {
+	if hits := r.ctr[stats.RouterStoreHits].Load(); hits != 1 {
 		t.Fatalf("route_store_hits = %d after digest-preferred placement, want 1", hits)
 	}
 
@@ -89,7 +90,7 @@ func TestStoreAwareRouting(t *testing.T) {
 			t.Fatalf("unclaimed key reordered: got %v want %v", got, want)
 		}
 	}
-	if hits := r.storeHits.Load(); hits != 1 {
+	if hits := r.ctr[stats.RouterStoreHits].Load(); hits != 1 {
 		t.Fatalf("route_store_hits = %d after unclaimed key, want still 1", hits)
 	}
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // maxBatchBytes bounds a /v1/batch request body (many specs in one request).
@@ -54,8 +56,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d items exceeds the maximum of %d", len(req.Items), s.cfg.MaxBatch))
 		return
 	}
-	s.batches.Add(1)
-	s.batchItems.Add(int64(len(req.Items)))
+	s.ctr.Add(stats.Batches, 1)
+	s.ctr.Add(stats.BatchItems, int64(len(req.Items)))
 	client := ClientKey(r)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

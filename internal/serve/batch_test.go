@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // postBatch posts a batch and decodes the NDJSON result stream.
@@ -91,11 +93,11 @@ func TestBatchOrderingAndResults(t *testing.T) {
 	}
 
 	sr := getStats(t, ts.Client(), ts.URL)
-	if sr.Batches != 1 || sr.BatchItems != int64(len(items)) {
-		t.Errorf("batches=%d items=%d, want 1/%d", sr.Batches, sr.BatchItems, len(items))
+	if sr[stats.Batches] != 1 || sr[stats.BatchItems] != float64(len(items)) {
+		t.Errorf("batches=%v items=%v, want 1/%v", sr[stats.Batches], sr[stats.BatchItems], len(items))
 	}
-	if sr.Requests != int64(len(items)) {
-		t.Errorf("requests=%d, want %d (each item counts)", sr.Requests, len(items))
+	if sr[stats.Requests] != float64(len(items)) {
+		t.Errorf("requests=%v, want %v (each item counts)", sr[stats.Requests], len(items))
 	}
 }
 
@@ -194,16 +196,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("missing X-VS3-Backend header")
 	}
 	// The verify run left its context groups registered under the budget.
-	sr := srv.statsSnapshot()
-	if sr.CtxBudgetUsed <= 0 {
-		t.Errorf("ctx_budget_used = %d after a verify run, want > 0", sr.CtxBudgetUsed)
+	sr := srv.values()
+	if sr[stats.CtxBudgetUsed] <= 0 {
+		t.Errorf("ctx_budget_used = %v after a verify run, want > 0", sr[stats.CtxBudgetUsed])
 	}
 	// The run's SAT work shows both as solver totals and in the merged
 	// request collector.
-	if sr.SATDecisions <= 0 || sr.SATPropagations <= 0 {
-		t.Errorf("sat_decisions = %d, sat_propagations = %d after a verify run, want > 0", sr.SATDecisions, sr.SATPropagations)
+	if sr[stats.SATDecisions] <= 0 || sr[stats.SATPropagations] <= 0 {
+		t.Errorf("sat_decisions = %v, sat_propagations = %v after a verify run, want > 0", sr[stats.SATDecisions], sr[stats.SATPropagations])
 	}
-	if sr.Collector.SATDecisions != sr.SATDecisions || sr.Collector.SATPropagations != sr.SATPropagations {
-		t.Errorf("collector SAT work %d/%d, solver totals %d/%d", sr.Collector.SATDecisions, sr.Collector.SATPropagations, sr.SATDecisions, sr.SATPropagations)
+	if col := srv.statsBody()["collector"].(stats.Snapshot); float64(col.SATDecisions) != sr[stats.SATDecisions] || float64(col.SATPropagations) != sr[stats.SATPropagations] {
+		t.Errorf("collector SAT work %v/%v, solver totals %v/%v", col.SATDecisions, col.SATPropagations, sr[stats.SATDecisions], sr[stats.SATPropagations])
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // grab parks one acquire for client and exposes its grant channel.
@@ -180,7 +182,7 @@ func TestFairQueueingHTTP(t *testing.T) {
 			finished <- client
 		}()
 	}
-	waitFor := func(cond func(statsResponse) bool, what string) {
+	waitFor := func(cond func(stats.Values) bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for !cond(getStats(t, ts.Client(), ts.URL)) {
@@ -195,13 +197,13 @@ func TestFairQueueingHTTP(t *testing.T) {
 	// request. Each queued run is deadline-bounded so the test finishes
 	// fast; with Pool=1 completion order equals grant order.
 	launch("greedy", 1500)
-	waitFor(func(s statsResponse) bool { return s.InFlight == 1 }, "first request in flight")
+	waitFor(func(s stats.Values) bool { return s[stats.InFlight] == 1 }, "first request in flight")
 	for i := 0; i < 3; i++ {
 		launch("greedy", 300)
-		waitFor(func(s statsResponse) bool { return s.Queued == int64(i+1) }, "greedy queued")
+		waitFor(func(s stats.Values) bool { return s[stats.Queued] == float64(i+1) }, "greedy queued")
 	}
 	launch("victim", 300)
-	waitFor(func(s statsResponse) bool { return s.Queued == 4 && s.ClientsQueued == 2 }, "victim queued")
+	waitFor(func(s stats.Values) bool { return s[stats.Queued] == 4 && s[stats.ClientsQueued] == 2 }, "victim queued")
 
 	wg.Wait()
 	close(finished)

@@ -154,7 +154,7 @@ func ClientKey(r *http.Request) string {
 // swap the context around each request.
 type session struct {
 	v   *core.Verifier
-	col *stats.Collector // session-lifetime collector (snapshot-diffed per request)
+	col *stats.Collector // session-lifetime histograms (snapshot-diffed per request)
 	ctx atomic.Pointer[context.Context]
 }
 
@@ -164,7 +164,14 @@ func (s *session) stop() bool {
 }
 
 func (s *session) bind(ctx context.Context) { s.ctx.Store(&ctx) }
-func (s *session) unbind()                  { s.bind(context.Background()) }
+
+// snapshot reads the session's collector and engine counters; a request's
+// stats object is the difference of two.
+func (s *session) snapshot() stats.Snapshot {
+	v := s.v.Engine().S.Counters().Load()
+	return stats.NewSnapshot(s.col, &v)
+}
+func (s *session) unbind() { s.bind(context.Background()) }
 
 // Server is the verification service.
 type Server struct {
@@ -173,7 +180,7 @@ type Server struct {
 	sessions []*session // stable list, for stats aggregation
 
 	mu  sync.Mutex
-	agg stats.Snapshot // request-scoped collector deltas merged server-lifetime
+	agg stats.Snapshot // request-scoped deltas summed server-lifetime (/v1/stats collector)
 
 	// problems caches parsed problems by ProblemKey. Problems carry their
 	// compiled per-path VC skeletons, so keeping the hot set resident (least
@@ -188,15 +195,7 @@ type Server struct {
 	rpcAddr  atomic.Pointer[string] // advertised rpc listen address ("" = none)
 	rpcStats atomic.Pointer[func() (conns, streams, requests, cancels int64)]
 
-	requests    atomic.Int64 // requests that reached a verifier (batch items included)
-	rejected    atomic.Int64 // 429s / shed batch items
-	aborted     atomic.Int64 // runs cancelled by deadline/disconnect
-	truncated   atomic.Int64 // runs that reported a clipped search
-	inflight    atomic.Int64
-	probHits    atomic.Int64 // parsed-problem cache hits
-	batches     atomic.Int64 // /v1/batch requests accepted
-	batchItems  atomic.Int64 // items across all batches
-	outcomeHits atomic.Int64 // verify runs answered from persisted outcomes
+	ctr stats.Counters // the registry's Server rows the server counts itself
 }
 
 // New returns a Server with cfg.Pool warmed-up sessions.
@@ -306,7 +305,7 @@ var errBusy = errors.New("serve: all sessions busy and the wait queue is full")
 func (s *Server) problem(src string) (*spec.Problem, string, error) {
 	key := ProblemKey(src)
 	if p, ok := s.problems.Load(key); ok {
-		s.probHits.Add(1)
+		s.ctr.Add(stats.ProblemCacheHits, 1)
 		return p, key, nil
 	}
 	sf, err := lang.ParseSpecFile(src)
@@ -410,15 +409,15 @@ func (s *Server) lease(parent context.Context, client string, timeoutMS int64) (
 	}
 	reqCtx, cancel := context.WithTimeout(parent, s.timeout(timeoutMS))
 	sess.bind(reqCtx)
-	s.requests.Add(1)
-	s.inflight.Add(1)
-	before := sess.col.Snapshot()
+	s.ctr.Add(stats.Requests, 1)
+	s.ctr.Add(stats.InFlight, 1)
+	before := sess.snapshot()
 	finish := func() stats.Snapshot {
-		delta := sess.col.Snapshot().Sub(before)
+		delta := sess.snapshot().Sub(before)
 		cancel()
 		sess.unbind()
 		s.fq.release(sess)
-		s.inflight.Add(-1)
+		s.ctr.Add(stats.InFlight, -1)
 		s.mu.Lock()
 		s.agg = s.agg.Add(delta)
 		s.mu.Unlock()
@@ -450,8 +449,8 @@ func (s *Server) RunVerify(parent context.Context, client string, req VerifyRequ
 		if body, ok := s.cfg.Store.Outcome(key, m.String()); ok {
 			var cached VerifyResponse
 			if jerr := json.Unmarshal(body, &cached); jerr == nil {
-				s.outcomeHits.Add(1)
-				s.requests.Add(1)
+				s.ctr.Add(stats.StoreOutcomeHits, 1)
+				s.ctr.Add(stats.Requests, 1)
 				cached.FromStore = true
 				cached.OriginalDurationMS = cached.DurationMS
 				cached.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -463,7 +462,7 @@ func (s *Server) RunVerify(parent context.Context, client string, req VerifyRequ
 	sess, reqCtx, finish, err := s.lease(parent, client, req.TimeoutMS)
 	if err != nil {
 		if errors.Is(err, errBusy) {
-			s.rejected.Add(1)
+			s.ctr.Add(stats.Rejected, 1)
 			return VerifyResponse{}, key, http.StatusTooManyRequests, err
 		}
 		// The client's deadline or disconnect fired while queued.
@@ -490,12 +489,12 @@ func (s *Server) RunVerify(parent context.Context, client string, req VerifyRequ
 		}
 	}
 	if resp.Truncated {
-		s.truncated.Add(1)
+		s.ctr.Add(stats.Truncated, 1)
 	}
 	if resp.Aborted {
 		// Never persisted: an aborted run's verdict reflects this request's
 		// deadline, not the problem.
-		s.aborted.Add(1)
+		s.ctr.Add(stats.Aborted, 1)
 		return resp, key, abortStatus(reqCtx), nil
 	}
 	if s.cfg.Store != nil {
@@ -537,7 +536,7 @@ func (s *Server) RunPreconditions(parent context.Context, client string, req Ver
 	sess, reqCtx, finish, err := s.lease(parent, client, req.TimeoutMS)
 	if err != nil {
 		if errors.Is(err, errBusy) {
-			s.rejected.Add(1)
+			s.ctr.Add(stats.Rejected, 1)
 			return PreconditionsResponse{}, key, http.StatusTooManyRequests, err
 		}
 		return PreconditionsResponse{}, key, http.StatusGatewayTimeout, err
@@ -561,10 +560,10 @@ func (s *Server) RunPreconditions(parent context.Context, client string, req Ver
 	}
 	sort.Strings(resp.Preconditions)
 	if resp.Truncated {
-		s.truncated.Add(1)
+		s.ctr.Add(stats.Truncated, 1)
 	}
 	if resp.Aborted {
-		s.aborted.Add(1)
+		s.ctr.Add(stats.Aborted, 1)
 		return resp, key, abortStatus(reqCtx), nil
 	}
 	return resp, key, http.StatusOK, nil
@@ -640,222 +639,6 @@ func abortStatus(ctx context.Context) int {
 		return 499
 	}
 	return http.StatusGatewayTimeout
-}
-
-// statsResponse is the body of GET /v1/stats.
-type statsResponse struct {
-	ServerID      string  `json:"server_id"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-	Pool          int     `json:"pool"`
-	QueueCapacity int     `json:"queue_capacity"`
-	InFlight      int64   `json:"in_flight"`
-	Queued        int64   `json:"queued"`
-	ClientsQueued int64   `json:"clients_queued"`
-	Requests      int64   `json:"requests"`
-	Rejected      int64   `json:"rejected"`
-	Aborted       int64   `json:"aborted"`
-	Truncated     int64   `json:"truncated"`
-	Batches       int64   `json:"batches"`
-	BatchItems    int64   `json:"batch_items"`
-
-	// Binary rpc surface (zero-valued when -rpc is not enabled): the
-	// advertised listen address, open handshaken connections, currently
-	// executing streams, and lifetime accepted-request / honored-cancel
-	// counters.
-	RPCAddr     string `json:"rpc_addr,omitempty"`
-	RPCConns    int64  `json:"rpc_conns"`
-	RPCStreams  int64  `json:"rpc_streams"`
-	RPCRequests int64  `json:"rpc_requests"`
-	RPCCancels  int64  `json:"rpc_cancels"`
-
-	// ProblemsCached / ProblemCacheHits describe the shared parsed-problem
-	// LRU (compiled VC skeletons reused across sessions).
-	ProblemsCached   int   `json:"problems_cached"`
-	ProblemCacheHits int64 `json:"problem_cache_hits"`
-
-	// Solver counters summed over all pooled sessions' SMT solvers and
-	// engines. Cache hits climbing across requests for the same problem is
-	// the fleet-amortization signal the daemon exists for.
-	Queries          int64 `json:"smt_queries"`
-	CacheHits        int64 `json:"smt_cache_hits"`
-	Contexts         int64 `json:"smt_contexts"`
-	AssumptionProbes int64 `json:"assumption_probes"`
-	LemmaReuse       int64 `json:"lemma_reuse"`
-	SharedLemmas     int64 `json:"shared_lemmas"`
-	CorePruned       int64 `json:"core_pruned"`
-	CoreEvicted      int64 `json:"core_evicted"`
-
-	// Retained-state budget of each session's solver (smt DESIGN §10):
-	// context groups evicted least recently used first, the SAT units the
-	// registered groups hold now, and validity-cache entries evicted.
-	CtxEvicted    int64 `json:"ctx_evicted"`
-	CtxBudgetUsed int64 `json:"ctx_budget_used"`
-	CacheEvicted  int64 `json:"cache_evicted"`
-
-	// Grounding (smt DESIGN §10): plans compiled, probes grounded from a
-	// plan, probes a plan could not express, and time spent grounding.
-	GroundPlans   int64   `json:"ground_plans"`
-	PlanProbes    int64   `json:"plan_probes"`
-	PlanFallbacks int64   `json:"plan_fallbacks"`
-	GroundMS      float64 `json:"ground_ms"`
-
-	// Fourier–Motzkin counters: from-scratch eliminations outside any
-	// persistent checker, incremental runs and conflict-cube hits inside
-	// persistent LinCheckers, derived-cap hits (conservative answers), and
-	// contexts sent dormant by Ackermann budget exhaustion.
-	FMScratch       int64 `json:"fm_scratch"`
-	FMIncremental   int64 `json:"fm_incremental"`
-	FMCubeHits      int64 `json:"fm_cube_hits"`
-	FMCapHits       int64 `json:"fm_cap_hits"`
-	DormantContexts int64 `json:"dormant_contexts"`
-
-	// SAT search work of the SMT layer (every context lane, evicted and
-	// reset ones included, and every from-scratch decision): branch
-	// decisions and literals assigned by unit propagation.
-	SATDecisions    int64 `json:"sat_decisions"`
-	SATPropagations int64 `json:"sat_propagations"`
-
-	// Knowledge-store counters. StoreEnabled gates the rest: hit counters
-	// sum warm answers across sessions (persisted validity/consistency
-	// verdicts, warm-seeded lemmas, promoted cores, replayed outcomes), the
-	// health fields mirror store.Stats (write-behind queue depth, drops,
-	// flush errors, cold-start and load cost of this lifetime).
-	StoreEnabled     bool  `json:"store_enabled"`
-	StoreColdStart   bool  `json:"store_cold_start,omitempty"`
-	StoreLoadMillis  int64 `json:"store_load_millis,omitempty"`
-	StoreVerdictHits int64 `json:"store_verdict_hits,omitempty"`
-	StoreConsHits    int64 `json:"store_cons_hits,omitempty"`
-	StoreWarmLemmas  int64 `json:"store_warm_lemmas,omitempty"`
-	StoreWarmCores   int64 `json:"store_warm_cores,omitempty"`
-	StoreOutcomeHits int64 `json:"store_outcome_hits,omitempty"`
-	// StoreLoadedSearches counts persisted group-search results loaded at
-	// open; SearchHits counts group searches answered by replaying one
-	// (every listed solution re-probed valid), SearchRejects the replays
-	// that failed the re-probe and were searched afresh.
-	StoreLoadedSearches int64 `json:"store_loaded_searches,omitempty"`
-	SearchHits          int64 `json:"search_hits,omitempty"`
-	SearchRejects       int64 `json:"search_rejects,omitempty"`
-	StoreAppended       int64 `json:"store_appended,omitempty"`
-	StoreDeduped        int64 `json:"store_deduped,omitempty"`
-	StoreDropped        int64 `json:"store_dropped,omitempty"`
-	StoreQueueDepth     int64 `json:"store_queue_depth,omitempty"`
-	StoreFlushes        int64 `json:"store_flushes,omitempty"`
-	StoreFlushErrors    int64 `json:"store_flush_errors,omitempty"`
-	StoreFlushRetry     int64 `json:"store_flush_retries,omitempty"`
-
-	// Compaction counters and the generational log's size accounting
-	// (log_bytes on disk vs live_bytes of deduplicated records), plus the
-	// solved-outcome bloom digest the router's store-aware placement reads
-	// (see store.OutcomeDigest; the gen changes exactly when the digest may).
-	StoreCompactions    int64  `json:"store_compactions,omitempty"`
-	StoreCompactErrors  int64  `json:"store_compact_errors,omitempty"`
-	StoreReclaimedBytes int64  `json:"store_reclaimed_bytes,omitempty"`
-	StoreLogBytes       int64  `json:"store_log_bytes,omitempty"`
-	StoreLiveBytes      int64  `json:"store_live_bytes,omitempty"`
-	StoreDigest         string `json:"store_digest,omitempty"`
-	StoreDigestGen      uint64 `json:"store_digest_gen,omitempty"`
-
-	// Collector is the merge of every finished request's collector delta.
-	Collector stats.Snapshot `json:"collector"`
-}
-
-// statsSnapshot assembles the full stats view (shared by /v1/stats and
-// /metrics).
-func (s *Server) statsSnapshot() statsResponse {
-	s.mu.Lock()
-	agg := s.agg
-	s.mu.Unlock()
-	resp := statsResponse{
-		ServerID:         s.cfg.ID,
-		UptimeSeconds:    time.Since(s.started).Seconds(),
-		Draining:         s.draining.Load(),
-		Pool:             s.cfg.Pool,
-		QueueCapacity:    s.cfg.Queue,
-		InFlight:         s.inflight.Load(),
-		Queued:           int64(s.fq.queued()),
-		ClientsQueued:    int64(s.fq.clientsWaiting()),
-		Requests:         s.requests.Load(),
-		Rejected:         s.rejected.Load(),
-		Aborted:          s.aborted.Load(),
-		Truncated:        s.truncated.Load(),
-		Batches:          s.batches.Load(),
-		BatchItems:       s.batchItems.Load(),
-		ProblemsCached:   s.problems.Len(),
-		ProblemCacheHits: s.probHits.Load(),
-		Collector:        agg,
-	}
-	if addr := s.rpcAddr.Load(); addr != nil {
-		resp.RPCAddr = *addr
-	}
-	if fn := s.rpcStats.Load(); fn != nil {
-		resp.RPCConns, resp.RPCStreams, resp.RPCRequests, resp.RPCCancels = (*fn)()
-	}
-	for _, sess := range s.sessions {
-		eng := sess.v.Engine()
-		resp.Queries += eng.S.NumQueries()
-		resp.CacheHits += eng.S.NumCacheHits()
-		resp.Contexts += eng.S.NumContexts()
-		resp.AssumptionProbes += eng.S.NumAssumptionProbes()
-		resp.LemmaReuse += eng.S.NumLemmaReuseHits()
-		resp.SharedLemmas += eng.S.NumSharedLemmas()
-		resp.CorePruned += eng.NumCorePruned()
-		resp.CoreEvicted += eng.NumCoreEvicted()
-		resp.CtxEvicted += eng.S.NumContextsEvicted()
-		resp.CtxBudgetUsed += eng.S.ContextBudgetUsed()
-		resp.CacheEvicted += eng.S.NumCacheEvicted()
-		resp.GroundPlans += eng.S.NumGroundPlans()
-		resp.PlanProbes += eng.S.NumPlanProbes()
-		resp.PlanFallbacks += eng.S.NumPlanFallbacks()
-		resp.GroundMS += float64(eng.S.GroundTime()) / float64(time.Millisecond)
-		resp.FMScratch += eng.S.NumFMScratch()
-		resp.FMIncremental += eng.S.NumFMIncremental()
-		resp.FMCubeHits += eng.S.NumFMCubeHits()
-		resp.FMCapHits += eng.S.NumFMCapHits()
-		resp.DormantContexts += eng.S.NumDormantContexts()
-		resp.SATDecisions += eng.S.NumSATDecisions()
-		resp.SATPropagations += eng.S.NumSATPropagations()
-		resp.StoreVerdictHits += eng.S.NumStoreVerdictHits()
-		resp.StoreConsHits += eng.NumConsStoreHits()
-		resp.StoreWarmLemmas += eng.S.NumWarmLemmas()
-		resp.SearchHits += eng.NumSearchHits()
-		resp.SearchRejects += eng.NumSearchRejects()
-	}
-	if st := s.cfg.Store; st != nil {
-		resp.StoreEnabled = true
-		resp.StoreOutcomeHits = s.outcomeHits.Load()
-		ss := st.Stats()
-		resp.StoreColdStart = ss.ColdStart
-		resp.StoreLoadMillis = ss.LoadMillis
-		resp.StoreLoadedSearches = ss.LoadedSearches
-		resp.StoreAppended = ss.Appended
-		resp.StoreDeduped = ss.Deduped
-		resp.StoreDropped = ss.Dropped
-		resp.StoreQueueDepth = ss.QueueDepth
-		resp.StoreFlushes = ss.Flushes
-		resp.StoreFlushErrors = ss.FlushErrors
-		resp.StoreFlushRetry = ss.FlushRetries
-		resp.StoreCompactions = ss.Compactions
-		resp.StoreCompactErrors = ss.CompactErrors
-		resp.StoreReclaimedBytes = ss.ReclaimedBytes
-		resp.StoreLogBytes = ss.LogBytes
-		resp.StoreLiveBytes = ss.LiveBytes
-		resp.StoreDigest, resp.StoreDigestGen = st.OutcomeDigest()
-		if len(s.sessions) > 0 {
-			// One CoreStore is shared by all sessions; count its promotions once.
-			resp.StoreWarmCores = s.sessions[0].v.Engine().NumWarmCores()
-		}
-	}
-	return resp
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
 
 // RetryAfter parses a 429 response's Retry-After header (helper for clients

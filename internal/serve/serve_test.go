@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/optimal"
+	"repro/internal/stats"
 )
 
 // arrayInitSpec is the paper's running example in vs3 input syntax, with
@@ -72,18 +75,19 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Re
 	return resp, out.Bytes()
 }
 
-func getStats(t *testing.T, client *http.Client, base string) statsResponse {
+// getStats reads a /v1/stats body back into the registry's rows.
+func getStats(t *testing.T, client *http.Client, base string) stats.Values {
 	t.Helper()
 	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	return sr
+	return stats.ParseJSON(body, stats.Daemon)
 }
 
 func TestVerifyAllMethodsAndHealth(t *testing.T) {
@@ -182,14 +186,14 @@ func TestRepeatedProblemWarmCaches(t *testing.T) {
 		durations[0], deltas[0].Stats.Queries, durations[1], deltas[1].Stats.Queries)
 
 	sr := getStats(t, ts.Client(), ts.URL)
-	if sr.ProblemCacheHits < 1 {
-		t.Errorf("problem cache hits = %d, want >= 1", sr.ProblemCacheHits)
+	if sr[stats.ProblemCacheHits] < 1 {
+		t.Errorf("problem cache hits = %v, want >= 1", sr[stats.ProblemCacheHits])
 	}
-	if sr.CacheHits == 0 {
+	if sr[stats.CacheHits] == 0 {
 		t.Errorf("no SMT cache hits after a repeated problem: %+v", sr)
 	}
-	if sr.Requests != 2 {
-		t.Errorf("requests = %d, want 2", sr.Requests)
+	if sr[stats.Requests] != 2 {
+		t.Errorf("requests = %v, want 2", sr[stats.Requests])
 	}
 }
 
@@ -218,8 +222,8 @@ func TestDeadlineAbortsCFP(t *testing.T) {
 		t.Errorf("aborted request took %v; deadline was 50ms", elapsed)
 	}
 	sr := getStats(t, ts.Client(), ts.URL)
-	if sr.Aborted != 1 {
-		t.Errorf("stats aborted = %d, want 1", sr.Aborted)
+	if sr[stats.Aborted] != 1 {
+		t.Errorf("stats aborted = %v, want 1", sr[stats.Aborted])
 	}
 }
 
@@ -241,7 +245,7 @@ func TestQueueSaturation(t *testing.T) {
 			reqDone <- resp.StatusCode
 		}()
 	}
-	waitFor := func(cond func(statsResponse) bool, what string) {
+	waitFor := func(cond func(stats.Values) bool, what string) {
 		deadline := time.Now().Add(5 * time.Second)
 		for !cond(getStats(t, ts.Client(), ts.URL)) {
 			if time.Now().After(deadline) {
@@ -252,9 +256,9 @@ func TestQueueSaturation(t *testing.T) {
 	}
 
 	launch(3000) // occupies the one session for its full 3s deadline
-	waitFor(func(s statsResponse) bool { return s.InFlight == 1 }, "first request in flight")
+	waitFor(func(s stats.Values) bool { return s[stats.InFlight] == 1 }, "first request in flight")
 	launch(100) // sits in the queue
-	waitFor(func(s statsResponse) bool { return s.Queued == 1 }, "second request queued")
+	waitFor(func(s stats.Values) bool { return s[stats.Queued] == 1 }, "second request queued")
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/verify",
 		VerifyRequest{Spec: slow, Method: "cfp", TimeoutMS: 100})
@@ -272,8 +276,8 @@ func TestQueueSaturation(t *testing.T) {
 			t.Errorf("queued/slow request finished with %d, want 504", code)
 		}
 	}
-	if sr := getStats(t, ts.Client(), ts.URL); sr.Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", sr.Rejected)
+	if sr := getStats(t, ts.Client(), ts.URL); sr[stats.Rejected] != 1 {
+		t.Errorf("rejected = %v, want 1", sr[stats.Rejected])
 	}
 }
 
@@ -322,8 +326,8 @@ func TestConcurrentRequests(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if sr := getStats(t, ts.Client(), ts.URL); sr.Requests != n {
-		t.Errorf("requests = %d, want %d", sr.Requests, n)
+	if sr := getStats(t, ts.Client(), ts.URL); sr[stats.Requests] != n {
+		t.Errorf("requests = %v, want %v", sr[stats.Requests], n)
 	}
 }
 
@@ -346,8 +350,8 @@ func TestTruncationSurfaced(t *testing.T) {
 	if !pr.Truncated {
 		t.Errorf("want truncated enumeration, got %+v", pr)
 	}
-	if sr := getStats(t, ts.Client(), ts.URL); sr.Truncated != 1 {
-		t.Errorf("stats truncated = %d, want 1", sr.Truncated)
+	if sr := getStats(t, ts.Client(), ts.URL); sr[stats.Truncated] != 1 {
+		t.Errorf("stats truncated = %v, want 1", sr[stats.Truncated])
 	}
 }
 
@@ -411,7 +415,69 @@ func TestDrainFlipsHealthz(t *testing.T) {
 	if vresp.StatusCode != http.StatusOK {
 		t.Fatalf("verify while draining: status %d: %s", vresp.StatusCode, body)
 	}
-	if !getStats(t, ts.Client(), ts.URL).Draining {
+	if getStats(t, ts.Client(), ts.URL)[stats.Draining] == 0 {
 		t.Error("stats does not report draining")
+	}
+}
+
+// boundsSpec is ArrayInit over a vocabulary of k pairwise-inconsistent bound
+// pairs (j <= c, j >= c+1) starting at off: every pair is an unsat core, so
+// a few such problems overflow the core store's per-shard capacity.
+func boundsSpec(k, off int) string {
+	var ps []string
+	for c := off; c < off+k; c++ {
+		ps = append(ps, fmt.Sprintf("j <= %d", c), fmt.Sprintf("j >= %d", c+1))
+	}
+	src := arrayInitSpec(0)
+	return src[:strings.Index(src, "predicates v: ")] + "predicates v: j >= 0, j < i, " + strings.Join(ps, ", ") + ";\n"
+}
+
+// TestCoreEvictedCountedOnce: the pooled sessions share one core store, and
+// each engine counts only the evictions its own inserts caused, so
+// core_evicted on /v1/stats and /metrics equals the store's eviction count
+// rather than Pool times it.
+func TestCoreEvictedCountedOnce(t *testing.T) {
+	cores := optimal.NewCoreStore()
+	cfg := Config{Pool: 2}
+	cfg.Core.Cores = cores
+	srv := New(cfg)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := w; r < 4; r += 2 {
+				body, _ := json.Marshal(VerifyRequest{Spec: boundsSpec(8, 10*r), Method: "lfp"})
+				resp, err := ts.Client().Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("verify %d: %v", r, err)
+					continue
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("verify %d: status %d", r, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	evicted := float64(cores.NumEvicted())
+	if evicted == 0 {
+		t.Fatal("the problems evicted no cores; the test needs evictions")
+	}
+	if got := getStats(t, ts.Client(), ts.URL)[stats.CoreEvicted]; got != evicted {
+		t.Errorf("/v1/stats core_evicted = %v, the shared store evicted %v", got, evicted)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if want := fmt.Sprintf("vs3d_core_evicted_total{server=%q} %v\n", srv.ID(), evicted); !strings.Contains(buf.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // fillSpec is the i-th of an endless family of never-seen ArrayInit-shaped
@@ -81,7 +82,7 @@ func TestSoakFreshSpecsBounded(t *testing.T) {
 		if err != nil || status != 200 || !resp.Proved {
 			t.Fatalf("request %d: status %d, proved %v, err %v", i, status, resp.Proved, err)
 		}
-		if used := solver.ContextBudgetUsed(); used > budget {
+		if used := solver.Counters()[stats.CtxBudgetUsed].Load(); used > budget {
 			t.Fatalf("request %d: contexts hold %d SAT units, budget %d", i, used, budget)
 		}
 		if i == n {
@@ -89,11 +90,11 @@ func TestSoakFreshSpecsBounded(t *testing.T) {
 		}
 	}
 	heap2N, lease2N := liveHeapMB(), leaseCost(t, s)
-	st := s.statsSnapshot()
-	t.Logf("%d requests in %v: heap %.1f MB at %d, %.1f MB at %d; lease %v -> %v; ctx_evicted %d, cache_evicted %d, ctx_budget_used %d/%d, contexts %d",
+	st := s.values()
+	t.Logf("%d requests in %v: heap %.1f MB at %d, %.1f MB at %d; lease %v -> %v; ctx_evicted %v, cache_evicted %v, ctx_budget_used %v/%d, contexts %v",
 		2*n, time.Since(t0).Round(time.Millisecond), heapN, n, heap2N, 2*n, leaseN, lease2N,
-		st.CtxEvicted, st.CacheEvicted, st.CtxBudgetUsed, budget, st.Contexts)
-	if st.CtxEvicted == 0 {
+		st[stats.CtxEvicted], st[stats.CacheEvicted], st[stats.CtxBudgetUsed], budget, st[stats.Contexts])
+	if st[stats.CtxEvicted] == 0 {
 		t.Error("the context budget never bound: no evictions")
 	}
 	// Before Go 1.24 the formula interner pins every formula it ever saw

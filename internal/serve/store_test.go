@@ -150,15 +150,15 @@ func TestWarmRestartOutcomeReplay(t *testing.T) {
 			t.Errorf("invariant at %s diverged: %q != %q", cut, warm.Invariants[cut], inv)
 		}
 	}
-	sr := s2.statsSnapshot()
-	if sr.StoreOutcomeHits != 1 {
-		t.Errorf("store_outcome_hits = %d, want 1", sr.StoreOutcomeHits)
+	sr := s2.values()
+	if sr[stats.StoreOutcomeHits] != 1 {
+		t.Errorf("store_outcome_hits = %v, want 1", sr[stats.StoreOutcomeHits])
 	}
-	if sr.Queries+sr.AssumptionProbes != 0 {
-		t.Errorf("warm lifetime ran %d SMT queries/probes, want 0", sr.Queries+sr.AssumptionProbes)
+	if sr[stats.Queries]+sr[stats.AssumptionProbes] != 0 {
+		t.Errorf("warm lifetime ran %v SMT queries/probes, want 0", sr[stats.Queries]+sr[stats.AssumptionProbes])
 	}
-	if sr.InFlight != 0 || sr.Requests != 1 {
-		t.Errorf("request accounting off: in_flight=%d requests=%d", sr.InFlight, sr.Requests)
+	if sr[stats.InFlight] != 0 || sr[stats.Requests] != 1 {
+		t.Errorf("request accounting off: in_flight=%v requests=%v", sr[stats.InFlight], sr[stats.Requests])
 	}
 
 	// The normalized method key must hit regardless of request spelling.
@@ -236,10 +236,10 @@ func TestSearchCounters(t *testing.T) {
 	if warm.FromStore || warm.Proved != cold.Proved {
 		t.Fatalf("respelled spec: from_store=%v proved=%v, want false and %v", warm.FromStore, warm.Proved, cold.Proved)
 	}
-	sr := s2.statsSnapshot()
-	if sr.StoreLoadedSearches == 0 || sr.SearchHits == 0 || sr.SearchRejects != 0 {
-		t.Errorf("store_loaded_searches=%d search_hits=%d search_rejects=%d, want >0, >0, 0",
-			sr.StoreLoadedSearches, sr.SearchHits, sr.SearchRejects)
+	sr := s2.values()
+	if sr[stats.StoreLoadedSearches] == 0 || sr[stats.SearchHits] == 0 || sr[stats.SearchRejects] != 0 {
+		t.Errorf("store_loaded_searches=%v search_hits=%v search_rejects=%v, want >0, >0, 0",
+			sr[stats.StoreLoadedSearches], sr[stats.SearchHits], sr[stats.SearchRejects])
 	}
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {

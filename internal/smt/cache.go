@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // validityCache is a sharded, size-budgeted LRU memo table for validity
@@ -32,7 +33,7 @@ type validityCache struct {
 	used   atomic.Int64 // formula nodes of the entries of all shards
 	shards [cacheShards]cacheShard
 
-	evicted atomic.Int64 // settled entries evicted to stay within budget
+	ctr *stats.Counters // counts CacheEvicted
 }
 
 type cacheShard struct {
@@ -60,9 +61,9 @@ func (e *cacheEntry) settled() bool {
 }
 
 // newValidityCache returns a cache holding at most budget formula nodes of
-// settled entries.
-func newValidityCache(budget int64) *validityCache {
-	c := &validityCache{budget: budget}
+// settled entries, counting its evictions in ctr.
+func newValidityCache(budget int64, ctr *stats.Counters) *validityCache {
+	c := &validityCache{budget: budget, ctr: ctr}
 	for i := range c.shards {
 		c.shards[i].m = map[*logic.IFormula]*cacheEntry{}
 	}
@@ -94,7 +95,7 @@ func (c *validityCache) lookupOrClaim(n *logic.IFormula) (*cacheEntry, bool) {
 		prev := el.Prev()
 		if v := el.Value.(*cacheEntry); v.settled() {
 			used = c.remove(sh, v)
-			c.evicted.Add(1)
+			c.ctr.Add(stats.CacheEvicted, 1)
 		}
 		el = prev
 	}

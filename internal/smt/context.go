@@ -9,6 +9,7 @@ import (
 	"repro/internal/lia"
 	"repro/internal/logic"
 	"repro/internal/sat"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -219,7 +220,7 @@ func (g *ctxGroup) addLane() *Context {
 	}
 	c := &Context{s: g.s, group: g}
 	c.reset()
-	g.s.ctxCreated.Add(1)
+	g.s.ctr.Add(stats.Contexts, 1)
 	g.lanes = append(g.lanes, c)
 	return c
 }
@@ -265,7 +266,7 @@ func (s *Solver) newContext() *Context { return s.newContextKeyed("") }
 // path on its first probe, re-interned into its own atom space exactly like
 // lemmas from a sibling lane.
 func (s *Solver) newContextKeyed(skel string) *Context {
-	s.ctxCreated.Add(1)
+	s.ctr.Add(stats.Contexts, 1)
 	g := &ctxGroup{s: s, skel: skel}
 	if st := s.opts.Store; st != nil && skel != "" {
 		warm := st.Lemmas(skel)
@@ -275,7 +276,7 @@ func (s *Solver) newContextKeyed(skel string) *Context {
 		for _, w := range warm {
 			g.exch.lemmas = append(g.exch.lemmas, theoryLemma{lins: w.Lins, vals: w.Vals})
 		}
-		s.lemmasWarm.Add(int64(len(warm)))
+		s.ctr.Add(stats.StoreWarmLemmas, int64(len(warm)))
 	}
 	c := &Context{s: s, group: g}
 	c.reset()
@@ -331,30 +332,29 @@ func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool
 	e, hit := c.s.cache.lookupOrClaim(n)
 	if hit {
 		<-e.done
-		c.s.cacheHits.Add(1)
+		c.s.ctr.Add(stats.CacheHits, 1)
 		return e.val
 	}
 	var skey string
 	if c.s.opts.Store != nil {
 		skey = store.FormulaKey(n.Formula())
 		if v, ok := c.s.opts.Store.Verdict(skey); ok {
-			c.s.storeHits.Add(1)
-			c.s.stats.RecordStoreLookup(true)
+			c.s.ctr.Add(stats.StoreVerdictHits, 1)
 			e.settle(v)
 			return v
 		}
-		c.s.stats.RecordStoreLookup(false)
+		c.s.ctr.Add(stats.StoreMisses, 1)
 	}
 	start := time.Now()
 	ground, decided, v := c.s.ground(n, c.group, fill)
 	if decided {
-		c.s.queries.Add(1)
+		c.s.ctr.Add(stats.Queries, 1)
 	} else if satisfiable, ok := c.tryDecide(ground); ok {
 		v = !satisfiable
-		c.s.ctxProbes.Add(1)
+		c.s.ctr.Add(stats.AssumptionProbes, 1)
 	} else {
 		v = !c.s.decideGround(ground)
-		c.s.queries.Add(1)
+		c.s.ctr.Add(stats.Queries, 1)
 	}
 	c.s.stats.RecordQuery(time.Since(start))
 	e.settle(v)
@@ -372,8 +372,7 @@ func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool
 func (g *ctxGroup) groundPlan() *groundPlan {
 	g.planOnce.Do(func() {
 		g.plan = newGroundPlan(g.s, g.key.Formula())
-		g.s.plansBuilt.Add(1)
-		g.s.stats.RecordGroundPlan()
+		g.s.ctr.Add(stats.GroundPlans, 1)
 	})
 	return g.plan
 }
@@ -415,7 +414,7 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 	c.importLemmas()
 	if !c.emitAckermann() {
 		c.dead = true
-		c.s.ctxDormant.Add(1)
+		c.s.ctr.Add(stats.DormantContexts, 1)
 		return false, false
 	}
 	c.syncAtoms()
@@ -423,7 +422,7 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 		c.lin.SetProbe(c.probeAtomSet(rootAtoms))
 	}
 	if c.lemmas > 0 || c.sat.NumLearnts() > 0 {
-		c.s.lemmaReuse.Add(1)
+		c.s.ctr.Add(stats.LemmaReuse, 1)
 	}
 	c.switchCone(root)
 	var pub []theoryLemma
@@ -493,7 +492,7 @@ func (c *Context) importLemmas() {
 		}
 		if usable {
 			c.sat.AddClause(clause...)
-			c.s.lemmasShared.Add(1)
+			c.s.ctr.Add(stats.SharedLemmas, 1)
 		}
 	}
 	c.imported = len(lems)
@@ -555,7 +554,7 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 	c.importLemmas()
 	if !c.emitAckermann() {
 		c.dead = true
-		c.s.ctxDormant.Add(1)
+		c.s.ctr.Add(stats.DormantContexts, 1)
 		return false, nil, false
 	}
 	c.syncAtoms()
@@ -563,9 +562,9 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 		c.lin.SetProbe(c.probeAtomSet(selSets...))
 	}
 	if c.lemmas > 0 || c.sat.NumLearnts() > 0 {
-		c.s.lemmaReuse.Add(1)
+		c.s.ctr.Add(stats.LemmaReuse, 1)
 	}
-	c.s.ctxProbes.Add(1)
+	c.s.ctr.Add(stats.AssumptionProbes, 1)
 	c.switchCone(assumps...)
 	var pub []theoryLemma
 	v, satCore := c.probeLoop(&pub, assumps...)
@@ -813,7 +812,7 @@ func (c *Context) syncAtoms() {
 		if d, ok := lia.NewDiffChecker(c.g.lins); ok {
 			c.theory = d
 		} else {
-			c.lin = lia.NewLinChecker(c.g.lins, &c.s.fmCounters)
+			c.lin = lia.NewLinChecker(c.g.lins, &c.s.ctr)
 			c.theory = c.lin
 		}
 	}
@@ -893,12 +892,6 @@ func (c *Context) probeLoop(pub *[]theoryLemma, assumps ...sat.Lit) (satisfiable
 		}
 		res := c.theory.Check(c.assign)
 		if res.Sat {
-			if res.Truncated {
-				// The FM cap produced a conservative answer; surface it so
-				// benchtab and /v1/stats can report the probe as undecided
-				// rather than silently "consistent".
-				c.s.stats.RecordFMCapHit()
-			}
 			return true, nil
 		}
 		blocking := make([]sat.Lit, 0, len(res.Conflict))

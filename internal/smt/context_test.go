@@ -93,7 +93,7 @@ func TestContextMixedFragmentIncremental(t *testing.T) {
 			t.Fatalf("probe %d: context=%v fresh=%v on %v", probe, got, want, f)
 		}
 	}
-	if n := s.NumDormantContexts(); n != 0 {
+	if n := s.Counters()[stats.DormantContexts].Load(); n != 0 {
 		t.Errorf("mixed-fragment probes sent %d contexts dormant; want 0", n)
 	}
 	if s.NumFMIncremental()+s.NumFMCubeHits() == 0 {
@@ -256,15 +256,15 @@ func TestContextForEvictsOldest(t *testing.T) {
 		if got, want := c.Valid(probe(i)), freshVerdict(probe(i)); got != want {
 			t.Fatalf("skeleton #%d: context=%v fresh=%v", i+1, got, want)
 		}
-		if used := s.ContextBudgetUsed(); used > budget {
+		if used := s.Counters()[stats.CtxBudgetUsed].Load(); used > budget {
 			t.Fatalf("registry holds %d SAT units after %d skeletons, budget %d", used, i+1, budget)
 		}
 		// Skeleton 1 is touched on every round, so it is never the least
 		// recently used group.
 		s.ContextFor(skel(1))
 	}
-	if s.NumContextsEvicted() == 0 || s.registered() > n {
-		t.Fatalf("no eviction: %d evicted, %d registered", s.NumContextsEvicted(), s.registered())
+	if s.Counters()[stats.CtxEvicted].Load() == 0 || s.registered() > n {
+		t.Fatalf("no eviction: %d evicted, %d registered", s.Counters()[stats.CtxEvicted].Load(), s.registered())
 	}
 	if s.ContextFor(skel(n)) != s.ContextFor(skel(n)) {
 		t.Error("newest skeleton's context not stable")
@@ -317,10 +317,10 @@ func TestContextForBudgetConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if used := s.ContextBudgetUsed(); used > budget {
+	if used := s.Counters()[stats.CtxBudgetUsed].Load(); used > budget {
 		t.Errorf("registry holds %d SAT units, budget %d", used, budget)
 	}
-	if s.NumContextsEvicted() == 0 {
+	if s.Counters()[stats.CtxEvicted].Load() == 0 {
 		t.Error("no eviction over 40 skeletons")
 	}
 }
@@ -407,19 +407,17 @@ func TestContextLemmaExchange(t *testing.T) {
 	if imported == 0 {
 		t.Error("lane2 imported no lemmas from the exchange")
 	}
-	if s.NumSharedLemmas() == 0 {
-		t.Error("NumSharedLemmas did not advance")
+	if s.Counters()[stats.SharedLemmas].Load() == 0 {
+		t.Error("shared_lemmas did not advance")
 	}
 }
 
 // TestContextSATWorkCounted: the solver's SAT work counters sum every lane's
-// searches, work done before a reset included, and the attached collector
-// sees the same totals.
+// searches, work done before a reset included, and the per-request stats
+// object reads the same totals.
 func TestContextSATWorkCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver(Options{})
-	col := stats.New()
-	s.SetStats(col)
 	ctx := s.NewContext()
 	var decisions, propagations int64
 	for round := 0; round < 3; round++ {
@@ -435,11 +433,12 @@ func TestContextSATWorkCounted(t *testing.T) {
 	if decisions == 0 || propagations == 0 {
 		t.Fatal("probes made no SAT decisions or propagations")
 	}
-	if got, want := [2]int64{s.NumSATDecisions(), s.NumSATPropagations()}, [2]int64{decisions, propagations}; got != want {
+	if got, want := [2]int64{s.Counters()[stats.SATDecisions].Load(), s.Counters()[stats.SATPropagations].Load()}, [2]int64{decisions, propagations}; got != want {
 		t.Errorf("solver counts %v, lanes did %v", got, want)
 	}
-	snap := col.Snapshot()
+	v := s.Counters().Load()
+	snap := stats.NewSnapshot(nil, &v)
 	if got := [2]int64{snap.SATDecisions, snap.SATPropagations}; got != [2]int64{decisions, propagations} {
-		t.Errorf("collector counts %v, lanes did %v", got, [2]int64{decisions, propagations})
+		t.Errorf("snapshot counts %v, lanes did %v", got, [2]int64{decisions, propagations})
 	}
 }

@@ -15,7 +15,7 @@ import (
 func newBudgetSolver(opts Options, ctxUnits int64, cacheNodes int64) *Solver {
 	s := NewSolver(opts)
 	s.reg.budget = ctxUnits
-	s.cache = newValidityCache(cacheNodes)
+	s.cache = newValidityCache(cacheNodes, &s.ctr)
 	return s
 }
 

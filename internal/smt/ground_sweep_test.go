@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/smt"
 	"repro/internal/spec"
+	"repro/internal/stats"
 )
 
 // sweepCell is one problem of the grounding sweep with the methods to run on
@@ -123,7 +124,7 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 	plans := int64(0)
 	for _, c := range sweepCells() {
 		v, _ := runCell(t, c)
-		plans += v.Engine().S.NumPlanProbes()
+		plans += v.Engine().S.Counters()[stats.PlanProbes].Load()
 		if bad, first := log.read(); bad > 0 {
 			t.Fatalf("%s: %d probes ground differently from the oracle; first differing probe:\n%s", c.name, bad, first)
 		}

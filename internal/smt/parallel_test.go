@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // stressFormulas builds n syntactically distinct, non-trivial formulas
@@ -90,7 +91,7 @@ func TestConcurrentValidBoundedCache(t *testing.T) {
 	if got := s.NumQueries() + s.NumCacheHits(); got != calls.Load() {
 		t.Errorf("Queries+CacheHits = %d, want %d", got, calls.Load())
 	}
-	if s.NumCacheEvicted() == 0 {
+	if s.Counters()[stats.CacheEvicted].Load() == 0 {
 		t.Error("one-node budget evicted nothing")
 	}
 }

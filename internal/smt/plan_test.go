@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // planCase grounds Fill(skel, fill) through a plan compiled from skel and
@@ -108,8 +109,8 @@ func TestPlanMissingFillFallsBack(t *testing.T) {
 	if ctx.ValidFill(f, fill) {
 		t.Fatal("x<y ⇒ x<z reported valid")
 	}
-	if s.NumPlanFallbacks() != 1 || s.NumPlanProbes() != 0 {
-		t.Fatalf("fallbacks=%d plan probes=%d, want 1 and 0", s.NumPlanFallbacks(), s.NumPlanProbes())
+	if s.Counters()[stats.PlanFallbacks].Load() != 1 || s.Counters()[stats.PlanProbes].Load() != 0 {
+		t.Fatalf("fallbacks=%d plan probes=%d, want 1 and 0", s.Counters()[stats.PlanFallbacks].Load(), s.Counters()[stats.PlanProbes].Load())
 	}
 }
 

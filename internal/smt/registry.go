@@ -3,9 +3,9 @@ package smt
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 // The solver's retained state — the persistent context groups of the
@@ -47,7 +47,7 @@ type ctxRegistry struct {
 	lru    list.List // *ctxGroup values; front = most recently used
 	used   int64     // SAT units of the registered groups
 
-	evicted atomic.Int64 // groups evicted to stay within budget
+	ctr *stats.Counters // counts CtxBudgetUsed (mirroring used) and CtxEvicted
 }
 
 // get returns the registered context for key, stamping its group as most
@@ -93,6 +93,8 @@ func (r *ctxRegistry) grow(g *ctxGroup, d int64) {
 	if g.elem == nil {
 		return
 	}
+	before := r.used
+	defer func() { r.ctr.Add(stats.CtxBudgetUsed, r.used-before) }()
 	r.used += d
 	r.lru.MoveToFront(g.elem)
 	for e := r.lru.Back(); e != nil && r.used > r.budget; {
@@ -102,15 +104,8 @@ func (r *ctxRegistry) grow(g *ctxGroup, d int64) {
 			v.elem = nil
 			delete(r.byKey, v.key)
 			r.used -= v.units
-			r.evicted.Add(1)
+			r.ctr.Add(stats.CtxEvicted, 1)
 		}
 		e = prev
 	}
-}
-
-// usage returns the SAT units the registered groups hold.
-func (r *ctxRegistry) usage() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.used
 }

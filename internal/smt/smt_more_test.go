@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/logic"
+	"repro/internal/stats"
 )
 
 func mustF(src string) logic.Formula { return lang.MustParseFormula(src) }
@@ -136,8 +137,8 @@ func TestCacheBehaviour(t *testing.T) {
 	if !s2.Valid(mustF("a < a + 1")) {
 		t.Error("re-decided verdict changed")
 	}
-	if s2.NumCacheEvicted() == 0 || s2.NumQueries() < 2 {
-		t.Errorf("bounded cache should have evicted: evicted=%d queries=%d", s2.NumCacheEvicted(), s2.NumQueries())
+	if s2.Counters()[stats.CacheEvicted].Load() == 0 || s2.NumQueries() < 2 {
+		t.Errorf("bounded cache should have evicted: evicted=%d queries=%d", s2.Counters()[stats.CacheEvicted].Load(), s2.NumQueries())
 	}
 	// Eviction is least recently used and bounded, not a full wipe: with a
 	// budget of about sixteen entries, filling past it must not discard
@@ -149,8 +150,8 @@ func TestCacheBehaviour(t *testing.T) {
 			s3.Valid(mustF(fmt.Sprintf("%s < %s + %d", v, v, i+1)))
 		}
 	}
-	if got := s3.cache.size(); got == 0 || s3.NumCacheEvicted() == 0 {
-		t.Errorf("bounded eviction: %d entries left, %d evicted", got, s3.NumCacheEvicted())
+	if got := s3.cache.size(); got == 0 || s3.Counters()[stats.CacheEvicted].Load() == 0 {
+		t.Errorf("bounded eviction: %d entries left, %d evicted", got, s3.Counters()[stats.CacheEvicted].Load())
 	}
 }
 

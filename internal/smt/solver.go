@@ -3,7 +3,6 @@ package smt
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lia"
@@ -89,42 +88,11 @@ type Solver struct {
 	// goroutines is safe. Bounded (trigMemoCap), like all retained state.
 	trigMemo *memo.Table[*logic.IFormula, map[string][]trigger]
 
-	queries   atomic.Int64 // validity checks actually decided (cache misses)
-	cacheHits atomic.Int64 // validity checks answered from the memo table
+	// ctr counts every Engine row of the stats registry for this solver and
+	// the optimal.Engine built on it: one verifier session's counters.
+	ctr stats.Counters
 
-	// Incremental-context registry (one persistent Context per compiled VC
-	// skeleton, under the ctxBudget share) and its counters.
-	reg          ctxRegistry
-	ctxCreated   atomic.Int64 // contexts created (registry + standalone + lanes)
-	ctxProbes    atomic.Int64 // probes decided incrementally under assumptions
-	ctxDormant   atomic.Int64 // contexts gone dormant (Ackermann budget exhausted)
-	lemmaReuse   atomic.Int64 // probes that reused learnt clauses or theory lemmas
-	lemmasShared atomic.Int64 // theory lemmas imported from a sibling lane's exchange
-	storeHits    atomic.Int64 // cache-missing verdicts answered from the knowledge store
-	lemmasWarm   atomic.Int64 // theory lemmas seeded into context groups from the store
-
-	// Grounding: plans compiled (one per context group that grounds a
-	// probe), probes grounded by a plan, probes that handed a fill the plan
-	// could not express (grounded as a whole instead), and nanoseconds spent
-	// grounding on every path.
-	plansBuilt    atomic.Int64
-	planProbes    atomic.Int64
-	planFallbacks atomic.Int64
-	groundTime    atomic.Int64
-
-	// Fourier–Motzkin activity: fmScratch counts from-scratch eliminations
-	// (decideGround's general-LIA fallback, one lia.Check per theory
-	// iteration); fmCounters aggregates the persistent LinCheckers of every
-	// context lane (incremental runs, conflict-cube hits, cap hits). The
-	// incremental-vs-NoIncremental gate (TestLIABench) compares fmScratch.
-	fmScratch  atomic.Int64
-	fmCounters lia.Counters
-
-	// SAT search work (sat.Solver Stats) of every instance the solver
-	// runs: each context lane's, folded in after every probe, and each
-	// from-scratch decision's.
-	satDecisions    atomic.Int64
-	satPropagations atomic.Int64
+	reg ctxRegistry // one persistent Context per compiled VC skeleton, under ctxBudget
 }
 
 // NewSolver returns a solver with the given options, its retained state
@@ -132,10 +100,10 @@ type Solver struct {
 func NewSolver(opts Options) *Solver {
 	s := &Solver{
 		opts:     opts.Normalize(),
-		cache:    newValidityCache(cacheBudget),
 		trigMemo: memo.New[*logic.IFormula, map[string][]trigger](trigMemoCap),
 	}
-	s.reg.budget = ctxBudget
+	s.cache = newValidityCache(cacheBudget, &s.ctr)
+	s.reg.budget, s.reg.ctr = ctxBudget, &s.ctr
 	return s
 }
 
@@ -143,72 +111,61 @@ func NewSolver(opts Options) *Solver {
 // It must be called before the solver is shared across goroutines.
 func (s *Solver) SetStats(c *stats.Collector) { s.stats = c }
 
+// Counters returns the counters of this solver and of the optimal.Engine
+// built on it, indexed by the stats registry's Engine rows.
+func (s *Solver) Counters() *stats.Counters { return &s.ctr }
+
 // NumQueries returns how many validity checks were actually decided (cache
 // misses). Every Valid call on a non-trivial formula increments exactly one
 // of NumQueries and NumCacheHits.
-func (s *Solver) NumQueries() int64 { return s.queries.Load() }
+func (s *Solver) NumQueries() int64 { return s.ctr[stats.Queries].Load() }
 
 // NumCacheHits returns how many validity checks were answered from the memo
 // table, including singleflight waiters that rode on a concurrent decision.
-func (s *Solver) NumCacheHits() int64 { return s.cacheHits.Load() }
+func (s *Solver) NumCacheHits() int64 { return s.ctr[stats.CacheHits].Load() }
 
 // NumContexts returns how many incremental contexts were created.
-func (s *Solver) NumContexts() int64 { return s.ctxCreated.Load() }
-
-// NumContextsEvicted returns how many registered context groups were evicted
-// (least recently used first) to keep the registry within its budget.
-func (s *Solver) NumContextsEvicted() int64 { return s.reg.evicted.Load() }
+func (s *Solver) NumContexts() int64 { return s.ctr[stats.Contexts].Load() }
 
 // ContextBudget returns the SAT units the registered context groups may hold
 // (the fixed ctxBudget share of the solver's retained-state budget).
 func (s *Solver) ContextBudget() int64 { return s.reg.budget }
 
-// ContextBudgetUsed returns the SAT units (variables + clauses + learnts over
-// all lanes) the registered context groups hold against their budget.
-func (s *Solver) ContextBudgetUsed() int64 { return s.reg.usage() }
-
-// NumCacheEvicted returns how many settled validity-cache entries were
-// evicted (least recently used first) to keep the cache within its budget.
-func (s *Solver) NumCacheEvicted() int64 { return s.cache.evicted.Load() }
-
 // NumAssumptionProbes returns how many probes were decided incrementally
 // (under assumptions in a persistent context) instead of from scratch. Every
 // cache-missing Valid call through a context increments exactly one of
 // NumQueries and NumAssumptionProbes.
-func (s *Solver) NumAssumptionProbes() int64 { return s.ctxProbes.Load() }
+func (s *Solver) NumAssumptionProbes() int64 { return s.ctr[stats.AssumptionProbes].Load() }
 
 // NumLemmaReuseHits returns how many incremental probes started against a
 // SAT instance that already held learnt clauses or persisted theory lemmas
 // from earlier probes.
-func (s *Solver) NumLemmaReuseHits() int64 { return s.lemmaReuse.Load() }
-
-// NumSharedLemmas returns how many theory lemmas were imported across sibling
-// lanes of a context group (each import counts once per receiving lane).
-func (s *Solver) NumSharedLemmas() int64 { return s.lemmasShared.Load() }
+func (s *Solver) NumLemmaReuseHits() int64 { return s.ctr[stats.LemmaReuse].Load() }
 
 // NumStoreVerdictHits returns how many cache-missing validity checks were
 // answered from the on-disk knowledge store instead of being decided.
-func (s *Solver) NumStoreVerdictHits() int64 { return s.storeHits.Load() }
+func (s *Solver) NumStoreVerdictHits() int64 { return s.ctr[stats.StoreVerdictHits].Load() }
 
 // NumWarmLemmas returns how many persisted theory lemmas were seeded into
 // freshly created context groups from the knowledge store.
-func (s *Solver) NumWarmLemmas() int64 { return s.lemmasWarm.Load() }
+func (s *Solver) NumWarmLemmas() int64 { return s.ctr[stats.StoreWarmLemmas].Load() }
 
-// NumGroundPlans returns how many grounding plans were compiled (at most one
-// per registered context group, built on its first probe that grounds).
-func (s *Solver) NumGroundPlans() int64 { return s.plansBuilt.Load() }
+// NumFMScratch returns how many from-scratch Fourier–Motzkin eliminations ran
+// (decideGround's general-LIA fallback; one per theory iteration there).
+func (s *Solver) NumFMScratch() int64 { return s.ctr[stats.FMScratch].Load() }
 
-// NumPlanProbes returns how many context probes were grounded from their
-// group's plan.
-func (s *Solver) NumPlanProbes() int64 { return s.planProbes.Load() }
+// NumFMIncremental returns how many eliminations persistent LinCheckers ran
+// (checks that missed their conflict-cube store).
+func (s *Solver) NumFMIncremental() int64 { return s.ctr[stats.FMIncremental].Load() }
 
-// NumPlanFallbacks returns how many context probes handed a fill that the
-// group's plan could not express, and were grounded as a whole formula.
-func (s *Solver) NumPlanFallbacks() int64 { return s.planFallbacks.Load() }
+// NumFMCubeHits returns how many LinChecker checks were answered from a
+// persisted conflict cube, skipping the elimination entirely.
+func (s *Solver) NumFMCubeHits() int64 { return s.ctr[stats.FMCubeHits].Load() }
 
-// GroundTime returns the time spent grounding cache-missing probes
-// (normalization, instantiation and simplification) on every path.
-func (s *Solver) GroundTime() time.Duration { return time.Duration(s.groundTime.Load()) }
+// NumFMCapHits returns how many Fourier–Motzkin runs (from-scratch or
+// incremental) hit the derived-constraint cap and returned a conservative
+// Truncated "satisfiable".
+func (s *Solver) NumFMCapHits() int64 { return s.ctr[stats.FMCapHits].Load() }
 
 // ground grounds the negation of the cache-missing probe n: through g's
 // grounding plan when the probe comes with its fill and g is a registered
@@ -225,14 +182,12 @@ func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Fo
 	if !ok {
 		ground, decided, valid = s.groundStatic(n)
 	}
-	d := time.Since(start)
-	s.groundTime.Add(int64(d))
+	s.ctr.Add(stats.GroundTime, int64(time.Since(start)))
 	if ok {
-		s.planProbes.Add(1)
+		s.ctr.Add(stats.PlanProbes, 1)
 	} else if planned {
-		s.planFallbacks.Add(1)
+		s.ctr.Add(stats.PlanFallbacks, 1)
 	}
-	s.stats.RecordGround(d, ok, planned && !ok)
 	if groundCheck != nil {
 		groundCheck(s, n, ground, decided, valid)
 	}
@@ -242,44 +197,11 @@ func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Fo
 // Knowledge returns the attached on-disk store, or nil.
 func (s *Solver) Knowledge() *store.Store { return s.opts.Store }
 
-// NumDormantContexts returns how many context lanes went dormant (Ackermann
-// pair budget exhausted — the only remaining dormancy trigger now that
-// general-LIA atom sets route through persistent LinCheckers).
-func (s *Solver) NumDormantContexts() int64 { return s.ctxDormant.Load() }
-
-// NumFMScratch returns how many from-scratch Fourier–Motzkin eliminations ran
-// (decideGround's general-LIA fallback; one per theory iteration there).
-func (s *Solver) NumFMScratch() int64 { return s.fmScratch.Load() }
-
-// NumFMIncremental returns how many eliminations persistent LinCheckers ran
-// (checks that missed their conflict-cube store).
-func (s *Solver) NumFMIncremental() int64 { return s.fmCounters.Runs.Load() }
-
-// NumFMCubeHits returns how many LinChecker checks were answered from a
-// persisted conflict cube, skipping the elimination entirely.
-func (s *Solver) NumFMCubeHits() int64 { return s.fmCounters.CubeHits.Load() }
-
-// NumSATDecisions returns how many branch decisions the solver's SAT
-// searches made, summed over every context lane (evicted and reset lanes
-// included) and every from-scratch decision.
-func (s *Solver) NumSATDecisions() int64 { return s.satDecisions.Load() }
-
-// NumSATPropagations returns how many literals the solver's SAT searches
-// assigned by unit propagation, summed like NumSATDecisions.
-func (s *Solver) NumSATPropagations() int64 { return s.satPropagations.Load() }
-
-// countSAT folds the SAT work of one sat.Solver into the solver's counters
-// and its stats collector.
+// countSAT folds the SAT work of one sat.Solver into the solver's counters.
 func (s *Solver) countSAT(decisions, propagations int64) {
-	s.satDecisions.Add(decisions)
-	s.satPropagations.Add(propagations)
-	s.stats.RecordSATWork(decisions, propagations)
+	s.ctr.Add(stats.SATDecisions, decisions)
+	s.ctr.Add(stats.SATPropagations, propagations)
 }
-
-// NumFMCapHits returns how many Fourier–Motzkin runs (from-scratch or
-// incremental) hit the derived-constraint cap and returned a conservative
-// Truncated "satisfiable".
-func (s *Solver) NumFMCapHits() int64 { return s.fmCounters.CapHits.Load() }
 
 // Incremental reports whether persistent assumption-based contexts are
 // enabled (Options.NoIncremental unset).
@@ -337,19 +259,18 @@ func (s *Solver) Valid(f logic.Formula) bool {
 	e, hit := s.cache.lookupOrClaim(n)
 	if hit {
 		<-e.done
-		s.cacheHits.Add(1)
+		s.ctr.Add(stats.CacheHits, 1)
 		return e.val
 	}
 	var skey string
 	if s.opts.Store != nil {
 		skey = store.FormulaKey(n.Formula())
 		if v, ok := s.opts.Store.Verdict(skey); ok {
-			s.storeHits.Add(1)
-			s.stats.RecordStoreLookup(true)
+			s.ctr.Add(stats.StoreVerdictHits, 1)
 			e.settle(v)
 			return v
 		}
-		s.stats.RecordStoreLookup(false)
+		s.ctr.Add(stats.StoreMisses, 1)
 	}
 	start := time.Now()
 	ground, decided, v := s.ground(n, nil, nil)
@@ -357,7 +278,7 @@ func (s *Solver) Valid(f logic.Formula) bool {
 		v = !s.decideGround(ground)
 	}
 	s.stats.RecordQuery(time.Since(start))
-	s.queries.Add(1)
+	s.ctr.Add(stats.Queries, 1)
 	e.settle(v)
 	if s.opts.Stop != nil && s.opts.Stop() {
 		// The run was abandoned mid-query; the conservative answer must
@@ -459,11 +380,10 @@ func (s *Solver) decideGround(f logic.Formula) bool {
 					cons = append(cons, negLins[k])
 				}
 			}
-			s.fmScratch.Add(1)
+			s.ctr.Add(stats.FMScratch, 1)
 			res = lia.Check(cons)
 			if res.Truncated {
-				s.fmCounters.CapHits.Add(1)
-				s.stats.RecordFMCapHit()
+				s.ctr.Add(stats.FMCapHits, 1)
 			}
 		}
 		if res.Sat {

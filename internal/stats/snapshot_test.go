@@ -5,7 +5,10 @@ import (
 	"time"
 )
 
-func record(c *Collector, queries int) {
+// record adds one sample to every histogram but the query latencies, which
+// get queries samples, and counts one core eviction and a SAT search of 5
+// decisions and 7 propagations in ctr (when non-nil).
+func record(c *Collector, ctr *Counters, queries int) {
 	for i := 0; i < queries; i++ {
 		c.RecordQuery(time.Duration(i) * time.Millisecond)
 	}
@@ -14,14 +17,20 @@ func record(c *Collector, queries int) {
 	c.RecordCandidates(4)
 	c.RecordSATSize(10, 5)
 	c.RecordCoreSize(1)
-	c.RecordCoreEviction()
-	c.RecordSATWork(5, 7)
+	ctr.Add(CoreEvicted, 1)
+	ctr.Add(SATDecisions, 5)
+	ctr.Add(SATPropagations, 7)
+}
+
+func snap(c *Collector, ctr *Counters) Snapshot {
+	v := ctr.Load()
+	return NewSnapshot(c, &v)
 }
 
 func TestSnapshotCounts(t *testing.T) {
-	c := New()
-	record(c, 3)
-	s := c.Snapshot()
+	c, ctr := New(), &Counters{}
+	record(c, ctr, 3)
+	s := snap(c, ctr)
 	want := Snapshot{
 		Queries:         3,
 		NegSolutions:    1,
@@ -38,50 +47,49 @@ func TestSnapshotCounts(t *testing.T) {
 	if s != want {
 		t.Errorf("Snapshot() = %+v, want %+v", s, want)
 	}
-	if (&Collector{}).Snapshot() != (Snapshot{}) {
+	if snap(&Collector{}, &Counters{}) != (Snapshot{}) {
 		t.Error("empty collector snapshot not zero")
 	}
-	var nilc *Collector
-	if nilc.Snapshot() != (Snapshot{}) {
+	if snap(nil, &Counters{}) != (Snapshot{}) {
 		t.Error("nil collector snapshot not zero")
 	}
 }
 
 // TestSnapshotAddSub checks the two laws the server relies on: Sub of a
-// later snapshot against an earlier one on the same collector yields exactly
+// later snapshot against an earlier one of the same session yields exactly
 // the activity in between (request-scoped deltas), and Add folds deltas into
 // a fleet aggregate.
 func TestSnapshotAddSub(t *testing.T) {
-	c := New()
-	record(c, 2)
-	before := c.Snapshot()
-	record(c, 5)
-	delta := c.Snapshot().Sub(before)
+	c, ctr := New(), &Counters{}
+	record(c, ctr, 2)
+	before := snap(c, ctr)
+	record(c, ctr, 5)
+	delta := snap(c, ctr).Sub(before)
 	if delta.Queries != 5 {
 		t.Errorf("delta queries = %d, want 5", delta.Queries)
 	}
-	if delta.NegSolutions != 1 || delta.CoreEvictions != 1 {
+	if delta.NegSolutions != 1 || delta.CoreEvictions != 1 || delta.SATDecisions != 5 {
 		t.Errorf("delta = %+v, want one of each non-query record", delta)
 	}
-	if got := before.Add(delta); got != c.Snapshot() {
-		t.Errorf("before + delta = %+v, want %+v", got, c.Snapshot())
+	if got := before.Add(delta); got != snap(c, ctr) {
+		t.Errorf("before + delta = %+v, want %+v", got, snap(c, ctr))
 	}
-	if got := c.Snapshot().Sub(c.Snapshot()); got != (Snapshot{}) {
+	if got := snap(c, ctr).Sub(snap(c, ctr)); got != (Snapshot{}) {
 		t.Errorf("s - s = %+v, want zero", got)
 	}
 }
 
 func TestMergeFoldsCollectors(t *testing.T) {
 	agg := New()
-	record(agg, 1)
+	record(agg, nil, 1)
 	req := New()
-	record(req, 4)
+	record(req, nil, 4)
 	agg.Merge(req)
 	got := agg.Snapshot()
 	if got.Queries != 5 {
 		t.Errorf("merged queries = %d, want 5", got.Queries)
 	}
-	if got.NegSolutions != 2 || got.SATFormulas != 2 || got.CoreEvictions != 2 || got.SATDecisions != 10 || got.SATPropagations != 14 {
+	if got.NegSolutions != 2 || got.SATFormulas != 2 || got.UnsatCores != 2 {
 		t.Errorf("merged snapshot = %+v, want two of each record", got)
 	}
 	// The source is unchanged, and merging nil is a no-op.
@@ -102,8 +110,8 @@ func TestMergeFoldsCollectors(t *testing.T) {
 // lifetime).
 func TestSnapshotCostFlat(t *testing.T) {
 	small, large := New(), New()
-	record(small, 10)
-	record(large, 200_000)
+	record(small, nil, 10)
+	record(large, nil, 200_000)
 	for _, c := range []*Collector{small, large} {
 		if a := testing.AllocsPerRun(100, func() { c.Snapshot() }); a != 0 {
 			t.Errorf("Snapshot allocates %.0f times per call", a)

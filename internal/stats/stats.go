@@ -1,7 +1,10 @@
-// Package stats collects the runtime statistics reported in Figures 4–9 of
-// the paper: SMT query latencies, sizes of optimal solutions, iterative
-// candidate counts, and SAT formula sizes. A single Collector can be shared
-// across the whole pipeline; all methods are safe for concurrent use.
+// Package stats holds the repository's statistics. The counter registry
+// (registry.go) declares every counter and gauge that any stats surface
+// reports, and renders them. A Collector records the histograms behind
+// Figures 4–9 of the paper: SMT query latencies, sizes of optimal
+// solutions, iterative candidate counts, and SAT formula sizes. A single
+// Collector can be shared across the whole pipeline; all methods are safe
+// for concurrent use.
 package stats
 
 import (
@@ -18,25 +21,13 @@ import (
 type Collector struct {
 	mu sync.Mutex
 
-	queries       DurHist // Figure 4: one sample per SMT validity query
-	negSolSizes   IntHist // Figure 6: #predicates per OptimalNegativeSolutions solution
-	optSolCounts  IntHist // Figure 7: #solutions per OptimalSolutions call
-	candidates    IntHist // Figure 8: candidate-set size per iterative step
-	satClauses    IntHist // Figure 9: #clauses per CFP SAT formula
-	satVars       IntHist // Figure 9 companion: #variables per CFP SAT formula
-	coreSizes     IntHist // #predicates per unsat core extracted by consistency probes
-	coreEvictions int     // cores evicted from the engine-global store to admit newer ones
-	fmCapHits     int     // Fourier–Motzkin runs that hit the derived-constraint cap
-	storeHits     int     // lookups answered from the on-disk knowledge store
-	storeMisses   int     // knowledge-store lookups that found nothing
-
-	groundPlans   int           // grounding plans compiled (one per context group)
-	planProbes    int           // probes grounded from their group's plan
-	planFallbacks int           // probes whose fill the plan could not express
-	groundTime    time.Duration // time spent grounding probes, on every path
-
-	satDecisions    int64 // SAT branch decisions of the SMT layer's searches
-	satPropagations int64 // literals those searches assigned by unit propagation
+	queries      DurHist // Figure 4: one sample per SMT validity query
+	negSolSizes  IntHist // Figure 6: #predicates per OptimalNegativeSolutions solution
+	optSolCounts IntHist // Figure 7: #solutions per OptimalSolutions call
+	candidates   IntHist // Figure 8: candidate-set size per iterative step
+	satClauses   IntHist // Figure 9: #clauses per CFP SAT formula
+	satVars      IntHist // Figure 9 companion: #variables per CFP SAT formula
+	coreSizes    IntHist // #predicates per unsat core extracted by consistency probes
 }
 
 // New returns an empty collector.
@@ -214,106 +205,6 @@ func (c *Collector) RecordCoreSize(n int) {
 	c.mu.Unlock()
 }
 
-// RecordCoreEviction records that one stored core was evicted from the
-// engine-global core store to make room for a newer one.
-func (c *Collector) RecordCoreEviction() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.coreEvictions++
-	c.mu.Unlock()
-}
-
-// CoreEvictions returns how many core-store evictions were recorded.
-func (c *Collector) CoreEvictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coreEvictions
-}
-
-// RecordFMCapHit records that one Fourier–Motzkin elimination hit the
-// derived-constraint cap and returned a conservative (Truncated) answer
-// instead of a decision.
-func (c *Collector) RecordFMCapHit() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.fmCapHits++
-	c.mu.Unlock()
-}
-
-// FMCapHits returns how many Fourier–Motzkin cap hits were recorded.
-func (c *Collector) FMCapHits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fmCapHits
-}
-
-// RecordStoreLookup records one lookup against the on-disk knowledge store
-// (a verdict, consistency, lemma-seed, or outcome probe) and whether it hit.
-func (c *Collector) RecordStoreLookup(hit bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if hit {
-		c.storeHits++
-	} else {
-		c.storeMisses++
-	}
-	c.mu.Unlock()
-}
-
-// StoreLookups returns the knowledge-store hit/miss counts recorded so far.
-func (c *Collector) StoreLookups() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.storeHits, c.storeMisses
-}
-
-// RecordGroundPlan records that one context group compiled its grounding
-// plan.
-func (c *Collector) RecordGroundPlan() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.groundPlans++
-	c.mu.Unlock()
-}
-
-// RecordGround records one grounded probe and the time grounding took:
-// through its group's plan, as a fallback from a plan that could not express
-// it, or (neither) as a whole formula.
-func (c *Collector) RecordGround(d time.Duration, plan, fallback bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.groundTime += d
-	if plan {
-		c.planProbes++
-	}
-	if fallback {
-		c.planFallbacks++
-	}
-	c.mu.Unlock()
-}
-
-// RecordSATWork records SAT search work of the SMT layer: branch decisions
-// and literals assigned by unit propagation.
-func (c *Collector) RecordSATWork(decisions, propagations int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.satDecisions += decisions
-	c.satPropagations += propagations
-	c.mu.Unlock()
-}
-
 // Merge adds everything recorded in o into c. Safe for concurrent use on
 // c; o must not be concurrently recorded into while it is being merged.
 // It lets short-lived collectors (one per request or benchmark cell) fold
@@ -326,10 +217,7 @@ func (c *Collector) Merge(o *Collector) {
 	oc := &Collector{
 		queries: o.queries, negSolSizes: o.negSolSizes, optSolCounts: o.optSolCounts,
 		candidates: o.candidates, satClauses: o.satClauses, satVars: o.satVars,
-		coreSizes: o.coreSizes, coreEvictions: o.coreEvictions, fmCapHits: o.fmCapHits,
-		storeHits: o.storeHits, storeMisses: o.storeMisses,
-		groundPlans: o.groundPlans, planProbes: o.planProbes, planFallbacks: o.planFallbacks,
-		groundTime: o.groundTime, satDecisions: o.satDecisions, satPropagations: o.satPropagations,
+		coreSizes: o.coreSizes,
 	}
 	o.mu.Unlock()
 	c.mu.Lock()
@@ -340,51 +228,14 @@ func (c *Collector) Merge(o *Collector) {
 	c.satClauses.merge(&oc.satClauses)
 	c.satVars.merge(&oc.satVars)
 	c.coreSizes.merge(&oc.coreSizes)
-	c.coreEvictions += oc.coreEvictions
-	c.fmCapHits += oc.fmCapHits
-	c.storeHits += oc.storeHits
-	c.storeMisses += oc.storeMisses
-	c.groundPlans += oc.groundPlans
-	c.planProbes += oc.planProbes
-	c.planFallbacks += oc.planFallbacks
-	c.groundTime += oc.groundTime
-	c.satDecisions += oc.satDecisions
-	c.satPropagations += oc.satPropagations
 	c.mu.Unlock()
-}
-
-// Snapshot is a fixed-size, mergeable summary of a Collector: every field is
-// a count or a summed time, so snapshots can be added (fleet aggregation) and subtracted
-// (request-scoped deltas between two points of a long-lived collector). The
-// latency histogram uses the Figure 4 buckets in QueryBucketLabels order.
-type Snapshot struct {
-	Queries        int    `json:"smt_queries"`
-	QueryBuckets   [5]int `json:"smt_query_latency_buckets"`
-	NegSolutions   int    `json:"neg_solutions"`
-	OptCalls       int    `json:"optimal_calls"`
-	CandidateSteps int    `json:"candidate_steps"`
-	SATFormulas    int    `json:"sat_formulas"`
-	UnsatCores     int    `json:"unsat_cores"`
-	CoreEvictions  int    `json:"core_evictions"`
-	FMCapHits      int    `json:"fm_cap_hits"`
-	StoreHits      int    `json:"store_hits"`
-	StoreMisses    int    `json:"store_misses"`
-	// Grounding: plans compiled, probes grounded from a plan, probes a plan
-	// could not express, and milliseconds spent grounding on every path.
-	GroundPlans   int     `json:"ground_plans"`
-	PlanProbes    int     `json:"plan_probes"`
-	PlanFallbacks int     `json:"plan_fallbacks"`
-	GroundMS      float64 `json:"ground_ms"`
-	// SAT search work of the SMT layer: branch decisions and literals
-	// assigned by unit propagation.
-	SATDecisions    int64 `json:"sat_decisions"`
-	SATPropagations int64 `json:"sat_propagations"`
 }
 
 // QueryBucketLabels labels DurHist.Buckets and Snapshot.QueryBuckets.
 var QueryBucketLabels = [5]string{"<=1ms", "<=10ms", "<=100ms", "<=1s", ">1s"}
 
-// Snapshot summarizes everything recorded so far.
+// Snapshot summarizes the histograms: each one's sample count, and the
+// Figure 4 latency buckets. NewSnapshot adds a reading of the counters.
 func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
@@ -392,73 +243,14 @@ func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{
-		Queries:         c.queries.Count,
-		QueryBuckets:    c.queries.Buckets,
-		NegSolutions:    c.negSolSizes.Count,
-		OptCalls:        c.optSolCounts.Count,
-		CandidateSteps:  c.candidates.Count,
-		SATFormulas:     c.satClauses.Count,
-		UnsatCores:      c.coreSizes.Count,
-		CoreEvictions:   c.coreEvictions,
-		FMCapHits:       c.fmCapHits,
-		StoreHits:       c.storeHits,
-		StoreMisses:     c.storeMisses,
-		GroundPlans:     c.groundPlans,
-		PlanProbes:      c.planProbes,
-		PlanFallbacks:   c.planFallbacks,
-		GroundMS:        float64(c.groundTime) / float64(time.Millisecond),
-		SATDecisions:    c.satDecisions,
-		SATPropagations: c.satPropagations,
+		Queries:        c.queries.Count,
+		QueryBuckets:   c.queries.Buckets,
+		NegSolutions:   c.negSolSizes.Count,
+		OptCalls:       c.optSolCounts.Count,
+		CandidateSteps: c.candidates.Count,
+		SATFormulas:    c.satClauses.Count,
+		UnsatCores:     c.coreSizes.Count,
 	}
-}
-
-// Add returns the field-wise sum of two snapshots.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	s.Queries += o.Queries
-	for i := range s.QueryBuckets {
-		s.QueryBuckets[i] += o.QueryBuckets[i]
-	}
-	s.NegSolutions += o.NegSolutions
-	s.OptCalls += o.OptCalls
-	s.CandidateSteps += o.CandidateSteps
-	s.SATFormulas += o.SATFormulas
-	s.UnsatCores += o.UnsatCores
-	s.CoreEvictions += o.CoreEvictions
-	s.FMCapHits += o.FMCapHits
-	s.StoreHits += o.StoreHits
-	s.StoreMisses += o.StoreMisses
-	s.GroundPlans += o.GroundPlans
-	s.PlanProbes += o.PlanProbes
-	s.PlanFallbacks += o.PlanFallbacks
-	s.GroundMS += o.GroundMS
-	s.SATDecisions += o.SATDecisions
-	s.SATPropagations += o.SATPropagations
-	return s
-}
-
-// Sub returns the field-wise difference s − o: the activity recorded between
-// the moment o was taken and the moment s was taken on the same collector.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
-	s.Queries -= o.Queries
-	for i := range s.QueryBuckets {
-		s.QueryBuckets[i] -= o.QueryBuckets[i]
-	}
-	s.NegSolutions -= o.NegSolutions
-	s.OptCalls -= o.OptCalls
-	s.CandidateSteps -= o.CandidateSteps
-	s.SATFormulas -= o.SATFormulas
-	s.UnsatCores -= o.UnsatCores
-	s.CoreEvictions -= o.CoreEvictions
-	s.FMCapHits -= o.FMCapHits
-	s.StoreHits -= o.StoreHits
-	s.StoreMisses -= o.StoreMisses
-	s.GroundPlans -= o.GroundPlans
-	s.PlanProbes -= o.PlanProbes
-	s.PlanFallbacks -= o.PlanFallbacks
-	s.GroundMS -= o.GroundMS
-	s.SATDecisions -= o.SATDecisions
-	s.SATPropagations -= o.SATPropagations
-	return s
 }
 
 // CoreSizes returns the unsat-core size histogram.
@@ -519,10 +311,6 @@ func (c *Collector) WriteSummary(w io.Writer) {
 		c.candidates.Median(), c.candidates.Max, c.candidates.Count)
 	fmt.Fprintf(w, "CFP SAT sizes: median clauses=%d max clauses=%d over %d formulas\n",
 		c.satClauses.Median(), c.satClauses.Max, c.satClauses.Count)
-	fmt.Fprintf(w, "Unsat core sizes: median=%d max=%d over %d cores (%d evicted)\n",
-		c.coreSizes.Median(), c.coreSizes.Max, c.coreSizes.Count, c.coreEvictions)
-	fmt.Fprintf(w, "Fourier-Motzkin cap hits (conservative answers): %d\n", c.fmCapHits)
-	fmt.Fprintf(w, "Grounding: %.1f ms; %d plans compiled, %d probes grounded by a plan, %d plan fallbacks\n",
-		float64(c.groundTime)/float64(time.Millisecond), c.groundPlans, c.planProbes, c.planFallbacks)
-	fmt.Fprintf(w, "SAT search: %d decisions, %d propagations\n", c.satDecisions, c.satPropagations)
+	fmt.Fprintf(w, "Unsat core sizes: median=%d max=%d over %d cores\n",
+		c.coreSizes.Median(), c.coreSizes.Max, c.coreSizes.Count)
 }

@@ -104,11 +104,15 @@ func TestWriteSummary(t *testing.T) {
 	c := New()
 	c.RecordQuery(time.Millisecond)
 	c.RecordCandidates(4)
-	c.RecordSATWork(12, 34)
 	var b strings.Builder
 	c.WriteSummary(&b)
+	var ctr Counters
+	ctr.Add(SATDecisions, 12)
+	ctr.Add(GroundTime, int64(1500*time.Microsecond))
+	v := ctr.Load()
+	v.WriteText(&b)
 	out := b.String()
-	for _, want := range []string{"SMT queries: 1", "candidate", "SAT search: 12 decisions, 34 propagations"} {
+	for _, want := range []string{"SMT queries: 1", "candidate", "sat_decisions        12\n", "ground_ms            1.5\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
