@@ -61,14 +61,21 @@ test-race:
 # problem equals a fresh enumeration element for element with zero rejects,
 # tampered, re-keyed and Stop-cut records are never trusted, and a tampered
 # store still reaches the same verdicts. The TestPlan tests (first line) pin
-# the grounding plan's edge cases against the multi-pass grounding oracle,
-# concurrent probes under the race detector included; the last line holds
+# the grounding plan's edge cases against the multi-pass grounding oracle:
+# concurrent probes sharing environments under the race detector, an
+# instance junction absorbed early so the collect pass must run
+# (TestPlanAbsorbedInstanceCollects), a MaxInstances cut that needs
+# converged at round 2 (TestPlanTruncatedRoundsConverge), one environment
+# per candidate set (TestPlanSharedEnvironment), the memo cap
+# (TestPlanMemoBounded), and the allocations of re-grounding warmed plans
+# (TestPlanGroundAllocs, at its -race count); the last line holds
 # three sweeps over every examples/ problem and every DefaultSuite cell: the
 # grounding sweep (every probe grounded both ways must intern to the same
-# node), the cone sweep (every context probe re-decided with all SAT
-# variables switched on must reach the same verdict), and the GOMAXPROCS
-# sweep (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts,
-# steps, invariants and preconditions).
+# node; -v prints the probes, plan probes and distinct environments), the
+# cone sweep (every context probe re-decided with all SAT variables switched
+# on must reach the same verdict), and the GOMAXPROCS sweep (every cell run
+# at GOMAXPROCS 1 and 4 must give the same verdicts, steps, invariants and
+# preconditions).
 test-differential:
 	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/

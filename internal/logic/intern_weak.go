@@ -3,6 +3,7 @@
 package logic
 
 import (
+	"runtime"
 	"sync"
 	"weak"
 )
@@ -10,28 +11,23 @@ import (
 // Weak intern table (see intern.go for the design rationale): buckets hold
 // weak.Pointer entries, so a canonical handle — and the formula tree it
 // pins — is reclaimable as soon as no cache or memo chain references it.
-// Dead entries are compacted opportunistically whenever their bucket is
-// probed, and a full shard sweep runs every internSweepEvery inserts so
-// buckets that are never probed again cannot accumulate dead stubs.
+// Each handle carries a cleanup that prunes its bucket once the GC has
+// collected it, dropping the bucket when it empties, so the table holds
+// entries only for live handles and the dead ones a cleanup has yet to run
+// for. Dead entries are also compacted whenever their bucket is probed.
 
 // InternReclaims reports whether the table lets the GC reclaim formulas that
 // nothing else references (true here; false for the strong table).
 const InternReclaims = true
 
-// internSweepEvery bounds dead-entry accumulation per shard: at most this
-// many inserts happen between full shard sweeps.
-const internSweepEvery = 4096
-
 type internShard struct {
-	mu         sync.Mutex
-	buckets    map[uint64][]weak.Pointer[IFormula]
-	sinceSweep int
+	mu      sync.Mutex
+	buckets map[uint64][]weak.Pointer[IFormula]
 }
 
 type itermShard struct {
-	mu         sync.Mutex
-	buckets    map[uint64][]weak.Pointer[ITerm]
-	sinceSweep int
+	mu      sync.Mutex
+	buckets map[uint64][]weak.Pointer[ITerm]
 }
 
 var (
@@ -71,12 +67,8 @@ func Intern(f Formula) *IFormula {
 	}
 	n := &IFormula{f: f, hash: h, id: internNextID.Add(1), size: int32(size)}
 	s.buckets[h] = append(live, weak.Make(n))
-	s.sinceSweep++
-	if s.sinceSweep >= internSweepEvery {
-		s.sinceSweep = 0
-		sweepFormulas(s)
-	}
 	s.mu.Unlock()
+	runtime.AddCleanup(n, pruneFormulas, h)
 	internedCount.Add(1)
 	return n
 }
@@ -112,46 +104,47 @@ func InternTerm(t Term) *ITerm {
 	}
 	n := &ITerm{t: t, hash: h, id: internNextID.Add(1), size: int32(size)}
 	s.buckets[h] = append(live, weak.Make(n))
-	s.sinceSweep++
-	if s.sinceSweep >= internSweepEvery {
-		s.sinceSweep = 0
-		sweepTerms(s)
-	}
 	s.mu.Unlock()
+	runtime.AddCleanup(n, pruneTerms, h)
 	internedCount.Add(1)
 	return n
 }
 
-func sweepFormulas(s *internShard) {
-	for h, bucket := range s.buckets {
-		live := bucket[:0]
-		for _, wp := range bucket {
-			if wp.Value() != nil {
-				live = append(live, wp)
-			}
-		}
-		switch {
-		case len(live) == 0:
-			delete(s.buckets, h)
-		case len(live) != len(bucket):
-			s.buckets[h] = live
-		}
-	}
+// pruneFormulas is the cleanup of a collected formula handle: it drops the
+// dead entries of the handle's bucket h, and the bucket once it is empty.
+func pruneFormulas(h uint64) {
+	s := &internFormulas[h%internShards]
+	s.mu.Lock()
+	pruneBucket(s.buckets, h)
+	s.mu.Unlock()
 }
 
-func sweepTerms(s *itermShard) {
-	for h, bucket := range s.buckets {
-		live := bucket[:0]
-		for _, wp := range bucket {
-			if wp.Value() != nil {
-				live = append(live, wp)
-			}
+// pruneTerms is pruneFormulas for a collected term handle.
+func pruneTerms(h uint64) {
+	s := &internTerms[h%internShards]
+	s.mu.Lock()
+	pruneBucket(s.buckets, h)
+	s.mu.Unlock()
+}
+
+// pruneBucket drops the dead entries of bucket h, and the bucket once none
+// is left.
+func pruneBucket[T any](buckets map[uint64][]weak.Pointer[T], h uint64) {
+	bucket, ok := buckets[h]
+	if !ok {
+		return
+	}
+	live := bucket[:0]
+	for _, wp := range bucket {
+		if wp.Value() != nil {
+			live = append(live, wp)
 		}
-		switch {
-		case len(live) == 0:
-			delete(s.buckets, h)
-		case len(live) != len(bucket):
-			s.buckets[h] = live
-		}
+	}
+	clear(bucket[len(live):])
+	switch {
+	case len(live) == 0:
+		delete(buckets, h)
+	case len(live) != len(bucket):
+		buckets[h] = live
 	}
 }

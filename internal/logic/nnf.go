@@ -352,6 +352,14 @@ func (j *Junction) Grow(n int) {
 	j.hs = slices.Grow(j.hs, n)
 }
 
+// Reset empties the junction for reuse as a conjunction (or, with or set, a
+// disjunction), keeping its buffers. A Formula or Result taken before Reset
+// shares them, so it must not outlive the reuse.
+func (j *Junction) Reset(or bool) {
+	clear(j.out)
+	j.Or, j.out, j.hs, j.tab, j.absorbed = or, j.out[:0], j.hs[:0], nil, false
+}
+
 // Len returns how many operands the junction holds.
 func (j *Junction) Len() int { return len(j.out) }
 

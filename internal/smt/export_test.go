@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/logic"
@@ -45,7 +46,7 @@ func (s *Solver) Satisfiable(f logic.Formula) bool {
 // solver runs: the hook is package-wide.
 func CrossCheckGrounding(fail func(msg string)) (checked func() int64, remove func()) {
 	var n atomic.Int64
-	groundCheck = func(s *Solver, f *logic.IFormula, ground logic.Formula, decided, valid bool) {
+	groundCheck = func(s *Solver, f, _ *logic.IFormula, _ map[string]logic.Formula, ground logic.Formula, decided, valid bool) {
 		n.Add(1)
 		if msg := s.compareOracle(f, ground, decided, valid); msg != "" {
 			fail(msg)
@@ -117,3 +118,69 @@ func (c *Context) decideAllOn(assumps []sat.Lit) bool {
 // Valid is ValidFill without a fill: the probe is grounded as a whole
 // formula, with nothing shared across probes.
 func (c *Context) Valid(f logic.Formula) bool { return c.ValidFill(f, nil) }
+
+// CountPlanEnvironments counts the candidate environments grounding plans
+// build from now on. It returns the count and a function that removes the
+// hook. Install it before any solver runs: the hook is package-wide.
+func CountPlanEnvironments() (built func() int64, remove func()) {
+	var n atomic.Int64
+	envCheck = func() { n.Add(1) }
+	return n.Load, func() { envCheck = nil }
+}
+
+// PlanProbes is a record of the probes grounded through plans: per
+// skeleton, in first-grounded order, its fills in the order they grounded.
+type PlanProbes struct {
+	mu    sync.Mutex
+	skels []*logic.IFormula
+	fills map[*logic.IFormula][]map[string]logic.Formula
+}
+
+// RecordPlanProbes records every probe grounded through a plan from now on.
+// It returns the record and a function that removes the hook. Install it
+// before any solver runs: the hook is package-wide.
+func RecordPlanProbes() (*PlanProbes, func()) {
+	r := &PlanProbes{fills: map[*logic.IFormula][]map[string]logic.Formula{}}
+	groundCheck = func(_ *Solver, _, skel *logic.IFormula, fill map[string]logic.Formula, _ logic.Formula, _, _ bool) {
+		if skel == nil {
+			return
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if _, ok := r.fills[skel]; !ok {
+			r.skels = append(r.skels, skel)
+		}
+		r.fills[skel] = append(r.fills[skel], fill)
+	}
+	return r, func() { groundCheck = nil }
+}
+
+// Probes returns how many probes the record holds.
+func (r *PlanProbes) Probes() int {
+	n := 0
+	for _, fs := range r.fills {
+		n += len(fs)
+	}
+	return n
+}
+
+// Regrounder compiles one plan per recorded skeleton on a fresh solver and
+// grounds every recorded probe through it once, warming its memos. It
+// returns a function that grounds them all again, grounding only: nothing
+// is decided.
+func (r *PlanProbes) Regrounder() func() {
+	s := NewSolver(Options{})
+	plans := make([]*groundPlan, len(r.skels))
+	reground := func() {
+		for i, skel := range r.skels {
+			for _, fill := range r.fills[skel] {
+				plans[i].groundFill(fill)
+			}
+		}
+	}
+	for i, skel := range r.skels {
+		plans[i] = newGroundPlan(s, skel.Formula())
+	}
+	reground()
+	return reground
+}

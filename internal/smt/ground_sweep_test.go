@@ -121,6 +121,8 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 	var log mismatchLog
 	checked, remove := smt.CrossCheckGrounding(log.fail)
 	defer remove()
+	envs, removeEnvs := smt.CountPlanEnvironments()
+	defer removeEnvs()
 	plans := int64(0)
 	for _, c := range sweepCells() {
 		v, _ := runCell(t, c)
@@ -132,7 +134,7 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 	if checked() == 0 || plans == 0 {
 		t.Fatalf("sweep vacuous: %d probes checked, %d grounded by plans", checked(), plans)
 	}
-	t.Logf("%d grounded probes checked, %d through plans", checked(), plans)
+	t.Logf("%d grounded probes checked, %d through plans, %d distinct candidate environments", checked(), plans, envs())
 }
 
 // TestConeProbesMatchAllOn runs every sweep cell with every context probe

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"strings"
@@ -22,16 +23,34 @@ import (
 //
 //   - realize: the skeleton's hole-free subtrees are simplified once; a
 //     probe re-runs Simplify's rules (logic.Junction) only along the spine
-//     from the root to the holes, over the simplified fill.
+//     from the root to the holes, over the simplified fill. A fill is one
+//     piece per interned fill, split into one piece per interned predicate
+//     that all fills share.
 //   - normalize: one fused pass (normalizeFused) does the work of NNF,
 //     standardization and skolemization. Each memoizable unit — a static
 //     subtree, or one predicate of a fill — is normalized once per polarity,
-//     namer position and binding scope.
-//   - ground: each unit's candidate-term contribution is computed once. Each
-//     quantifier-free leaf is simplified once. Each instance of a leaf under
-//     a candidate substitution is built and simplified once. A probe unions
-//     the contributions into its candidate sets and rebuilds only the
-//     junctions above the leaves.
+//     namer position and binding scope. A spine quantifier's scope (its
+//     number, @b names and replacement terms) is built once per parent
+//     scope and namer position. The spine's own nodes, split fills
+//     included, hold the probe's fresh fill, so they are rebuilt per probe
+//     and never kept: a fleet that keeps its contexts keeps every plan.
+//   - ground: each unit's candidate keys are numbered once per plan. A
+//     round's candidate environment is interned by its content, the sorted
+//     ids of its keys, and memoizes the candidate tuples of each universal
+//     per trigger set (its variables and the select patterns they occur
+//     in; a spine universal's set is interned by content). Each
+//     quantifier-free leaf is simplified once, and each instance of a leaf
+//     under a candidate substitution is built, simplified and numbered once.
+//     A probe rebuilds only the junctions above the leaves, splicing a
+//     nested junction of the same kind into its parent as it goes.
+//
+// One instance pass per round: grounding a round enumerates its leaf
+// instances, so the next round's candidates come from the same pass. Only
+// when a junction stops early on an absorbing constant does a separate
+// collect pass enumerate the instances it skipped. The next round's
+// environment is then interned like the first and compared with converged;
+// when no instance key is new, its ids are the previous environment's, so
+// the lookup finds that environment and builds nothing.
 //
 // Every pass of the multi-pass pipeline is a structural map whose results
 // compose through the same smart constructors (Conj, Disj, All, Neg, Imp)
@@ -44,13 +63,18 @@ import (
 //
 // A plan is built lazily, on the first probe of a registered context group
 // that reaches grounding, and dies with the group. Its memos are guarded by
-// one mutex, because probes ground before they take a lane lock. Together
-// they hold at most planMemoCap entries. Past that, parts are computed
-// without being stored.
+// one mutex, held only for lookups and inserts, because the group's lanes
+// ground concurrently before they take a lane lock. They form one
+// generation of at most planMemoCap entries: fills, predicate pieces,
+// units, scopes, candidate keys, environments, trigger sets, tuples and
+// leaf instances. The insert that fills a generation detaches
+// it: later probes start a fresh one, and the probes still grounding from
+// the full one finish on it, so what they add dies with them.
 
-// planMemoCap bounds the entries one plan memoizes: fills, normalized
-// units and leaf instances. The largest context of the examples/ problems
-// and the DefaultSuite cells holds about 800.
+// planMemoCap bounds the entries of a plan's memo generation. The largest
+// quantified context of the DefaultSuite cells holds about 500; Double
+// Stride's GFP context, whose 5 624 probes nearly all carry a distinct fill,
+// fills one generation.
 const planMemoCap = 4096
 
 // normalizeForSolving is the solver-side preprocessing chain, memoized per
@@ -73,10 +97,10 @@ type nscope struct {
 	ren   map[string]logic.Term
 	univ  []string
 	b, sk int
-	// sig identifies ren and univ for memo keys. It is maintained only by
-	// the plan's spine walk. Inside one unit the bindings are that unit's
-	// own, and no memo is consulted.
-	sig string
+	// sig numbers ren and univ for memo keys (0 is the empty scope). It is
+	// maintained only by the plan's spine walk. Inside one unit the bindings
+	// are that unit's own, and no memo is consulted.
+	sig int32
 }
 
 func newScope() *nscope { return &nscope{ren: map[string]logic.Term{}} }
@@ -186,6 +210,23 @@ func (sc *nscope) bind(vars []string, exists bool) (names []string, undo []logic
 	return names, undo
 }
 
+// bindAs binds vars as bind does, to the names and replacement terms bind
+// handed out at the same position before, and appends the shadowed bindings
+// to undo.
+func (sc *nscope) bindAs(vars []string, exists bool, names []string, repl, undo []logic.Term) []logic.Term {
+	for i, x := range vars {
+		undo = append(undo, sc.ren[x])
+		sc.ren[x] = repl[i]
+	}
+	sc.b += len(vars)
+	if exists {
+		sc.sk += len(vars)
+	} else {
+		sc.univ = append(sc.univ, names...)
+	}
+	return undo
+}
+
 // unbind restores the bindings bind shadowed, newest first.
 func (sc *nscope) unbind(vars []string, exists bool, undo []logic.Term) {
 	for i := len(vars) - 1; i >= 0; i-- {
@@ -206,17 +247,21 @@ type piece struct {
 	f logic.Formula
 	n *logic.IFormula // memo identity
 	// parts are f's operands when f is a conjunction or disjunction, so a
-	// junction can splice them as Simplify flattens nested operands.
-	parts []*piece
+	// junction can splice them as Simplify flattens nested operands, and
+	// partVals their svals.
+	parts    []*piece
+	partVals []*sval
 	// split makes the normalizer descend into parts. Fills are split, so
 	// that memo entries are per predicate rather than per conjunction.
 	split bool
 	sv    *sval // the piece as a realized value
 }
 
-func newPiece(n *logic.IFormula, split bool) *piece {
-	p := &piece{f: n.Formula(), n: n, split: split}
-	defer p.initVal()
+// newPiece builds the piece of the simplified formula n, taking the piece
+// of each operand from part.
+func newPiece(n *logic.IFormula, split bool, part func(*logic.IFormula) *piece) *piece {
+	p := leafPiece(n)
+	p.split = split
 	var fs []logic.Formula
 	switch f := p.f.(type) {
 	case logic.And:
@@ -224,10 +269,26 @@ func newPiece(n *logic.IFormula, split bool) *piece {
 	case logic.Or:
 		fs = f.Fs
 	}
-	for _, g := range fs {
-		q := &piece{f: g, n: logic.Intern(g)}
-		q.initVal()
-		p.parts = append(p.parts, q)
+	if fs != nil {
+		p.parts = make([]*piece, len(fs))
+		p.partVals = make([]*sval, len(fs))
+		for i, g := range fs {
+			p.parts[i] = part(logic.Intern(g))
+			p.partVals[i] = p.parts[i].sv
+		}
+	}
+	return p
+}
+
+// leafPiece builds the piece of the simplified formula n without its
+// operands' pieces: a fill's predicates are normalized whole, so building
+// theirs would intern every operand of every predicate for nothing.
+func leafPiece(n *logic.IFormula) *piece {
+	p := &piece{f: n.Formula(), n: n}
+	if b, ok := p.f.(logic.Bool); ok {
+		p.sv = constVal(b.Val)
+	} else {
+		p.sv = &sval{op: sPiece, f: p.f, h: n.Hash(), p: p}
 	}
 	return p
 }
@@ -235,11 +296,12 @@ func newPiece(n *logic.IFormula, split bool) *piece {
 // pnode is one node of the compiled skeleton: a static (hole-free) subtree,
 // a hole, or a spine connective above at least one hole.
 type pnode struct {
-	op   pop
-	kids []*pnode
-	vars []string
-	hole string
-	st   *piece // kStatic: the simplified subtree
+	op      pop
+	kids    []*pnode
+	vars    []string
+	varsKey string // vars joined, for scope keys
+	hole    string
+	st      *piece // kStatic: the simplified subtree
 }
 
 type pop uint8
@@ -256,14 +318,16 @@ const (
 )
 
 // sval is a probe's simplified formula over the compiled skeleton: a
-// constant, a piece, or a spine connective over svals.
+// constant, a piece, or a spine connective over svals. Spine svals are kept
+// per plan generation, so equal operands under one skeleton node give the
+// same sval.
 type sval struct {
 	op   sop
 	f    logic.Formula // the simplified formula this sval stands for
 	h    uint64        // HashFormula(f), composed from the operands' hashes
 	p    *piece        // sPiece
+	nd   *pnode        // sAll, sAny: the skeleton quantifier
 	kids []*sval
-	vars []string
 }
 
 type sop uint8
@@ -279,14 +343,22 @@ const (
 	sAny
 )
 
+var trueVal, falseVal = &sval{op: sConst, f: logic.True}, &sval{op: sConst, f: logic.False}
+
+func constVal(v bool) *sval {
+	if v {
+		return trueVal
+	}
+	return falseVal
+}
+
 // gnode is a normalized formula prepared for instantiation: a
 // quantifier-free leaf, a junction, or a universal. Nodes compiled from a
-// memoized unit are kept across probes (keep) and memoize their leaf
-// simplification, leaf instances and triggers. Spine nodes are rebuilt per
-// probe.
+// memoized unit are kept (keep) and memoize their leaf simplification, leaf
+// instances and triggers. Spine nodes are rebuilt per probe.
 type gnode struct {
 	op    gop
-	f     logic.Formula
+	f     logic.Formula // kept nodes only; spine nodes build it on demand
 	kids  []*gnode
 	vars  []string // gAll
 	body  *gnode   // gAll
@@ -295,9 +367,10 @@ type gnode struct {
 
 	simp *gres                // gLeaf: Simplify(f), once computed
 	inst map[string]*instLeaf // gLeaf: instances by substitution key
-	// trigs caches, per variable list, the triggers of f's body (gAll) or
-	// of f itself (a unit inside a universal rebuilt per probe).
+	// trigs caches, per variable list, the triggers of f (a unit inside a
+	// spine universal); ts is a kept universal's trigger set.
 	trigs map[string]map[string][]trigger
+	ts    *trigSet
 }
 
 type gop uint8
@@ -310,21 +383,19 @@ const (
 )
 
 // unitEntry is one normalized unit: its instantiation-ready form, the names
-// it consumed, and its contribution to the candidate sets.
+// it consumed, and the ids of its candidate keys.
 type unitEntry struct {
 	g       *gnode
 	db, dsk int
-	fb      []keyedTerm
-	arr     []famTerm
+	ids     []int32
 }
 
 // instLeaf is one quantifier-free leaf under one candidate substitution: its
-// simplified form and the index terms the unsimplified instance adds to the
-// next round's candidate sets.
+// simplified form and the ids of the index terms the unsimplified instance
+// adds to the next round's candidate sets.
 type instLeaf struct {
 	simp gres
-	fb   []keyedTerm
-	arr  []famTerm
+	ids  []int32
 }
 
 // gres is a simplified ground formula with its HashFormula and, when it is
@@ -346,48 +417,94 @@ func junctionGres(j *logic.Junction) gres {
 	return gres{f: f, h: h, parts: parts}
 }
 
-type keyedTerm struct {
-	key string
-	t   logic.Term
-	cx  int // termComplexity(t)
+// candKey is one candidate: a fallback term, or an array family's index
+// term, by rendering.
+type candKey struct {
+	arr      bool
+	fam, key string
 }
 
-type famKey struct{ fam, key string }
-
-type famTerm struct {
-	fam, key string
-	t        logic.Term
+// candInfo is the candidate a per-plan id stands for.
+type candInfo struct {
+	candKey
+	t  logic.Term
+	cx int // termComplexity(t)
 }
 
 type unitKey struct {
 	n     *logic.IFormula
 	neg   bool
 	b, sk int
-	scope string
+	scope int32
+}
+
+// scopeKey is one spine quantifier's bindings over its parent scope.
+type scopeKey struct {
+	parent int32
+	vars   string
+	b, sk  int
+	exists bool
+}
+
+// planMemo is one generation of a plan's memos.
+type planMemo struct {
+	entries int
+	fills   map[*logic.IFormula]*piece // by interned fill
+	pieces  map[*logic.IFormula]*piece // by interned predicate
+	units   map[unitKey]*unitEntry
+	scopes  map[scopeKey]*scopeEntry
+	keyIDs  map[candKey]int32
+	keys    []candInfo            // by id
+	envs    map[uint64][]*instEnv // by hashIDs of their ids
+	trigs   map[uint64][]*trigSet // spine universals', by content
+}
+
+func newPlanMemo() *planMemo {
+	return &planMemo{
+		fills:  map[*logic.IFormula]*piece{},
+		pieces: map[*logic.IFormula]*piece{},
+		units:  map[unitKey]*unitEntry{},
+		scopes: map[scopeKey]*scopeEntry{},
+		keyIDs: map[candKey]int32{},
+		envs:   map[uint64][]*instEnv{},
+		trigs:  map[uint64][]*trigSet{},
+	}
 }
 
 // groundPlan is one context group's compiled skeleton plus its memos.
 type groundPlan struct {
 	s    *Solver
 	root *pnode
+	cap  int // entries per memo generation: planMemoCap
 
-	mu      sync.Mutex
-	units   map[unitKey]*unitEntry
-	fills   map[*logic.IFormula]*piece
-	entries int
+	mu   sync.Mutex
+	m    *planMemo    // the current generation
+	idle []*grounding // scratch of finished probes, for the next ones
+}
+
+func newPlan(s *Solver) *groundPlan {
+	return &groundPlan{s: s, cap: planMemoCap, m: newPlanMemo()}
 }
 
 // newGroundPlan compiles skel, a formula whose unknowns are the probes'
 // holes.
 func newGroundPlan(s *Solver, skel logic.Formula) *groundPlan {
-	pl := &groundPlan{s: s, units: map[unitKey]*unitEntry{}, fills: map[*logic.IFormula]*piece{}}
+	pl := newPlan(s)
 	pl.root = compileSkeleton(skel)
 	return pl
 }
 
+// admit counts one entry just added to m. pl.mu must be held.
+func (pl *groundPlan) admit(m *planMemo) {
+	m.entries++
+	if m.entries >= pl.cap && pl.m == m {
+		pl.m = newPlanMemo()
+	}
+}
+
 func compileSkeleton(f logic.Formula) *pnode {
 	if len(logic.Unknowns(f)) == 0 {
-		return &pnode{op: kStatic, st: newPiece(logic.Intern(logic.Simplify(f)), false)}
+		return &pnode{op: kStatic, st: newPiece(logic.Intern(logic.Simplify(f)), false, leafPiece)}
 	}
 	switch f := f.(type) {
 	case logic.Unknown:
@@ -401,9 +518,9 @@ func compileSkeleton(f logic.Formula) *pnode {
 	case logic.Implies:
 		return &pnode{op: kImp, kids: []*pnode{compileSkeleton(f.A), compileSkeleton(f.B)}}
 	case logic.Forall:
-		return &pnode{op: kAll, vars: f.Vars, kids: []*pnode{compileSkeleton(f.Body)}}
+		return &pnode{op: kAll, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body)}}
 	case logic.Exists:
-		return &pnode{op: kAny, vars: f.Vars, kids: []*pnode{compileSkeleton(f.Body)}}
+		return &pnode{op: kAny, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body)}}
 	}
 	panic("smt: unexpected skeleton formula: " + f.String())
 }
@@ -416,72 +533,157 @@ func compileList(fs []logic.Formula) []*pnode {
 	return out
 }
 
+// grounding is one probe's scratch: its memo generation, the normalization
+// scope and the units it used, the current round's environment, the
+// substitution of the universals being expanded with its rendering (the
+// leaf instance memo key) and odometer, the round's leaf instances, and the
+// buffers realize and environment interning reuse. A plan keeps the
+// groundings of finished probes for the next ones: at most one per lane
+// that grounded at once.
+type grounding struct {
+	pl   *groundPlan
+	m    *planMemo
+	sc   nscope
+	used []*unitEntry
+
+	env     *instEnv
+	sub     map[string]logic.Term
+	key     []byte
+	odo     []odometer
+	insts   []*instLeaf
+	stopped bool // a junction skipped instances this round
+
+	js    []*logic.Junction // realize's junction per spine depth
+	depth int
+	items []*sval
+
+	stamp []uint32 // per candidate id, the epoch that last saw it
+	epoch uint32
+	ids   []int32
+	pairs []varTrig
+	undo  []logic.Term // the bindings spine quantifiers shadow
+}
+
+// odometer is one bound variable of a universal being expanded: its
+// candidate index and the key length before its segment.
+type odometer struct{ x, mark int }
+
+// acquire returns a grounding for one probe, on the current generation.
+func (pl *groundPlan) acquire() *grounding {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	var gr *grounding
+	if n := len(pl.idle); n > 0 {
+		gr, pl.idle = pl.idle[n-1], pl.idle[:n-1]
+	} else {
+		gr = &grounding{pl: pl, sub: map[string]logic.Term{}, sc: nscope{ren: map[string]logic.Term{}}}
+	}
+	gr.m = pl.m
+	return gr
+}
+
+// release keeps gr for the plan's next probe, dropping what it references
+// of this one.
+func (pl *groundPlan) release(gr *grounding) {
+	clear(gr.used)
+	clear(gr.insts)
+	clear(gr.items[:cap(gr.items)])
+	for _, j := range gr.js {
+		j.Reset(false)
+	}
+	gr.used, gr.insts = gr.used[:0], gr.insts[:0]
+	gr.m, gr.env, gr.stopped = nil, nil, false
+	gr.sc.b, gr.sc.sk, gr.sc.sig = 0, 0, 0
+	pl.mu.Lock()
+	pl.idle = append(pl.idle, gr)
+	pl.mu.Unlock()
+}
+
 // groundFill grounds the probe Fill(skeleton, fill). decided reports that
 // the simplified probe is a constant, whose value is then valid. ok=false
 // means a hole has no fill, so the plan cannot express the probe.
 func (pl *groundPlan) groundFill(fill map[string]logic.Formula) (ground logic.Formula, decided, valid, ok bool) {
-	root, ok := pl.realize(pl.root, fill)
+	gr := pl.acquire()
+	defer pl.release(gr)
+	root, ok := gr.realize(pl.root, fill)
 	if !ok {
 		return nil, false, false, false
 	}
 	if root.op == sConst {
 		return nil, true, root.f.(logic.Bool).Val, true
 	}
-	return pl.groundSimplified(root), false, false, true
+	return gr.groundSimplified(root), false, false, true
 }
 
 // groundSimplified grounds the negation of a simplified, non-constant
-// formula.
-func (pl *groundPlan) groundSimplified(root *sval) logic.Formula {
-	var used []*unitEntry
-	g := pl.normalize(root, true, newScope(), &used)
+// formula, one instance pass per round.
+func (gr *grounding) groundSimplified(root *sval) logic.Formula {
+	g := gr.normalize(root, true)
 	if !g.quant {
 		return g.formula()
 	}
-	gr := pl.newGrounding()
-	env := pl.env(used, nil)
-	for round := 0; round < pl.s.opts.InstRounds; round++ {
-		if round > 0 {
-			// Skolem witnesses and other index terms of the previous
-			// round's instances become candidates of this one.
-			var insts []*instLeaf
-			gr.collect(g, &insts)
-			env = pl.env(used, insts)
+	env := gr.roundEnv()
+	for round := 1; ; round++ {
+		gr.env, gr.stopped = env, false
+		clear(gr.insts)
+		gr.insts = gr.insts[:0]
+		res := gr.ground(g)
+		if round >= gr.pl.s.opts.InstRounds {
+			return res.f
 		}
-		if env.converged(gr.env) {
-			break
+		if gr.stopped {
+			clear(gr.insts)
+			gr.insts = gr.insts[:0]
+			gr.collect(g)
 		}
-		gr.env = env
-		clear(gr.cands)
+		// Skolem witnesses and other index terms of this round's instances
+		// become candidates of the next one.
+		next := gr.roundEnv()
+		if next == env || next.converged(env) {
+			return res.f
+		}
+		env = next
 	}
-	return gr.ground(g).f
+}
+
+// roundEnv returns the environment of the units' candidate keys and those
+// of the leaf instances in gr.insts.
+func (gr *grounding) roundEnv() *instEnv {
+	gr.beginIDs()
+	for _, e := range gr.used {
+		gr.addIDs(e.ids)
+	}
+	for _, l := range gr.insts {
+		gr.addIDs(l.ids)
+	}
+	return gr.internEnv()
 }
 
 // realize computes the simplified probe over the compiled skeleton:
 // static subtrees come simplified from the plan, each hole's fill is
 // simplified, and the spine folds them with Simplify's rules.
-func (pl *groundPlan) realize(nd *pnode, fill map[string]logic.Formula) (*sval, bool) {
+func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, bool) {
 	switch nd.op {
 	case kStatic:
-		return pieceVal(nd.st), true
+		return nd.st.sv, true
 	case kHole:
 		g, ok := fill[nd.hole]
 		if !ok {
 			return nil, false
 		}
-		return pieceVal(pl.fillPiece(g)), true
+		return gr.fillPiece(g).sv, true
 	case kNot:
-		c, ok := pl.realize(nd.kids[0], fill)
+		c, ok := gr.realize(nd.kids[0], fill)
 		if !ok {
 			return nil, false
 		}
-		return negVal(c), true
+		return gr.negVal(c), true
 	case kImp:
-		a, ok := pl.realize(nd.kids[0], fill)
+		a, ok := gr.realize(nd.kids[0], fill)
 		if !ok {
 			return nil, false
 		}
-		b, ok := pl.realize(nd.kids[1], fill)
+		b, ok := gr.realize(nd.kids[1], fill)
 		if !ok {
 			return nil, false
 		}
@@ -490,46 +692,58 @@ func (pl *groundPlan) realize(nd *pnode, fill map[string]logic.Formula) (*sval, 
 			if a.f.(logic.Bool).Val {
 				return b, true
 			}
-			return constVal(true), true
+			return trueVal, true
 		}
 		if b.op == sConst {
 			if b.f.(logic.Bool).Val {
-				return constVal(true), true
+				return trueVal, true
 			}
-			return negVal(a), true
+			return gr.negVal(a), true
 		}
 		return &sval{op: sImp, f: logic.Implies{A: a.f, B: b.f}, h: logic.ImpliesHash(a.h, b.h), kids: []*sval{a, b}}, true
 	case kAll, kAny:
-		c, ok := pl.realize(nd.kids[0], fill)
+		c, ok := gr.realize(nd.kids[0], fill)
 		if !ok {
 			return nil, false
 		}
 		if c.op == sConst {
 			return c, true
 		}
+		v := &sval{op: sAll, h: logic.QuantHash(nd.op == kAny, nd.vars, c.h), nd: nd, kids: []*sval{c}}
 		if nd.op == kAll {
-			return &sval{op: sAll, f: logic.Forall{Vars: nd.vars, Body: c.f}, h: logic.QuantHash(false, nd.vars, c.h), vars: nd.vars, kids: []*sval{c}}, true
+			v.f = logic.Forall{Vars: nd.vars, Body: c.f}
+		} else {
+			v.op, v.f = sAny, logic.Exists{Vars: nd.vars, Body: c.f}
 		}
-		return &sval{op: sAny, f: logic.Exists{Vars: nd.vars, Body: c.f}, h: logic.QuantHash(true, nd.vars, c.h), vars: nd.vars, kids: []*sval{c}}, true
+		return v, true
 	}
 	// kAnd, kOr: Simplify's junction over the operands, splicing nested
 	// operands of the same kind part by part so each kept operand is known.
+	// Each spine depth reuses its own junction; the kept operands stack up
+	// in items from base.
 	or := nd.op == kOr
-	j := logic.Junction{Or: or}
-	var items []*sval
+	if gr.depth == len(gr.js) {
+		gr.js = append(gr.js, &logic.Junction{})
+	}
+	j := gr.js[gr.depth]
+	j.Reset(or)
+	gr.depth++
+	defer func() { gr.depth-- }()
+	base := len(gr.items)
 	add := func(c *sval) bool {
 		n0 := j.Len()
 		if j.AddHashed(c.f, c.h, nil) {
 			return true
 		}
 		if j.Len() > n0 {
-			items = append(items, c)
+			gr.items = append(gr.items, c)
 		}
 		return false
 	}
 	for _, k := range nd.kids {
-		c, ok := pl.realize(k, fill)
+		c, ok := gr.realize(k, fill)
 		if !ok {
+			gr.items = gr.items[:base]
 			return nil, false
 		}
 		if parts := c.partsFor(or); parts != nil {
@@ -540,10 +754,13 @@ func (pl *groundPlan) realize(nd *pnode, fill map[string]logic.Formula) (*sval, 
 			break
 		}
 	}
-	f, h, _ := j.Result()
+	items := gr.items[base:]
+	defer func() { gr.items = gr.items[:base] }()
 	switch {
-	case len(items) == 0 || j.Absorbed():
-		return constVal(f.(logic.Bool).Val), true
+	case j.Absorbed():
+		return constVal(or), true
+	case len(items) == 0:
+		return constVal(!or), true
 	case len(items) == 1:
 		return items[0], true
 	}
@@ -551,26 +768,55 @@ func (pl *groundPlan) realize(nd *pnode, fill map[string]logic.Formula) (*sval, 
 	if or {
 		op = sOr
 	}
-	return &sval{op: op, f: f, h: h, kids: items}, true
+	f, h, _ := j.Result()
+	if or {
+		f = logic.Or{Fs: slices.Clone(f.(logic.Or).Fs)}
+	} else {
+		f = logic.And{Fs: slices.Clone(f.(logic.And).Fs)}
+	}
+	return &sval{op: op, f: f, h: h, kids: slices.Clone(items)}, true
 }
 
 // fillPiece returns the simplified fill g as a split piece, memoized per
-// interned fill.
-func (pl *groundPlan) fillPiece(g logic.Formula) *piece {
+// interned fill, whose parts are the shared predicate pieces.
+func (gr *grounding) fillPiece(g logic.Formula) *piece {
+	pl, m := gr.pl, gr.m
 	n := logic.Intern(g)
 	pl.mu.Lock()
-	p := pl.fills[n]
+	p := m.fills[n]
 	pl.mu.Unlock()
 	if p != nil {
 		return p
 	}
-	p = newPiece(n.Simplified(), true)
+	p = newPiece(n.Simplified(), true, gr.pieceOf)
 	pl.mu.Lock()
-	if pl.entries < planMemoCap {
-		pl.fills[n] = p
-		pl.entries++
+	defer pl.mu.Unlock()
+	if prev := m.fills[n]; prev != nil {
+		return prev
 	}
+	m.fills[n] = p
+	pl.admit(m)
+	return p
+}
+
+// pieceOf returns the leaf piece of the simplified formula n, one per
+// interned formula: all fills share their predicates' pieces.
+func (gr *grounding) pieceOf(n *logic.IFormula) *piece {
+	pl, m := gr.pl, gr.m
+	pl.mu.Lock()
+	p := m.pieces[n]
 	pl.mu.Unlock()
+	if p != nil {
+		return p
+	}
+	p = leafPiece(n)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if prev := m.pieces[n]; prev != nil {
+		return prev
+	}
+	m.pieces[n] = p
+	pl.admit(m)
 	return p
 }
 
@@ -589,31 +835,20 @@ func (c *sval) partsFor(or bool) []*sval {
 	default:
 		return nil
 	}
-	if c.op != sPiece {
+	switch {
+	case c.op != sPiece:
 		return c.kids
+	case c.p.partVals == nil:
+		// A fill's predicate, the only operand its junction kept, spliced
+		// into an enclosing junction of its own kind: rare enough to
+		// split unshared.
+		return newPiece(c.p.n, false, leafPiece).partVals
 	}
-	out := make([]*sval, len(c.p.parts))
-	for i, p := range c.p.parts {
-		out[i] = pieceVal(p)
-	}
-	return out
+	return c.p.partVals
 }
-
-// pieceVal returns the sval standing for p, built with the piece.
-func pieceVal(p *piece) *sval { return p.sv }
-
-func (p *piece) initVal() {
-	if b, ok := p.f.(logic.Bool); ok {
-		p.sv = constVal(b.Val)
-		return
-	}
-	p.sv = &sval{op: sPiece, f: p.f, h: p.n.Hash(), p: p}
-}
-
-func constVal(v bool) *sval { return &sval{op: sConst, f: logic.Bool{Val: v}} }
 
 // negVal is logic.Neg over an sval.
-func negVal(c *sval) *sval {
+func (gr *grounding) negVal(c *sval) *sval {
 	switch f := c.f.(type) {
 	case logic.Bool:
 		return constVal(!f.Val)
@@ -621,7 +856,7 @@ func negVal(c *sval) *sval {
 		if c.op == sNot {
 			return c.kids[0]
 		}
-		return pieceVal(newPiece(logic.Intern(f.F), false))
+		return gr.pieceOf(logic.Intern(f.F)).sv
 	}
 	f := logic.Neg(c.f)
 	h := logic.NotHash(c.h)
@@ -633,75 +868,102 @@ func negVal(c *sval) *sval {
 }
 
 // normalize is normalizeFused over an sval, consulting the unit memo at
-// every piece. used collects the units of the result, whose contributions
-// make up the round-0 candidate sets.
-func (pl *groundPlan) normalize(v *sval, neg bool, sc *nscope, used *[]*unitEntry) *gnode {
+// every piece. gr.used collects the units of the result, whose candidate
+// keys make up round 0's environment.
+func (gr *grounding) normalize(v *sval, neg bool) *gnode {
+	switch {
+	case v.op == sConst:
+		panic("smt: constant inside a simplified formula")
+	case v.op == sNot:
+		return gr.normalize(v.kids[0], !neg)
+	case v.op == sPiece && (!v.p.split || v.p.parts == nil):
+		e := gr.unit(v.p, neg)
+		gr.used = append(gr.used, e)
+		return e.g
+	}
+	return gr.normalizeSpine(v, neg)
+}
+
+// normalizeSpine normalizes one spine node or split fill, which is built
+// per probe.
+func (gr *grounding) normalizeSpine(v *sval, neg bool) *gnode {
+	sc := &gr.sc
 	switch v.op {
 	case sPiece:
-		if v.p.split && v.p.parts != nil {
-			_, isOr := v.f.(logic.Or)
-			and := isOr == neg
-			kids := make([]*gnode, len(v.p.parts))
-			for i, p := range v.p.parts {
-				kids[i] = pl.normalize(pieceVal(p), neg, sc, used)
-			}
-			return junctionNode(and, kids)
+		// A split fill: the junction of its predicates' units.
+		_, isOr := v.f.(logic.Or)
+		kids := make([]*gnode, len(v.p.parts))
+		for i, p := range v.p.parts {
+			kids[i] = gr.normalize(p.sv, neg)
 		}
-		e := pl.unit(v.p, neg, sc)
-		*used = append(*used, e)
-		return e.g
-	case sNot:
-		return pl.normalize(v.kids[0], !neg, sc, used)
+		return junctionNode(isOr == neg, kids)
 	case sImp:
 		if neg {
-			a := pl.normalize(v.kids[0], false, sc, used)
-			return junctionNode(true, []*gnode{a, pl.normalize(v.kids[1], true, sc, used)})
+			a := gr.normalize(v.kids[0], false)
+			return junctionNode(true, []*gnode{a, gr.normalize(v.kids[1], true)})
 		}
-		a := pl.normalize(v.kids[0], true, sc, used)
-		return junctionNode(false, []*gnode{a, pl.normalize(v.kids[1], false, sc, used)})
+		a := gr.normalize(v.kids[0], true)
+		return junctionNode(false, []*gnode{a, gr.normalize(v.kids[1], false)})
 	case sAnd, sOr:
 		kids := make([]*gnode, len(v.kids))
 		for i, k := range v.kids {
-			kids[i] = pl.normalize(k, neg, sc, used)
+			kids[i] = gr.normalize(k, neg)
 		}
 		return junctionNode((v.op == sAnd) != neg, kids)
-	case sAll, sAny:
-		exists := (v.op == sAny) != neg
-		names, undo := sc.bind(v.vars, exists)
-		outer := sc.sig
-		sc.sig = outer + scopeLevel(v.vars, names, sc, exists)
-		body := pl.normalize(v.kids[0], neg, sc, used)
-		sc.sig = outer
-		sc.unbind(v.vars, exists, undo)
-		if exists {
-			return body
-		}
-		return &gnode{op: gAll, vars: names, body: body, quant: true}
 	}
-	panic("smt: constant inside a simplified formula")
+	// sAll, sAny: bind the scope's memoized bindings, then unbind.
+	vars, outer := v.nd.vars, sc.sig
+	exists := (v.op == sAny) != neg
+	scope := gr.scope(scopeKey{parent: outer, vars: v.nd.varsKey, b: sc.b, sk: sc.sk, exists: exists}, vars)
+	mark := len(gr.undo)
+	gr.undo = sc.bindAs(vars, exists, scope.names, scope.repl, gr.undo)
+	sc.sig = scope.id
+	body := gr.normalize(v.kids[0], neg)
+	sc.sig = outer
+	sc.unbind(vars, exists, gr.undo[mark:mark+len(vars)])
+	clear(gr.undo[mark:])
+	gr.undo = gr.undo[:mark]
+	if exists {
+		return body
+	}
+	return &gnode{op: gAll, vars: scope.names, body: body, quant: true}
 }
 
-// scopeLevel renders one spine quantifier's bindings for unit memo keys.
-func scopeLevel(vars, names []string, sc *nscope, exists bool) string {
-	var b strings.Builder
-	if exists {
-		b.WriteString("|E")
-		for _, v := range vars {
-			b.WriteString(v)
-			b.WriteByte('=')
-			b.WriteString(sc.ren[v].String())
-			b.WriteByte(',')
-		}
-		return b.String()
+// scopeEntry is one spine quantifier's scope: its number, and the @b names
+// and replacement terms nscope.bind hands its variables.
+type scopeEntry struct {
+	id    int32
+	names []string
+	repl  []logic.Term
+}
+
+// scope returns the scope of the key k over vars, which determines its
+// bindings: a universal's variables take the @b names after k.b, an
+// existential's the skolem terms after k.sk over the parent scope's
+// universals, which are those in gr.sc.
+func (gr *grounding) scope(k scopeKey, vars []string) *scopeEntry {
+	pl, m := gr.pl, gr.m
+	pl.mu.Lock()
+	e := m.scopes[k]
+	pl.mu.Unlock()
+	if e != nil {
+		return e
 	}
-	b.WriteString("|A")
-	for i, v := range vars {
-		b.WriteString(v)
-		b.WriteByte('=')
-		b.WriteString(names[i])
-		b.WriteByte(',')
+	sc := nscope{ren: map[string]logic.Term{}, univ: slices.Clip(gr.sc.univ), b: k.b, sk: k.sk}
+	names, _ := sc.bind(vars, k.exists)
+	e = &scopeEntry{names: names, repl: make([]logic.Term, len(vars))}
+	for i, x := range vars {
+		e.repl[i] = sc.ren[x]
 	}
-	return b.String()
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if prev := m.scopes[k]; prev != nil {
+		return prev
+	}
+	e.id = int32(len(m.scopes) + 1)
+	m.scopes[k] = e
+	pl.admit(m)
+	return e
 }
 
 // junctionNode joins normalized operands as a conjunction (disjunction).
@@ -716,36 +978,33 @@ func junctionNode(and bool, kids []*gnode) *gnode {
 	return &gnode{op: gOr, kids: kids, quant: quant}
 }
 
-// formula returns g's normalized formula, building a spine node's on demand
-// the way normalizeFused does (Conj, Disj, All).
+// formula returns g's normalized formula, building a spine node's the way
+// normalizeFused does (Conj, Disj, All).
 func (g *gnode) formula() logic.Formula {
 	if g.f != nil {
 		return g.f
 	}
-	switch g.op {
-	case gAll:
-		g.f = logic.All(g.vars, g.body.formula())
-	default:
-		fs := make([]logic.Formula, len(g.kids))
-		for i, k := range g.kids {
-			fs[i] = k.formula()
-		}
-		if g.op == gAnd {
-			g.f = logic.Conj(fs...)
-		} else {
-			g.f = logic.Disj(fs...)
-		}
+	if g.op == gAll {
+		return logic.All(g.vars, g.body.formula())
 	}
-	return g.f
+	fs := make([]logic.Formula, len(g.kids))
+	for i, k := range g.kids {
+		fs[i] = k.formula()
+	}
+	if g.op == gAnd {
+		return logic.Conj(fs...)
+	}
+	return logic.Disj(fs...)
 }
 
 // unit returns the memoized normalization of p at this polarity, namer
 // position and scope, computing it on a miss, and advances the namers past
 // the names it consumes.
-func (pl *groundPlan) unit(p *piece, neg bool, sc *nscope) *unitEntry {
+func (gr *grounding) unit(p *piece, neg bool) *unitEntry {
+	pl, m, sc := gr.pl, gr.m, &gr.sc
 	key := unitKey{n: p.n, neg: neg, b: sc.b, sk: sc.sk, scope: sc.sig}
 	pl.mu.Lock()
-	e := pl.units[key]
+	e := m.units[key]
 	pl.mu.Unlock()
 	if e != nil {
 		sc.b += e.db
@@ -766,30 +1025,40 @@ func (pl *groundPlan) unit(p *piece, neg bool, sc *nscope) *unitEntry {
 	collectInstTermsInto(out, bound, fb)
 	arr := map[string]map[string]logic.Term{}
 	groundArrayIndicesInto(out, bound, arr)
-	e.fb, e.arr = flattenContrib(fb, arr)
 	pl.mu.Lock()
-	if prev := pl.units[key]; prev != nil {
-		e = prev
-	} else if pl.entries < planMemoCap {
-		pl.units[key] = e
-		pl.entries++
+	defer pl.mu.Unlock()
+	if prev := m.units[key]; prev != nil {
+		return prev
 	}
-	pl.mu.Unlock()
+	e.ids = pl.candIDs(m, fb, arr)
+	m.units[key] = e
+	pl.admit(m)
 	return e
 }
 
-func flattenContrib(fb map[string]logic.Term, arr map[string]map[string]logic.Term) ([]keyedTerm, []famTerm) {
-	var kts []keyedTerm
-	for k, t := range fb {
-		kts = append(kts, keyedTerm{key: k, t: t, cx: termComplexity(t)})
+// candIDs returns the ids of a contribution's candidate keys, numbering new
+// ones. pl.mu must be held.
+func (pl *groundPlan) candIDs(m *planMemo, fb map[string]logic.Term, arr map[string]map[string]logic.Term) []int32 {
+	var ids []int32
+	add := func(k candKey, t logic.Term) {
+		id, ok := m.keyIDs[k]
+		if !ok {
+			id = int32(len(m.keys))
+			m.keyIDs[k] = id
+			m.keys = append(m.keys, candInfo{candKey: k, t: t, cx: termComplexity(t)})
+			pl.admit(m)
+		}
+		ids = append(ids, id)
 	}
-	var fts []famTerm
-	for fam, m := range arr {
-		for k, t := range m {
-			fts = append(fts, famTerm{fam: fam, key: k, t: t})
+	for k, t := range fb {
+		add(candKey{key: k}, t)
+	}
+	for fam, ts := range arr {
+		for k, t := range ts {
+			add(candKey{arr: true, fam: fam, key: k}, t)
 		}
 	}
-	return kts, fts
+	return ids
 }
 
 // compileGround splits a normalized unit into junctions over
@@ -825,38 +1094,90 @@ func compileGround(f logic.Formula) *gnode {
 	return g
 }
 
-// env builds one round's candidate sets: the units' contributions plus the
-// index terms of the previous round's instances, deduplicated by rendering.
-// The fallback set is ordered simplest first (termComplexity, then
-// rendering), with the literal 0 standing in for an empty set; each family's
-// index terms are ordered by rendering.
-func (pl *groundPlan) env(used []*unitEntry, insts []*instLeaf) *instEnv {
-	var fb []keyedTerm
-	var arr []famTerm
-	seenFB := map[string]struct{}{}
-	seenArr := map[famKey]struct{}{}
-	add := func(kts []keyedTerm, fts []famTerm) {
-		for _, kt := range kts {
-			if _, ok := seenFB[kt.key]; !ok {
-				seenFB[kt.key] = struct{}{}
-				fb = append(fb, kt)
-			}
+// beginIDs starts collecting a deduplicated candidate id list in gr.ids.
+func (gr *grounding) beginIDs() {
+	gr.ids = gr.ids[:0]
+	gr.epoch++
+	if gr.epoch == 0 {
+		clear(gr.stamp)
+		gr.epoch = 1
+	}
+}
+
+// addIDs appends the ids new to the list being collected, marking them.
+func (gr *grounding) addIDs(ids []int32) {
+	for _, id := range ids {
+		if int(id) >= len(gr.stamp) {
+			gr.stamp = append(gr.stamp, make([]uint32, int(id)+1-len(gr.stamp))...)
 		}
-		for _, ft := range fts {
-			if _, ok := seenArr[famKey{ft.fam, ft.key}]; !ok {
-				seenArr[famKey{ft.fam, ft.key}] = struct{}{}
-				arr = append(arr, ft)
-			}
+		if gr.stamp[id] != gr.epoch {
+			gr.stamp[id] = gr.epoch
+			gr.ids = append(gr.ids, id)
 		}
 	}
-	for _, e := range used {
-		add(e.fb, e.arr)
+}
+
+// internEnv returns the environment of the collected ids, building it on the
+// generation's first use of that candidate set.
+func (gr *grounding) internEnv() *instEnv {
+	pl, m := gr.pl, gr.m
+	slices.Sort(gr.ids)
+	h := hashIDs(gr.ids)
+	pl.mu.Lock()
+	for _, env := range m.envs[h] {
+		if slices.Equal(env.ids, gr.ids) {
+			pl.mu.Unlock()
+			return env
+		}
 	}
-	for _, l := range insts {
-		add(l.fb, l.arr)
+	keys := m.keys
+	pl.mu.Unlock()
+	env := buildEnv(keys, slices.Clone(gr.ids), pl.s.opts.MaxInstances)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, prev := range m.envs[h] {
+		if slices.Equal(prev.ids, env.ids) {
+			return prev
+		}
 	}
-	env := &instEnv{maxInstances: pl.s.opts.MaxInstances}
-	slices.SortFunc(fb, func(a, b keyedTerm) int {
+	m.envs[h] = append(m.envs[h], env)
+	pl.admit(m)
+	if envCheck != nil {
+		envCheck()
+	}
+	return env
+}
+
+// envCheck, when non-nil, sees every environment a plan builds. Tests count
+// environments through it (export_test.go); it is nil otherwise.
+var envCheck func()
+
+// hashIDs is FNV-1a over ids.
+func hashIDs(ids []int32) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h = (h ^ uint64(uint32(id))) * fnvPrime
+	}
+	return h
+}
+
+const fnvPrime = 1099511628211
+
+// buildEnv builds the candidate sets of the sorted ids. The fallback set is
+// ordered simplest first (termComplexity, then rendering), with the literal 0
+// standing in for an empty set; each family's index terms are ordered by
+// rendering.
+func buildEnv(keys []candInfo, ids []int32, maxInstances int) *instEnv {
+	env := &instEnv{maxInstances: maxInstances, ids: ids}
+	var fb, arr []*candInfo
+	for _, id := range ids {
+		if c := &keys[id]; c.arr {
+			arr = append(arr, c)
+		} else {
+			fb = append(fb, c)
+		}
+	}
+	slices.SortFunc(fb, func(a, b *candInfo) int {
 		if a.cx != b.cx {
 			return a.cx - b.cx
 		}
@@ -867,207 +1188,349 @@ func (pl *groundPlan) env(used []*unitEntry, insts []*instLeaf) *instEnv {
 	} else {
 		env.fallback = make([]logic.Term, len(fb))
 		env.fallbackKeys = make([]string, len(fb))
-		for i, kt := range fb {
-			env.fallback[i], env.fallbackKeys[i] = kt.t, kt.key
+		for i, c := range fb {
+			env.fallback[i], env.fallbackKeys[i] = c.t, c.key
 		}
 	}
-	slices.SortFunc(arr, func(a, b famTerm) int {
+	slices.SortFunc(arr, func(a, b *candInfo) int {
 		if c := strings.Compare(a.fam, b.fam); c != 0 {
 			return c
 		}
 		return strings.Compare(a.key, b.key)
 	})
 	terms := make([]logic.Term, len(arr))
-	keys := make([]string, len(arr))
+	tkeys := make([]string, len(arr))
 	env.arrIndices = map[string][]logic.Term{}
 	env.arrKeys = map[string][]string{}
 	for i := 0; i < len(arr); {
 		j := i
 		for j < len(arr) && arr[j].fam == arr[i].fam {
-			terms[j], keys[j] = arr[j].t, arr[j].key
+			terms[j], tkeys[j] = arr[j].t, arr[j].key
 			j++
 		}
 		env.arrIndices[arr[i].fam] = terms[i:j:j]
-		env.arrKeys[arr[i].fam] = keys[i:j:j]
+		env.arrKeys[arr[i].fam] = tkeys[i:j:j]
 		i = j
 	}
 	return env
 }
 
-// grounding is one probe's instantiation state: the candidate sets of the
-// current round, the substitution of the universals being expanded, its
-// rendering (the leaf instance memo key), and the round's candidate tuples
-// per universal, which collect and ground share.
-type grounding struct {
-	pl    *groundPlan
-	env   *instEnv
-	sub   map[string]logic.Term
-	key   []byte
-	cands map[*gnode]instCands
-	// tuples is the instance count of the universal eachInstance is
-	// expanding, a capacity hint for its junction.
-	tuples int
-}
-
-type instCands struct {
-	terms [][]logic.Term
-	keys  [][]string
-}
-
-func (pl *groundPlan) newGrounding() *grounding {
-	return &grounding{pl: pl, sub: map[string]logic.Term{}, cands: map[*gnode]instCands{}}
-}
-
-// collect appends every leaf instance of g's instantiation.
-func (gr *grounding) collect(g *gnode, out *[]*instLeaf) {
+// collect appends every leaf instance of g's instantiation to gr.insts.
+func (gr *grounding) collect(g *gnode) {
 	switch g.op {
 	case gLeaf:
 		if len(gr.sub) > 0 {
-			*out = append(*out, gr.leafInst(g))
+			gr.insts = append(gr.insts, gr.leafInst(g))
 		}
 	case gAnd, gOr:
 		for _, k := range g.kids {
-			gr.collect(k, out)
+			gr.collect(k)
 		}
 	case gAll:
-		gr.eachInstance(g, func() bool {
-			gr.collect(g.body, out)
-			return true
-		})
+		c := gr.tuplesFor(g)
+		base, mark, ok := gr.firstInst(g, c)
+		for ok {
+			gr.collect(g.body)
+			ok = gr.nextInst(g, c, base)
+		}
+		gr.endInst(g, base, mark)
 	}
 }
 
 // ground returns Simplify(instantiate(g)) under the current substitution,
-// combining memoized leaves with Simplify's junction rule.
+// combining memoized leaves with Simplify's junction rule, and appends the
+// leaf instances it visits to gr.insts.
 func (gr *grounding) ground(g *gnode) gres {
-	switch g.op {
-	case gLeaf:
+	if g.op == gLeaf {
 		if len(gr.sub) > 0 {
-			return gr.leafInst(g).simp
+			l := gr.leafInst(g)
+			gr.insts = append(gr.insts, l)
+			return l.simp
 		}
 		return gr.pl.leafSimp(g)
-	case gAnd, gOr:
-		j := logic.Junction{Or: g.op == gOr}
-		j.Grow(len(g.kids))
-		for _, k := range g.kids {
-			r := gr.ground(k)
-			if j.AddHashed(r.f, r.h, r.parts) {
-				break
-			}
-		}
-		return junctionGres(&j)
 	}
-	var j logic.Junction
-	gr.eachInstance(g, func() bool {
-		if j.Len() == 0 {
-			j.Grow(gr.tuples)
-		}
-		r := gr.ground(g.body)
-		return !j.AddHashed(r.f, r.h, r.parts)
-	})
+	j := logic.Junction{Or: g.op == gOr}
+	gr.groundInto(g, &j)
 	return junctionGres(&j)
 }
 
-// eachInstance binds g's variables to each candidate tuple in turn, in
-// instantiation order, extending the substitution and its key, and calls fn
-// until it returns false.
-func (gr *grounding) eachInstance(g *gnode, fn func() bool) {
-	c, ok := gr.cands[g]
-	if !ok || len(gr.sub) > 0 {
-		var trigs map[string][]trigger
-		switch {
-		case len(gr.sub) > 0:
-			// A universal nested in another: its triggers are those of its
-			// instance under the outer substitution.
-			q := logic.Substitute(g.formula(), gr.sub, nil).(logic.Forall)
-			trigs = gr.pl.s.triggers(q)
-		case g.keep:
-			trigs = gr.pl.unitTriggers(g, g.body, g.vars)
-		default:
-			trigs = gr.pl.spineTriggers(g)
-		}
-		c.terms, c.keys = gr.env.instanceCands(g.vars, trigs)
-		if len(gr.sub) == 0 {
-			gr.cands[g] = c
-		}
-	}
-	gr.tuples = 1
-	for _, ts := range c.terms {
-		gr.tuples *= len(ts)
-	}
-	k := len(g.vars)
-	var gen func(i int) bool
-	gen = func(i int) bool {
-		if i == k {
-			return fn()
-		}
-		mark := len(gr.key)
-		for x, t := range c.terms[i] {
-			gr.sub[g.vars[i]] = t
-			gr.key = append(append(gr.key[:mark], 0), c.keys[i][x]...)
-			if !gen(i + 1) {
-				return false
+// groundInto adds the operands of g's instantiation, a junction of j's kind
+// (a universal's instances are a conjunction), to j, and reports whether j
+// is now absorbed. Adding them one by one to the enclosing junction keeps
+// exactly what folding g's own junction into it keeps — its operands
+// deduplicated, in order, or the absorbing constant — without building it.
+func (gr *grounding) groundInto(g *gnode, j *logic.Junction) bool {
+	if g.op != gAll {
+		j.Grow(len(g.kids))
+		for i, k := range g.kids {
+			if gr.addGround(k, j) {
+				gr.stopped = gr.stopped || gr.skipsInstances(g.kids[i+1:])
+				return true
 			}
 		}
-		gr.key = gr.key[:mark]
+		return false
+	}
+	c := gr.tuplesFor(g)
+	j.Grow(c.count)
+	base, mark, ok := gr.firstInst(g, c)
+	absorbed := false
+	for ok {
+		if gr.addGround(g.body, j) {
+			gr.stopped = gr.stopped || gr.hasNextInst(c, base)
+			absorbed = true
+			break
+		}
+		ok = gr.nextInst(g, c, base)
+	}
+	gr.endInst(g, base, mark)
+	return absorbed
+}
+
+// addGround adds g's instantiation to j as one operand, splicing a junction
+// of j's kind in place, and reports whether j is now absorbed.
+func (gr *grounding) addGround(g *gnode, j *logic.Junction) bool {
+	if g.op != gLeaf && (g.op == gOr) == j.Or {
+		return gr.groundInto(g, j)
+	}
+	r := gr.ground(g)
+	return j.AddHashed(r.f, r.h, r.parts)
+}
+
+// skipsInstances reports whether skipping the junction operands rest leaves
+// leaf instances uncollected.
+func (gr *grounding) skipsInstances(rest []*gnode) bool {
+	if len(rest) > 0 && len(gr.sub) > 0 {
 		return true
 	}
-	mark := len(gr.key)
-	gr.key = append(gr.key, 1)
-	gen(0)
-	gr.key = gr.key[:mark]
-	for _, v := range g.vars {
-		delete(gr.sub, v)
-	}
-}
-
-// spineTriggers returns the triggers of a universal rebuilt per probe: the
-// union of its units' triggers for its variables. Candidate selection only
-// asks which patterns a variable occurs in, so the union over the body's
-// parts is the body's set.
-func (pl *groundPlan) spineTriggers(g *gnode) map[string][]trigger {
-	out := map[string][]trigger{}
-	var walk func(n *gnode)
-	walk = func(n *gnode) {
-		if n.keep {
-			for v, ts := range pl.unitTriggers(n, n, g.vars) {
-				for _, t := range ts {
-					if !hasTrigger(out[v], t) {
-						out[v] = append(out[v], t)
-					}
-				}
-			}
-			return
-		}
-		if n.op == gAll {
-			walk(n.body)
-			return
-		}
-		for _, k := range n.kids {
-			walk(k)
-		}
-	}
-	walk(g.body)
-	return out
-}
-
-func hasTrigger(ts []trigger, t trigger) bool {
-	for _, x := range ts {
-		if x == t {
+	for _, k := range rest {
+		if k.quant {
 			return true
 		}
 	}
 	return false
 }
 
-// unitTriggers returns triggersOf(body.f, vars), cached on the kept node n.
-func (pl *groundPlan) unitTriggers(n, body *gnode, vars []string) map[string][]trigger {
-	vk := strings.Join(vars, ",")
+// instCands is the candidate tuples of one universal: per variable, its
+// candidate terms and their renderings, and the tuple count.
+type instCands struct {
+	terms [][]logic.Term
+	keys  [][]string
+	count int
+}
+
+// trigSet is a universal's variables and, per variable, the select patterns
+// it occurs in: what its candidate tuples depend on besides the
+// environment, which memoizes tuples per set. A kept universal has its own;
+// a spine universal, rebuilt per probe, takes the generation's interned set
+// of its content, pairs.
+type trigSet struct {
+	vars  []string
+	trigs map[string][]trigger
+	pairs []varTrig
+}
+
+// varTrig is one pattern of the variable vars[v].
+type varTrig struct {
+	v int
+	trigger
+}
+
+// tuplesFor returns the candidate tuples of the universal g in the current
+// environment, which memoizes them per trigger set. A universal nested in
+// another is expanded per instance of the outer one, with the triggers of
+// its instance under the outer substitution, and nothing is memoized.
+func (gr *grounding) tuplesFor(g *gnode) *instCands {
+	pl, env := gr.pl, gr.env
+	if len(gr.sub) > 0 {
+		q := logic.Substitute(g.formula(), gr.sub, nil).(logic.Forall)
+		return newInstCands(env, g.vars, pl.s.triggers(q))
+	}
+	var ts *trigSet
+	if g.keep {
+		ts = pl.keptTrigs(g)
+	} else {
+		ts = gr.spineTrigs(g)
+	}
+	pl.mu.Lock()
+	c := env.tuples[ts]
+	pl.mu.Unlock()
+	if c != nil {
+		return c
+	}
+	c = newInstCands(env, ts.vars, ts.trigs)
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if prev := env.tuples[ts]; prev != nil {
+		return prev
+	}
+	if env.tuples == nil {
+		env.tuples = map[*trigSet]*instCands{}
+	}
+	env.tuples[ts] = c
+	pl.admit(gr.m)
+	return c
+}
+
+// keptTrigs returns the trigger set of a kept universal, computed once.
+func (pl *groundPlan) keptTrigs(g *gnode) *trigSet {
+	pl.mu.Lock()
+	ts := g.ts
+	pl.mu.Unlock()
+	if ts != nil {
+		return ts
+	}
+	ts = &trigSet{vars: g.vars, trigs: triggersOf(g.body.f, g.vars)}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if g.ts == nil {
+		g.ts = ts
+	}
+	return g.ts
+}
+
+// spineTrigs returns the interned trigger set of a spine universal: the
+// union of its units' triggers for its variables. Candidate selection only
+// asks which patterns a variable occurs in, so the union over the body's
+// parts is the body's set.
+func (gr *grounding) spineTrigs(g *gnode) *trigSet {
+	pl, m := gr.pl, gr.m
+	gr.pairs = gr.pairs[:0]
+	gr.unitPairs(g.body, g.vars, strings.Join(g.vars, ","))
+	slices.SortFunc(gr.pairs, func(a, b varTrig) int {
+		if a.v != b.v {
+			return a.v - b.v
+		}
+		if c := strings.Compare(a.arr, b.arr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.offset, b.offset)
+	})
+	gr.pairs = slices.Compact(gr.pairs)
+	h := hashIDs(nil)
+	for _, p := range gr.pairs {
+		h = (h^uint64(p.v))*fnvPrime ^ uint64(p.offset)
+		for i := 0; i < len(p.arr); i++ {
+			h = (h ^ uint64(p.arr[i])) * fnvPrime
+		}
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, ts := range m.trigs[h] {
+		if slices.Equal(ts.vars, g.vars) && slices.Equal(ts.pairs, gr.pairs) {
+			return ts
+		}
+	}
+	ts := &trigSet{vars: g.vars, trigs: map[string][]trigger{}, pairs: slices.Clone(gr.pairs)}
+	for _, p := range ts.pairs {
+		v := g.vars[p.v]
+		ts.trigs[v] = append(ts.trigs[v], p.trigger)
+	}
+	m.trigs[h] = append(m.trigs[h], ts)
+	pl.admit(m)
+	return ts
+}
+
+// unitPairs appends the triggers for vars (joined: vk) of the units below
+// the spine node n to gr.pairs.
+func (gr *grounding) unitPairs(n *gnode, vars []string, vk string) {
+	switch {
+	case n.keep:
+		for v, ts := range gr.pl.unitTriggers(n, vars, vk) {
+			i := slices.Index(vars, v)
+			for _, t := range ts {
+				gr.pairs = append(gr.pairs, varTrig{i, t})
+			}
+		}
+	case n.op == gAll:
+		gr.unitPairs(n.body, vars, vk)
+	default:
+		for _, k := range n.kids {
+			gr.unitPairs(k, vars, vk)
+		}
+	}
+}
+
+func newInstCands(env *instEnv, vars []string, trigs map[string][]trigger) *instCands {
+	c := &instCands{count: 1}
+	c.terms, c.keys = env.instanceCands(vars, trigs)
+	for _, ts := range c.terms {
+		c.count *= len(ts)
+	}
+	return c
+}
+
+// firstInst binds g's variables to the first candidate tuple, in
+// instantiation order (the first variable varying slowest), extending the
+// substitution and its key. It returns the odometer base and the key length
+// to restore for endInst, and ok=false when there is no tuple.
+func (gr *grounding) firstInst(g *gnode, c *instCands) (base, mark int, ok bool) {
+	base, mark = len(gr.odo), len(gr.key)
+	for _, ts := range c.terms {
+		if len(ts) == 0 {
+			return base, mark, false
+		}
+	}
+	gr.key = append(gr.key, 1)
+	for i, v := range g.vars {
+		gr.odo = append(gr.odo, odometer{mark: len(gr.key)})
+		gr.sub[v] = c.terms[i][0]
+		gr.key = append(append(gr.key, 0), c.keys[i][0]...)
+	}
+	return base, mark, true
+}
+
+// nextInst advances to the next candidate tuple, reporting false past the
+// last one.
+func (gr *grounding) nextInst(g *gnode, c *instCands, base int) bool {
+	odo := gr.odo[base : base+len(g.vars)]
+	i := len(odo) - 1
+	for i >= 0 && odo[i].x+1 == len(c.terms[i]) {
+		i--
+	}
+	if i < 0 {
+		return false
+	}
+	odo[i].x++
+	gr.key = gr.key[:odo[i].mark]
+	for k := i; k < len(odo); k++ {
+		if k > i {
+			odo[k].x = 0
+		}
+		odo[k].mark = len(gr.key)
+		x := odo[k].x
+		gr.sub[g.vars[k]] = c.terms[k][x]
+		gr.key = append(append(gr.key, 0), c.keys[k][x]...)
+	}
+	return true
+}
+
+// hasNextInst reports whether a candidate tuple follows the current one.
+func (gr *grounding) hasNextInst(c *instCands, base int) bool {
+	for i := range c.terms {
+		if gr.odo[base+i].x+1 < len(c.terms[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// endInst unbinds g's variables after firstInst.
+func (gr *grounding) endInst(g *gnode, base, mark int) {
+	gr.odo = gr.odo[:base]
+	gr.key = gr.key[:mark]
+	for _, v := range g.vars {
+		delete(gr.sub, v)
+	}
+}
+
+// unitTriggers returns triggersOf(n.f, vars), cached on the kept node n per
+// vars (joined: vk).
+func (pl *groundPlan) unitTriggers(n *gnode, vars []string, vk string) map[string][]trigger {
 	pl.mu.Lock()
 	t, ok := n.trigs[vk]
 	pl.mu.Unlock()
 	if !ok {
-		t = triggersOf(body.f, vars)
+		t = triggersOf(n.f, vars)
 		pl.mu.Lock()
 		if n.trigs == nil {
 			n.trigs = map[string]map[string][]trigger{}
@@ -1099,7 +1562,7 @@ func (pl *groundPlan) leafSimp(g *gnode) gres {
 // leafInst returns the leaf's instance under the current substitution,
 // computing and memoizing it on a miss.
 func (gr *grounding) leafInst(g *gnode) *instLeaf {
-	pl := gr.pl
+	pl, m := gr.pl, gr.m
 	pl.mu.Lock()
 	l := g.inst[string(gr.key)]
 	pl.mu.Unlock()
@@ -1112,18 +1575,17 @@ func (gr *grounding) leafInst(g *gnode) *instLeaf {
 	arr := map[string]map[string]logic.Term{}
 	groundArrayIndicesInto(inst, nil, arr)
 	l = &instLeaf{simp: newGres(logic.Simplify(inst))}
-	l.fb, l.arr = flattenContrib(fb, arr)
 	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if prev := g.inst[string(gr.key)]; prev != nil {
-		l = prev
-	} else if pl.entries < planMemoCap {
-		if g.inst == nil {
-			g.inst = map[string]*instLeaf{}
-		}
-		g.inst[string(gr.key)] = l
-		pl.entries++
+		return prev
 	}
-	pl.mu.Unlock()
+	l.ids = pl.candIDs(m, fb, arr)
+	if g.inst == nil {
+		g.inst = map[string]*instLeaf{}
+	}
+	g.inst[string(gr.key)] = l
+	pl.admit(m)
 	return l
 }
 
@@ -1135,8 +1597,9 @@ func (s *Solver) groundStatic(n *logic.IFormula) (ground logic.Formula, decided,
 	if b, ok := sn.Formula().(logic.Bool); ok {
 		return nil, true, b.Val
 	}
-	pl := &groundPlan{s: s, units: map[unitKey]*unitEntry{}}
+	pl := newPlan(s)
+	gr := pl.acquire()
 	p := &piece{f: sn.Formula(), n: sn}
-	p.initVal()
-	return pl.groundSimplified(p.sv), false, false
+	p.sv = &sval{op: sPiece, f: p.f, h: sn.Hash(), p: p}
+	return gr.groundSimplified(p.sv), false, false
 }

@@ -116,7 +116,8 @@ func TestPlanMissingFillFallsBack(t *testing.T) {
 
 // TestPlanConcurrentProbes grounds many fills of one skeleton through one
 // plan from several goroutines at once (run it under -race): the shared
-// memos must neither race nor let one probe's result leak into another's.
+// memos, environments included, must neither race nor let one probe's
+// result leak into another's.
 func TestPlanConcurrentProbes(t *testing.T) {
 	s := NewSolver(Options{})
 	pl := newGroundPlan(s, arrayInitHyp)
@@ -129,6 +130,11 @@ func TestPlanConcurrentProbes(t *testing.T) {
 		for _, b := range preds {
 			fills = append(fills, fillOf(a, b), fillOf(logic.Conj(a, b), b))
 		}
+	}
+	// Fills that add no candidate term share their environments across
+	// the goroutines.
+	for _, a := range []logic.Formula{logic.LtF(px, py), logic.LeF(px, py), logic.LtF(py, pz), logic.True} {
+		fills = append(fills, fillOf(a, logic.LtF(pz, px)), fillOf(logic.LtF(px, pz), a))
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, len(fills))
@@ -155,5 +161,95 @@ func TestPlanConcurrentProbes(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// notAll is ¬G for the formula G a probe's negation normalizes to: grounding
+// Not{G} grounds G itself, so a test can write the instantiated formula.
+func notAll(g logic.Formula) logic.Formula { return logic.Not{F: g} }
+
+var (
+	pk, pm = logic.V("k"), logic.V("m")
+	pB0    = logic.All([]string{"m"}, logic.EqF(logic.Sel(pB, pm), logic.I(0)))
+)
+
+// TestPlanAbsorbedInstanceCollects grounds a probe whose universal's first
+// instance simplifies to false inside a disjunction, so the instance
+// conjunction stops early: only the collect pass sees the skipped instance
+// k := y, whose index B[y] makes round 1 not converge, and B[y] = 0 joins
+// the formula at round 2, where it converges.
+func TestPlanAbsorbedInstanceCollects(t *testing.T) {
+	s := NewSolver(Options{})
+	skel := notAll(logic.Conj(
+		logic.Disj(logic.All([]string{"k"}, logic.Conj(logic.LtF(pk, px),
+			logic.EqF(logic.Sel(pA, pk), logic.I(0)), logic.EqF(logic.Sel(pB, pk), logic.I(0)))), pu),
+		logic.EqF(logic.Sel(pA, px), logic.Sel(pA, py)), pB0))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(logic.EqF(logic.Sel(pB, px), logic.I(1))))
+	planCase(t, s, pl, skel, fillOf(logic.EqF(logic.Sel(pB, px), logic.I(2))))
+}
+
+// TestPlanTruncatedRoundsConverge grounds a probe whose universal keeps one
+// candidate tuple (MaxInstances 1) of the fallback set {3, 5, 9} that
+// changes from round to round: k := 3 adds the index 1, and then k := 1 adds
+// only keys round 1 already had but drops 1 again. Round 2 therefore must
+// compare environments with converged, which sees the smaller set and
+// grounds a third round, rather than test the instance keys for membership,
+// which would stop with B[5] = 9 in the formula.
+func TestPlanTruncatedRoundsConverge(t *testing.T) {
+	s := NewSolver(Options{MaxInstances: 1})
+	idx := logic.Minus(logic.I(7), logic.Plus(pk, pk))
+	skel := notAll(logic.Conj(
+		logic.All([]string{"k"}, logic.Disj(logic.EqF(pk, logic.I(3)), logic.EqF(logic.Sel(pB, idx), logic.I(9)))), pu))
+	pl := newGroundPlan(s, skel)
+	planCase(t, s, pl, skel, fillOf(logic.EqF(logic.Sel(pB, logic.I(5)), logic.I(2))))
+	planCase(t, s, pl, skel, fillOf(logic.LeF(logic.Sel(pB, logic.I(5)), logic.I(2))))
+}
+
+// TestPlanSharedEnvironment grounds probes whose fills add no candidate term
+// and requires them to share environments: after the first probe built its
+// rounds' environments, the others build none.
+func TestPlanSharedEnvironment(t *testing.T) {
+	built, remove := CountPlanEnvironments()
+	defer remove()
+	s := NewSolver(Options{})
+	pl := newGroundPlan(s, arrayInitHyp)
+	fills := []map[string]logic.Formula{
+		fillOf(logic.LtF(px, py)), fillOf(logic.LeF(px, py)), fillOf(logic.LtF(py, pz)),
+		fillOf(logic.LtF(px, py), logic.LeF(py, pz)), fillOf(logic.True, logic.LtF(pz, px)),
+	}
+	planCase(t, s, pl, arrayInitHyp, fills[0])
+	first := built()
+	if first == 0 {
+		t.Fatal("the first probe built no environment")
+	}
+	for _, fill := range fills[1:] {
+		planCase(t, s, pl, arrayInitHyp, fill)
+	}
+	if n := built(); n != first {
+		t.Fatalf("%d probes with one candidate set built %d environments, the first alone %d", len(fills), n, first)
+	}
+}
+
+// TestPlanMemoBounded grounds more distinct fills than a plan memoizes and
+// requires the plan's memo to stay within its cap: a full generation is
+// detached, and later probes ground from a fresh one, to the same formulas.
+func TestPlanMemoBounded(t *testing.T) {
+	s := NewSolver(Options{})
+	pl := newGroundPlan(s, arrayInitHyp)
+	pl.cap = 64
+	first := pl.m
+	for i := 0; i < 60; i++ {
+		c := logic.I(int64(i))
+		planCase(t, s, pl, arrayInitHyp, fillOf(logic.LtF(pj, logic.Plus(pi, c)), logic.LeF(pj, logic.Plus(pn, c))))
+		pl.mu.Lock()
+		n := pl.m.entries
+		pl.mu.Unlock()
+		if n > pl.cap {
+			t.Fatalf("after %d probes the plan holds %d memo entries, cap %d", i+1, n, pl.cap)
+		}
+	}
+	if pl.m == first {
+		t.Fatal("no generation filled up: the test did not reach the cap")
 	}
 }

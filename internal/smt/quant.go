@@ -215,6 +215,12 @@ type instEnv struct {
 	fallbackKeys []string
 	arrKeys      map[string][]string
 	maxInstances int
+
+	// A grounding plan interns its environments: ids is the content, the
+	// sorted per-plan ids of the candidates. tuples memoizes each
+	// universal's candidate tuples here, guarded by the plan's mutex.
+	ids    []int32
+	tuples map[*trigSet]*instCands
 }
 
 // converged reports whether this round's candidate sets match the previous

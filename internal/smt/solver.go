@@ -189,7 +189,11 @@ func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Fo
 		s.ctr.Add(stats.PlanFallbacks, 1)
 	}
 	if groundCheck != nil {
-		groundCheck(s, n, ground, decided, valid)
+		var skel *logic.IFormula
+		if ok {
+			skel = g.key
+		}
+		groundCheck(s, n, skel, fill, ground, decided, valid)
 	}
 	return ground, decided, valid
 }
@@ -293,9 +297,10 @@ func (s *Solver) Valid(f logic.Formula) bool {
 }
 
 // groundCheck, when non-nil, sees every grounded probe: the solver, the
-// probe's interned formula and the plan's result. Tests install it to compare
-// against the multi-pass pipeline.
-var groundCheck func(s *Solver, n *logic.IFormula, ground logic.Formula, decided, valid bool)
+// probe's interned formula, the skeleton and fill of a probe grounded through
+// a plan (nil otherwise), and the result. Tests install it to compare against
+// the multi-pass pipeline and to replay plan probes.
+var groundCheck func(s *Solver, n, skel *logic.IFormula, fill map[string]logic.Formula, ground logic.Formula, decided, valid bool)
 
 // triggers returns triggersOf(q.Body, q.Vars), memoized per interned
 // quantifier across rounds and queries.
