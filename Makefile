@@ -38,7 +38,10 @@ test-race:
 # detector (reused-vs-fresh SAT probes, switched-off decision variables vs
 # the all-on instance (TestDecision), the SAT search pinned to recorded
 # counters, verdicts and cores (TestGoldenSearch), clause-arena compaction
-# against enumerated models (TestCompactionAgainstBruteForce),
+# against enumerated models (TestCompactionAgainstBruteForce), the online
+# theory hook against enumerated models, with lemmas resolved in place,
+# switched-off variables and a theory that gives up
+# (TestTheoryHookAgainstBruteForce),
 # context-vs-fresh SMT verdicts, the contexts' literal-keyed encoding memo
 # (TestStrash: re-encoding adds nothing, equal-literal gates are shared, a
 # probe sweep's interning does not grow with formula size),
@@ -69,21 +72,23 @@ test-race:
 # per candidate set (TestPlanSharedEnvironment), the memo cap
 # (TestPlanMemoBounded), and the allocations of re-grounding warmed plans
 # (TestPlanGroundAllocs, at its -race count); the last line holds
-# three sweeps over every examples/ problem and every DefaultSuite cell: the
+# four sweeps over every examples/ problem and every DefaultSuite cell: the
 # grounding sweep (every probe grounded both ways must intern to the same
 # node; -v prints the probes, plan probes and distinct environments), the
 # cone sweep (every context probe re-decided with all SAT variables switched
-# on must reach the same verdict), and the GOMAXPROCS sweep (every cell run
-# at GOMAXPROCS 1 and 4 must give the same verdicts, steps, invariants and
-# preconditions).
+# on must reach the same verdict), the offline sweep (every context probe
+# re-decided by the offline DPLL(T) loop — solve, check, block, solve again
+# from level 0 — must reach the same verdict), and the GOMAXPROCS sweep
+# (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts, steps,
+# invariants and preconditions).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
-	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn|TestSearchSameAtAnyGOMAXPROCS' -v ./internal/smt/
+	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn|TestOnlineMatchesOffline|TestSearchSameAtAnyGOMAXPROCS' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record

@@ -1,20 +1,20 @@
 package lia
 
 // DiffChecker decides many truth assignments of one fixed set of atoms in
-// the difference fragment. The DPLL(T) loop checks the same atom set against
-// a fresh SAT model every theory iteration; Check(cons) rebuilt the
+// the difference fragment. The DPLL(T) search checks the same atom set
+// against every full SAT assignment it reaches; Check(cons) rebuilt the
 // constraint graph — string-keyed node/distance/predecessor maps plus a
 // Negate clone per false atom — on every call, which dominated the solver's
 // allocation profile. A DiffChecker is built once per atom set: variables
 // are densely numbered (node 0 is the virtual zero node), each atom's
 // positive and negated edge are precomputed, and every Check reuses the
-// distance/predecessor scratch, so the per-iteration cost is one
+// distance/predecessor scratch, so the per-check cost is one
 // Bellman–Ford pass with zero allocations.
 //
 // Check runs the exact relaxation sequence checkDifference runs (same edge
 // order, same virtual-source initialization, same conflict-cycle walk), so
-// the conflicts — and hence the learnt clauses and iteration counts of a
-// DPLL(T) run — are identical to the Check-per-iteration implementation.
+// the conflicts — and hence the lemmas of a DPLL(T) search — are identical
+// to the Check-per-call implementation.
 type DiffChecker struct {
 	pos, neg []diffAtom
 	n        int // node count, including the virtual zero node 0

@@ -17,7 +17,7 @@
 // The paper's §7 benchmark VCs land in the difference fragment after array
 // flattening, so they take the complete path; the scaled-coefficient family
 // (ScaledInit and friends) exercises the general path. Both procedures have
-// a preprocessed, iteration-friendly form for the DPLL(T) loop: DiffChecker
+// a preprocessed, check-per-assignment form for the DPLL(T) search: DiffChecker
 // for difference atom sets and LinChecker (persistent Fourier–Motzkin with a
 // conflict-cube store) for general ones.
 package lia

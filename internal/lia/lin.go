@@ -3,8 +3,8 @@ package lia
 import "repro/internal/stats"
 
 // Checker decides many truth assignments of one fixed (but growable) atom
-// set; DiffChecker and LinChecker both implement it, and the persistent SMT
-// context picks whichever fits the atom set.
+// set; DiffChecker and LinChecker both implement it, and the SMT layer's
+// DPLL(T) theory check calls whichever fits the atom set.
 type Checker interface {
 	Check(assign []bool) Result
 }
@@ -43,7 +43,7 @@ type cube struct {
 // owning context accumulates atoms across every probe of its lifetime, and
 // running the elimination over that cumulative set would make each check more
 // expensive than the from-scratch path it replaces (and spend theory
-// iterations repairing atoms the probe does not constrain). With a probe
+// conflicts repairing atoms the probe does not constrain). With a probe
 // subset active, checks see exactly the per-probe systems the fresh path
 // sees, and only cubes lying inside the subset fire — so learned conflicts
 // stay facts the fresh path could also have derived.

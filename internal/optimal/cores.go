@@ -2,10 +2,10 @@
 // probes. A core proven inconsistent in one search keeps killing the same
 // sublattice in every later search over the same domain, so the store is
 // shared across OptimalNegativeSolutions calls and across workers: it is
-// striped into independently locked shards (keyed by the unknown the core
-// belongs to, which is also where contention splits naturally), and bounded
-// per shard with age/hit-count-aware eviction instead of the former silent
-// global cap.
+// striped into independently locked shards (keyed by a hash of the whole
+// core, so cores over one unknown name — every problem's `v` — spread over
+// all shards), and bounded per shard with age/hit-count-aware eviction
+// instead of the former silent global cap.
 package optimal
 
 import (
@@ -100,15 +100,24 @@ type coreEntry struct {
 	hits  int64  // times the core was handed to a search that could use it
 }
 
-// shardOf stripes by the unknown of the core's first item: cores over the
-// same unknown (the only ones that can collide or deduplicate against each
-// other) always land in the same shard.
+// shardOf stripes by an FNV-1a hash of the whole core: each item's unknown
+// name and its predicate's structural hash. Equal cores hash equally, so a
+// duplicate always meets its original in the shard insert scans, while the
+// many problems whose unknowns share a name still use every shard.
 func (cs *CoreStore) shardOf(items []coreItem) *coreShard {
-	u := items[0].unknown
-	h := uint32(2166136261)
-	for i := 0; i < len(u); i++ {
-		h ^= uint32(u[i])
-		h *= 16777619
+	h := uint64(14695981039346656037)
+	mix := func(b byte) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	for _, it := range items {
+		for i := 0; i < len(it.unknown); i++ {
+			mix(it.unknown[i])
+		}
+		mix(0)
+		for ph, k := it.pred.Hash(), 0; k < 8; k++ {
+			mix(byte(ph >> (8 * k)))
+		}
 	}
 	return &cs.shards[h%coreShards]
 }

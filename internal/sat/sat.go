@@ -2,10 +2,17 @@
 // with two-literal watching, first-UIP conflict analysis, VSIDS-style
 // activity-based branching, phase saving, and geometric restarts.
 //
-// It serves two roles in the verifier: as the propositional core of the lazy
-// SMT solver (package smt), and as the backend that solves the ψ_Prog
-// encoding of the constraint-based fixed-point algorithm (package cbi, §5 of
-// the paper).
+// It serves two roles in the verifier: as the propositional core of the
+// online DPLL(T) SMT solver (package smt), and as the backend that solves the
+// ψ_Prog encoding of the constraint-based fixed-point algorithm (package cbi,
+// §5 of the paper).
+//
+// A Theory attached to a Solver is consulted inside the search, each time
+// every switched-on variable is assigned: it accepts the assignment as a
+// model or returns a lemma the assignment falsifies. The solver keeps the
+// lemma as a problem clause and resolves it in place, by backjumping and
+// conflict analysis as for any other conflict, so a theory conflict costs a
+// backjump rather than a new search from level 0.
 package sat
 
 import (
@@ -38,12 +45,17 @@ func (l Lit) Not() Lit { return l ^ 1 }
 // Status is a solver verdict.
 type Status int
 
-// Solver verdicts.
+// Solver verdicts. Unknown is SolveAssuming's answer when the attached
+// Theory gave up.
 const (
 	Unknown Status = iota
 	Sat
 	Unsat
 )
+
+// restart is search's answer when its conflict budget ran out: SolveAssuming
+// restarts it with a larger budget. It never leaves the package.
+const restart Status = -1
 
 func (s Status) String() string {
 	switch s {
@@ -89,8 +101,34 @@ type watcher struct {
 	blocker Lit
 }
 
+// Theory is the theory half of a DPLL(T) search (see Solver.Theory).
+type Theory interface {
+	// Check is called by the search each time every switched-on variable is
+	// assigned; it reads the assignment with s.Value and must not modify s.
+	// It returns
+	//
+	//   - (nil, true) to accept the assignment, which ends the search Sat;
+	//   - (lemma, true) with a clause that holds in every theory model and
+	//     whose every literal is false under the assignment;
+	//   - (_, false) to give up, which ends SolveAssuming with Unknown.
+	//
+	// The solver copies the lemma; Check may reuse its buffer.
+	Check(s *Solver) (lemma []Lit, ok bool)
+}
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
+	// Theory, when non-nil, is consulted whenever the search has assigned
+	// every switched-on variable. A lemma it returns is kept as a problem
+	// clause, so it persists across SolveAssuming calls like any clause
+	// AddClause adds, and is resolved in place: if exactly one of its
+	// literals sits at its highest decision level, the search backjumps to
+	// the second-highest level and asserts that literal with the lemma as
+	// its reason; otherwise it backjumps to the highest level and analyzes
+	// the lemma as the conflict. A lemma false at level 0 makes the instance
+	// Unsat. Without a Theory every full assignment is a model.
+	Theory Theory
+
 	// MaxLearnts, when > 0, bounds the learnt-clause database: once it
 	// exceeds the (adaptive) bound, the least-active half is deleted and the
 	// bound grows geometrically. Zero keeps every learnt clause — the
@@ -146,12 +184,13 @@ type Solver struct {
 
 	// Stats counts solver work for diagnostics and the paper's figures.
 	Stats struct {
-		Conflicts    int64
-		Decisions    int64
-		Propagations int64
-		Restarts     int64
-		Reduces      int64 // reduceDB sweeps
-		Deleted      int64 // learnt clauses deleted by reduceDB
+		Conflicts       int64 // theory conflicts included
+		Decisions       int64
+		Propagations    int64
+		Restarts        int64
+		Reduces         int64 // reduceDB sweeps
+		Deleted         int64 // learnt clauses deleted by reduceDB
+		TheoryConflicts int64 // lemmas the Theory returned
 	}
 }
 
@@ -251,7 +290,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Normalize: drop duplicate and false literals; detect tautologies. The
 	// per-literal epoch stamp makes the dedup allocation-free even for the
-	// long blocking clauses the DPLL(T) loop and the map solver add.
+	// long blocking clauses the map solver adds.
 	s.stamp++
 	out := s.scratch[:0]
 	for _, l := range lits {
@@ -637,8 +676,11 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 //
 // Assumption-conflict state from a previous call (the stored core and any
 // partially applied assumption trail) is reset on entry and the trail is
-// rewound to level 0 before returning an Unsat verdict, so one solver can be
-// reused across arbitrary Sat/Unsat/Sat probe sequences.
+// rewound to level 0 before returning an Unsat or Unknown verdict, so one
+// solver can be reused across arbitrary Sat/Unsat/Sat probe sequences.
+//
+// The verdict is Unknown only when the attached Theory gave up; the lemmas
+// it returned before that are kept.
 func (s *Solver) SolveAssuming(assumptions ...Lit) (Status, []Lit) {
 	s.conflict = nil
 	if !s.ok {
@@ -648,8 +690,8 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) (Status, []Lit) {
 	maxConflicts := int64(100)
 	for {
 		st := s.search(maxConflicts, assumptions)
-		if st != Unknown {
-			if st == Unsat {
+		if st != restart {
+			if st != Sat {
 				s.cancelUntil(0)
 			}
 			return st, s.conflict
@@ -715,33 +757,12 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 				s.ok = false
 				return Unsat
 			}
-			learnt, btLevel := s.analyze(confl)
-			s.cancelUntil(btLevel)
-			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], noReason)
-			} else {
-				c := s.alloc(learnt, true)
-				s.setAct(c, s.claInc)
-				s.learnts = append(s.learnts, c)
-				s.attach(c)
-				s.uncheckedEnqueue(learnt[0], c)
-			}
-			s.decayVar()
-			s.decayClause()
-			if s.MaxLearnts > 0 {
-				if s.maxLearnts < s.MaxLearnts {
-					s.maxLearnts = s.MaxLearnts
-				}
-				if len(s.learnts) >= s.maxLearnts {
-					s.reduceDB()
-					s.maxLearnts = s.maxLearnts*11/10 + 16
-				}
-			}
+			s.learn(confl)
 			continue
 		}
 		if conflicts >= maxConflicts {
 			s.cancelUntil(0)
-			return Unknown
+			return restart
 		}
 		// Re-apply assumptions not yet on the trail.
 		next := Lit(-1)
@@ -762,7 +783,23 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 		if next == -1 {
 			v := s.pickBranchVar()
 			if v == -1 {
-				return Sat
+				if s.Theory == nil {
+					return Sat
+				}
+				lemma, ok := s.Theory.Check(s)
+				switch {
+				case !ok:
+					return Unknown
+				case lemma == nil:
+					return Sat
+				}
+				s.Stats.Conflicts++
+				s.Stats.TheoryConflicts++
+				conflicts++
+				if !s.addLemma(lemma) {
+					return Unsat
+				}
+				continue
 			}
 			s.Stats.Decisions++
 			next = MkLit(v, s.polarity[v])
@@ -770,6 +807,83 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, noReason)
 	}
+}
+
+// learn analyzes the clause confl, in conflict at the current decision
+// level above 0, backjumps, and asserts the learnt clause's first literal.
+func (s *Solver) learn(confl cref) {
+	learnt, btLevel := s.analyze(confl)
+	s.cancelUntil(btLevel)
+	if len(learnt) == 1 {
+		s.uncheckedEnqueue(learnt[0], noReason)
+	} else {
+		c := s.alloc(learnt, true)
+		s.setAct(c, s.claInc)
+		s.learnts = append(s.learnts, c)
+		s.attach(c)
+		s.uncheckedEnqueue(learnt[0], c)
+	}
+	s.decayVar()
+	s.decayClause()
+	if s.MaxLearnts > 0 {
+		if s.maxLearnts < s.MaxLearnts {
+			s.maxLearnts = s.MaxLearnts
+		}
+		if len(s.learnts) >= s.maxLearnts {
+			s.reduceDB()
+			s.maxLearnts = s.maxLearnts*11/10 + 16
+		}
+	}
+}
+
+// addLemma keeps a theory lemma as a problem clause and resolves it against
+// the current assignment, which falsifies it (see Solver.Theory). Literals
+// false at level 0 are dropped, as AddClause drops them; it reports false
+// when none is left, which makes the instance unsatisfiable.
+func (s *Solver) addLemma(lemma []Lit) bool {
+	s.stamp++
+	out := s.scratch[:0]
+	for _, l := range lemma {
+		if s.litValue(l) != vFalse {
+			panic("sat: theory lemma not falsified by the assignment")
+		}
+		if s.litStamp[l] == s.stamp || s.level[l.Var()] == 0 {
+			continue
+		}
+		s.litStamp[l] = s.stamp
+		out = append(out, l)
+	}
+	s.scratch = out
+	if len(out) == 0 {
+		s.ok = false
+		return false
+	}
+	// Watch the literals of the highest and the second-highest level.
+	for _, i := range [2]int{0, 1} {
+		for k := i + 1; k < len(out); k++ {
+			if s.level[out[k].Var()] > s.level[out[i].Var()] {
+				out[i], out[k] = out[k], out[i]
+			}
+		}
+	}
+	if len(out) == 1 {
+		s.cancelUntil(0)
+		s.uncheckedEnqueue(out[0], noReason)
+		return true
+	}
+	c := s.alloc(out, false)
+	s.clauses = append(s.clauses, c)
+	s.attach(c)
+	top, second := int(s.level[out[0].Var()]), int(s.level[out[1].Var()])
+	if top > second {
+		// Exactly one literal at the top level: the lemma is asserting.
+		s.cancelUntil(second)
+		s.uncheckedEnqueue(out[0], c)
+		return true
+	}
+	s.cancelUntil(top)
+	s.learn(c)
+	return true
 }
 
 // Value reports the model value of variable v after Solve returns Sat. A

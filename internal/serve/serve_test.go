@@ -421,8 +421,9 @@ func TestDrainFlipsHealthz(t *testing.T) {
 }
 
 // boundsSpec is ArrayInit over a vocabulary of k pairwise-inconsistent bound
-// pairs (j <= c, j >= c+1) starting at off: every pair is an unsat core, so
-// a few such problems overflow the core store's per-shard capacity.
+// pairs (j <= c, j >= c+1) starting at off: every pair (j <= c, j >= d+1)
+// with c <= d is an unsat core, 36 of them at k = 8, so 32 such problems
+// overflow the core store's whole capacity, however its shards fill.
 func boundsSpec(k, off int) string {
 	var ps []string
 	for c := off; c < off+k; c++ {
@@ -435,7 +436,8 @@ func boundsSpec(k, off int) string {
 // TestCoreEvictedCountedOnce: the pooled sessions share one core store, and
 // each engine counts only the evictions its own inserts caused, so
 // core_evicted on /v1/stats and /metrics equals the store's eviction count
-// rather than Pool times it.
+// rather than Pool times it. The store stripes its shards by the whole core,
+// so it takes more cores than fit in it to force evictions.
 func TestCoreEvictedCountedOnce(t *testing.T) {
 	cores := optimal.NewCoreStore()
 	cfg := Config{Pool: 2}
@@ -448,7 +450,7 @@ func TestCoreEvictedCountedOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for r := w; r < 4; r += 2 {
+			for r := w; r < 32; r += 2 {
 				body, _ := json.Marshal(VerifyRequest{Spec: boundsSpec(8, 10*r), Method: "lfp"})
 				resp, err := ts.Client().Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
 				if err != nil {

@@ -37,22 +37,30 @@ import (
 //     to a model of all clauses, so the probe neither branches on nor
 //     propagates other probes' gates, and its verdict is the one the
 //     all-on instance gives.
-//   - Theory lemmas (DPLL(T) blocking clauses) and Ackermann constraints:
-//     both are theory-valid facts about the atoms, true in every integer
-//     model, so asserting them globally can never flip a verdict.
+//   - Theory lemmas and Ackermann constraints: both are theory-valid facts
+//     about the atoms, true in every integer model, so asserting them
+//     globally can never flip a verdict. A lemma is the clause the online
+//     theory check (theoryHook) returns inside a probe's SAT search; the
+//     SAT solver keeps it as a problem clause, so it outlives the probe
+//     that found it.
 //   - Learnt clauses: resolvents of the above, bounded by the SAT solver's
 //     reduceDB.
 //
 // Verdict agreement with the from-scratch path holds because both sides run
-// the same theory procedures: Bellman–Ford (sound and complete over the
-// integers) while every interned atom is a difference constraint, and the
-// same Fourier–Motzkin engine — persisted as a lia.LinChecker with a
-// conflict-cube store — from the first general linear atom on. The one
-// asymmetry is the FM derived-constraint cap: the context checks its
-// cumulative atom set where the fresh path checks per-probe sets, so the
-// context can hit the cap on workloads where the fresh path would not.
-// Cap hits are conservative ("satisfiable", so Valid reports false), are
-// counted (Solver.NumFMCapHits, stats fm_cap_hits), and never accept a bad
+// the same online DPLL(T) search over the same theory procedures:
+// Bellman–Ford (sound and complete over the integers) while every interned
+// atom is a difference constraint, and the same Fourier–Motzkin engine —
+// persisted as a lia.LinChecker with a conflict-cube store — from the first
+// general linear atom on. Checking the theory inside the SAT search, rather
+// than after it, changes the order lemmas are learnt in, never a verdict:
+// the checkers are complete over their fragments. The asymmetries are the
+// caps. The FM derived-constraint cap: the context checks its cumulative
+// atom set where the fresh path checks per-probe sets, so the context can
+// hit the cap on workloads where the fresh path would not. And the cap on
+// theory conflicts per probe (Options.MaxTheoryIterations), whose count
+// depends on the lemmas earlier probes left. Cap hits are conservative
+// ("satisfiable", so Valid reports false), FM cap hits are counted
+// (Solver.NumFMCapHits, stats fm_cap_hits), and neither accepts a bad
 // invariant. The only remaining dormancy trigger is Ackermann pair-budget
 // exhaustion, where the context's cumulative budget could diverge from the
 // fresh path's per-probe one.
@@ -108,19 +116,14 @@ type Context struct {
 	emitted   map[string]int
 	pairCount int
 
-	// Dense theory-check state over the context's full atom set: atomVars[i]
-	// is the SAT variable of grounder atom i, theory the preprocessed
-	// checker over all atoms — a DiffChecker (rebuilt whenever the set
-	// grows) while every atom is a difference constraint, a LinChecker
-	// (extended in place, conflict cubes surviving growth) from the first
-	// general linear atom on.
-	atomVars []int
-	theory   lia.Checker
-	lin      *lia.LinChecker // non-nil iff theory is the general-LIA checker
-	assign   []bool
-	lits     []sat.Lit
-
-	lemmas int // persisted theory lemmas (DPLL(T) blocking clauses)
+	// hook is the lane's theory check, attached to its SAT instance: dense
+	// over the context's full atom set (hook.atomVars[i] is the SAT variable
+	// of grounder atom i), with the preprocessed checker over all atoms — a
+	// DiffChecker (rebuilt whenever the set grows) while every atom is a
+	// difference constraint, a LinChecker (extended in place, conflict cubes
+	// surviving growth) from the first general linear atom on.
+	hook theoryHook
+	lin  *lia.LinChecker // non-nil iff the hook's checker is the general-LIA one
 
 	// gates records the probe gates of the lane's SAT instance and their
 	// gate children; before each probe exactly the cone its assumptions
@@ -301,12 +304,9 @@ func (c *Context) reset() {
 	c.probeAtoms = nil
 	c.emitted = map[string]int{}
 	c.pairCount = 0
-	c.atomVars = nil
-	c.theory = nil
+	c.hook = theoryHook{s: c.s}
+	c.sat.Theory = &c.hook
 	c.lin = nil
-	c.assign = nil
-	c.lits = nil
-	c.lemmas = 0
 	c.imported = 0
 }
 
@@ -421,12 +421,12 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 	if c.lin != nil {
 		c.lin.SetProbe(c.probeAtomSet(rootAtoms))
 	}
-	if c.lemmas > 0 || c.sat.NumLearnts() > 0 {
+	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
 		c.s.ctr.Add(stats.LemmaReuse, 1)
 	}
 	c.switchCone(root)
 	var pub []theoryLemma
-	v, _ := c.probeLoop(&pub, root)
+	v, _ := c.hook.decide(c.sat, c.share(&pub), root)
 	c.group.publish(pub)
 	if probeCheck != nil {
 		probeCheck(c, []sat.Lit{root}, v)
@@ -561,13 +561,13 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 	if c.lin != nil {
 		c.lin.SetProbe(c.probeAtomSet(selSets...))
 	}
-	if c.lemmas > 0 || c.sat.NumLearnts() > 0 {
+	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
 		c.s.ctr.Add(stats.LemmaReuse, 1)
 	}
 	c.s.ctr.Add(stats.AssumptionProbes, 1)
 	c.switchCone(assumps...)
 	var pub []theoryLemma
-	v, satCore := c.probeLoop(&pub, assumps...)
+	v, satCore := c.hook.decide(c.sat, c.share(&pub), assumps...)
 	c.group.publish(pub)
 	if probeCheck != nil {
 		probeCheck(c, assumps, v)
@@ -789,13 +789,14 @@ type ackPair struct {
 // learned conflict cubes survive atom-set growth (grounder indices are
 // append-only).
 func (c *Context) syncAtoms() {
-	// c.theory must exist even when the grounder produced no linear atoms at
-	// all (every predicate constant-folded away): probeLoop still consults
+	// The checker must exist even when the grounder produced no linear atoms
+	// at all (every predicate constant-folded away): the hook still consults
 	// it, and 0 == 0 atom counts must not skip its construction.
-	if c.theory != nil && len(c.atomVars) == len(c.g.lins) {
+	h := &c.hook
+	if h.checker != nil && len(h.atomVars) == len(c.g.lins) {
 		return
 	}
-	for i := len(c.atomVars); i < len(c.g.lins); i++ {
+	for i := len(h.atomVars); i < len(c.g.lins); i++ {
 		v, ok := c.enc.atomVar[i]
 		if !ok {
 			// Interned but never encoded (constant-eliminated branch); it
@@ -803,21 +804,32 @@ func (c *Context) syncAtoms() {
 			v = c.sat.NewVar()
 			c.enc.atomVar[i] = v
 		}
-		c.atomVars = append(c.atomVars, v)
+		h.atomVars = append(h.atomVars, v)
 	}
+	h.lins = c.g.lins
 	switch {
 	case c.lin != nil:
 		c.lin.Extend(c.g.lins[c.lin.Len():])
 	default:
 		if d, ok := lia.NewDiffChecker(c.g.lins); ok {
-			c.theory = d
+			h.checker = d
 		} else {
 			c.lin = lia.NewLinChecker(c.g.lins, &c.s.ctr)
-			c.theory = c.lin
+			h.checker = c.lin
 		}
 	}
-	c.assign = make([]bool, len(c.atomVars))
-	c.lits = make([]sat.Lit, len(c.atomVars))
+	h.assign = make([]bool, len(h.atomVars))
+}
+
+// share returns pub when the probe's lemmas have a consumer, nil otherwise:
+// lemmas are recorded in grounder-independent form for a sibling lane, or
+// for the knowledge store (which persists them for next lifetime's lanes
+// even in a single-lane group).
+func (c *Context) share(pub *[]theoryLemma) *[]theoryLemma {
+	if c.group.multi() || (c.s.opts.Store != nil && c.group.skel != "") {
+		return pub
+	}
+	return nil
 }
 
 // probeAtomSet computes the current probe's relevant atom subset into the
@@ -863,57 +875,4 @@ func (c *Context) probeAtomSet(sets ...[]int) []int {
 	}
 	c.probeAtoms = sortedDedup(raw)
 	return c.probeAtoms
-}
-
-// probeLoop runs the DPLL(T) loop under the given assumptions against the
-// persistent instance: SAT model → exact theory check over the full atom set
-// → blocking lemma, until a theory-consistent model or propositional unsat.
-// Lemmas persist — they are valid facts about the atoms, shared by every
-// later probe. When pub points at a collection (the group has sibling lanes),
-// each learned lemma is also recorded in grounder-independent form for the
-// exchange. On unsat the failed-assumption core is returned.
-func (c *Context) probeLoop(pub *[]theoryLemma, assumps ...sat.Lit) (satisfiable bool, core []sat.Lit) {
-	// Collect grounder-independent lemma forms when anyone would consume
-	// them: a sibling lane, or the knowledge store (which persists them for
-	// next lifetime's lanes even in a single-lane group).
-	share := pub != nil && (c.group.multi() || (c.s.opts.Store != nil && c.group.skel != ""))
-	for iter := 0; iter < c.s.opts.MaxTheoryIterations; iter++ {
-		if c.s.opts.Stop != nil && c.s.opts.Stop() {
-			return true, nil // conservative, as in decideGround
-		}
-		st, unsatCore := c.sat.SolveAssuming(assumps...)
-		if st == sat.Unsat {
-			return false, unsatCore
-		}
-		for k, v := range c.atomVars {
-			val := c.sat.Value(v)
-			c.assign[k] = val
-			c.lits[k] = sat.MkLit(v, !val)
-		}
-		res := c.theory.Check(c.assign)
-		if res.Sat {
-			return true, nil
-		}
-		blocking := make([]sat.Lit, 0, len(res.Conflict))
-		for _, ci := range res.Conflict {
-			blocking = append(blocking, c.lits[ci].Not())
-		}
-		if share {
-			lem := theoryLemma{
-				lins: make([]lia.Lin, len(res.Conflict)),
-				vals: make([]bool, len(res.Conflict)),
-			}
-			for k, ci := range res.Conflict {
-				lem.lins[k] = c.g.lins[ci]
-				lem.vals[k] = c.assign[ci]
-			}
-			*pub = append(*pub, lem)
-		}
-		if !c.sat.AddClause(blocking...) {
-			return false, nil
-		}
-		c.lemmas++
-	}
-	// Resource bound hit: conservative "satisfiable", as in decideGround.
-	return true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/logic"
@@ -419,7 +420,7 @@ func TestContextSATWorkCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver(Options{})
 	ctx := s.NewContext()
-	var decisions, propagations int64
+	var decisions, propagations, lemmas int64
 	for round := 0; round < 3; round++ {
 		for probe := 0; probe < 40; probe++ {
 			ctx.Valid(genDiffFormula(rng, 3))
@@ -427,6 +428,7 @@ func TestContextSATWorkCounted(t *testing.T) {
 		ctx.mu.Lock()
 		decisions += ctx.sat.Stats.Decisions
 		propagations += ctx.sat.Stats.Propagations
+		lemmas += ctx.sat.Stats.TheoryConflicts
 		ctx.reset()
 		ctx.mu.Unlock()
 	}
@@ -436,9 +438,58 @@ func TestContextSATWorkCounted(t *testing.T) {
 	if got, want := [2]int64{s.Counters()[stats.SATDecisions].Load(), s.Counters()[stats.SATPropagations].Load()}, [2]int64{decisions, propagations}; got != want {
 		t.Errorf("solver counts %v, lanes did %v", got, want)
 	}
+	if got := s.Counters()[stats.TheoryConflicts].Load(); lemmas == 0 || got != lemmas {
+		t.Errorf("theory_conflicts %d, lanes resolved %d lemmas", got, lemmas)
+	}
 	v := s.Counters().Load()
 	snap := stats.NewSnapshot(nil, &v)
 	if got := [2]int64{snap.SATDecisions, snap.SATPropagations}; got != [2]int64{decisions, propagations} {
 		t.Errorf("snapshot counts %v, lanes did %v", got, [2]int64{decisions, propagations})
+	}
+}
+
+// twoConflicts is valid, and refuting its negation takes two theory
+// conflicts: each disjunct of a < b ∨ a < c closes a cycle with b < a or
+// with c < a, and only the first lemma can be learnt before the second
+// cycle is found.
+func twoConflicts() logic.Formula {
+	a, b, c := logic.V("a"), logic.V("b"), logic.V("c")
+	return logic.Neg(logic.Conj(logic.Disj(logic.LtF(a, b), logic.LtF(a, c)), logic.LtF(b, a), logic.LtF(c, a)))
+}
+
+// TestStopEndsProbeInSearch: Stop is polled by the theory check inside the
+// SAT search, on the from-scratch path and in a context; once it fires a
+// probe that needs the theory answers the conservative "not valid", which
+// is not memoized, and the context stays usable and exact afterwards.
+func TestStopEndsProbeInSearch(t *testing.T) {
+	var stop atomic.Bool
+	s := NewSolver(Options{Stop: stop.Load})
+	ctx := s.NewContext()
+	stop.Store(true)
+	if s.Valid(twoConflicts()) || ctx.Valid(twoConflicts()) {
+		t.Fatal("a probe stopped inside its search answered valid")
+	}
+	if n := s.Counters()[stats.TheoryConflicts].Load(); n != 0 {
+		t.Errorf("stopped probes resolved %d theory conflicts, want 0", n)
+	}
+	stop.Store(false)
+	if !s.Valid(twoConflicts()) || !ctx.Valid(twoConflicts()) {
+		t.Fatal("after Stop cleared, a valid formula was not proved: the stopped verdict was memoized or the lane broke")
+	}
+}
+
+// TestTheoryConflictCap: MaxTheoryIterations caps the theory conflicts of one
+// probe; a probe that needs more gives up with the conservative "not valid"
+// on both paths.
+func TestTheoryConflictCap(t *testing.T) {
+	for _, limit := range []int{1, 2} {
+		s := NewSolver(Options{MaxTheoryIterations: limit, NoIncremental: true})
+		c := NewSolver(Options{MaxTheoryIterations: limit}).NewContext()
+		if fresh, inctx := s.Valid(twoConflicts()), c.Valid(twoConflicts()); fresh != (limit >= 2) || inctx != (limit >= 2) {
+			t.Errorf("cap %d: valid=%v from scratch, %v in a context; want %v", limit, fresh, inctx, limit >= 2)
+		}
+		if n := s.Counters()[stats.TheoryConflicts].Load(); n != int64(limit) {
+			t.Errorf("cap %d: %d theory conflicts from scratch, want %d", limit, n, limit)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (c *Context) decideAllOn(assumps []sat.Lit) bool {
 	for v := 0; v < c.sat.NumVars(); v++ {
 		c.sat.SetDecision(v, true)
 	}
-	satisfiable, _ := c.probeLoop(nil, assumps...)
+	satisfiable, _ := c.hook.decide(c.sat, nil, assumps...)
 	for v, at := range c.gates.start {
 		if at >= 0 {
 			c.sat.SetDecision(v, false)
@@ -113,6 +113,63 @@ func (c *Context) decideAllOn(assumps []sat.Lit) bool {
 	}
 	c.gates.on = c.gates.on[:0]
 	return satisfiable
+}
+
+// CrossCheckOffline makes every context probe decided from now on be decided
+// a second time on the same lane by the offline DPLL(T) loop (decideOffline),
+// and calls fail with a description of each probe whose verdicts differ. It
+// returns a counter of the probes checked and a function that removes the
+// hook. Install it before any solver runs: the hook is package-wide.
+func CrossCheckOffline(fail func(msg string)) (checked func() int64, remove func()) {
+	var n atomic.Int64
+	probeCheck = func(c *Context, assumps []sat.Lit, satisfiable bool) {
+		n.Add(1)
+		if off := c.decideOffline(assumps); off != satisfiable {
+			fail(fmt.Sprintf("probe under %v on a lane of %d variables: satisfiable=%v online, %v offline",
+				assumps, c.sat.NumVars(), satisfiable, off))
+		}
+	}
+	return n.Load, func() { probeCheck = nil }
+}
+
+// decideOffline re-decides a probe by the offline DPLL(T) loop the contexts
+// ran before the theory check moved inside the SAT search: with the hook
+// detached, solve to a full model from level 0, check it with the lane's
+// checker (still narrowed to the probe), add the conflict as a blocking
+// clause and solve again, until a consistent model, propositional
+// unsatisfiability or MaxTheoryIterations rounds. Its blocking clauses stay
+// on the lane, as the online search's lemmas do. The lane's lock must be
+// held.
+func (c *Context) decideOffline(assumps []sat.Lit) bool {
+	h := &c.hook
+	c.sat.Theory = nil
+	defer func() { c.sat.Theory = h }()
+	lits := make([]sat.Lit, len(h.atomVars))
+	for iter := 0; iter < c.s.opts.MaxTheoryIterations; iter++ {
+		if c.s.opts.Stop != nil && c.s.opts.Stop() {
+			return true
+		}
+		if st, _ := c.sat.SolveAssuming(assumps...); st == sat.Unsat {
+			return false
+		}
+		for k, v := range h.atomVars {
+			val := c.sat.Value(v)
+			h.assign[k] = val
+			lits[k] = sat.MkLit(v, !val)
+		}
+		res := h.checker.Check(h.assign)
+		if res.Sat {
+			return true
+		}
+		blocking := make([]sat.Lit, 0, len(res.Conflict))
+		for _, ci := range res.Conflict {
+			blocking = append(blocking, lits[ci].Not())
+		}
+		if !c.sat.AddClause(blocking...) {
+			return false
+		}
+	}
+	return true
 }
 
 // Valid is ValidFill without a fill: the probe is grounded as a whole

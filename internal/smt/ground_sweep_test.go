@@ -161,6 +161,31 @@ func TestConeProbesMatchAllOn(t *testing.T) {
 	t.Logf("%d context probes checked", checked())
 }
 
+// TestOnlineMatchesOffline runs every sweep cell with every context probe
+// re-decided on its lane by the offline DPLL(T) loop — solve to a full
+// model, check the theory, block, solve again from level 0 — and requires
+// the same verdict: checking the theory inside the SAT search may change
+// the search, never an answer. This is the `make test-differential`
+// guarantee behind the online theory check.
+func TestOnlineMatchesOffline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("offline-loop sweep skipped in -short mode (run via make test-differential)")
+	}
+	var log mismatchLog
+	checked, remove := smt.CrossCheckOffline(log.fail)
+	defer remove()
+	for _, c := range sweepCells() {
+		runCell(t, c)
+		if bad, first := log.read(); bad > 0 {
+			t.Fatalf("%s: %d context probes answer differently offline; first:\n%s", c.name, bad, first)
+		}
+	}
+	if checked() == 0 {
+		t.Fatal("sweep vacuous: no context probe checked")
+	}
+	t.Logf("%d context probes checked", checked())
+}
+
 // TestSearchSameAtAnyGOMAXPROCS runs every sweep cell at GOMAXPROCS 1 and
 // then 4 and requires the same record from both: the engine's fan-outs may
 // change how fast a search runs, never which candidates it repairs, how many

@@ -25,11 +25,15 @@ type Options struct {
 	MaxInstances int
 	// MaxAckermannPairs caps functional-consistency constraints. Default 20000.
 	MaxAckermannPairs int
-	// MaxTheoryIterations caps DPLL(T) model-repair rounds. Default 100000.
+	// MaxTheoryIterations caps the theory conflicts one probe's DPLL(T)
+	// search may resolve; a probe that finds more gives up with a
+	// conservative "satisfiable" answer (Valid reports false). Default
+	// 100000.
 	MaxTheoryIterations int
-	// Stop, when non-nil, is polled inside the DPLL(T) loop; returning
-	// true abandons the query with a conservative "satisfiable" answer
-	// (Valid reports false), releasing the CPU promptly after a timeout.
+	// Stop, when non-nil, is polled by every theory check inside the DPLL(T)
+	// search; returning true abandons the query with a conservative
+	// "satisfiable" answer (Valid reports false), releasing the CPU promptly
+	// after a timeout.
 	Stop func() bool
 	// NoIncremental disables persistent assumption-based contexts:
 	// ContextFor and NewContext return nil and every probe takes the
@@ -151,7 +155,7 @@ func (s *Solver) NumStoreVerdictHits() int64 { return s.ctr[stats.StoreVerdictHi
 func (s *Solver) NumWarmLemmas() int64 { return s.ctr[stats.StoreWarmLemmas].Load() }
 
 // NumFMScratch returns how many from-scratch Fourier–Motzkin eliminations ran
-// (decideGround's general-LIA fallback; one per theory iteration there).
+// (decideGround's general-LIA checker; one per theory check there).
 func (s *Solver) NumFMScratch() int64 { return s.ctr[stats.FMScratch].Load() }
 
 // NumFMIncremental returns how many eliminations persistent LinCheckers ran
@@ -314,7 +318,7 @@ func (s *Solver) triggers(q logic.Forall) map[string][]trigger {
 }
 
 // decideGround decides a ground (quantifier-free, store-possible) formula by
-// lazy DPLL(T).
+// online DPLL(T): the theory is checked inside the SAT search (theoryHook).
 func (s *Solver) decideGround(f logic.Formula) bool {
 	g := newGrounder()
 	p := g.formulaProp(f)
@@ -333,78 +337,29 @@ func (s *Solver) decideGround(f logic.Formula) bool {
 		return false
 	}
 
-	// Parallel arrays mapping atom index → SAT variable, built on demand by
-	// the encoder; iterate deterministically over atom indices so conflict
-	// clauses (and hence iteration counts) are reproducible run to run.
+	// Iterate deterministically over atom indices, so conflict clauses (and
+	// hence the search) are reproducible run to run. When every atom is a
+	// difference constraint (the common case; §3 of the paper's evaluation
+	// programs stay in this fragment), a preprocessed DiffChecker makes each
+	// theory check allocation-free.
 	atoms := make([]int, 0, len(enc.atomVar))
 	for atom := range enc.atomVar {
 		atoms = append(atoms, atom)
 	}
 	sort.Ints(atoms)
-	// The atom set is fixed across theory iterations, so precompute each
-	// atom's SAT variable, its constraint, and its integer negation once.
-	// Negate clones the coefficient map, and doing that per false atom per
-	// iteration — plus Check rebuilding its constraint graph per call — was
-	// most of the solver's allocation volume. When every atom is a
-	// difference constraint (the common case; §3 of the paper's evaluation
-	// programs stay in this fragment), a preprocessed DiffChecker makes the
-	// per-iteration theory check allocation-free.
-	atomVars := make([]int, len(atoms))
-	posLins := make([]lia.Lin, len(atoms))
-	negLins := make([]lia.Lin, len(atoms))
+	h := &theoryHook{s: s, atomVars: make([]int, len(atoms)), lins: make([]lia.Lin, len(atoms)), assign: make([]bool, len(atoms))}
 	for k, atom := range atoms {
-		atomVars[k] = enc.atomVar[atom]
-		posLins[k] = g.lins[atom]
-		negLins[k] = g.lins[atom].Negate()
+		h.atomVars[k] = enc.atomVar[atom]
+		h.lins[k] = g.lins[atom]
 	}
-	diff, allDiff := lia.NewDiffChecker(posLins)
-	assign := make([]bool, len(atoms))
-	lits := make([]sat.Lit, len(atoms))
-	var cons []lia.Lin // fallback path only
-	for iter := 0; iter < s.opts.MaxTheoryIterations; iter++ {
-		if s.opts.Stop != nil && s.opts.Stop() {
-			return true // conservative: Valid() reports false
-		}
-		if solver.Solve() == sat.Unsat {
-			return false
-		}
-		for k, v := range atomVars {
-			val := solver.Value(v)
-			assign[k] = val
-			lits[k] = sat.MkLit(v, !val)
-		}
-		var res lia.Result
-		if allDiff {
-			res = diff.Check(assign)
-		} else {
-			cons = cons[:0]
-			for k, val := range assign {
-				if val {
-					cons = append(cons, posLins[k])
-				} else {
-					cons = append(cons, negLins[k])
-				}
-			}
-			s.ctr.Add(stats.FMScratch, 1)
-			res = lia.Check(cons)
-			if res.Truncated {
-				s.ctr.Add(stats.FMCapHits, 1)
-			}
-		}
-		if res.Sat {
-			return true
-		}
-		blocking := make([]sat.Lit, 0, len(res.Conflict))
-		for _, ci := range res.Conflict {
-			blocking = append(blocking, lits[ci].Not())
-		}
-		if !solver.AddClause(blocking...) {
-			return false
-		}
+	if d, ok := lia.NewDiffChecker(h.lins); ok {
+		h.checker = d
+	} else {
+		h.checker = newScratchFM(h.lins, &s.ctr)
 	}
-	// Resource bound hit: report "satisfiable", i.e. Valid() answers false,
-	// the conservative direction for every client algorithm.
-	return true
+	solver.Theory = h
+	satisfiable, _ := h.decide(solver, nil)
+	return satisfiable
 }
 
 // encoder performs one-sided (NNF/plaisted-greenbaum) Tseitin encoding of a

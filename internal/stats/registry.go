@@ -65,6 +65,7 @@ const (
 	DormantContexts
 	SATDecisions
 	SATPropagations
+	TheoryConflicts
 
 	// The knowledge store, as vs3d reports it.
 	StoreEnabled
@@ -210,6 +211,7 @@ var Rows = [NumCounters]Row{
 	DormantContexts:  {"dormant_contexts", "vs3d_dormant_contexts_total", "Persistent contexts retired by Ackermann budget exhaustion.", Count, Engine, Plain, Always},
 	SATDecisions:     {"sat_decisions", "vs3d_sat_decisions_total", "SAT branch decisions of the SMT layer's searches.", Count, Engine, Plain, Always},
 	SATPropagations:  {"sat_propagations", "vs3d_sat_propagations_total", "Literals the SMT layer's SAT searches assigned by unit propagation.", Count, Engine, Plain, Always},
+	TheoryConflicts:  {"theory_conflicts", "vs3d_theory_conflicts_total", "Theory lemmas the SMT layer's SAT searches resolved, one per theory conflict.", Count, Engine, Plain, Always},
 
 	StoreEnabled:        {"store_enabled", "vs3d_store_enabled", "1 when an on-disk knowledge store is attached.", Gauge, Server, Bool, Always},
 	StoreColdStart:      {"store_cold_start", "vs3d_store_cold_start", "1 when this lifetime found no usable store (fresh dir or sidelined corruption).", Gauge, Store, Bool, WithStore},
