@@ -1,6 +1,6 @@
 // Command vs3router is the horizontal scale-out front tier: it consistently
 // hashes every request's problem key onto a fleet of vs3d backends, so each
-// backend's interner, incremental smt.Context lanes, and unsat-core store
+// backend's interner, incremental smt.Contexts, and unsat-core store
 // stay hot for its slice of the keyspace (see internal/route and DESIGN.md
 // §13). It health-checks the fleet, fails requests over to the next live
 // node in ring order, and routes every /v1/batch item on its own. Requests

@@ -144,7 +144,7 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 	score := func(sigma template.Solution, seq int) scored {
 		s := scored{sigma: sigma, seq: seq, failIdx: -1}
 		// Probe every path concurrently (each goes through its own skeleton
-		// context, and contended contexts fan out across sibling lanes); the
+		// context, and a contended context serves its probes in turn); the
 		// fold below stays sequential in path order, so the failing path a
 		// candidate is repaired on is deterministic.
 		valid := make([]bool, len(p.Paths()))

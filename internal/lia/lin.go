@@ -54,7 +54,7 @@ type cube struct {
 // The atom set may grow via Extend: cube indices are stable because atom
 // indices are append-only, so cubes survive growth and SetProbe changes.
 //
-// A LinChecker is single-goroutine, like the context lane that owns it.
+// A LinChecker is single-goroutine, like the smt.Context that owns it.
 type LinChecker struct {
 	pos, neg []Lin  // tightened polarity forms by atom index
 	all      []int  // 0..Len()-1, the default probe

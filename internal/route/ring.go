@@ -1,6 +1,6 @@
 // Package route implements the skeleton-affinity cluster router in front of
 // a fleet of vs3d backends. The engine's warm-path advantage (interned
-// formulas, persistent smt.Context lanes, the unsat-core store — measured
+// formulas, persistent smt.Contexts, the unsat-core store — measured
 // at ~100x fewer from-scratch SMT queries on warm repeats) only survives
 // horizontal scale-out if requests for the same problem/skeleton
 // key keep landing on the same backend. The router consistently hashes each

@@ -1,6 +1,6 @@
 // Package serve wraps core.Verifier in a long-lived, concurrent HTTP
 // daemon. A per-process CLI run throws away every cache the engine builds —
-// interned formulas, compiled fillers, persistent smt.Context lane groups,
+// interned formulas, compiled fillers, persistent smt.Contexts,
 // the engine-global unsat-core store — with the process; the daemon keeps a
 // pool of verifier sessions alive so repeated and related problems amortize
 // that work across requests (see DESIGN.md §12–13).

@@ -17,20 +17,22 @@ import (
 // VC skeleton: the iterative algorithms decide thousands of near-identical
 // queries — the same skeleton with a different candidate predicate fill each
 // time — and a Context keeps one SAT instance plus theory state alive across
-// all of them instead of rebuilding both per probe.
+// all of them instead of rebuilding both per probe. It is the skeleton's only
+// one: concurrent probes of the skeleton wait for its lock in turn.
 //
 // What persists, and why it is sound to share it:
 //
 //   - Atom interning (grounder): an inequality atom means the same thing in
 //     every probe, so atoms keep their SAT variable across probes.
 //   - Encoded skeleton structure (strash): each atom and gate is encoded
-//     once per lane and keyed by its structure over SAT literals — an atom
-//     by its own structure, a gate by its connective plus its children's
-//     literals — so a later probe that resolves to the same literals reuses
-//     them whatever formula values it was built from. The one-sided Tseitin
-//     encoding of a gate never forces anything unless its literal is
-//     implied, so clauses from earlier probes are vacuously satisfiable in
-//     later ones — each probe asserts only its own root, as an assumption.
+//     once per SAT instance and keyed by its structure over SAT literals —
+//     an atom by its own structure, a gate by its connective plus its
+//     children's literals — so a later probe that resolves to the same
+//     literals reuses them whatever formula values it was built from. The
+//     one-sided Tseitin encoding of a gate never forces anything unless its
+//     literal is implied, so clauses from earlier probes are vacuously
+//     satisfiable in later ones — each probe asserts only its own root, as
+//     an assumption.
 //     Their gates are switched off (sat.Solver.SetDecision) outside the
 //     probe's cone, the gates its assumptions reach (switchCone): setting
 //     every unreached gate false extends any model of the reached clauses
@@ -65,24 +67,56 @@ import (
 // exhaustion, where the context's cumulative budget could diverge from the
 // fresh path's per-probe one.
 type Context struct {
-	s     *Solver
-	group *ctxGroup
-	mu    sync.Mutex
+	s *Solver
+
+	// skel is the skeleton's portable identity (store.FormulaKey), set when
+	// a knowledge store is attached. It keys the context's lemmas on disk:
+	// lemmas is seeded from the store at creation, and lemmas the context
+	// learns are written behind it. Empty when no store is attached (or for
+	// standalone consistency contexts, whose vocabulary has no skeleton
+	// identity).
+	skel string
+
+	// Registry bookkeeping, guarded by the solver's ctxRegistry lock: the
+	// skeleton the context is registered under (nil for standalone
+	// contexts; set before the registry hands the context out) and its LRU
+	// element (nil once evicted, or never registered). units is the SAT
+	// size (variables + clauses + learnts) last charged to the registry's
+	// budget; grow writes it under both the registry's lock and mu, so
+	// either suffices to read it.
+	key   *logic.IFormula
+	elem  *list.Element
+	units int64
+
+	// plan is the skeleton's grounding plan (registered contexts only),
+	// compiled by the first probe that grounds with a fill. Probes ground
+	// before they take mu, so the plan guards its own memos.
+	planOnce sync.Once
+	plan     *groundPlan
+
+	// mu guards everything below: a probe holds it from encoding to
+	// verdict, and concurrent probes of one skeleton wait for it.
+	mu sync.Mutex
 
 	// dead marks the context dormant (the Ackermann pair budget was
 	// exhausted); every later probe falls back to the parent solver's
 	// from-scratch path.
 	dead bool
 
-	// imported is how many lemmas of the group's exchange this lane has
-	// already asserted locally; reset together with the SAT instance.
+	// lemmas are theory lemmas in grounder-independent form — (lia.Lin,
+	// value) vectors — that every SAT instance of the context asserts:
+	// seeded from the knowledge store, then, while a store is attached,
+	// extended by the context's own lemmas up to ctxMaxLemmas, so a reset
+	// re-imports them with the rest. imported is how many of them the
+	// current SAT instance holds; reset together with it.
+	lemmas   []theoryLemma
 	imported int
 
 	sat *sat.Solver
 	g   *grounder
 	enc *encoder
 
-	// strash memoizes the lane's encoded probe formulas by structure over
+	// strash memoizes the context's encoded probe formulas by structure over
 	// SAT literals (strash.go): re-encoding repeated skeleton structure
 	// costs one map probe per node and allocates nothing.
 	strash strash
@@ -116,7 +150,7 @@ type Context struct {
 	emitted   map[string]int
 	pairCount int
 
-	// hook is the lane's theory check, attached to its SAT instance: dense
+	// hook is the context's theory check, attached to its SAT instance: dense
 	// over the context's full atom set (hook.atomVars[i] is the SAT variable
 	// of grounder atom i), with the preprocessed checker over all atoms — a
 	// DiffChecker (rebuilt whenever the set grows) while every atom is a
@@ -125,16 +159,12 @@ type Context struct {
 	hook theoryHook
 	lin  *lia.LinChecker // non-nil iff the hook's checker is the general-LIA one
 
-	// gates records the probe gates of the lane's SAT instance and their
+	// gates records the probe gates of the context's SAT instance and their
 	// gate children; before each probe exactly the cone its assumptions
 	// reach is switched on (switchCone).
 	gates gateGraph
 
-	// units is the lane's SAT size (variables + clauses + learnts) as last
-	// published to the registry's budget accounting by account.
-	units int64
-
-	// satSeen is the lane's SAT work (decisions, propagations) already
+	// satSeen is the context's SAT work (decisions, propagations) already
 	// folded into the solver's counters.
 	satSeen [2]int64
 }
@@ -145,56 +175,13 @@ const (
 	ctxMaxLearnts = 4000
 	// ctxMaxVars recycles a context once probe-local gate variables
 	// accumulate past this bound; a recycled context restarts empty, which
-	// is always sound (it is exactly a fresh context).
+	// is always sound (it is exactly a fresh context) — apart from its
+	// lemmas, which it re-imports.
 	ctxMaxVars = 200000
-	// ctxMaxLanes bounds the per-skeleton lane pool: under contention a
-	// probe prefers creating a sibling lane (own SAT instance and grounder,
-	// shared lemma exchange) over the from-scratch path, up to this many.
-	ctxMaxLanes = 8
-	// ctxMaxExchanged bounds one group's lemma exchange; beyond it lanes
-	// stop publishing (imports of already-published lemmas continue).
-	ctxMaxExchanged = 4096
+	// ctxMaxLemmas bounds one context's lemma list; beyond it the context
+	// stops keeping the lemmas it learns (the store still receives them).
+	ctxMaxLemmas = 4096
 )
-
-// ctxGroup is the shared state of all lanes solving one skeleton: the lane
-// pool itself and the cross-lane theory-lemma exchange. Lemmas travel as
-// (lia.Lin, value) vectors — grounder-independent facts — and each lane
-// re-interns them into its own atom space, so lanes never share mutable
-// solver state and a lemma learned by one worker prunes every other worker's
-// search. All lemmas are theory-valid, so importing them never flips a
-// verdict.
-type ctxGroup struct {
-	s *Solver
-
-	// skel is the skeleton's portable identity (store.FormulaKey), set when
-	// a knowledge store is attached. It keys the group's lemmas on disk:
-	// the exchange is seeded from the store at group creation, and lemmas
-	// learned by any lane are written behind it. Empty when no store is
-	// attached (or for standalone consistency contexts, whose vocabulary
-	// has no skeleton identity).
-	skel string
-
-	mu    sync.Mutex
-	lanes []*Context
-
-	// Registry bookkeeping, guarded by the solver's ctxRegistry lock: the
-	// skeleton the group is registered under (nil for standalone
-	// contexts), its LRU element (nil once evicted, or never registered)
-	// and its SAT units summed over lanes.
-	key   *logic.IFormula
-	elem  *list.Element
-	units int64
-
-	exch struct {
-		mu     sync.RWMutex
-		lemmas []theoryLemma
-	}
-
-	// plan is the skeleton's grounding plan (registered groups only),
-	// compiled by the first probe that grounds with a fill.
-	planOnce sync.Once
-	plan     *groundPlan
-}
 
 // theoryLemma is one theory conflict in grounder-independent form: the
 // conjunction of (lin_i ≤ 0) == val_i over the listed atoms is
@@ -204,86 +191,25 @@ type theoryLemma struct {
 	vals []bool
 }
 
-// snapshotLanes returns the current lane slice; lanes are append-only, so the
-// prefix is stable and safe to scan without the group lock.
-func (g *ctxGroup) snapshotLanes() []*Context {
-	g.mu.Lock()
-	lanes := g.lanes
-	g.mu.Unlock()
-	return lanes
-}
-
-// addLane creates a sibling lane when the pool and the solver-wide budget
-// allow it, returning nil otherwise.
-func (g *ctxGroup) addLane() *Context {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.lanes) >= ctxMaxLanes {
-		return nil
-	}
-	c := &Context{s: g.s, group: g}
-	c.reset()
-	g.s.ctr.Add(stats.Contexts, 1)
-	g.lanes = append(g.lanes, c)
-	return c
-}
-
-// multi reports whether the group ever grew a second lane; single-lane groups
-// skip lemma publication entirely (nobody would import).
-func (g *ctxGroup) multi() bool {
-	g.mu.Lock()
-	n := len(g.lanes)
-	g.mu.Unlock()
-	return n > 1
-}
-
-// publish appends freshly learned theory lemmas to the exchange, up to the
-// group budget, and writes them behind to the knowledge store when the group
-// has a skeleton identity. Lemmas are theory-valid facts regardless of how
-// the probe that found them ended, so publication needs no Stop guard.
-func (g *ctxGroup) publish(lems []theoryLemma) {
-	if len(lems) == 0 {
-		return
-	}
-	g.exch.mu.Lock()
-	room := ctxMaxExchanged - len(g.exch.lemmas)
-	if room > 0 {
-		if len(lems) > room {
-			lems = lems[:room]
-		}
-		g.exch.lemmas = append(g.exch.lemmas, lems...)
-	}
-	g.exch.mu.Unlock()
-	if st := g.s.opts.Store; st != nil && g.skel != "" {
-		for _, lem := range lems {
-			st.AppendLemma(g.skel, store.Lemma{Lins: lem.lins, Vals: lem.vals})
-		}
-	}
-}
-
 func (s *Solver) newContext() *Context { return s.newContextKeyed("") }
 
-// newContextKeyed creates a context group, seeding its lemma exchange from
-// the knowledge store when the skeleton has persisted lemmas: every lane
-// (including the first) then asserts them through the ordinary importLemmas
-// path on its first probe, re-interned into its own atom space exactly like
-// lemmas from a sibling lane.
+// newContextKeyed creates a context, seeding its lemmas from the knowledge
+// store when the skeleton has persisted ones: the first probe asserts them
+// through importLemmas, re-interned into the context's own atom space.
 func (s *Solver) newContextKeyed(skel string) *Context {
 	s.ctr.Add(stats.Contexts, 1)
-	g := &ctxGroup{s: s, skel: skel}
+	c := &Context{s: s, skel: skel}
 	if st := s.opts.Store; st != nil && skel != "" {
 		warm := st.Lemmas(skel)
-		if len(warm) > ctxMaxExchanged {
-			warm = warm[:ctxMaxExchanged]
+		if len(warm) > ctxMaxLemmas {
+			warm = warm[:ctxMaxLemmas]
 		}
 		for _, w := range warm {
-			g.exch.lemmas = append(g.exch.lemmas, theoryLemma{lins: w.Lins, vals: w.Vals})
+			c.lemmas = append(c.lemmas, theoryLemma{lins: w.Lins, vals: w.Vals})
 		}
 		s.ctr.Add(stats.StoreWarmLemmas, int64(len(warm)))
 	}
-	c := &Context{s: s, group: g}
 	c.reset()
-	g.lanes = []*Context{c}
 	return c
 }
 
@@ -316,13 +242,13 @@ func (c *Context) reset() {
 // encoded into the shared SAT instance and solved under a single assumption
 // literal, reusing learnt clauses, theory lemmas, Ackermann constraints, and
 // the difference-fragment preprocessing of all earlier probes. Falls back to
-// the from-scratch decision when the context cannot answer exactly (dormant
-// context or lock contention); verdicts are identical either way.
+// the from-scratch decision when the context cannot answer exactly (it is
+// dormant); verdicts are identical either way.
 //
 // fill, when non-nil, is what f was built from: f is the context's skeleton
 // with each unknown u replaced by fill[u]. The probe is then grounded
-// through the group's grounding plan, which shares all skeleton work across
-// the group's probes. The validity cache and the knowledge store are keyed
+// through the context's grounding plan, which shares all skeleton work
+// across its probes. The validity cache and the knowledge store are keyed
 // by f alone, exactly as without a fill.
 func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool {
 	if v, ok := logic.TrivialVerdict(f); ok {
@@ -346,10 +272,10 @@ func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool
 		c.s.ctr.Add(stats.StoreMisses, 1)
 	}
 	start := time.Now()
-	ground, decided, v := c.s.ground(n, c.group, fill)
+	ground, decided, v := c.s.ground(n, c, fill)
 	if decided {
 		c.s.ctr.Add(stats.Queries, 1)
-	} else if satisfiable, ok := c.tryDecide(ground); ok {
+	} else if satisfiable, ok := c.decide(ground); ok {
 		v = !satisfiable
 		c.s.ctr.Add(stats.AssumptionProbes, 1)
 	} else {
@@ -368,41 +294,21 @@ func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool
 	return v
 }
 
-// groundPlan returns the group's grounding plan, compiling it on first use.
-func (g *ctxGroup) groundPlan() *groundPlan {
-	g.planOnce.Do(func() {
-		g.plan = newGroundPlan(g.s, g.key.Formula())
-		g.s.ctr.Add(stats.GroundPlans, 1)
+// groundPlan returns the context's grounding plan, compiling it on first use.
+func (c *Context) groundPlan() *groundPlan {
+	c.planOnce.Do(func() {
+		c.plan = newGroundPlan(c.s, c.key.Formula())
+		c.s.ctr.Add(stats.GroundPlans, 1)
 	})
-	return g.plan
+	return c.plan
 }
 
-// tryDecide decides satisfiability of a ground formula incrementally.
-// ok=false means no lane of the group could answer exactly and the caller
-// must take the from-scratch path. Under lock contention the probe walks the
-// group's lane pool and, when every lane is busy, creates a sibling lane —
-// scaling incremental solving across workers instead of degrading to
-// from-scratch decisions.
-func (c *Context) tryDecide(ground logic.Formula) (satisfiable, ok bool) {
-	for _, lane := range c.group.snapshotLanes() {
-		if !lane.mu.TryLock() {
-			continue
-		}
-		v, ok := lane.decideLocked(ground)
-		lane.mu.Unlock()
-		return v, ok
-	}
-	if lane := c.group.addLane(); lane != nil {
-		lane.mu.Lock()
-		v, ok := lane.decideLocked(ground)
-		lane.mu.Unlock()
-		return v, ok
-	}
-	return false, false
-}
-
-// decideLocked is tryDecide's per-lane body; the lane's lock must be held.
-func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
+// decide decides satisfiability of a ground formula incrementally, waiting
+// for the context's lock. ok=false means the context is dormant and the
+// caller must take the from-scratch path.
+func (c *Context) decide(ground logic.Formula) (satisfiable, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	defer c.account()
 	if c.dead {
 		return false, false
@@ -411,91 +317,8 @@ func (c *Context) decideLocked(ground logic.Formula) (satisfiable, ok bool) {
 		c.reset()
 	}
 	root, rootAtoms := c.encNode(ground)
-	c.importLemmas()
-	if !c.emitAckermann() {
-		c.dead = true
-		c.s.ctr.Add(stats.DormantContexts, 1)
-		return false, false
-	}
-	c.syncAtoms()
-	if c.lin != nil {
-		c.lin.SetProbe(c.probeAtomSet(rootAtoms))
-	}
-	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
-		c.s.ctr.Add(stats.LemmaReuse, 1)
-	}
-	c.switchCone(root)
-	var pub []theoryLemma
-	v, _ := c.hook.decide(c.sat, c.share(&pub), root)
-	c.group.publish(pub)
-	if probeCheck != nil {
-		probeCheck(c, []sat.Lit{root}, v)
-	}
-	return v, true
-}
-
-// account publishes the lane's change in SAT size since its last probe to
-// the registry's budget accounting (registered groups only; a standalone
-// consistency context is bounded by ctxMaxVars alone). The lane's lock must
-// be held.
-func (c *Context) account() {
-	c.countSAT()
-	if c.group.key == nil {
-		return
-	}
-	n := int64(c.sat.NumVars() + c.sat.NumClauses() + c.sat.NumLearnts())
-	if d := n - c.units; d != 0 {
-		c.units = n
-		c.s.reg.grow(c.group, d)
-	}
-}
-
-// countSAT folds the lane's SAT work since its last call into the solver's
-// counters. account calls it after every probe, so nothing is left uncounted
-// when the lane is later reset or evicted. The lane's lock must be held.
-func (c *Context) countSAT() {
-	st := &c.sat.Stats
-	c.s.countSAT(st.Decisions-c.satSeen[0], st.Propagations-c.satSeen[1])
-	c.satSeen = [2]int64{st.Decisions, st.Propagations}
-}
-
-// importLemmas asserts every exchange lemma this lane has not seen yet,
-// re-interning each (lin, value) vector into the lane's own atom space. New
-// atoms get SAT variables immediately; the following syncAtoms call folds
-// them into the dense theory-check state.
-func (c *Context) importLemmas() {
-	g := c.group
-	g.exch.mu.RLock()
-	lems := g.exch.lemmas
-	g.exch.mu.RUnlock()
-	if c.imported >= len(lems) {
-		return
-	}
-	for _, lem := range lems[c.imported:] {
-		clause := make([]sat.Lit, len(lem.lins))
-		usable := true
-		for k, l := range lem.lins {
-			pl, isLit := c.g.internLeq(l).(pLit)
-			if !isLit {
-				usable = false
-				break
-			}
-			v, have := c.enc.atomVar[pl.atom]
-			if !have {
-				v = c.sat.NewVar()
-				c.enc.atomVar[pl.atom] = v
-			}
-			// The conflict asserted (l ≤ 0) == vals[k]; in terms of the
-			// canonical atom that is atom == (vals[k] XOR pl.neg), and the
-			// clause carries its negation.
-			clause[k] = sat.MkLit(v, lem.vals[k] != pl.neg)
-		}
-		if usable {
-			c.sat.AddClause(clause...)
-			c.s.ctr.Add(stats.SharedLemmas, 1)
-		}
-	}
-	c.imported = len(lems)
+	satisfiable, _, ok = c.solve([]sat.Lit{root}, rootAtoms)
+	return satisfiable, ok
 }
 
 // Consistent reports whether the conjunction of preds has a model. When it
@@ -504,32 +327,15 @@ func (c *Context) importLemmas() {
 // formula, any superset of the core is unsatisfiable too, which is what lets
 // the lattice search kill whole sublattices per core. ok=false means the
 // context could not answer exactly (a predicate normalizes to a quantified
-// formula, dormant context, or lock contention) and the caller must fall
-// back to the from-scratch path.
+// formula, or the context is dormant) and the caller must fall back to the
+// from-scratch path.
 //
 // Each distinct predicate becomes one selector literal (its encoded root),
 // probes are SolveAssuming calls over the selected literals, and the SAT
 // core maps back to predicate identities through the selector table.
 func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []logic.Formula, ok bool) {
-	for _, lane := range c.group.snapshotLanes() {
-		if !lane.mu.TryLock() {
-			continue
-		}
-		consistent, core, ok = lane.consistentLocked(preds)
-		lane.mu.Unlock()
-		return consistent, core, ok
-	}
-	if lane := c.group.addLane(); lane != nil {
-		lane.mu.Lock()
-		consistent, core, ok = lane.consistentLocked(preds)
-		lane.mu.Unlock()
-		return consistent, core, ok
-	}
-	return false, nil, false
-}
-
-// consistentLocked is Consistent's per-lane body; the lane's lock must be held.
-func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core []logic.Formula, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	defer c.account()
 	if c.dead {
 		return false, nil, false
@@ -551,28 +357,12 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 			selSets = append(selSets, atoms)
 		}
 	}
-	c.importLemmas()
-	if !c.emitAckermann() {
-		c.dead = true
-		c.s.ctr.Add(stats.DormantContexts, 1)
+	consistent, satCore, ok := c.solve(assumps, selSets...)
+	if !ok {
 		return false, nil, false
 	}
-	c.syncAtoms()
-	if c.lin != nil {
-		c.lin.SetProbe(c.probeAtomSet(selSets...))
-	}
-	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
-		c.s.ctr.Add(stats.LemmaReuse, 1)
-	}
 	c.s.ctr.Add(stats.AssumptionProbes, 1)
-	c.switchCone(assumps...)
-	var pub []theoryLemma
-	v, satCore := c.hook.decide(c.sat, c.share(&pub), assumps...)
-	c.group.publish(pub)
-	if probeCheck != nil {
-		probeCheck(c, assumps, v)
-	}
-	if v {
+	if consistent {
 		return true, nil, true
 	}
 	for _, l := range satCore {
@@ -581,6 +371,116 @@ func (c *Context) consistentLocked(preds []logic.Formula) (consistent bool, core
 		}
 	}
 	return false, core, true
+}
+
+// solve runs one probe under the assumptions. It first asserts the lemmas
+// and Ackermann constraints the SAT instance lacks, narrows the general-LIA
+// checker to the probe's atoms (the union of atomSets, plus the Ackermann
+// pairs they reach) and switches on the assumptions' cone. ok=false when
+// the Ackermann budget ran out and the context went dormant. The context's
+// lock must be held.
+func (c *Context) solve(assumps []sat.Lit, atomSets ...[]int) (satisfiable bool, core []sat.Lit, ok bool) {
+	c.importLemmas()
+	if !c.emitAckermann() {
+		c.dead = true
+		c.s.ctr.Add(stats.DormantContexts, 1)
+		return false, nil, false
+	}
+	c.syncAtoms()
+	if c.lin != nil {
+		c.lin.SetProbe(c.probeAtomSet(atomSets...))
+	}
+	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
+		c.s.ctr.Add(stats.LemmaReuse, 1)
+	}
+	c.switchCone(assumps...)
+	// The probe's lemmas are recorded only when the knowledge store
+	// consumes them.
+	var learnt []theoryLemma
+	var rec *[]theoryLemma
+	if c.skel != "" {
+		rec = &learnt
+	}
+	satisfiable, core = c.hook.decide(c.sat, rec, assumps...)
+	c.keep(learnt)
+	if probeCheck != nil {
+		probeCheck(c, assumps, satisfiable)
+	}
+	return satisfiable, core, true
+}
+
+// keep appends the lemmas a probe learnt to the context's lemma list, up to
+// ctxMaxLemmas, and writes them behind to the knowledge store. They are
+// clauses of the current SAT instance already, so imported moves past them.
+// Lemmas are theory-valid facts regardless of how the probe ended, so
+// keeping them needs no Stop guard.
+func (c *Context) keep(lems []theoryLemma) {
+	if len(lems) == 0 {
+		return
+	}
+	if room := ctxMaxLemmas - len(c.lemmas); room > 0 {
+		c.lemmas = append(c.lemmas, lems[:min(room, len(lems))]...)
+		c.imported = len(c.lemmas)
+	}
+	for _, lem := range lems {
+		c.s.opts.Store.AppendLemma(c.skel, store.Lemma{Lins: lem.lins, Vals: lem.vals})
+	}
+}
+
+// account publishes the context's change in SAT size since its last probe
+// to the registry's budget accounting (registered contexts only; a
+// standalone consistency context is bounded by ctxMaxVars alone). The
+// context's lock must be held.
+func (c *Context) account() {
+	c.countSAT()
+	if c.key == nil {
+		return
+	}
+	n := int64(c.sat.NumVars() + c.sat.NumClauses() + c.sat.NumLearnts())
+	if d := n - c.units; d != 0 {
+		c.s.reg.grow(c, d)
+	}
+}
+
+// countSAT folds the context's SAT work since its last call into the
+// solver's counters. account calls it after every probe, so nothing is left
+// uncounted when the context is later reset or evicted. The context's lock
+// must be held.
+func (c *Context) countSAT() {
+	st := &c.sat.Stats
+	c.s.countSAT(st.Decisions-c.satSeen[0], st.Propagations-c.satSeen[1])
+	c.satSeen = [2]int64{st.Decisions, st.Propagations}
+}
+
+// importLemmas asserts every lemma of the context's list the current SAT
+// instance has not seen yet, re-interning each (lin, value) vector into the
+// context's atom space. New atoms get SAT variables immediately; the
+// following syncAtoms call folds them into the dense theory-check state.
+func (c *Context) importLemmas() {
+	for _, lem := range c.lemmas[c.imported:] {
+		clause := make([]sat.Lit, len(lem.lins))
+		usable := true
+		for k, l := range lem.lins {
+			pl, isLit := c.g.internLeq(l).(pLit)
+			if !isLit {
+				usable = false
+				break
+			}
+			v, have := c.enc.atomVar[pl.atom]
+			if !have {
+				v = c.sat.NewVar()
+				c.enc.atomVar[pl.atom] = v
+			}
+			// The conflict asserted (l ≤ 0) == vals[k]; in terms of the
+			// canonical atom that is atom == (vals[k] XOR pl.neg), and the
+			// clause carries its negation.
+			clause[k] = sat.MkLit(v, lem.vals[k] != pl.neg)
+		}
+		if usable {
+			c.sat.AddClause(clause...)
+		}
+	}
+	c.imported = len(c.lemmas)
 }
 
 // selector returns the literal asserting pred's normalized ground encoding,
@@ -613,9 +513,9 @@ func (c *Context) selector(p logic.Formula) (lit sat.Lit, atoms []int, good bool
 	return l, atoms, true
 }
 
-// gateGraph records a lane's probe gates — the Tseitin gates encNode and the
-// encoder create for probe formulas — and the gate→child edges between them
-// in an append-only int32 arena, dropped with the SAT instance by reset.
+// gateGraph records a context's probe gates — the Tseitin gates encNode and
+// the encoder create for probe formulas — and the gate→child edges between
+// them in an append-only int32 arena, dropped with the SAT instance by reset.
 // Atoms, the constant and Ackermann gates are not probe gates: they stay
 // switched on in every probe.
 type gateGraph struct {
@@ -684,9 +584,9 @@ func (c *Context) switchCone(assumps ...sat.Lit) {
 	}
 }
 
-// probeCheck, when non-nil, sees every decided context probe: the lane (its
-// lock held), the probe's assumption literals and its verdict. Tests install
-// it to re-decide the probe with every variable switched on.
+// probeCheck, when non-nil, sees every decided context probe: the context
+// (its lock held), the probe's assumption literals and its verdict. Tests
+// install it to re-decide the probe with every variable switched on.
 var probeCheck func(c *Context, assumps []sat.Lit, satisfiable bool)
 
 // sortedDedup sorts xs ascending and removes duplicates in place.
@@ -819,17 +719,6 @@ func (c *Context) syncAtoms() {
 		}
 	}
 	h.assign = make([]bool, len(h.atomVars))
-}
-
-// share returns pub when the probe's lemmas have a consumer, nil otherwise:
-// lemmas are recorded in grounder-independent form for a sibling lane, or
-// for the knowledge store (which persists them for next lifetime's lanes
-// even in a single-lane group).
-func (c *Context) share(pub *[]theoryLemma) *[]theoryLemma {
-	if c.group.multi() || (c.s.opts.Store != nil && c.group.skel != "") {
-		return pub
-	}
-	return nil
 }
 
 // probeAtomSet computes the current probe's relevant atom subset into the

@@ -229,9 +229,9 @@ func TestContextForRegistry(t *testing.T) {
 	}
 }
 
-// TestContextForEvictsOldest: once the registered groups outgrow the context
-// budget, the registry keeps handing out contexts, evicting the least
-// recently used group so the accounted SAT units never exceed the budget; a
+// TestContextForEvictsOldest: once the registered contexts outgrow the
+// context budget, the registry keeps handing out contexts, evicting the least
+// recently used one so the accounted SAT units never exceed the budget; a
 // recently used skeleton survives, and an evicted one gets a fresh context
 // that still decides correctly.
 func TestContextForEvictsOldest(t *testing.T) {
@@ -261,7 +261,7 @@ func TestContextForEvictsOldest(t *testing.T) {
 			t.Fatalf("registry holds %d SAT units after %d skeletons, budget %d", used, i+1, budget)
 		}
 		// Skeleton 1 is touched on every round, so it is never the least
-		// recently used group.
+		// recently used context.
 		s.ContextFor(skel(1))
 	}
 	if s.Counters()[stats.CtxEvicted].Load() == 0 || s.registered() > n {
@@ -326,23 +326,37 @@ func TestContextForBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// TestContextLanePoolConcurrent hammers one context group from many
-// goroutines. Contended probes must fan out across sibling lanes (never
-// degrading to a wrong answer), and every verdict — including any that rode
-// on lemmas imported from another lane's exchange — must match a fresh
-// solver's.
-func TestContextLanePoolConcurrent(t *testing.T) {
+// TestContextConcurrentProbes hammers one context from 16 goroutines.
+// Contended probes wait for the context's lock instead of falling back to
+// the from-scratch path: the from-scratch query count advances only for
+// probes decided syntactically, every other distinct probe is one
+// assumption probe, and every verdict must match a fresh solver's.
+func TestContextConcurrentProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const n = 240
 	fs := make([]logic.Formula, n)
 	want := make([]bool, n)
+	ref := NewSolver(Options{})
+	syntactic, probed := map[*logic.IFormula]bool{}, map[*logic.IFormula]bool{}
 	for i := range fs {
 		fs[i] = genDiffFormula(rng, 3)
 		want[i] = freshVerdict(fs[i])
+		if _, trivial := logic.TrivialVerdict(fs[i]); trivial {
+			continue
+		}
+		key := logic.Intern(fs[i])
+		if _, decided, _ := ref.groundStatic(key); decided {
+			syntactic[key] = true
+		} else {
+			probed[key] = true
+		}
+	}
+	if len(probed) == 0 {
+		t.Fatal("no probe reaches the SAT instance")
 	}
 	s := NewSolver(Options{})
 	ctx := s.NewContext()
-	const workers = 8
+	const workers = 16
 	errs := make(chan string, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -351,7 +365,7 @@ func TestContextLanePoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < n; i += workers {
 				if got := ctx.Valid(fs[i]); got != want[i] {
-					errs <- fmt.Sprintf("probe %d: lane verdict %v, fresh %v on %v", i, got, want[i], fs[i])
+					errs <- fmt.Sprintf("probe %d: context verdict %v, fresh %v on %v", i, got, want[i], fs[i])
 					return
 				}
 			}
@@ -362,60 +376,21 @@ func TestContextLanePoolConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if got := len(ctx.group.snapshotLanes()); got < 1 || got > ctxMaxLanes {
-		t.Errorf("lane count %d outside [1, %d]", got, ctxMaxLanes)
+	ctr := s.Counters()
+	if got := ctr[stats.DormantContexts].Load(); got != 0 {
+		t.Fatalf("%d dormant contexts: the comparison below assumes a live context", got)
+	}
+	if got := ctr[stats.Queries].Load(); got != int64(len(syntactic)) {
+		t.Errorf("queries %d, want %d (the probes decided syntactically): a contended probe left the context", got, len(syntactic))
+	}
+	if got := ctr[stats.AssumptionProbes].Load(); got != int64(len(probed)) {
+		t.Errorf("assumption_probes %d, want %d (the distinct probes not decided syntactically)", got, len(probed))
 	}
 }
 
-// TestContextLemmaExchange forces two lanes directly and checks that a theory
-// lemma learned by the first is imported and asserted by the second without
-// changing its verdicts.
-func TestContextLemmaExchange(t *testing.T) {
-	s := NewSolver(Options{})
-	ctx := s.NewContext()
-	lane2 := ctx.group.addLane()
-	if lane2 == nil {
-		t.Fatal("could not add a second lane")
-	}
-	// a < b ∧ b < c ∧ c < a is propositionally fine but theory-unsat, so
-	// deciding its negation's validity learns at least one theory lemma.
-	cyc := logic.Conj(
-		logic.LtF(logic.V("a"), logic.V("b")),
-		logic.LtF(logic.V("b"), logic.V("c")),
-		logic.LtF(logic.V("c"), logic.V("a")),
-	)
-	lane1 := ctx.group.snapshotLanes()[0]
-	lane1.mu.Lock()
-	g, decided, _ := s.groundStatic(logic.Intern(logic.Neg(cyc)))
-	if decided {
-		t.Fatal("cycle formula decided syntactically")
-	}
-	sat1, ok := lane1.decideLocked(g)
-	lane1.mu.Unlock()
-	if !ok || sat1 {
-		t.Fatalf("lane1 decide = (%v, %v), want unsat incremental", sat1, ok)
-	}
-	if len(ctx.group.exch.lemmas) == 0 {
-		t.Fatal("lane1 published no theory lemmas")
-	}
-	lane2.mu.Lock()
-	sat2, ok2 := lane2.decideLocked(g)
-	imported := lane2.imported
-	lane2.mu.Unlock()
-	if !ok2 || sat2 {
-		t.Fatalf("lane2 decide = (%v, %v), want unsat incremental", sat2, ok2)
-	}
-	if imported == 0 {
-		t.Error("lane2 imported no lemmas from the exchange")
-	}
-	if s.Counters()[stats.SharedLemmas].Load() == 0 {
-		t.Error("shared_lemmas did not advance")
-	}
-}
-
-// TestContextSATWorkCounted: the solver's SAT work counters sum every lane's
-// searches, work done before a reset included, and the per-request stats
-// object reads the same totals.
+// TestContextSATWorkCounted: the solver's SAT work counters sum every
+// search of a context, work done before a reset included, and the
+// per-request stats object reads the same totals.
 func TestContextSATWorkCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewSolver(Options{})
@@ -436,15 +411,15 @@ func TestContextSATWorkCounted(t *testing.T) {
 		t.Fatal("probes made no SAT decisions or propagations")
 	}
 	if got, want := [2]int64{s.Counters()[stats.SATDecisions].Load(), s.Counters()[stats.SATPropagations].Load()}, [2]int64{decisions, propagations}; got != want {
-		t.Errorf("solver counts %v, lanes did %v", got, want)
+		t.Errorf("solver counts %v, contexts did %v", got, want)
 	}
 	if got := s.Counters()[stats.TheoryConflicts].Load(); lemmas == 0 || got != lemmas {
-		t.Errorf("theory_conflicts %d, lanes resolved %d lemmas", got, lemmas)
+		t.Errorf("theory_conflicts %d, contexts resolved %d lemmas", got, lemmas)
 	}
 	v := s.Counters().Load()
 	snap := stats.NewSnapshot(nil, &v)
 	if got := [2]int64{snap.SATDecisions, snap.SATPropagations}; got != [2]int64{decisions, propagations} {
-		t.Errorf("snapshot counts %v, lanes did %v", got, [2]int64{decisions, propagations})
+		t.Errorf("snapshot counts %v, contexts did %v", got, [2]int64{decisions, propagations})
 	}
 }
 
@@ -474,7 +449,7 @@ func TestStopEndsProbeInSearch(t *testing.T) {
 	}
 	stop.Store(false)
 	if !s.Valid(twoConflicts()) || !ctx.Valid(twoConflicts()) {
-		t.Fatal("after Stop cleared, a valid formula was not proved: the stopped verdict was memoized or the lane broke")
+		t.Fatal("after Stop cleared, a valid formula was not proved: the stopped verdict was memoized or the context broke")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // newBudgetSolver returns a solver whose retained-state budget is shrunk to
-// ctxUnits SAT units for registered context groups and cacheNodes formula
+// ctxUnits SAT units for registered contexts and cacheNodes formula
 // nodes for the validity cache, so tests can drive eviction with a handful of
 // skeletons or formulas instead of a long-running session's worth.
 func newBudgetSolver(opts Options, ctxUnits int64, cacheNodes int64) *Solver {
@@ -20,7 +20,7 @@ func newBudgetSolver(opts Options, ctxUnits int64, cacheNodes int64) *Solver {
 	return s
 }
 
-// registered returns how many context groups the registry holds.
+// registered returns how many contexts the registry holds.
 func (s *Solver) registered() int {
 	s.reg.mu.Lock()
 	defer s.reg.mu.Unlock()
@@ -81,7 +81,7 @@ func (s *Solver) compareOracle(f *logic.IFormula, ground logic.Formula, decided,
 }
 
 // CrossCheckCones makes every context probe decided from now on be decided a
-// second time on the same lane with every SAT variable switched on, and
+// second time on the same context with every SAT variable switched on, and
 // calls fail with a description of each probe whose verdicts differ. It
 // returns a counter of the probes checked and a function that removes the
 // hook. Install it before any solver runs: the hook is package-wide.
@@ -90,17 +90,17 @@ func CrossCheckCones(fail func(msg string)) (checked func() int64, remove func()
 	probeCheck = func(c *Context, assumps []sat.Lit, satisfiable bool) {
 		n.Add(1)
 		if all := c.decideAllOn(assumps); all != satisfiable {
-			fail(fmt.Sprintf("probe under %v on a lane of %d variables: satisfiable=%v with its cone switched on, %v with every variable on",
+			fail(fmt.Sprintf("probe under %v on a context of %d variables: satisfiable=%v with its cone switched on, %v with every variable on",
 				assumps, c.sat.NumVars(), satisfiable, all))
 		}
 	}
 	return n.Load, func() { probeCheck = nil }
 }
 
-// decideAllOn re-decides a probe with every variable of the lane switched on
-// — the reference a cone-restricted search must agree with — and then
-// switches every probe gate off again, as after reset. The lane's lock must
-// be held.
+// decideAllOn re-decides a probe with every variable of the context switched
+// on — the reference a cone-restricted search must agree with — and then
+// switches every probe gate off again, as after reset. The context's lock
+// must be held.
 func (c *Context) decideAllOn(assumps []sat.Lit) bool {
 	for v := 0; v < c.sat.NumVars(); v++ {
 		c.sat.SetDecision(v, true)
@@ -116,7 +116,7 @@ func (c *Context) decideAllOn(assumps []sat.Lit) bool {
 }
 
 // CrossCheckOffline makes every context probe decided from now on be decided
-// a second time on the same lane by the offline DPLL(T) loop (decideOffline),
+// a second time on the same context by the offline DPLL(T) loop (decideOffline),
 // and calls fail with a description of each probe whose verdicts differ. It
 // returns a counter of the probes checked and a function that removes the
 // hook. Install it before any solver runs: the hook is package-wide.
@@ -125,7 +125,7 @@ func CrossCheckOffline(fail func(msg string)) (checked func() int64, remove func
 	probeCheck = func(c *Context, assumps []sat.Lit, satisfiable bool) {
 		n.Add(1)
 		if off := c.decideOffline(assumps); off != satisfiable {
-			fail(fmt.Sprintf("probe under %v on a lane of %d variables: satisfiable=%v online, %v offline",
+			fail(fmt.Sprintf("probe under %v on a context of %d variables: satisfiable=%v online, %v offline",
 				assumps, c.sat.NumVars(), satisfiable, off))
 		}
 	}
@@ -134,12 +134,12 @@ func CrossCheckOffline(fail func(msg string)) (checked func() int64, remove func
 
 // decideOffline re-decides a probe by the offline DPLL(T) loop the contexts
 // ran before the theory check moved inside the SAT search: with the hook
-// detached, solve to a full model from level 0, check it with the lane's
-// checker (still narrowed to the probe), add the conflict as a blocking
-// clause and solve again, until a consistent model, propositional
+// detached, solve to a full model from level 0, check it with the
+// context's checker (still narrowed to the probe), add the conflict as a
+// blocking clause and solve again, until a consistent model, propositional
 // unsatisfiability or MaxTheoryIterations rounds. Its blocking clauses stay
-// on the lane, as the online search's lemmas do. The lane's lock must be
-// held.
+// in the context, as the online search's lemmas do. The context's lock must
+// be held.
 func (c *Context) decideOffline(assumps []sat.Lit) bool {
 	h := &c.hook
 	c.sat.Theory = nil

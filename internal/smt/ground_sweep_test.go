@@ -138,7 +138,7 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 }
 
 // TestConeProbesMatchAllOn runs every sweep cell with every context probe
-// re-decided on its lane with all SAT variables switched on, and requires
+// re-decided on its context with all SAT variables switched on, and requires
 // the same verdict: deciding only the probe's cone may change the search
 // order, never an answer. This is the `make test-differential` guarantee
 // behind switching off other probes' gates.
@@ -162,7 +162,7 @@ func TestConeProbesMatchAllOn(t *testing.T) {
 }
 
 // TestOnlineMatchesOffline runs every sweep cell with every context probe
-// re-decided on its lane by the offline DPLL(T) loop — solve to a full
+// re-decided on its context by the offline DPLL(T) loop — solve to a full
 // model, check the theory, block, solve again from level 0 — and requires
 // the same verdict: checking the theory inside the SAT search may change
 // the search, never an answer. This is the `make test-differential`

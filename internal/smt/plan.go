@@ -61,10 +61,10 @@ import (
 // oracle_test.go keeps the multi-pass pipeline, and the differential sweep
 // compares the two on every probe.
 //
-// A plan is built lazily, on the first probe of a registered context group
-// that reaches grounding, and dies with the group. Its memos are guarded by
-// one mutex, held only for lookups and inserts, because the group's lanes
-// ground concurrently before they take a lane lock. They form one
+// A plan is built lazily, on the first probe of a registered context that
+// reaches grounding, and dies with the context. Its memos are guarded by
+// one mutex, held only for lookups and inserts, because the context's
+// probes ground concurrently before they take its lock. They form one
 // generation of at most planMemoCap entries: fills, predicate pieces,
 // units, scopes, candidate keys, environments, trigger sets, tuples and
 // leaf instances. The insert that fills a generation detaches
@@ -471,7 +471,7 @@ func newPlanMemo() *planMemo {
 	}
 }
 
-// groundPlan is one context group's compiled skeleton plus its memos.
+// groundPlan is one context's compiled skeleton plus its memos.
 type groundPlan struct {
 	s    *Solver
 	root *pnode
@@ -538,7 +538,7 @@ func compileList(fs []logic.Formula) []*pnode {
 // substitution of the universals being expanded with its rendering (the
 // leaf instance memo key) and odometer, the round's leaf instances, and the
 // buffers realize and environment interning reuse. A plan keeps the
-// groundings of finished probes for the next ones: at most one per lane
+// groundings of finished probes for the next ones: at most one per probe
 // that grounded at once.
 type grounding struct {
 	pl   *groundPlan

@@ -131,7 +131,7 @@ func (s *Solver) NumCacheHits() int64 { return s.ctr[stats.CacheHits].Load() }
 // NumContexts returns how many incremental contexts were created.
 func (s *Solver) NumContexts() int64 { return s.ctr[stats.Contexts].Load() }
 
-// ContextBudget returns the SAT units the registered context groups may hold
+// ContextBudget returns the SAT units the registered contexts may hold
 // (the fixed ctxBudget share of the solver's retained-state budget).
 func (s *Solver) ContextBudget() int64 { return s.reg.budget }
 
@@ -151,7 +151,7 @@ func (s *Solver) NumLemmaReuseHits() int64 { return s.ctr[stats.LemmaReuse].Load
 func (s *Solver) NumStoreVerdictHits() int64 { return s.ctr[stats.StoreVerdictHits].Load() }
 
 // NumWarmLemmas returns how many persisted theory lemmas were seeded into
-// freshly created context groups from the knowledge store.
+// freshly created contexts from the knowledge store.
 func (s *Solver) NumWarmLemmas() int64 { return s.ctr[stats.StoreWarmLemmas].Load() }
 
 // NumFMScratch returns how many from-scratch Fourier–Motzkin eliminations ran
@@ -171,17 +171,17 @@ func (s *Solver) NumFMCubeHits() int64 { return s.ctr[stats.FMCubeHits].Load() }
 // Truncated "satisfiable".
 func (s *Solver) NumFMCapHits() int64 { return s.ctr[stats.FMCapHits].Load() }
 
-// ground grounds the negation of the cache-missing probe n: through g's
-// grounding plan when the probe comes with its fill and g is a registered
-// context group, else as a whole formula (a fill the plan cannot express
+// ground grounds the negation of the cache-missing probe n: through c's
+// grounding plan when the probe comes with its fill and c is a registered
+// context, else as a whole formula (a fill the plan cannot express
 // counts as a plan fallback). decided reports that the probe simplifies to a
 // constant, whose value is then valid.
-func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Formula) (ground logic.Formula, decided, valid bool) {
+func (s *Solver) ground(n *logic.IFormula, c *Context, fill map[string]logic.Formula) (ground logic.Formula, decided, valid bool) {
 	start := time.Now()
-	planned := fill != nil && g != nil && g.key != nil
+	planned := fill != nil && c != nil && c.key != nil
 	ok := false
 	if planned {
-		ground, decided, valid, ok = g.groundPlan().groundFill(fill)
+		ground, decided, valid, ok = c.groundPlan().groundFill(fill)
 	}
 	if !ok {
 		ground, decided, valid = s.groundStatic(n)
@@ -195,7 +195,7 @@ func (s *Solver) ground(n *logic.IFormula, g *ctxGroup, fill map[string]logic.Fo
 	if groundCheck != nil {
 		var skel *logic.IFormula
 		if ok {
-			skel = g.key
+			skel = c.key
 		}
 		groundCheck(s, n, skel, fill, ground, decided, valid)
 	}
@@ -218,7 +218,7 @@ func (s *Solver) Incremental() bool { return !s.opts.NoIncremental }
 // ContextFor returns the persistent incremental context keyed by a compiled
 // VC skeleton, creating it on first use. Returns nil when incremental solving
 // is disabled; callers must then fall back to Valid. The registry keeps its
-// groups within ctxBudget SAT units, evicting the least recently used ones,
+// contexts within ctxBudget SAT units, evicting the least recently used ones,
 // so a long-running session keeps solving incrementally in bounded memory.
 // Eviction is sound — a re-requested skeleton just gets a fresh context —
 // and a caller still holding an evicted context may keep using it.

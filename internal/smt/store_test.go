@@ -95,28 +95,35 @@ func TestStoreParamsMismatchStartsCold(t *testing.T) {
 	}
 }
 
-// TestWarmLemmaSeeding asserts that theory lemmas learned by a context group
-// reach the store and seed an equivalent group in the next lifetime.
+// TestWarmLemmaSeeding asserts that theory lemmas learned by a context
+// reach the store and seed the skeleton's context in the next lifetime: a
+// probe that misses the verdict store re-interns every seeded lemma into the
+// context's SAT instance, and so does the first probe after a reset.
 func TestWarmLemmaSeeding(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{}
-	x, y, z := logic.V("x"), logic.V("y"), logic.V("z")
+	x, y, z, w := logic.V("x"), logic.V("y"), logic.V("z"), logic.V("w")
 	// A skeleton whose probes force theory conflicts (transitivity lemmas).
 	skel := logic.Implies{
 		A: logic.And{Fs: []logic.Formula{logic.LeF(x, y), logic.LeF(y, z)}},
 		B: logic.LeF(x, z),
 	}
-	probe := func(s *Solver) bool {
+	// weaken(k) is skel with its conclusion weakened by w ≤ k: a formula the
+	// cold lifetime never decided, refuted by the same transitivity lemma.
+	weaken := func(k int64) logic.Formula {
+		return logic.Implies{A: skel.A, B: logic.Or{Fs: []logic.Formula{skel.B, logic.LeF(w, logic.I(k))}}}
+	}
+	ctxOf := func(s *Solver) *Context {
 		c := s.ContextFor(logic.Intern(skel))
 		if c == nil {
 			t.Fatal("no context")
 		}
-		return c.Valid(skel)
+		return c
 	}
 
 	st := openStoreT(t, dir, opts)
 	cold := NewSolver(Options{Store: st})
-	coldV := probe(cold)
+	coldV := ctxOf(cold).Valid(skel)
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -127,10 +134,34 @@ func TestWarmLemmaSeeding(t *testing.T) {
 	st2 := openStoreT(t, dir, opts)
 	defer st2.Close()
 	warm := NewSolver(Options{Store: st2})
-	if warmV := probe(warm); warmV != coldV {
+	c := ctxOf(warm)
+	if warmV := c.Valid(skel); warmV != coldV {
 		t.Errorf("warm verdict %v != cold %v", warmV, coldV)
 	}
-	if warm.NumWarmLemmas() == 0 && warm.NumStoreVerdictHits() == 0 {
-		t.Error("warm run neither seeded lemmas nor hit persisted verdicts")
+	seeded := int(warm.NumWarmLemmas())
+	if seeded == 0 {
+		t.Fatal("warm run seeded no lemmas")
 	}
+	missProbe := func(what string, f logic.Formula) {
+		t.Helper()
+		hits := warm.NumStoreVerdictHits()
+		got := c.Valid(f)
+		if warm.NumStoreVerdictHits() != hits {
+			t.Fatalf("%s: the probe hit the verdict store", what)
+		}
+		if want := freshVerdict(f); got != want {
+			t.Errorf("%s: warm verdict %v, cold %v", what, got, want)
+		}
+		c.mu.Lock()
+		imported := c.imported
+		c.mu.Unlock()
+		if imported != seeded {
+			t.Errorf("%s: %d lemmas imported, %d seeded", what, imported, seeded)
+		}
+	}
+	missProbe("first miss", weaken(0))
+	c.mu.Lock()
+	c.reset()
+	c.mu.Unlock()
+	missProbe("after reset", weaken(1))
 }

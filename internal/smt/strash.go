@@ -8,7 +8,7 @@ import (
 	"repro/internal/sat"
 )
 
-// strash is a lane's memo of its encoded probe formulas, keyed by structure
+// strash is a context's memo of its encoded probe formulas, keyed by structure
 // over SAT literals: the structural hashing ("strash") of and-inverter
 // graphs. encNode resolves a formula bottom-up. An atom is looked up by its
 // own structure, a connective by its kind plus the literals its children
@@ -94,7 +94,7 @@ func gateHash(or bool, kids []sat.Lit) uint64 {
 // encNode encodes a ground formula into the persistent instance (one-sided
 // Tseitin, as in the from-scratch encoder) and returns its literal plus the
 // sorted grounder atom indices the encoding mentions. Both are memoized per
-// atom and per gate in the lane's strash, so atom sets compose bottom-up and
+// atom and per gate in the context's strash, so atom sets compose bottom-up and
 // give each probe its relevant atom subset without re-merging known gates.
 func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 	m := &c.strash
@@ -136,7 +136,7 @@ func (c *Context) encNode(f logic.Formula) (sat.Lit, []int) {
 }
 
 // encAtom returns the literal and atom set of a ground atom, grounding it
-// (atomProp) only the first time the lane meets its structure.
+// (atomProp) only the first time the context meets its structure.
 func (c *Context) encAtom(a logic.Atom) (sat.Lit, []int) {
 	m := &c.strash
 	n := 0
@@ -163,7 +163,7 @@ func (c *Context) encAtom(a logic.Atom) (sat.Lit, []int) {
 
 // encGate resolves the connective over the child literals pushed since mark
 // (a disjunction when or is set, else a conjunction) to a gate, reusing the
-// lane's gate over the same literals when there is one, and pops them.
+// context's gate over the same literals when there is one, and pops them.
 func (c *Context) encGate(or bool, mark int) (sat.Lit, []int) {
 	m := &c.strash
 	kids := m.lits[mark:]

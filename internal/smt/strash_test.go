@@ -23,7 +23,7 @@ func strashProbe() logic.Formula {
 
 // TestStrashReencodeAddsNothing: a structurally equal ground formula built
 // anew (no slice shared with the first) resolves to the same literal and
-// grows the lane's SAT instance by no variable and no clause.
+// grows the context's SAT instance by no variable and no clause.
 func TestStrashReencodeAddsNothing(t *testing.T) {
 	c := NewSolver(Options{}).NewContext()
 	first, firstAtoms := c.encNode(strashProbe())

@@ -7,7 +7,7 @@ import (
 )
 
 // theoryHook is the theory half of every DPLL(T) search the solver runs, a
-// context lane's and the from-scratch path's alike: attached to a sat.Solver
+// context's and the from-scratch path's alike: attached to a sat.Solver
 // as its Theory, it reads the atoms' truth values off each full assignment,
 // checks them with a lia.Checker, and returns a conflict as the lemma the
 // SAT search resolves in place. It gives up, so the probe answers the
@@ -23,8 +23,8 @@ type theoryHook struct {
 	lemma    []sat.Lit // the last lemma, reused
 
 	// Per probe: the conflicts found so far, and, when non-nil, where each
-	// lemma is recorded in grounder-independent form for the group's lemma
-	// exchange and the knowledge store.
+	// lemma is recorded in grounder-independent form for the context's lemma
+	// list and the knowledge store.
 	conflicts int
 	pub       *[]theoryLemma
 }

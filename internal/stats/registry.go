@@ -48,7 +48,6 @@ const (
 	Contexts
 	AssumptionProbes
 	LemmaReuse
-	SharedLemmas
 	CorePruned
 	CoreEvicted
 	CtxEvicted
@@ -194,7 +193,6 @@ var Rows = [NumCounters]Row{
 	Contexts:         {"smt_contexts", "vs3d_smt_contexts_total", "Persistent incremental smt.Contexts created.", Count, Engine, Plain, Always},
 	AssumptionProbes: {"assumption_probes", "vs3d_assumption_probes_total", "Incremental assumption probes across all sessions.", Count, Engine, Plain, Always},
 	LemmaReuse:       {"lemma_reuse", "vs3d_lemma_reuse_total", "Theory-lemma reuse hits across all sessions.", Count, Engine, Plain, Always},
-	SharedLemmas:     {"shared_lemmas", "vs3d_shared_lemmas_total", "Cross-lane theory-lemma exchanges.", Count, Engine, Plain, Always},
 	CorePruned:       {"core_pruned", "vs3d_core_pruned_total", "Lattice candidates pruned by stored unsat cores.", Count, Engine, Plain, Always},
 	CoreEvicted:      {"core_evicted", "vs3d_core_evicted_total", "Cores evicted from the engine-global store.", Count, Engine, Plain, Always},
 	CtxEvicted:       {"ctx_evicted", "vs3d_ctx_evicted_total", "Context groups evicted, least recently used first, to keep each solver within its budget.", Count, Engine, Plain, Always},

@@ -9,8 +9,7 @@
 //
 //   - Theory lemmas are valid LIA facts independent of any grounder, so
 //     importing them can never flip a verdict (they are re-interned and
-//     re-asserted by the receiving context, exactly like PR-4 cross-lane
-//     exchange).
+//     re-asserted by the receiving context's SAT instance).
 //   - Verdicts and outcomes are deterministic given identical solver bounds,
 //     so the header carries a params fingerprint and the whole store falls
 //     back to cold start when the bounds change.
@@ -71,7 +70,7 @@ const (
 	maxQueuedRecords = 1 << 15
 
 	// maxLemmasPerSkel bounds how many lemma records a single skeleton
-	// accumulates across lifetimes, mirroring ctxMaxExchanged in smt.
+	// accumulates across lifetimes, mirroring ctxMaxLemmas in smt.
 	maxLemmasPerSkel = 4096
 
 	// maxCores bounds the portable core list.
@@ -132,7 +131,7 @@ type Options struct {
 }
 
 // Lemma is one grounder-independent theory lemma: the clause
-// ⋁ᵢ (Lins[i] ≤ 0) = Vals[i], exactly the payload of cross-lane exchange.
+// ⋁ᵢ (Lins[i] ≤ 0) = Vals[i], exactly a context's in-memory lemma record.
 type Lemma struct {
 	Lins []lia.Lin `json:"lins"`
 	Vals []bool    `json:"vals"`
