@@ -44,14 +44,19 @@ test-race:
 # (TestTheoryHookAgainstBruteForce),
 # context-vs-fresh SMT verdicts, the contexts' literal-keyed encoding memo
 # (TestStrash: re-encoding adds nothing, equal-literal gates are shared, a
-# probe sweep's interning does not grow with formula size),
+# probe sweep's interning does not grow with formula size), the grounder's
+# dense atoms against the named orientation rule and occurrence names
+# (TestGrounderMatchesNamedForms),
 # fixpoint determinism, ψ_Prog byte-identity), plus the map-solver-vs-
 # reference-BFS solution-set equivalence sweep: every examples/ problem with
 # the CrossCheck hook on, randomized small lattices, and the randomized §6
 # precondition-enumeration sweep (every group search the enumeration runs
 # must return the same solution set from both enumerators). The lia line
 # is the Fourier–Motzkin sweep: lia.Check and the persistent LinChecker vs
-# brute-force small-domain enumeration over random general linear systems.
+# brute-force small-domain enumeration over random general linear systems,
+# and the dense forms and checkers vs the named (string-keyed) oracles: keys
+# and orientation (TestFormKeyMatchesLin), and FM, LinChecker and growing
+# DiffChecker results, conflicts included (TestDenseFMMatchesNamed).
 # The store lines are the persistence sweep: record round-trips, checksum /
 # version / params corruption recovery, the flush requeue / retry-budget /
 # drop-warning regressions, the compaction suite (duplicate-heavy shrink,
@@ -82,9 +87,9 @@ test-race:
 # (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts, steps,
 # invariants and preconditions).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestGrounderMatchesNamedForms|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
-	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker' ./internal/lia/
+	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker|TestFormKeyMatchesLin|TestDenseFM' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
@@ -94,11 +99,13 @@ test-differential:
 # response payloads), the knowledge store's log-line decoder plus record
 # replay, its header check on open (a fuzzed header line must either warm
 # or start cold with a fresh header), its outcome-digest (bloom) decoder,
-# the spec-file lexer and parser, and the vs3d NDJSON batch endpoint (a
+# the spec-file lexer and parser, the vs3d NDJSON batch endpoint (a
 # fuzzed body must get a 4xx, or a 200 with exactly one line per item),
-# 10s per target. Plain `go test` already replays the committed seed
-# corpora under internal/rpc/testdata/fuzz, internal/store/testdata/fuzz,
-# internal/lang/testdata/fuzz and internal/serve/testdata/fuzz.
+# and the dense Fourier–Motzkin engine against the named one (a fuzzed
+# system must get the named Result exactly), 10s per target. Plain `go test`
+# already replays the committed seed corpora under internal/rpc/testdata/fuzz,
+# internal/store/testdata/fuzz, internal/lang/testdata/fuzz,
+# internal/serve/testdata/fuzz and internal/lia/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/rpc/
@@ -108,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBloomDigest$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseFM$$' -fuzztime 10s ./internal/lia/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers

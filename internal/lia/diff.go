@@ -1,23 +1,24 @@
 package lia
 
-// DiffChecker decides many truth assignments of one fixed set of atoms in
+import "slices"
+
+// DiffChecker decides many truth assignments of one growable set of atoms in
 // the difference fragment. The DPLL(T) search checks the same atom set
-// against every full SAT assignment it reaches; Check(cons) rebuilt the
-// constraint graph — string-keyed node/distance/predecessor maps plus a
-// Negate clone per false atom — on every call, which dominated the solver's
-// allocation profile. A DiffChecker is built once per atom set: variables
-// are densely numbered (node 0 is the virtual zero node), each atom's
-// positive and negated edge are precomputed, and every Check reuses the
-// distance/predecessor scratch, so the per-check cost is one
-// Bellman–Ford pass with zero allocations.
+// against every full SAT assignment it reaches, so each atom's positive and
+// negated edge are precomputed once, at Extend, and every Check reuses the
+// distance/predecessor scratch: the per-check cost is one Bellman–Ford pass,
+// which allocates only the conflict it returns. Node v+1 is the variable of id v (node 0 is the
+// virtual zero node), so growing the atom set extends the graph in place.
 //
-// Check runs the exact relaxation sequence checkDifference runs (same edge
-// order, same virtual-source initialization, same conflict-cycle walk), so
+// Check runs the exact relaxation sequence of the named checkDifference (same
+// edge order, same virtual-source initialization, same conflict-cycle walk,
+// and the same round bound: the nodes the atoms use, plus the zero node), so
 // the conflicts — and hence the lemmas of a DPLL(T) search — are identical
-// to the Check-per-call implementation.
+// to a from-scratch Bellman–Ford over the named forms.
 type DiffChecker struct {
 	pos, neg []diffAtom
-	n        int // node count, including the virtual zero node 0
+	used     []bool // by node: some atom has an edge at it
+	n        int    // used nodes plus the zero node: the round bound
 
 	// scratch reused across Check calls (a DiffChecker is single-goroutine,
 	// like the solver run that owns it).
@@ -26,6 +27,7 @@ type DiffChecker struct {
 	sel    []diffEdge
 	selIdx []int32
 	seen   []bool
+	cycle  []int
 }
 
 type diffEdge struct {
@@ -41,67 +43,74 @@ type diffAtom struct {
 	edge    diffEdge
 }
 
-// NewDiffChecker preprocesses the atoms (each taken as lin ≤ 0 with its
+// NewDiffChecker preprocesses the atoms (each taken as form ≤ 0 with its
 // integer negation as the false polarity). It reports false when any atom
-// falls outside the difference fragment — callers then keep using Check —
-// which is polarity-independent: a constraint is a difference constraint
-// iff its negation is.
-func NewDiffChecker(atoms []Lin) (*DiffChecker, bool) {
-	for _, a := range atoms {
-		if !a.isDifference() {
-			return nil, false
-		}
+// falls outside the difference fragment, which is polarity-independent: a
+// constraint is a difference constraint iff its negation is.
+func NewDiffChecker(atoms []Form) (*DiffChecker, bool) {
+	d := &DiffChecker{n: 1, dist: make([]int64, 1), pred: make([]int32, 1), used: make([]bool, 1)}
+	if !d.Extend(atoms) {
+		return nil, false
 	}
-	d := &DiffChecker{
-		pos: make([]diffAtom, len(atoms)),
-		neg: make([]diffAtom, len(atoms)),
-	}
-	vars := map[string]int32{}
-	node := func(v string) int32 {
-		if v == "" {
-			return 0
-		}
-		id, ok := vars[v]
-		if !ok {
-			id = int32(len(vars) + 1)
-			vars[v] = id
-		}
-		return id
-	}
-	conv := func(l Lin) diffAtom {
-		if l.IsConst() {
-			return diffAtom{isConst: true, k: l.K}
-		}
-		var pos, neg string
-		for v, k := range l.Coef {
-			if k == 1 {
-				pos = v
-			} else {
-				neg = v
-			}
-		}
-		// pos − neg + K ≤ 0  ⇒  edge neg →(−K) pos, as in checkDifference.
-		return diffAtom{edge: diffEdge{from: node(neg), to: node(pos), w: -l.K}}
-	}
-	for i, a := range atoms {
-		d.pos[i] = conv(a)
-		d.neg[i] = conv(a.Negate())
-	}
-	d.n = len(vars) + 1
-	d.dist = make([]int64, d.n)
-	d.pred = make([]int32, d.n)
-	d.sel = make([]diffEdge, 0, len(atoms))
-	d.selIdx = make([]int32, 0, len(atoms))
-	d.seen = make([]bool, len(atoms))
 	return d, true
 }
 
+// Extend appends atoms to the checker's set, keeping atom indices stable.
+// It reports false, and leaves the checker unchanged, when any of them falls
+// outside the difference fragment.
+func (d *DiffChecker) Extend(atoms []Form) bool {
+	for _, a := range atoms {
+		if !a.isDifference() {
+			return false
+		}
+	}
+	for _, a := range atoms {
+		if a.IsConst() {
+			d.pos = append(d.pos, diffAtom{isConst: true, k: a.K})
+			d.neg = append(d.neg, diffAtom{isConst: true, k: -a.K + 1})
+			continue
+		}
+		var pos, neg int32 // nodes; 0 (the zero node) when absent
+		for _, t := range a.T {
+			if t.C == 1 {
+				pos = d.node(t.V)
+			} else {
+				neg = d.node(t.V)
+			}
+		}
+		// pos − neg + K ≤ 0  ⇒  edge neg →(−K) pos; the negation
+		// neg − pos − K + 1 ≤ 0  ⇒  edge pos →(K − 1) neg.
+		d.pos = append(d.pos, diffAtom{edge: diffEdge{from: neg, to: pos, w: -a.K}})
+		d.neg = append(d.neg, diffAtom{edge: diffEdge{from: pos, to: neg, w: -(-a.K + 1)}})
+	}
+	d.seen = append(d.seen, make([]bool, len(d.pos)-len(d.seen))...)
+	return true
+}
+
+// node returns the graph node of variable v, counting it as used.
+func (d *DiffChecker) node(v int32) int32 {
+	nd := v + 1
+	if int(nd) >= len(d.used) {
+		grow := int(nd) + 1 - len(d.used)
+		d.used = append(d.used, make([]bool, grow)...)
+		d.dist = append(d.dist, make([]int64, grow)...)
+		d.pred = append(d.pred, make([]int32, grow)...)
+	}
+	if !d.used[nd] {
+		d.used[nd] = true
+		d.n++
+	}
+	return nd
+}
+
+// Len returns the number of atoms.
+func (d *DiffChecker) Len() int { return len(d.pos) }
+
 // Check decides the conjunction selecting each atom's positive form where
 // assign[i] is true and its negation where false. Conflict indices refer to
-// atom positions. len(assign) must equal the preprocessed atom count.
+// atom positions. len(assign) must equal Len().
 func (d *DiffChecker) Check(assign []bool) Result {
-	// Constant constraints are decided immediately, in atom order (the same
-	// pre-pass Check performs on its cons slice).
+	// Constant constraints are decided immediately, in atom order.
 	for i, v := range assign {
 		a := d.atom(i, v)
 		if a.isConst && a.k > 0 {
@@ -117,8 +126,9 @@ func (d *DiffChecker) Check(assign []bool) Result {
 		sel = append(sel, a.edge)
 		selIdx = append(selIdx, int32(i))
 	}
+	d.sel, d.selIdx = sel, selIdx
 	dist, pred := d.dist, d.pred
-	for n := 0; n < d.n; n++ {
+	for n := range dist {
 		dist[n] = 0 // virtual source with 0-weight edges to all nodes
 		pred[n] = -1
 	}
@@ -145,7 +155,7 @@ func (d *DiffChecker) Check(assign []bool) Result {
 	for i := range seen {
 		seen[i] = false
 	}
-	var conflict []int
+	cycle := d.cycle[:0]
 	cur := node
 	for {
 		ei := pred[cur]
@@ -153,11 +163,12 @@ func (d *DiffChecker) Check(assign []bool) Result {
 			break
 		}
 		seen[selIdx[ei]] = true
-		conflict = append(conflict, int(selIdx[ei]))
+		cycle = append(cycle, int(selIdx[ei]))
 		cur = sel[ei].from
 	}
-	sortInts(conflict)
-	return Result{Sat: false, Conflict: conflict}
+	d.cycle = cycle
+	slices.Sort(cycle)
+	return Result{Sat: false, Conflict: slices.Clone(cycle)}
 }
 
 func (d *DiffChecker) atom(i int, positive bool) *diffAtom {
@@ -165,13 +176,4 @@ func (d *DiffChecker) atom(i int, positive bool) *diffAtom {
 		return &d.pos[i]
 	}
 	return &d.neg[i]
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: conflicts are tiny (a handful of cycle edges).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -33,7 +33,8 @@ func randomDiffAtoms(rng *rand.Rand, n int) []Lin {
 	return atoms
 }
 
-// TestDiffCheckerMatchesCheck pins DiffChecker.Check to Check: for random
+// TestDiffCheckerMatchesCheck pins DiffChecker.Check to the named Check
+// (namedCheck, Bellman–Ford over string-keyed forms): for random
 // difference atom sets and random polarities, both the verdict and the
 // conflict set must be identical, since the DPLL(T) loop's learnt clauses —
 // and with them every downstream iteration — depend on the exact conflict.
@@ -41,7 +42,7 @@ func TestDiffCheckerMatchesCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		atoms := randomDiffAtoms(rng, 1+rng.Intn(8))
-		dc, ok := NewDiffChecker(atoms)
+		dc, ok := NewDiffChecker(formsOf(NewVars(), atoms))
 		if !ok {
 			t.Fatalf("trial %d: difference atoms rejected: %v", trial, atoms)
 		}
@@ -56,7 +57,7 @@ func TestDiffCheckerMatchesCheck(t *testing.T) {
 					cons[i] = atoms[i].Negate()
 				}
 			}
-			want := Check(cons)
+			want := namedCheck(cons)
 			got := dc.Check(assign)
 			if got.Sat != want.Sat || !reflect.DeepEqual(got.Conflict, want.Conflict) {
 				t.Fatalf("trial %d round %d: atoms=%v assign=%v:\n got %+v\nwant %+v",
@@ -70,7 +71,7 @@ func TestDiffCheckerRejectsNonDifference(t *testing.T) {
 	l := NewLin()
 	l.AddVar("x", 2)
 	l.AddVar("y", -1)
-	if _, ok := NewDiffChecker([]Lin{l}); ok {
+	if _, ok := NewDiffChecker([]Form{NewVars().Form(l)}); ok {
 		t.Fatalf("2x − y accepted as difference constraint")
 	}
 }
@@ -88,7 +89,7 @@ func TestDiffCheckerEmpty(t *testing.T) {
 func BenchmarkDiffCheckerCheck(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	atoms := randomDiffAtoms(rng, 24)
-	dc, ok := NewDiffChecker(atoms)
+	dc, ok := NewDiffChecker(formsOf(NewVars(), atoms))
 	if !ok {
 		b.Fatal("atoms rejected")
 	}

@@ -29,9 +29,8 @@ type cube struct {
 // built once per persistent SMT context and keeps two kinds of state across
 // checks:
 //
-//   - Preprocessing: both polarities of every atom are gcd-tightened once at
-//     registration instead of per check (Negate clones the coefficient map,
-//     which dominated the former per-probe checkFM's allocation profile).
+//   - Preprocessing: both polarities of every atom are negated and
+//     gcd-tightened once at registration instead of per check.
 //   - Conflict cubes: every refutation's dependency set — the (atom,
 //     polarity) pairs the Fourier–Motzkin refutation actually used — is
 //     persisted, keyed by that stable atom subset. A later probe whose
@@ -49,14 +48,15 @@ type cube struct {
 // stay facts the fresh path could also have derived.
 //
 // Checks that miss the cube store fall through to a full elimination over
-// the current assignment (the same fmState engine checkFM uses, hence the
+// the current assignment (the same fmState engine FM.Check uses, hence the
 // same verdicts), and record the resulting refutation for the next probe.
 // The atom set may grow via Extend: cube indices are stable because atom
 // indices are append-only, so cubes survive growth and SetProbe changes.
 //
 // A LinChecker is single-goroutine, like the smt.Context that owns it.
 type LinChecker struct {
-	pos, neg []Lin  // tightened polarity forms by atom index
+	vars     *Vars
+	pos, neg []Form // tightened polarity forms by atom index
 	all      []int  // 0..Len()-1, the default probe
 	probe    []int  // active atom subset (aliases all when unrestricted)
 	inProbe  []bool // dense membership bitmap for the active probe
@@ -65,13 +65,16 @@ type LinChecker struct {
 	cubes   []cube
 	cubeSeq int64
 	ctr     *stats.Counters // counts FMIncremental, FMCubeHits and FMCapHits
+
+	fm fmState // the elimination engine, its buffers reused check to check
 }
 
-// NewLinChecker preprocesses the atoms (each taken as lin ≤ 0 with its
-// integer negation as the false polarity). Unlike NewDiffChecker it accepts
-// every linear atom set. ctr may be nil.
-func NewLinChecker(atoms []Lin, ctr *stats.Counters) *LinChecker {
-	c := &LinChecker{ctr: ctr, probeAll: true}
+// NewLinChecker preprocesses the atoms (each taken as form ≤ 0 with its
+// integer negation as the false polarity), all over vars, which the checker
+// keeps: its eliminations break ties by variable name. Unlike
+// NewDiffChecker it accepts every linear atom set. ctr may be nil.
+func NewLinChecker(vars *Vars, atoms []Form, ctr *stats.Counters) *LinChecker {
+	c := &LinChecker{vars: vars, ctr: ctr, probeAll: true}
 	c.Extend(atoms)
 	return c
 }
@@ -80,10 +83,12 @@ func NewLinChecker(atoms []Lin, ctr *stats.Counters) *LinChecker {
 // conflict cubes survive: they reference atom indices, which are stable
 // under growth. New atoms join the active probe only when it is the
 // unrestricted default.
-func (c *LinChecker) Extend(atoms []Lin) {
+func (c *LinChecker) Extend(atoms []Form) {
 	for _, a := range atoms {
-		c.pos = append(c.pos, tighten(a.Clone()))
-		c.neg = append(c.neg, tighten(a.Negate()))
+		p, n := a.Clone(), a.Negate()
+		p.K, n.K = tighten(p.T, p.K), tighten(n.T, n.K)
+		c.pos = append(c.pos, p)
+		c.neg = append(c.neg, n)
 		c.all = append(c.all, len(c.all))
 		c.inProbe = append(c.inProbe, c.probeAll)
 	}
@@ -117,7 +122,7 @@ func (c *LinChecker) Len() int { return len(c.pos) }
 // NumCubes returns the number of persisted conflict cubes.
 func (c *LinChecker) NumCubes() int { return len(c.cubes) }
 
-func (c *LinChecker) form(i int, positive bool) Lin {
+func (c *LinChecker) form(i int, positive bool) Form {
 	if positive {
 		return c.pos[i]
 	}
@@ -142,9 +147,11 @@ func (c *LinChecker) Check(assign []bool) Result {
 		return res
 	}
 	// Full elimination over the selected polarity forms.
-	st := newFMState(len(c.probe))
+	st := &c.fm
+	st.reset(c.vars)
 	for _, i := range c.probe {
-		if conflict := st.add(c.form(i, assign[i]), map[int]bool{i: true}); conflict != nil {
+		dep := [1]int32{int32(i)}
+		if conflict := st.add(c.form(i, assign[i]), dep[:]); conflict != nil {
 			return Result{Sat: false, Conflict: conflict}
 		}
 	}

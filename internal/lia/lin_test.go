@@ -51,6 +51,15 @@ func TestRandomGeneralAgainstBox(t *testing.T) {
 	}
 }
 
+// formsOf numbers the atoms' names through vars.
+func formsOf(vars *Vars, atoms []Lin) []Form {
+	forms := make([]Form, len(atoms))
+	for i, a := range atoms {
+		forms[i] = vars.Form(a)
+	}
+	return forms
+}
+
 // selectedForms materializes the constraint set a LinChecker assignment
 // denotes: atoms[i] where assign[i], its integer negation otherwise.
 func selectedForms(atoms []Lin, assign []bool) []Lin {
@@ -68,7 +77,7 @@ func selectedForms(atoms []Lin, assign []bool) []Lin {
 // TestLinCheckerMatchesCheck drives a persistent LinChecker through many
 // assignments of one random general atom set — including repeats, so the
 // conflict-cube store answers some checks — and requires verdict agreement
-// with from-scratch lia.Check on every one, plus conflict soundness.
+// with the named from-scratch check on every one, plus conflict soundness.
 func TestLinCheckerMatchesCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	names := []string{"x", "y", "z"}
@@ -79,7 +88,8 @@ func TestLinCheckerMatchesCheck(t *testing.T) {
 			atoms[i] = genGeneralLin(rng, names)
 		}
 		var ctr stats.Counters
-		chk := NewLinChecker(atoms, &ctr)
+		vars := NewVars()
+		chk := NewLinChecker(vars, formsOf(vars, atoms), &ctr)
 		var history [][]bool
 		for probe := 0; probe < 60; probe++ {
 			var assign []bool
@@ -93,7 +103,7 @@ func TestLinCheckerMatchesCheck(t *testing.T) {
 				history = append(history, assign)
 			}
 			got := chk.Check(assign)
-			want := Check(selectedForms(atoms, assign))
+			want := namedCheck(selectedForms(atoms, assign))
 			if got.Sat != want.Sat {
 				t.Fatalf("round %d probe %d: LinChecker=%v Check=%v atoms=%v assign=%v",
 					round, probe, got.Sat, want.Sat, atoms, assign)
@@ -126,7 +136,8 @@ func TestLinCheckerCubeReuse(t *testing.T) {
 	c.AddVar("y", 3)
 	c.K = -12
 	var ctr stats.Counters
-	chk := NewLinChecker([]Lin{a, b, c}, &ctr)
+	vars := NewVars()
+	chk := NewLinChecker(vars, formsOf(vars, []Lin{a, b, c}), &ctr)
 	assign := []bool{true, true, true}
 	res1 := chk.Check(assign)
 	if res1.Sat {
@@ -168,7 +179,8 @@ func TestLinCheckerSetProbe(t *testing.T) {
 	free.AddVar("y", 5)
 	free.K = 1
 	var ctr stats.Counters
-	chk := NewLinChecker([]Lin{conflictA, conflictB, free}, &ctr)
+	vars := NewVars()
+	chk := NewLinChecker(vars, formsOf(vars, []Lin{conflictA, conflictB, free}), &ctr)
 	all := []bool{true, true, true}
 	// Narrowed to the conflicting pair: unsat.
 	chk.SetProbe([]int{0, 1})
@@ -202,7 +214,8 @@ func TestLinCheckerExtend(t *testing.T) {
 	b := NewLin()
 	b.AddVar("x", 2) // x <= 0
 	var ctr stats.Counters
-	chk := NewLinChecker([]Lin{a, b}, &ctr)
+	vars := NewVars()
+	chk := NewLinChecker(vars, formsOf(vars, []Lin{a, b}), &ctr)
 	if res := chk.Check([]bool{true, true}); res.Sat {
 		t.Fatal("seed conflict missing")
 	}
@@ -210,7 +223,7 @@ func TestLinCheckerExtend(t *testing.T) {
 	extra.AddVar("y", 3)
 	extra.AddVar("x", 2)
 	extra.K = -6
-	chk.Extend([]Lin{extra})
+	chk.Extend(formsOf(vars, []Lin{extra}))
 	if chk.Len() != 3 {
 		t.Fatalf("Len=%d after Extend; want 3", chk.Len())
 	}

@@ -92,8 +92,12 @@ type Engine struct {
 	know *store.Store
 }
 
-// consVerdict is one memoized predicate-set consistency verdict.
+// consVerdict is one memoized predicate-set consistency verdict. The caller
+// that installs it decides the set and closes done; callers that find it
+// in flight wait on done, so one set is decided once however many parallel
+// jobs miss on it together.
 type consVerdict struct {
+	done chan struct{}
 	sat  bool
 	core []logic.Formula
 }
@@ -684,17 +688,24 @@ func (m bitmask) subsetOf(o bitmask) bool {
 // per predicate; inconsistent sets come back with an unsat core over the
 // predicates), falling back to the solver's Valid cache when the context
 // cannot answer exactly. Both paths agree on the verdict; only the context
-// path yields cores. fresh reports that this call performed the probe, so
-// exactly one caller persists the core and records its size.
+// path yields cores. A miss is claimed before it is decided (the verdict
+// goes into the memo in flight), and callers that meet the claim wait for
+// it. fresh reports that this call performed the probe, so exactly one
+// caller persists the core and records its size.
 func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.Formula, fresh bool) {
 	if ps.Len() <= 1 {
 		return true, nil, false
 	}
 	key := logic.Intern(ps.Formula())
-	if cv, ok := e.consMemo.Load(key); ok {
+	cv, ok := e.consMemo.Load(key)
+	if !ok {
+		cv, ok = e.consMemo.LoadOrStore(key, &consVerdict{done: make(chan struct{})})
+	}
+	if ok {
+		<-cv.done
 		return cv.sat, cv.core, false
 	}
-	cv := &consVerdict{}
+	defer close(cv.done)
 	var skey string
 	if e.know != nil {
 		// Warm path: the verdict survived from an earlier lifetime. No core
@@ -705,7 +716,6 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 		if sat, ok := e.know.Consistency(skey); ok {
 			e.S.Counters().Add(stats.StoreConsHits, 1)
 			cv.sat = sat
-			cv, _ = e.consMemo.LoadOrStore(key, cv)
 			return cv.sat, cv.core, false
 		}
 		e.S.Counters().Add(stats.StoreMisses, 1)
@@ -720,12 +730,11 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 	if !decided {
 		cv.sat = !e.S.Valid(logic.Neg(ps.Formula()))
 	}
-	cv, loaded := e.consMemo.LoadOrStore(key, cv)
-	if !loaded && e.know != nil && (e.Stop == nil || !e.Stop()) {
+	if e.know != nil && (e.Stop == nil || !e.Stop()) {
 		// Settled without a fired Stop: safe to persist for next lifetime.
 		e.know.AppendConsistency(skey, cv.sat)
 	}
-	return cv.sat, cv.core, !loaded
+	return cv.sat, cv.core, true
 }
 
 func (e *Engine) recordNegSizes(sols []template.Solution) {

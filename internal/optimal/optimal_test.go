@@ -1,10 +1,13 @@
 package optimal
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/logic"
 	"repro/internal/smt"
+	"repro/internal/stats"
 	"repro/internal/template"
 )
 
@@ -223,5 +226,42 @@ func TestDominates(t *testing.T) {
 	}
 	if dominates(s2, s1, []string{"p"}, []string{"n"}) {
 		t.Error("dominance is antisymmetric here")
+	}
+}
+
+// TestSatisfiableSetDecidesOnce has parallel jobs miss on one predicate set
+// together: the first claims it and the rest wait for its verdict, so the
+// set costs one consistency probe, and exactly one caller reports it fresh.
+func TestSatisfiableSetDecidesOnce(t *testing.T) {
+	e := newEngine()
+	ps := template.NewPredSet(
+		logic.LtF(logic.V("i"), logic.V("n")),
+		logic.GeF(logic.V("i"), logic.I(0)),
+		logic.LeF(logic.V("n"), logic.I(10)))
+	const jobs = 16
+	var wg sync.WaitGroup
+	var fresh atomic.Int32
+	start := make(chan struct{})
+	for range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			sat, _, f := e.satisfiableSet(ps)
+			if !sat {
+				t.Error("0 <= i < n <= 10 reported inconsistent")
+			}
+			if f {
+				fresh.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := e.S.Counters()[stats.AssumptionProbes].Load(); n != 1 {
+		t.Errorf("%d goroutines on one set made %d consistency probes, want 1", jobs, n)
+	}
+	if n := fresh.Load(); n != 1 {
+		t.Errorf("%d callers reported the probe fresh, want 1", n)
 	}
 }

@@ -103,12 +103,11 @@ type Context struct {
 	// from-scratch path.
 	dead bool
 
-	// lemmas are theory lemmas in grounder-independent form — (lia.Lin,
-	// value) vectors — that every SAT instance of the context asserts:
-	// seeded from the knowledge store, then, while a store is attached,
-	// extended by the context's own lemmas up to ctxMaxLemmas, so a reset
-	// re-imports them with the rest. imported is how many of them the
-	// current SAT instance holds; reset together with it.
+	// lemmas are the theory lemmas every SAT instance of the context
+	// asserts: seeded from the knowledge store, then, while a store is
+	// attached, extended by the context's own lemmas up to ctxMaxLemmas, so
+	// a reset re-imports them with the rest. imported is how many of them
+	// the current SAT instance holds; reset together with it.
 	lemmas   []theoryLemma
 	imported int
 
@@ -131,18 +130,24 @@ type Context struct {
 	// interned predicate, the sorted grounder atom indices its encoding
 	// mentions. ackPairs records each asserted Ackermann pair — the result
 	// variables of its two occurrences plus the atoms of its clause — and
-	// occName/occDeps the occurrence-variable dependency graph (an
-	// occurrence's arguments may mention nested occurrence variables).
-	// Together they give each probe its relevant atom subset, which the
-	// general-LIA checker is narrowed to (LinChecker.SetProbe): the
-	// context's cumulative atom set only grows, and eliminating over atoms a
-	// probe does not constrain would make every check more expensive than
-	// the from-scratch path.
+	// isOcc/occDeps, indexed by grounder variable id, the occurrence-variable
+	// dependency graph (an occurrence's arguments may mention nested
+	// occurrence variables). Together they give each probe its relevant atom
+	// subset, which the general-LIA checker is narrowed to
+	// (LinChecker.SetProbe): the context's cumulative atom set only grows,
+	// and eliminating over atoms a probe does not constrain would make every
+	// check more expensive than the from-scratch path.
 	selAtoms   map[*logic.IFormula][]int
 	ackPairs   []ackPair
-	occName    map[string]bool
-	occDeps    map[string][]string
-	probeAtoms []int // reusable buffer for the current probe's atom subset
+	isOcc      []bool    // by variable id: an occurrence variable
+	occDeps    [][]int32 // by variable id: the occurrence variables its arguments mention
+	probeAtoms []int     // reusable buffer for the current probe's atom subset
+
+	// probeAtomSet's reachability scratch: reach[v] == epoch marks variable
+	// v reached in the current probe, so no per-probe clearing is needed.
+	reach []uint32
+	epoch uint32
+	queue []int32
 
 	// emitted[sym] is how many occurrences of sym are already pairwise
 	// covered by asserted Ackermann constraints; pairCount is the running
@@ -153,11 +158,12 @@ type Context struct {
 	// hook is the context's theory check, attached to its SAT instance: dense
 	// over the context's full atom set (hook.atomVars[i] is the SAT variable
 	// of grounder atom i), with the preprocessed checker over all atoms — a
-	// DiffChecker (rebuilt whenever the set grows) while every atom is a
-	// difference constraint, a LinChecker (extended in place, conflict cubes
-	// surviving growth) from the first general linear atom on.
+	// DiffChecker while every atom is a difference constraint, a LinChecker
+	// (its conflict cubes surviving growth) from the first general linear
+	// atom on. Both are extended in place as the atom set grows.
 	hook theoryHook
-	lin  *lia.LinChecker // non-nil iff the hook's checker is the general-LIA one
+	diff *lia.DiffChecker // the hook's checker while lin is nil
+	lin  *lia.LinChecker  // non-nil iff the hook's checker is the general-LIA one
 
 	// gates records the probe gates of the context's SAT instance and their
 	// gate children; before each probe exactly the cone its assumptions
@@ -183,12 +189,16 @@ const (
 	ctxMaxLemmas = 4096
 )
 
-// theoryLemma is one theory conflict in grounder-independent form: the
-// conjunction of (lin_i ≤ 0) == val_i over the listed atoms is
-// integer-infeasible.
+// theoryLemma is one theory conflict: the conjunction of (atom_i ≤ 0) ==
+// val_i over the listed atoms is integer-infeasible. A lemma learnt by the
+// current SAT instance names its atoms by grounder index (atoms); one seeded
+// from the knowledge store, or carried over a reset, holds them with their
+// variables named (lins), as the store persists them, until importLemmas
+// interns them.
 type theoryLemma struct {
-	lins []lia.Lin
-	vals []bool
+	lins  []lia.Lin
+	atoms []int
+	vals  []bool
 }
 
 func (s *Solver) newContext() *Context { return s.newContextKeyed("") }
@@ -214,6 +224,15 @@ func (s *Solver) newContextKeyed(skel string) *Context {
 }
 
 func (c *Context) reset() {
+	if c.g != nil {
+		// Lemmas learnt by the outgoing instance name their atoms through
+		// its grounder, which goes with it.
+		for i := range c.lemmas {
+			if lem := &c.lemmas[i]; lem.lins == nil {
+				lem.lins, lem.atoms = c.g.named(lem.atoms), nil
+			}
+		}
+	}
 	c.sat = sat.New()
 	c.sat.MaxLearnts = ctxMaxLearnts
 	c.satSeen = [2]int64{}
@@ -225,13 +244,15 @@ func (c *Context) reset() {
 	c.selBad = map[*logic.IFormula]bool{}
 	c.selAtoms = map[*logic.IFormula][]int{}
 	c.ackPairs = nil
-	c.occName = map[string]bool{}
-	c.occDeps = map[string][]string{}
+	c.isOcc = nil
+	c.occDeps = nil
 	c.probeAtoms = nil
+	c.reach, c.epoch = nil, 0
 	c.emitted = map[string]int{}
 	c.pairCount = 0
 	c.hook = theoryHook{s: c.s}
 	c.sat.Theory = &c.hook
+	c.diff, _ = lia.NewDiffChecker(nil)
 	c.lin = nil
 	c.imported = 0
 }
@@ -410,9 +431,9 @@ func (c *Context) solve(assumps []sat.Lit, atomSets ...[]int) (satisfiable bool,
 }
 
 // keep appends the lemmas a probe learnt to the context's lemma list, up to
-// ctxMaxLemmas, and writes them behind to the knowledge store. They are
-// clauses of the current SAT instance already, so imported moves past them.
-// Lemmas are theory-valid facts regardless of how the probe ended, so
+// ctxMaxLemmas, and writes them behind to the knowledge store, named. They
+// are clauses of the current SAT instance already, so imported moves past
+// them. Lemmas are theory-valid facts regardless of how the probe ended, so
 // keeping them needs no Stop guard.
 func (c *Context) keep(lems []theoryLemma) {
 	if len(lems) == 0 {
@@ -423,7 +444,7 @@ func (c *Context) keep(lems []theoryLemma) {
 		c.imported = len(c.lemmas)
 	}
 	for _, lem := range lems {
-		c.s.opts.Store.AppendLemma(c.skel, store.Lemma{Lins: lem.lins, Vals: lem.vals})
+		c.s.opts.Store.AppendLemma(c.skel, store.Lemma{Lins: c.g.named(lem.atoms), Vals: lem.vals})
 	}
 }
 
@@ -454,14 +475,15 @@ func (c *Context) countSAT() {
 
 // importLemmas asserts every lemma of the context's list the current SAT
 // instance has not seen yet, re-interning each (lin, value) vector into the
-// context's atom space. New atoms get SAT variables immediately; the
-// following syncAtoms call folds them into the dense theory-check state.
+// context's atom space through its variable table. New atoms get SAT
+// variables immediately; the following syncAtoms call folds them into the
+// dense theory-check state.
 func (c *Context) importLemmas() {
 	for _, lem := range c.lemmas[c.imported:] {
 		clause := make([]sat.Lit, len(lem.lins))
 		usable := true
 		for k, l := range lem.lins {
-			pl, isLit := c.g.internLeq(l).(pLit)
+			pl, isLit := c.g.internLin(l).(pLit)
 			if !isLit {
 				usable = false
 				break
@@ -628,26 +650,30 @@ func (c *Context) emitAckermann() bool {
 		}
 	}
 	sort.Strings(syms)
-	// Name every new occurrence first: dependency extraction below must
+	// Mark every new occurrence first: dependency extraction below must
 	// recognize occurrence variables across symbols regardless of order.
+	if n := c.g.vars.Len(); len(c.isOcc) < n {
+		c.isOcc = append(c.isOcc, make([]bool, n-len(c.isOcc))...)
+		c.occDeps = append(c.occDeps, make([][]int32, n-len(c.occDeps))...)
+	}
 	for _, s := range syms {
 		os := c.g.occs[s]
 		for j := c.emitted[s]; j < len(os); j++ {
-			c.occName[os[j].v] = true
+			c.isOcc[os[j].id] = true
 		}
 	}
 	for _, s := range syms {
 		os := c.g.occs[s]
 		for j := c.emitted[s]; j < len(os); j++ {
-			var deps []string
+			var deps []int32
 			for _, a := range os[j].args {
-				for v := range linOf(a).Coef {
-					if c.occName[v] {
-						deps = append(deps, v)
+				for _, t := range c.g.formOf(a).T {
+					if c.isOcc[t.V] {
+						deps = append(deps, t.V)
 					}
 				}
 			}
-			c.occDeps[os[j].v] = deps
+			c.occDeps[os[j].id] = deps
 			for i := 0; i < j; i++ {
 				if c.pairCount >= c.s.opts.MaxAckermannPairs {
 					return false
@@ -662,7 +688,7 @@ func (c *Context) emitAckermann() bool {
 				p := mkOr(disj...)
 				c.sat.AddClause(c.enc.encode(p))
 				c.ackPairs = append(c.ackPairs, ackPair{
-					a: os[i].v, b: os[j].v,
+					a: os[i].id, b: os[j].id,
 					atoms: sortedDedup(propAtoms(p, nil)),
 				})
 			}
@@ -677,26 +703,26 @@ func (c *Context) emitAckermann() bool {
 // probe's atom subset only when both occurrences are reachable from the
 // probe's atoms, mirroring the per-probe pair set the fresh path builds.
 type ackPair struct {
-	a, b  string
+	a, b  int32 // the occurrences' variable ids
 	atoms []int
 }
 
 // syncAtoms extends the dense atom ↔ SAT-variable mapping and the persistent
 // theory checker to cover every interned atom. Difference-only atom sets keep
-// the Bellman–Ford DiffChecker (rebuilt on growth — its preprocessing is a
-// whole-graph property); the first atom outside the fragment switches the
-// context to a LinChecker, which is thereafter extended in place so its
-// learned conflict cubes survive atom-set growth (grounder indices are
-// append-only).
+// the Bellman–Ford DiffChecker; the first atom outside the fragment switches
+// the context to a LinChecker over every atom. Either is extended in place
+// as the set grows (grounder indices are append-only), so the LinChecker's
+// learned conflict cubes survive growth.
 func (c *Context) syncAtoms() {
-	// The checker must exist even when the grounder produced no linear atoms
-	// at all (every predicate constant-folded away): the hook still consults
-	// it, and 0 == 0 atom counts must not skip its construction.
+	// The checker must be attached even when the grounder produced no linear
+	// atoms at all (every predicate constant-folded away): the hook still
+	// consults it, and 0 == 0 atom counts must not skip attaching it.
 	h := &c.hook
-	if h.checker != nil && len(h.atomVars) == len(c.g.lins) {
+	forms := c.g.forms
+	if h.checker != nil && len(h.atomVars) == len(forms) {
 		return
 	}
-	for i := len(h.atomVars); i < len(c.g.lins); i++ {
+	for i := len(h.atomVars); i < len(forms); i++ {
 		v, ok := c.enc.atomVar[i]
 		if !ok {
 			// Interned but never encoded (constant-eliminated branch); it
@@ -706,17 +732,15 @@ func (c *Context) syncAtoms() {
 		}
 		h.atomVars = append(h.atomVars, v)
 	}
-	h.lins = c.g.lins
 	switch {
 	case c.lin != nil:
-		c.lin.Extend(c.g.lins[c.lin.Len():])
+		c.lin.Extend(forms[c.lin.Len():])
+	case c.diff.Extend(forms[c.diff.Len():]):
+		h.checker = c.diff
 	default:
-		if d, ok := lia.NewDiffChecker(c.g.lins); ok {
-			h.checker = d
-		} else {
-			c.lin = lia.NewLinChecker(c.g.lins, &c.s.ctr)
-			h.checker = c.lin
-		}
+		c.diff = nil
+		c.lin = lia.NewLinChecker(c.g.vars, forms, &c.s.ctr)
+		h.checker = c.lin
 	}
 	h.assign = make([]bool, len(h.atomVars))
 }
@@ -734,18 +758,24 @@ func (c *Context) probeAtomSet(sets ...[]int) []int {
 	for _, s := range sets {
 		raw = append(raw, s...)
 	}
-	if len(c.occName) > 0 {
-		reach := map[string]bool{}
-		var queue []string
-		visit := func(v string) {
-			if c.occName[v] && !reach[v] {
-				reach[v] = true
+	if len(c.ackPairs) > 0 {
+		if len(c.reach) < len(c.isOcc) {
+			c.reach = append(c.reach, make([]uint32, len(c.isOcc)-len(c.reach))...)
+		}
+		if c.epoch++; c.epoch == 0 {
+			clear(c.reach)
+			c.epoch = 1
+		}
+		queue := c.queue[:0]
+		visit := func(v int32) {
+			if c.isOcc[v] && c.reach[v] != c.epoch {
+				c.reach[v] = c.epoch
 				queue = append(queue, v)
 			}
 		}
 		for _, ai := range raw {
-			for v := range c.g.lins[ai].Coef {
-				visit(v)
+			for _, t := range c.g.forms[ai].T {
+				visit(t.V)
 			}
 		}
 		for len(queue) > 0 {
@@ -755,9 +785,10 @@ func (c *Context) probeAtomSet(sets ...[]int) []int {
 				visit(d)
 			}
 		}
+		c.queue = queue
 		for i := range c.ackPairs {
 			pr := &c.ackPairs[i]
-			if reach[pr.a] && reach[pr.b] {
+			if c.reach[pr.a] == c.epoch && c.reach[pr.b] == c.epoch {
 				raw = append(raw, pr.atoms...)
 			}
 		}

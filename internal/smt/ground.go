@@ -10,11 +10,11 @@ import (
 )
 
 // prop is a ground propositional formula whose leaves are integer
-// inequalities (indices into grounder.lins).
+// inequalities (indices into grounder.forms).
 type prop interface{ isProp() }
 
 type pLit struct {
-	atom int // index into grounder.lins
+	atom int // index into grounder.forms
 	neg  bool
 }
 type pAnd struct{ ps []prop }
@@ -95,80 +95,107 @@ func mkOr(ps ...prop) prop {
 // uninterpreted applications with fresh integer variables plus Ackermann
 // functional-consistency constraints, and interns each inequality in a
 // canonical orientation so that an atom and its negation share one index.
+// Its atoms are dense forms over the grounder's own variable table; names
+// come back only for lemma records (named).
 type grounder struct {
-	lins  []lia.Lin
-	byKey map[string]int
+	vars  *lia.Vars
+	forms []lia.Form       // atom i is forms[i] ≤ 0
+	lits  []prop           // atom i's literal: lits[2i] positive, lits[2i+1] negated
+	byKey map[string]int32 // packed form (lia.Form.AppendPacked) → atom
 
 	// occurrences of flattened function applications, grouped by symbol.
 	occs map[string][]occurrence
+
+	// buf and key are the scratch a form is built and packed in.
+	buf []lia.Term
+	key []byte
 }
 
 type occurrence struct {
 	args []logic.Term // flattened, pure arithmetic terms
 	v    string       // the fresh variable standing for the application
+	id   int32        // v's id in the grounder's variable table
 }
 
 func newGrounder() *grounder {
-	return &grounder{byKey: map[string]int{}, occs: map[string][]occurrence{}}
+	return &grounder{vars: lia.NewVars(), byKey: map[string]int32{}, occs: map[string][]occurrence{}}
 }
 
-// internLeq interns the constraint l ≤ 0, returning a literal in canonical
+// internLeq interns the constraint f ≤ 0, returning a literal in canonical
 // orientation (an inequality and its integer negation map to one atom).
-func (g *grounder) internLeq(l lia.Lin) prop {
-	if l.IsConst() {
-		return pConst{val: l.K <= 0}
+// When the negation is the canonical side, f's terms are negated in place
+// (f is normally scratch, built in g.buf). A hit allocates nothing: each
+// atom's two literals are boxed once, when it is interned.
+func (g *grounder) internLeq(f lia.Form) prop {
+	if f.IsConst() {
+		return pConst{val: f.K <= 0}
 	}
-	neg := l.Negate()
-	key, nkey := l.Key(), neg.Key()
-	if key <= nkey {
-		return pLit{atom: g.intern(key, l)}
+	neg := 0
+	if !g.vars.Positive(f) {
+		f = f.NegateTo(f.T)
+		neg = 1
 	}
-	return pLit{atom: g.intern(nkey, neg), neg: true}
+	g.key = f.AppendPacked(g.key[:0])
+	i, ok := g.byKey[string(g.key)]
+	if !ok {
+		i = int32(len(g.forms))
+		g.forms = append(g.forms, f.Clone())
+		g.lits = append(g.lits, pLit{atom: int(i)}, pLit{atom: int(i), neg: true})
+		g.byKey[string(g.key)] = i
+	}
+	return g.lits[2*int(i)+neg]
 }
 
-func (g *grounder) intern(key string, l lia.Lin) int {
-	if i, ok := g.byKey[key]; ok {
-		return i
-	}
-	i := len(g.lins)
-	g.lins = append(g.lins, l)
-	g.byKey[key] = i
-	return i
+// internLin interns the named constraint l ≤ 0 (a persisted lemma's atom)
+// through the grounder's variable table.
+func (g *grounder) internLin(l lia.Lin) prop {
+	f := g.vars.AppendForm(g.buf[:0], l)
+	g.buf = f.T
+	return g.internLeq(f)
 }
 
-// linOf converts a pure arithmetic term (no selects/applies) to linear form.
-func linOf(t logic.Term) lia.Lin {
+// named returns the atoms with their variables named, as lemma records
+// carry them.
+func (g *grounder) named(atoms []int) []lia.Lin {
+	lins := make([]lia.Lin, len(atoms))
+	for k, a := range atoms {
+		lins[k] = g.vars.Lin(g.forms[a])
+	}
+	return lins
+}
+
+// addTerm appends c·t, a pure arithmetic term (no selects/applies), to the
+// form being built in g.buf, returning the change to its constant.
+// Coefficients and constants wrap, as the named forms' arithmetic does.
+func (g *grounder) addTerm(t logic.Term, c int64) int64 {
 	switch t := t.(type) {
 	case logic.Var:
-		l := lia.NewLin()
-		l.AddVar(t.Name, 1)
-		return l
+		g.buf = append(g.buf, lia.Term{V: g.vars.ID(t.Name), C: c})
+		return 0
 	case logic.IntLit:
-		l := lia.NewLin()
-		l.K = t.Val
-		return l
+		return c * t.Val
 	case logic.Add:
-		l := linOf(t.X)
-		l.AddLin(linOf(t.Y), 1)
-		return l
+		return g.addTerm(t.X, c) + g.addTerm(t.Y, c)
 	case logic.Sub:
-		l := linOf(t.X)
-		l.AddLin(linOf(t.Y), -1)
-		return l
+		return g.addTerm(t.X, c) + g.addTerm(t.Y, -c)
 	case logic.Mul:
-		l := linOf(t.X)
-		l.Scale(t.C)
-		return l
+		return g.addTerm(t.X, c*t.C)
 	}
-	panic(fmt.Sprintf("smt: non-arithmetic term in linOf: %T (%s)", t, t))
+	panic(fmt.Sprintf("smt: non-arithmetic term in linear form: %T (%s)", t, t))
+}
+
+// formOf builds the linear form of a pure arithmetic term in g.buf.
+func (g *grounder) formOf(t logic.Term) lia.Form {
+	g.buf = g.buf[:0]
+	k := g.addTerm(t, 1)
+	return lia.Form{T: lia.Canon(g.buf), K: k}
 }
 
 // leq builds the literal for x − y + off ≤ 0 over flattened terms.
 func (g *grounder) leq(x, y logic.Term, off int64) prop {
-	l := linOf(x)
-	l.AddLin(linOf(y), -1)
-	l.K += off
-	return g.internLeq(l)
+	g.buf = g.buf[:0]
+	k := g.addTerm(x, 1) + g.addTerm(y, -1) + off
+	return g.internLeq(lia.Form{T: lia.Canon(g.buf), K: k})
 }
 
 // relProp encodes a relation over flattened terms as a prop. Equalities
@@ -316,10 +343,14 @@ func (g *grounder) flattenTerm(t logic.Term) logic.Term {
 	panic(fmt.Sprintf("smt: unknown term %T", t))
 }
 
+// registerApp records an occurrence of sym over the flattened args and
+// returns the variable standing for it. The variable's name spells the
+// arguments' named keys (lia.Lin.Key), so it is the same in every grounder
+// and persists in lemma records.
 func (g *grounder) registerApp(sym string, args []logic.Term) logic.Term {
 	keys := make([]string, len(args))
 	for i, a := range args {
-		keys[i] = linOf(a).Key()
+		keys[i] = g.formOf(a).Key(g.vars)
 	}
 	name := sym + "(" + strings.Join(keys, ";") + ")"
 	for _, o := range g.occs[sym] {
@@ -327,7 +358,7 @@ func (g *grounder) registerApp(sym string, args []logic.Term) logic.Term {
 			return logic.V(name)
 		}
 	}
-	g.occs[sym] = append(g.occs[sym], occurrence{args: args, v: name})
+	g.occs[sym] = append(g.occs[sym], occurrence{args: args, v: name, id: g.vars.ID(name)})
 	return logic.V(name)
 }
 

@@ -347,15 +347,16 @@ func (s *Solver) decideGround(f logic.Formula) bool {
 		atoms = append(atoms, atom)
 	}
 	sort.Ints(atoms)
-	h := &theoryHook{s: s, atomVars: make([]int, len(atoms)), lins: make([]lia.Lin, len(atoms)), assign: make([]bool, len(atoms))}
+	h := &theoryHook{s: s, atomVars: make([]int, len(atoms)), assign: make([]bool, len(atoms))}
+	forms := make([]lia.Form, len(atoms))
 	for k, atom := range atoms {
 		h.atomVars[k] = enc.atomVar[atom]
-		h.lins[k] = g.lins[atom]
+		forms[k] = g.forms[atom]
 	}
-	if d, ok := lia.NewDiffChecker(h.lins); ok {
+	if d, ok := lia.NewDiffChecker(forms); ok {
 		h.checker = d
 	} else {
-		h.checker = newScratchFM(h.lins, &s.ctr)
+		h.checker = newScratchFM(g.vars, forms, &s.ctr)
 	}
 	solver.Theory = h
 	satisfiable, _ := h.decide(solver, nil)

@@ -1,9 +1,11 @@
 package smt
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/lia"
 	"repro/internal/logic"
 	"repro/internal/store"
 )
@@ -164,4 +166,68 @@ func TestWarmLemmaSeeding(t *testing.T) {
 	c.reset()
 	c.mu.Unlock()
 	missProbe("after reset", weaken(1))
+}
+
+// TestLearntLemmasCarryOverReset follows the lemmas a store-attached
+// context learns: they are recorded by grounder atom, written to the store
+// with their variables named, named the same way when a reset drops the
+// grounder they index, and re-imported into the new instance, whose later
+// verdicts still match a fresh solver's.
+func TestLearntLemmasCarryOverReset(t *testing.T) {
+	st := openStoreT(t, t.TempDir(), Options{})
+	defer st.Close()
+	s := NewSolver(Options{Store: st})
+	x, y, z := logic.V("x"), logic.V("y"), logic.V("z")
+	skel := logic.Implies{
+		A: logic.And{Fs: []logic.Formula{logic.LeF(x, y), logic.LeF(y, z)}},
+		B: logic.LeF(x, z),
+	}
+	c := s.ContextFor(logic.Intern(skel))
+	if c == nil || !c.Valid(skel) {
+		t.Fatal("x ≤ y ∧ y ≤ z ⇒ x ≤ z not proved through a context")
+	}
+	lemmaKeys := func(lins []lia.Lin) string {
+		var b strings.Builder
+		for _, l := range lins {
+			b.WriteString(l.Key() + ";")
+		}
+		return b.String()
+	}
+	c.mu.Lock()
+	var before []string
+	for _, lem := range c.lemmas {
+		if lem.atoms == nil {
+			t.Fatal("a lemma learnt by the current instance carries no atoms")
+		}
+		before = append(before, lemmaKeys(c.g.named(lem.atoms)))
+	}
+	if len(before) == 0 {
+		t.Fatal("the probe learnt no lemma")
+	}
+	stored := st.Lemmas(c.skel)
+	if len(stored) != len(before) {
+		t.Fatalf("%d lemmas learnt, %d stored", len(before), len(stored))
+	}
+	for i, lem := range stored {
+		if got := lemmaKeys(lem.Lins); got != before[i] {
+			t.Errorf("lemma %d stored as %s, learnt as %s", i, got, before[i])
+		}
+	}
+	c.reset()
+	for i, lem := range c.lemmas {
+		if lem.atoms != nil || lemmaKeys(lem.lins) != before[i] {
+			t.Errorf("lemma %d after reset: atoms %v, named %s; want %s", i, lem.atoms, lemmaKeys(lem.lins), before[i])
+		}
+	}
+	c.mu.Unlock()
+	for _, f := range []logic.Formula{logic.LeF(x, z), skel, logic.Implies{A: logic.LeF(x, y), B: logic.LeF(x, z)}} {
+		if got, want := c.Valid(f), freshVerdict(f); got != want {
+			t.Errorf("after reset, %s: %v, fresh %v", f, got, want)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.imported != len(before) {
+		t.Errorf("%d lemmas re-imported after reset, want %d", c.imported, len(before))
+	}
 }

@@ -18,13 +18,12 @@ type theoryHook struct {
 
 	checker  lia.Checker
 	atomVars []int     // SAT variable of atom i
-	lins     []lia.Lin // atom i's form (lin ≤ 0), for lemma records
 	assign   []bool    // atom i's truth value under the current assignment
 	lemma    []sat.Lit // the last lemma, reused
 
 	// Per probe: the conflicts found so far, and, when non-nil, where each
-	// lemma is recorded in grounder-independent form for the context's lemma
-	// list and the knowledge store.
+	// lemma is recorded for the context's lemma list and the knowledge
+	// store. Only contexts record, and there atom i is grounder atom i.
 	conflicts int
 	pub       *[]theoryLemma
 }
@@ -54,12 +53,8 @@ func (h *theoryHook) Check(s *sat.Solver) ([]sat.Lit, bool) {
 	}
 	h.lemma = lemma
 	if h.pub != nil {
-		lem := theoryLemma{
-			lins: make([]lia.Lin, len(res.Conflict)),
-			vals: make([]bool, len(res.Conflict)),
-		}
+		lem := theoryLemma{atoms: res.Conflict, vals: make([]bool, len(res.Conflict))}
 		for k, ci := range res.Conflict {
-			lem.lins[k] = h.lins[ci]
 			lem.vals[k] = h.assign[ci]
 		}
 		*h.pub = append(*h.pub, lem)
@@ -81,19 +76,20 @@ func (h *theoryHook) decide(s *sat.Solver, pub *[]theoryLemma, assumps ...sat.Li
 
 // scratchFM checks each assignment of a fixed atom set outside the
 // difference fragment by a from-scratch Fourier–Motzkin elimination
-// (lia.Check) over the atoms' selected polarity forms: the from-scratch
+// (lia.FM) over the atoms' selected polarity forms: the from-scratch
 // path's general-LIA checker.
 type scratchFM struct {
-	pos, neg []lia.Lin
-	cons     []lia.Lin
+	vars     *lia.Vars
+	pos, neg []lia.Form
+	cons     []lia.Form
+	fm       lia.FM
 	ctr      *stats.Counters
 }
 
-// newScratchFM precomputes each atom's negation once: Negate clones the
-// coefficient map, and doing that per false atom per check dominated the
-// from-scratch path's allocations.
-func newScratchFM(atoms []lia.Lin, ctr *stats.Counters) *scratchFM {
-	f := &scratchFM{pos: atoms, neg: make([]lia.Lin, len(atoms)), ctr: ctr}
+// newScratchFM precomputes each atom's negation once, not per false atom
+// per check.
+func newScratchFM(vars *lia.Vars, atoms []lia.Form, ctr *stats.Counters) *scratchFM {
+	f := &scratchFM{vars: vars, pos: atoms, neg: make([]lia.Form, len(atoms)), ctr: ctr}
 	for i, a := range atoms {
 		f.neg[i] = a.Negate()
 	}
@@ -111,7 +107,7 @@ func (f *scratchFM) Check(assign []bool) lia.Result {
 		}
 	}
 	f.ctr.Add(stats.FMScratch, 1)
-	res := lia.Check(f.cons)
+	res := f.fm.Check(f.vars, f.cons)
 	if res.Truncated {
 		f.ctr.Add(stats.FMCapHits, 1)
 	}
