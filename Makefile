@@ -55,8 +55,8 @@ test-race:
 # is the Fourier–Motzkin sweep: lia.Check and the persistent LinChecker vs
 # brute-force small-domain enumeration over random general linear systems,
 # and the dense forms and checkers vs the named (string-keyed) oracles: keys
-# and orientation (TestFormKeyMatchesLin), and FM, LinChecker and growing
-# DiffChecker results, conflicts included (TestDenseFMMatchesNamed).
+# and orientation (TestFormKeyMatchesLin), and LinChecker, lia.Check and
+# growing DiffChecker results, conflicts included (TestDenseFMMatchesNamed).
 # The store lines are the persistence sweep: record round-trips, checksum /
 # version / params corruption recovery, the flush requeue / retry-budget /
 # drop-warning regressions, the compaction suite (duplicate-heavy shrink,
@@ -80,9 +80,9 @@ test-race:
 # four sweeps over every examples/ problem and every DefaultSuite cell: the
 # grounding sweep (every probe grounded both ways must intern to the same
 # node; -v prints the probes, plan probes and distinct environments), the
-# cone sweep (every context probe re-decided with all SAT variables switched
-# on must reach the same verdict), the offline sweep (every context probe
-# re-decided by the offline DPLL(T) loop — solve, check, block, solve again
+# cone sweep (every context probe, one-shot contexts' included, re-decided
+# with all SAT variables switched on must reach the same verdict), the
+# offline sweep (every such probe re-decided by the offline DPLL(T) loop — solve, check, block, solve again
 # from level 0 — must reach the same verdict), and the GOMAXPROCS sweep
 # (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts, steps,
 # invariants and preconditions).
@@ -101,8 +101,9 @@ test-differential:
 # or start cold with a fresh header), its outcome-digest (bloom) decoder,
 # the spec-file lexer and parser, the vs3d NDJSON batch endpoint (a
 # fuzzed body must get a 4xx, or a 200 with exactly one line per item),
-# and the dense Fourier–Motzkin engine against the named one (a fuzzed
-# system must get the named Result exactly), 10s per target. Plain `go test`
+# and the dense Fourier–Motzkin checker (LinChecker, and lia.Check outside
+# the difference fragment) against the named one (a fuzzed system must get
+# the named Result exactly), 10s per target. Plain `go test`
 # already replays the committed seed corpora under internal/rpc/testdata/fuzz,
 # internal/store/testdata/fuzz, internal/lang/testdata/fuzz,
 # internal/serve/testdata/fuzz and internal/lia/testdata/fuzz.

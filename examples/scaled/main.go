@@ -37,7 +37,7 @@ func main() {
 		}
 		fmt.Print(core.FormatOutcome(out))
 		s := v.Engine().S
-		fmt.Printf("theory checks: %d incremental eliminations, %d cube hits, %d from scratch\n\n",
-			s.NumFMIncremental(), s.NumFMCubeHits(), s.NumFMScratch())
+		fmt.Printf("theory checks: %d incremental eliminations, %d from scratch\n\n",
+			s.NumFMIncremental(), s.NumFMScratch())
 	}
 }

@@ -132,14 +132,10 @@ func run(p *spec.Problem, eng *optimal.Engine, opts Options, dir direction) (Res
 		seq     int
 	}
 	// Every candidate is scored against the same per-path VC skeletons, so
-	// each probe goes through the path's persistent incremental context
-	// (falls back to from-scratch solving when the solver is non-incremental).
+	// each probe goes through the path's context.
 	pathValid := func(i int, sigma template.Solution) bool {
 		f, fill := p.PathVCFill(i, sigma)
-		if c := eng.S.ContextFor(p.PathVCSkeleton(i)); c != nil {
-			return c.ValidFill(f, fill)
-		}
-		return eng.S.Valid(f)
+		return eng.S.ContextFor(p.PathVCSkeleton(i)).ValidFill(f, fill)
 	}
 	score := func(sigma template.Solution, seq int) scored {
 		s := scored{sigma: sigma, seq: seq, failIdx: -1}

@@ -91,29 +91,31 @@ func genWrapLin(rng *rand.Rand, names []string) Lin {
 	return l
 }
 
-// denseMatchesNamed decides cons by the dense FM and, when it runs an
-// elimination, by a fresh LinChecker with every atom true, and reports the
-// first difference from the named checkFM in Sat, Conflict or Truncated.
+// denseMatchesNamed decides cons by a fresh LinChecker with every atom true
+// and reports the first difference from the named checkFM in Sat, Conflict
+// or Truncated. Outside the difference fragment, where Check takes the
+// general path, Check must match checkFM too.
 func denseMatchesNamed(cons []Lin) error {
 	want := checkFM(cons)
 	vars := NewVars()
 	forms := formsOf(vars, cons)
-	var m FM
-	if got := m.Check(vars, forms); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("FM.Check %+v, named checkFM %+v", got, want)
-	}
 	all := make([]bool, len(forms))
 	for i := range all {
 		all[i] = true
 	}
-	if got := NewLinChecker(vars, forms, nil).Check(all); !reflect.DeepEqual(got, want) {
+	if got := NewLinChecker(vars, forms, nil, 0).Check(all); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("LinChecker.Check %+v, named checkFM %+v", got, want)
+	}
+	if _, diff := NewDiffChecker(forms); !diff {
+		if got := Check(cons); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("Check %+v, named checkFM %+v", got, want)
+		}
 	}
 	return nil
 }
 
 // TestDenseFMMatchesNamed holds the dense engines to the named oracles
-// exactly, not just in verdict: FM.Check and LinChecker.Check to checkFM on
+// exactly, not just in verdict: LinChecker.Check and Check to checkFM on
 // random general systems, wrapping coefficients included, and DiffChecker
 // to the named Bellman–Ford on atom sets that grow by Extend over a table
 // holding names no atom uses.
@@ -139,7 +141,7 @@ func TestDenseFMMatchesNamed(t *testing.T) {
 		}
 		var ctr stats.Counters
 		vars := NewVars()
-		chk := NewLinChecker(vars, formsOf(vars, atoms), &ctr)
+		chk := NewLinChecker(vars, formsOf(vars, atoms), &ctr, stats.FMIncremental)
 		for probe := 0; probe < 30; probe++ {
 			assign := make([]bool, len(atoms))
 			for i := range assign {
@@ -148,7 +150,7 @@ func TestDenseFMMatchesNamed(t *testing.T) {
 			runs := ctr[stats.FMIncremental].Load()
 			got := chk.Check(assign)
 			if ctr[stats.FMIncremental].Load() == runs {
-				continue // a constant or a cube answered it
+				continue // a constant answered it
 			}
 			if want := checkFM(selectedForms(atoms, assign)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round %d probe %d: LinChecker %+v, checkFM %+v\natoms %v assign %v",
@@ -195,8 +197,9 @@ func TestDenseFMMatchesNamed(t *testing.T) {
 	}
 }
 
-// FuzzDenseFM decodes a small linear system from the input and requires the
-// dense FM and LinChecker to return exactly the named checkFM's Result.
+// FuzzDenseFM decodes a small linear system from the input and requires
+// LinChecker and, outside the difference fragment, Check to return exactly
+// the named checkFM's Result.
 // Each constraint takes one byte of variable mask (four variables) and a
 // coefficient byte per variable, then a constant byte; a coefficient or
 // constant byte of 0x7f or 0x80 stands for MaxInt64 or MinInt64.

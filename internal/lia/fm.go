@@ -299,35 +299,3 @@ func depInts(deps []int32) []int {
 	}
 	return out
 }
-
-// FM decides conjunctions of forms over one Vars table from scratch by
-// Fourier–Motzkin elimination with integer (gcd) tightening, reusing its
-// buffers from one call to the next. It is single-goroutine.
-type FM struct {
-	st  fmState
-	tmp []Term
-}
-
-// Check decides whether the conjunction of cons[i] ≤ 0 is satisfiable over
-// the integers. When it is not, Result.Conflict names an inconsistent
-// subset, as indices into cons. Every form must be over vars.
-func (m *FM) Check(vars *Vars, cons []Form) Result {
-	// Constant constraints are decided immediately, in order.
-	for i, c := range cons {
-		if c.IsConst() && c.K > 0 {
-			return Result{Sat: false, Conflict: []int{i}}
-		}
-	}
-	st := &m.st
-	st.reset(vars)
-	for i, c := range cons {
-		m.tmp = append(m.tmp[:0], c.T...)
-		k := tighten(m.tmp, c.K)
-		dep := [1]int32{int32(i)}
-		if conflict := st.add(Form{T: m.tmp, K: k}, dep[:]); conflict != nil {
-			return Result{Sat: false, Conflict: conflict}
-		}
-	}
-	st.seedVars()
-	return st.run()
-}

@@ -16,10 +16,10 @@
 //
 // The paper's §7 benchmark VCs land in the difference fragment after array
 // flattening, so they take the complete path; the scaled-coefficient family
-// (ScaledInit and friends) exercises the general path. Both procedures have
-// a preprocessed, check-per-assignment form for the DPLL(T) search: DiffChecker
-// for difference atom sets and LinChecker (persistent Fourier–Motzkin with a
-// conflict-cube store) for general ones.
+// (ScaledInit and friends) exercises the general path. Both procedures are
+// preprocessed, check-per-assignment checkers for the DPLL(T) search:
+// DiffChecker for difference atom sets and LinChecker (Fourier–Motzkin over
+// one reused elimination state) for general ones.
 //
 // The solver's forms are dense: a Form is sorted (variable id, coefficient)
 // terms over one Vars table, which each solving context owns. Lin, the
@@ -147,15 +147,14 @@ func Check(cons []Lin) Result {
 	for i, c := range cons {
 		forms[i] = vars.Form(c)
 	}
+	assign := make([]bool, len(forms))
+	for i := range assign {
+		assign[i] = true
+	}
 	if d, ok := NewDiffChecker(forms); ok {
-		assign := make([]bool, len(forms))
-		for i := range assign {
-			assign[i] = true
-		}
 		return d.Check(assign)
 	}
-	var m FM
-	return m.Check(vars, forms)
+	return NewLinChecker(vars, forms, nil, 0).Check(assign)
 }
 
 func gcd(a, b int64) int64 {

@@ -9,49 +9,21 @@ type Checker interface {
 	Check(assign []bool) Result
 }
 
-// maxCubes bounds a LinChecker's persisted conflict-cube store; beyond it
-// the least-useful cube (fewest hits, oldest) is evicted for each newcomer.
-const maxCubes = 1024
-
-// cube is one persisted refutation: the conjunction selecting atom idx[k]
-// with polarity val[k] is integer-infeasible. A cube recorded in one probe
-// refutes every later probe whose assignment agrees on those atoms, without
-// re-running the elimination.
-type cube struct {
-	idx  []int // sorted atom indices
-	val  []bool
-	hits int64
-	seq  int64 // insertion order, for age-aware eviction
-}
-
 // LinChecker decides truth assignments of a fixed atom set containing
-// non-difference constraints: the general-LIA analogue of DiffChecker. It is
-// built once per persistent SMT context and keeps two kinds of state across
-// checks:
+// non-difference constraints: the general-LIA analogue of DiffChecker. Both
+// polarities of every atom are gcd-tightened once, at registration, and
+// every check runs a Fourier–Motzkin elimination over the current
+// assignment in one reused fmState, so a warmed checker allocates only the
+// conflicts it returns.
 //
-//   - Preprocessing: both polarities of every atom are negated and
-//     gcd-tightened once at registration instead of per check.
-//   - Conflict cubes: every refutation's dependency set — the (atom,
-//     polarity) pairs the Fourier–Motzkin refutation actually used — is
-//     persisted, keyed by that stable atom subset. A later probe whose
-//     assignment agrees on a cube's atoms is refuted by table lookup, with
-//     the exact conflict set preserved, so unsat cores keep driving
-//     map-solver blocking without an elimination run.
-//
-// SetProbe narrows a check to the atoms one probe actually mentions: the
-// owning context accumulates atoms across every probe of its lifetime, and
-// running the elimination over that cumulative set would make each check more
-// expensive than the from-scratch path it replaces (and spend theory
+// SetProbe narrows a check to the atoms one probe actually mentions: a
+// persistent SMT context accumulates atoms across every probe of its
+// lifetime, and running the elimination over that cumulative set would make
+// each check more expensive than a one-probe instance's (and spend theory
 // conflicts repairing atoms the probe does not constrain). With a probe
-// subset active, checks see exactly the per-probe systems the fresh path
-// sees, and only cubes lying inside the subset fire — so learned conflicts
-// stay facts the fresh path could also have derived.
-//
-// Checks that miss the cube store fall through to a full elimination over
-// the current assignment (the same fmState engine FM.Check uses, hence the
-// same verdicts), and record the resulting refutation for the next probe.
-// The atom set may grow via Extend: cube indices are stable because atom
-// indices are append-only, so cubes survive growth and SetProbe changes.
+// subset active, checks see exactly the per-probe systems a one-probe
+// instance sees. The atom set may grow via Extend; atom indices are
+// append-only, so they stay valid across growth and SetProbe changes.
 //
 // A LinChecker is single-goroutine, like the smt.Context that owns it.
 type LinChecker struct {
@@ -59,12 +31,10 @@ type LinChecker struct {
 	pos, neg []Form // tightened polarity forms by atom index
 	all      []int  // 0..Len()-1, the default probe
 	probe    []int  // active atom subset (aliases all when unrestricted)
-	inProbe  []bool // dense membership bitmap for the active probe
 	probeAll bool
 
-	cubes   []cube
-	cubeSeq int64
-	ctr     *stats.Counters // counts FMIncremental, FMCubeHits and FMCapHits
+	ctr   *stats.Counters // counts elims and FMCapHits
+	elims stats.Counter   // the row each elimination run counts in
 
 	fm fmState // the elimination engine, its buffers reused check to check
 }
@@ -72,17 +42,16 @@ type LinChecker struct {
 // NewLinChecker preprocesses the atoms (each taken as form ≤ 0 with its
 // integer negation as the false polarity), all over vars, which the checker
 // keeps: its eliminations break ties by variable name. Unlike
-// NewDiffChecker it accepts every linear atom set. ctr may be nil.
-func NewLinChecker(vars *Vars, atoms []Form, ctr *stats.Counters) *LinChecker {
-	c := &LinChecker{vars: vars, ctr: ctr, probeAll: true}
+// NewDiffChecker it accepts every linear atom set. Each elimination run
+// counts one in ctr's row elims; ctr may be nil.
+func NewLinChecker(vars *Vars, atoms []Form, ctr *stats.Counters, elims stats.Counter) *LinChecker {
+	c := &LinChecker{vars: vars, ctr: ctr, elims: elims, probeAll: true}
 	c.Extend(atoms)
 	return c
 }
 
-// Extend appends newly interned atoms to the checker's universe. Persisted
-// conflict cubes survive: they reference atom indices, which are stable
-// under growth. New atoms join the active probe only when it is the
-// unrestricted default.
+// Extend appends newly interned atoms to the checker's universe. New atoms
+// join the active probe only when it is the unrestricted default.
 func (c *LinChecker) Extend(atoms []Form) {
 	for _, a := range atoms {
 		p, n := a.Clone(), a.Negate()
@@ -90,7 +59,6 @@ func (c *LinChecker) Extend(atoms []Form) {
 		c.pos = append(c.pos, p)
 		c.neg = append(c.neg, n)
 		c.all = append(c.all, len(c.all))
-		c.inProbe = append(c.inProbe, c.probeAll)
 	}
 	if c.probeAll {
 		c.probe = c.all
@@ -98,29 +66,19 @@ func (c *LinChecker) Extend(atoms []Form) {
 }
 
 // SetProbe fixes the atom subset subsequent Check calls decide: only the
-// listed atoms are conjoined, and only cubes lying entirely inside the
-// subset can answer a check. nil restores the unrestricted default (all
+// listed atoms are conjoined. nil restores the unrestricted default (all
 // atoms). The slice is retained, not copied; the caller must not mutate it
 // until the next SetProbe.
 func (c *LinChecker) SetProbe(idxs []int) {
-	for _, i := range c.probe {
-		c.inProbe[i] = false
-	}
 	if idxs == nil {
 		c.probe, c.probeAll = c.all, true
 	} else {
 		c.probe, c.probeAll = idxs, false
 	}
-	for _, i := range c.probe {
-		c.inProbe[i] = true
-	}
 }
 
 // Len returns the number of registered atoms.
 func (c *LinChecker) Len() int { return len(c.pos) }
-
-// NumCubes returns the number of persisted conflict cubes.
-func (c *LinChecker) NumCubes() int { return len(c.cubes) }
 
 func (c *LinChecker) form(i int, positive bool) Form {
 	if positive {
@@ -134,19 +92,12 @@ func (c *LinChecker) form(i int, positive bool) Form {
 // Conflict indices are atom indices (valid positions of assign). len(assign)
 // must equal Len().
 func (c *LinChecker) Check(assign []bool) Result {
-	// Constant constraints are decided immediately, in atom order (the same
-	// pre-pass Check performs on its cons slice).
+	// Constant constraints are decided immediately, in atom order.
 	for _, i := range c.probe {
 		if l := c.form(i, assign[i]); l.IsConst() && l.K > 0 {
 			return Result{Sat: false, Conflict: []int{i}}
 		}
 	}
-	// Persisted refutations: a cube inside the probe subset whose atoms all
-	// agree with the current assignment refutes it outright.
-	if res, hit := c.lookupCube(assign); hit {
-		return res
-	}
-	// Full elimination over the selected polarity forms.
 	st := &c.fm
 	st.reset(c.vars)
 	for _, i := range c.probe {
@@ -156,57 +107,10 @@ func (c *LinChecker) Check(assign []bool) Result {
 		}
 	}
 	st.seedVars()
-	c.ctr.Add(stats.FMIncremental, 1)
+	c.ctr.Add(c.elims, 1)
 	res := st.run()
 	if res.Truncated {
 		c.ctr.Add(stats.FMCapHits, 1)
 	}
-	if !res.Sat {
-		c.learn(res.Conflict, assign)
-	}
 	return res
-}
-
-func (c *LinChecker) lookupCube(assign []bool) (Result, bool) {
-outer:
-	for i := range c.cubes {
-		cb := &c.cubes[i]
-		for k, idx := range cb.idx {
-			if idx >= len(assign) || !c.inProbe[idx] || assign[idx] != cb.val[k] {
-				continue outer
-			}
-		}
-		cb.hits++
-		c.ctr.Add(stats.FMCubeHits, 1)
-		return Result{Sat: false, Conflict: append([]int(nil), cb.idx...)}, true
-	}
-	return Result{}, false
-}
-
-// learn persists one refutation's dependency cube. Duplicates cannot occur:
-// an existing cube matching the assignment would have answered the check.
-func (c *LinChecker) learn(conflict []int, assign []bool) {
-	c.cubeSeq++
-	cb := cube{
-		idx: append([]int(nil), conflict...),
-		val: make([]bool, len(conflict)),
-		seq: c.cubeSeq,
-	}
-	for k, idx := range conflict {
-		cb.val[k] = assign[idx]
-	}
-	if len(c.cubes) < maxCubes {
-		c.cubes = append(c.cubes, cb)
-		return
-	}
-	// Evict the cube with the fewest hits, breaking ties toward the oldest:
-	// cubes that never refuted anything age out first.
-	victim := 0
-	for i := 1; i < len(c.cubes); i++ {
-		v, cand := &c.cubes[victim], &c.cubes[i]
-		if cand.hits < v.hits || (cand.hits == v.hits && cand.seq < v.seq) {
-			victim = i
-		}
-	}
-	c.cubes[victim] = cb
 }

@@ -2,6 +2,7 @@ package lia
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -75,9 +76,10 @@ func selectedForms(atoms []Lin, assign []bool) []Lin {
 }
 
 // TestLinCheckerMatchesCheck drives a persistent LinChecker through many
-// assignments of one random general atom set — including repeats, so the
-// conflict-cube store answers some checks — and requires verdict agreement
-// with the named from-scratch check on every one, plus conflict soundness.
+// assignments of one random general atom set — including replays of earlier
+// assignments, so state one check leaves behind would show in the next — and
+// requires verdict agreement with the named from-scratch check on every
+// one, plus conflict soundness.
 func TestLinCheckerMatchesCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	names := []string{"x", "y", "z"}
@@ -89,12 +91,12 @@ func TestLinCheckerMatchesCheck(t *testing.T) {
 		}
 		var ctr stats.Counters
 		vars := NewVars()
-		chk := NewLinChecker(vars, formsOf(vars, atoms), &ctr)
+		chk := NewLinChecker(vars, formsOf(vars, atoms), &ctr, stats.FMIncremental)
 		var history [][]bool
 		for probe := 0; probe < 60; probe++ {
 			var assign []bool
 			if len(history) > 0 && rng.Intn(3) == 0 {
-				assign = history[rng.Intn(len(history))] // replay: cube territory
+				assign = history[rng.Intn(len(history))] // replay
 			} else {
 				assign = make([]bool, n)
 				for i := range assign {
@@ -122,53 +124,8 @@ func TestLinCheckerMatchesCheck(t *testing.T) {
 	}
 }
 
-// TestLinCheckerCubeReuse pins the cube store's behavior: re-checking an
-// unsatisfiable assignment must be answered from the store with the same
-// conflict, without another elimination.
-func TestLinCheckerCubeReuse(t *testing.T) {
-	// x >= 1 and x <= 0, plus an unrelated atom.
-	a := NewLin()
-	a.AddVar("x", -2)
-	a.K = 2 // -2x + 2 <= 0  ⇔  x >= 1
-	b := NewLin()
-	b.AddVar("x", 2) // 2x <= 0  ⇔  x <= 0
-	c := NewLin()
-	c.AddVar("y", 3)
-	c.K = -12
-	var ctr stats.Counters
-	vars := NewVars()
-	chk := NewLinChecker(vars, formsOf(vars, []Lin{a, b, c}), &ctr)
-	assign := []bool{true, true, true}
-	res1 := chk.Check(assign)
-	if res1.Sat {
-		t.Fatal("x>=1 ∧ x<=0 should be unsat")
-	}
-	runs := ctr[stats.FMIncremental].Load()
-	res2 := chk.Check(assign)
-	if res2.Sat {
-		t.Fatal("replay should stay unsat")
-	}
-	if ctr[stats.FMIncremental].Load() != runs {
-		t.Error("replayed conflict ran another elimination instead of hitting the cube store")
-	}
-	if ctr[stats.FMCubeHits].Load() == 0 {
-		t.Error("no cube hit recorded on replay")
-	}
-	if len(res2.Conflict) != len(res1.Conflict) {
-		t.Errorf("cube conflict %v differs from original %v", res2.Conflict, res1.Conflict)
-	}
-	// Flipping an atom outside the conflict must still hit the cube.
-	res3 := chk.Check([]bool{true, true, false})
-	if res3.Sat {
-		t.Fatal("conflict does not involve y; flip must stay unsat")
-	}
-	if ctr[stats.FMIncremental].Load() != runs {
-		t.Error("cube should cover assignments agreeing on its atoms only")
-	}
-}
-
 // TestLinCheckerSetProbe pins probe narrowing: atoms outside the active
-// subset are ignored, and cubes only fire inside the subset.
+// subset are ignored, and SetProbe(nil) restores the full atom set.
 func TestLinCheckerSetProbe(t *testing.T) {
 	conflictA := NewLin()
 	conflictA.AddVar("x", -2)
@@ -178,44 +135,37 @@ func TestLinCheckerSetProbe(t *testing.T) {
 	free := NewLin()
 	free.AddVar("y", 5)
 	free.K = 1
-	var ctr stats.Counters
 	vars := NewVars()
-	chk := NewLinChecker(vars, formsOf(vars, []Lin{conflictA, conflictB, free}), &ctr)
+	chk := NewLinChecker(vars, formsOf(vars, []Lin{conflictA, conflictB, free}), nil, 0)
 	all := []bool{true, true, true}
 	// Narrowed to the conflicting pair: unsat.
 	chk.SetProbe([]int{0, 1})
 	if res := chk.Check(all); res.Sat {
 		t.Fatal("narrowed probe should see the x conflict")
 	}
-	// Narrowed to one side of the conflict: satisfiable, and the learned
-	// cube (over atoms 0 and 1) must not fire.
+	// Narrowed to one side of the conflict: satisfiable, whatever the
+	// previous check refuted.
 	chk.SetProbe([]int{0, 2})
 	if res := chk.Check(all); !res.Sat {
 		t.Fatalf("probe {0,2} is satisfiable; got conflict %v", res.Conflict)
 	}
-	// Restoring the default probe sees the conflict again — via the cube.
+	// Restoring the default probe sees the conflict again.
 	chk.SetProbe(nil)
-	runs := ctr[stats.FMIncremental].Load()
-	res := chk.Check(all)
-	if res.Sat {
-		t.Fatal("full probe should be unsat")
-	}
-	if ctr[stats.FMIncremental].Load() != runs {
-		t.Error("full probe should reuse the cube learned by the narrowed probe")
+	if res := chk.Check(all); res.Sat || !slices.Equal(res.Conflict, []int{0, 1}) {
+		t.Fatalf("full probe: %+v; want the conflict [0 1]", res)
 	}
 }
 
-// TestLinCheckerExtend pins atom-set growth: indices are stable, cubes
-// survive, and new atoms participate in checks.
+// TestLinCheckerExtend pins atom-set growth: indices are stable, and new
+// atoms participate in checks.
 func TestLinCheckerExtend(t *testing.T) {
 	a := NewLin()
 	a.AddVar("x", -2)
 	a.K = 2 // x >= 1
 	b := NewLin()
 	b.AddVar("x", 2) // x <= 0
-	var ctr stats.Counters
 	vars := NewVars()
-	chk := NewLinChecker(vars, formsOf(vars, []Lin{a, b}), &ctr)
+	chk := NewLinChecker(vars, formsOf(vars, []Lin{a, b}), nil, 0)
 	if res := chk.Check([]bool{true, true}); res.Sat {
 		t.Fatal("seed conflict missing")
 	}
@@ -227,12 +177,8 @@ func TestLinCheckerExtend(t *testing.T) {
 	if chk.Len() != 3 {
 		t.Fatalf("Len=%d after Extend; want 3", chk.Len())
 	}
-	runs := ctr[stats.FMIncremental].Load()
-	if res := chk.Check([]bool{true, true, true}); res.Sat {
-		t.Fatal("extended assignment still contains the x conflict")
-	}
-	if ctr[stats.FMIncremental].Load() != runs {
-		t.Error("cube learned before Extend should still fire after growth")
+	if res := chk.Check([]bool{true, true, true}); res.Sat || !slices.Equal(res.Conflict, []int{0, 1}) {
+		t.Fatalf("extended assignment: %+v; want the x conflict [0 1]", res)
 	}
 	// The new atom matters when the old conflict is deselected:
 	// ¬(x>=1) ⇒ x<=0; with x<=0, 3y+2x-6<=0 is satisfiable (y small).

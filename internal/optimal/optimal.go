@@ -184,20 +184,16 @@ func (e *Engine) Filler(phi logic.Formula) *template.Filler {
 }
 
 // valid instantiates φ with σ and asks the SMT solver, routed through the
-// incremental context keyed by the unfilled φ (the skeleton shared by every
-// candidate fill) when one is available.
+// context keyed by the unfilled φ (the skeleton shared by every candidate
+// fill).
 func (e *Engine) valid(phi logic.Formula, sigma template.Solution) bool {
 	fl := e.Filler(phi)
 	fill := fl.SolutionFill(sigma)
-	f := fl.Fill(fill)
-	if c := e.S.ContextFor(logic.Intern(phi)); c != nil {
-		return c.ValidFill(f, fill)
-	}
-	return e.S.Valid(f)
+	return e.S.ContextFor(logic.Intern(phi)).ValidFill(fl.Fill(fill), fill)
 }
 
 // consistencyContext returns the engine's shared context for predicate-set
-// consistency probes (nil when the solver is non-incremental).
+// consistency probes.
 func (e *Engine) consistencyContext() *smt.Context {
 	e.consOnce.Do(func() { e.consCtx = e.S.NewContext() })
 	return e.consCtx
@@ -416,11 +412,7 @@ func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
 	ctx := e.S.ContextFor(logic.Intern(phi))
 	g.probe = func(sigma template.Solution) bool {
 		fill := fl.SolutionFill(sigma)
-		f := fl.Fill(fill)
-		if ctx != nil {
-			return ctx.ValidFill(f, fill)
-		}
-		return e.S.Valid(f)
+		return ctx.ValidFill(fl.Fill(fill), fill)
 	}
 	return g
 }
@@ -720,14 +712,9 @@ func (e *Engine) satisfiableSet(ps template.PredSet) (sat bool, core []logic.For
 		}
 		e.S.Counters().Add(stats.StoreMisses, 1)
 	}
-	decided := false
-	if c := e.consistencyContext(); c != nil {
-		if consistent, cr, ok := c.Consistent(ps.Preds()); ok {
-			cv.sat, cv.core = consistent, cr
-			decided = true
-		}
-	}
-	if !decided {
+	if consistent, cr, ok := e.consistencyContext().Consistent(ps.Preds()); ok {
+		cv.sat, cv.core = consistent, cr
+	} else {
 		cv.sat = !e.S.Valid(logic.Neg(ps.Formula()))
 	}
 	if e.know != nil && (e.Stop == nil || !e.Stop()) {

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/lia"
 	"repro/internal/logic"
@@ -48,24 +47,28 @@ import (
 //   - Learnt clauses: resolvents of the above, bounded by the SAT solver's
 //     reduceDB.
 //
-// Verdict agreement with the from-scratch path holds because both sides run
-// the same online DPLL(T) search over the same theory procedures:
-// Bellman–Ford (sound and complete over the integers) while every interned
-// atom is a difference constraint, and the same Fourier–Motzkin engine —
-// persisted as a lia.LinChecker with a conflict-cube store — from the first
-// general linear atom on. Checking the theory inside the SAT search, rather
-// than after it, changes the order lemmas are learnt in, never a verdict:
-// the checkers are complete over their fragments. The asymmetries are the
-// caps. The FM derived-constraint cap: the context checks its cumulative
-// atom set where the fresh path checks per-probe sets, so the context can
-// hit the cap on workloads where the fresh path would not. And the cap on
-// theory conflicts per probe (Options.MaxTheoryIterations), whose count
-// depends on the lemmas earlier probes left. Cap hits are conservative
-// ("satisfiable", so Valid reports false), FM cap hits are counted
-// (Solver.NumFMCapHits, stats fm_cap_hits), and neither accepts a bad
-// invariant. The only remaining dormancy trigger is Ackermann pair-budget
-// exhaustion, where the context's cumulative budget could diverge from the
-// fresh path's per-probe one.
+// Every decision runs on a Context. A from-scratch query — Solver.Valid, a
+// dormant context's fallback — runs on a one-shot context (oneShot): the
+// same encoding, the same online DPLL(T) search (theoryHook) and the same
+// theory checkers, over a SAT instance that serves one formula and is then
+// dropped. Verdicts agree between a persistent context and a one-shot one
+// because the checkers are complete over their fragments: Bellman–Ford
+// (sound and complete over the integers) while every interned atom is a
+// difference constraint, Fourier–Motzkin (lia.LinChecker, narrowed to the
+// probe's atoms) from the first general linear atom on. Lemmas, learnt
+// clauses and the order a search meets them change how a verdict is found,
+// never the verdict. The asymmetries are the caps. The FM derived-constraint
+// cap, which a persistent context can reach on workloads where a one-shot
+// one would not, and the cap on theory conflicts per probe
+// (Options.MaxTheoryIterations), whose count depends on the lemmas earlier
+// probes left. Cap hits are conservative ("satisfiable", so Valid reports
+// false), FM cap hits are counted (Solver.NumFMCapHits, stats fm_cap_hits),
+// and neither accepts a bad invariant. The only dormancy trigger is
+// Ackermann pair-budget exhaustion, where a persistent context's cumulative
+// budget could diverge from a one-shot context's per-formula one: the
+// persistent context goes dormant and every later probe falls back to a
+// one-shot context, which on exhaustion decides with the pairs it has
+// asserted (dropping pairs only weakens the formula).
 type Context struct {
 	s *Solver
 
@@ -76,6 +79,12 @@ type Context struct {
 	// standalone consistency contexts, whose vocabulary has no skeleton
 	// identity).
 	skel string
+
+	// oneShot marks a context that decides one from-scratch query
+	// (Solver.decideOnce) and is then dropped: it is not registered or
+	// counted in smt_contexts, its eliminations count as fm_scratch, and it
+	// never goes dormant.
+	oneShot bool
 
 	// Registry bookkeeping, guarded by the solver's ctxRegistry lock: the
 	// skeleton the context is registered under (nil for standalone
@@ -99,8 +108,8 @@ type Context struct {
 	mu sync.Mutex
 
 	// dead marks the context dormant (the Ackermann pair budget was
-	// exhausted); every later probe falls back to the parent solver's
-	// from-scratch path.
+	// exhausted, or the solver is not incremental); every later probe falls
+	// back to a one-shot context.
 	dead bool
 
 	// lemmas are the theory lemmas every SAT instance of the context
@@ -136,7 +145,7 @@ type Context struct {
 	// subset, which the general-LIA checker is narrowed to
 	// (LinChecker.SetProbe): the context's cumulative atom set only grows,
 	// and eliminating over atoms a probe does not constrain would make every
-	// check more expensive than the from-scratch path.
+	// check more expensive than a one-shot context's.
 	selAtoms   map[*logic.IFormula][]int
 	ackPairs   []ackPair
 	isOcc      []bool    // by variable id: an occurrence variable
@@ -159,8 +168,8 @@ type Context struct {
 	// over the context's full atom set (hook.atomVars[i] is the SAT variable
 	// of grounder atom i), with the preprocessed checker over all atoms — a
 	// DiffChecker while every atom is a difference constraint, a LinChecker
-	// (its conflict cubes surviving growth) from the first general linear
-	// atom on. Both are extended in place as the atom set grows.
+	// from the first general linear atom on. Both are extended in place as
+	// the atom set grows.
 	hook theoryHook
 	diff *lia.DiffChecker // the hook's checker while lin is nil
 	lin  *lia.LinChecker  // non-nil iff the hook's checker is the general-LIA one
@@ -257,14 +266,14 @@ func (c *Context) reset() {
 	c.imported = 0
 }
 
-// ValidFill mirrors Solver.Valid — same memo table, same trivial
-// short-circuits, same conservative treatment of Stop — but decides cache
-// misses through the persistent context: the probe's ground formula is
-// encoded into the shared SAT instance and solved under a single assumption
-// literal, reusing learnt clauses, theory lemmas, Ackermann constraints, and
-// the difference-fragment preprocessing of all earlier probes. Falls back to
-// the from-scratch decision when the context cannot answer exactly (it is
-// dormant); verdicts are identical either way.
+// ValidFill reports whether f is valid, as Solver.Valid does — same memo
+// table, same knowledge store, same trivial short-circuits, same
+// conservative treatment of Stop — but decides cache misses as probes of
+// the persistent context: the probe's ground formula is encoded into the
+// shared SAT instance and solved under a single assumption literal, reusing
+// learnt clauses, theory lemmas, Ackermann constraints, and the
+// difference-fragment preprocessing of all earlier probes. A dormant
+// context decides from scratch instead; verdicts are identical either way.
 //
 // fill, when non-nil, is what f was built from: f is the context's skeleton
 // with each unknown u replaced by fill[u]. The probe is then grounded
@@ -272,47 +281,7 @@ func (c *Context) reset() {
 // across its probes. The validity cache and the knowledge store are keyed
 // by f alone, exactly as without a fill.
 func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool {
-	if v, ok := logic.TrivialVerdict(f); ok {
-		return v
-	}
-	n := logic.Intern(f)
-	e, hit := c.s.cache.lookupOrClaim(n)
-	if hit {
-		<-e.done
-		c.s.ctr.Add(stats.CacheHits, 1)
-		return e.val
-	}
-	var skey string
-	if c.s.opts.Store != nil {
-		skey = store.FormulaKey(n.Formula())
-		if v, ok := c.s.opts.Store.Verdict(skey); ok {
-			c.s.ctr.Add(stats.StoreVerdictHits, 1)
-			e.settle(v)
-			return v
-		}
-		c.s.ctr.Add(stats.StoreMisses, 1)
-	}
-	start := time.Now()
-	ground, decided, v := c.s.ground(n, c, fill)
-	if decided {
-		c.s.ctr.Add(stats.Queries, 1)
-	} else if satisfiable, ok := c.decide(ground); ok {
-		v = !satisfiable
-		c.s.ctr.Add(stats.AssumptionProbes, 1)
-	} else {
-		v = !c.s.decideGround(ground)
-		c.s.ctr.Add(stats.Queries, 1)
-	}
-	c.s.stats.RecordQuery(time.Since(start))
-	e.settle(v)
-	if c.s.opts.Stop != nil && c.s.opts.Stop() {
-		// Same rule as Solver.Valid: an abandoned, conservative verdict must
-		// not be memoized as real.
-		c.s.cache.forget(n, e)
-	} else if c.s.opts.Store != nil {
-		c.s.opts.Store.AppendVerdict(skey, v)
-	}
-	return v
+	return c.s.valid(f, c, fill)
 }
 
 // groundPlan returns the context's grounding plan, compiling it on first use.
@@ -326,14 +295,14 @@ func (c *Context) groundPlan() *groundPlan {
 
 // decide decides satisfiability of a ground formula incrementally, waiting
 // for the context's lock. ok=false means the context is dormant and the
-// caller must take the from-scratch path.
+// caller must decide from scratch; a one-shot context always answers.
 func (c *Context) decide(ground logic.Formula) (satisfiable, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.account()
 	if c.dead {
 		return false, false
 	}
+	defer c.account()
 	if c.sat.NumVars() > ctxMaxVars {
 		c.reset()
 	}
@@ -348,8 +317,8 @@ func (c *Context) decide(ground logic.Formula) (satisfiable, ok bool) {
 // formula, any superset of the core is unsatisfiable too, which is what lets
 // the lattice search kill whole sublattices per core. ok=false means the
 // context could not answer exactly (a predicate normalizes to a quantified
-// formula, or the context is dormant) and the caller must fall back to the
-// from-scratch path.
+// formula, or the context is dormant) and the caller must fall back to
+// Solver.Valid.
 //
 // Each distinct predicate becomes one selector literal (its encoded root),
 // probes are SolveAssuming calls over the selected literals, and the SAT
@@ -357,10 +326,10 @@ func (c *Context) decide(ground logic.Formula) (satisfiable, ok bool) {
 func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []logic.Formula, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.account()
 	if c.dead {
 		return false, nil, false
 	}
+	defer c.account()
 	if c.sat.NumVars() > ctxMaxVars {
 		c.reset()
 	}
@@ -398,11 +367,12 @@ func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []log
 // and Ackermann constraints the SAT instance lacks, narrows the general-LIA
 // checker to the probe's atoms (the union of atomSets, plus the Ackermann
 // pairs they reach) and switches on the assumptions' cone. ok=false when
-// the Ackermann budget ran out and the context went dormant. The context's
-// lock must be held.
+// the Ackermann budget ran out and the context went dormant; a one-shot
+// context decides with the pairs it asserted instead. The context's lock
+// must be held.
 func (c *Context) solve(assumps []sat.Lit, atomSets ...[]int) (satisfiable bool, core []sat.Lit, ok bool) {
 	c.importLemmas()
-	if !c.emitAckermann() {
+	if !c.emitAckermann() && !c.oneShot {
 		c.dead = true
 		c.s.ctr.Add(stats.DormantContexts, 1)
 		return false, nil, false
@@ -637,8 +607,10 @@ func (c *Context) constLit(v bool) sat.Lit {
 // theory-valid — any model extends to an assignment of all application
 // variables respecting functionality — so asserting them globally never
 // changes a probe's verdict. Reports false when the cumulative pair budget
-// is exhausted (the fresh path's per-probe cap could then diverge from the
-// context's cumulative one, so the context goes dormant instead of guessing).
+// is exhausted (a one-shot context's per-formula budget could then diverge
+// from the context's cumulative one); the occurrence dependency graph is
+// complete even then, so a one-shot context can still decide with the
+// pairs asserted so far.
 func (c *Context) emitAckermann() bool {
 	// The constraints are asserted globally, so their gates stay switched on.
 	c.enc.gates = nil
@@ -674,6 +646,11 @@ func (c *Context) emitAckermann() bool {
 				}
 			}
 			c.occDeps[os[j].id] = deps
+		}
+	}
+	for _, s := range syms {
+		os := c.g.occs[s]
+		for j := c.emitted[s]; j < len(os); j++ {
 			for i := 0; i < j; i++ {
 				if c.pairCount >= c.s.opts.MaxAckermannPairs {
 					return false
@@ -701,7 +678,8 @@ func (c *Context) emitAckermann() bool {
 // ackPair is one asserted Ackermann constraint: the result variables of its
 // two occurrences plus the sorted atoms of its clause. A pair joins a
 // probe's atom subset only when both occurrences are reachable from the
-// probe's atoms, mirroring the per-probe pair set the fresh path builds.
+// probe's atoms, mirroring the pair set a one-shot context builds for the
+// probe's formula alone.
 type ackPair struct {
 	a, b  int32 // the occurrences' variable ids
 	atoms []int
@@ -711,8 +689,9 @@ type ackPair struct {
 // theory checker to cover every interned atom. Difference-only atom sets keep
 // the Bellman–Ford DiffChecker; the first atom outside the fragment switches
 // the context to a LinChecker over every atom. Either is extended in place
-// as the set grows (grounder indices are append-only), so the LinChecker's
-// learned conflict cubes survive growth.
+// as the set grows (grounder indices are append-only). A one-shot context's
+// LinChecker counts its eliminations as fm_scratch, a persistent one's as
+// fm_incremental.
 func (c *Context) syncAtoms() {
 	// The checker must be attached even when the grounder produced no linear
 	// atoms at all (every predicate constant-folded away): the hook still
@@ -739,7 +718,11 @@ func (c *Context) syncAtoms() {
 		h.checker = c.diff
 	default:
 		c.diff = nil
-		c.lin = lia.NewLinChecker(c.g.vars, forms, &c.s.ctr)
+		elims := stats.FMIncremental
+		if c.oneShot {
+			elims = stats.FMScratch
+		}
+		c.lin = lia.NewLinChecker(c.g.vars, forms, &c.s.ctr, elims)
 		h.checker = c.lin
 	}
 	h.assign = make([]bool, len(h.atomVars))
@@ -751,7 +734,7 @@ func (c *Context) syncAtoms() {
 // whose occurrences are reachable from those atoms (an occurrence is
 // reachable when its result variable appears in a probe atom, or in the
 // arguments of a reachable occurrence). This mirrors the per-probe systems
-// the from-scratch path checks — its grounder only ever holds one probe's
+// a one-shot context checks — its grounder only ever holds one formula's
 // atoms and occurrence pairs.
 func (c *Context) probeAtomSet(sets ...[]int) []int {
 	raw := c.probeAtoms[:0]

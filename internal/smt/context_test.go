@@ -97,7 +97,7 @@ func TestContextMixedFragmentIncremental(t *testing.T) {
 	if n := s.Counters()[stats.DormantContexts].Load(); n != 0 {
 		t.Errorf("mixed-fragment probes sent %d contexts dormant; want 0", n)
 	}
-	if s.NumFMIncremental()+s.NumFMCubeHits() == 0 {
+	if s.NumFMIncremental() == 0 {
 		t.Error("no probe exercised the persistent general-LIA checker")
 	}
 }
@@ -207,8 +207,9 @@ func TestContextQuantifiedFallback(t *testing.T) {
 	}
 }
 
-// TestContextForRegistry: same skeleton key returns the same context; the
-// NoIncremental escape hatch returns nil from both constructors.
+// TestContextForRegistry: same skeleton key returns the same context; under
+// NoIncremental both constructors hand out one dormant context, whose probes
+// are from-scratch queries.
 func TestContextForRegistry(t *testing.T) {
 	s := NewSolver(Options{})
 	key := logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.V("b")))
@@ -221,8 +222,19 @@ func TestContextForRegistry(t *testing.T) {
 		t.Errorf("NumContexts = %d, want 1", s.NumContexts())
 	}
 	off := NewSolver(Options{NoIncremental: true})
-	if off.ContextFor(key) != nil || off.NewContext() != nil {
-		t.Error("NoIncremental solver should not hand out contexts")
+	dormant := off.ContextFor(key)
+	if dormant == nil || off.NewContext() != dormant {
+		t.Fatal("NoIncremental solver should hand out its one dormant context")
+	}
+	f := logic.Imp(logic.Rel(logic.Le, logic.V("a"), logic.V("b")), logic.Rel(logic.Lt, logic.V("a"), logic.Plus(logic.V("b"), logic.I(1))))
+	if !dormant.Valid(f) {
+		t.Error("dormant context did not prove a ≤ b ⇒ a < b+1")
+	}
+	if _, _, ok := dormant.Consistent([]logic.Formula{f}); ok {
+		t.Error("dormant context answered a consistency probe")
+	}
+	if q, p, n := off.NumQueries(), off.NumAssumptionProbes(), off.NumContexts(); q != 1 || p != 0 || n != 0 {
+		t.Errorf("NoIncremental: %d queries, %d assumption probes, %d contexts; want 1, 0, 0", q, p, n)
 	}
 	if off.Incremental() {
 		t.Error("Incremental() should be false under NoIncremental")
@@ -466,5 +478,85 @@ func TestTheoryConflictCap(t *testing.T) {
 		if n := s.Counters()[stats.TheoryConflicts].Load(); n != int64(limit) {
 			t.Errorf("cap %d: %d theory conflicts from scratch, want %d", limit, n, limit)
 		}
+	}
+}
+
+// TestAckermannBudget drives the Ackermann pair budget, which no benchmark
+// reaches. With MaxAckermannPairs 3, a persistent context whose reads of A
+// accumulate past three pairs goes dormant, and is counted once; its later
+// probes are decided on one-shot contexts and still answer; a one-shot
+// query whose own reads need more pairs decides with the three it asserted,
+// a conservative "not valid". Every valid=true holds on a solver with the
+// default budget.
+func TestAckermannBudget(t *testing.T) {
+	s := NewSolver(Options{MaxAckermannPairs: 3})
+	ref := NewSolver(Options{NoIncremental: true})
+	ctx := s.ContextFor(logic.Intern(logic.Rel(logic.Le, logic.V("a"), logic.V("b"))))
+	read := func(v string) logic.Term { return logic.Sel(logic.AV("A"), logic.V(v)) }
+	// a = b ⇒ A[a] = A[b] holds only through the pair of its two reads.
+	cong := func(x, y string) logic.Formula {
+		return logic.Imp(logic.EqF(logic.V(x), logic.V(y)), logic.EqF(read(x), read(y)))
+	}
+	valid := func(c *Context, f logic.Formula) bool {
+		t.Helper()
+		got := c.Valid(f)
+		if got && !ref.Valid(f) {
+			t.Fatalf("valid=true on %v, which the default budget refutes", f)
+		}
+		return got
+	}
+	counts := func() (dormant, probes, queries int64) {
+		return s.Counters()[stats.DormantContexts].Load(), s.NumAssumptionProbes(), s.NumQueries()
+	}
+
+	// Reads of a, b and c need three pairs: within budget, the context stays
+	// live and proves each congruence as an assumption probe.
+	for _, f := range []logic.Formula{cong("a", "b"), cong("b", "c"), cong("a", "c")} {
+		if !valid(ctx, f) {
+			t.Fatalf("live context did not prove %v", f)
+		}
+	}
+	if d, p, q := counts(); d != 0 || p != 3 || q != 0 {
+		t.Fatalf("within budget: %d dormant, %d probes, %d queries; want 0, 3, 0", d, p, q)
+	}
+
+	// The read of d needs a fourth pair: the context goes dormant on this
+	// probe, which, like every later one, is decided on a one-shot context,
+	// whose two reads need one pair.
+	for _, f := range []logic.Formula{cong("a", "d"), cong("d", "b"), cong("c", "d"), cong("b", "a")} {
+		if !valid(ctx, f) {
+			t.Fatalf("dormant context's fallback did not prove %v", f)
+		}
+	}
+	if d, p, q := counts(); d != 1 || p != 3 || q != 4 {
+		t.Fatalf("past budget: %d dormant, %d probes, %d queries; want 1, 3, 4", d, p, q)
+	}
+	if _, _, ok := ctx.Consistent([]logic.Formula{cong("a", "b")}); ok {
+		t.Error("a dormant context answered a consistency probe")
+	}
+
+	// Four reads, every pair of them in the conclusion: whatever order the
+	// reads are met in, the three pairs of the first three leave the fourth
+	// unconstrained, so the one-shot context, truncating, cannot prove what
+	// the default budget proves.
+	vs := []string{"a", "b", "c", "d"}
+	var hyps, concl []logic.Formula
+	for i, x := range vs {
+		if i > 0 {
+			hyps = append(hyps, logic.EqF(logic.V("a"), logic.V(x)))
+		}
+		for _, y := range vs[i+1:] {
+			concl = append(concl, logic.EqF(read(x), read(y)))
+		}
+	}
+	all := logic.Imp(logic.Conj(hyps...), logic.Conj(concl...))
+	if !ref.Valid(all) {
+		t.Fatalf("the default budget does not prove %v", all)
+	}
+	if s.Valid(all) {
+		t.Fatalf("a one-shot context with 3 pairs proved %v, which needs more", all)
+	}
+	if d, p, q := counts(); d != 1 || p != 3 || q != 5 {
+		t.Fatalf("after the truncating query: %d dormant, %d probes, %d queries; want 1, 3, 5", d, p, q)
 	}
 }

@@ -36,7 +36,7 @@ func (s *Solver) Satisfiable(f logic.Formula) bool {
 	if decided {
 		return !valid
 	}
-	return s.decideGround(ground)
+	return s.decideOnce(ground)
 }
 
 // CrossCheckGrounding makes every probe grounded from now on be grounded by

@@ -2,7 +2,6 @@ package smt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/lia"
@@ -414,39 +413,4 @@ func (g *grounder) formulaProp(f logic.Formula) prop {
 		return mkOr(g.atomProp(logic.Atom{Op: a.Op.Negate(), X: a.X, Y: a.Y}), g.atomProp(b))
 	}
 	panic(fmt.Sprintf("smt: unexpected ground formula %T (%s)", f, f))
-}
-
-// ackermann returns the functional-consistency constraints for all recorded
-// application occurrences: same symbol + equal arguments ⇒ equal values.
-// The number of pairs is capped; dropped constraints only weaken the formula
-// (making a "satisfiable" answer more likely), preserving soundness of
-// validity answers.
-func (g *grounder) ackermann(maxPairs int) prop {
-	syms := make([]string, 0, len(g.occs))
-	for s := range g.occs {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
-	var out []prop
-	pairs := 0
-	for _, s := range syms {
-		os := g.occs[s]
-		for i := 0; i < len(os); i++ {
-			for j := i + 1; j < len(os); j++ {
-				if pairs >= maxPairs {
-					return mkAnd(out...)
-				}
-				pairs++
-				// (args_i = args_j) ⇒ v_i = v_j encoded as
-				// ∨_k args_i[k] ≠ args_j[k]  ∨  v_i = v_j.
-				var disj []prop
-				for k := range os[i].args {
-					disj = append(disj, g.relProp(logic.Neq, os[i].args[k], os[j].args[k]))
-				}
-				disj = append(disj, g.relProp(logic.Eq, logic.V(os[i].v), logic.V(os[j].v)))
-				out = append(out, mkOr(disj...))
-			}
-		}
-	}
-	return mkAnd(out...)
 }

@@ -2,10 +2,8 @@ package smt
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
-	"repro/internal/lia"
 	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/sat"
@@ -36,9 +34,10 @@ type Options struct {
 	// after a timeout.
 	Stop func() bool
 	// NoIncremental disables persistent assumption-based contexts:
-	// ContextFor and NewContext return nil and every probe takes the
-	// from-scratch path. Used by differential tests and A/B benchmarking;
-	// verdicts are identical either way.
+	// ContextFor and NewContext hand out one dormant context, and every
+	// probe is decided from scratch on a one-shot context. It is the
+	// differential reference of tests and A/B benchmarks; verdicts are
+	// identical either way.
 	NoIncremental bool
 	// Store, when non-nil, is the on-disk knowledge base: cache-missing
 	// validity verdicts are answered from it when present (and appended to
@@ -97,6 +96,11 @@ type Solver struct {
 	ctr stats.Counters
 
 	reg ctxRegistry // one persistent Context per compiled VC skeleton, under ctxBudget
+
+	// dormant is what ContextFor and NewContext hand out under
+	// NoIncremental: a context that never probes, so each of its queries
+	// falls back to a one-shot context.
+	dormant *Context
 }
 
 // NewSolver returns a solver with the given options, its retained state
@@ -108,6 +112,9 @@ func NewSolver(opts Options) *Solver {
 	}
 	s.cache = newValidityCache(cacheBudget, &s.ctr)
 	s.reg.budget, s.reg.ctr = ctxBudget, &s.ctr
+	if s.opts.NoIncremental {
+		s.dormant = &Context{s: s, dead: true}
+	}
 	return s
 }
 
@@ -154,17 +161,19 @@ func (s *Solver) NumStoreVerdictHits() int64 { return s.ctr[stats.StoreVerdictHi
 // freshly created contexts from the knowledge store.
 func (s *Solver) NumWarmLemmas() int64 { return s.ctr[stats.StoreWarmLemmas].Load() }
 
-// NumFMScratch returns how many from-scratch Fourier–Motzkin eliminations ran
-// (decideGround's general-LIA checker; one per theory check there).
+// NumFMScratch returns how many Fourier–Motzkin eliminations ran outside
+// persistent contexts: in the LinCheckers of one-shot contexts, which decide
+// from-scratch queries.
 func (s *Solver) NumFMScratch() int64 { return s.ctr[stats.FMScratch].Load() }
 
-// NumFMIncremental returns how many eliminations persistent LinCheckers ran
-// (checks that missed their conflict-cube store).
+// NumFMIncremental returns how many eliminations the LinCheckers of
+// persistent contexts ran.
 func (s *Solver) NumFMIncremental() int64 { return s.ctr[stats.FMIncremental].Load() }
 
-// NumFMCubeHits returns how many LinChecker checks were answered from a
-// persisted conflict cube, skipping the elimination entirely.
-func (s *Solver) NumFMCubeHits() int64 { return s.ctr[stats.FMCubeHits].Load() }
+// NumFMCubeHits is always 0. LinChecker no longer keeps conflict cubes: every
+// theory lemma is a permanent clause of the SAT instance the checker serves,
+// so no later full assignment can agree with an earlier refutation.
+func (s *Solver) NumFMCubeHits() int64 { return 0 }
 
 // NumFMCapHits returns how many Fourier–Motzkin runs (from-scratch or
 // incremental) hit the derived-constraint cap and returned a conservative
@@ -216,15 +225,17 @@ func (s *Solver) countSAT(decisions, propagations int64) {
 func (s *Solver) Incremental() bool { return !s.opts.NoIncremental }
 
 // ContextFor returns the persistent incremental context keyed by a compiled
-// VC skeleton, creating it on first use. Returns nil when incremental solving
-// is disabled; callers must then fall back to Valid. The registry keeps its
-// contexts within ctxBudget SAT units, evicting the least recently used ones,
-// so a long-running session keeps solving incrementally in bounded memory.
+// VC skeleton (non-nil), creating it on first use; every probe of the
+// skeleton goes through its ValidFill. When incremental solving is disabled
+// it returns a dormant context instead, whose probes are decided from
+// scratch exactly as Valid decides them. The registry keeps its contexts
+// within ctxBudget SAT units, evicting the least recently used ones, so a
+// long-running session keeps solving incrementally in bounded memory.
 // Eviction is sound — a re-requested skeleton just gets a fresh context —
 // and a caller still holding an evicted context may keep using it.
 func (s *Solver) ContextFor(key *logic.IFormula) *Context {
-	if s.opts.NoIncremental || key == nil {
-		return nil
+	if s.dormant != nil {
+		return s.dormant
 	}
 	if c := s.reg.get(key); c != nil {
 		return c
@@ -241,25 +252,33 @@ func (s *Solver) ContextFor(key *logic.IFormula) *Context {
 }
 
 // NewContext returns a standalone incremental context outside the
-// per-skeleton registry (nil when incremental solving is disabled). Used for
+// per-skeleton registry (the dormant one when incremental solving is
+// disabled, whose Consistent always asks for the fallback). Used for
 // predicate-consistency probing, where the "skeleton" is the predicate
 // vocabulary itself.
 func (s *Solver) NewContext() *Context {
-	if s.opts.NoIncremental {
-		return nil
+	if s.dormant != nil {
+		return s.dormant
 	}
 	return s.newContext()
 }
 
 // Valid reports whether f is valid (true in every model). The answer true is
 // always sound; false may also mean "not provable within the instantiation
-// bounds", which client algorithms treat conservatively.
+// bounds", which client algorithms treat conservatively. A cache-missing f
+// is decided from scratch.
 //
 // The hot path is allocation-conscious: syntactically trivial formulas are
 // decided before touching the interner or the cache, and a repeated query
 // costs one hash walk of f plus a pointer-keyed map probe — the formula is
 // never serialized and never re-simplified.
-func (s *Solver) Valid(f logic.Formula) bool {
+func (s *Solver) Valid(f logic.Formula) bool { return s.valid(f, nil, nil) }
+
+// valid is Valid and Context.ValidFill: the memo table, then the knowledge
+// store, then a decision — a probe on c when c is non-nil (grounded through
+// its plan when fill is non-nil), from scratch otherwise or when c is
+// dormant.
+func (s *Solver) valid(f logic.Formula, c *Context, fill map[string]logic.Formula) bool {
 	if v, ok := logic.TrivialVerdict(f); ok {
 		return v
 	}
@@ -281,12 +300,13 @@ func (s *Solver) Valid(f logic.Formula) bool {
 		s.ctr.Add(stats.StoreMisses, 1)
 	}
 	start := time.Now()
-	ground, decided, v := s.ground(n, nil, nil)
-	if !decided {
-		v = !s.decideGround(ground)
+	ground, decided, v := s.ground(n, c, fill)
+	if decided {
+		s.ctr.Add(stats.Queries, 1)
+	} else {
+		v = !s.decide(ground, c)
 	}
 	s.stats.RecordQuery(time.Since(start))
-	s.ctr.Add(stats.Queries, 1)
 	e.settle(v)
 	if s.opts.Stop != nil && s.opts.Stop() {
 		// The run was abandoned mid-query; the conservative answer must
@@ -298,6 +318,31 @@ func (s *Solver) Valid(f logic.Formula) bool {
 		s.opts.Store.AppendVerdict(skey, v)
 	}
 	return v
+}
+
+// decide decides satisfiability of a ground formula: as a probe on c when c
+// is non-nil and live (an assumption probe), else from scratch (a query).
+func (s *Solver) decide(ground logic.Formula, c *Context) bool {
+	if c != nil {
+		if satisfiable, ok := c.decide(ground); ok {
+			s.ctr.Add(stats.AssumptionProbes, 1)
+			return satisfiable
+		}
+	}
+	s.ctr.Add(stats.Queries, 1)
+	return s.decideOnce(ground)
+}
+
+// decideOnce decides satisfiability of a ground formula from scratch, on a
+// one-shot context: the online DPLL(T) search every context runs, over a
+// SAT instance, grounder and theory checker that serve this formula alone.
+// A one-shot context never goes dormant; were it to, the answer would be the
+// conservative "satisfiable".
+func (s *Solver) decideOnce(ground logic.Formula) bool {
+	c := &Context{s: s, oneShot: true}
+	c.reset()
+	satisfiable, ok := c.decide(ground)
+	return satisfiable || !ok
 }
 
 // groundCheck, when non-nil, sees every grounded probe: the solver, the
@@ -315,52 +360,6 @@ func (s *Solver) triggers(q logic.Forall) map[string][]trigger {
 	}
 	v, _ := s.trigMemo.LoadOrStore(n, triggersOf(q.Body, q.Vars))
 	return v
-}
-
-// decideGround decides a ground (quantifier-free, store-possible) formula by
-// online DPLL(T): the theory is checked inside the SAT search (theoryHook).
-func (s *Solver) decideGround(f logic.Formula) bool {
-	g := newGrounder()
-	p := g.formulaProp(f)
-	p = mkAnd(p, g.ackermann(s.opts.MaxAckermannPairs))
-	switch p := p.(type) {
-	case pConst:
-		return p.val
-	default:
-	}
-
-	solver := sat.New()
-	defer func() { s.countSAT(solver.Stats.Decisions, solver.Stats.Propagations) }()
-	enc := &encoder{s: solver, atomVar: map[int]int{}}
-	root := enc.encode(p)
-	if !solver.AddClause(root) {
-		return false
-	}
-
-	// Iterate deterministically over atom indices, so conflict clauses (and
-	// hence the search) are reproducible run to run. When every atom is a
-	// difference constraint (the common case; §3 of the paper's evaluation
-	// programs stay in this fragment), a preprocessed DiffChecker makes each
-	// theory check allocation-free.
-	atoms := make([]int, 0, len(enc.atomVar))
-	for atom := range enc.atomVar {
-		atoms = append(atoms, atom)
-	}
-	sort.Ints(atoms)
-	h := &theoryHook{s: s, atomVars: make([]int, len(atoms)), assign: make([]bool, len(atoms))}
-	forms := make([]lia.Form, len(atoms))
-	for k, atom := range atoms {
-		h.atomVars[k] = enc.atomVar[atom]
-		forms[k] = g.forms[atom]
-	}
-	if d, ok := lia.NewDiffChecker(forms); ok {
-		h.checker = d
-	} else {
-		h.checker = newScratchFM(g.vars, forms, &s.ctr)
-	}
-	solver.Theory = h
-	satisfiable, _ := h.decide(solver, nil)
-	return satisfiable
 }
 
 // encoder performs one-sided (NNF/plaisted-greenbaum) Tseitin encoding of a

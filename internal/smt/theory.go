@@ -7,11 +7,11 @@ import (
 )
 
 // theoryHook is the theory half of every DPLL(T) search the solver runs, a
-// context's and the from-scratch path's alike: attached to a sat.Solver
-// as its Theory, it reads the atoms' truth values off each full assignment,
-// checks them with a lia.Checker, and returns a conflict as the lemma the
-// SAT search resolves in place. It gives up, so the probe answers the
-// conservative "satisfiable", when Stop fires or a probe finds more than
+// persistent context's and a one-shot context's alike: attached to a
+// sat.Solver as its Theory, it reads the atoms' truth values off each full
+// assignment, checks them with a lia.Checker, and returns a conflict as the
+// lemma the SAT search resolves in place. It gives up, so the probe answers
+// the conservative "satisfiable", when Stop fires or a probe finds more than
 // Options.MaxTheoryIterations conflicts.
 type theoryHook struct {
 	s *Solver
@@ -23,7 +23,7 @@ type theoryHook struct {
 
 	// Per probe: the conflicts found so far, and, when non-nil, where each
 	// lemma is recorded for the context's lemma list and the knowledge
-	// store. Only contexts record, and there atom i is grounder atom i.
+	// store. Atom i is grounder atom i.
 	conflicts int
 	pub       *[]theoryLemma
 }
@@ -72,44 +72,4 @@ func (h *theoryHook) decide(s *sat.Solver, pub *[]theoryLemma, assumps ...sat.Li
 		return false, core
 	}
 	return true, nil
-}
-
-// scratchFM checks each assignment of a fixed atom set outside the
-// difference fragment by a from-scratch Fourier–Motzkin elimination
-// (lia.FM) over the atoms' selected polarity forms: the from-scratch
-// path's general-LIA checker.
-type scratchFM struct {
-	vars     *lia.Vars
-	pos, neg []lia.Form
-	cons     []lia.Form
-	fm       lia.FM
-	ctr      *stats.Counters
-}
-
-// newScratchFM precomputes each atom's negation once, not per false atom
-// per check.
-func newScratchFM(vars *lia.Vars, atoms []lia.Form, ctr *stats.Counters) *scratchFM {
-	f := &scratchFM{vars: vars, pos: atoms, neg: make([]lia.Form, len(atoms)), ctr: ctr}
-	for i, a := range atoms {
-		f.neg[i] = a.Negate()
-	}
-	return f
-}
-
-// Check implements lia.Checker.
-func (f *scratchFM) Check(assign []bool) lia.Result {
-	f.cons = f.cons[:0]
-	for k, val := range assign {
-		if val {
-			f.cons = append(f.cons, f.pos[k])
-		} else {
-			f.cons = append(f.cons, f.neg[k])
-		}
-	}
-	f.ctr.Add(stats.FMScratch, 1)
-	res := f.fm.Check(f.vars, f.cons)
-	if res.Truncated {
-		f.ctr.Add(stats.FMCapHits, 1)
-	}
-	return res
 }

@@ -182,18 +182,12 @@ func (p *Problem) PathVCSkeleton(i int) *logic.IFormula {
 }
 
 // CheckAll reports whether VC(Prog, σ) is valid, and if not returns the
-// first failing path. Probes are routed through one incremental context per
-// path skeleton when the solver is incremental.
+// first failing path. Probes are routed through one context per path
+// skeleton.
 func (p *Problem) CheckAll(s *smt.Solver, sigma template.Solution) (bool, *vc.Path) {
 	for i := range p.Paths() {
 		f, fill := p.PathVCFill(i, sigma)
-		var ok bool
-		if c := s.ContextFor(p.PathVCSkeleton(i)); c != nil {
-			ok = c.ValidFill(f, fill)
-		} else {
-			ok = s.Valid(f)
-		}
-		if !ok {
+		if !s.ContextFor(p.PathVCSkeleton(i)).ValidFill(f, fill) {
 			return false, &p.Paths()[i]
 		}
 	}

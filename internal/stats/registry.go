@@ -59,7 +59,6 @@ const (
 	GroundTime
 	FMScratch
 	FMIncremental
-	FMCubeHits
 	FMCapHits
 	DormantContexts
 	SATDecisions
@@ -204,7 +203,6 @@ var Rows = [NumCounters]Row{
 	GroundTime:       {"ground_ms", "vs3d_ground_seconds_total", "Time spent grounding probes, on every path.", Count, Engine, Nanos, Always},
 	FMScratch:        {"fm_scratch", "vs3d_fm_scratch_total", "From-scratch Fourier-Motzkin eliminations outside persistent checkers.", Count, Engine, Plain, Always},
 	FMIncremental:    {"fm_incremental", "vs3d_fm_incremental_total", "Elimination runs inside persistent general-LIA checkers.", Count, Engine, Plain, Always},
-	FMCubeHits:       {"fm_cube_hits", "vs3d_fm_cube_hits_total", "Theory checks answered from persisted conflict cubes.", Count, Engine, Plain, Always},
 	FMCapHits:        {"fm_cap_hits", "vs3d_fm_cap_hits_total", "Eliminations truncated at the derived-constraint cap (conservative answers).", Count, Engine, Plain, Always},
 	DormantContexts:  {"dormant_contexts", "vs3d_dormant_contexts_total", "Persistent contexts retired by Ackermann budget exhaustion.", Count, Engine, Plain, Always},
 	SATDecisions:     {"sat_decisions", "vs3d_sat_decisions_total", "SAT branch decisions of the SMT layer's searches.", Count, Engine, Plain, Always},
