@@ -76,24 +76,33 @@ test-race:
 # converged at round 2 (TestPlanTruncatedRoundsConverge), one environment
 # per candidate set (TestPlanSharedEnvironment), the memo cap
 # (TestPlanMemoBounded), and the allocations of re-grounding warmed plans
-# (TestPlanGroundAllocs, at its -race count); the last line holds
-# four sweeps over every examples/ problem and every DefaultSuite cell: the
-# grounding sweep (every probe grounded both ways must intern to the same
-# node; -v prints the probes, plan probes and distinct environments), the
-# cone sweep (every context probe, one-shot contexts' included, re-decided
+# (TestPlanGroundAllocs, at its -race count). The TestCompiled tests (first
+# line) pin the compiled skeleton's edge cases against a store-less
+# NoIncremental solver, probe by probe: a predicate first seen after its
+# skeleton was compiled, a context reset between compiled probes, a
+# quantified fill predicate (the per-probe plan path's boundary), and two
+# candidate environments in one context. The last line holds five sweeps
+# over every examples/ problem and every DefaultSuite cell: the compiled
+# sweep (every probe decided over a compiled skeleton, re-decided through the
+# multi-pass oracle on a one-shot context, must reach the same verdict; -v
+# prints the compiled probes and the probes grounded through plans), the
+# grounding sweep (every probe still grounded — through a plan when its fill
+# is one the compiled skeleton cannot express, whole otherwise — grounded
+# both ways must intern to the same node; -v prints the probes, plan probes
+# and distinct environments), the cone sweep (every context probe, one-shot contexts' included, re-decided
 # with all SAT variables switched on must reach the same verdict), the
 # offline sweep (every such probe re-decided by the offline DPLL(T) loop — solve, check, block, solve again
 # from level 0 — must reach the same verdict), and the GOMAXPROCS sweep
 # (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts, steps,
 # invariants and preconditions).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestGrounderMatchesNamedForms|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestCompiled|TestGrounderMatchesNamedForms|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
 	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker|TestFormKeyMatchesLin|TestDenseFM' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
-	$(GO) test -run 'TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn|TestOnlineMatchesOffline|TestSearchSameAtAnyGOMAXPROCS' -v ./internal/smt/
+	$(GO) test -run 'TestCompiledProbesMatchOracle|TestGroundPlanMatchesOracle|TestConeProbesMatchAllOn|TestOnlineMatchesOffline|TestSearchSameAtAnyGOMAXPROCS' -v ./internal/smt/
 
 # Time-boxed fuzzing of the VS3R decoders (frame reader, request and
 # response payloads), the knowledge store's log-line decoder plus record

@@ -300,12 +300,18 @@ func TestClusterBench(t *testing.T) {
 	}
 	requests := 3 * len(load.DefaultCorpus())
 
+	// Every backend runs one session (Pool 1), as vs3perf's fleet does: with
+	// more, which session's solver serves a repeated problem depends on
+	// scheduling, and so does each arm's query count. Random placement draws
+	// from a fixed-seed source (route.New), so each arm's count depends on
+	// its placement alone.
+	//
 	// Arm 1: single node, no router — the verdict baseline.
-	single := startBackend(t, serve.Config{ID: "bench-single"}, nil)
+	single := startBackend(t, serve.Config{ID: "bench-single", Pool: 1}, nil)
 	one := benchArm(t, single.hts.URL, requests)
 
 	// Arm 2: two fresh backends behind affinity routing.
-	a1, a2 := startBackend(t, serve.Config{ID: "bench-aff-1"}, nil), startBackend(t, serve.Config{ID: "bench-aff-2"}, nil)
+	a1, a2 := startBackend(t, serve.Config{ID: "bench-aff-1", Pool: 1}, nil), startBackend(t, serve.Config{ID: "bench-aff-2", Pool: 1}, nil)
 	affBase, _, affStop := startRouter(t, route.Config{
 		Backends: []string{a1.hts.URL, a2.hts.URL}, Policy: route.Affinity,
 	})
@@ -313,7 +319,7 @@ func TestClusterBench(t *testing.T) {
 	affStop()
 
 	// Arm 3: two fresh backends behind random routing — the control.
-	r1, r2 := startBackend(t, serve.Config{ID: "bench-rand-1"}, nil), startBackend(t, serve.Config{ID: "bench-rand-2"}, nil)
+	r1, r2 := startBackend(t, serve.Config{ID: "bench-rand-1", Pool: 1}, nil), startBackend(t, serve.Config{ID: "bench-rand-2", Pool: 1}, nil)
 	randBase, _, randStop := startRouter(t, route.Config{
 		Backends: []string{r1.hts.URL, r2.hts.URL}, Policy: route.Random,
 	})

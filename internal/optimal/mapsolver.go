@@ -32,7 +32,7 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 	if sols, sels, done := g.precheck(); done {
 		return sols, sels
 	}
-	empty, items, indexOf, probe := g.empty, g.items, g.indexOf, g.probe
+	empty, items, indexOf := g.empty, g.items, g.indexOf
 
 	// The map solver. FixedPolarity pins every branch decision to false, so
 	// models carry as few items as propagation allows: proposals arrive
@@ -87,11 +87,10 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 				sel = append(sel, i)
 			}
 		}
-		cand := negSolutionOf(empty, items, sel)
-		if e.screenConsistency(ms, cand, sel, items, indexOf) {
+		if e.screenConsistency(ms, g, sel) {
 			continue
 		}
-		if !probe(cand) {
+		if !g.probe(sel) {
 			// Invalid, and validity is upward-closed: every subset is
 			// invalid too. Grow the proposal to a maximal invalid set
 			// within the depth bound first — FixedPolarity keeps proposals
@@ -100,7 +99,7 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 			// Growth is guided by the probe alone: an extension is taken
 			// exactly when it stays invalid, so the blocked down-set never
 			// contains a valid point.
-			grown := e.growSel(probe, empty, items, cand, sel)
+			grown := e.growSel(g, sel)
 			scratch = scratch[:0]
 			inSel := newBitmask(len(items))
 			for _, i := range grown {
@@ -117,7 +116,7 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 		// Valid: shrink to a minimal valid subset. Local minimality is
 		// global here (upward-closed validity), and subsets of a consistent
 		// proposal stay consistent, so no re-screening is needed.
-		min := e.shrinkSel(probe, empty, items, sel)
+		min := e.shrinkSel(g, sel)
 		sols = append(sols, found{sigma: negSolutionOf(empty, items, min), sel: min})
 		// Block the up-set: any superset of a minimal solution is either
 		// that solution or non-minimal.
@@ -157,26 +156,25 @@ func (e *Engine) negMap(g *group) ([]template.Solution, [][]int) {
 // extensions whose probe stays invalid. The caller blocks the grown set's
 // down-set; since invalidity is downward-closed and every kept extension was
 // probed invalid, no valid lattice point is ever blocked.
-func (e *Engine) growSel(probe func(template.Solution) bool, empty template.Solution, items []taggedPred, cand template.Solution, sel []int) []int {
+func (e *Engine) growSel(g *group, sel []int) []int {
 	out := append([]int(nil), sel...)
 	if len(out) >= e.maxDepth() {
 		return out
 	}
-	in := make([]bool, len(items))
+	in := make([]bool, len(g.items))
 	for _, i := range out {
 		in[i] = true
 	}
-	for i := 0; i < len(items) && len(out) < e.maxDepth(); i++ {
+	trial := make([]int, 0, e.maxDepth())
+	for i := 0; i < len(g.items) && len(out) < e.maxDepth(); i++ {
 		if in[i] {
 			continue
 		}
 		if e.Stop != nil && e.Stop() {
 			break
 		}
-		trial := cand.Clone()
-		items[i].addTo(trial)
-		if !probe(trial) {
-			cand = trial
+		trial = append(append(trial[:0], out...), i)
+		if !g.probe(trial) {
 			out = append(out, i)
 			in[i] = true
 		}
@@ -198,14 +196,28 @@ func negSolutionOf(empty template.Solution, items []taggedPred, sel []int) templ
 // inconsistent unknown contributes a blocking clause to the map solver — the
 // unsat core's up-set when the probe yields one, the exact per-unknown
 // selection otherwise — and fresh cores are persisted for later searches.
-// Reports whether the proposal was rejected.
-func (e *Engine) screenConsistency(ms *sat.Solver, cand template.Solution, sel []int, items []taggedPred, indexOf map[coreItem]int) bool {
+// Only unknowns with two or more selected items are screened, so only their
+// predicate sets are built. Reports whether the proposal was rejected.
+func (e *Engine) screenConsistency(ms *sat.Solver, g *group, sel []int) bool {
+	items, indexOf := g.items, g.indexOf
 	blocked := false
-	for _, u := range sortedUnknowns(cand) {
-		if cand[u].Len() < 2 {
+	for _, u := range g.unknowns {
+		n := 0
+		for _, i := range sel {
+			if items[i].unknown == u {
+				n++
+			}
+		}
+		if n < 2 {
 			continue
 		}
-		sat2, core, fresh := e.satisfiableSet(cand[u])
+		set := template.NewPredSet()
+		for _, i := range sel {
+			if items[i].unknown == u {
+				set = set.AddKeyed(items[i].pred, items[i].key)
+			}
+		}
+		sat2, core, fresh := e.satisfiableSet(set)
 		if sat2 {
 			continue
 		}
@@ -244,20 +256,10 @@ func (e *Engine) screenConsistency(ms *sat.Solver, cand template.Solution, sel [
 	return blocked
 }
 
-// sortedUnknowns returns the solution's unknowns in deterministic order.
-func sortedUnknowns(s template.Solution) []string {
-	us := make([]string, 0, len(s))
-	for u := range s {
-		us = append(us, u)
-	}
-	sort.Strings(us)
-	return us
-}
-
 // shrinkSel greedily removes items from a valid selection while validity
 // holds, trying indices in canonical order. Because validity is
 // upward-closed, the fixed point is a globally minimal valid set.
-func (e *Engine) shrinkSel(probe func(template.Solution) bool, empty template.Solution, items []taggedPred, sel []int) []int {
+func (e *Engine) shrinkSel(g *group, sel []int) []int {
 	out := append([]int(nil), sel...)
 	for i := 0; i < len(out); {
 		if len(out) == 1 {
@@ -269,7 +271,7 @@ func (e *Engine) shrinkSel(probe func(template.Solution) bool, empty template.So
 		trial := make([]int, 0, len(out)-1)
 		trial = append(trial, out[:i]...)
 		trial = append(trial, out[i+1:]...)
-		if probe(negSolutionOf(empty, items, trial)) {
+		if g.probe(trial) {
 			out = trial
 		} else {
 			i++

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -384,21 +385,26 @@ func groupByUnknowns(parts []logic.Formula) (groups []logic.Formula, fixed []log
 }
 
 // group is one unknown-connected search: its formula, the deduplicated
-// (unknown, predicate) item universe in deterministic order, and the probe
-// both enumerators and the replay share. With distinct items, every lattice
-// point is exactly identified by its set of item indices.
+// (unknown, predicate) item universe in deterministic order, and what the
+// probe both enumerators and the replay share. With distinct items, every
+// lattice point is exactly identified by its set of item indices.
 type group struct {
-	phi     logic.Formula
-	empty   template.Solution
-	items   []taggedPred
-	indexOf map[coreItem]int
-	// probe instantiates φ with σ and asks for validity through the
-	// incremental context keyed by the unfilled group formula, whose Valid
-	// consults the validity cache and the store's verdicts before solving:
-	// the base formula is compiled once, each candidate costs one spine
-	// rebuild, and one persistent SAT instance absorbs every candidate fill
-	// of the group.
-	probe func(template.Solution) bool
+	phi      logic.Formula
+	empty    template.Solution
+	unknowns []string // empty's unknowns, sorted
+	items    []taggedPred
+	indexOf  map[coreItem]int
+
+	// The probe's compiled inputs: the filler and the incremental context
+	// keyed by the unfilled group formula, and per item its unknown's index
+	// in the filler's unknowns, its interned predicate and its rank by key
+	// among its unknown's items (a fill conjoins predicates in key order,
+	// as template.PredSet does).
+	fl   *template.Filler
+	ctx  *smt.Context
+	unk  []int
+	pred []*logic.IFormula
+	rank []int
 }
 
 func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
@@ -407,14 +413,56 @@ func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
 	for _, u := range unknowns {
 		g.empty[u] = template.NewPredSet()
 	}
+	g.unknowns = slices.Clone(unknowns)
+	slices.Sort(g.unknowns)
+	g.unknowns = slices.Compact(g.unknowns)
 	g.items, g.indexOf = itemUniverse(unknowns, q)
-	fl := e.Filler(phi)
-	ctx := e.S.ContextFor(logic.Intern(phi))
-	g.probe = func(sigma template.Solution) bool {
-		fill := fl.SolutionFill(sigma)
-		return ctx.ValidFill(fl.Fill(fill), fill)
+	g.fl = e.Filler(phi)
+	g.ctx = e.S.ContextFor(logic.Intern(phi))
+	unkIdx := make(map[string]int, len(g.fl.Unknowns()))
+	for i, u := range g.fl.Unknowns() {
+		unkIdx[u] = i
+	}
+	g.unk = make([]int, len(g.items))
+	g.pred = make([]*logic.IFormula, len(g.items))
+	g.rank = make([]int, len(g.items))
+	byKey := make([]int, len(g.items))
+	for i, it := range g.items {
+		g.unk[i] = unkIdx[it.unknown]
+		g.pred[i] = logic.Intern(it.pred)
+		byKey[i] = i
+	}
+	sort.Slice(byKey, func(a, b int) bool { return g.items[byKey[a]].key < g.items[byKey[b]].key })
+	for r, i := range byKey {
+		g.rank[i] = r
 	}
 	return g
+}
+
+// probe instantiates φ with the selection sel (item indices) and asks for
+// validity through the group's incremental context, whose ValidSel consults
+// the validity cache and the store's verdicts before solving: the selection
+// goes to the context as interned predicates, which its compiled skeleton
+// maps to selector assumptions, and the filled formula is built only as the
+// cache key.
+func (g *group) probe(sel []int) bool {
+	n := len(g.fl.Unknowns())
+	byUnk := make([][]int, n)
+	for _, i := range sel {
+		byUnk[g.unk[i]] = append(byUnk[g.unk[i]], i)
+	}
+	fills := make([]logic.Formula, n)
+	preds := make([][]*logic.IFormula, n)
+	for u, is := range byUnk {
+		slices.SortFunc(is, func(a, b int) int { return g.rank[a] - g.rank[b] })
+		fs := make([]logic.Formula, len(is))
+		preds[u] = make([]*logic.IFormula, len(is))
+		for k, i := range is {
+			fs[k], preds[u][k] = g.items[i].pred, g.pred[i]
+		}
+		fills[u] = logic.Conj(fs...)
+	}
+	return g.ctx.ValidSel(g.fl.FillList(fills), preds)
 }
 
 // precheck runs the monotonicity pre-checks both enumerators share: if the
@@ -422,14 +470,14 @@ func (e *Engine) newGroup(phi logic.Formula, q template.Domain) *group {
 // valid it is the unique minimal solution. done reports that one of them
 // settled the search.
 func (g *group) precheck() (sols []template.Solution, sels [][]int, done bool) {
-	full := g.empty.Clone()
-	for _, it := range g.items {
-		it.addTo(full)
+	full := make([]int, len(g.items))
+	for i := range full {
+		full[i] = i
 	}
 	if !g.probe(full) {
 		return nil, [][]int{}, true
 	}
-	if g.probe(g.empty) {
+	if g.probe(nil) {
 		return []template.Solution{g.empty}, [][]int{{}}, true
 	}
 	return nil, nil, false
@@ -519,10 +567,10 @@ func (g *group) replay(rec [][]int) ([]template.Solution, bool) {
 		if len(sel) > 0 && sel[len(sel)-1] >= len(g.items) {
 			return nil, false
 		}
-		sols[i] = negSolutionOf(g.empty, g.items, sel)
-		if !g.probe(sols[i]) {
+		if !g.probe(sel) {
 			return nil, false
 		}
+		sols[i] = negSolutionOf(g.empty, g.items, sel)
 	}
 	return sols, true
 }
@@ -616,7 +664,7 @@ func (e *Engine) negBFS(g *group) ([]template.Solution, [][]int) {
 					}
 					continue
 				}
-				if g.probe(cand) {
+				if g.probe(cm.indices(len(items))) {
 					solutions = append(solutions, cand)
 					solMasks = append(solMasks, cm)
 					continue

@@ -36,6 +36,11 @@ const (
 	Random Policy = "random"
 )
 
+// randomSeed seeds the source Random placement draws from. It is fixed, so
+// a run's placement depends on its request order alone and two runs of one
+// workload place their requests alike.
+const randomSeed = 1
+
 // Config tunes a Router.
 type Config struct {
 	// Backends are the vs3d base URLs (e.g. "http://10.0.0.1:8080"). At
@@ -228,7 +233,7 @@ func New(cfg Config) (*Router, error) {
 		ring:    newRing(weights, cfg.Replicas),
 		client:  cfg.Client,
 		started: time.Now(),
-		rnd:     rand.New(rand.NewSource(time.Now().UnixNano())),
+		rnd:     rand.New(rand.NewSource(randomSeed)),
 		stopc:   make(chan struct{}),
 	}
 	for i, u := range cfg.Backends {

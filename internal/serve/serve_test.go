@@ -233,7 +233,7 @@ func TestQueueSaturation(t *testing.T) {
 	ts := httptest.NewServer(New(Config{Pool: 1, Queue: 1}).Handler())
 	defer ts.Close()
 
-	slow := arrayInitSpec(10)
+	slow := arrayInitSpec(40)
 	var wg sync.WaitGroup
 	reqDone := make(chan int, 2)
 	launch := func(timeoutMS int64) {

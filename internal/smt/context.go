@@ -98,7 +98,7 @@ type Context struct {
 	units int64
 
 	// plan is the skeleton's grounding plan (registered contexts only),
-	// compiled by the first probe that grounds with a fill. Probes ground
+	// compiled by the first probe that comes with a fill. Probes read it
 	// before they take mu, so the plan guards its own memos.
 	planOnce sync.Once
 	plan     *groundPlan
@@ -159,10 +159,12 @@ type Context struct {
 	queue []int32
 
 	// emitted[sym] is how many occurrences of sym are already pairwise
-	// covered by asserted Ackermann constraints; pairCount is the running
-	// total, checked against Options.MaxAckermannPairs.
-	emitted   map[string]int
-	pairCount int
+	// covered by asserted Ackermann constraints, and emittedAll how many of
+	// the grounder's occurrences in all; pairCount is the running total of
+	// pairs, checked against Options.MaxAckermannPairs.
+	emitted    map[string]int
+	emittedAll int
+	pairCount  int
 
 	// hook is the context's theory check, attached to its SAT instance: dense
 	// over the context's full atom set (hook.atomVars[i] is the SAT variable
@@ -176,8 +178,15 @@ type Context struct {
 
 	// gates records the probe gates of the context's SAT instance and their
 	// gate children; before each probe exactly the cone its assumptions
-	// reach is switched on (switchCone).
-	gates gateGraph
+	// reach is switched on (switchCone), and coneSets collects the atom
+	// sets of the guarded children it reaches.
+	gates    gateGraph
+	coneSets [][]int
+
+	// comp is the encoding of the plan's compiled skeletons (compile.go),
+	// and assumps a compiled probe's reusable assumption buffer.
+	comp    compiled
+	assumps []sat.Lit
 
 	// satSeen is the context's SAT work (decisions, propagations) already
 	// folded into the solver's counters.
@@ -246,42 +255,62 @@ func (c *Context) reset() {
 	c.sat.MaxLearnts = ctxMaxLearnts
 	c.satSeen = [2]int64{}
 	c.g = newGrounder()
-	c.gates = gateGraph{arena: []int32{0}}
-	c.enc = &encoder{s: c.sat, atomVar: map[int]int{}, gates: &c.gates}
+	c.enc = &encoder{s: c.sat, atomVar: map[int]int{}}
 	c.strash = newStrash()
-	c.selOf = map[*logic.IFormula]sat.Lit{}
-	c.selBad = map[*logic.IFormula]bool{}
-	c.selAtoms = map[*logic.IFormula][]int{}
 	c.ackPairs = nil
 	c.isOcc = nil
 	c.occDeps = nil
 	c.probeAtoms = nil
 	c.reach, c.epoch = nil, 0
 	c.emitted = map[string]int{}
+	c.emittedAll = 0
 	c.pairCount = 0
 	c.hook = theoryHook{s: c.s}
 	c.sat.Theory = &c.hook
 	c.diff, _ = lia.NewDiffChecker(nil)
 	c.lin = nil
 	c.imported = 0
+	if c.oneShot {
+		// One formula, one probe: no selectors, no cones to switch and no
+		// compiled skeletons.
+		return
+	}
+	c.gates = gateGraph{arena: []int32{0}}
+	c.enc.gates = &c.gates
+	c.selOf = map[*logic.IFormula]sat.Lit{}
+	c.selBad = map[*logic.IFormula]bool{}
+	c.selAtoms = map[*logic.IFormula][]int{}
+	c.comp = compiled{}
 }
 
 // ValidFill reports whether f is valid, as Solver.Valid does — same memo
 // table, same knowledge store, same trivial short-circuits, same
 // conservative treatment of Stop — but decides cache misses as probes of
-// the persistent context: the probe's ground formula is encoded into the
-// shared SAT instance and solved under a single assumption literal, reusing
-// learnt clauses, theory lemmas, Ackermann constraints, and the
-// difference-fragment preprocessing of all earlier probes. A dormant
-// context decides from scratch instead; verdicts are identical either way.
+// the persistent context, reusing learnt clauses, theory lemmas, Ackermann
+// constraints, and the difference-fragment preprocessing of all earlier
+// probes. A dormant context decides from scratch instead; verdicts are
+// identical either way.
 //
 // fill, when non-nil, is what f was built from: f is the context's skeleton
-// with each unknown u replaced by fill[u]. The probe is then grounded
-// through the context's grounding plan, which shares all skeleton work
-// across its probes. The validity cache and the knowledge store are keyed
-// by f alone, exactly as without a fill.
+// with each unknown u replaced by fill[u], a conjunction of predicates. The
+// probe is then decided over the context's compiled skeleton (compile.go),
+// its conjuncts behind selector literals, or grounded through the
+// context's grounding plan when the compiled form cannot express it. The
+// validity cache and the knowledge store are keyed by f alone, exactly as
+// without a fill.
 func (c *Context) ValidFill(f logic.Formula, fill map[string]logic.Formula) bool {
-	return c.s.valid(f, c, fill)
+	if fill == nil {
+		return c.s.valid(f, c, nil)
+	}
+	return c.s.valid(f, c, &probeFill{m: fill})
+}
+
+// ValidSel is ValidFill for a probe given as a selection: preds[i] lists
+// the interned predicates whose conjunction, in order, fills the skeleton's
+// i-th unknown (in logic.Unknowns order), and f is the skeleton so filled.
+// Nothing is interned per probe beyond f's cache lookup.
+func (c *Context) ValidSel(f logic.Formula, preds [][]*logic.IFormula) bool {
+	return c.s.valid(f, c, &probeFill{preds: preds})
 }
 
 // groundPlan returns the context's grounding plan, compiling it on first use.
@@ -378,13 +407,13 @@ func (c *Context) solve(assumps []sat.Lit, atomSets ...[]int) (satisfiable bool,
 		return false, nil, false
 	}
 	c.syncAtoms()
+	c.switchCone(assumps...)
 	if c.lin != nil {
-		c.lin.SetProbe(c.probeAtomSet(atomSets...))
+		c.lin.SetProbe(c.probeAtomSet(atomSets, c.coneSets))
 	}
 	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
 		c.s.ctr.Add(stats.LemmaReuse, 1)
 	}
-	c.switchCone(assumps...)
 	// The probe's lemmas are recorded only when the knowledge store
 	// consumes them.
 	var learnt []theoryLemma
@@ -505,11 +534,13 @@ func (c *Context) selector(p logic.Formula) (lit sat.Lit, atoms []int, good bool
 	return l, atoms, true
 }
 
-// gateGraph records a context's probe gates — the Tseitin gates encNode and
-// the encoder create for probe formulas — and the gate→child edges between
-// them in an append-only int32 arena, dropped with the SAT instance by reset.
-// Atoms, the constant and Ackermann gates are not probe gates: they stay
-// switched on in every probe.
+// gateGraph records a context's probe gates — the Tseitin gates encNode, the
+// encoder and the compiled skeletons create for probe formulas — and the
+// gate→child edges between them in an append-only int32 arena, dropped with
+// the SAT instance by reset. A compiled skeleton's selector and env
+// variables are probe gates too, without children: switched on only when a
+// probe assumes them. Atoms, the constant and Ackermann gates are not probe
+// gates: they stay switched on in every probe.
 type gateGraph struct {
 	// start[v] is the arena offset of gate v's entry — its gate-child count
 	// followed by the children's variables — or -1 when v is not a probe
@@ -517,8 +548,25 @@ type gateGraph struct {
 	// empty entry for gates whose children are all atoms.
 	start []int32
 	arena []int32
-	// on lists the gates switched on for the current probe.
-	on []int32
+	// guards[v], when positive, is one plus the index in guarded of gate v's
+	// guarded edges: children in the cone only when their guard variable
+	// is assumed true.
+	guards  []int32
+	guarded [][]guardEdge
+	// on lists the gates switched on for the current probe; trueAt[v] ==
+	// epoch marks v assumed true in it.
+	on     []int32
+	trueAt []uint32
+	epoch  uint32
+}
+
+// guardEdge is a compiled skeleton's guarded child: kid, whose encoding
+// mentions atoms, belongs to a probe's cone only under an assumption that
+// sets guard true (a selector, or an env literal).
+type guardEdge struct {
+	guard int32
+	kid   sat.Lit
+	atoms []int
 }
 
 // add records a new gate v over the child literals kids (recorded children
@@ -544,21 +592,51 @@ func (g *gateGraph) add(s *sat.Solver, v int, kids []sat.Lit) {
 	s.SetDecision(v, false)
 }
 
+// guard gives the gate v, already added, its guarded edges.
+func (g *gateGraph) guard(v int, edges []guardEdge) {
+	for len(g.guards) <= v {
+		g.guards = append(g.guards, 0)
+	}
+	g.guarded = append(g.guarded, edges)
+	g.guards[v] = int32(len(g.guarded))
+}
+
 func (g *gateGraph) isGate(v int) bool { return v < len(g.start) && g.start[v] >= 0 }
 
 // switchCone switches off the previous probe's gates and switches on exactly
-// the gates the given assumption literals reach. Soundness (DESIGN §10, "A
+// the gates the given assumption literals reach, following a guarded edge
+// only when its guard is assumed true; it collects the atom sets of the
+// guarded children it reaches in c.coneSets. Soundness (DESIGN §10, "A
 // probe decides only its cone"): a probe gate occurs positively only in its
-// parents' definitional clauses, so setting every unreached gate false
-// extends any assignment that satisfies the reached clauses to a model of
-// every clause, learnt ones included — each probe's SAT and theory
-// questions are the ones the all-on instance asks.
+// parents' definitional clauses, and a guarded child only in clauses its
+// false guard satisfies, so setting every unreached gate false extends any
+// assignment that satisfies the reached clauses to a model of every clause,
+// learnt ones included — each probe's SAT and theory questions are the ones
+// the all-on instance asks.
 func (c *Context) switchCone(assumps ...sat.Lit) {
 	g := &c.gates
+	c.coneSets = c.coneSets[:0]
+	if c.oneShot {
+		return
+	}
 	for _, v := range g.on {
 		c.sat.SetDecision(int(v), false)
 	}
 	g.on = g.on[:0]
+	if len(g.guarded) > 0 {
+		if n := c.sat.NumVars(); len(g.trueAt) < n {
+			g.trueAt = append(g.trueAt, make([]uint32, n-len(g.trueAt))...)
+		}
+		if g.epoch++; g.epoch == 0 {
+			clear(g.trueAt)
+			g.epoch = 1
+		}
+		for _, a := range assumps {
+			if !a.Neg() {
+				g.trueAt[a.Var()] = g.epoch
+			}
+		}
+	}
 	visit := func(v int) {
 		if g.isGate(v) && !c.sat.Decision(v) {
 			c.sat.SetDecision(v, true)
@@ -569,9 +647,18 @@ func (c *Context) switchCone(assumps ...sat.Lit) {
 		visit(a.Var())
 	}
 	for i := 0; i < len(g.on); i++ {
-		at := g.start[g.on[i]]
+		v := g.on[i]
+		at := g.start[v]
 		for _, k := range g.arena[at+1 : at+1+g.arena[at]] {
 			visit(int(k))
+		}
+		if int(v) < len(g.guards) && g.guards[v] > 0 {
+			for _, e := range g.guarded[g.guards[v]-1] {
+				if g.trueAt[e.guard] == g.epoch {
+					visit(e.kid.Var())
+					c.coneSets = append(c.coneSets, e.atoms)
+				}
+			}
 		}
 	}
 }
@@ -612,9 +699,19 @@ func (c *Context) constLit(v bool) sat.Lit {
 // complete even then, so a one-shot context can still decide with the
 // pairs asserted so far.
 func (c *Context) emitAckermann() bool {
+	// isOcc and occDeps cover every variable, occurrence or not, for
+	// probeAtomSet's walk.
+	if n := c.g.vars.Len(); len(c.isOcc) < n {
+		c.isOcc = append(c.isOcc, make([]bool, n-len(c.isOcc))...)
+		c.occDeps = append(c.occDeps, make([][]int32, n-len(c.occDeps))...)
+	}
+	if c.g.nOccs == c.emittedAll {
+		return true
+	}
 	// The constraints are asserted globally, so their gates stay switched on.
+	gates := c.enc.gates
 	c.enc.gates = nil
-	defer func() { c.enc.gates = &c.gates }()
+	defer func() { c.enc.gates = gates }()
 	syms := make([]string, 0, len(c.g.occs))
 	for s, os := range c.g.occs {
 		if len(os) > c.emitted[s] {
@@ -624,10 +721,6 @@ func (c *Context) emitAckermann() bool {
 	sort.Strings(syms)
 	// Mark every new occurrence first: dependency extraction below must
 	// recognize occurrence variables across symbols regardless of order.
-	if n := c.g.vars.Len(); len(c.isOcc) < n {
-		c.isOcc = append(c.isOcc, make([]bool, n-len(c.isOcc))...)
-		c.occDeps = append(c.occDeps, make([][]int32, n-len(c.occDeps))...)
-	}
 	for _, s := range syms {
 		os := c.g.occs[s]
 		for j := c.emitted[s]; j < len(os); j++ {
@@ -672,6 +765,7 @@ func (c *Context) emitAckermann() bool {
 		}
 		c.emitted[s] = len(os)
 	}
+	c.emittedAll = c.g.nOccs
 	return true
 }
 
@@ -730,15 +824,18 @@ func (c *Context) syncAtoms() {
 
 // probeAtomSet computes the current probe's relevant atom subset into the
 // context's reusable buffer, sorted ascending: the union of the given
-// per-node encoding atom sets, plus the clauses of every Ackermann pair
+// encoding atom sets (both lists), plus the clauses of every Ackermann pair
 // whose occurrences are reachable from those atoms (an occurrence is
 // reachable when its result variable appears in a probe atom, or in the
 // arguments of a reachable occurrence). This mirrors the per-probe systems
 // a one-shot context checks — its grounder only ever holds one formula's
 // atoms and occurrence pairs.
-func (c *Context) probeAtomSet(sets ...[]int) []int {
+func (c *Context) probeAtomSet(sets, more [][]int) []int {
 	raw := c.probeAtoms[:0]
 	for _, s := range sets {
+		raw = append(raw, s...)
+	}
+	for _, s := range more {
 		raw = append(raw, s...)
 	}
 	if len(c.ackPairs) > 0 {

@@ -46,7 +46,7 @@ func (s *Solver) Satisfiable(f logic.Formula) bool {
 // solver runs: the hook is package-wide.
 func CrossCheckGrounding(fail func(msg string)) (checked func() int64, remove func()) {
 	var n atomic.Int64
-	groundCheck = func(s *Solver, f, _ *logic.IFormula, _ map[string]logic.Formula, ground logic.Formula, decided, valid bool) {
+	groundCheck = func(s *Solver, f, _ *logic.IFormula, _ [][]*logic.IFormula, ground logic.Formula, decided, valid bool) {
 		n.Add(1)
 		if msg := s.compareOracle(f, ground, decided, valid); msg != "" {
 			fail(msg)
@@ -176,6 +176,41 @@ func (c *Context) decideOffline(assumps []sat.Lit) bool {
 // formula, with nothing shared across probes.
 func (c *Context) Valid(f logic.Formula) bool { return c.ValidFill(f, nil) }
 
+// CrossCheckCompiled makes every probe decided over a compiled skeleton
+// from now on be decided a second time, through the multi-pass oracle on a
+// one-shot context of a solver with no store and no cache, and calls fail
+// with a description of each probe whose verdicts differ. It returns a
+// counter of the probes checked and a function that removes the hook.
+// Install it before any solver runs: the hook is package-wide.
+func CrossCheckCompiled(fail func(msg string)) (checked func() int64, remove func()) {
+	var n atomic.Int64
+	compiledCheck = func(s *Solver, f, _ *logic.IFormula, _ [][]*logic.IFormula, valid bool) {
+		n.Add(1)
+		if want := s.oracleValid(f); want != valid {
+			fail(fmt.Sprintf("probe %s: compiled valid=%v, oracle valid=%v", f, valid, want))
+		}
+	}
+	return n.Load, func() { compiledCheck = nil }
+}
+
+// oracleValid decides the probe f from scratch: grounded by the multi-pass
+// oracle and decided on a one-shot context of a store-less solver with s's
+// options.
+func (s *Solver) oracleValid(f *logic.IFormula) bool {
+	opts := s.opts
+	opts.Store, opts.Stop = nil, nil
+	o := NewSolver(opts)
+	sn := f.Simplified()
+	if b, ok := sn.Formula().(logic.Bool); ok {
+		return b.Val
+	}
+	g, done, sat := o.oracleGround(sn)
+	if done {
+		return !sat
+	}
+	return !o.decideOnce(g)
+}
+
 // CountPlanEnvironments counts the candidate environments grounding plans
 // build from now on. It returns the count and a function that removes the
 // hook. Install it before any solver runs: the hook is package-wide.
@@ -190,15 +225,16 @@ func CountPlanEnvironments() (built func() int64, remove func()) {
 type PlanProbes struct {
 	mu    sync.Mutex
 	skels []*logic.IFormula
-	fills map[*logic.IFormula][]map[string]logic.Formula
+	fills map[*logic.IFormula][][][]*logic.IFormula
 }
 
-// RecordPlanProbes records every probe grounded through a plan from now on.
-// It returns the record and a function that removes the hook. Install it
-// before any solver runs: the hook is package-wide.
+// RecordPlanProbes records every probe grounded through a plan or decided
+// over a compiled skeleton from now on. It returns the record and a
+// function that removes the hooks. Install it before any solver runs: the
+// hooks are package-wide.
 func RecordPlanProbes() (*PlanProbes, func()) {
-	r := &PlanProbes{fills: map[*logic.IFormula][]map[string]logic.Formula{}}
-	groundCheck = func(_ *Solver, _, skel *logic.IFormula, fill map[string]logic.Formula, _ logic.Formula, _, _ bool) {
+	r := &PlanProbes{fills: map[*logic.IFormula][][][]*logic.IFormula{}}
+	record := func(skel *logic.IFormula, fill [][]*logic.IFormula) {
 		if skel == nil {
 			return
 		}
@@ -209,7 +245,13 @@ func RecordPlanProbes() (*PlanProbes, func()) {
 		}
 		r.fills[skel] = append(r.fills[skel], fill)
 	}
-	return r, func() { groundCheck = nil }
+	groundCheck = func(_ *Solver, _, skel *logic.IFormula, fill [][]*logic.IFormula, _ logic.Formula, _, _ bool) {
+		record(skel, fill)
+	}
+	compiledCheck = func(_ *Solver, _, skel *logic.IFormula, fill [][]*logic.IFormula, _ bool) {
+		record(skel, fill)
+	}
+	return r, func() { groundCheck, compiledCheck = nil, nil }
 }
 
 // Probes returns how many probes the record holds.

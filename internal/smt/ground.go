@@ -102,8 +102,10 @@ type grounder struct {
 	lits  []prop           // atom i's literal: lits[2i] positive, lits[2i+1] negated
 	byKey map[string]int32 // packed form (lia.Form.AppendPacked) → atom
 
-	// occurrences of flattened function applications, grouped by symbol.
-	occs map[string][]occurrence
+	// occurrences of flattened function applications, grouped by symbol,
+	// and how many there are in all.
+	occs  map[string][]occurrence
+	nOccs int
 
 	// buf and key are the scratch a form is built and packed in.
 	buf []lia.Term
@@ -358,6 +360,7 @@ func (g *grounder) registerApp(sym string, args []logic.Term) logic.Term {
 		}
 	}
 	g.occs[sym] = append(g.occs[sym], occurrence{args: args, v: name, id: g.vars.ID(name)})
+	g.nOccs++
 	return logic.V(name)
 }
 

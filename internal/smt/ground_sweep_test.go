@@ -112,8 +112,11 @@ func (l *mismatchLog) read() (int, string) {
 // TestGroundPlanMatchesOracle runs every sweep cell with every grounded probe
 // also grounded by the multi-pass oracle, and requires the interned results
 // to be the same node: the plan may only change how grounding is computed,
-// never what it produces. This is the `make test-differential` guarantee
-// behind grounding through plans.
+// never what it produces. Since compiled skeletons decide most probes
+// without grounding them (TestCompiledProbesMatchOracle checks those), the
+// probes grounded here are the ones the compiled skeleton cannot express
+// (a quantified fill predicate) and whole-formula queries. This is the
+// `make test-differential` guarantee behind grounding through plans.
 func TestGroundPlanMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grounding oracle sweep skipped in -short mode (run via make test-differential)")
@@ -135,6 +138,33 @@ func TestGroundPlanMatchesOracle(t *testing.T) {
 		t.Fatalf("sweep vacuous: %d probes checked, %d grounded by plans", checked(), plans)
 	}
 	t.Logf("%d grounded probes checked, %d through plans, %d distinct candidate environments", checked(), plans, envs())
+}
+
+// TestCompiledProbesMatchOracle runs every sweep cell with every probe
+// decided over a compiled skeleton also decided through the multi-pass
+// oracle, on a one-shot context of a solver with no store, and requires the
+// same verdict: selector and env-literal assumptions may only change how a
+// probe is decided, never its answer. This is the `make test-differential`
+// guarantee behind compiled skeletons.
+func TestCompiledProbesMatchOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiled-probe sweep skipped in -short mode (run via make test-differential)")
+	}
+	var log mismatchLog
+	checked, remove := smt.CrossCheckCompiled(log.fail)
+	defer remove()
+	plans := int64(0)
+	for _, c := range sweepCells() {
+		v, _ := runCell(t, c)
+		plans += v.Engine().S.Counters()[stats.PlanProbes].Load()
+		if bad, first := log.read(); bad > 0 {
+			t.Fatalf("%s: %d compiled probes answer differently from the oracle; first:\n%s", c.name, bad, first)
+		}
+	}
+	if checked() == 0 {
+		t.Fatal("sweep vacuous: no compiled probe checked")
+	}
+	t.Logf("%d compiled probes checked, %d probes grounded through plans", checked(), plans)
 }
 
 // TestConeProbesMatchAllOn runs every sweep cell with every context probe

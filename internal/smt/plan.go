@@ -12,20 +12,22 @@ import (
 
 // Grounding plans.
 //
-// Every cache-missing probe is grounded before it is decided: the negated
-// formula is normalized (array equalities become quantified element
+// Grounding a probe turns it into the ground formula a context encodes: the
+// negated formula is normalized (array equalities become quantified element
 // equalities, NNF, bound-variable standardization, skolemization), its
 // universals are instantiated over candidate terms for up to InstRounds
 // rounds, and the result is simplified. The probes of one context share a
 // VC skeleton and differ only in the predicates filling its unknowns, so a
 // groundPlan compiles the skeleton once and grounds each probe from memoized
-// parts:
+// parts. Most probes are not grounded at all: the context's compiled
+// skeleton (compile.go) decides them from the same memos. A probe the
+// compiled skeleton cannot express is grounded here:
 //
 //   - realize: the skeleton's hole-free subtrees are simplified once; a
 //     probe re-runs Simplify's rules (logic.Junction) only along the spine
 //     from the root to the holes, over the simplified fill. A fill is one
-//     piece per interned fill, split into one piece per interned predicate
-//     that all fills share.
+//     piece per list of predicates, found by their per-plan ids, split into
+//     one piece per interned predicate that all fills share.
 //   - normalize: one fused pass (normalizeFused) does the work of NNF,
 //     standardization and skolemization. Each memoizable unit — a static
 //     subtree, or one predicate of a fill — is normalized once per polarity,
@@ -62,12 +64,13 @@ import (
 // compares the two on every probe.
 //
 // A plan is built lazily, on the first probe of a registered context that
-// reaches grounding, and dies with the context. Its memos are guarded by
+// comes with a fill, and dies with the context. Its memos are guarded by
 // one mutex, held only for lookups and inserts, because the context's
-// probes ground concurrently before they take its lock. They form one
-// generation of at most planMemoCap entries: fills, predicate pieces,
-// units, scopes, candidate keys, environments, trigger sets, tuples and
-// leaf instances. The insert that fills a generation detaches
+// probes read them concurrently before they take its lock. They form one
+// generation of at most planMemoCap entries: predicates, fills, predicate
+// pieces, units, scopes, candidate keys, environments, trigger sets,
+// tuples, leaf instances, and the compiled skeleton's shapes, occurrence
+// units and candidate-id sets. The insert that fills a generation detaches
 // it: later probes start a fresh one, and the probes still grounding from
 // the full one finish on it, so what they add dies with them.
 
@@ -242,10 +245,13 @@ func (sc *nscope) unbind(vars []string, exists bool, undo []logic.Term) {
 }
 
 // piece is a simplified, unknown-free formula that the plan normalizes as
-// one unit: a static subtree of the skeleton, or a fill predicate.
+// one unit: a static subtree of the skeleton, or a fill predicate. A
+// compiled skeleton (compile.go) also realizes each hole as a piece: hole is
+// then the hole's index plus one, and f the hole's logic.Unknown.
 type piece struct {
-	f logic.Formula
-	n *logic.IFormula // memo identity
+	f    logic.Formula
+	n    *logic.IFormula // memo identity
+	hole int
 	// parts are f's operands when f is a conjunction or disjunction, so a
 	// junction can splice them as Simplify flattens nested operands, and
 	// partVals their svals.
@@ -300,7 +306,7 @@ type pnode struct {
 	kids    []*pnode
 	vars    []string
 	varsKey string // vars joined, for scope keys
-	hole    string
+	hole    int    // kHole: the hole's index in groundPlan.holes
 	st      *piece // kStatic: the simplified subtree
 }
 
@@ -371,6 +377,16 @@ type gnode struct {
 	// spine universal); ts is a kept universal's trigger set.
 	trigs map[string]map[string][]trigger
 	ts    *trigSet
+
+	// A compiled skeleton's nodes (compile.go). A gHole occurrence records
+	// its hole, its polarity and the binding scope its predicates are
+	// normalized in; a spine universal records the occurrences in its body
+	// and the trigger pairs of its static units.
+	hole  int
+	neg   bool
+	sc    *nscope
+	occs  []*gnode
+	pairs []varTrig
 }
 
 type gop uint8
@@ -380,6 +396,7 @@ const (
 	gAnd
 	gOr
 	gAll
+	gHole // a compiled skeleton's hole occurrence (compile.go)
 )
 
 // unitEntry is one normalized unit: its instantiation-ready form, the names
@@ -449,25 +466,37 @@ type scopeKey struct {
 // planMemo is one generation of a plan's memos.
 type planMemo struct {
 	entries int
-	fills   map[*logic.IFormula]*piece // by interned fill
-	pieces  map[*logic.IFormula]*piece // by interned predicate
+	preds   map[*logic.IFormula]*pred  // by the caller's interned predicate
+	fills   map[uint64][]*fillEntry    // by hashIDs of their predicates' ids
+	pieces  map[*logic.IFormula]*piece // by interned simplified predicate
 	units   map[unitKey]*unitEntry
 	scopes  map[scopeKey]*scopeEntry
 	keyIDs  map[candKey]int32
 	keys    []candInfo            // by id
 	envs    map[uint64][]*instEnv // by hashIDs of their ids
 	trigs   map[uint64][]*trigSet // spine universals', by content
+
+	// The compiled skeleton's memos (compile.go): shapes by their key, each
+	// predicate's unit at each hole occurrence, and the candidate ids of a
+	// universal's instances per candidate tuple set.
+	shapes   map[string]*shape
+	occUnits map[occKey]*unitEntry
+	cids     map[cidKey][]int32
 }
 
 func newPlanMemo() *planMemo {
 	return &planMemo{
-		fills:  map[*logic.IFormula]*piece{},
-		pieces: map[*logic.IFormula]*piece{},
-		units:  map[unitKey]*unitEntry{},
-		scopes: map[scopeKey]*scopeEntry{},
-		keyIDs: map[candKey]int32{},
-		envs:   map[uint64][]*instEnv{},
-		trigs:  map[uint64][]*trigSet{},
+		preds:    map[*logic.IFormula]*pred{},
+		fills:    map[uint64][]*fillEntry{},
+		shapes:   map[string]*shape{},
+		occUnits: map[occKey]*unitEntry{},
+		cids:     map[cidKey][]int32{},
+		pieces:   map[*logic.IFormula]*piece{},
+		units:    map[unitKey]*unitEntry{},
+		scopes:   map[scopeKey]*scopeEntry{},
+		keyIDs:   map[candKey]int32{},
+		envs:     map[uint64][]*instEnv{},
+		trigs:    map[uint64][]*trigSet{},
 	}
 }
 
@@ -476,6 +505,12 @@ type groundPlan struct {
 	s    *Solver
 	root *pnode
 	cap  int // entries per memo generation: planMemoCap
+
+	// holes are the skeleton's unknowns in logic.Unknowns order: a probe's
+	// fill is one predicate list per hole, in this order. holePieces are
+	// their placeholders in a compiled skeleton's realization.
+	holes      []string
+	holePieces []*piece
 
 	mu   sync.Mutex
 	m    *planMemo    // the current generation
@@ -490,7 +525,16 @@ func newPlan(s *Solver) *groundPlan {
 // holes.
 func newGroundPlan(s *Solver, skel logic.Formula) *groundPlan {
 	pl := newPlan(s)
-	pl.root = compileSkeleton(skel)
+	pl.holes = logic.Unknowns(skel)
+	index := make(map[string]int, len(pl.holes))
+	for i, h := range pl.holes {
+		index[h] = i
+		u := logic.Intern(logic.Unknown{Name: h})
+		p := &piece{f: u.Formula(), n: u, hole: i + 1}
+		p.sv = &sval{op: sPiece, f: p.f, h: u.Hash(), p: p}
+		pl.holePieces = append(pl.holePieces, p)
+	}
+	pl.root = compileSkeleton(skel, index)
 	return pl
 }
 
@@ -502,33 +546,34 @@ func (pl *groundPlan) admit(m *planMemo) {
 	}
 }
 
-func compileSkeleton(f logic.Formula) *pnode {
+// compileSkeleton compiles f, numbering each hole by its unknown's index.
+func compileSkeleton(f logic.Formula, index map[string]int) *pnode {
 	if len(logic.Unknowns(f)) == 0 {
 		return &pnode{op: kStatic, st: newPiece(logic.Intern(logic.Simplify(f)), false, leafPiece)}
 	}
 	switch f := f.(type) {
 	case logic.Unknown:
-		return &pnode{op: kHole, hole: f.Name}
+		return &pnode{op: kHole, hole: index[f.Name]}
 	case logic.Not:
-		return &pnode{op: kNot, kids: []*pnode{compileSkeleton(f.F)}}
+		return &pnode{op: kNot, kids: []*pnode{compileSkeleton(f.F, index)}}
 	case logic.And:
-		return &pnode{op: kAnd, kids: compileList(f.Fs)}
+		return &pnode{op: kAnd, kids: compileList(f.Fs, index)}
 	case logic.Or:
-		return &pnode{op: kOr, kids: compileList(f.Fs)}
+		return &pnode{op: kOr, kids: compileList(f.Fs, index)}
 	case logic.Implies:
-		return &pnode{op: kImp, kids: []*pnode{compileSkeleton(f.A), compileSkeleton(f.B)}}
+		return &pnode{op: kImp, kids: []*pnode{compileSkeleton(f.A, index), compileSkeleton(f.B, index)}}
 	case logic.Forall:
-		return &pnode{op: kAll, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body)}}
+		return &pnode{op: kAll, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body, index)}}
 	case logic.Exists:
-		return &pnode{op: kAny, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body)}}
+		return &pnode{op: kAny, vars: f.Vars, varsKey: strings.Join(f.Vars, ","), kids: []*pnode{compileSkeleton(f.Body, index)}}
 	}
 	panic("smt: unexpected skeleton formula: " + f.String())
 }
 
-func compileList(fs []logic.Formula) []*pnode {
+func compileList(fs []logic.Formula, index map[string]int) []*pnode {
 	out := make([]*pnode, len(fs))
 	for i, g := range fs {
-		out[i] = compileSkeleton(g)
+		out[i] = compileSkeleton(g, index)
 	}
 	return out
 }
@@ -541,10 +586,19 @@ func compileList(fs []logic.Formula) []*pnode {
 // groundings of finished probes for the next ones: at most one per probe
 // that grounded at once.
 type grounding struct {
-	pl   *groundPlan
-	m    *planMemo
-	sc   nscope
-	used []*unitEntry
+	pl    *groundPlan
+	m     *planMemo
+	sc    nscope
+	used  []*unitEntry
+	fills []*piece // the probe's fill piece per hole
+
+	// A compiled probe's scratch (compile.go): its shape key, its round-0
+	// candidate ids and its top universals' trigger sets.
+	shapeKey []byte
+	base     []int32
+	tsets    []*trigSet
+	sel      [][]*pred
+	prs      []*pred
 
 	env     *instEnv
 	sub     map[string]logic.Term
@@ -586,12 +640,17 @@ func (pl *groundPlan) acquire() *grounding {
 // of this one.
 func (pl *groundPlan) release(gr *grounding) {
 	clear(gr.used)
+	clear(gr.fills)
 	clear(gr.insts)
 	clear(gr.items[:cap(gr.items)])
 	for _, j := range gr.js {
 		j.Reset(false)
 	}
-	gr.used, gr.insts = gr.used[:0], gr.insts[:0]
+	clear(gr.tsets)
+	clear(gr.sel)
+	clear(gr.prs)
+	gr.sel, gr.prs = gr.sel[:0], gr.prs[:0]
+	gr.used, gr.insts, gr.fills, gr.tsets = gr.used[:0], gr.insts[:0], gr.fills[:0], gr.tsets[:0]
 	gr.m, gr.env, gr.stopped = nil, nil, false
 	gr.sc.b, gr.sc.sk, gr.sc.sig = 0, 0, 0
 	pl.mu.Lock()
@@ -599,20 +658,48 @@ func (pl *groundPlan) release(gr *grounding) {
 	pl.mu.Unlock()
 }
 
-// groundFill grounds the probe Fill(skeleton, fill). decided reports that
-// the simplified probe is a constant, whose value is then valid. ok=false
-// means a hole has no fill, so the plan cannot express the probe.
-func (pl *groundPlan) groundFill(fill map[string]logic.Formula) (ground logic.Formula, decided, valid, ok bool) {
+// holesOf returns a probe's fill as per-hole interned predicates: pf.preds
+// as given, or each hole's fill split into its conjuncts, interned. nil
+// when a hole has no fill, so the plan cannot express the probe.
+func (pl *groundPlan) holesOf(pf *probeFill) [][]*logic.IFormula {
+	if pf.preds != nil {
+		return pf.preds
+	}
+	holes := make([][]*logic.IFormula, len(pl.holes))
+	for i, h := range pl.holes {
+		switch g := pf.m[h].(type) {
+		case nil:
+			return nil
+		case logic.And:
+			holes[i] = make([]*logic.IFormula, len(g.Fs))
+			for k, p := range g.Fs {
+				holes[i][k] = logic.Intern(p)
+			}
+		case logic.Bool:
+			if !g.Val {
+				holes[i] = []*logic.IFormula{logic.Intern(g)}
+			}
+		default:
+			holes[i] = []*logic.IFormula{logic.Intern(g)}
+		}
+	}
+	return holes
+}
+
+// groundFill grounds the probe whose hole i is filled with the conjunction
+// of holes[i], in order. decided reports that the simplified probe is a
+// constant, whose value is then valid.
+func (pl *groundPlan) groundFill(holes [][]*logic.IFormula) (ground logic.Formula, decided, valid bool) {
 	gr := pl.acquire()
 	defer pl.release(gr)
-	root, ok := gr.realize(pl.root, fill)
-	if !ok {
-		return nil, false, false, false
+	for _, hp := range holes {
+		gr.fills = append(gr.fills, gr.fillOf(hp))
 	}
+	root := gr.realize(pl.root)
 	if root.op == sConst {
-		return nil, true, root.f.(logic.Bool).Val, true
+		return nil, true, root.f.(logic.Bool).Val
 	}
-	return gr.groundSimplified(root), false, false, true
+	return gr.groundSimplified(root), false, false
 }
 
 // groundSimplified grounds the negation of a simplified, non-constant
@@ -660,54 +747,37 @@ func (gr *grounding) roundEnv() *instEnv {
 }
 
 // realize computes the simplified probe over the compiled skeleton:
-// static subtrees come simplified from the plan, each hole's fill is
-// simplified, and the spine folds them with Simplify's rules.
-func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, bool) {
+// static subtrees come simplified from the plan, each hole's fill piece
+// (gr.fills) is simplified, and the spine folds them with Simplify's rules.
+func (gr *grounding) realize(nd *pnode) *sval {
 	switch nd.op {
 	case kStatic:
-		return nd.st.sv, true
+		return nd.st.sv
 	case kHole:
-		g, ok := fill[nd.hole]
-		if !ok {
-			return nil, false
-		}
-		return gr.fillPiece(g).sv, true
+		return gr.fills[nd.hole].sv
 	case kNot:
-		c, ok := gr.realize(nd.kids[0], fill)
-		if !ok {
-			return nil, false
-		}
-		return gr.negVal(c), true
+		return gr.negVal(gr.realize(nd.kids[0]))
 	case kImp:
-		a, ok := gr.realize(nd.kids[0], fill)
-		if !ok {
-			return nil, false
-		}
-		b, ok := gr.realize(nd.kids[1], fill)
-		if !ok {
-			return nil, false
-		}
+		a := gr.realize(nd.kids[0])
+		b := gr.realize(nd.kids[1])
 		// logic.Imp's folding, in its order.
 		if a.op == sConst {
 			if a.f.(logic.Bool).Val {
-				return b, true
+				return b
 			}
-			return trueVal, true
+			return trueVal
 		}
 		if b.op == sConst {
 			if b.f.(logic.Bool).Val {
-				return trueVal, true
+				return trueVal
 			}
-			return gr.negVal(a), true
+			return gr.negVal(a)
 		}
-		return &sval{op: sImp, f: logic.Implies{A: a.f, B: b.f}, h: logic.ImpliesHash(a.h, b.h), kids: []*sval{a, b}}, true
+		return &sval{op: sImp, f: logic.Implies{A: a.f, B: b.f}, h: logic.ImpliesHash(a.h, b.h), kids: []*sval{a, b}}
 	case kAll, kAny:
-		c, ok := gr.realize(nd.kids[0], fill)
-		if !ok {
-			return nil, false
-		}
+		c := gr.realize(nd.kids[0])
 		if c.op == sConst {
-			return c, true
+			return c
 		}
 		v := &sval{op: sAll, h: logic.QuantHash(nd.op == kAny, nd.vars, c.h), nd: nd, kids: []*sval{c}}
 		if nd.op == kAll {
@@ -715,7 +785,7 @@ func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, b
 		} else {
 			v.op, v.f = sAny, logic.Exists{Vars: nd.vars, Body: c.f}
 		}
-		return v, true
+		return v
 	}
 	// kAnd, kOr: Simplify's junction over the operands, splicing nested
 	// operands of the same kind part by part so each kept operand is known.
@@ -741,11 +811,7 @@ func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, b
 		return false
 	}
 	for _, k := range nd.kids {
-		c, ok := gr.realize(k, fill)
-		if !ok {
-			gr.items = gr.items[:base]
-			return nil, false
-		}
+		c := gr.realize(k)
 		if parts := c.partsFor(or); parts != nil {
 			for _, p := range parts {
 				add(p)
@@ -758,11 +824,11 @@ func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, b
 	defer func() { gr.items = gr.items[:base] }()
 	switch {
 	case j.Absorbed():
-		return constVal(or), true
+		return constVal(or)
 	case len(items) == 0:
-		return constVal(!or), true
+		return constVal(!or)
 	case len(items) == 1:
-		return items[0], true
+		return items[0]
 	}
 	op := sAnd
 	if or {
@@ -774,29 +840,131 @@ func (gr *grounding) realize(nd *pnode, fill map[string]logic.Formula) (*sval, b
 	} else {
 		f = logic.And{Fs: slices.Clone(f.(logic.And).Fs)}
 	}
-	return &sval{op: op, f: f, h: h, kids: slices.Clone(items)}, true
+	return &sval{op: op, f: f, h: h, kids: slices.Clone(items)}
 }
 
-// fillPiece returns the simplified fill g as a split piece, memoized per
-// interned fill, whose parts are the shared predicate pieces.
-func (gr *grounding) fillPiece(g logic.Formula) *piece {
-	pl, m := gr.pl, gr.m
-	n := logic.Intern(g)
-	pl.mu.Lock()
-	p := m.fills[n]
-	pl.mu.Unlock()
-	if p != nil {
-		return p
+// pred is one fill predicate as a plan sees it: the leaf piece of its
+// simplified form, a per-generation id for fill memo keys, and what the
+// compiled skeleton needs to know of it.
+type pred struct {
+	p  *piece // shared through pieceOf
+	id int32
+	// konst is +1 (-1) when the predicate simplifies to true (false).
+	konst int8
+	// quant marks a predicate whose normalization hands out fresh @b or
+	// @sk names (it has a quantifier or an array equality): the names of
+	// everything normalized after it then depend on the fill.
+	quant bool
+}
+
+// selOf returns the plan's preds of each hole's interned predicates, in
+// gr's reusable buffers.
+func (gr *grounding) selOf(holes [][]*logic.IFormula) [][]*pred {
+	n := 0
+	for _, hp := range holes {
+		n += len(hp)
 	}
-	p = newPiece(n.Simplified(), true, gr.pieceOf)
+	prs := slices.Grow(gr.prs[:0], n)
+	sel := gr.sel[:0]
+	for _, hp := range holes {
+		at := len(prs)
+		for _, p := range hp {
+			prs = append(prs, gr.predOf(p))
+		}
+		sel = append(sel, prs[at:len(prs):len(prs)])
+	}
+	gr.prs, gr.sel = prs, sel
+	return sel
+}
+
+// predOf returns the plan's pred of the interned predicate n, one per
+// generation.
+func (gr *grounding) predOf(n *logic.IFormula) *pred {
+	pl, m := gr.pl, gr.m
+	pl.mu.Lock()
+	pr := m.preds[n]
+	pl.mu.Unlock()
+	if pr != nil {
+		return pr
+	}
+	sn := n.Simplified()
+	pr = &pred{p: gr.pieceOf(sn), quant: hasQuant(sn.Formula())}
+	if b, ok := sn.Formula().(logic.Bool); ok {
+		pr.konst = -1
+		if b.Val {
+			pr.konst = 1
+		}
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if prev := m.fills[n]; prev != nil {
+	if prev := m.preds[n]; prev != nil {
 		return prev
 	}
-	m.fills[n] = p
+	pr.id = int32(len(m.preds))
+	m.preds[n] = pr
 	pl.admit(m)
-	return p
+	return pr
+}
+
+// hasQuant reports whether f has a quantifier or an array equality.
+func hasQuant(f logic.Formula) bool {
+	switch f := f.(type) {
+	case logic.Forall, logic.Exists, logic.AEq:
+		return true
+	case logic.Not:
+		return hasQuant(f.F)
+	case logic.Implies:
+		return hasQuant(f.A) || hasQuant(f.B)
+	case logic.And:
+		return slices.ContainsFunc(f.Fs, hasQuant)
+	case logic.Or:
+		return slices.ContainsFunc(f.Fs, hasQuant)
+	}
+	return false
+}
+
+// fillEntry is one memoized fill: its predicates' ids, in order, and the
+// fill as a split piece.
+type fillEntry struct {
+	ids []int32
+	p   *piece
+}
+
+// fillOf returns the simplified conjunction of the interned predicates ps,
+// in order, as a split piece whose parts are the shared predicate pieces,
+// memoized per predicate list: a probe that repeats a fill finds it by its
+// predicates' identities alone, without interning the fill.
+func (gr *grounding) fillOf(ps []*logic.IFormula) *piece {
+	pl, m := gr.pl, gr.m
+	ids := gr.ids[:0]
+	for _, p := range ps {
+		ids = append(ids, gr.predOf(p).id)
+	}
+	gr.ids = ids
+	h := hashIDs(ids)
+	pl.mu.Lock()
+	for _, e := range m.fills[h] {
+		if slices.Equal(e.ids, ids) {
+			pl.mu.Unlock()
+			return e.p
+		}
+	}
+	pl.mu.Unlock()
+	fs := make([]logic.Formula, len(ps))
+	for i, p := range ps {
+		fs[i] = p.Formula()
+	}
+	e := &fillEntry{ids: slices.Clone(ids), p: newPiece(logic.Intern(logic.Conj(fs...)).Simplified(), true, gr.pieceOf)}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, prev := range m.fills[h] {
+		if slices.Equal(prev.ids, e.ids) {
+			return prev.p
+		}
+	}
+	m.fills[h] = append(m.fills[h], e)
+	pl.admit(m)
+	return e.p
 }
 
 // pieceOf returns the leaf piece of the simplified formula n, one per
@@ -876,6 +1044,8 @@ func (gr *grounding) normalize(v *sval, neg bool) *gnode {
 		panic("smt: constant inside a simplified formula")
 	case v.op == sNot:
 		return gr.normalize(v.kids[0], !neg)
+	case v.op == sPiece && v.p.hole > 0:
+		return gr.holeNode(v.p.hole-1, neg)
 	case v.op == sPiece && (!v.p.split || v.p.parts == nil):
 		e := gr.unit(v.p, neg)
 		gr.used = append(gr.used, e)
@@ -1340,17 +1510,20 @@ type varTrig struct {
 // another is expanded per instance of the outer one, with the triggers of
 // its instance under the outer substitution, and nothing is memoized.
 func (gr *grounding) tuplesFor(g *gnode) *instCands {
-	pl, env := gr.pl, gr.env
 	if len(gr.sub) > 0 {
 		q := logic.Substitute(g.formula(), gr.sub, nil).(logic.Forall)
-		return newInstCands(env, g.vars, pl.s.triggers(q))
+		return newInstCands(gr.env, g.vars, gr.pl.s.triggers(q))
 	}
-	var ts *trigSet
 	if g.keep {
-		ts = pl.keptTrigs(g)
-	} else {
-		ts = gr.spineTrigs(g)
+		return gr.tuplesIn(gr.pl.keptTrigs(g))
 	}
+	return gr.tuplesIn(gr.spineTrigs(g))
+}
+
+// tuplesIn returns the candidate tuples of the trigger set ts in the
+// current environment, memoized there.
+func (gr *grounding) tuplesIn(ts *trigSet) *instCands {
+	pl, env := gr.pl, gr.env
 	pl.mu.Lock()
 	c := env.tuples[ts]
 	pl.mu.Unlock()
@@ -1393,9 +1566,15 @@ func (pl *groundPlan) keptTrigs(g *gnode) *trigSet {
 // asks which patterns a variable occurs in, so the union over the body's
 // parts is the body's set.
 func (gr *grounding) spineTrigs(g *gnode) *trigSet {
-	pl, m := gr.pl, gr.m
 	gr.pairs = gr.pairs[:0]
 	gr.unitPairs(g.body, g.vars, strings.Join(g.vars, ","))
+	return gr.internTrigs(g.vars)
+}
+
+// internTrigs returns the generation's trigger set over vars whose pairs
+// are those in gr.pairs, which it sorts and deduplicates.
+func (gr *grounding) internTrigs(vars []string) *trigSet {
+	pl, m := gr.pl, gr.m
 	slices.SortFunc(gr.pairs, func(a, b varTrig) int {
 		if a.v != b.v {
 			return a.v - b.v
@@ -1416,13 +1595,13 @@ func (gr *grounding) spineTrigs(g *gnode) *trigSet {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	for _, ts := range m.trigs[h] {
-		if slices.Equal(ts.vars, g.vars) && slices.Equal(ts.pairs, gr.pairs) {
+		if slices.Equal(ts.vars, vars) && slices.Equal(ts.pairs, gr.pairs) {
 			return ts
 		}
 	}
-	ts := &trigSet{vars: g.vars, trigs: map[string][]trigger{}, pairs: slices.Clone(gr.pairs)}
+	ts := &trigSet{vars: vars, trigs: map[string][]trigger{}, pairs: slices.Clone(gr.pairs)}
 	for _, p := range ts.pairs {
-		v := g.vars[p.v]
+		v := vars[p.v]
 		ts.trigs[v] = append(ts.trigs[v], p.trigger)
 	}
 	m.trigs[h] = append(m.trigs[h], ts)
@@ -1443,6 +1622,8 @@ func (gr *grounding) unitPairs(n *gnode, vars []string, vk string) {
 		}
 	case n.op == gAll:
 		gr.unitPairs(n.body, vars, vk)
+	case n.op == gHole:
+		// A compiled skeleton's hole: its predicates' pairs are the probe's.
 	default:
 		for _, k := range n.kids {
 			gr.unitPairs(k, vars, vk)

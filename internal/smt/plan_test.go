@@ -14,10 +14,11 @@ import (
 func planCase(t *testing.T, s *Solver, pl *groundPlan, skel logic.Formula, fill map[string]logic.Formula) {
 	t.Helper()
 	f := logic.FillUnknowns(skel, fill)
-	g, decided, valid, ok := pl.groundFill(fill)
-	if !ok {
+	holes := pl.holesOf(&probeFill{m: fill})
+	if holes == nil {
 		t.Fatalf("plan could not express the fill of %s", f)
 	}
+	g, decided, valid := pl.groundFill(holes)
 	if msg := s.compareOracle(logic.Intern(f), g, decided, valid); msg != "" {
 		t.Fatal(msg)
 	}
@@ -145,11 +146,12 @@ func TestPlanConcurrentProbes(t *testing.T) {
 			for i := range fills {
 				fill := fills[(i+w*7)%len(fills)]
 				f := logic.FillUnknowns(arrayInitHyp, fill)
-				g, decided, valid, ok := pl.groundFill(fill)
-				if !ok {
+				holes := pl.holesOf(&probeFill{m: fill})
+				if holes == nil {
 					errs <- fmt.Sprintf("plan could not express %s", f)
 					return
 				}
+				g, decided, valid := pl.groundFill(holes)
 				if msg := s.compareOracle(logic.Intern(f), g, decided, valid); msg != "" {
 					errs <- msg
 					return

@@ -181,32 +181,28 @@ func (s *Solver) NumFMCubeHits() int64 { return 0 }
 func (s *Solver) NumFMCapHits() int64 { return s.ctr[stats.FMCapHits].Load() }
 
 // ground grounds the negation of the cache-missing probe n: through c's
-// grounding plan when the probe comes with its fill and c is a registered
-// context, else as a whole formula (a fill the plan cannot express
-// counts as a plan fallback). decided reports that the probe simplifies to a
-// constant, whose value is then valid.
-func (s *Solver) ground(n *logic.IFormula, c *Context, fill map[string]logic.Formula) (ground logic.Formula, decided, valid bool) {
+// grounding plan when holes (the probe's fill, per hole of the plan) is
+// non-nil, else as a whole formula (planned marks a fill the plan cannot
+// express, counted as a plan fallback). decided reports that the probe
+// simplifies to a constant, whose value is then valid.
+func (s *Solver) ground(n *logic.IFormula, c *Context, holes [][]*logic.IFormula, planned bool) (ground logic.Formula, decided, valid bool) {
 	start := time.Now()
-	planned := fill != nil && c != nil && c.key != nil
-	ok := false
-	if planned {
-		ground, decided, valid, ok = c.groundPlan().groundFill(fill)
-	}
-	if !ok {
+	if holes != nil {
+		ground, decided, valid = c.groundPlan().groundFill(holes)
+		s.ctr.Add(stats.PlanProbes, 1)
+	} else {
 		ground, decided, valid = s.groundStatic(n)
+		if planned {
+			s.ctr.Add(stats.PlanFallbacks, 1)
+		}
 	}
 	s.ctr.Add(stats.GroundTime, int64(time.Since(start)))
-	if ok {
-		s.ctr.Add(stats.PlanProbes, 1)
-	} else if planned {
-		s.ctr.Add(stats.PlanFallbacks, 1)
-	}
 	if groundCheck != nil {
 		var skel *logic.IFormula
-		if ok {
+		if holes != nil {
 			skel = c.key
 		}
-		groundCheck(s, n, skel, fill, ground, decided, valid)
+		groundCheck(s, n, skel, holes, ground, decided, valid)
 	}
 	return ground, decided, valid
 }
@@ -274,11 +270,17 @@ func (s *Solver) NewContext() *Context {
 // never serialized and never re-simplified.
 func (s *Solver) Valid(f logic.Formula) bool { return s.valid(f, nil, nil) }
 
-// valid is Valid and Context.ValidFill: the memo table, then the knowledge
-// store, then a decision — a probe on c when c is non-nil (grounded through
-// its plan when fill is non-nil), from scratch otherwise or when c is
-// dormant.
-func (s *Solver) valid(f logic.Formula, c *Context, fill map[string]logic.Formula) bool {
+// probeFill is what a context probe was built from, in the form its caller
+// has it: a fill map (ValidFill) or one list of interned predicates per
+// unknown (ValidSel).
+type probeFill struct {
+	m     map[string]logic.Formula
+	preds [][]*logic.IFormula
+}
+
+// valid is Valid, Context.ValidFill and ValidSel: the memo
+// table, then the knowledge store, then a decision (decideProbe).
+func (s *Solver) valid(f logic.Formula, c *Context, pf *probeFill) bool {
 	if v, ok := logic.TrivialVerdict(f); ok {
 		return v
 	}
@@ -300,12 +302,7 @@ func (s *Solver) valid(f logic.Formula, c *Context, fill map[string]logic.Formul
 		s.ctr.Add(stats.StoreMisses, 1)
 	}
 	start := time.Now()
-	ground, decided, v := s.ground(n, c, fill)
-	if decided {
-		s.ctr.Add(stats.Queries, 1)
-	} else {
-		v = !s.decide(ground, c)
-	}
+	v := s.decideProbe(n, c, pf)
 	s.stats.RecordQuery(time.Since(start))
 	e.settle(v)
 	if s.opts.Stop != nil && s.opts.Stop() {
@@ -319,6 +316,44 @@ func (s *Solver) valid(f logic.Formula, c *Context, fill map[string]logic.Formul
 	}
 	return v
 }
+
+// decideProbe decides the cache-missing probe n: over c's compiled skeleton
+// when c is registered and the probe comes with its fill (pf) in a form the
+// compiled skeleton expresses; else grounded — through c's plan when there
+// is a fill, whole otherwise — and decided as a probe on c when c is
+// non-nil and live, from scratch otherwise.
+func (s *Solver) decideProbe(n *logic.IFormula, c *Context, pf *probeFill) bool {
+	planned := pf != nil && c != nil && c.key != nil
+	var holes [][]*logic.IFormula
+	if planned {
+		holes = c.groundPlan().holesOf(pf)
+	}
+	if holes != nil {
+		if v, decided, ok := c.decideCompiled(holes); ok {
+			if decided {
+				s.ctr.Add(stats.Queries, 1)
+			} else {
+				s.ctr.Add(stats.AssumptionProbes, 1)
+			}
+			if compiledCheck != nil {
+				compiledCheck(s, n, c.key, holes, v)
+			}
+			return v
+		}
+	}
+	ground, decided, v := s.ground(n, c, holes, planned)
+	if decided {
+		s.ctr.Add(stats.Queries, 1)
+		return v
+	}
+	return !s.decide(ground, c)
+}
+
+// compiledCheck, when non-nil, sees every probe decided over a compiled
+// skeleton: the solver, the probe's interned formula, its skeleton and
+// per-hole predicates, and its verdict. Tests install it to re-decide the
+// probe through the multi-pass oracle and to replay it through the plan.
+var compiledCheck func(s *Solver, n, skel *logic.IFormula, holes [][]*logic.IFormula, valid bool)
 
 // decide decides satisfiability of a ground formula: as a probe on c when c
 // is non-nil and live (an assumption probe), else from scratch (a query).
@@ -346,10 +381,10 @@ func (s *Solver) decideOnce(ground logic.Formula) bool {
 }
 
 // groundCheck, when non-nil, sees every grounded probe: the solver, the
-// probe's interned formula, the skeleton and fill of a probe grounded through
-// a plan (nil otherwise), and the result. Tests install it to compare against
-// the multi-pass pipeline and to replay plan probes.
-var groundCheck func(s *Solver, n, skel *logic.IFormula, fill map[string]logic.Formula, ground logic.Formula, decided, valid bool)
+// probe's interned formula, the skeleton and per-hole predicates of a probe
+// grounded through a plan (nil otherwise), and the result. Tests install it
+// to compare against the multi-pass pipeline and to replay plan probes.
+var groundCheck func(s *Solver, n, skel *logic.IFormula, holes [][]*logic.IFormula, ground logic.Formula, decided, valid bool)
 
 // triggers returns triggersOf(q.Body, q.Vars), memoized per interned
 // quantifier across rounds and queries.

@@ -187,7 +187,9 @@ func (c *Context) encGate(or bool, mark int) (sat.Lit, []int) {
 			c.sat.AddClause(gl.Not(), k)
 		}
 	}
-	c.gates.add(c.sat, gl.Var(), kids)
+	if !c.oneShot {
+		c.gates.add(c.sat, gl.Var(), kids)
+	}
 	set := len(m.sets)
 	for _, s := range m.atomSets[mark:] {
 		m.sets = append(m.sets, s...)
