@@ -41,7 +41,9 @@ test-race:
 # against enumerated models (TestCompactionAgainstBruteForce), the online
 # theory hook against enumerated models, with lemmas resolved in place,
 # switched-off variables and a theory that gives up
-# (TestTheoryHookAgainstBruteForce),
+# (TestTheoryHookAgainstBruteForce), and an incremental theory that is
+# handed the trail as it grows, told of every backjump, detached and
+# swapped between probes (TestTheoryAssertAgainstBruteForce),
 # context-vs-fresh SMT verdicts, the contexts' literal-keyed encoding memo
 # (TestStrash: re-encoding adds nothing, equal-literal gates are shared, a
 # probe sweep's interning does not grow with formula size), the grounder's
@@ -56,7 +58,10 @@ test-race:
 # brute-force small-domain enumeration over random general linear systems,
 # and the dense forms and checkers vs the named (string-keyed) oracles: keys
 # and orientation (TestFormKeyMatchesLin), and LinChecker, lia.Check and
-# growing DiffChecker results, conflicts included (TestDenseFMMatchesNamed).
+# the dense batch Bellman–Ford results, conflicts included
+# (TestDenseFMMatchesNamed), and the incremental DiffChecker's push/pop
+# sequences against that batch Bellman–Ford (TestIncDiffMatchesBellmanFord,
+# plus FuzzDiffPushPop's seed corpus).
 # The store lines are the persistence sweep: record round-trips, checksum /
 # version / params corruption recovery, the flush requeue / retry-budget /
 # drop-warning regressions, the compaction suite (duplicate-heavy shrink,
@@ -96,9 +101,9 @@ test-race:
 # (every cell run at GOMAXPROCS 1 and 4 must give the same verdicts, steps,
 # invariants and preconditions).
 test-differential:
-	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestContext|TestStrash|TestPlan|TestCompiled|TestGrounderMatchesNamedForms|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
+	$(GO) test -short -race -run 'TestReusedVsFresh|TestSolveAssuming|TestSolveReuse|TestDecision|TestGoldenSearch|TestCompactionAgainstBruteForce|TestTheoryHook|TestTheoryAssert|TestContext|TestStrash|TestPlan|TestCompiled|TestGrounderMatchesNamedForms|TestFixpointDeterministic|TestFixpointIncremental|TestPsiProg|TestCFPIncremental' \
 		./internal/sat/ ./internal/smt/ ./internal/fixpoint/ ./internal/cbi/
-	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker|TestFormKeyMatchesLin|TestDenseFM' ./internal/lia/
+	$(GO) test -race -run 'TestRandomGeneralAgainstBox|TestRandomDifferenceAgainstBox|TestLinChecker|TestDiffChecker|TestFormKeyMatchesLin|TestDenseFM|TestIncDiff|FuzzDiffPushPop' ./internal/lia/
 	$(GO) test -race -run 'TestRoundTrip|TestLinCheckerVerdict|TestFormulaKey|TestCorruption|TestDedup|TestFlushDurable|TestFlushRequeues|TestFlushRetryBudget|TestFlushPartialWrite|TestDropWarning|TestCompact|TestOutcomeDigest|TestSearchRecord' ./internal/store/
 	$(GO) test -race -run 'TestWarmStart|TestStoreParamsMismatch|TestWarmLemma' ./internal/smt/
 	$(GO) test -run 'TestMapVsBFS|TestWarmVsCold|TestWarmVsCompacted|TestSearchReplayIdentical|TestSearchRecord' ./internal/optimal/ ./internal/bench/ ./internal/precond/
@@ -110,9 +115,10 @@ test-differential:
 # or start cold with a fresh header), its outcome-digest (bloom) decoder,
 # the spec-file lexer and parser, the vs3d NDJSON batch endpoint (a
 # fuzzed body must get a 4xx, or a 200 with exactly one line per item),
-# and the dense Fourier–Motzkin checker (LinChecker, and lia.Check outside
+# the dense Fourier–Motzkin checker (LinChecker, and lia.Check outside
 # the difference fragment) against the named one (a fuzzed system must get
-# the named Result exactly), 10s per target. Plain `go test`
+# the named Result exactly), and the incremental DiffChecker's push/pop
+# sequences against the batch Bellman–Ford, 10s per target. Plain `go test`
 # already replays the committed seed corpora under internal/rpc/testdata/fuzz,
 # internal/store/testdata/fuzz, internal/lang/testdata/fuzz,
 # internal/serve/testdata/fuzz and internal/lia/testdata/fuzz.
@@ -126,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpecFile$$' -fuzztime 10s ./internal/lang/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseFM$$' -fuzztime 10s ./internal/lia/
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffPushPop$$' -fuzztime 10s ./internal/lia/
 
 # End-to-end check of the vs3d HTTP daemon: boots the real server on an
 # ephemeral port, verifies a spec with all three methods, infers

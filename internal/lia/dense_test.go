@@ -116,9 +116,9 @@ func denseMatchesNamed(cons []Lin) error {
 
 // TestDenseFMMatchesNamed holds the dense engines to the named oracles
 // exactly, not just in verdict: LinChecker.Check and Check to checkFM on
-// random general systems, wrapping coefficients included, and DiffChecker
-// to the named Bellman–Ford on atom sets that grow by Extend over a table
-// holding names no atom uses.
+// random general systems, wrapping coefficients included, and the dense
+// batch Bellman–Ford over a DiffChecker's edges to the named one on atom
+// sets that grow by Extend over a table holding names no atom uses.
 func TestDenseFMMatchesNamed(t *testing.T) {
 	rng := rand.New(rand.NewSource(2028))
 	names := []string{"x", "y", "z", "w"}
@@ -183,7 +183,7 @@ func TestDenseFMMatchesNamed(t *testing.T) {
 					assign[i] = rng.Intn(2) == 0
 				}
 				want := namedCheck(selectedForms(atoms, assign))
-				if got := d.Check(assign); !reflect.DeepEqual(got, want) {
+				if got := bellmanFord(d, assign); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d step %d: DiffChecker %+v, named %+v\natoms %v assign %v",
 						trial, step, got, want, atoms, assign)
 				}

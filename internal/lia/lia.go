@@ -6,9 +6,11 @@
 //
 // Two procedures are used:
 //
-//   - Difference fragment (x − y ≤ c, x ≤ c): Bellman–Ford negative-cycle
-//     detection, which is sound and complete for the integers and yields the
-//     exact cycle as a minimal conflict.
+//   - Difference fragment (x − y ≤ c, x ≤ c): incremental negative-cycle
+//     detection (DiffChecker), which is sound and complete for the integers.
+//     It asserts atoms one at a time, keeping a feasible potential over the
+//     asserted edges, takes them back in stack order, and reports the
+//     negative cycle an asserted atom closes as its conflict.
 //   - General linear constraints: Fourier–Motzkin elimination with integer
 //     (gcd) tightening. Refutations are sound over the integers; a "sat"
 //     answer is exact modulo the tightening (at least as strong as the
@@ -17,15 +19,17 @@
 // The paper's §7 benchmark VCs land in the difference fragment after array
 // flattening, so they take the complete path; the scaled-coefficient family
 // (ScaledInit and friends) exercises the general path. Both procedures are
-// preprocessed, check-per-assignment checkers for the DPLL(T) search:
-// DiffChecker for difference atom sets and LinChecker (Fourier–Motzkin over
-// one reused elimination state) for general ones.
+// preprocessed checkers for the DPLL(T) search: DiffChecker, asserted atom
+// by atom as the search assigns them, for difference atom sets, and
+// LinChecker (Fourier–Motzkin over one reused elimination state), checking
+// each full assignment, for general ones.
 //
 // The solver's forms are dense: a Form is sorted (variable id, coefficient)
 // terms over one Vars table, which each solving context owns. Lin, the
 // string-keyed form, is what the knowledge store persists and what Check
-// takes; the named reference procedures the dense ones are tested against
-// live in oracle_test.go.
+// takes; the named reference procedures the dense ones are tested against,
+// and the whole-assignment Bellman–Ford the incremental DiffChecker is
+// tested against, live in oracle_test.go.
 package lia
 
 import (

@@ -2,13 +2,6 @@ package lia
 
 import "repro/internal/stats"
 
-// Checker decides many truth assignments of one fixed (but growable) atom
-// set; DiffChecker and LinChecker both implement it, and the SMT layer's
-// DPLL(T) theory check calls whichever fits the atom set.
-type Checker interface {
-	Check(assign []bool) Result
-}
-
 // LinChecker decides truth assignments of a fixed atom set containing
 // non-difference constraints: the general-LIA analogue of DiffChecker. Both
 // polarities of every atom are gcd-tightened once, at registration, and

@@ -1,12 +1,19 @@
 package lia
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // The named reference procedures: Bellman–Ford and Fourier–Motzkin over
 // string-keyed Lins, as the solver ran them before its forms went dense.
 // They are the oracles the dense checkers are held to exactly — verdict,
 // conflict set and truncation — in TestDenseFMMatchesNamed,
-// TestDiffCheckerMatchesCheck and FuzzDenseFM.
+// TestDiffCheckerMatchesCheck and FuzzDenseFM. Below them, bellmanFord is
+// the dense whole-assignment Bellman–Ford the search ran before the
+// difference check went incremental: the batch oracle the incremental
+// DiffChecker is held to in verdict (TestIncDiffMatchesBellmanFord,
+// FuzzDiffPushPop), and itself held to the named one exactly.
 
 // isDifference reports whether l ≤ 0 is a difference constraint: at most two
 // variables, with coefficients {+1, −1} (two vars) or ±1 (one var).
@@ -321,4 +328,76 @@ func sortedVarNames(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// bellmanFord decides the conjunction selecting each of d's atoms in the
+// polarity assign gives it, ignoring what d has asserted, by one
+// Bellman–Ford pass over d's precomputed edges. It runs the exact relaxation
+// sequence of the named checkDifference (same edge order, same
+// virtual-source initialization, same conflict-cycle walk, and the same
+// round bound: the nodes the atoms use, plus the zero node), so its
+// conflicts are the named procedure's.
+func bellmanFord(d *DiffChecker, assign []bool) Result {
+	atom := func(i int) diffAtom { return d.atoms[i].polarity(assign[i]) }
+	// Constant constraints are decided immediately, in atom order.
+	for i := range assign {
+		if a := atom(i); a.isConst && a.k > 0 {
+			return Result{Sat: false, Conflict: []int{i}}
+		}
+	}
+	used := make([]bool, len(d.nodes))
+	n := 1
+	for _, a := range d.atoms {
+		for _, nd := range [2]int32{a.edge.from, a.edge.to} {
+			if !a.isConst && nd != 0 && !used[nd] {
+				used[nd] = true
+				n++
+			}
+		}
+	}
+	var sel []diffEdge
+	var selIdx []int
+	for i := range assign {
+		if a := atom(i); !a.isConst {
+			sel = append(sel, a.edge)
+			selIdx = append(selIdx, i)
+		}
+	}
+	dist := make([]int64, len(d.nodes)) // virtual source with 0-weight edges to all nodes
+	pred := make([]int, len(d.nodes))
+	for i := range pred {
+		pred[i] = -1
+	}
+	relaxed := int32(-1)
+	for iter := 0; iter < n; iter++ {
+		relaxed = -1
+		for ei, e := range sel {
+			if dist[e.from]+e.w < dist[e.to] {
+				dist[e.to] = dist[e.from] + e.w
+				pred[e.to] = ei
+				relaxed = e.to
+			}
+		}
+		if relaxed == -1 {
+			return Result{Sat: true}
+		}
+	}
+	// Negative cycle: walk predecessors from the last relaxed node.
+	node := relaxed
+	for i := 0; i < n; i++ {
+		node = sel[pred[node]].from
+	}
+	seen := make([]bool, len(assign))
+	var cycle []int
+	for cur := node; ; {
+		ei := pred[cur]
+		if seen[selIdx[ei]] {
+			break
+		}
+		seen[selIdx[ei]] = true
+		cycle = append(cycle, selIdx[ei])
+		cur = sel[ei].from
+	}
+	slices.Sort(cycle)
+	return Result{Sat: false, Conflict: cycle}
 }

@@ -868,6 +868,12 @@ func (e *Engine) OptimalSolutions(phi logic.Formula, q template.Domain) []templa
 		addR(e.makeOptimal(phi, s, seeds, pos, neg))
 	}
 	r = dedupe(r)
+	// inR holds the keys of r, which only grows: a solution joins it unless
+	// its key is there already.
+	inR := make(map[string]bool, len(r))
+	for _, s := range r {
+		inR[s.Key()] = true
+	}
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < len(r); i++ {
@@ -879,11 +885,14 @@ func (e *Engine) OptimalSolutions(phi logic.Formula, q template.Domain) []templa
 				if !ok {
 					continue
 				}
-				if containsKey(r, m) || anyDominates(r, m, pos, neg) {
+				if inR[m.Key()] || anyDominates(r, m, pos, neg) {
 					continue
 				}
-				r = append(r, e.makeOptimal(phi, m, seeds, pos, neg))
-				r = dedupe(r)
+				opt := e.makeOptimal(phi, m, seeds, pos, neg)
+				if k := opt.Key(); !inR[k] {
+					inR[k] = true
+					r = append(r, opt)
+				}
 				changed = true
 			}
 		}
@@ -985,16 +994,6 @@ func dominates(a, b template.Solution, pos, neg []string) bool {
 func anyDominates(rs []template.Solution, s template.Solution, pos, neg []string) bool {
 	for _, r := range rs {
 		if dominates(r, s, pos, neg) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsKey(rs []template.Solution, s template.Solution) bool {
-	key := s.Key()
-	for _, r := range rs {
-		if r.Key() == key {
 			return true
 		}
 	}

@@ -65,7 +65,8 @@ func checkArena(t *testing.T, s *Solver) {
 			}
 		}
 	}
-	for v, r := range s.reason {
+	for v, d := range s.vars {
+		r := d.reason
 		if r == noReason {
 			continue
 		}

@@ -41,7 +41,7 @@ func TestDecisionOffNotPropagated(t *testing.T) {
 	s.SetDecision(g, false)
 	s.SetDecision(h, false)
 	s.AddClause(lit(a))
-	if s.assigns[g] != vTrue || s.level[g] != 0 || s.assigns[h] != vTrue || s.level[h] != 0 {
+	if s.assigns[g] != vTrue || s.vars[g].level != 0 || s.assigns[h] != vTrue || s.vars[h].level != 0 {
 		t.Fatal("level 0 did not propagate the switched-off chain")
 	}
 }
@@ -171,14 +171,14 @@ func TestDecisionConeMatchesAllOn(t *testing.T) {
 			}
 			sats++
 			for i, l := range ti.cone.trail {
-				if ti.cone.level[l.Var()] > 0 && !ti.cone.Decision(l.Var()) {
+				if ti.cone.vars[l.Var()].level > 0 && !ti.cone.Decision(l.Var()) {
 					t.Fatalf("instance %d probe %d: switched-off variable %d on the trail at position %d, level %d",
-						inst, p, l.Var(), i, ti.cone.level[l.Var()])
+						inst, p, l.Var(), i, ti.cone.vars[l.Var()].level)
 				}
 			}
 			m := ti.cone.Model()
-			for v, on := range ti.cone.decision {
-				if !on && ti.cone.assigns[v] == unassigned && m[v] {
+			for v, d := range ti.cone.vars {
+				if !d.decision && ti.cone.assigns[v] == unassigned && m[v] {
 					t.Fatalf("instance %d probe %d: unassigned switched-off variable %d reads true", inst, p, v)
 				}
 			}

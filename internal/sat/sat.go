@@ -7,16 +7,19 @@
 // ψ_Prog encoding of the constraint-based fixed-point algorithm (package cbi,
 // §5 of the paper).
 //
-// A Theory attached to a Solver is consulted inside the search, each time
-// every switched-on variable is assigned: it accepts the assignment as a
-// model or returns a lemma the assignment falsifies. The solver keeps the
-// lemma as a problem clause and resolves it in place, by backjumping and
-// conflict analysis as for any other conflict, so a theory conflict costs a
-// backjump rather than a new search from level 0.
+// A Theory attached to a Solver is consulted inside the search: after each
+// propagation fixpoint it is handed the trail literals it has not seen yet,
+// on every backjump it is told how much of the trail survives, and once
+// every switched-on variable is assigned it makes a final check. At each of
+// the first and the last it may return a lemma the assignment falsifies. The
+// solver keeps the lemma as a problem clause and resolves it in place, by
+// backjumping and conflict analysis as for any other conflict, so a theory
+// conflict costs a backjump rather than a new search from level 0.
 package sat
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -101,32 +104,47 @@ type watcher struct {
 	blocker Lit
 }
 
-// Theory is the theory half of a DPLL(T) search (see Solver.Theory).
+// Theory is the theory half of a DPLL(T) search (see Solver.Theory). Every
+// method reads the assignment with s.Value (or the literals it is handed)
+// and must not modify s. A lemma is a clause that holds in every theory
+// model and whose every literal is false under the current assignment; the
+// solver copies it, so the theory may reuse its buffer. Returning ok=false
+// gives up, which ends SolveAssuming with Unknown.
 type Theory interface {
-	// Check is called by the search each time every switched-on variable is
-	// assigned; it reads the assignment with s.Value and must not modify s.
-	// It returns
-	//
-	//   - (nil, true) to accept the assignment, which ends the search Sat;
-	//   - (lemma, true) with a clause that holds in every theory model and
-	//     whose every literal is false under the assignment;
-	//   - (_, false) to give up, which ends SolveAssuming with Unknown.
-	//
-	// The solver copies the lemma; Check may reuse its buffer.
+	// Assert is called after each propagation fixpoint with lits, the trail
+	// entries from position from on that the theory has not seen, all at the
+	// current decision level: the trail's first from entries are the ones
+	// it was handed before, minus those Backtrack took back. It returns
+	// (nil, true) when the trail so far is theory-consistent, or a lemma
+	// with a literal of lits among its complements, so that resolving it
+	// backjumps below every entry of lits the theory did not take.
+	Assert(s *Solver, from int, lits []Lit) (lemma []Lit, ok bool)
+
+	// Backtrack is called when the trail is cut to its first n entries,
+	// below the part the theory has seen; the theory forgets what it was
+	// handed from position n on. The solver also calls it while the theory
+	// is detached (Solver.Theory nil or another theory), so a theory that
+	// is attached again resumes on the trail it knows.
+	Backtrack(n int)
+
+	// Check is the final check, called each time every switched-on variable
+	// is assigned and Assert accepted the whole trail: (nil, true) accepts
+	// the assignment, which ends the search Sat, or it returns a lemma.
 	Check(s *Solver) (lemma []Lit, ok bool)
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	// Theory, when non-nil, is consulted whenever the search has assigned
-	// every switched-on variable. A lemma it returns is kept as a problem
-	// clause, so it persists across SolveAssuming calls like any clause
-	// AddClause adds, and is resolved in place: if exactly one of its
-	// literals sits at its highest decision level, the search backjumps to
-	// the second-highest level and asserts that literal with the lemma as
-	// its reason; otherwise it backjumps to the highest level and analyzes
-	// the lemma as the conflict. A lemma false at level 0 makes the instance
-	// Unsat. Without a Theory every full assignment is a model.
+	// Theory, when non-nil, is consulted inside the search (see the Theory
+	// interface); it must be comparable, as a pointer is. A lemma it
+	// returns is kept as a problem clause, so it persists across
+	// SolveAssuming calls like any clause AddClause adds, and is resolved
+	// in place: if exactly one of its literals sits at its highest decision
+	// level, the search backjumps to the second-highest level and asserts
+	// that literal with the lemma as its reason; otherwise it backjumps to
+	// the highest level and analyzes the lemma as the conflict. A lemma
+	// false at level 0 makes the instance Unsat. Without a Theory every
+	// full assignment is a model.
 	Theory Theory
 
 	// MaxLearnts, when > 0, bounds the learnt-clause database: once it
@@ -154,11 +172,9 @@ type Solver struct {
 	learnts  []cref
 	watches  [][]watcher // indexed by literal
 	assigns  []value     // indexed by variable
-	level    []int32     // decision level per variable
-	reason   []cref      // antecedent clause per variable, noReason if none
+	vars     []varData   // indexed by variable
 	activity []float64   // VSIDS score per variable
-	polarity []bool      // saved phase per variable (true = last assigned false)
-	decision []bool      // per variable: may be branched on and propagated above level 0
+	varCap   int         // variables the per-variable slices have room for (growVars)
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -167,14 +183,18 @@ type Solver struct {
 	order    *varHeap
 	ok       bool // false once an empty clause is added
 
+	// told is the last theory handed trail entries, and thHead how many of
+	// the trail's entries it has seen; cancelUntil tells it of every cut
+	// below thHead, attached or not.
+	told   Theory
+	thHead int
+
 	conflict   []Lit // failed-assumption core of the last SolveAssuming
 	maxLearnts int   // current adaptive reduceDB bound (from MaxLearnts)
 
-	// seen is the per-variable scratch marker shared by analyze and
-	// analyzeFinal (all-false between uses); litStamp/stamp is the
-	// per-literal epoch marker used by AddClause's dedup. Both avoid a map
-	// allocation per conflict/clause, which dominated the solver's profile.
-	seen     []bool
+	// litStamp/stamp is the per-literal epoch marker used by AddClause's
+	// dedup; like varData.seen it avoids a map allocation per
+	// conflict/clause, which dominated the solver's profile.
 	litStamp []uint32
 	stamp    uint32
 
@@ -192,6 +212,17 @@ type Solver struct {
 		Deleted         int64 // learnt clauses deleted by reduceDB
 		TheoryConflicts int64 // lemmas the Theory returned
 	}
+}
+
+// varData is a variable's search state besides its value and activity.
+type varData struct {
+	level    int32 // decision level
+	reason   cref  // antecedent clause, noReason if none
+	polarity bool  // saved phase (true = last assigned false)
+	decision bool  // may be branched on and propagated above level 0
+	// seen is the scratch marker shared by analyze and analyzeFinal
+	// (all-false between uses).
+	seen bool
 }
 
 // New returns an empty solver.
@@ -223,17 +254,40 @@ func (s *Solver) Clauses() [][]Lit {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
+	if v == s.varCap {
+		s.growVars(max(4, 2*v))
+	}
 	s.assigns = append(s.assigns, unassigned)
-	s.level = append(s.level, -1)
-	s.reason = append(s.reason, noReason)
+	s.vars = append(s.vars, varData{level: -1, reason: noReason, polarity: true, decision: true})
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, true)
-	s.decision = append(s.decision, true)
 	s.watches = append(s.watches, nil, nil)
-	s.seen = append(s.seen, false)
 	s.litStamp = append(s.litStamp, 0, 0)
 	s.order.insert(v)
 	return v
+}
+
+// growVars gives every per-variable and per-literal slice room for n
+// variables at once. Doubling keeps an instance's copying to about twice
+// its final size, where append's own growth, about 1.25x for long slices,
+// copies each of them some five times over as an instance grows to
+// thousands of variables.
+func (s *Solver) growVars(n int) {
+	s.varCap = n
+	s.assigns = withCap(s.assigns, n)
+	s.vars = withCap(s.vars, n)
+	s.activity = withCap(s.activity, n)
+	s.watches = withCap(s.watches, 2*n)
+	s.litStamp = withCap(s.litStamp, 2*n)
+	s.order.heap = withCap(s.order.heap, n)
+	s.order.indices = withCap(s.order.indices, n)
+}
+
+// withCap returns a copy of xs with capacity n. slices.Grow would round the
+// capacity up by append's growth rule, overshooting n by up to a third.
+func withCap[T any](xs []T, n int) []T {
+	out := make([]T, len(xs), n)
+	copy(out, xs)
+	return out
 }
 
 // SetDecision switches variable v on or off (variables start on). A
@@ -255,14 +309,14 @@ func (s *Solver) NewVar() int {
 // precondition every Sat and Unsat answer is the one the instance with all
 // variables switched on gives; only the search order differs.
 func (s *Solver) SetDecision(v int, on bool) {
-	s.decision[v] = on
+	s.vars[v].decision = on
 	if on && s.assigns[v] == unassigned {
 		s.order.insert(v)
 	}
 }
 
 // Decision reports whether variable v is switched on (see SetDecision).
-func (s *Solver) Decision(v int) bool { return s.decision[v] }
+func (s *Solver) Decision(v int) bool { return s.vars[v].decision }
 
 func (s *Solver) litValue(l Lit) value {
 	v := s.assigns[l.Var()]
@@ -335,6 +389,10 @@ func (s *Solver) alloc(lits []Lit, learnt bool) cref {
 	if learnt {
 		h |= learntBit
 	}
+	if need := len(s.arena) + clauseExtra + len(lits); need > cap(s.arena) {
+		// Doubling, as growVars does for the per-variable slices.
+		s.arena = slices.Grow(s.arena, max(need, 2*cap(s.arena))-len(s.arena))
+	}
 	s.arena = append(s.arena, h, 0, 0)
 	s.arena = append(s.arena, lits...)
 	return c
@@ -378,8 +436,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	} else {
 		s.assigns[v] = vTrue
 	}
-	s.level[v] = int32(len(s.trailLim))
-	s.reason[v] = from
+	s.vars[v].level = int32(len(s.trailLim))
+	s.vars[v].reason = from
 	s.trail = append(s.trail, l)
 }
 
@@ -404,7 +462,7 @@ func (s *Solver) propagate() cref {
 				kept = append(kept, w)
 				continue
 			case unassigned:
-				if above && !s.decision[w.blocker.Var()] {
+				if above && !s.vars[w.blocker.Var()].decision {
 					// A switched-off literal stays open above level 0, so
 					// the clause can neither conflict nor imply a
 					// switched-on literal there: leave it untouched.
@@ -441,7 +499,7 @@ func (s *Solver) propagate() cref {
 			if s.litValue(first) == vFalse {
 				confl = c
 				s.qhead = len(s.trail)
-			} else if above && !s.decision[first.Var()] {
+			} else if above && !s.vars[first.Var()].decision {
 				// Switched off: the clause stays open above level 0. Its
 				// other literals were falsified at this level or below, so
 				// any backtrack that reopens one also reopens lits[1].
@@ -465,18 +523,23 @@ func (s *Solver) cancelUntil(lvl int) {
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		v := s.trail[i].Var()
+		d := &s.vars[v]
 		if !s.FixedPolarity {
-			s.polarity[v] = s.assigns[v] == vFalse
+			d.polarity = s.assigns[v] == vFalse
 		}
 		s.assigns[v] = unassigned
-		s.reason[v] = noReason
-		if s.decision[v] {
+		d.reason = noReason
+		if d.decision {
 			s.order.insert(v)
 		}
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
+	if s.thHead > len(s.trail) {
+		s.thHead = len(s.trail)
+		s.told.Backtrack(s.thHead)
+	}
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
@@ -498,10 +561,10 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 				continue
 			}
 			v := q.Var()
-			if !s.seen[v] && s.level[v] > 0 {
-				s.seen[v] = true
+			if d := &s.vars[v]; !d.seen && d.level > 0 {
+				d.seen = true
 				s.bumpVar(v)
-				if s.level[v] >= curLevel {
+				if d.level >= curLevel {
 					counter++
 				} else {
 					learnt = append(learnt, q)
@@ -509,23 +572,23 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 			}
 		}
 		// Find the next literal on the trail to resolve on.
-		for !s.seen[s.trail[idx].Var()] {
+		for !s.vars[s.trail[idx].Var()].seen {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
-		s.seen[p.Var()] = false
+		s.vars[p.Var()].seen = false
 		counter--
 		if counter == 0 {
 			break
 		}
-		confl = s.reason[p.Var()]
+		confl = s.vars[p.Var()].reason
 	}
 	learnt[0] = p.Not()
 	// Restore the all-false invariant of the shared scratch marker: only the
 	// collected lower-level literals are still marked.
 	for _, l := range learnt[1:] {
-		s.seen[l.Var()] = false
+		s.vars[l.Var()].seen = false
 	}
 
 	// Compute backtrack level: second-highest level in the clause.
@@ -533,12 +596,12 @@ func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	if len(learnt) > 1 {
 		maxI := 1
 		for i := 2; i < len(learnt); i++ {
-			if s.level[learnt[i].Var()] > s.level[learnt[maxI].Var()] {
+			if s.vars[learnt[i].Var()].level > s.vars[learnt[maxI].Var()].level {
 				maxI = i
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = int(s.level[learnt[1].Var()])
+		btLevel = int(s.vars[learnt[1].Var()].level)
 	}
 	s.scratch = learnt
 	return learnt, btLevel
@@ -574,7 +637,7 @@ func (s *Solver) decayClause() { s.claInc /= 0.999 }
 // literal; locked clauses must survive reduceDB.
 func (s *Solver) locked(c cref) bool {
 	v := s.lits(c)[0].Var()
-	return s.assigns[v] != unassigned && s.reason[v] == c
+	return s.assigns[v] != unassigned && s.vars[v].reason == c
 }
 
 // reduceDB deletes the least-active half of the learnt clauses, keeping
@@ -636,9 +699,9 @@ func (s *Solver) compact() {
 			ws[i].c = fwd(ws[i].c)
 		}
 	}
-	for v, r := range s.reason {
-		if r != noReason {
-			s.reason[v] = fwd(r)
+	for v := range s.vars {
+		if r := s.vars[v].reason; r != noReason {
+			s.vars[v].reason = fwd(r)
 		}
 	}
 	for i, c := range s.clauses {
@@ -654,7 +717,7 @@ func (s *Solver) compact() {
 func (s *Solver) pickBranchVar() int {
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assigns[v] == unassigned && s.decision[v] {
+		if s.assigns[v] == unassigned && s.vars[v].decision {
 			return v
 		}
 	}
@@ -687,6 +750,14 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) (Status, []Lit) {
 		return Unsat, nil
 	}
 	s.cancelUntil(0)
+	if s.Theory != nil && s.Theory != s.told {
+		// A theory that has not seen this trail starts from its beginning;
+		// the one that had seen it forgets it.
+		if s.told != nil {
+			s.told.Backtrack(0)
+		}
+		s.told, s.thHead = s.Theory, 0
+	}
 	maxConflicts := int64(100)
 	for {
 		st := s.search(maxConflicts, assumptions)
@@ -713,26 +784,27 @@ func (s *Solver) analyzeFinal(a Lit) []Lit {
 	if len(s.trailLim) == 0 {
 		return out
 	}
-	s.seen[a.Var()] = true
+	s.vars[a.Var()].seen = true
 	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
 		v := s.trail[i].Var()
-		if !s.seen[v] {
+		d := &s.vars[v]
+		if !d.seen {
 			continue
 		}
-		if s.reason[v] == noReason {
-			if s.level[v] > 0 {
+		if d.reason == noReason {
+			if d.level > 0 {
 				out = append(out, s.trail[i])
 			}
 		} else {
-			for _, q := range s.lits(s.reason[v]) {
-				if q.Var() != v && s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
+			for _, q := range s.lits(d.reason) {
+				if q.Var() != v && s.vars[q.Var()].level > 0 {
+					s.vars[q.Var()].seen = true
 				}
 			}
 		}
-		s.seen[v] = false
+		d.seen = false
 	}
-	s.seen[a.Var()] = false // a may sit below trailLim[0] (enqueued at level 0)
+	s.vars[a.Var()].seen = false // a may sit below trailLim[0] (enqueued at level 0)
 	// The falsified assumption can itself appear as an assumption decision
 	// (e.g. contradictory assumption lists); dedupe by literal.
 	s.stamp++
@@ -759,6 +831,23 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 			}
 			s.learn(confl)
 			continue
+		}
+		if s.Theory != nil && s.thHead < len(s.trail) {
+			from := s.thHead
+			s.thHead = len(s.trail)
+			lemma, ok := s.Theory.Assert(s, from, s.trail[from:])
+			if !ok {
+				return Unknown
+			}
+			if lemma != nil {
+				s.Stats.Conflicts++
+				s.Stats.TheoryConflicts++
+				conflicts++
+				if !s.addLemma(lemma) {
+					return Unsat
+				}
+				continue
+			}
 		}
 		if conflicts >= maxConflicts {
 			s.cancelUntil(0)
@@ -802,7 +891,7 @@ func (s *Solver) search(maxConflicts int64, assumptions []Lit) Status {
 				continue
 			}
 			s.Stats.Decisions++
-			next = MkLit(v, s.polarity[v])
+			next = MkLit(v, s.vars[v].polarity)
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, noReason)
@@ -847,7 +936,7 @@ func (s *Solver) addLemma(lemma []Lit) bool {
 		if s.litValue(l) != vFalse {
 			panic("sat: theory lemma not falsified by the assignment")
 		}
-		if s.litStamp[l] == s.stamp || s.level[l.Var()] == 0 {
+		if s.litStamp[l] == s.stamp || s.vars[l.Var()].level == 0 {
 			continue
 		}
 		s.litStamp[l] = s.stamp
@@ -861,7 +950,7 @@ func (s *Solver) addLemma(lemma []Lit) bool {
 	// Watch the literals of the highest and the second-highest level.
 	for _, i := range [2]int{0, 1} {
 		for k := i + 1; k < len(out); k++ {
-			if s.level[out[k].Var()] > s.level[out[i].Var()] {
+			if s.vars[out[k].Var()].level > s.vars[out[i].Var()].level {
 				out[i], out[k] = out[k], out[i]
 			}
 		}
@@ -874,7 +963,7 @@ func (s *Solver) addLemma(lemma []Lit) bool {
 	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
-	top, second := int(s.level[out[0].Var()]), int(s.level[out[1].Var()])
+	top, second := int(s.vars[out[0].Var()].level), int(s.vars[out[1].Var()].level)
 	if top > second {
 		// Exactly one literal at the top level: the lemma is asserting.
 		s.cancelUntil(second)

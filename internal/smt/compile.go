@@ -455,9 +455,7 @@ func (c *Context) decideCompiled(holes [][]*logic.IFormula) (valid, decided, ok 
 		return false, false, false
 	}
 	defer c.account()
-	if c.sat.NumVars() > ctxMaxVars {
-		c.reset()
-	}
+	c.ready()
 	c.syncCompiled(gr.m, sh, sel)
 	cs := &c.comp
 	root, have := cs.roots[sh]

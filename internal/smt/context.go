@@ -116,9 +116,12 @@ type Context struct {
 	// asserts: seeded from the knowledge store, then, while a store is
 	// attached, extended by the context's own lemmas up to ctxMaxLemmas, so
 	// a reset re-imports them with the rest. imported is how many of them
-	// the current SAT instance holds; reset together with it.
+	// the current SAT instance holds; reset together with it. warm holds the
+	// store's lemmas for the skeleton until the first build moves them into
+	// lemmas.
 	lemmas   []theoryLemma
 	imported int
+	warm     []store.Lemma
 
 	sat *sat.Solver
 	g   *grounder
@@ -168,13 +171,11 @@ type Context struct {
 
 	// hook is the context's theory check, attached to its SAT instance: dense
 	// over the context's full atom set (hook.atomVars[i] is the SAT variable
-	// of grounder atom i), with the preprocessed checker over all atoms — a
-	// DiffChecker while every atom is a difference constraint, a LinChecker
-	// from the first general linear atom on. Both are extended in place as
-	// the atom set grows.
+	// of grounder atom i), with the preprocessed checker over all atoms — an
+	// incremental DiffChecker while every atom is a difference constraint, a
+	// LinChecker from the first general linear atom on. Both are extended in
+	// place as the atom set grows.
 	hook theoryHook
-	diff *lia.DiffChecker // the hook's checker while lin is nil
-	lin  *lia.LinChecker  // non-nil iff the hook's checker is the general-LIA one
 
 	// gates records the probe gates of the context's SAT instance and their
 	// gate children; before each probe exactly the cone its assumptions
@@ -219,29 +220,51 @@ type theoryLemma struct {
 	vals  []bool
 }
 
-func (s *Solver) newContext() *Context { return s.newContextKeyed("") }
-
-// newContextKeyed creates a context, seeding its lemmas from the knowledge
-// store when the skeleton has persisted ones: the first probe asserts them
-// through importLemmas, re-interned into the context's own atom space.
-func (s *Solver) newContextKeyed(skel string) *Context {
-	s.ctr.Add(stats.Contexts, 1)
-	c := &Context{s: s, skel: skel}
-	if st := s.opts.Store; st != nil && skel != "" {
-		warm := st.Lemmas(skel)
-		if len(warm) > ctxMaxLemmas {
-			warm = warm[:ctxMaxLemmas]
-		}
-		for _, w := range warm {
-			c.lemmas = append(c.lemmas, theoryLemma{lins: w.Lins, vals: w.Vals})
-		}
-		s.ctr.Add(stats.StoreWarmLemmas, int64(len(warm)))
-	}
+// newContext creates a standalone context, built at once: it exists to be
+// probed.
+func (s *Solver) newContext() *Context {
+	c := s.newContextKeyed("")
 	c.reset()
 	return c
 }
 
+// newContextKeyed creates a context, seeding its lemmas from the knowledge
+// store when the skeleton has persisted ones: the first probe asserts them
+// through importLemmas, re-interned into the context's own atom space. The
+// SAT instance, grounder and checker are built, and the seeded lemmas
+// copied in, by the first probe that reaches the context (ready): a warm
+// lifetime answers most probes from the validity cache or the store and
+// never builds them.
+func (s *Solver) newContextKeyed(skel string) *Context {
+	s.ctr.Add(stats.Contexts, 1)
+	c := &Context{s: s, skel: skel}
+	if st := s.opts.Store; st != nil && skel != "" {
+		c.warm = st.Lemmas(skel)
+		if len(c.warm) > ctxMaxLemmas {
+			c.warm = c.warm[:ctxMaxLemmas]
+		}
+		s.ctr.Add(stats.StoreWarmLemmas, int64(len(c.warm)))
+	}
+	return c
+}
+
+// ready builds the context's SAT instance, grounder and checker on its first
+// probe, and recycles them once probe-local gate variables accumulate past
+// ctxMaxVars. The context's lock must be held.
+func (c *Context) ready() {
+	if c.sat == nil || c.sat.NumVars() > ctxMaxVars {
+		c.reset()
+	}
+}
+
 func (c *Context) reset() {
+	if c.warm != nil {
+		c.lemmas = make([]theoryLemma, len(c.warm))
+		for i, w := range c.warm {
+			c.lemmas[i] = theoryLemma{lins: w.Lins, vals: w.Vals}
+		}
+		c.warm = nil
+	}
 	if c.g != nil {
 		// Lemmas learnt by the outgoing instance name their atoms through
 		// its grounder, which goes with it.
@@ -266,9 +289,8 @@ func (c *Context) reset() {
 	c.emittedAll = 0
 	c.pairCount = 0
 	c.hook = theoryHook{s: c.s}
+	c.hook.diff, _ = lia.NewDiffChecker(nil)
 	c.sat.Theory = &c.hook
-	c.diff, _ = lia.NewDiffChecker(nil)
-	c.lin = nil
 	c.imported = 0
 	if c.oneShot {
 		// One formula, one probe: no selectors, no cones to switch and no
@@ -332,9 +354,7 @@ func (c *Context) decide(ground logic.Formula) (satisfiable, ok bool) {
 		return false, false
 	}
 	defer c.account()
-	if c.sat.NumVars() > ctxMaxVars {
-		c.reset()
-	}
+	c.ready()
 	root, rootAtoms := c.encNode(ground)
 	satisfiable, _, ok = c.solve([]sat.Lit{root}, rootAtoms)
 	return satisfiable, ok
@@ -359,9 +379,7 @@ func (c *Context) Consistent(preds []logic.Formula) (consistent bool, core []log
 		return false, nil, false
 	}
 	defer c.account()
-	if c.sat.NumVars() > ctxMaxVars {
-		c.reset()
-	}
+	c.ready()
 	assumps := make([]sat.Lit, 0, len(preds))
 	selSets := make([][]int, 0, len(preds))
 	owner := make(map[sat.Lit]logic.Formula, len(preds))
@@ -408,8 +426,8 @@ func (c *Context) solve(assumps []sat.Lit, atomSets ...[]int) (satisfiable bool,
 	}
 	c.syncAtoms()
 	c.switchCone(assumps...)
-	if c.lin != nil {
-		c.lin.SetProbe(c.probeAtomSet(atomSets, c.coneSets))
+	if c.hook.lin != nil {
+		c.hook.lin.SetProbe(c.probeAtomSet(atomSets, c.coneSets))
 	}
 	if c.sat.Stats.TheoryConflicts > 0 || c.sat.NumLearnts() > 0 {
 		c.s.ctr.Add(stats.LemmaReuse, 1)
@@ -781,18 +799,15 @@ type ackPair struct {
 
 // syncAtoms extends the dense atom ↔ SAT-variable mapping and the persistent
 // theory checker to cover every interned atom. Difference-only atom sets keep
-// the Bellman–Ford DiffChecker; the first atom outside the fragment switches
+// the incremental DiffChecker; the first atom outside the fragment switches
 // the context to a LinChecker over every atom. Either is extended in place
 // as the set grows (grounder indices are append-only). A one-shot context's
 // LinChecker counts its eliminations as fm_scratch, a persistent one's as
 // fm_incremental.
 func (c *Context) syncAtoms() {
-	// The checker must be attached even when the grounder produced no linear
-	// atoms at all (every predicate constant-folded away): the hook still
-	// consults it, and 0 == 0 atom counts must not skip attaching it.
 	h := &c.hook
 	forms := c.g.forms
-	if h.checker != nil && len(h.atomVars) == len(forms) {
+	if len(h.atomVars) == len(forms) {
 		return
 	}
 	for i := len(h.atomVars); i < len(forms); i++ {
@@ -804,20 +819,25 @@ func (c *Context) syncAtoms() {
 			c.enc.atomVar[i] = v
 		}
 		h.atomVars = append(h.atomVars, v)
+		if len(h.atomOf) <= v {
+			h.atomOf = append(h.atomOf, make([]int32, v+1-len(h.atomOf))...)
+		}
+		h.atomOf[v] = int32(i + 1)
 	}
 	switch {
-	case c.lin != nil:
-		c.lin.Extend(forms[c.lin.Len():])
-	case c.diff.Extend(forms[c.diff.Len():]):
-		h.checker = c.diff
+	case h.lin != nil:
+		h.lin.Extend(forms[h.lin.Len():])
+	case h.diff.Extend(forms[h.diff.Len():]):
+		return
 	default:
-		c.diff = nil
+		// The atoms asserted so far go with the difference checker; the
+		// final check reads every atom off the assignment from now on.
+		h.diff, h.pushedAt = nil, nil
 		elims := stats.FMIncremental
 		if c.oneShot {
 			elims = stats.FMScratch
 		}
-		c.lin = lia.NewLinChecker(c.g.vars, forms, &c.s.ctr, elims)
-		h.checker = c.lin
+		h.lin = lia.NewLinChecker(c.g.vars, forms, &c.s.ctr, elims)
 	}
 	h.assign = make([]bool, len(h.atomVars))
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lia"
 	"repro/internal/logic"
 	"repro/internal/sat"
 )
@@ -145,6 +146,7 @@ func (c *Context) decideOffline(assumps []sat.Lit) bool {
 	c.sat.Theory = nil
 	defer func() { c.sat.Theory = h }()
 	lits := make([]sat.Lit, len(h.atomVars))
+	assign := make([]bool, len(h.atomVars))
 	for iter := 0; iter < c.s.opts.MaxTheoryIterations; iter++ {
 		if c.s.opts.Stop != nil && c.s.opts.Stop() {
 			return true
@@ -154,10 +156,18 @@ func (c *Context) decideOffline(assumps []sat.Lit) bool {
 		}
 		for k, v := range h.atomVars {
 			val := c.sat.Value(v)
-			h.assign[k] = val
+			assign[k] = val
 			lits[k] = sat.MkLit(v, !val)
 		}
-		res := h.checker.Check(h.assign)
+		var res lia.Result
+		if h.lin != nil {
+			res = h.lin.Check(assign)
+		} else {
+			// A fresh checker: the hook's own holds the atoms the online
+			// search asserted.
+			d, _ := lia.NewDiffChecker(c.g.forms)
+			res = d.Check(assign)
+		}
 		if res.Sat {
 			return true
 		}

@@ -126,22 +126,37 @@ func RenameUnknowns(f logic.Formula, ren map[string]string) logic.Formula {
 // Union are sorted merges. AddKeyed and ContainsKey take the probe
 // predicate's key from the caller, so a search that renders its item
 // universe once never re-serializes a predicate at all.
-type PredSet struct {
+//
+// A PredSet is one pointer to its immutable members, so a Solution map's
+// slots stay small and cloning one copies no member lists.
+type PredSet struct{ d *predSet }
+
+type predSet struct {
 	preds []logic.Formula // sorted by String()
 	keys  []string        // keys[i] == preds[i].String()
 	key   string          // canonical identity, "{k1 & k2 & ...}"
 	conj  logic.Formula   // Conj(preds...)
 }
 
+// noPreds stands for the zero PredSet's members.
+var noPreds = &predSet{key: "{}", conj: logic.True}
+
+func (s PredSet) v() *predSet {
+	if s.d == nil {
+		return noPreds
+	}
+	return s.d
+}
+
 // newPredSetSorted builds a set from members already in canonical (sorted,
 // deduplicated) order with their precomputed keys.
 func newPredSetSorted(preds []logic.Formula, keys []string) PredSet {
-	return PredSet{
+	return PredSet{&predSet{
 		preds: preds,
 		keys:  keys,
 		key:   "{" + strings.Join(keys, " & ") + "}",
 		conj:  logic.Conj(preds...),
-	}
+	}}
 }
 
 // NewPredSet builds a set from the given predicates, deduplicating.
@@ -159,33 +174,23 @@ func NewPredSet(ps ...logic.Formula) PredSet {
 }
 
 // Len returns the number of predicates.
-func (s PredSet) Len() int { return len(s.preds) }
+func (s PredSet) Len() int { return len(s.v().preds) }
 
 // Preds returns the predicates in canonical order. Callers must not mutate
 // the returned slice.
-func (s PredSet) Preds() []logic.Formula { return s.preds }
+func (s PredSet) Preds() []logic.Formula { return s.v().preds }
 
 // Key returns a canonical identity string.
-func (s PredSet) Key() string {
-	if s.key == "" {
-		return "{}" // zero value, never built by a constructor
-	}
-	return s.key
-}
+func (s PredSet) Key() string { return s.v().key }
 
 func (s PredSet) String() string { return s.Key() }
 
 // Formula returns the conjunction of the set (true when empty).
-func (s PredSet) Formula() logic.Formula {
-	if s.conj == nil {
-		return logic.True // zero value
-	}
-	return s.conj
-}
+func (s PredSet) Formula() logic.Formula { return s.v().conj }
 
 // Keys returns the members' canonical keys (each predicate's String()), in
 // the same order as Preds. Callers must not mutate the returned slice.
-func (s PredSet) Keys() []string { return s.keys }
+func (s PredSet) Keys() []string { return s.v().keys }
 
 // Contains reports membership by canonical form.
 func (s PredSet) Contains(p logic.Formula) bool { return s.ContainsKey(p.String()) }
@@ -193,21 +198,23 @@ func (s PredSet) Contains(p logic.Formula) bool { return s.ContainsKey(p.String(
 // ContainsKey reports whether a predicate with canonical key key (its
 // String()) is a member, without rendering any formula.
 func (s PredSet) ContainsKey(key string) bool {
-	i := sort.SearchStrings(s.keys, key)
-	return i < len(s.keys) && s.keys[i] == key
+	keys := s.v().keys
+	i := sort.SearchStrings(keys, key)
+	return i < len(keys) && keys[i] == key
 }
 
 // SubsetOf reports whether every predicate of s is in t.
 func (s PredSet) SubsetOf(t PredSet) bool {
-	if s.Len() > t.Len() {
+	sk, tk := s.v().keys, t.v().keys
+	if len(sk) > len(tk) {
 		return false
 	}
 	j := 0
-	for i := 0; i < len(s.keys); i++ {
-		for j < len(t.keys) && t.keys[j] < s.keys[i] {
+	for i := 0; i < len(sk); i++ {
+		for j < len(tk) && tk[j] < sk[i] {
 			j++
 		}
-		if j >= len(t.keys) || t.keys[j] != s.keys[i] {
+		if j >= len(tk) || tk[j] != sk[i] {
 			return false
 		}
 		j++
@@ -226,26 +233,27 @@ func (s PredSet) Union(t PredSet) PredSet {
 	if t.Len() == 0 {
 		return s
 	}
-	preds := make([]logic.Formula, 0, len(s.preds)+len(t.preds))
-	keys := make([]string, 0, len(s.keys)+len(t.keys))
+	a, b := s.v(), t.v()
+	preds := make([]logic.Formula, 0, len(a.preds)+len(b.preds))
+	keys := make([]string, 0, len(a.keys)+len(b.keys))
 	i, j := 0, 0
-	for i < len(s.keys) && j < len(t.keys) {
+	for i < len(a.keys) && j < len(b.keys) {
 		switch {
-		case s.keys[i] == t.keys[j]:
-			preds, keys = append(preds, s.preds[i]), append(keys, s.keys[i])
+		case a.keys[i] == b.keys[j]:
+			preds, keys = append(preds, a.preds[i]), append(keys, a.keys[i])
 			i, j = i+1, j+1
-		case s.keys[i] < t.keys[j]:
-			preds, keys = append(preds, s.preds[i]), append(keys, s.keys[i])
+		case a.keys[i] < b.keys[j]:
+			preds, keys = append(preds, a.preds[i]), append(keys, a.keys[i])
 			i++
 		default:
-			preds, keys = append(preds, t.preds[j]), append(keys, t.keys[j])
+			preds, keys = append(preds, b.preds[j]), append(keys, b.keys[j])
 			j++
 		}
 	}
-	preds = append(preds, s.preds[i:]...)
-	keys = append(keys, s.keys[i:]...)
-	preds = append(preds, t.preds[j:]...)
-	keys = append(keys, t.keys[j:]...)
+	preds = append(preds, a.preds[i:]...)
+	keys = append(keys, a.keys[i:]...)
+	preds = append(preds, b.preds[j:]...)
+	keys = append(keys, b.keys[j:]...)
 	return newPredSetSorted(preds, keys)
 }
 
@@ -256,14 +264,15 @@ func (s PredSet) Add(p logic.Formula) PredSet { return s.AddKeyed(p, p.String())
 // Searches that add the same predicates over and over render each key once
 // and pass it here instead of paying for p.String() on every step.
 func (s PredSet) AddKeyed(p logic.Formula, key string) PredSet {
-	i := sort.SearchStrings(s.keys, key)
-	if i < len(s.keys) && s.keys[i] == key {
+	a := s.v()
+	i := sort.SearchStrings(a.keys, key)
+	if i < len(a.keys) && a.keys[i] == key {
 		return s
 	}
-	preds := make([]logic.Formula, 0, len(s.preds)+1)
-	keys := make([]string, 0, len(s.keys)+1)
-	preds = append(append(append(preds, s.preds[:i]...), p), s.preds[i:]...)
-	keys = append(append(append(keys, s.keys[:i]...), key), s.keys[i:]...)
+	preds := make([]logic.Formula, 0, len(a.preds)+1)
+	keys := make([]string, 0, len(a.keys)+1)
+	preds = append(append(append(preds, a.preds[:i]...), p), a.preds[i:]...)
+	keys = append(append(append(keys, a.keys[:i]...), key), a.keys[i:]...)
 	return newPredSetSorted(preds, keys)
 }
 
@@ -272,8 +281,8 @@ func (s PredSet) Rename(r ssa.Renaming) PredSet {
 	if r.IsIdentity() {
 		return s
 	}
-	out := make([]logic.Formula, len(s.preds))
-	for i, p := range s.preds {
+	out := make([]logic.Formula, s.Len())
+	for i, p := range s.Preds() {
 		out[i] = r.Apply(p)
 	}
 	return NewPredSet(out...)
